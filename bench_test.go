@@ -20,6 +20,7 @@ import (
 	"github.com/ppdp/ppdp/internal/algorithms/mondrian"
 	"github.com/ppdp/ppdp/internal/dp"
 	"github.com/ppdp/ppdp/internal/experiments"
+	"github.com/ppdp/ppdp/internal/privacy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -129,6 +130,23 @@ func BenchmarkMondrianK10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mondrian.Anonymize(tbl, mondrian.Config{K: 10, QuasiIdentifiers: qi, Hierarchies: hs}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMondrianTCloseness measures one Mondrian run on 5k census rows
+// gated on 0.3-closeness of salary, so every candidate split evaluates the
+// t-closeness criterion on both halves.
+func BenchmarkMondrianTCloseness(b *testing.B) {
+	tbl := synth.Census(5000, 1)
+	hs := synth.CensusHierarchies()
+	qi := []string{"age", "sex", "education", "marital-status", "race"}
+	extra := []privacy.Criterion{privacy.TCloseness{T: 0.3, Sensitive: "salary"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mondrian.Anonymize(tbl, mondrian.Config{K: 10, QuasiIdentifiers: qi, Hierarchies: hs, Extra: extra}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,6 +72,60 @@ type CodedColumn struct {
 	// Only then is per-value rank order guaranteed to match the byte order
 	// of joined signatures (the separator is 0x1f).
 	clean bool
+	// stats is the column's value distribution, built on first use
+	// (statsOnce): the column is immutable, so one O(rows) scan serves every
+	// later frequency, domain and privacy-criterion query.
+	stats     *ColumnStats
+	statsOnce sync.Once
+}
+
+// ColumnStats is the value distribution of a CodedColumn. Lex and Numeric
+// list only codes that occur in the column (nonzero count), so dictionary
+// entries no row holds never appear in a domain.
+type ColumnStats struct {
+	// Counts[code] is the number of rows holding code.
+	Counts []int
+	// Lex lists the occurring codes in byte-lexicographic order of their
+	// values.
+	Lex []uint32
+	// Numeric lists the occurring codes in ascending numeric order of their
+	// values (ties by Lex position), or is nil when some occurring value
+	// does not parse as a number.
+	Numeric []uint32
+}
+
+// Stats returns the column's value distribution, computing it once. The
+// result is shared and must not be modified.
+func (c *CodedColumn) Stats() *ColumnStats {
+	c.statsOnce.Do(c.buildStats)
+	return c.stats
+}
+
+func (c *CodedColumn) buildStats() {
+	st := &ColumnStats{Counts: make([]int, len(c.Dict))}
+	for _, code := range c.Codes {
+		st.Counts[code]++
+	}
+	for code, n := range st.Counts {
+		if n > 0 {
+			st.Lex = append(st.Lex, uint32(code))
+		}
+	}
+	// Sorting by rank never indexes with a rank, so a snapshot carrying
+	// inconsistent ranks yields a wrong order rather than a panic.
+	slices.SortFunc(st.Lex, func(a, b uint32) int { return cmp.Compare(c.ranks[a], c.ranks[b]) })
+	parsed := make([]float64, len(c.Dict))
+	for _, code := range st.Lex {
+		f, err := strconv.ParseFloat(strings.TrimSpace(c.Dict[code]), 64)
+		if err != nil {
+			c.stats = st
+			return
+		}
+		parsed[code] = f
+	}
+	st.Numeric = slices.Clone(st.Lex)
+	slices.SortStableFunc(st.Numeric, func(a, b uint32) int { return cmp.Compare(parsed[a], parsed[b]) })
+	c.stats = st
 }
 
 // Len returns the number of rows in the column.

@@ -84,6 +84,60 @@ func TestCodedColumnDeterminismAndLookup(t *testing.T) {
 	}
 }
 
+// TestColumnStatsMatchRows checks the cached distribution, and the Domain
+// and Frequencies it serves, against the row cells on heap and snapshot
+// tables, including a numeric column whose numeric and lexicographic orders
+// differ and a SetValue that changes the column.
+func TestColumnStatsMatchRows(t *testing.T) {
+	schema := MustSchema(
+		Attribute{Name: "v", Kind: Sensitive, Type: Categorical},
+		Attribute{Name: "n", Kind: Sensitive, Type: Numeric},
+	)
+	heap, err := FromRows(schema, []Row{
+		{"b", "10"}, {"a", " 2"}, {"c", "10"}, {"a", "-1.5"}, {"b", "100"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, err := OpenSnapshot(writeSnapshotFile(t, heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	for name, tbl := range map[string]*Table{"heap": heap, "snapshot": mt.Table()} {
+		v, _ := tbl.CodedColumnByName("v")
+		if st := v.Stats(); st.Numeric != nil || !reflect.DeepEqual(lexValues(v, st.Lex), []string{"a", "b", "c"}) {
+			t.Errorf("%s: v stats = %+v", name, st)
+		}
+		n, _ := tbl.CodedColumnByName("n")
+		if got := lexValues(n, n.Stats().Numeric); !reflect.DeepEqual(got, []string{"-1.5", " 2", "10", "100"}) {
+			t.Errorf("%s: numeric order = %q", name, got)
+		}
+		dom, err := tbl.Domain("n")
+		if err != nil || !reflect.DeepEqual(dom, []string{" 2", "-1.5", "10", "100"}) {
+			t.Errorf("%s: Domain = %q, %v", name, dom, err)
+		}
+		freq, err := tbl.Frequencies("v")
+		if err != nil || !reflect.DeepEqual(freq, map[string]int{"a": 2, "b": 2, "c": 1}) {
+			t.Errorf("%s: Frequencies = %v, %v", name, freq, err)
+		}
+	}
+	if err := heap.SetValue(2, 0, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if dom, _ := heap.Domain("v"); !reflect.DeepEqual(dom, []string{"a", "b"}) {
+		t.Errorf("Domain after SetValue = %q", dom)
+	}
+}
+
+func lexValues(cc *CodedColumn, codes []uint32) []string {
+	out := make([]string, len(codes))
+	for i, c := range codes {
+		out[i] = cc.Value(c)
+	}
+	return out
+}
+
 func TestColumnCacheInvalidatedBySetValue(t *testing.T) {
 	tbl := testTable(t)
 	age := tbl.Schema().MustIndex("age")

@@ -255,32 +255,31 @@ func (t *Table) Column(name string) ([]string, error) {
 }
 
 // Domain returns the distinct values of the named column in sorted order.
+// It is served from the coded column's cached distribution.
 func (t *Table) Domain(name string) ([]string, error) {
-	vals, err := t.Column(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[string]struct{}, len(vals))
-	for _, v := range vals {
-		set[v] = struct{}{}
+	lex := cc.Stats().Lex
+	out := make([]string, len(lex))
+	for i, code := range lex {
+		out[i] = cc.Dict[code]
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out, nil
 }
 
-// Frequencies returns the absolute value counts of the named column.
+// Frequencies returns the absolute value counts of the named column. It is
+// served from the coded column's cached distribution.
 func (t *Table) Frequencies(name string) (map[string]int, error) {
-	vals, err := t.Column(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]int)
-	for _, v := range vals {
-		out[v]++
+	st := cc.Stats()
+	out := make(map[string]int, len(st.Lex))
+	for _, code := range st.Lex {
+		out[cc.Dict[code]] = st.Counts[code]
 	}
 	return out, nil
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 )
@@ -114,18 +112,12 @@ func (a AlphaKAnonymity) Check(t *dataset.Table, classes []dataset.EquivalenceCl
 	if dataset.MinClassSize(classes) < a.K {
 		return false, nil
 	}
-	for _, c := range classes {
-		dist, err := t.SensitiveDistribution(c, a.Sensitive)
-		if err != nil {
-			return false, err
-		}
-		for _, n := range dist {
-			if float64(n)/float64(c.Size()) > a.Alpha {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
+	ok := true
+	err := eachClass(t, classes, a.Sensitive, func(h *classHist) bool {
+		ok = h.maxShare() <= a.Alpha
+		return ok
+	})
+	return ok && err == nil, err
 }
 
 // MeasureMaxAlpha returns the largest relative frequency any sensitive value
@@ -133,16 +125,14 @@ func (a AlphaKAnonymity) Check(t *dataset.Table, classes []dataset.EquivalenceCl
 // is (α,k)-anonymous (given it is k-anonymous).
 func MeasureMaxAlpha(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (float64, error) {
 	max := 0.0
-	for _, c := range classes {
-		dist, err := t.SensitiveDistribution(c, sensitive)
-		if err != nil {
-			return 0, err
+	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
+		if f := h.maxShare(); f > max {
+			max = f
 		}
-		for _, n := range dist {
-			if f := float64(n) / float64(c.Size()); f > max {
-				max = f
-			}
-		}
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
 	return max, nil
 }
@@ -182,17 +172,14 @@ func (d DistinctLDiversity) Check(t *dataset.Table, classes []dataset.Equivalenc
 // over all classes — the strongest distinct l-diversity the release satisfies.
 func MeasureDistinctL(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (int, error) {
 	min := math.MaxInt
-	for _, c := range classes {
-		dist, err := t.SensitiveDistribution(c, sensitive)
-		if err != nil {
-			return 0, err
+	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
+		if h.distinct < min {
+			min = h.distinct
 		}
-		if len(dist) < min {
-			min = len(dist)
-		}
-	}
-	if len(classes) == 0 {
-		return 0, nil
+		return true
+	})
+	if err != nil || len(classes) == 0 {
+		return 0, err
 	}
 	return min, nil
 }
@@ -229,24 +216,14 @@ func (e EntropyLDiversity) Check(t *dataset.Table, classes []dataset.Equivalence
 // at least log(l).
 func MeasureEntropyL(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (float64, error) {
 	min := math.Inf(1)
-	for _, c := range classes {
-		dist, err := t.SensitiveDistribution(c, sensitive)
-		if err != nil {
-			return 0, err
+	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
+		if e := h.entropy(); e < min {
+			min = e
 		}
-		h := 0.0
-		for _, n := range dist {
-			p := float64(n) / float64(c.Size())
-			if p > 0 {
-				h -= p * math.Log(p)
-			}
-		}
-		if h < min {
-			min = h
-		}
-	}
-	if len(classes) == 0 {
-		return 0, nil
+		return true
+	})
+	if err != nil || len(classes) == 0 {
+		return 0, err
 	}
 	return min, nil
 }
@@ -273,28 +250,13 @@ func (r RecursiveCLDiversity) Check(t *dataset.Table, classes []dataset.Equivale
 	if len(classes) == 0 {
 		return false, ErrNoClasses
 	}
-	for _, cls := range classes {
-		dist, err := t.SensitiveDistribution(cls, r.Sensitive)
-		if err != nil {
-			return false, err
-		}
-		counts := make([]int, 0, len(dist))
-		for _, n := range dist {
-			counts = append(counts, n)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-		if len(counts) < r.L {
-			return false, nil
-		}
-		tail := 0
-		for i := r.L - 1; i < len(counts); i++ {
-			tail += counts[i]
-		}
-		if float64(counts[0]) >= r.C*float64(tail) {
-			return false, nil
-		}
-	}
-	return true, nil
+	ok := true
+	err := eachClass(t, classes, r.Sensitive, func(h *classHist) bool {
+		r1, tail, diverse := h.recursiveTerms(r.L)
+		ok = diverse && float64(r1) < r.C*float64(tail)
+		return ok
+	})
+	return ok && err == nil, err
 }
 
 // MeasureRecursiveC returns the smallest c for which the release satisfies
@@ -307,26 +269,19 @@ func MeasureRecursiveC(t *dataset.Table, classes []dataset.EquivalenceClass, l i
 		return 0, fmt.Errorf("%w: l = %d", ErrParameter, l)
 	}
 	max := 0.0
-	for _, cls := range classes {
-		dist, err := t.SensitiveDistribution(cls, sensitive)
-		if err != nil {
-			return 0, err
+	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
+		r1, tail, diverse := h.recursiveTerms(l)
+		if !diverse {
+			max = math.Inf(1)
+			return false
 		}
-		counts := make([]int, 0, len(dist))
-		for _, n := range dist {
-			counts = append(counts, n)
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-		if len(counts) < l {
-			return math.Inf(1), nil
-		}
-		tail := 0
-		for i := l - 1; i < len(counts); i++ {
-			tail += counts[i]
-		}
-		if ratio := float64(counts[0]) / float64(tail); ratio > max {
+		if ratio := float64(r1) / float64(tail); ratio > max {
 			max = ratio
 		}
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
 	return max, nil
 }
@@ -372,20 +327,30 @@ func (tc TCloseness) Check(t *dataset.Table, classes []dataset.EquivalenceClass)
 // class's sensitive distribution and the global distribution — the strongest
 // t for which the release is t-close.
 func MeasureMaxEMD(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string, ordered bool) (float64, error) {
-	global, err := t.Frequencies(sensitive)
+	cc, err := t.CodedColumnByName(sensitive)
 	if err != nil {
 		return 0, err
 	}
-	domain := sortedDomain(global, ordered)
-	globalDist := normalize(global, domain, t.Len())
-
+	st := cc.Stats()
+	// Categorical domains, and ordered domains with a non-numeric value,
+	// are ordered lexicographically.
+	domain := st.Lex
+	if ordered && st.Numeric != nil {
+		domain = st.Numeric
+	}
+	globalDist := make([]float64, len(domain))
+	for i, code := range domain {
+		globalDist[i] = float64(st.Counts[code]) / float64(cc.Len())
+	}
+	localDist := make([]float64, len(domain))
 	max := 0.0
-	for _, c := range classes {
-		local, err := t.SensitiveDistribution(c, sensitive)
-		if err != nil {
-			return 0, err
+	err = eachClass(t, classes, sensitive, func(h *classHist) bool {
+		for i, code := range domain {
+			localDist[i] = 0
+			if h.size > 0 {
+				localDist[i] = float64(h.counts[code]) / float64(h.size)
+			}
 		}
-		localDist := normalize(local, domain, c.Size())
 		var d float64
 		if ordered {
 			d = orderedEMD(localDist, globalDist)
@@ -395,47 +360,12 @@ func MeasureMaxEMD(t *dataset.Table, classes []dataset.EquivalenceClass, sensiti
 		if d > max {
 			max = d
 		}
+		return true
+	})
+	if err != nil {
+		return 0, err
 	}
 	return max, nil
-}
-
-// sortedDomain orders the sensitive domain: numerically when ordered EMD is
-// requested and all values parse as numbers, lexicographically otherwise.
-func sortedDomain(freq map[string]int, ordered bool) []string {
-	domain := make([]string, 0, len(freq))
-	for v := range freq {
-		domain = append(domain, v)
-	}
-	if ordered {
-		numeric := true
-		for _, v := range domain {
-			if _, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err != nil {
-				numeric = false
-				break
-			}
-		}
-		if numeric {
-			sort.Slice(domain, func(i, j int) bool {
-				a, _ := strconv.ParseFloat(domain[i], 64)
-				b, _ := strconv.ParseFloat(domain[j], 64)
-				return a < b
-			})
-			return domain
-		}
-	}
-	sort.Strings(domain)
-	return domain
-}
-
-func normalize(freq map[string]int, domain []string, total int) []float64 {
-	out := make([]float64, len(domain))
-	if total == 0 {
-		return out
-	}
-	for i, v := range domain {
-		out[i] = float64(freq[v]) / float64(total)
-	}
-	return out
 }
 
 // equalEMD is the earth mover's distance under the equal ground distance,
@@ -461,6 +391,105 @@ func orderedEMD(p, q []float64) float64 {
 		sum += math.Abs(prefix)
 	}
 	return sum / float64(m-1)
+}
+
+// ---------------------------------------------------------------------------
+// Per-class sensitive histogram kernel
+// ---------------------------------------------------------------------------
+
+// classHist is one equivalence class's sensitive-value histogram over the
+// sensitive column's dictionary codes. Every sensitive-attribute criterion
+// and measure reads classes through it, so a class costs
+// O(|class| + cardinality) with no string hashing, and the column's global
+// histogram and domain orders (dataset.ColumnStats) are computed once per
+// column rather than once per check.
+type classHist struct {
+	// counts[code] is the number of class members holding code.
+	counts []int
+	// size is the class size; distinct the number of nonzero counts.
+	size, distinct int
+	// lex lists the column's occurring codes in lexicographic value order.
+	// Entropy sums run in this order, which makes them deterministic.
+	lex []uint32
+}
+
+// eachClass counts every class's sensitive codes into one reused histogram
+// and calls fn on it, stopping early when fn returns false. With no classes
+// it resolves nothing, so an unknown sensitive attribute is reported only
+// when there is a class to evaluate.
+func eachClass(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string, fn func(*classHist) bool) error {
+	if len(classes) == 0 {
+		return nil
+	}
+	cc, err := t.CodedColumnByName(sensitive)
+	if err != nil {
+		return err
+	}
+	h := &classHist{counts: make([]int, cc.Cardinality()), lex: cc.Stats().Lex}
+	for _, c := range classes {
+		clear(h.counts)
+		h.size, h.distinct = len(c.Rows), 0
+		for _, r := range c.Rows {
+			if r < 0 || r >= len(cc.Codes) {
+				return fmt.Errorf("%w: %d (table has %d rows)", dataset.ErrRowIndex, r, len(cc.Codes))
+			}
+			code := cc.Codes[r]
+			if h.counts[code] == 0 {
+				h.distinct++
+			}
+			h.counts[code]++
+		}
+		if !fn(h) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// maxShare is the largest relative frequency of one value in the class.
+func (h *classHist) maxShare() float64 {
+	max := 0.0
+	for _, n := range h.counts {
+		if n == 0 {
+			continue
+		}
+		if f := float64(n) / float64(h.size); f > max {
+			max = f
+		}
+	}
+	return max
+}
+
+// entropy is the natural-log entropy of the class's sensitive distribution.
+func (h *classHist) entropy() float64 {
+	e := 0.0
+	for _, code := range h.lex {
+		if n := h.counts[code]; n > 0 {
+			p := float64(n) / float64(h.size)
+			e -= p * math.Log(p)
+		}
+	}
+	return e
+}
+
+// recursiveTerms returns r1 and r_l + ... + r_m over the class's counts
+// sorted descending, and false when the class has fewer than l distinct
+// values.
+func (h *classHist) recursiveTerms(l int) (r1, tail int, ok bool) {
+	if h.distinct < l {
+		return 0, 0, false
+	}
+	counts := make([]int, 0, h.distinct)
+	for _, n := range h.counts {
+		if n > 0 {
+			counts = append(counts, n)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+	for _, n := range counts[l-1:] {
+		tail += n
+	}
+	return counts[0], tail, true
 }
 
 // ---------------------------------------------------------------------------

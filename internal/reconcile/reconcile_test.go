@@ -255,12 +255,36 @@ func TestCloseStopsLoop(t *testing.T) {
 	}
 }
 
+// settledManager returns a test manager whose Logf hook, called once per
+// settled reconciliation after its bookkeeping, signals the returned channel.
+// Benchmarks block on it rather than spinning on Status, which would measure
+// the scheduler instead of the reconciler.
+func settledManager(eng Engine) (*Manager, <-chan struct{}) {
+	settled := make(chan struct{}, 1) // one reconciliation in flight at a time
+	m := New(Config{
+		Engine:      eng,
+		BackoffBase: 2 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+		Logf:        func(string, ...any) { settled <- struct{}{} },
+	})
+	return m, settled
+}
+
+// awaitSettled blocks until the next reconciliation settles and checks that
+// it reconciled the spec to gen.
+func awaitSettled(b *testing.B, m *Manager, settled <-chan struct{}, gen uint64) {
+	<-settled
+	if st, _ := m.Status("s"); st.ReconciledGeneration != gen {
+		b.Fatalf("reconciled generation %d, want %d", st.ReconciledGeneration, gen)
+	}
+}
+
 // BenchmarkReconcileNoop measures the fingerprint short-circuit: a
 // generation bump whose content is byte-identical settles without an
 // executor run.
 func BenchmarkReconcileNoop(b *testing.B) {
 	eng := &fakeEngine{}
-	m := newTestManager(eng)
+	m, settled := settledManager(eng)
 	defer m.Close()
 	m.Track("s", "ds", 1, "fp", 1, "fp")
 	b.ReportAllocs()
@@ -268,11 +292,7 @@ func BenchmarkReconcileNoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen := uint64(i + 2)
 		m.Notify("ds", gen, "fp")
-		for {
-			if st, _ := m.Status("s"); st.ReconciledGeneration == gen {
-				break
-			}
-		}
+		awaitSettled(b, m, settled, gen)
 	}
 }
 
@@ -280,7 +300,7 @@ func BenchmarkReconcileNoop(b *testing.B) {
 // enqueue, publish, swap bookkeeping.
 func BenchmarkReconcileSwap(b *testing.B) {
 	eng := &fakeEngine{}
-	m := newTestManager(eng)
+	m, settled := settledManager(eng)
 	defer m.Close()
 	m.Track("s", "ds", 1, "fp1", 1, "fp1")
 	b.ReportAllocs()
@@ -292,10 +312,6 @@ func BenchmarkReconcileSwap(b *testing.B) {
 		eng.gen, eng.fp = gen, fp
 		eng.mu.Unlock()
 		m.Notify("ds", gen, fp)
-		for {
-			if st, _ := m.Status("s"); st.ReconciledGeneration == gen {
-				break
-			}
-		}
+		awaitSettled(b, m, settled, gen)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -101,6 +102,10 @@ type Options struct {
 
 const defaultCheckpointBytes = 8 << 20
 
+// putGrace is how long checkpoint GC spares an unreferenced table after its
+// PutTable: the put-to-Apply window of a live request, with a wide margin.
+const putGrace = time.Minute
+
 // Store is the durable registry state: an in-memory view of the records,
 // kept in lockstep with a WAL-journaled, checkpointed on-disk image, plus
 // the mmap-backed table snapshots the records reference.
@@ -125,6 +130,12 @@ type Store struct {
 	checkpointErrs int64
 
 	tables map[string]int64 // fingerprint → snapshot file size
+	// putAt records when each table was last put (or re-put), until an
+	// Apply references it. A caller puts a table before the Apply that
+	// references it, so checkpoint GC spares unreferenced tables put within
+	// putGrace: any number of checkpoints may run inside that window.
+	putAt  map[string]time.Time
+	putSeq atomic.Uint64 // numbers PutTable temp files
 	mapped map[string]*dataset.MappedTable
 	cached map[string]*dataset.Table
 
@@ -162,6 +173,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts:    opts,
 		records: map[string]map[string]Record{},
 		tables:  map[string]int64{},
+		putAt:   map[string]time.Time{},
 		mapped:  map[string]*dataset.MappedTable{},
 		cached:  map[string]*dataset.Table{},
 	}
@@ -305,6 +317,9 @@ func (s *Store) applyLocked(op Op) error {
 				return fmt.Errorf("%w: %s (%s %q)", ErrUnknownTable, fp, op.Kind, op.Key)
 			}
 		}
+		for _, fp := range op.Tables {
+			delete(s.putAt, fp)
+		}
 		s.setRecord(Record{Kind: op.Kind, Key: op.Key, Seq: op.Seq, Tables: op.Tables, Meta: op.Meta})
 	case OpDelete:
 		delete(s.records[op.Kind], op.Key)
@@ -416,14 +431,17 @@ func (s *Store) PutTable(t *dataset.Table) (string, error) {
 		return "", ErrClosed
 	}
 	if _, ok := s.tables[fp]; ok {
+		s.putAt[fp] = s.now()
 		s.mu.Unlock()
 		return fp, nil
 	}
 	s.mu.Unlock()
 
-	// Encode outside the lock; snapshot writes can be large.
+	// Encode outside the lock; snapshot writes can be large. Concurrent puts
+	// of the same content each write their own temp file, and the renames
+	// replace one identical snapshot with another.
 	final := s.tablePath(fp)
-	tmp := final + tmpSuffix
+	tmp := fmt.Sprintf("%s.%d%s", final, s.putSeq.Add(1), tmpSuffix)
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", err
@@ -452,6 +470,7 @@ func (s *Store) PutTable(t *dataset.Table) (string, error) {
 	s.mu.Lock()
 	if !s.closed {
 		s.tables[fp] = size
+		s.putAt[fp] = s.now()
 	}
 	s.mu.Unlock()
 	return fp, nil
@@ -587,7 +606,8 @@ func (s *Store) checkpointLocked() error {
 	s.checkpointT = s.now()
 	_ = s.fs.Remove(oldWAL)
 
-	// GC table snapshots nothing references anymore.
+	// GC table snapshots nothing references anymore, except those whose
+	// referencing Apply may still be on its way (putAt).
 	referenced := map[string]bool{}
 	for _, byKey := range s.records {
 		for _, r := range byKey {
@@ -597,7 +617,7 @@ func (s *Store) checkpointLocked() error {
 		}
 	}
 	for fp := range s.tables {
-		if referenced[fp] {
+		if referenced[fp] || s.checkpointT.Sub(s.putAt[fp]) < putGrace {
 			continue
 		}
 		if mt, ok := s.mapped[fp]; ok {
@@ -608,6 +628,11 @@ func (s *Store) checkpointLocked() error {
 		}
 		_ = s.fs.Remove(s.tablePath(fp))
 		delete(s.tables, fp)
+	}
+	for fp, at := range s.putAt {
+		if s.checkpointT.Sub(at) >= putGrace {
+			delete(s.putAt, fp)
+		}
 	}
 	return nil
 }

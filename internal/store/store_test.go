@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,6 +177,95 @@ func TestStoreCheckpointAndGC(t *testing.T) {
 	ds := st2.Records(KindDataset)
 	if len(ds) != 1 || len(ds[0].Tables) != 1 || ds[0].Tables[0] != fp2 {
 		t.Fatalf("recovered datasets = %+v", ds)
+	}
+}
+
+// TestStorePutTableSurvivesCheckpoint pins the put-then-apply window: the
+// checkpoints that run between PutTable and the Apply referencing its table
+// must not garbage-collect the table, whether the put wrote the snapshot or
+// deduplicated against one already on disk. A table nothing came to
+// reference is collected once the put is putGrace old.
+func TestStorePutTableSurvivesCheckpoint(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	st, err := Open(t.TempDir(), Options{Now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkpoints := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fp, err := st.PutTable(testTable(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints(2)
+	if err := st.Apply(Op{Op: OpPut, Kind: KindDataset, Key: "d", Tables: []string{fp}}); err != nil {
+		t.Fatalf("apply after checkpoints: %v", err)
+	}
+
+	// Re-put of an on-disk table that lost its last reference, after the
+	// first put's grace has run out.
+	if err := st.Apply(Op{Op: OpDelete, Kind: KindDataset, Key: "d"}); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(2 * putGrace)
+	if _, err := st.PutTable(testTable(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints(2)
+	if err := st.Apply(Op{Op: OpPut, Kind: KindDataset, Key: "d", Tables: []string{fp}}); err != nil {
+		t.Fatalf("apply after re-put and checkpoints: %v", err)
+	}
+
+	orphan, err := st.PutTable(testTable(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints(1)
+	if _, err := os.Stat(st.tablePath(orphan)); err != nil {
+		t.Fatalf("table put within the grace period was collected: %v", err)
+	}
+	now = now.Add(putGrace)
+	checkpoints(1)
+	if _, err := os.Stat(st.tablePath(orphan)); !os.IsNotExist(err) {
+		t.Fatalf("unreferenced table %s survived its grace period (err=%v)", orphan, err)
+	}
+	if _, err := os.Stat(st.tablePath(fp)); err != nil {
+		t.Fatalf("referenced table missing: %v", err)
+	}
+}
+
+// TestStoreConcurrentPutTable puts one table from several goroutines at
+// once: every put must succeed with the same address, although all of them
+// may find the snapshot absent and write it.
+func TestStoreConcurrentPutTable(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tbl := testTable(t, 1)
+	want := tbl.Fingerprint()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if fp, err := st.PutTable(tbl); err != nil || fp != want {
+				t.Errorf("PutTable = %s, %v; want %s", fp, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := st.Stats().TableFiles; n != 1 {
+		t.Fatalf("TableFiles = %d, want 1", n)
 	}
 }
 
