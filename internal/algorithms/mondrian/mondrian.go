@@ -12,12 +12,15 @@
 // as l-diversity or t-closeness that gate every split.
 //
 // The implementation operates on the dataset package's cached columnar views:
-// numeric dimensions read parse-once FloatColumns and categorical dimensions
-// read dictionary-encoded CodedColumns, so the recursion never re-parses or
-// re-hashes cell strings. Independent subtrees of the recursion run on a
-// bounded worker pool (see Config.Workers); the result is deterministic
-// regardless of worker count because every partition is split identically and
-// final groups are ordered by their smallest member row index.
+// numeric dimensions are dense-ranked once per run from the parse-once
+// FloatColumns, so a split orders its partition by sorting integer
+// (rank, row) keys instead of comparing values, and categorical dimensions
+// read dictionary-encoded
+// CodedColumns, so the recursion never re-parses or re-hashes cell strings.
+// Independent subtrees of the recursion run on a bounded worker pool (see
+// Config.Workers); the result is deterministic regardless of worker count
+// because every partition is split identically and final groups are ordered
+// by their smallest member row index.
 //
 // Runs are cancelable: AnonymizeContext threads a context.Context through the
 // recursion, every worker polls it at subtree entry, and a canceled run
@@ -27,9 +30,11 @@
 package mondrian
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -125,34 +130,8 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
 	}
-	report := cfg.Progress
-	if report == nil {
-		report = func(int, int) {}
-	}
-	run := &runner{
-		ctx:        ctx,
-		t:          t,
-		cfg:        cfg,
-		report:     report,
-		qi:         qi,
-		cols:       make([]int, len(qi)),
-		numeric:    make([]bool, len(qi)),
-		domainSpan: make([]float64, len(qi)),
-		floats:     make([]*dataset.FloatColumn, len(qi)),
-		codes:      make([]*dataset.CodedColumn, len(qi)),
-		catFloat:   make([][]float64, len(qi)),
-		catIsNum:   make([][]bool, len(qi)),
-	}
-	for i, a := range qi {
-		c, err := t.Schema().Index(a)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-		}
-		run.cols[i] = c
-		attr, _ := t.Schema().ByName(a)
-		run.numeric[i] = attr.Type == dataset.Numeric
-	}
-	if err := run.buildColumns(); err != nil {
+	run, err := newRunner(ctx, t, cfg, qi)
+	if err != nil {
 		return nil, err
 	}
 
@@ -173,7 +152,7 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	// The calling goroutine is itself a worker; the semaphore only meters the
 	// extra ones.
 	run.sem = make(chan struct{}, workers-1)
-	run.partition(all)
+	run.partition(all, run.newScratch())
 	run.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
@@ -191,7 +170,7 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	report(t.Len(), t.Len())
+	run.report(t.Len(), t.Len())
 	return &Result{
 		Table:     released,
 		Groups:    run.groups,
@@ -222,6 +201,47 @@ func (s *groupsByMin) Swap(i, j int) {
 	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
 }
 
+// newRunner resolves the quasi-identifier columns of t and builds the
+// columnar views the recursion reads.
+func newRunner(ctx context.Context, t *dataset.Table, cfg Config, qi []string) (*runner, error) {
+	if t.Len() > math.MaxInt32 {
+		// Splits pack a row index and a rank into one 64-bit sort key.
+		return nil, fmt.Errorf("%w: %d rows exceed the %d-row limit", ErrConfig, t.Len(), math.MaxInt32)
+	}
+	report := cfg.Progress
+	if report == nil {
+		report = func(int, int) {}
+	}
+	run := &runner{
+		ctx:        ctx,
+		t:          t,
+		cfg:        cfg,
+		report:     report,
+		qi:         qi,
+		cols:       make([]int, len(qi)),
+		numeric:    make([]bool, len(qi)),
+		domainSpan: make([]float64, len(qi)),
+		ranks:      make([][]int32, len(qi)),
+		rankVals:   make([][]float64, len(qi)),
+		codes:      make([]*dataset.CodedColumn, len(qi)),
+		catFloat:   make([][]float64, len(qi)),
+		catIsNum:   make([][]bool, len(qi)),
+	}
+	for i, a := range qi {
+		c, err := t.Schema().Index(a)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		}
+		run.cols[i] = c
+		attr, _ := t.Schema().ByName(a)
+		run.numeric[i] = attr.Type == dataset.Numeric
+	}
+	if err := run.buildColumns(); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
 // runner carries the recursion state shared by all partition workers.
 type runner struct {
 	ctx        context.Context
@@ -233,10 +253,14 @@ type runner struct {
 	domainSpan []float64
 
 	// Columnar views of the quasi-identifier dimensions, built once before
-	// the recursion: floats[i] for numeric dimensions, codes[i] (plus the
-	// per-code parse results catFloat/catIsNum used for split ordering) for
-	// categorical ones.
-	floats   []*dataset.FloatColumn
+	// the recursion. A numeric dimension i is dense-ranked: ranks[i][row]
+	// orders the row's value among the column's distinct values (equal
+	// values share a rank; -1 marks a cell that is not a usable number) and
+	// rankVals[i][rank] is the value. A categorical dimension keeps its
+	// coded view codes[i] plus the per-code parse results catFloat/catIsNum
+	// used for split ordering.
+	ranks    [][]int32
+	rankVals [][]float64
 	codes    []*dataset.CodedColumn
 	catFloat [][]float64
 	catIsNum [][]bool
@@ -262,7 +286,11 @@ func (r *runner) buildColumns() error {
 			if err != nil {
 				return err
 			}
-			r.floats[i] = fc
+			cc, err := r.t.CodedColumn(r.cols[i])
+			if err != nil {
+				return err
+			}
+			r.ranks[i], r.rankVals[i] = denseRanks(fc, cc)
 			if fc.ValidCount > 0 && fc.Max > fc.Min {
 				r.domainSpan[i] = fc.Max - fc.Min
 			} else {
@@ -282,20 +310,62 @@ func (r *runner) buildColumns() error {
 		}
 		// Parse each dictionary entry once so splitCategorical can order
 		// values numerically (when the whole partition parses) without
-		// calling ParseFloat per split. The parse results mirror
-		// sortCategorical exactly: numeric eligibility trims whitespace, but
-		// the comparison value does not (an untrimmed parse failure compares
-		// as zero, as the reference comparator's ignored error did).
+		// calling ParseFloat per split. The parse results mirror the string
+		// reference order (sortCategorical in oracle_test.go) exactly:
+		// numeric eligibility trims whitespace, but the comparison value
+		// does not (an untrimmed parse failure compares as zero, as the
+		// reference comparator's ignored error did). A NaN value counts as
+		// non-numeric, as it does on numeric dimensions, so the numeric
+		// comparator is a total order.
 		r.catFloat[i] = make([]float64, cc.Cardinality())
 		r.catIsNum[i] = make([]bool, cc.Cardinality())
 		for code, v := range cc.Dict {
-			if _, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			if f, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && !math.IsNaN(f) {
 				r.catIsNum[i][code] = true
 				r.catFloat[i][code], _ = strconv.ParseFloat(v, 64)
 			}
 		}
 	}
 	return nil
+}
+
+// denseRanks ranks every row of a numeric column among the column's distinct
+// values, so a partition can be put in (value, row) order by counting
+// instead of comparison sorting. Values are read from the FloatColumn once
+// per dictionary code; equal values (including distinct spellings of one
+// number) share a rank. Cells that do not parse — and NaN cells, which have
+// no place in the order — rank -1, which makes any partition holding one
+// unsplittable on the dimension.
+func denseRanks(fc *dataset.FloatColumn, cc *dataset.CodedColumn) ([]int32, []float64) {
+	val := make([]float64, cc.Cardinality())
+	usable := make([]bool, cc.Cardinality())
+	for row, code := range cc.Codes {
+		val[code] = fc.Values[row]
+		usable[code] = fc.Valid[row] && !math.IsNaN(fc.Values[row])
+	}
+	order := make([]uint32, 0, len(val))
+	for code, ok := range usable {
+		if ok {
+			order = append(order, uint32(code))
+		}
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(val[a], val[b]) })
+	codeRank := make([]int32, len(val))
+	for code := range codeRank {
+		codeRank[code] = -1
+	}
+	var rankVals []float64
+	for _, code := range order {
+		if n := len(rankVals); n == 0 || rankVals[n-1] != val[code] {
+			rankVals = append(rankVals, val[code])
+		}
+		codeRank[code] = int32(len(rankVals) - 1)
+	}
+	ranks := make([]int32, len(cc.Codes))
+	for row, code := range cc.Codes {
+		ranks[row] = codeRank[code]
+	}
+	return ranks, rankVals
 }
 
 // allowable reports whether a candidate partition satisfies k-anonymity and
@@ -316,7 +386,7 @@ func (r *runner) allowable(rows []int) (bool, error) {
 // After a successful split the left subtree is handed to another worker when
 // one is free (and the subtree is large enough to amortize the handoff); the
 // right subtree always continues on the current goroutine.
-func (r *runner) partition(rows []int) {
+func (r *runner) partition(rows []int, sc *scratch) {
 	// Cancellation gate: every subtree entry polls the context, so a canceled
 	// request stops the whole pool within one split's worth of work. The
 	// partial groups are discarded by AnonymizeContext, so bailing out without
@@ -327,9 +397,9 @@ func (r *runner) partition(rows []int) {
 	default:
 	}
 	// Try dimensions in order of decreasing normalized width.
-	order := r.dimensionOrder(rows)
+	order := r.dimensionOrder(rows, sc)
 	for _, dim := range order {
-		lhs, rhs, ok := r.split(rows, dim)
+		lhs, rhs, ok := r.split(rows, dim, sc)
 		if !ok {
 			continue
 		}
@@ -350,15 +420,15 @@ func (r *runner) partition(rows []int) {
 					go func() {
 						defer r.wg.Done()
 						defer func() { <-r.sem }()
-						r.partition(lhs)
+						r.partition(lhs, r.newScratch())
 					}()
-					r.partition(rhs)
+					r.partition(rhs, sc)
 					return
 				default:
 				}
 			}
-			r.partition(lhs)
-			r.partition(rhs)
+			r.partition(lhs, sc)
+			r.partition(rhs, sc)
 			return
 		}
 	}
@@ -371,14 +441,14 @@ func (r *runner) partition(rows []int) {
 
 // dimensionOrder returns quasi-identifier dimension indices sorted by
 // decreasing normalized width over the given rows.
-func (r *runner) dimensionOrder(rows []int) []int {
+func (r *runner) dimensionOrder(rows []int, sc *scratch) []int {
 	type dw struct {
 		dim   int
 		width float64
 	}
 	widths := make([]dw, len(r.cols))
 	for i := range r.cols {
-		widths[i] = dw{dim: i, width: r.width(rows, i)}
+		widths[i] = dw{dim: i, width: r.width(rows, i, sc)}
 	}
 	slices.SortFunc(widths, func(a, b dw) int {
 		if a.width != b.width {
@@ -400,48 +470,62 @@ func (r *runner) dimensionOrder(rows []int) []int {
 // numeric span divided by the attribute's global span, or the distinct-value
 // count divided by the global domain size. Both cases read the cached
 // columns; no cell is parsed.
-func (r *runner) width(rows []int, dim int) float64 {
+func (r *runner) width(rows []int, dim int, sc *scratch) float64 {
 	span := r.domainSpan[dim]
 	if span <= 0 {
 		span = 1
 	}
 	if r.numeric[dim] {
-		fc := r.floats[dim]
-		lo, hi := 0.0, 0.0
-		first := true
-		for _, row := range rows {
-			if !fc.Valid[row] {
-				continue
-			}
-			v := fc.Values[row]
-			if first || v < lo {
-				lo = v
-			}
-			if first || v > hi {
-				hi = v
-			}
-			first = false
+		lo, hi, _ := rankRange(r.ranks[dim], rows)
+		if lo < 0 {
+			return 0
 		}
-		return (hi - lo) / span
+		vals := r.rankVals[dim]
+		return (vals[hi] - vals[lo]) / span
 	}
-	cc := r.codes[dim]
-	distinct := countDistinct(cc, rows)
+	distinct := sc.countDistinct(r.codes[dim], rows)
 	if distinct <= 1 {
 		return 0
 	}
 	return float64(distinct) / span
 }
 
-// countDistinct counts the distinct codes of cc among rows using a small
-// bitmap over the column's dictionary.
-func countDistinct(cc *dataset.CodedColumn, rows []int) int {
-	seen := make([]uint64, (cc.Cardinality()+63)/64)
+// scratch holds one worker goroutine's reusable split and width buffers, so
+// the recursion allocates only the arenas that become partitions. The
+// per-code buffers are sized to the largest categorical dictionary.
+type scratch struct {
+	// mark[code] == stamp when code was already seen by the current scan.
+	mark  []uint32
+	stamp uint32
+	// counts is all zero between calls.
+	counts []int32
+	codes  []uint32
+	// keys backs the numeric split's packed (rank, row) keys.
+	keys []uint64
+}
+
+func (r *runner) newScratch() *scratch {
+	card := 0
+	for _, cc := range r.codes {
+		if cc != nil {
+			card = max(card, cc.Cardinality())
+		}
+	}
+	return &scratch{mark: make([]uint32, card), counts: make([]int32, card)}
+}
+
+// countDistinct counts the distinct codes of cc among rows.
+func (sc *scratch) countDistinct(cc *dataset.CodedColumn, rows []int) int {
+	sc.stamp++
+	if sc.stamp == 0 {
+		clear(sc.mark)
+		sc.stamp = 1
+	}
 	distinct := 0
 	for _, row := range rows {
 		code := cc.Codes[row]
-		w, b := code>>6, uint64(1)<<(code&63)
-		if seen[w]&b == 0 {
-			seen[w] |= b
+		if sc.mark[code] != sc.stamp {
+			sc.mark[code] = sc.stamp
 			distinct++
 		}
 	}
@@ -451,93 +535,103 @@ func countDistinct(cc *dataset.CodedColumn, rows []int) int {
 // split divides rows along dimension dim. It returns ok=false when the
 // dimension cannot be split (all values equal, or a strict split would leave
 // one side empty).
-func (r *runner) split(rows []int, dim int) (lhs, rhs []int, ok bool) {
+func (r *runner) split(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
 	if r.numeric[dim] {
-		return r.splitNumeric(rows, dim)
+		return r.splitNumeric(rows, dim, sc)
 	}
-	return r.splitCategorical(rows, dim)
+	return r.splitCategorical(rows, dim, sc)
 }
 
-// rv pairs a row with its numeric value during a split.
-type rv struct {
-	row int
-	val float64
-}
-
-func (r *runner) splitNumeric(rows []int, dim int) (lhs, rhs []int, ok bool) {
-	fc := r.floats[dim]
-	vals := make([]rv, 0, len(rows))
+// rankRange returns the smallest and largest rank among rows, ignoring rows
+// ranked -1 (lo = hi = -1 when every row is); complete reports that no row
+// was.
+func rankRange(ranks []int32, rows []int) (lo, hi int32, complete bool) {
+	lo, hi, complete = -1, -1, true
 	for _, row := range rows {
-		if !fc.Valid[row] {
-			// Non-numeric cell (already generalized or suppressed input):
-			// the dimension cannot be ordered, fall back to unsplittable.
-			return nil, nil, false
+		x := ranks[row]
+		if x < 0 {
+			complete = false
+			continue
 		}
-		vals = append(vals, rv{row, fc.Values[row]})
+		if lo < 0 || x < lo {
+			lo = x
+		}
+		hi = max(hi, x)
 	}
-	slices.SortFunc(vals, func(a, b rv) int {
-		if a.val != b.val {
-			if a.val < b.val {
-				return -1
-			}
-			return 1
-		}
-		return a.row - b.row
-	})
-	if vals[0].val == vals[len(vals)-1].val {
+	return lo, hi, complete
+}
+
+// splitNumeric orders rows by (value, row) and cuts at the median. The order
+// comes from the dimension's dense ranks: packed (rank, row) keys sort as
+// plain integers into exactly the (value, row) order of a comparison sort
+// over the parsed values.
+func (r *runner) splitNumeric(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
+	rk := r.ranks[dim]
+	lo, hi, complete := rankRange(rk, rows)
+	if !complete || lo == hi {
+		// A cell that is not a usable number (already generalized or
+		// suppressed input, or NaN) leaves the dimension without an order;
+		// all-equal values leave nothing to split.
 		return nil, nil, false
 	}
-	// The sorted rows land in one arena; lhs and rhs are its two halves, so
-	// a split costs two allocations regardless of partition size.
-	arena := make([]int, len(vals))
-	for i, v := range vals {
-		arena[i] = v.row
+	// Ranks and rows both fit in 32 bits (newRunner caps the row count).
+	keys := sc.keys[:0]
+	for _, row := range rows {
+		keys = append(keys, uint64(rk[row])<<32|uint64(row))
+	}
+	sc.keys = keys
+	slices.Sort(keys)
+	// The ordered rows land in one arena; lhs and rhs are its two halves.
+	arena := make([]int, len(rows))
+	for i, key := range keys {
+		arena[i] = int(uint32(key))
 	}
 	cut := 0
 	if r.cfg.Strict {
-		median := vals[len(vals)/2].val
-		for cut < len(vals) && vals[cut].val < median {
+		median := rk[arena[len(arena)/2]]
+		for cut < len(arena) && rk[arena[cut]] < median {
 			cut++
 		}
 		if cut == 0 {
 			// All mass at or above the median value; put the median group on
 			// the left instead.
-			for cut < len(vals) && vals[cut].val <= median {
+			for cut < len(arena) && rk[arena[cut]] <= median {
 				cut++
 			}
 		}
 	} else {
-		cut = len(vals) / 2
+		cut = len(arena) / 2
 	}
-	if cut == 0 || cut == len(vals) {
+	if cut == 0 || cut == len(arena) {
 		return nil, nil, false
 	}
 	return arena[:cut:cut], arena[cut:], true
 }
 
-func (r *runner) splitCategorical(rows []int, dim int) (lhs, rhs []int, ok bool) {
+func (r *runner) splitCategorical(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
 	cc := r.codes[dim]
 	// Count occurrences per code, then scatter rows into a value-major arena
 	// (values in split order, rows in partition order within a value). The
-	// two sides are subslices of the arena, so a split costs a handful of
-	// allocations instead of one slice per distinct value.
-	counts := make([]int32, cc.Cardinality())
-	distinct := 0
+	// two sides are subslices of the arena; counts and the distinct-code list
+	// live in the worker's scratch, so a split allocates only the arena.
+	counts := sc.counts[:cc.Cardinality()]
+	codes := sc.codes[:0]
 	for _, row := range rows {
 		code := cc.Codes[row]
 		if counts[code] == 0 {
-			distinct++
+			codes = append(codes, code)
 		}
 		counts[code]++
 	}
-	if distinct < 2 {
-		return nil, nil, false
-	}
-	codes := make([]uint32, 0, distinct)
-	for code, n := range counts {
-		if n > 0 {
-			codes = append(codes, uint32(code))
+	sc.codes = codes
+	// Leave counts all zero for the next call, whichever way this one ends.
+	defer func() {
+		for _, code := range codes {
+			counts[code] = 0
 		}
+	}()
+	if len(codes) < 2 {
+		return nil, nil, false
 	}
 	r.sortCodes(dim, codes)
 	// Greedy balance: walk values in order, filling the left half until it
@@ -556,23 +650,26 @@ func (r *runner) splitCategorical(rows []int, dim int) (lhs, rhs []int, ok bool)
 		cursor[code] = off
 		off += n
 	}
+	if cut == 0 || cut == len(rows) {
+		return nil, nil, false
+	}
 	arena := make([]int, len(rows))
 	for _, row := range rows {
 		code := cc.Codes[row]
 		arena[cursor[code]] = row
 		cursor[code]++
 	}
-	if cut == 0 || cut == len(rows) {
-		return nil, nil, false
-	}
 	return arena[:cut:cut], arena[cut:], true
 }
 
-// sortCodes orders the partition's distinct codes the way sortCategorical
-// orders values — numerically when every present value parses as a number,
+// sortCodes orders the partition's distinct codes the way the string
+// reference order (sortCategorical in oracle_test.go) orders values —
+// numerically when every present value parses as a number,
 // lexicographically otherwise — using the per-code parse results cached at
-// startup instead of re-parsing. Ties (distinct spellings of the same number)
-// break on the code so the order is deterministic.
+// startup instead of re-parsing. Ties (distinct spellings of the same
+// number) break on the code, and NaN never takes the numeric path, so both
+// comparators are total orders and the result does not depend on the order
+// codes arrive in.
 func (r *runner) sortCodes(dim int, codes []uint32) {
 	isNum := r.catIsNum[dim]
 	numeric := true
@@ -597,27 +694,4 @@ func (r *runner) sortCodes(dim int, codes []uint32) {
 	}
 	dict := r.codes[dim].Dict
 	slices.SortFunc(codes, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
-}
-
-// sortCategorical orders values numerically when they all parse as numbers
-// and lexicographically otherwise, so ordered categorical codes split
-// sensibly. The recursion itself orders interned codes with sortCodes; this
-// string form is kept as the reference semantics (and for tests).
-func sortCategorical(values []string) {
-	numeric := true
-	for _, v := range values {
-		if _, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err != nil {
-			numeric = false
-			break
-		}
-	}
-	if numeric {
-		sort.Slice(values, func(i, j int) bool {
-			a, _ := strconv.ParseFloat(values[i], 64)
-			b, _ := strconv.ParseFloat(values[j], 64)
-			return a < b
-		})
-		return
-	}
-	sort.Strings(values)
 }

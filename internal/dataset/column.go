@@ -30,6 +30,11 @@ import (
 // changes a column a caller already holds, it only causes the next accessor
 // call to rebuild. Tables sharing row storage through WithSchema also share
 // the cache, so mutations through one view invalidate the other.
+//
+// Views survive derivation: a Clone or Project starts with the source's
+// views of the columns it keeps (colCache.derive), since views are immutable
+// and the copied cells are identical. SetCodedColumn is the bulk writer
+// that recodes a whole column and installs its coded view directly.
 
 // FloatColumn is a parse-once numeric view of one column. Values[i] holds the
 // parsed number of row i and is meaningful only where Valid[i] is true (cells
@@ -173,6 +178,35 @@ type colCache struct {
 
 func newColCache() *colCache { return &colCache{} }
 
+// derive returns the cache of a table derived from this cache's table:
+// column j of the derived table holds the cells of column cols[j], so it
+// starts with the views cached for column cols[j] here. Views built later on
+// either table are not shared. A Clone (cols is the identity) also keeps the
+// row-content fingerprint.
+func (c *colCache) derive(cols []int, clone bool) *colCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := &colCache{}
+	for j, src := range cols {
+		if fc, ok := c.floats[src]; ok {
+			if out.floats == nil {
+				out.floats = make(map[int]*FloatColumn)
+			}
+			out.floats[j] = fc
+		}
+		if cc, ok := c.codes[src]; ok {
+			if out.codes == nil {
+				out.codes = make(map[int]*CodedColumn)
+			}
+			out.codes[j] = cc
+		}
+	}
+	if clone {
+		out.fp = c.fp
+	}
+	return out
+}
+
 // invalidateAll drops every cached column (row set changed).
 func (c *colCache) invalidateAll() {
 	if c == nil {
@@ -303,6 +337,56 @@ func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
 	}
 	c.codes[col] = cc
 	return cc, nil
+}
+
+// SetCodedColumn overwrites column col with dict[codes[i]] in every row i
+// and installs (dict, codes) as the column's coded view: a caller that
+// recodes a whole column pays one bulk write instead of one SetValue per
+// cell, and the next CodedColumn call returns the installed view. dict must
+// list distinct values in first-appearance order of codes, each used by at
+// least one row — exactly what the lazy builder produces — otherwise an
+// error is returned and the table is unchanged. The table takes ownership
+// of both slices; callers must not modify them afterwards.
+func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
+	if col < 0 || col >= t.schema.Len() {
+		return fmt.Errorf("dataset: column index %d out of range", col)
+	}
+	if len(codes) != t.Len() {
+		return fmt.Errorf("dataset: coded column has %d rows, table has %d", len(codes), t.Len())
+	}
+	next := uint32(0)
+	for i, code := range codes {
+		if code == next {
+			next++
+		} else if code > next {
+			return fmt.Errorf("dataset: code %d of row %d is not in first-appearance order", code, i)
+		}
+	}
+	if int(next) != len(dict) {
+		return fmt.Errorf("dataset: dictionary has %d values, codes use %d", len(dict), next)
+	}
+	index := make(map[string]uint32, len(dict))
+	for code, v := range dict {
+		if _, dup := index[v]; dup {
+			return fmt.Errorf("dataset: dictionary repeats value %q", v)
+		}
+		index[v] = uint32(code)
+	}
+	t.promote()
+	for i, r := range t.rows {
+		r[col] = dict[codes[i]]
+	}
+	cc := &CodedColumn{Codes: codes, Dict: dict, index: index}
+	cc.buildRanks()
+	c := t.colcache()
+	c.invalidateCol(col)
+	c.mu.Lock()
+	if c.codes == nil {
+		c.codes = make(map[int]*CodedColumn)
+	}
+	c.codes[col] = cc
+	c.mu.Unlock()
+	return nil
 }
 
 // buildRanks computes the byte-lexicographic rank of every code and whether

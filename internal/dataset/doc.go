@@ -33,4 +33,13 @@
 // readers — parallel Mondrian workers, concurrent HTTP requests against one
 // stored dataset — can build and share columns safely. Tables produced by
 // WithSchema share row storage and therefore share the cache.
+//
+// Views survive derivation: Clone and Project (and so DropIdentifiers) start
+// with the source's views of the columns they keep, so the views of a
+// stored dataset — installed at CSV ingest or snapshot open, or built by an
+// earlier reader — are not rebuilt once per request. Views are immutable, so
+// a later write on either table only drops that table's own views. SetCodedColumn writes
+// a whole column and installs its coded view in one step; per-group
+// recoding (internal/generalize) releases every quasi-identifier column
+// through it.
 package dataset

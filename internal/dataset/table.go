@@ -226,11 +226,17 @@ func (t *Table) Float(i, col int) (float64, error) {
 // Clone returns a deep copy of the table (same schema pointer, copied rows).
 // All cloned rows share one backing arena, which makes cloning a single
 // allocation per table instead of one per row; rows remain independent
-// fixed-capacity subslices.
+// fixed-capacity subslices. The copy starts with the source's columnar views
+// and fingerprint (see colCache.derive), so it never rebuilds what the source
+// had already built.
 func (t *Table) Clone() *Table {
 	rows := t.data()
-	out := &Table{schema: t.schema, rows: make([]Row, len(rows)), cache: newColCache()}
 	k := t.schema.Len()
+	cols := make([]int, k)
+	for i := range cols {
+		cols[i] = i
+	}
+	out := &Table{schema: t.schema, rows: make([]Row, len(rows)), cache: t.colcache().derive(cols, true)}
 	arena := make([]string, len(rows)*k)
 	for i, r := range rows {
 		nr := arena[i*k : (i+1)*k : (i+1)*k]
@@ -300,6 +306,8 @@ func (t *Table) NumericRange(name string) (min, max float64, err error) {
 }
 
 // Project returns a new table containing only the named columns, in order.
+// The projection starts with the source's columnar views of the kept
+// columns (see colCache.derive).
 func (t *Table) Project(names ...string) (*Table, error) {
 	schema, err := t.schema.Project(names...)
 	if err != nil {
@@ -310,8 +318,7 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		idx[i] = t.schema.MustIndex(n)
 	}
 	rows := t.data()
-	out := NewTable(schema)
-	out.rows = make([]Row, len(rows))
+	out := &Table{schema: schema, rows: make([]Row, len(rows)), cache: t.colcache().derive(idx, false)}
 	for i, r := range rows {
 		nr := make(Row, len(idx))
 		for j, c := range idx {

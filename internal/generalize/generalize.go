@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -121,7 +120,15 @@ type GroupSummary struct {
 // replaced by a summary of the group's values — a "[lo-hi)" interval for
 // numeric attributes (or the single value when all members agree) and the
 // lowest common generalization for categorical attributes (falling back to a
-// brace-enclosed value set when no hierarchy is available).
+// brace-enclosed value set when no hierarchy is available). Rows outside
+// every group keep their values.
+//
+// Recoding runs over the input's dictionary-coded columns: a group's summary
+// is computed from its distinct codes in first-occurrence order, numeric
+// spans read the parse-once FloatColumn, and hierarchy generalizations are
+// memoized per (code, level). Each quasi-identifier column of the release is
+// written once through Table.SetCodedColumn, so later grouping and
+// measurement passes reuse the installed codes.
 //
 // It returns the recoded table together with the per-group summaries.
 func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups [][]int) (*dataset.Table, []GroupSummary, error) {
@@ -138,87 +145,142 @@ func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups []
 		numeric[i] = attr.Type == dataset.Numeric
 	}
 
-	out := t.Clone()
-	summaries := make([]GroupSummary, 0, len(groups))
-	seen := make([]bool, t.Len())
+	// Validate every group up front and record which group owns each row.
+	n := t.Len()
+	rowGroup := make([]int32, n)
+	for i := range rowGroup {
+		rowGroup[i] = -1
+	}
+	covered := 0
 	for gi, g := range groups {
 		if len(g) == 0 {
 			return nil, nil, fmt.Errorf("generalize: group %d is empty", gi)
 		}
-		values := make([]string, len(attrs))
-		for ai := range attrs {
-			vals := make([]string, 0, len(g))
-			for _, r := range g {
-				if r < 0 || r >= t.Len() {
-					return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
-				}
-				v, err := t.Value(r, cols[ai])
-				if err != nil {
-					return nil, nil, err
-				}
-				vals = append(vals, v)
+		for _, r := range g {
+			if r < 0 || r >= n {
+				return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
 			}
-			summary, err := summarize(attrs[ai], vals, numeric[ai], hs)
-			if err != nil {
-				return nil, nil, err
-			}
-			values[ai] = summary
 		}
 		for _, r := range g {
-			if seen[r] {
+			if rowGroup[r] >= 0 {
 				return nil, nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
 			}
-			seen[r] = true
-			for ai := range attrs {
-				if err := out.SetValue(r, cols[ai], values[ai]); err != nil {
-					return nil, nil, err
-				}
+			rowGroup[r] = int32(gi)
+		}
+		covered += len(g)
+	}
+
+	// Member rows and summary values are carved out of two shared arenas.
+	summaries := make([]GroupSummary, len(groups))
+	rowArena := make([]int, 0, covered)
+	valueArena := make([]string, len(groups)*len(attrs))
+	for gi, g := range groups {
+		start := len(rowArena)
+		rowArena = append(rowArena, g...)
+		v := valueArena[gi*len(attrs) : (gi+1)*len(attrs) : (gi+1)*len(attrs)]
+		summaries[gi] = GroupSummary{Rows: rowArena[start:len(rowArena):len(rowArena)], Values: v}
+	}
+
+	out := t.Clone()
+	for ai, attr := range attrs {
+		rc, err := newColumnRecoder(t, cols[ai], numeric[ai])
+		if err != nil {
+			return nil, nil, err
+		}
+		if hs != nil && hs.Has(attr) {
+			if rc.h, err = hs.Get(attr); err != nil {
+				return nil, nil, err
 			}
 		}
-		summaries = append(summaries, GroupSummary{Rows: append([]int(nil), g...), Values: values})
+		for gi, g := range groups {
+			summaries[gi].Values[ai] = rc.summarize(g)
+		}
+		dict, codes := rc.release(rowGroup, summaries, ai)
+		if err := out.SetCodedColumn(cols[ai], dict, codes); err != nil {
+			return nil, nil, err
+		}
 	}
 	return out, summaries, nil
 }
 
-// summarize recodes one attribute's group values into a single released value.
-func summarize(attr string, vals []string, isNumeric bool, hs *hierarchy.Set) (string, error) {
-	if allEqual(vals) {
-		return vals[0], nil
+// columnRecoder summarizes groups of one quasi-identifier column over its
+// dictionary codes and assembles the recoded column.
+type columnRecoder struct {
+	cc *dataset.CodedColumn
+	// fc is the parse-once numeric view; nil for categorical attributes.
+	fc *dataset.FloatColumn
+	// h is the attribute's hierarchy; nil when there is none.
+	h hierarchy.Hierarchy
+
+	// mark[code] == stamp when code was already seen in the current group;
+	// distinct and firstRow list the group's distinct codes in
+	// first-occurrence order and a member row holding each.
+	mark     []int32
+	stamp    int32
+	distinct []uint32
+	firstRow []int
+
+	// integral[code] caches isIntegral per code (0 unknown, 1 yes, 2 no);
+	// gen[level-1][code] and genState (0 unknown, 1 ok, 2 error) memoize
+	// hierarchy generalizations per (code, level).
+	integral []uint8
+	gen      [][]string
+	genState [][]uint8
+}
+
+func newColumnRecoder(t *dataset.Table, col int, numeric bool) (*columnRecoder, error) {
+	cc, err := t.CodedColumn(col)
+	if err != nil {
+		return nil, err
 	}
-	if isNumeric {
-		lo, hi, ok := numericSpan(vals)
-		if ok {
+	rc := &columnRecoder{cc: cc, mark: make([]int32, cc.Cardinality())}
+	if numeric {
+		if rc.fc, err = t.FloatColumn(col); err != nil {
+			return nil, err
+		}
+		rc.integral = make([]uint8, cc.Cardinality())
+	}
+	return rc, nil
+}
+
+// summarize recodes one group's values of the column into a single released
+// value.
+func (rc *columnRecoder) summarize(g []int) string {
+	rc.stamp++
+	rc.distinct, rc.firstRow = rc.distinct[:0], rc.firstRow[:0]
+	for _, r := range g {
+		code := rc.cc.Codes[r]
+		if rc.mark[code] != rc.stamp {
+			rc.mark[code] = rc.stamp
+			rc.distinct = append(rc.distinct, code)
+			rc.firstRow = append(rc.firstRow, r)
+		}
+	}
+	if len(rc.distinct) == 1 {
+		return rc.cc.Dict[rc.distinct[0]]
+	}
+	if rc.fc != nil {
+		if lo, hi, ok := rc.numericSpan(); ok {
 			// Intervals are half-open; widen the upper bound to include the max.
-			return hierarchy.FormatInterval(lo, hi+1, isIntegral(vals)), nil
+			return hierarchy.FormatInterval(lo, hi+1, rc.isIntegral())
 		}
 	}
-	if hs != nil && hs.Has(attr) {
-		h, err := hs.Get(attr)
-		if err != nil {
-			return "", err
-		}
-		if g, ok := lowestCommonGeneralization(h, vals); ok {
-			return g, nil
+	if rc.h != nil {
+		if g, ok := rc.lowestCommonGeneralization(); ok {
+			return g
 		}
 	}
-	return valueSet(vals), nil
+	return rc.valueSet()
 }
 
-func allEqual(vals []string) bool {
-	for _, v := range vals[1:] {
-		if v != vals[0] {
-			return false
-		}
-	}
-	return true
-}
-
-func numericSpan(vals []string) (lo, hi float64, ok bool) {
-	for i, v := range vals {
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
+// numericSpan returns the extrema of the group's values; ok is false when
+// some value does not parse as a number.
+func (rc *columnRecoder) numericSpan() (lo, hi float64, ok bool) {
+	for i, r := range rc.firstRow {
+		if !rc.fc.Valid[r] {
 			return 0, 0, false
 		}
+		f := rc.fc.Values[r]
 		if i == 0 || f < lo {
 			lo = f
 		}
@@ -229,9 +291,17 @@ func numericSpan(vals []string) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-func isIntegral(vals []string) bool {
-	for _, v := range vals {
-		if strings.ContainsAny(v, ".eE") {
+// isIntegral reports whether no group value is spelled with a fraction or an
+// exponent, so the interval prints integer bounds.
+func (rc *columnRecoder) isIntegral() bool {
+	for _, code := range rc.distinct {
+		if rc.integral[code] == 0 {
+			rc.integral[code] = 1
+			if strings.ContainsAny(rc.cc.Dict[code], ".eE") {
+				rc.integral[code] = 2
+			}
+		}
+		if rc.integral[code] == 2 {
 			return false
 		}
 	}
@@ -239,17 +309,19 @@ func isIntegral(vals []string) bool {
 }
 
 // lowestCommonGeneralization finds the smallest hierarchy level at which all
-// values share a generalization, returning that shared value.
-func lowestCommonGeneralization(h hierarchy.Hierarchy, vals []string) (string, bool) {
-	for level := 1; level <= h.MaxLevel(); level++ {
-		g0, err := h.Generalize(vals[0], level)
-		if err != nil {
+// group values share a generalization, returning that shared value. Values
+// are generalized in first-occurrence order, so a value whose generalization
+// fails is reached exactly when a scan over every member would reach it.
+func (rc *columnRecoder) lowestCommonGeneralization() (string, bool) {
+	for level := 1; level <= rc.h.MaxLevel(); level++ {
+		g0, ok := rc.generalize(rc.distinct[0], level)
+		if !ok {
 			return "", false
 		}
 		same := true
-		for _, v := range vals[1:] {
-			g, err := h.Generalize(v, level)
-			if err != nil {
+		for _, code := range rc.distinct[1:] {
+			g, ok := rc.generalize(code, level)
+			if !ok {
 				return "", false
 			}
 			if g != g0 {
@@ -264,16 +336,79 @@ func lowestCommonGeneralization(h hierarchy.Hierarchy, vals []string) (string, b
 	return "", false
 }
 
-// valueSet renders distinct values as a sorted brace-enclosed set.
-func valueSet(vals []string) string {
-	set := make(map[string]struct{}, len(vals))
-	for _, v := range vals {
-		set[v] = struct{}{}
+// generalize returns the memoized generalization of code at level.
+func (rc *columnRecoder) generalize(code uint32, level int) (string, bool) {
+	if rc.gen == nil {
+		rc.gen = make([][]string, rc.h.MaxLevel())
+		rc.genState = make([][]uint8, rc.h.MaxLevel())
 	}
-	distinct := make([]string, 0, len(set))
-	for v := range set {
-		distinct = append(distinct, v)
+	if rc.gen[level-1] == nil {
+		rc.gen[level-1] = make([]string, rc.cc.Cardinality())
+		rc.genState[level-1] = make([]uint8, rc.cc.Cardinality())
 	}
-	sort.Strings(distinct)
-	return "{" + strings.Join(distinct, ",") + "}"
+	switch rc.genState[level-1][code] {
+	case 1:
+		return rc.gen[level-1][code], true
+	case 2:
+		return "", false
+	}
+	g, err := rc.h.Generalize(rc.cc.Dict[code], level)
+	if err != nil {
+		rc.genState[level-1][code] = 2
+		return "", false
+	}
+	rc.gen[level-1][code] = g
+	rc.genState[level-1][code] = 1
+	return g, true
+}
+
+// valueSet renders the group's distinct values as a sorted brace-enclosed
+// set.
+func (rc *columnRecoder) valueSet() string {
+	vals := make([]string, len(rc.distinct))
+	for i, code := range rc.distinct {
+		vals[i] = rc.cc.Dict[code]
+	}
+	sort.Strings(vals)
+	return "{" + strings.Join(vals, ",") + "}"
+}
+
+// release assembles the recoded column: rows in a group take the group's
+// summary value (summaries[g].Values[ai]), other rows keep their value. The
+// dictionary is interned in first-appearance row order, matching what
+// Table.CodedColumn would build over the written cells; each group and each
+// source code is looked up in the intern map once.
+func (rc *columnRecoder) release(rowGroup []int32, summaries []GroupSummary, ai int) ([]string, []uint32) {
+	numGroups := len(summaries)
+	// Keys [0, numGroups) are groups; numGroups+code is an ungrouped source
+	// code. final[key] is the key's output code plus one (zero: unassigned).
+	final := make([]uint32, numGroups+rc.cc.Cardinality())
+	index := make(map[string]uint32)
+	var dict []string
+	codes := make([]uint32, len(rowGroup))
+	for i, g := range rowGroup {
+		key := int(g)
+		if g < 0 {
+			key = numGroups + int(rc.cc.Codes[i])
+		}
+		c := final[key]
+		if c == 0 {
+			var v string
+			if g >= 0 {
+				v = summaries[g].Values[ai]
+			} else {
+				v = rc.cc.Dict[rc.cc.Codes[i]]
+			}
+			code, ok := index[v]
+			if !ok {
+				code = uint32(len(dict))
+				dict = append(dict, v)
+				index[v] = code
+			}
+			c = code + 1
+			final[key] = c
+		}
+		codes[i] = c - 1
+	}
+	return dict, codes
 }

@@ -2,7 +2,6 @@ package generalize
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -208,12 +207,19 @@ func TestRecodeGroupsErrors(t *testing.T) {
 }
 
 func TestValueSetDeterministic(t *testing.T) {
-	a := valueSet([]string{"b", "a", "b", "c"})
-	if a != "{a,b,c}" {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "city", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	tbl, _ := dataset.FromRows(schema, []dataset.Row{{"b"}, {"a"}, {"b"}, {"c"}})
+	_, summaries, err := RecodeGroups(tbl, []string{"city"}, nil, [][]int{{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := summaries[0].Values[0]; a != "{a,b,c}" {
 		t.Errorf("valueSet = %q", a)
 	}
-	if !strings.HasPrefix(a, "{") || !strings.HasSuffix(a, "}") {
-		t.Errorf("valueSet format = %q", a)
+	if a := oracleValueSet([]string{"b", "a", "b", "c"}); a != "{a,b,c}" {
+		t.Errorf("oracle valueSet = %q", a)
 	}
 }
 
@@ -223,15 +229,27 @@ func TestLowestCommonGeneralization(t *testing.T) {
 		"masters":   {"higher", "any"},
 		"hs-grad":   {"secondary", "any"},
 	})
-	g, ok := lowestCommonGeneralization(h, []string{"bachelors", "masters"})
-	if !ok || g != "higher" {
-		t.Errorf("lcg = %q, %v", g, ok)
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "edu", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	tbl, _ := dataset.FromRows(schema, []dataset.Row{
+		{"bachelors"}, {"masters"}, {"bachelors"}, {"hs-grad"}, {"bachelors"}, {"unknown"},
+	})
+	_, summaries, err := RecodeGroups(tbl, []string{"edu"}, hierarchy.MustSet(h), [][]int{{0, 1}, {2, 3}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g, ok = lowestCommonGeneralization(h, []string{"bachelors", "hs-grad"})
-	if !ok || g != "any" {
-		t.Errorf("lcg = %q, %v", g, ok)
+	// A value the hierarchy cannot generalize falls back to the value set.
+	want := []string{"higher", "any", "{bachelors,unknown}"}
+	for gi, w := range want {
+		if g := summaries[gi].Values[0]; g != w {
+			t.Errorf("group %d lcg = %q, want %q", gi, g, w)
+		}
 	}
-	if _, ok := lowestCommonGeneralization(h, []string{"bachelors", "unknown"}); ok {
-		t.Error("lcg with unknown value should fail")
+	if g, ok := oracleLCG(h, []string{"bachelors", "masters"}); !ok || g != "higher" {
+		t.Errorf("oracle lcg = %q, %v", g, ok)
+	}
+	if _, ok := oracleLCG(h, []string{"bachelors", "unknown"}); ok {
+		t.Error("oracle lcg with unknown value should fail")
 	}
 }
