@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fmt-check linkcheck api-docs api-docs-check serve bench bench-compare bench-cores bench-quick bench-full fuzz ci
+.PHONY: all build test vet race fmt-check linkcheck api-docs api-docs-check loadbench-check serve bench bench-compare bench-cores bench-quick bench-full fuzz ci
 
 all: build
 
@@ -34,6 +34,12 @@ api-docs:
 api-docs-check:
 	@$(GO) run ./cmd/apidocs | diff -u docs/API.md - \
 		|| { echo "docs/API.md is stale: run 'make api-docs' and commit the result" >&2; exit 1; }
+
+# loadbench/ is a module of its own that compiles against internal/core,
+# internal/engine and internal/server; the root ./... never builds it, so
+# this keeps an internal API change from silently breaking the harness.
+loadbench-check:
+	cd loadbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run the HTTP anonymization service with a preloaded census table.
 serve:
@@ -85,4 +91,4 @@ bench-quick:
 bench-full:
 	$(GO) test -run '^$$' -bench . -benchmem -ppdp.full .
 
-ci: build fmt-check vet linkcheck api-docs-check test race
+ci: build fmt-check vet linkcheck api-docs-check loadbench-check test race

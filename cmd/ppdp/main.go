@@ -30,8 +30,9 @@
 // or declaratively with -policy file.json, a versioned JSON document
 // composing criteria (see internal/policy and docs/API.md). `ppdp policy`
 // validates and canonicalizes policy files and converts flat flags into
-// them; either surface runs the same pipeline, and anonymize echoes the
-// canonical policy it enforced on stderr.
+// them; either surface runs the same policy-only pipeline (flat flags are
+// translated once, here), and anonymize echoes the canonical policy the
+// release declares on stderr.
 //
 // `ppdp serve` exposes the same pipeline over HTTP, synchronously and as
 // background jobs behind one bounded executor (-job-workers running,
@@ -333,20 +334,28 @@ func cmdAnonymize(args []string) error {
 	}
 	cfg := core.Config{
 		Algorithm:      alg,
+		Policy:         pol,
 		Sensitive:      *sensitive,
 		StrictMondrian: *strict,
 		Workers:        *workers,
 		Hierarchies:    hs,
 	}
-	if pol != nil {
-		cfg.Policy = pol
-	} else {
-		cfg.K = *k
-		cfg.L = *l
-		cfg.T = *t
-		cfg.DiversityMode = core.DiversityMode(*diversity)
-		cfg.C = *c
-		cfg.MaxSuppression = *suppress
+	if pol == nil {
+		// Deprecated flat flags: translated once here. The run enforces what
+		// the algorithm supports; the echo below is the full declaration.
+		// (The summary line needs no re-measurement: without an ordered
+		// flag, its max-EMD does not depend on the declared criteria.)
+		engineAlg, err := engine.Lookup(string(alg))
+		if err != nil {
+			return err
+		}
+		cfg.Policy, pol, err = policy.FromFlatFor(policy.Flat{
+			K: *k, L: *l, DiversityMode: *diversity, C: *c, T: *t,
+			Sensitive: *sensitive, MaxSuppression: *suppress,
+		}, engineAlg.Describe().Criteria)
+		if err != nil {
+			return fmt.Errorf("%w: %v", core.ErrConfig, err)
+		}
 	}
 	if *progress {
 		// The same engine sink the HTTP jobs feed on: events arrive
@@ -364,11 +373,9 @@ func cmdAnonymize(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Echo the canonical policy the run enforces — for flat flags, their
-	// translation — matching the HTTP service's response echo.
-	if p := anon.Policy(); p != nil {
-		fmt.Fprintf(os.Stderr, "policy: %s\n", p.Describe())
-	}
+	// Echo the canonical policy the release declares, matching the HTTP
+	// service's response echo.
+	fmt.Fprintf(os.Stderr, "policy: %s\n", pol.Describe())
 	rel, err := anon.Anonymize(tbl)
 	if *progress {
 		fmt.Fprintln(os.Stderr) // finish the carriage-return progress line

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"github.com/ppdp/ppdp/internal/core"
+	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -19,13 +20,15 @@ func main() {
 	fmt.Printf("quasi-identifier: %v\n", original.Schema().QuasiIdentifierNames())
 	fmt.Printf("sensitive: %v\n\n", original.Schema().SensitiveNames())
 
-	// 2. Configure the anonymizer: Mondrian multidimensional recoding with
-	// k=10 and distinct 2-diversity on the salary class.
+	// 2. Configure the anonymizer: Mondrian multidimensional recoding under a
+	// privacy policy composing k=10 with distinct 2-diversity on the salary
+	// class.
 	anon, err := core.New(core.Config{
-		Algorithm:   core.Mondrian,
-		K:           10,
-		L:           2,
-		Sensitive:   "salary",
+		Algorithm: core.Mondrian,
+		Policy: &policy.Policy{Criteria: []policy.Criterion{
+			{Type: policy.KAnonymity, K: 10},
+			{Type: policy.DistinctLDiversity, L: 2, Sensitive: "salary"},
+		}},
 		Hierarchies: synth.CensusHierarchies(),
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package core is the public face of the PPDP library: it ties the privacy
 // models, anonymization algorithms, utility metrics and risk measures into a
 // single release pipeline. A caller configures an Anonymizer with the desired
-// algorithm and privacy parameters, calls Anonymize on a table, and receives
+// algorithm and privacy policy, calls Anonymize on a table, and receives
 // a Release that contains the published data together with the measured
 // privacy and utility properties, so the "trust but verify" step of the
 // survey's methodology is built in.
@@ -81,61 +81,17 @@ func Algorithms() []Algorithm {
 	return out
 }
 
-// DiversityMode selects which member of the l-diversity family to enforce.
-type DiversityMode string
-
-// Diversity modes.
-const (
-	// DistinctDiversity requires L distinct sensitive values per class.
-	DistinctDiversity DiversityMode = "distinct"
-	// EntropyDiversity requires per-class entropy of at least log(L).
-	EntropyDiversity DiversityMode = "entropy"
-	// RecursiveDiversity requires recursive (C, L)-diversity.
-	RecursiveDiversity DiversityMode = "recursive"
-)
-
 // Config describes one release.
-//
-// The privacy criteria are declared either through Policy (the declarative
-// form, preferred) or through the deprecated flat fields K/L/DiversityMode/
-// C/T/OrderedSensitive/MaxSuppression. The two forms are mutually exclusive;
-// flat fields ride through the same policy translator (policy.FromFlat), so
-// either way the pipeline runs on one canonical policy.
 type Config struct {
 	// Algorithm selects the anonymizer; Mondrian when empty.
 	Algorithm Algorithm
-	// Policy declares the privacy criteria of the release as a declarative
-	// policy document. When set, the flat privacy fields below must stay
-	// zero, and the policy is validated strictly: a criterion the selected
-	// algorithm cannot enforce is a configuration error. When nil, the flat
-	// fields are translated into a policy, keeping their legacy semantics
-	// (parameters an algorithm does not read are silently ignored).
+	// Policy declares the privacy criteria of the release. It is validated
+	// strictly: a criterion the selected algorithm cannot enforce is a
+	// configuration error. A nil Policy declares nothing, so the algorithm's
+	// validation reports the parameter it is missing. The deprecated flat
+	// parameters (k, l, t, ...) are translated into a policy by the callers
+	// that still accept them (see policy.FromFlatFor).
 	Policy *policy.Policy
-	// K is the k-anonymity parameter (ignored by Anatomy).
-	//
-	// Deprecated: declare a k-anonymity criterion in Policy instead.
-	K int
-	// L enables l-diversity when positive (required by Anatomy).
-	//
-	// Deprecated: declare an l-diversity criterion in Policy instead.
-	L int
-	// DiversityMode selects the l-diversity variant (distinct when empty).
-	//
-	// Deprecated: the Policy criterion type selects the variant.
-	DiversityMode DiversityMode
-	// C is the recursive (c, l)-diversity constant (default 3 when the
-	// recursive mode is selected).
-	//
-	// Deprecated: declare it on the Policy criterion instead.
-	C float64
-	// T enables t-closeness when positive.
-	//
-	// Deprecated: declare a t-closeness criterion in Policy instead.
-	T float64
-	// OrderedSensitive selects the ordered-distance EMD for t-closeness.
-	//
-	// Deprecated: set "ordered" on the Policy's t-closeness criterion.
-	OrderedSensitive bool
 	// Sensitive names the default sensitive attribute for the
 	// attribute-linkage criteria; criteria that do not name their own fall
 	// back to it, then to the schema's first sensitive column.
@@ -146,10 +102,6 @@ type Config struct {
 	// Hierarchies supplies generalization hierarchies (required by the
 	// full-domain algorithms, optional for Mondrian/KMember recoding).
 	Hierarchies *hierarchy.Set
-	// MaxSuppression bounds record suppression for Datafly and Samarati.
-	//
-	// Deprecated: declare a suppression budget in Policy instead.
-	MaxSuppression float64
 	// StrictMondrian selects strict partitioning for Mondrian.
 	StrictMondrian bool
 	// Workers bounds the per-run parallelism: the algorithms' worker pools
@@ -228,9 +180,9 @@ type Release struct {
 	Anatomy *anatomy.Result
 	// Algorithm echoes the algorithm used.
 	Algorithm Algorithm
-	// Policy echoes the canonical privacy policy the release enforced —
-	// translated from the flat parameters when the caller used the
-	// deprecated surface. Treat it as immutable.
+	// Policy echoes the canonical privacy policy the release was measured
+	// against: the anonymizer's own, or the one Remeasure declared. Treat it
+	// as immutable.
 	Policy *policy.Policy
 	// Node is the full-domain generalization node when applicable.
 	Node []int
@@ -242,126 +194,36 @@ type Release struct {
 type Anonymizer struct {
 	cfg Config
 	alg engine.Algorithm
-	// pol is the declared canonical policy: the explicit Config.Policy, or
-	// the full translation of the deprecated flat fields. It drives
-	// everything user-facing — the extra run criteria, the per-criterion
-	// measurements, Verify, and the policy echo — preserving the legacy
-	// "trust but verify" contract that a criterion the user declared is
-	// measured and verified even when the algorithm cannot enforce it.
+	// pol is the canonical Config.Policy (nil only inside New, for a
+	// configuration without one, which no adapter accepts): the engine
+	// spec, the extra run criteria, the measurements, Verify and the policy
+	// echo all derive from it.
 	pol *policy.Policy
-	// runPol is the policy the engine spec is built from. For an explicit
-	// Config.Policy it equals pol (strict: the adapter rejects unsupported
-	// criteria); for the flat shim it is pol restricted to the algorithm's
-	// supported criterion types, preserving the legacy contract that flat
-	// parameters an algorithm does not read are silently ignored at run
-	// time. Both may be nil only transiently inside New, for flat
-	// configurations that enable no criterion at all — those never survive
-	// the adapter's validation.
-	runPol *policy.Policy
 }
 
-// New validates the configuration and returns an Anonymizer. Cross-algorithm
-// parameter ranges are checked here, the privacy criteria are resolved into
-// one canonical policy (see Config.Policy), and everything algorithm-specific
-// (required parameters, hierarchies, supported criterion types) is delegated
-// to the algorithm's own engine adapter, so core carries no per-algorithm
-// knowledge.
+// New validates the configuration and returns an Anonymizer. The policy is
+// canonicalized, and everything algorithm-specific (required parameters,
+// hierarchies, supported criterion types) is delegated to the algorithm's
+// own engine adapter, so core carries no per-algorithm knowledge.
 func New(cfg Config) (*Anonymizer, error) {
 	alg, err := engine.Lookup(string(cfg.Algorithm))
 	if err != nil {
 		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrConfig, cfg.Algorithm)
 	}
 	cfg.Algorithm = Algorithm(alg.Name())
-	if cfg.L < 0 || cfg.T < 0 || cfg.T > 1 {
-		return nil, fmt.Errorf("%w: L=%d T=%v", ErrConfig, cfg.L, cfg.T)
-	}
-	if cfg.MaxSuppression < 0 || cfg.MaxSuppression > 1 {
-		return nil, fmt.Errorf("%w: MaxSuppression=%v", ErrConfig, cfg.MaxSuppression)
-	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w: Workers=%d", ErrConfig, cfg.Workers)
 	}
-	if cfg.DiversityMode == "" {
-		cfg.DiversityMode = DistinctDiversity
+	a := &Anonymizer{cfg: cfg, alg: alg}
+	if cfg.Policy != nil {
+		if a.pol, err = cfg.Policy.Canonical(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		}
 	}
-	if cfg.DiversityMode == RecursiveDiversity && cfg.C <= 0 {
-		cfg.C = 3
-	}
-	declared, enforced, err := resolvePolicy(cfg, alg.Describe())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
-	a := &Anonymizer{cfg: cfg, alg: alg, pol: declared, runPol: enforced}
 	if err := alg.Validate(a.spec("", nil)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return a, nil
-}
-
-// resolvePolicy turns a configuration into the declared canonical policy
-// (user-facing: measurement, verification, echo) and the enforced one (the
-// engine spec). An explicit Config.Policy is canonicalized strictly and used
-// for both, so criteria the algorithm cannot enforce are rejected by its
-// Validate. The deprecated flat fields translate through policy.FromFlat
-// whole (declared), and the enforced copy is restricted to the algorithm's
-// supported criterion types — the legacy contract that flat parameters an
-// algorithm does not read are silently ignored at run time, while "trust
-// but verify" still measures everything that was asked for.
-func resolvePolicy(cfg Config, info engine.Info) (declared, enforced *policy.Policy, err error) {
-	if cfg.Policy != nil {
-		if cfg.K != 0 || cfg.L != 0 || cfg.C != 0 || cfg.T != 0 || cfg.OrderedSensitive ||
-			cfg.MaxSuppression != 0 || (cfg.DiversityMode != "" && cfg.DiversityMode != DistinctDiversity) {
-			return nil, nil, fmt.Errorf("Policy and the deprecated flat privacy parameters are mutually exclusive")
-		}
-		canon, err := cfg.Policy.Canonical()
-		if err != nil {
-			return nil, nil, err
-		}
-		return canon, canon, nil
-	}
-	pol, err := policy.FromFlat(policy.Flat{
-		K:                cfg.K,
-		L:                cfg.L,
-		DiversityMode:    string(cfg.DiversityMode),
-		C:                cfg.C,
-		T:                cfg.T,
-		OrderedSensitive: cfg.OrderedSensitive,
-		Sensitive:        cfg.Sensitive,
-		MaxSuppression:   cfg.MaxSuppression,
-	})
-	if errors.Is(err, policy.ErrNoCriteria) {
-		// Nothing enabled: let the adapter's validation report its natural
-		// error (K or L missing) instead of a translation error.
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	enforced = pol.Restrict(info.Criteria)
-	// The flat "l" parameter is the bucket size for algorithms that enforce
-	// distinct-l-diversity (Anatomy) no matter which diversity_mode was
-	// selected — the mode has always been an ignored parameter there. When
-	// restriction dropped a non-distinct variant, re-declare the criterion
-	// the algorithm actually enforces so Spec.L keeps carrying cfg.L.
-	if cfg.L > 1 && info.SupportsCriterion(policy.DistinctLDiversity) && !hasDiversity(enforced) {
-		enforced.Criteria = append(enforced.Criteria,
-			policy.Criterion{Type: policy.DistinctLDiversity, L: float64(cfg.L), Sensitive: cfg.Sensitive})
-		if enforced, err = enforced.Canonical(); err != nil {
-			return nil, nil, err
-		}
-	}
-	return pol, enforced, nil
-}
-
-// hasDiversity reports whether the policy carries any l-diversity-family
-// criterion.
-func hasDiversity(p *policy.Policy) bool {
-	for _, c := range p.Criteria {
-		if policy.IsDiversity(c.Type) {
-			return true
-		}
-	}
-	return false
 }
 
 // spec maps the resolved policy and the run tuning onto the engine's
@@ -376,13 +238,13 @@ func (a *Anonymizer) spec(sensitive string, extra []privacy.Criterion) engine.Sp
 		Strict:           a.cfg.StrictMondrian,
 		Workers:          a.cfg.Workers,
 		Extra:            extra,
-		Policy:           a.runPol,
+		Policy:           a.pol,
 		Progress:         a.cfg.Progress,
 	}
-	if a.runPol != nil {
-		spec.K = a.runPol.KAnonymityK()
-		spec.L = a.runPol.BucketL()
-		spec.MaxSuppression = a.runPol.SuppressionBudget()
+	if a.pol != nil {
+		spec.K = a.pol.KAnonymityK()
+		spec.L = a.pol.BucketL()
+		spec.MaxSuppression = a.pol.SuppressionBudget()
 	}
 	return spec
 }
@@ -425,12 +287,8 @@ func (a *Anonymizer) extraCriteria(sensitive string) ([]privacy.Criterion, error
 	return out, nil
 }
 
-// Policy returns the declared canonical privacy policy — the explicit
-// Config.Policy, or the full translation of the deprecated flat parameters.
-// It is what the pipeline measures, verifies and echoes; flat parameters
-// the algorithm does not read stay declared here even though the run
-// ignores them (their measurement entries report whether the release
-// happens to satisfy them). Treat it as immutable.
+// Policy returns the canonical privacy policy: what the pipeline enforces,
+// measures, verifies and echoes. Treat it as immutable.
 func (a *Anonymizer) Policy() *policy.Policy { return a.pol }
 
 // Anonymize runs the configured pipeline on t with no cancellation; it is
@@ -541,35 +399,12 @@ func (a *Anonymizer) scanWorkers() int {
 
 // measure verifies the privacy level and utility of a microdata release.
 func (a *Anonymizer) measure(original, released *dataset.Table, sensitive string) (*Measurements, error) {
-	m := &Measurements{}
-	qiNames := released.Schema().QuasiIdentifierNames()
-	if len(a.cfg.QuasiIdentifiers) > 0 {
-		qiNames = a.cfg.QuasiIdentifiers
-	}
-	classes, err := released.GroupBy(qiNames...)
+	classes, err := released.GroupBy(a.quasiIdentifiers(released)...)
 	if err != nil {
 		return nil, err
 	}
-	m.K = privacy.MeasureK(classes)
-	orderedEMD := a.cfg.OrderedSensitive
-	if a.pol != nil {
-		if tc, ok := a.pol.Find(policy.TCloseness); ok {
-			orderedEMD = tc.Ordered
-		}
-	}
-	if sensitive != "" && released.Schema().Has(sensitive) {
-		l, err := privacy.MeasureDistinctL(released, classes, sensitive)
-		if err != nil {
-			return nil, err
-		}
-		m.DistinctL = l
-		emd, err := privacy.MeasureMaxEMD(released, classes, sensitive, orderedEMD)
-		if err != nil {
-			return nil, err
-		}
-		m.MaxEMD = emd
-	}
-	if err := a.measureCriteria(m, released, classes, sensitive); err != nil {
+	m := &Measurements{K: privacy.MeasureK(classes)}
+	if err := measurePolicy(m, released, classes, sensitive, a.pol, false); err != nil {
 		return nil, err
 	}
 	// Metric failures are real failures: a release whose utility cannot be
@@ -594,16 +429,64 @@ func (a *Anonymizer) measure(original, released *dataset.Table, sensitive string
 	return m, nil
 }
 
-// measureCriteria fills Measurements.Criteria with one verification entry
-// per policy criterion, keyed by criterion type. Criteria whose sensitive
-// attribute is not a column of the released table are skipped, mirroring the
-// legacy scalar measurements.
-func (a *Anonymizer) measureCriteria(m *Measurements, released *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) error {
-	if a.pol == nil || len(a.pol.Criteria) == 0 {
+// Remeasure re-verifies rel, a release this anonymizer produced, against
+// declared instead of the anonymizer's own policy, and makes declared the
+// release's policy. It serves callers whose request declares more than the
+// algorithm enforces — the deprecated flat parameters translated by
+// policy.FromFlatFor — so a criterion the run ignored is still measured and
+// reported ("trust but verify"). orderedEMD selects the ordered ground
+// distance for the MaxEMD summary when declared has no t-closeness
+// criterion of its own. The policy-independent measurements are kept.
+func (a *Anonymizer) Remeasure(rel *Release, declared *policy.Policy, orderedEMD bool) error {
+	rel.Policy = declared
+	if rel.Table == nil {
 		return nil
 	}
-	m.Criteria = make(map[string]CriterionMeasurement, len(a.pol.Criteria))
-	for _, c := range a.pol.ResolveSensitive(sensitive).Criteria {
+	classes, err := rel.Table.GroupBy(a.quasiIdentifiers(rel.Table)...)
+	if err != nil {
+		return err
+	}
+	return measurePolicy(&rel.Measured, rel.Table, classes, a.sensitiveAttr(rel.Table), declared, orderedEMD)
+}
+
+// quasiIdentifiers resolves the quasi-identifier a release was built for.
+func (a *Anonymizer) quasiIdentifiers(released *dataset.Table) []string {
+	if len(a.cfg.QuasiIdentifiers) > 0 {
+		return a.cfg.QuasiIdentifiers
+	}
+	return released.Schema().QuasiIdentifierNames()
+}
+
+// measurePolicy fills the measurements that depend on the sensitive
+// attribute and the policy: the distinct-l and max-EMD summaries (ordered
+// EMD when pol's t-closeness criterion says so, orderedEMD otherwise) and
+// one verification entry per policy criterion, keyed by criterion type.
+// Criteria whose sensitive attribute is not a column of the released table
+// are skipped, mirroring the summaries.
+func measurePolicy(m *Measurements, released *dataset.Table, classes []dataset.EquivalenceClass, sensitive string, pol *policy.Policy, orderedEMD bool) error {
+	if pol != nil {
+		if tc, ok := pol.Find(policy.TCloseness); ok {
+			orderedEMD = tc.Ordered
+		}
+	}
+	if sensitive != "" && released.Schema().Has(sensitive) {
+		l, err := privacy.MeasureDistinctL(released, classes, sensitive)
+		if err != nil {
+			return err
+		}
+		m.DistinctL = l
+		emd, err := privacy.MeasureMaxEMD(released, classes, sensitive, orderedEMD)
+		if err != nil {
+			return err
+		}
+		m.MaxEMD = emd
+	}
+	m.Criteria = nil
+	if pol == nil || len(pol.Criteria) == 0 {
+		return nil
+	}
+	m.Criteria = make(map[string]CriterionMeasurement, len(pol.Criteria))
+	for _, c := range pol.ResolveSensitive(sensitive).Criteria {
 		entry := CriterionMeasurement{Sensitive: c.Sensitive}
 		if c.Type != policy.KAnonymity {
 			if c.Sensitive == "" || !released.Schema().Has(c.Sensitive) {
@@ -661,11 +544,7 @@ func (a *Anonymizer) Verify(released *dataset.Table) (bool, string, error) {
 	if err != nil {
 		return false, "", err
 	}
-	qi := a.cfg.QuasiIdentifiers
-	if len(qi) == 0 {
-		qi = released.Schema().QuasiIdentifierNames()
-	}
-	classes, err := released.GroupBy(qi...)
+	classes, err := released.GroupBy(a.quasiIdentifiers(released)...)
 	if err != nil {
 		return false, "", err
 	}

@@ -6,8 +6,26 @@ import (
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/metrics"
+	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
+
+// kPolicy is a k-anonymity policy composed with further criteria. Core
+// canonicalizes it, so tests build it in any order.
+func kPolicy(k int, more ...policy.Criterion) *policy.Policy {
+	return &policy.Policy{Criteria: append([]policy.Criterion{{Type: policy.KAnonymity, K: k}}, more...)}
+}
+
+// withSuppression sets a policy's suppression budget.
+func withSuppression(p *policy.Policy, budget float64) *policy.Policy {
+	p.Suppression = &policy.Suppression{MaxFraction: budget}
+	return p
+}
+
+// distinctL is a distinct l-diversity criterion.
+func distinctL(l int, sensitive string) policy.Criterion {
+	return policy.Criterion{Type: policy.DistinctLDiversity, L: float64(l), Sensitive: sensitive}
+}
 
 func TestParseAlgorithm(t *testing.T) {
 	for _, a := range Algorithms() {
@@ -27,19 +45,21 @@ func TestParseAlgorithm(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	hs := synth.HospitalHierarchies()
 	cases := []Config{
-		{Algorithm: "bogus", K: 2},
-		{Algorithm: Mondrian, K: 0},
-		{Algorithm: Anatomy, L: 1},
-		{Algorithm: Mondrian, K: 2, T: 1.5},
-		{Algorithm: Mondrian, K: 2, MaxSuppression: 2},
-		{Algorithm: Datafly, K: 2}, // needs hierarchies
+		{Algorithm: "bogus", Policy: kPolicy(2)},
+		{Algorithm: Mondrian}, // no policy: k is missing
+		{Algorithm: Mondrian, Policy: kPolicy(0)},
+		{Algorithm: Anatomy, Policy: &policy.Policy{Criteria: []policy.Criterion{distinctL(1, "")}}},
+		{Algorithm: Mondrian, Policy: kPolicy(2, policy.Criterion{Type: policy.TCloseness, T: 1.5})},
+		{Algorithm: Mondrian, Policy: withSuppression(kPolicy(2), 2)},
+		{Algorithm: Mondrian, Policy: kPolicy(2, policy.Criterion{Type: "bogus-diversity", L: 2})},
+		{Algorithm: Datafly, Policy: kPolicy(2)}, // needs hierarchies
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); !errors.Is(err, ErrConfig) {
 			t.Errorf("case %d: error = %v", i, err)
 		}
 	}
-	a, err := New(Config{Algorithm: Datafly, K: 2, Hierarchies: hs})
+	a, err := New(Config{Algorithm: Datafly, Policy: kPolicy(2), Hierarchies: hs})
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -47,12 +67,13 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("Config() = %+v", a.Config())
 	}
 	// Recursive diversity defaults C to 3.
-	a, err = New(Config{Algorithm: Mondrian, K: 2, L: 2, DiversityMode: RecursiveDiversity, Sensitive: "diagnosis"})
+	a, err = New(Config{Algorithm: Mondrian, Sensitive: "diagnosis",
+		Policy: kPolicy(2, policy.Criterion{Type: policy.RecursiveCLDiversity, L: 2})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Config().C != 3 {
-		t.Errorf("default C = %v", a.Config().C)
+	if c, _ := a.Policy().Find(policy.RecursiveCLDiversity); c.C != 3 {
+		t.Errorf("default C = %v", c.C)
 	}
 }
 
@@ -63,10 +84,9 @@ func TestAnonymizeMicrodataAlgorithms(t *testing.T) {
 	for _, alg := range []Algorithm{Mondrian, Datafly, Samarati, Incognito, TopDown, KMember} {
 		cfg := Config{
 			Algorithm:        alg,
-			K:                5,
+			Policy:           withSuppression(kPolicy(5), 0.05),
 			QuasiIdentifiers: qi,
 			Hierarchies:      hs,
-			MaxSuppression:   0.05,
 		}
 		a, err := New(cfg)
 		if err != nil {
@@ -101,10 +121,9 @@ func TestAnonymizeMicrodataAlgorithms(t *testing.T) {
 func TestAnonymizeWithDiversityAndCloseness(t *testing.T) {
 	tbl := synth.Hospital(1000, 2)
 	a, err := New(Config{
-		Algorithm:        Mondrian,
-		K:                5,
-		L:                2,
-		T:                0.4,
+		Algorithm: Mondrian,
+		Policy: kPolicy(5, distinctL(2, ""),
+			policy.Criterion{Type: policy.TCloseness, T: 0.4}),
 		Sensitive:        "diagnosis",
 		QuasiIdentifiers: []string{"age", "zip", "sex"},
 		Hierarchies:      synth.HospitalHierarchies(),
@@ -130,12 +149,10 @@ func TestAnonymizeWithDiversityAndCloseness(t *testing.T) {
 
 func TestAnonymizeEntropyAndRecursiveModes(t *testing.T) {
 	tbl := synth.Hospital(800, 3)
-	for _, mode := range []DiversityMode{EntropyDiversity, RecursiveDiversity} {
+	for _, mode := range []string{policy.EntropyLDiversity, policy.RecursiveCLDiversity} {
 		a, err := New(Config{
 			Algorithm:        Mondrian,
-			K:                4,
-			L:                2,
-			DiversityMode:    mode,
+			Policy:           kPolicy(4, policy.Criterion{Type: mode, L: 2}),
 			Sensitive:        "diagnosis",
 			QuasiIdentifiers: []string{"age", "zip", "sex"},
 		})
@@ -150,16 +167,11 @@ func TestAnonymizeEntropyAndRecursiveModes(t *testing.T) {
 			t.Errorf("%s: measured k = %d", mode, rel.Measured.K)
 		}
 	}
-	// Unknown mode is rejected at New time by the policy translation (the
-	// pre-policy pipeline only caught it at Anonymize time).
-	if _, err := New(Config{Algorithm: Mondrian, K: 2, L: 2, DiversityMode: "bogus", Sensitive: "diagnosis"}); !errors.Is(err, ErrConfig) {
-		t.Errorf("bogus diversity mode error = %v", err)
-	}
 }
 
 func TestAnonymizeAnatomy(t *testing.T) {
 	tbl := synth.Hospital(800, 4)
-	a, err := New(Config{Algorithm: Anatomy, L: 3})
+	a, err := New(Config{Algorithm: Anatomy, Policy: &policy.Policy{Criteria: []policy.Criterion{distinctL(3, "")}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func TestAnonymizeAnatomy(t *testing.T) {
 
 func TestLatticeSizeAndPrecision(t *testing.T) {
 	hs := synth.HospitalHierarchies()
-	a, err := New(Config{Algorithm: Datafly, K: 2, Hierarchies: hs})
+	a, err := New(Config{Algorithm: Datafly, Policy: kPolicy(2), Hierarchies: hs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +210,7 @@ func TestLatticeSizeAndPrecision(t *testing.T) {
 	if p != 0 {
 		t.Errorf("full generalization precision = %v", p)
 	}
-	noH, _ := New(Config{Algorithm: Mondrian, K: 2})
+	noH, _ := New(Config{Algorithm: Mondrian, Policy: kPolicy(2)})
 	if _, err := noH.LatticeSize([]string{"age"}); !errors.Is(err, ErrConfig) {
 		t.Errorf("LatticeSize without hierarchies = %v", err)
 	}
@@ -214,7 +226,7 @@ func TestSensitiveDefaultsAndLDiversityWithoutSensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Config{Algorithm: Mondrian, K: 2, L: 2})
+	a, err := New(Config{Algorithm: Mondrian, Policy: kPolicy(2, distinctL(2, ""))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +234,7 @@ func TestSensitiveDefaultsAndLDiversityWithoutSensitive(t *testing.T) {
 		t.Errorf("l-diversity without sensitive attribute error = %v", err)
 	}
 	// Without L it works and skips the sensitive measurements.
-	a2, _ := New(Config{Algorithm: Mondrian, K: 2})
+	a2, _ := New(Config{Algorithm: Mondrian, Policy: kPolicy(2)})
 	rel, err := a2.Anonymize(plain)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +267,7 @@ func TestAnonymizeContext(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, alg := range []Algorithm{Mondrian, KMember} {
-		a, err := New(Config{Algorithm: alg, K: 5, Hierarchies: synth.CensusHierarchies()})
+		a, err := New(Config{Algorithm: alg, Policy: kPolicy(5), Hierarchies: synth.CensusHierarchies()})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -267,7 +279,7 @@ func TestAnonymizeContext(t *testing.T) {
 		}
 	}
 	// Anonymize (no context) is unchanged.
-	a, err := New(Config{K: 5})
+	a, err := New(Config{Policy: kPolicy(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +302,7 @@ func TestMeasureErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(Config{K: 2})
+	a, err := New(Config{Policy: kPolicy(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +313,10 @@ func TestMeasureErrorsPropagate(t *testing.T) {
 
 // TestWorkersValidation checks the Workers knob on the core config.
 func TestWorkersValidation(t *testing.T) {
-	if _, err := New(Config{K: 2, Workers: -1}); !errors.Is(err, ErrConfig) {
+	if _, err := New(Config{Policy: kPolicy(2), Workers: -1}); !errors.Is(err, ErrConfig) {
 		t.Errorf("negative workers error = %v, want ErrConfig", err)
 	}
-	a, err := New(Config{K: 5, Workers: 2})
+	a, err := New(Config{Policy: kPolicy(5), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"github.com/ppdp/ppdp/internal/core"
+	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -14,9 +15,11 @@ func ExampleAnonymizer() {
 	table := synth.Hospital(500, 1)
 
 	anonymizer, err := core.New(core.Config{
-		Algorithm:   core.Mondrian,
-		K:           5,
-		L:           2,
+		Algorithm: core.Mondrian,
+		Policy: &policy.Policy{Criteria: []policy.Criterion{
+			{Type: policy.KAnonymity, K: 5},
+			{Type: policy.DistinctLDiversity, L: 2},
+		}},
 		Sensitive:   "diagnosis",
 		Hierarchies: synth.HospitalHierarchies(),
 	})

@@ -14,6 +14,7 @@ import (
 	"github.com/ppdp/ppdp/internal/algorithms/samarati"
 	"github.com/ppdp/ppdp/internal/algorithms/topdown"
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -102,7 +103,7 @@ func TestRegistryDispatchGolden(t *testing.T) {
 	}
 	for _, run := range runs {
 		t.Run(string(run.alg), func(t *testing.T) {
-			a, err := New(Config{Algorithm: run.alg, K: k, QuasiIdentifiers: qi, Hierarchies: hs, MaxSuppression: suppress})
+			a, err := New(Config{Algorithm: run.alg, Policy: withSuppression(kPolicy(k), suppress), QuasiIdentifiers: qi, Hierarchies: hs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +140,7 @@ func TestRegistryDispatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := New(Config{Algorithm: Anatomy, L: 3})
+		a, err := New(Config{Algorithm: Anatomy, Policy: &policy.Policy{Criteria: []policy.Criterion{distinctL(3, "")}}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,113 +4,118 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
-// flatGoldenConfig returns the flat configuration the policy-equivalence
-// golden test runs for one algorithm, exercising the parameters it reads.
-// The test fails for a registered algorithm without a case here, so an
-// eighth algorithm cannot silently skip the equivalence proof.
-func flatGoldenConfig(t *testing.T, alg Algorithm) (Config, *dataset.Table) {
+// flatGolden is one algorithm's case of the translation equivalence proof:
+// flat parameters exercising what the algorithm reads, the policy document
+// they mean, and everything else of the configuration.
+type flatGolden struct {
+	flat policy.Flat
+	doc  string
+	cfg  Config
+	tbl  *dataset.Table
+}
+
+// flatGoldenCase returns the case for one algorithm. The test fails for a
+// registered algorithm without a case here, so an eighth algorithm cannot
+// silently skip the equivalence proof.
+func flatGoldenCase(t *testing.T, alg Algorithm) flatGolden {
 	t.Helper()
 	census := synth.Census(500, 9)
-	censusQI := []string{"age", "sex", "education", "marital-status", "race"}
 	base := Config{
 		Algorithm:        alg,
-		K:                5,
-		QuasiIdentifiers: censusQI,
+		QuasiIdentifiers: []string{"age", "sex", "education", "marital-status", "race"},
 		Hierarchies:      synth.CensusHierarchies(),
-		MaxSuppression:   0.02,
 	}
+	const budget = `"suppression":{"max_fraction":0.02}`
 	switch alg {
 	case Mondrian:
-		base.L, base.Sensitive = 2, "occupation"
-		return base, census
+		base.Sensitive = "occupation"
+		return flatGolden{policy.Flat{K: 5, L: 2, Sensitive: "occupation", MaxSuppression: 0.02},
+			`{"criteria":[{"type":"k-anonymity","k":5},{"type":"distinct-l-diversity","l":2,"sensitive":"occupation"}],` + budget + `}`,
+			base, census}
 	case Datafly, Samarati, KMember:
-		return base, census
+		return flatGolden{policy.Flat{K: 5, MaxSuppression: 0.02},
+			`{"criteria":[{"type":"k-anonymity","k":5}],` + budget + `}`, base, census}
 	case Incognito, TopDown:
-		base.T, base.Sensitive = 0.5, "occupation"
-		return base, census
+		base.Sensitive = "occupation"
+		return flatGolden{policy.Flat{K: 5, T: 0.5, Sensitive: "occupation", MaxSuppression: 0.02},
+			`{"criteria":[{"type":"k-anonymity","k":5},{"type":"t-closeness","t":0.5,"sensitive":"occupation"}],` + budget + `}`,
+			base, census}
 	case Anatomy:
-		return Config{
-			Algorithm: Anatomy,
-			L:         3,
-			Sensitive: "diagnosis",
-		}, synth.Hospital(600, 9)
+		return flatGolden{policy.Flat{L: 3, Sensitive: "diagnosis"},
+			`{"criteria":[{"type":"distinct-l-diversity","l":3,"sensitive":"diagnosis"}]}`,
+			Config{Algorithm: Anatomy, Sensitive: "diagnosis"}, synth.Hospital(600, 9)}
 	case "republish":
-		// m-invariance is deliberately not flat-expressible (policy.Flat
-		// errors on it), so there is no flat configuration to prove
-		// equivalent; the policy document is republish's only surface.
+		// m-invariance is deliberately not flat-expressible, so there is
+		// no flat configuration to prove equivalent; the policy document is
+		// republish's only surface.
 		t.Skip("republish has no flat-parameter surface")
-		return Config{}, nil
 	default:
 		t.Fatalf("no golden flat configuration for algorithm %q — add one to keep the policy equivalence proof exhaustive", alg)
-		return Config{}, nil
 	}
+	return flatGolden{}
 }
 
-// policyConfigOf translates a flat golden configuration into its explicit
-// policy-document form: the same translation the deprecated shim applies,
-// but submitted through Config.Policy the way a new-style caller would.
-func policyConfigOf(t *testing.T, flat Config) Config {
+// runFlat runs flat parameters the way the service and CLI edges do:
+// translated once by policy.FromFlatFor, run on the policy-only core, and
+// re-measured against the declared policy where it holds more than the
+// algorithm enforces or the flat ordered EMD applies.
+func runFlat(t *testing.T, cfg Config, flat policy.Flat, tbl *dataset.Table) *Release {
 	t.Helper()
-	pol, err := policy.FromFlat(policy.Flat{
-		K:                flat.K,
-		L:                flat.L,
-		DiversityMode:    string(flat.DiversityMode),
-		C:                flat.C,
-		T:                flat.T,
-		OrderedSensitive: flat.OrderedSensitive,
-		Sensitive:        flat.Sensitive,
-		MaxSuppression:   flat.MaxSuppression,
-	})
+	alg, err := engine.Lookup(string(cfg.Algorithm))
 	if err != nil {
-		t.Fatalf("FromFlat: %v", err)
+		t.Fatal(err)
 	}
-	return Config{
-		Algorithm:        flat.Algorithm,
-		Policy:           pol,
-		Sensitive:        flat.Sensitive,
-		QuasiIdentifiers: flat.QuasiIdentifiers,
-		Hierarchies:      flat.Hierarchies,
-		StrictMondrian:   flat.StrictMondrian,
-		Workers:          flat.Workers,
+	enforced, declared, err := policy.FromFlatFor(flat, alg.Describe().Criteria)
+	if err != nil {
+		t.Fatalf("FromFlatFor: %v", err)
 	}
+	cfg.Policy = enforced
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New(translated): %v", err)
+	}
+	rel, err := a.Anonymize(tbl)
+	if err != nil {
+		t.Fatalf("Anonymize(translated): %v", err)
+	}
+	if enforced != declared || flat.OrderedSensitive {
+		if err := a.Remeasure(rel, declared, flat.OrderedSensitive); err != nil {
+			t.Fatalf("Remeasure: %v", err)
+		}
+	}
+	return rel
 }
 
-// TestPolicyPathGolden proves the policy redesign is a pure refactor of the
-// request surface: for every registered algorithm, a release produced from a
-// flat-parameter configuration is byte-identical (tables, node, suppression
-// accounting, measurements) to one produced from the equivalent policy
-// document.
+// TestPolicyPathGolden proves the flat surface is a pure translation: for
+// every registered algorithm, flat parameters translated by
+// policy.FromFlatFor and run on the policy-only core release byte-identical
+// tables, node, suppression accounting, measurements and policy echo to the
+// explicit policy document they mean.
 func TestPolicyPathGolden(t *testing.T) {
 	for _, alg := range Algorithms() {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
-			flatCfg, tbl := flatGoldenConfig(t, alg)
-			flatAnon, err := New(flatCfg)
+			tc := flatGoldenCase(t, alg)
+			relFlat := runFlat(t, tc.cfg, tc.flat, tc.tbl)
+			doc, err := policy.Parse([]byte(tc.doc))
 			if err != nil {
-				t.Fatalf("New(flat): %v", err)
+				t.Fatal(err)
 			}
-			polAnon, err := New(policyConfigOf(t, flatCfg))
+			cfg := tc.cfg
+			cfg.Policy = doc
+			polAnon, err := New(cfg)
 			if err != nil {
 				t.Fatalf("New(policy): %v", err)
 			}
-			// The two configurations resolve to the same canonical policy.
-			if !flatAnon.Policy().Equal(polAnon.Policy()) {
-				t.Fatalf("resolved policies differ:\nflat:   %s\npolicy: %s",
-					flatAnon.Policy().Describe(), polAnon.Policy().Describe())
-			}
-			relFlat, err := flatAnon.Anonymize(tbl)
-			if err != nil {
-				t.Fatalf("Anonymize(flat): %v", err)
-			}
-			relPol, err := polAnon.Anonymize(tbl)
+			relPol, err := polAnon.Anonymize(tc.tbl)
 			if err != nil {
 				t.Fatalf("Anonymize(policy): %v", err)
 			}
@@ -139,9 +144,56 @@ func TestPolicyPathGolden(t *testing.T) {
 				t.Errorf("measurements differ:\nflat:   %+v\npolicy: %+v", relFlat.Measured, relPol.Measured)
 			}
 			if !relFlat.Policy.Equal(relPol.Policy) {
-				t.Errorf("release policy echoes differ")
+				t.Errorf("release policy echoes differ:\nflat:   %s\npolicy: %s",
+					relFlat.Policy.Describe(), relPol.Policy.Describe())
 			}
 		})
+	}
+}
+
+// TestRemeasureDeclaredCriteria checks Remeasure, the "trust but verify"
+// step for requests declaring more than the algorithm enforces: datafly runs
+// k-anonymity only, and the release is then measured against a declared
+// policy adding t-closeness (tight enough to be violated) and reports the
+// violation, while the policy-independent measurements stay put.
+func TestRemeasureDeclaredCriteria(t *testing.T) {
+	cfg := Config{
+		Algorithm:        Datafly,
+		Sensitive:        "salary",
+		QuasiIdentifiers: []string{"age", "sex", "education", "marital-status", "race"},
+		Hierarchies:      synth.CensusHierarchies(),
+	}
+	rel := runFlat(t, cfg, policy.Flat{K: 5, T: 0.01, Sensitive: "salary"}, synth.Census(500, 13))
+	if !rel.Policy.Has(policy.TCloseness) {
+		t.Fatalf("release policy %s dropped the declared t-closeness", rel.Policy.Describe())
+	}
+	tc, ok := rel.Measured.Criteria[policy.TCloseness]
+	if !ok {
+		t.Fatalf("no t-closeness measurement: %v", rel.Measured.Criteria)
+	}
+	if tc.Satisfied || tc.Measured <= 0.01 {
+		t.Fatalf("t-closeness measurement = %+v, want a violation of t=0.01", tc)
+	}
+	cfg.Policy = kPolicy(5)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enforcedOnly, err := a.Anonymize(synth.Census(500, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rel.Measured.K, enforcedOnly.Measured.K; got != want || rel.Measured.NCP != enforcedOnly.Measured.NCP {
+		t.Errorf("Remeasure changed policy-independent measurements: %+v vs %+v", rel.Measured, enforcedOnly.Measured)
+	}
+
+	// Without a t-closeness criterion, orderedEMD picks the max-EMD ground
+	// distance; on the many-valued occupation column the two differ.
+	cfg.Sensitive = "occupation"
+	equal := runFlat(t, cfg, policy.Flat{K: 5, Sensitive: "occupation"}, synth.Census(500, 13))
+	ordered := runFlat(t, cfg, policy.Flat{K: 5, Sensitive: "occupation", OrderedSensitive: true}, synth.Census(500, 13))
+	if equal.Measured.MaxEMD == ordered.Measured.MaxEMD {
+		t.Errorf("orderedEMD did not change max EMD (%v)", equal.Measured.MaxEMD)
 	}
 }
 
@@ -194,79 +246,11 @@ func TestPolicyOnlyCombination(t *testing.T) {
 	}
 }
 
-// TestFlatAnatomyDiversityModes locks in the legacy contract that anatomy
-// reads the flat l as its bucket size whatever diversity_mode says (the
-// mode is a parameter anatomy has never read): the request must keep
-// working through the policy shim.
-func TestFlatAnatomyDiversityModes(t *testing.T) {
-	tbl := synth.Hospital(600, 12)
-	for _, mode := range []DiversityMode{"", DistinctDiversity, EntropyDiversity, RecursiveDiversity} {
-		a, err := New(Config{Algorithm: Anatomy, L: 3, DiversityMode: mode, Sensitive: "diagnosis"})
-		if err != nil {
-			t.Fatalf("mode %q: New: %v", mode, err)
-		}
-		rel, err := a.Anonymize(tbl)
-		if err != nil {
-			t.Fatalf("mode %q: Anonymize: %v", mode, err)
-		}
-		if rel.QIT == nil || rel.QIT.Len() != tbl.Len() {
-			t.Errorf("mode %q: QIT = %v", mode, rel.QIT)
-		}
-	}
-}
-
-// TestFlatUnenforcedCriteriaStillVerified locks in "trust but verify" for
-// the flat shim: a criterion the algorithm cannot enforce (datafly +
-// t-closeness) is still declared, measured and checked by Verify, exactly
-// as the pre-policy pipeline did — only the run itself ignores it.
-func TestFlatUnenforcedCriteriaStillVerified(t *testing.T) {
-	tbl := synth.Census(500, 13)
-	a, err := New(Config{
-		Algorithm:        Datafly,
-		K:                5,
-		T:                0.01, // tight enough that the release violates it
-		Sensitive:        "salary",
-		QuasiIdentifiers: []string{"age", "sex", "education", "marital-status", "race"},
-		Hierarchies:      synth.CensusHierarchies(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Policy().Has(policy.TCloseness) {
-		t.Fatal("declared policy dropped the t-closeness criterion")
-	}
-	rel, err := a.Anonymize(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc, ok := rel.Measured.Criteria[policy.TCloseness]
-	if !ok {
-		t.Fatalf("no t-closeness measurement: %v", rel.Measured.Criteria)
-	}
-	if tc.Satisfied || tc.Measured <= 0.01 {
-		t.Fatalf("t-closeness measurement = %+v, want a violation of t=0.01", tc)
-	}
-	ok, failed, err := a.Verify(rel.Table)
-	if err != nil || ok || !strings.Contains(failed, "closeness") {
-		t.Errorf("Verify = %v, %q, %v — want the t-closeness violation reported", ok, failed, err)
-	}
-}
-
-// TestPolicyUnsupportedCombination checks that an explicit policy naming a
-// criterion the algorithm cannot enforce fails New as a configuration
-// error, while the deprecated flat surface keeps its legacy silent-ignore
-// semantics for the same parameters.
+// TestPolicyUnsupportedCombination checks that a policy naming a criterion
+// the algorithm cannot enforce fails New as a configuration error. (The
+// deprecated flat parameters keep their legacy silent ignore by translation
+// at the edges; see policy.TestFromFlatFor.)
 func TestPolicyUnsupportedCombination(t *testing.T) {
-	// Flat shim: datafly ignores a flat t at run time just as it always has.
-	if _, err := New(Config{
-		Algorithm:   Datafly,
-		K:           5,
-		T:           0.2,
-		Sensitive:   "occupation",
-		Hierarchies: synth.CensusHierarchies(),
-	}); err != nil {
-		t.Fatalf("flat datafly with t rejected: %v", err)
-	}
 	pol, err := policy.Parse([]byte(`{
 		"criteria": [
 			{"type": "k-anonymity", "k": 5},
@@ -283,9 +267,5 @@ func TestPolicyUnsupportedCombination(t *testing.T) {
 	})
 	if !errors.Is(err, ErrConfig) {
 		t.Fatalf("datafly + t-closeness policy error = %v, want ErrConfig", err)
-	}
-	// Policy and flat parameters are mutually exclusive.
-	if _, err := New(Config{Algorithm: Mondrian, Policy: pol, K: 5}); !errors.Is(err, ErrConfig) {
-		t.Errorf("policy+flat error = %v, want ErrConfig", err)
 	}
 }

@@ -20,7 +20,8 @@ type progressEvent struct{ done, total int }
 func progressConfig(name string) (Config, *dataset.Table) {
 	switch name {
 	case "anatomy":
-		return Config{Algorithm: Algorithm(name), L: 3}, synth.Hospital(300, 9)
+		return Config{Algorithm: Algorithm(name), Policy: &policy.Policy{Criteria: []policy.Criterion{distinctL(3, "")}}},
+			synth.Hospital(300, 9)
 	case "republish":
 		pol := &policy.Policy{Criteria: []policy.Criterion{
 			{Type: policy.MInvariance, M: 2, ID: "name", Sensitive: "diagnosis"},
@@ -29,10 +30,9 @@ func progressConfig(name string) (Config, *dataset.Table) {
 	default:
 		return Config{
 			Algorithm:        Algorithm(name),
-			K:                10,
+			Policy:           withSuppression(kPolicy(10), 0.02),
 			QuasiIdentifiers: []string{"age", "sex", "education", "marital-status", "race"},
 			Hierarchies:      synth.CensusHierarchies(),
-			MaxSuppression:   0.02,
 			Workers:          2,
 		}, synth.Census(300, 9)
 	}

@@ -441,25 +441,3 @@ func (p *Policy) CriterionTypes() []string {
 	}
 	return out
 }
-
-// Restrict returns a copy keeping only the criteria whose type the supported
-// set lists (the suppression budget is kept: it is advisory for algorithms
-// without a suppression parameter). It implements the legacy flat-parameter
-// shim, where parameters an algorithm does not read have always been ignored
-// silently; explicit policy documents are validated strictly instead (see
-// engine.ValidateCriteria).
-func (p *Policy) Restrict(supported []string) *Policy {
-	ok := make(map[string]bool, len(supported))
-	for _, t := range supported {
-		ok[t] = true
-	}
-	out := p.Clone()
-	kept := out.Criteria[:0]
-	for _, c := range out.Criteria {
-		if ok[c.Type] {
-			kept = append(kept, c)
-		}
-	}
-	out.Criteria = kept
-	return out
-}

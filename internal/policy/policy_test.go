@@ -140,25 +140,6 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	p := mustParse(t, `{"criteria":[
-		{"type":"k-anonymity","k":5},
-		{"type":"distinct-l-diversity","l":2,"sensitive":"d"},
-		{"type":"t-closeness","t":0.3,"sensitive":"d"}
-	],"suppression":{"max_fraction":0.02}}`)
-	r := p.Restrict([]string{KAnonymity})
-	if got := r.CriterionTypes(); len(got) != 1 || got[0] != KAnonymity {
-		t.Errorf("Restrict kept %v", got)
-	}
-	if r.SuppressionBudget() != 0.02 {
-		t.Errorf("Restrict dropped the suppression budget")
-	}
-	// The original is untouched.
-	if len(p.Criteria) != 3 {
-		t.Errorf("Restrict mutated the receiver: %v", p.CriterionTypes())
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	p := mustParse(t, `{"criteria":[
 		{"type":"k-anonymity","k":7},

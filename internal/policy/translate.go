@@ -3,20 +3,21 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
 // ErrNoCriteria is returned by FromFlat when the flat parameters enable no
-// criterion at all (k, l and t all disabled). Callers implementing the
-// deprecated flat shim treat it as "no policy" and let the algorithm's own
-// validation produce its natural error.
+// criterion at all (k, l and t all disabled). FromFlatFor treats it as "no
+// policy", so the algorithm's own validation produces its natural error.
 var ErrNoCriteria = errors.New("policy: flat parameters enable no privacy criterion")
 
 // Flat is the legacy flat-parameter view of a policy: the k/l/c/t/diversity/
-// sensitive/suppression scalar bag the pre-policy API exposed. FromFlat and
-// Policy.Flat translate between the two representations; the flat surface is
-// deprecated but still accepted everywhere, riding through this translation.
+// sensitive/suppression scalar bag the pre-policy API exposed. The flat
+// surface is deprecated but still accepted at the service and CLI edges,
+// which translate it once with FromFlatFor; the pipeline itself only ever
+// sees policies.
 type Flat struct {
 	// K enables k-anonymity when positive.
 	K int
@@ -38,24 +39,12 @@ type Flat struct {
 	MaxSuppression float64
 }
 
-// Flat diversity-mode names (mirroring core's DiversityMode values).
+// Flat diversity-mode names.
 const (
 	FlatDistinct  = "distinct"
 	FlatEntropy   = "entropy"
 	FlatRecursive = "recursive"
 )
-
-// diversityFamily is the subset of criterion types one flat DiversityMode
-// selects among; a flat-expressible policy carries at most one of them.
-var diversityFamily = map[string]bool{
-	DistinctLDiversity:   true,
-	EntropyLDiversity:    true,
-	RecursiveCLDiversity: true,
-}
-
-// IsDiversity reports whether a criterion type belongs to the l-diversity
-// family.
-func IsDiversity(typ string) bool { return diversityFamily[typ] }
 
 // FromFlat translates flat parameters into their canonical policy: K>0 adds
 // k-anonymity, L>1 adds the selected l-diversity variant, T>0 adds
@@ -91,62 +80,61 @@ func FromFlat(f Flat) (*Policy, error) {
 	return p.Canonical()
 }
 
-// Flat translates the policy back to flat parameters — the inverse of
-// FromFlat, completing the bidirectional mapping between the two request
-// surfaces. The pipeline itself only needs the forward direction; this
-// inverse exists for callers bridging policies back onto flat-only
-// consumers (older clients, config files) and for the translation tests
-// that prove the mapping round-trips. Policies the flat surface cannot
-// express — an (α,k)-anonymity criterion, more than one l-diversity
-// variant, a fractional entropy l, or criteria disagreeing on the
-// sensitive attribute — return an error.
-func (p *Policy) Flat() (Flat, error) {
-	canon, err := p.Canonical()
+// FromFlatFor translates flat parameters for an algorithm that enforces the
+// supported criterion types, keeping the legacy flat contract. Range checks
+// on the outside input come first (l >= 0, t and the suppression budget in
+// [0,1]); the recursive c defaults to 3.
+//
+// declared is FromFlat's full translation: the policy the release echoes and
+// is measured against, so a criterion the algorithm cannot enforce is still
+// verified ("trust but verify"). enforced is the policy the algorithm runs:
+// declared restricted to the supported types, since flat parameters an
+// algorithm does not read have always been ignored at run time (the
+// suppression budget is kept; it is advisory where unused). One exception:
+// an algorithm that enforces distinct l-diversity but not the requested
+// variant (Anatomy) reads the flat l as its bucket size whatever the
+// diversity mode says, so the variant becomes a distinct-l-diversity
+// criterion with the same l.
+//
+// When the algorithm enforces every declared criterion, enforced and
+// declared are the same pointer. enforced is nil when the algorithm enforces
+// none of them, and both are nil when the parameters enable no criterion at
+// all; either way the algorithm's own validation then reports the parameter
+// it is missing.
+func FromFlatFor(f Flat, supported []string) (enforced, declared *Policy, err error) {
+	if f.L < 0 || f.T < 0 || f.T > 1 {
+		return nil, nil, fmt.Errorf("policy: flat parameters out of range: l=%d t=%v", f.L, f.T)
+	}
+	if f.MaxSuppression < 0 || f.MaxSuppression > 1 {
+		return nil, nil, fmt.Errorf("policy: flat parameters out of range: max_suppression=%v", f.MaxSuppression)
+	}
+	if f.DiversityMode == FlatRecursive && f.C <= 0 {
+		f.C = 3
+	}
+	declared, err = FromFlat(f)
+	if errors.Is(err, ErrNoCriteria) {
+		return nil, nil, nil
+	}
 	if err != nil {
-		return Flat{}, err
+		return nil, nil, err
 	}
-	var f Flat
-	sensitiveSet := false
-	takeSensitive := func(typ, s string) error {
-		if s == "" {
-			return nil
-		}
-		if sensitiveSet && f.Sensitive != s {
-			return fmt.Errorf("policy: not expressible as flat parameters: criteria disagree on the sensitive attribute (%q vs %q)", f.Sensitive, s)
-		}
-		f.Sensitive = s
-		sensitiveSet = true
-		return nil
-	}
-	for _, c := range canon.Criteria {
-		if IsDiversity(c.Type) && f.DiversityMode != "" {
-			return Flat{}, fmt.Errorf("policy: not expressible as flat parameters: more than one l-diversity criterion")
-		}
-		switch c.Type {
-		case KAnonymity:
-			f.K = c.K
-		case AlphaKAnonymity, MInvariance:
-			return Flat{}, fmt.Errorf("policy: not expressible as flat parameters: %s has no flat equivalent", c.Type)
-		case DistinctLDiversity:
-			f.L, f.DiversityMode = int(c.L), FlatDistinct
-		case EntropyLDiversity:
-			if c.L != float64(int(c.L)) {
-				return Flat{}, fmt.Errorf("policy: not expressible as flat parameters: entropy l=%v is fractional", c.L)
-			}
-			f.L, f.DiversityMode = int(c.L), FlatEntropy
-		case RecursiveCLDiversity:
-			f.L, f.C, f.DiversityMode = int(c.L), c.C, FlatRecursive
-		case TCloseness:
-			f.T, f.OrderedSensitive = c.T, c.Ordered
-		}
-		if err := takeSensitive(c.Type, c.Sensitive); err != nil {
-			return Flat{}, err
+	supports := func(typ string) bool { return slices.Contains(supported, typ) }
+	enforced = &Policy{Version: declared.Version, Suppression: declared.Suppression}
+	for _, c := range declared.Criteria {
+		switch {
+		case supports(c.Type):
+			enforced.Criteria = append(enforced.Criteria, c)
+		case (c.Type == EntropyLDiversity || c.Type == RecursiveCLDiversity) && supports(DistinctLDiversity):
+			enforced.Criteria = append(enforced.Criteria, Criterion{Type: DistinctLDiversity, L: c.L, Sensitive: c.Sensitive})
 		}
 	}
-	if canon.Suppression != nil {
-		f.MaxSuppression = canon.Suppression.MaxFraction
+	switch {
+	case len(enforced.Criteria) == 0:
+		return nil, declared, nil
+	case slices.Equal(enforced.CriterionTypes(), declared.CriterionTypes()):
+		return declared, declared, nil
 	}
-	return f, nil
+	return enforced, declared, nil
 }
 
 // KAnonymityK returns the class-size bound the policy implies — the largest

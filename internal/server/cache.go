@@ -43,7 +43,7 @@ const cacheKeySep = "\x1f"
 // Mondrian. Workers is deliberately excluded (output-invariant), as are
 // store / include_rows / timeout_ms (response shaping, not computation).
 func cacheKey(p *preparedRun) (string, error) {
-	pol, err := p.anon.Policy().Encode()
+	pol, err := p.declared.Encode()
 	if err != nil {
 		return "", err
 	}
@@ -57,51 +57,6 @@ func cacheKey(p *preparedRun) (string, error) {
 		strconv.FormatBool(p.req.StrictMondrian),
 	}
 	return strings.Join(parts, cacheKeySep), nil
-}
-
-// cachedOutcome rebuilds the full anonymize response from a memoized run,
-// publishing a fresh release into the registry when the request asked to
-// store. The released bytes are identical to a fresh computation; only
-// release_id (a new registry entry) and elapsed_ms (the original compute
-// time) are request-dependent.
-func (s *Server) cachedOutcome(p *preparedRun, hit *cachedRun, storeRelease bool) (*anonymizeOutcome, error) {
-	rel := hit.release
-	resp := anonymizeResponse{
-		Dataset:      p.req.Dataset,
-		Algorithm:    string(p.alg),
-		Policy:       rel.Policy,
-		PolicyRef:    p.policyRef,
-		Node:         rel.Node,
-		Measurements: measurementsJSONOf(rel.Measured),
-		ElapsedMS:    float64(hit.elapsed.Microseconds()) / 1000,
-	}
-	switch {
-	case rel.Table != nil:
-		resp.Rows = rel.Table.Len()
-		if p.req.IncludeRows {
-			resp.Header = rel.Table.Schema().Names()
-			resp.Data = rowsOf(rel.Table)
-		}
-	case rel.QIT != nil:
-		resp.Rows = rel.QIT.Len()
-	}
-	if storeRelease {
-		id, err := s.reg.putRelease(&storedRelease{
-			dataset:   p.req.Dataset,
-			origin:    p.ds,
-			algorithm: p.alg,
-			policyRef: p.policyRef,
-			params:    p.req,
-			release:   rel,
-			elapsed:   hit.elapsed,
-			created:   time.Now(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		resp.ReleaseID = id
-	}
-	return &anonymizeOutcome{resp: resp}, nil
 }
 
 // serveFromCache answers a prepared run from the result cache when possible.
@@ -125,7 +80,8 @@ func (s *Server) serveFromCache(w http.ResponseWriter, tenant string, p *prepare
 	if !hit {
 		return jobs.Snapshot{}, false, false
 	}
-	out, err := s.cachedOutcome(p, v.(*cachedRun), storeRelease)
+	run := v.(*cachedRun)
+	out, err := s.outcome(p, run.release, run.elapsed, storeRelease)
 	if err != nil {
 		writeAnonymizeError(w, err)
 		return jobs.Snapshot{}, true, false
@@ -133,7 +89,7 @@ func (s *Server) serveFromCache(w http.ResponseWriter, tenant string, p *prepare
 	snap, err = s.jobs.Complete(out, jobs.Options{Tenant: tenant, Meta: jobMeta{
 		dataset:   p.req.Dataset,
 		algorithm: string(p.alg),
-		policy:    p.anon.Policy(),
+		policy:    p.declared,
 		policyRef: p.policyRef,
 	}})
 	if err != nil {

@@ -391,9 +391,9 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // one ("policy_ref"), or through the deprecated flat parameters (k, l, t, c,
 // diversity_mode, max_suppression, ordered_sensitive) — the three forms are
 // mutually exclusive, and flat parameters are translated onto the policy
-// pipeline; either way the response echoes the canonical policy enforced.
-// Zero values mean "use the pipeline default" throughout, mirroring
-// core.Config.
+// pipeline (see newPipeline); either way the response echoes the canonical
+// policy the release declares. Zero values mean "use the pipeline default"
+// throughout.
 type anonymizeRequest struct {
 	// Dataset names the registry table to anonymize (required).
 	Dataset string `json:"dataset"`
@@ -485,8 +485,8 @@ func measurementsJSONOf(m core.Measurements) measurementsJSON {
 }
 
 // anonymizeResponse is the POST /v1/anonymize result. Policy echoes the
-// canonical privacy policy the run enforced, whichever request form declared
-// it.
+// canonical privacy policy the release declares, whichever request form
+// declared it.
 type anonymizeResponse struct {
 	ReleaseID    string           `json:"release_id,omitempty"`
 	Dataset      string           `json:"dataset"`
@@ -563,20 +563,10 @@ func (s *Server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// rowsOf flattens a table into JSON-friendly rows.
-func rowsOf(t *dataset.Table) [][]string {
-	rows := t.Rows()
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
-}
-
 // ---- releases ----
 
 // releaseInfo is the JSON view of a stored release. Policy is the canonical
-// privacy policy the release enforced (the pinned snapshot when the request
+// privacy policy the release declares (the pinned snapshot when the request
 // used a policy_ref).
 type releaseInfo struct {
 	ID           string           `json:"id"`

@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
 	"github.com/ppdp/ppdp/internal/core"
+	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
+	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/jobs"
 	"github.com/ppdp/ppdp/internal/policy"
 )
@@ -20,7 +23,7 @@ import (
 // identically on both paths.
 
 // jobMeta is the request summary a job carries for listings: the dataset,
-// the algorithm, and the canonical policy the run enforces.
+// the algorithm, and the canonical policy the release declares.
 type jobMeta struct {
 	dataset   string
 	algorithm string
@@ -32,18 +35,95 @@ type jobMeta struct {
 }
 
 // preparedRun is a fully validated anonymization ready for the executor: the
-// dataset snapshot, the resolved algorithm, the configured pipeline (which
-// carries the canonical policy) and the run deadline.
+// dataset snapshot, the resolved algorithm, the pipeline and the run
+// deadline.
 type preparedRun struct {
+	*pipeline
 	req anonymizeRequest
 	ds  *storedDataset
 	alg core.Algorithm
 	// policyRef is the stored-policy name the request referenced ("" for an
 	// inline policy or flat parameters); the resolved snapshot lives on
-	// anon.Policy().
+	// pipeline.declared.
 	policyRef string
-	anon      *core.Anonymizer
 	timeout   time.Duration
+}
+
+// pipeline is one configured anonymization: the policy-only core pipeline
+// plus the policy its release declares.
+type pipeline struct {
+	anon *core.Anonymizer
+	// declared is the canonical policy the release echoes, is measured
+	// against, and is cached and listed under: anon.Policy() for an explicit
+	// policy; for the deprecated flat parameters, their full translation,
+	// which may declare criteria the algorithm does not enforce.
+	declared *policy.Policy
+	// remeasure marks a flat request whose release must be re-verified
+	// against declared (see core.Anonymizer.Remeasure); orderedEMD is its
+	// ordered_sensitive.
+	remeasure, orderedEMD bool
+}
+
+// newPipeline builds the pipeline a request declares. It is the one
+// constructor behind POST /v1/anonymize, POST /v1/jobs and spec
+// reconciliation, so a spec publishes exactly what an anonymize request
+// runs. explicit is the request's policy document (inline, or the stored one
+// its policy_ref pinned); nil selects the deprecated flat parameters,
+// translated here once. Flat defaults come from the engine registry's
+// metadata (Param.Default), so the server, GET /v1/algorithms and the CLI
+// usage text resolve the same values by construction; only algorithms that
+// declare a parameter get its default (bucketizing algorithms are keyed on l
+// and never receive a k). Explicit policies take no defaults.
+func (s *Server) newPipeline(alg engine.Algorithm, req anonymizeRequest, explicit *policy.Policy, hier *hierarchy.Set) (*pipeline, error) {
+	cfg := core.Config{
+		Algorithm:        core.Algorithm(alg.Name()),
+		Policy:           explicit,
+		Sensitive:        req.Sensitive,
+		QuasiIdentifiers: req.QuasiIdentifiers,
+		Hierarchies:      hier,
+		StrictMondrian:   req.StrictMondrian,
+		Workers:          s.cfg.Workers,
+	}
+	var declared *policy.Policy
+	if explicit == nil {
+		info := alg.Describe()
+		flat := policy.Flat{K: req.K, L: req.L, DiversityMode: req.DiversityMode, C: req.C, T: req.T,
+			OrderedSensitive: req.OrderedSensitive, Sensitive: req.Sensitive}
+		if p, ok := info.Param("k"); ok && flat.K == 0 {
+			flat.K = p.IntDefault(0)
+		}
+		if p, ok := info.Param("max_suppression"); ok {
+			flat.MaxSuppression = p.FloatDefault(0)
+		}
+		if req.MaxSuppression != nil {
+			flat.MaxSuppression = *req.MaxSuppression
+		}
+		var err error
+		if cfg.Policy, declared, err = policy.FromFlatFor(flat, info.Criteria); err != nil {
+			return nil, fmt.Errorf("%w: %v", core.ErrConfig, err)
+		}
+	}
+	anon, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if declared == nil {
+		return &pipeline{anon: anon, declared: anon.Policy()}, nil
+	}
+	return &pipeline{anon: anon, declared: declared, orderedEMD: req.OrderedSensitive,
+		remeasure: cfg.Policy != declared || req.OrderedSensitive}, nil
+}
+
+// run anonymizes t, reporting progress to sink.
+func (p *pipeline) run(ctx context.Context, t *dataset.Table, sink func(done, total int)) (*core.Release, error) {
+	rel, err := p.anon.WithProgress(sink).AnonymizeContext(ctx, t)
+	if err != nil || !p.remeasure {
+		return rel, err
+	}
+	if err := p.anon.Remeasure(rel, p.declared, p.orderedEMD); err != nil {
+		return nil, err
+	}
+	return rel, nil
 }
 
 // prepareAnonymize resolves and validates an anonymize request for either
@@ -54,11 +134,9 @@ type preparedRun struct {
 // policy name ("policy_ref", pinned as a snapshot here so later deletes
 // cannot change the run) or the deprecated flat parameters — mutually
 // exclusive forms that all resolve to one canonical policy before any work
-// is admitted. Unsupported criterion/algorithm combinations are rejected at
-// this stage by the adapter's metadata-driven validation. Flat-parameter
-// defaults come from the engine registry's metadata (Param.Default), so the
-// server, GET /v1/algorithms and the CLI usage text resolve the same values
-// by construction; explicit policies take no defaults.
+// is admitted (see newPipeline). Unsupported criterion/algorithm
+// combinations in a policy are rejected at this stage by the adapter's
+// metadata-driven validation.
 func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *preparedRun {
 	if req.Dataset == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "dataset is required")
@@ -74,61 +152,26 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return nil
 	}
-	alg := core.Algorithm(engineAlg.Name())
-	info := engineAlg.Describe()
-	cfg := core.Config{
-		Algorithm:        alg,
-		Sensitive:        req.Sensitive,
-		QuasiIdentifiers: req.QuasiIdentifiers,
-		Hierarchies:      ds.hier,
-		StrictMondrian:   req.StrictMondrian,
-		Workers:          s.cfg.Workers,
-	}
+	explicit := req.Policy
 	switch {
 	case req.Policy != nil && req.PolicyRef != "":
 		writeError(w, http.StatusBadRequest, "bad_request", "policy and policy_ref are mutually exclusive")
 		return nil
-	case req.Policy != nil || req.PolicyRef != "":
-		if req.flatParamsSet() {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				"policy/policy_ref and the deprecated flat privacy parameters are mutually exclusive")
+	case (req.Policy != nil || req.PolicyRef != "") && req.flatParamsSet():
+		writeError(w, http.StatusBadRequest, "bad_request",
+			"policy/policy_ref and the deprecated flat privacy parameters are mutually exclusive")
+		return nil
+	case req.PolicyRef != "":
+		sp, err := s.reg.getPolicy(req.PolicyRef)
+		if err != nil {
+			writeError(w, http.StatusNotFound, "not_found", "%v", err)
 			return nil
 		}
-		cfg.Policy = req.Policy
-		if req.PolicyRef != "" {
-			sp, err := s.reg.getPolicy(req.PolicyRef)
-			if err != nil {
-				writeError(w, http.StatusNotFound, "not_found", "%v", err)
-				return nil
-			}
-			// The stored document is immutable; holding the pointer pins the
-			// snapshot for the lifetime of the run and its release.
-			cfg.Policy = sp.policy
-		}
-	default:
-		// Deprecated flat surface: metadata-driven defaults, then the same
-		// policy translation core applies (only algorithms that declare a
-		// parameter get its default — bucketizing algorithms are keyed on l
-		// and never receive a k; suppression stays zero where meaningless).
-		if p, ok := info.Param("k"); ok && req.K == 0 {
-			req.K = p.IntDefault(0)
-		}
-		maxSuppression := 0.0
-		if p, ok := info.Param("max_suppression"); ok {
-			maxSuppression = p.FloatDefault(0)
-		}
-		if req.MaxSuppression != nil {
-			maxSuppression = *req.MaxSuppression
-		}
-		cfg.K = req.K
-		cfg.L = req.L
-		cfg.T = req.T
-		cfg.C = req.C
-		cfg.DiversityMode = core.DiversityMode(req.DiversityMode)
-		cfg.OrderedSensitive = req.OrderedSensitive
-		cfg.MaxSuppression = maxSuppression
+		// The stored document is immutable; holding the pointer pins the
+		// snapshot for the lifetime of the run and its release.
+		explicit = sp.policy
 	}
-	anon, err := core.New(cfg)
+	pipe, err := s.newPipeline(engineAlg, req, explicit, ds.hier)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_config", "%v", err)
 		return nil
@@ -141,7 +184,8 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 			timeout = d
 		}
 	}
-	return &preparedRun{req: req, ds: ds, alg: alg, policyRef: req.PolicyRef, anon: anon, timeout: timeout}
+	return &preparedRun{pipeline: pipe, req: req, ds: ds, alg: core.Algorithm(engineAlg.Name()),
+		policyRef: req.PolicyRef, timeout: timeout}
 }
 
 // anonymizeOutcome is a successful run's payload in the executor: the full
@@ -160,7 +204,7 @@ func (s *Server) anonymizeRunner(p *preparedRun, storeRelease bool) jobs.Runner 
 			s.runGate(ctx)
 		}
 		start := time.Now()
-		rel, err := p.anon.WithProgress(progress).AnonymizeContext(ctx, p.ds.table)
+		rel, err := p.run(ctx, p.ds.table, progress)
 		elapsed := time.Since(start)
 		// Every executed run lands in the per-algorithm latency histogram and
 		// outcome counter, successful or not (cache hits never reach here).
@@ -173,49 +217,58 @@ func (s *Server) anonymizeRunner(p *preparedRun, storeRelease bool) jobs.Runner 
 				s.cache.Put(key, &cachedRun{release: rel, elapsed: elapsed})
 			}
 		}
-		resp := anonymizeResponse{
-			Dataset:      p.req.Dataset,
-			Algorithm:    string(p.alg),
-			Policy:       rel.Policy,
-			PolicyRef:    p.policyRef,
-			Node:         rel.Node,
-			Measurements: measurementsJSONOf(rel.Measured),
-			ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
+		// The cancellation gate before publication: a job canceled during
+		// the run (or right at this boundary) must not leave a release
+		// behind for a client that asked it to stop.
+		if err := ctx.Err(); storeRelease && err != nil {
+			return nil, err
 		}
-		switch {
-		case rel.Table != nil:
-			resp.Rows = rel.Table.Len()
-			if p.req.IncludeRows {
-				resp.Header = rel.Table.Schema().Names()
-				resp.Data = rowsOf(rel.Table)
-			}
-		case rel.QIT != nil:
-			resp.Rows = rel.QIT.Len()
-		}
-		if storeRelease {
-			// The cancellation gate before publication: a job canceled during
-			// the run (or right at this boundary) must not leave a release
-			// behind for a client that asked it to stop.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			id, err := s.reg.putRelease(&storedRelease{
-				dataset:   p.req.Dataset,
-				origin:    p.ds,
-				algorithm: p.alg,
-				policyRef: p.policyRef,
-				params:    p.req,
-				release:   rel,
-				elapsed:   elapsed,
-				created:   time.Now(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			resp.ReleaseID = id
-		}
-		return &anonymizeOutcome{resp: resp}, nil
+		return s.outcome(p, rel, elapsed, storeRelease)
 	}
+}
+
+// outcome builds the full anonymize response for a release — fresh or
+// memoized — publishing it into the registry first when the request asked
+// to store. A memoized release serves bytes identical to a fresh
+// computation; only release_id (a new registry entry) and elapsed_ms (the
+// original compute time) depend on the request.
+func (s *Server) outcome(p *preparedRun, rel *core.Release, elapsed time.Duration, storeRelease bool) (*anonymizeOutcome, error) {
+	resp := anonymizeResponse{
+		Dataset:      p.req.Dataset,
+		Algorithm:    string(p.alg),
+		Policy:       rel.Policy,
+		PolicyRef:    p.policyRef,
+		Node:         rel.Node,
+		Measurements: measurementsJSONOf(rel.Measured),
+		ElapsedMS:    float64(elapsed.Microseconds()) / 1000,
+	}
+	switch {
+	case rel.Table != nil:
+		resp.Rows = rel.Table.Len()
+		if p.req.IncludeRows {
+			resp.Header = rel.Table.Schema().Names()
+			resp.Data = pageOf(rel.Table, rel.Table.Len(), 0)
+		}
+	case rel.QIT != nil:
+		resp.Rows = rel.QIT.Len()
+	}
+	if storeRelease {
+		id, err := s.reg.putRelease(&storedRelease{
+			dataset:   p.req.Dataset,
+			origin:    p.ds,
+			algorithm: p.alg,
+			policyRef: p.policyRef,
+			params:    p.req,
+			release:   rel,
+			elapsed:   elapsed,
+			created:   time.Now(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		resp.ReleaseID = id
+	}
+	return &anonymizeOutcome{resp: resp}, nil
 }
 
 // submit settles a prepared run: from the result cache when an identical run
@@ -232,7 +285,7 @@ func (s *Server) submit(w http.ResponseWriter, tenant string, p *preparedRun, st
 		Meta: jobMeta{
 			dataset:   p.req.Dataset,
 			algorithm: string(p.alg),
-			policy:    p.anon.Policy(),
+			policy:    p.declared,
 			policyRef: p.policyRef,
 		},
 		Timeout: p.timeout,
@@ -276,7 +329,7 @@ type progressJSON struct {
 }
 
 // jobInfo is the JSON view of one job. Policy is the canonical policy the
-// run enforces (the pinned snapshot when the request used a policy_ref);
+// release declares (the pinned snapshot when the request used a policy_ref);
 // listings keep it nil the way they strip Result.
 type jobInfo struct {
 	ID            string         `json:"id"`

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ppdp/ppdp/internal/core"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/jobs"
 	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/republish"
@@ -512,23 +513,24 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 	return gen, fp, nil
 }
 
-// oneShotPublish reconciles a stateless spec: the pinned policy rebuilds the
-// core pipeline and the dataset's current table runs through it, exactly as
-// a POST /v1/anonymize of the spec's declaration would.
+// oneShotPublish reconciles a stateless spec: the spec's declaration
+// rebuilds its pipeline through the same constructor POST /v1/anonymize uses
+// (the pinned policy for a policy or policy_ref spec, the persisted flat
+// parameters otherwise), and the dataset's current table runs through it.
 func (s *Server) oneShotPublish(ctx context.Context, run *specRun) (*core.Release, error) {
-	anon, err := core.New(core.Config{
-		Algorithm:        run.algorithm,
-		Policy:           run.policy,
-		Sensitive:        run.params.Sensitive,
-		QuasiIdentifiers: run.params.QuasiIdentifiers,
-		Hierarchies:      run.ds.hier,
-		StrictMondrian:   run.params.StrictMondrian,
-		Workers:          s.cfg.Workers,
-	})
+	alg, err := engine.Lookup(string(run.algorithm))
 	if err != nil {
 		return nil, err
 	}
-	return anon.AnonymizeContext(ctx, run.ds.table)
+	explicit := run.policy
+	if run.params.Policy == nil && run.params.PolicyRef == "" {
+		explicit = nil
+	}
+	pipe, err := s.newPipeline(alg, run.params, explicit, run.ds.hier)
+	if err != nil {
+		return nil, err
+	}
+	return pipe.run(ctx, run.ds.table, nil)
 }
 
 // sequentialPublish reconciles an m-invariance spec: the publisher is
@@ -714,7 +716,7 @@ func (s *Server) handleCreateSpec(w http.ResponseWriter, r *http.Request) {
 		dataset:   req.Dataset,
 		algorithm: p.alg,
 		policyRef: p.policyRef,
-		policy:    p.anon.Policy(),
+		policy:    p.declared,
 		params:    req.anonymizeRequest,
 		created:   time.Now(),
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -572,4 +573,98 @@ func TestCensusChunksDisjoint(t *testing.T) {
 	if id := fmt.Sprintf("person-%06d", 0); !bytes.Contains(chunks[0], []byte(id)) || bytes.Contains(chunks[1], []byte(id)) {
 		t.Fatalf("chunks overlap on %s", id)
 	}
+}
+
+// TestSpecFlatParamsPublish is the regression test for flat-parameter specs
+// declaring criteria their algorithm does not enforce (datafly with l,
+// anatomy with an entropy diversity_mode): each must publish, and its
+// release must carry exactly the policy and measurements POST /v1/anonymize
+// returns for the same declaration — on the first reconciliation and again
+// after the spec is recovered from the data directory and reconciles a new
+// dataset generation.
+func TestSpecFlatParamsPublish(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Workers: 2,
+		ReconcileBackoff: 5 * time.Millisecond, ReconcileBackoffMax: 50 * time.Millisecond}
+	ts, srv := bootPersistent(t, cfg)
+	chunks := map[string][][]byte{}
+	for _, ds := range []struct{ name, family string }{{"pop", "census"}, {"hosp", "hospital"}} {
+		fam, err := synth.FamilyByName(ds.family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := fam.Generate(300, 7)
+		for _, r := range [][2]int{{0, 200}, {200, 300}} {
+			idx := make([]int, 0, r[1]-r[0])
+			for i := r[0]; i < r[1]; i++ {
+				idx = append(idx, i)
+			}
+			sub, err := tbl.Select(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := sub.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			chunks[ds.name] = append(chunks[ds.name], buf.Bytes())
+		}
+		url := fmt.Sprintf("%s/v1/datasets/%s?family=%s", ts.URL, ds.name, ds.family)
+		if status, body := sendCSV(t, "PUT", url, chunks[ds.name][0]); status != http.StatusCreated {
+			t.Fatalf("upload %s: %d %v", ds.name, status, body)
+		}
+	}
+	specs := map[string]map[string]any{
+		"datafly-l": {"dataset": "pop", "algorithm": "datafly", "k": 5, "l": 2},
+		"anatomy-entropy": {"dataset": "hosp", "algorithm": "anatomy", "l": 2,
+			"diversity_mode": "entropy"},
+	}
+	for name, decl := range specs {
+		body := map[string]any{"name": name}
+		for k, v := range decl {
+			body[k] = v
+		}
+		if status, resp := doJSON(t, "POST", ts.URL+"/v1/specs", body); status != http.StatusCreated {
+			t.Fatalf("create spec %s: %d %v", name, status, resp)
+		}
+	}
+	check := func(ts *httptest.Server, gen int) {
+		t.Helper()
+		for name, decl := range specs {
+			spec := pollSpec(t, ts, name, func(b map[string]any) bool {
+				return specSettled(gen)(b) || b["state"] == "backoff"
+			})
+			if spec["state"] == "backoff" {
+				t.Fatalf("spec %s stuck in backoff: %v", name, spec["last_error"])
+			}
+			status, rel := doJSON(t, "GET", ts.URL+"/v1/releases/"+spec["release_id"].(string), nil)
+			if status != http.StatusOK {
+				t.Fatalf("spec %s release: %d %v", name, status, rel)
+			}
+			status, anon := doJSON(t, "POST", ts.URL+"/v1/anonymize", decl)
+			if status != http.StatusOK {
+				t.Fatalf("anonymize %s: %d %v", name, status, anon)
+			}
+			for _, field := range []string{"policy", "measurements"} {
+				if !reflect.DeepEqual(rel[field], anon[field]) {
+					t.Errorf("generation %d, spec %s: release %s = %v, anonymize returns %v",
+						gen, name, field, rel[field], anon[field])
+				}
+			}
+			if !reflect.DeepEqual(spec["policy"], anon["policy"]) {
+				t.Errorf("spec %s policy = %v, anonymize echoes %v", name, spec["policy"], anon["policy"])
+			}
+		}
+	}
+	check(ts, 1)
+
+	ts.Close()
+	srv.Close()
+	ts, _ = bootPersistent(t, cfg)
+	for _, ds := range []string{"pop", "hosp"} {
+		if status, body := sendCSV(t, "POST", ts.URL+"/v1/datasets/"+ds+"/rows", chunks[ds][1]); status != http.StatusOK {
+			t.Fatalf("append %s: %d %v", ds, status, body)
+		}
+	}
+	check(ts, 2)
 }
