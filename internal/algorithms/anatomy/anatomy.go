@@ -326,7 +326,7 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 	if err != nil {
 		return nil, nil, err
 	}
-	st := dataset.NewTable(stSchema)
+	var stRows []dataset.Row
 	for _, g := range groups {
 		values := make([]string, 0, len(g.Counts))
 		for v := range g.Counts {
@@ -335,10 +335,12 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 		sort.Strings(values)
 		id := strconv.Itoa(g.ID)
 		for _, v := range values {
-			if err := st.Append(dataset.Row{id, v, strconv.Itoa(g.Counts[v])}); err != nil {
-				return nil, nil, err
-			}
+			stRows = append(stRows, dataset.Row{id, v, strconv.Itoa(g.Counts[v])})
 		}
+	}
+	st, err := dataset.FromRows(stSchema, stRows)
+	if err != nil {
+		return nil, nil, err
 	}
 	return qit, st, nil
 }

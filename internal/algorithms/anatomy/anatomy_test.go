@@ -145,12 +145,15 @@ func TestEligibilityViolation(t *testing.T) {
 		dataset.Attribute{Name: "age", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
 		dataset.Attribute{Name: "diag", Kind: dataset.Sensitive, Type: dataset.Categorical},
 	)
-	tbl := dataset.NewTable(schema)
+	var rows []dataset.Row
 	for i := 0; i < 18; i++ {
-		_ = tbl.Append(dataset.Row{"30", "flu"})
+		rows = append(rows, dataset.Row{"30", "flu"})
 	}
-	_ = tbl.Append(dataset.Row{"40", "hiv"})
-	_ = tbl.Append(dataset.Row{"50", "cancer"})
+	rows = append(rows, dataset.Row{"40", "hiv"}, dataset.Row{"50", "cancer"})
+	tbl, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Anonymize(tbl, Config{L: 2}); !errors.Is(err, ErrEligibility) {
 		t.Errorf("expected ErrEligibility, got %v", err)
 	}

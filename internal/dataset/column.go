@@ -11,30 +11,22 @@ import (
 	"sync"
 )
 
-// This file implements the lazily-built columnar view of a Table. Tables stay
-// row-oriented strings at the storage layer (so generalized values like
-// "[20-30)" remain first-class), but hot paths — equivalence-class grouping,
-// Mondrian partitioning, query evaluation, information-loss metrics — operate
-// on cached typed columns:
+// This file implements a Table's storage: one dictionary-coded column per
+// attribute. A CodedColumn interns every distinct value of its column as a
+// dense uint32 code in first-appearance (row) order, with the values'
+// byte-lexicographic ranks; the cells of the table are Dict[Codes[i]] and
+// nothing else. Hot paths — equivalence-class grouping, Mondrian
+// partitioning, query evaluation, information-loss metrics — compare codes
+// instead of strings, and numeric consumers read the column's parse-once
+// FloatColumn, derived from the dictionary (each distinct value parsed
+// once) on first use.
 //
-//   - FloatColumn parses every cell of a column exactly once and records which
-//     cells are numeric, so algorithms never re-run strconv.ParseFloat on the
-//     same cell at every recursion level.
-//   - CodedColumn interns every distinct value of a column as a dense uint32
-//     code, so grouping and equality predicates compare integers instead of
-//     building per-row strings.
-//
-// Caches are invalidated on mutation (SetValue invalidates only the touched
-// column; Append and AppendTable invalidate everything) and rebuilt on the
-// next access. Returned columns are immutable snapshots: a mutation never
-// changes a column a caller already holds, it only causes the next accessor
-// call to rebuild. Tables sharing row storage through WithSchema also share
-// the cache, so mutations through one view invalidate the other.
-//
-// Views survive derivation: a Clone or Project starts with the source's
-// views of the columns it keeps (colCache.derive), since views are immutable
-// and the copied cells are identical. SetCodedColumn is the bulk writer
-// that recodes a whole column and installs its coded view directly.
+// Columns are immutable once installed. Writers — SetCodedColumn,
+// AppendTable, SetValue — build a new column and swap it in, so a column a
+// caller holds never changes, and derived tables (Clone, Project,
+// WithSchema) share the source's column objects. Everything a column
+// computes lazily (its float view, value distribution and reverse index)
+// is built once under a sync.Once and shared by every table holding it.
 
 // FloatColumn is a parse-once numeric view of one column. Values[i] holds the
 // parsed number of row i and is meaningful only where Valid[i] is true (cells
@@ -55,18 +47,17 @@ type FloatColumn struct {
 // Len returns the number of rows in the column.
 func (c *FloatColumn) Len() int { return len(c.Values) }
 
-// CodedColumn is a dictionary-encoded view of one column: every distinct
-// string value is interned as a dense uint32 code in first-appearance (row)
-// order, which makes the encoding deterministic for a given table content.
+// CodedColumn is one dictionary-encoded column: every distinct string value
+// is interned as a dense uint32 code in first-appearance (row) order, which
+// makes the encoding deterministic for a given table content.
 type CodedColumn struct {
 	// Codes holds one dictionary code per row.
 	Codes []uint32
 	// Dict maps codes back to values; Dict[Codes[i]] is the cell of row i.
 	Dict []string
-	// index maps values back to codes. Row-scanning builders fill it as a
-	// side effect of interning; snapshot-loaded columns leave it nil and
-	// Code() builds it on first use (indexOnce), so opening a snapshot never
-	// pays O(dict) map construction for columns nobody reverse-looks-up.
+	// index maps values back to codes. Builders that intern values fill it
+	// as a side effect; other columns (snapshot-loaded, appended) leave it
+	// nil and Code() builds it on first use (indexOnce).
 	index     map[string]uint32
 	indexOnce sync.Once
 	// ranks[code] is the position of Dict[code] in byte-lexicographic order
@@ -82,7 +73,61 @@ type CodedColumn struct {
 	// later frequency, domain and privacy-criterion query.
 	stats     *ColumnStats
 	statsOnce sync.Once
+	// float is the parse-once numeric view, built on first use (floatOnce)
+	// unless a snapshot supplied it.
+	float     *FloatColumn
+	floatOnce sync.Once
 }
+
+// newCodedColumn returns the column over (dict, codes) with its ranks and
+// clean flag computed. index may be nil.
+func newCodedColumn(dict []string, codes []uint32, index map[string]uint32) *CodedColumn {
+	cc := &CodedColumn{Codes: codes, Dict: dict, index: index}
+	cc.buildRanks()
+	return cc
+}
+
+// codeValues dictionary-encodes a sequence of cell values.
+func codeValues(values []string) *CodedColumn {
+	var b colBuilder
+	b.init(len(values))
+	for _, v := range values {
+		b.add(v)
+	}
+	return b.column()
+}
+
+// colBuilder interns one column's cells in first-appearance order and
+// memoizes each distinct value's fingerprint cell hash, so a builder loop
+// can fold the row-content hash without hashing repeated values.
+type colBuilder struct {
+	dict  []string
+	codes []uint32
+	index map[string]uint32
+	hash  []uint64
+}
+
+func (b *colBuilder) init(rows int) {
+	b.codes = make([]uint32, 0, rows)
+	b.index = make(map[string]uint32)
+}
+
+// add appends one cell and returns its fingerprint cell hash. New values are
+// cloned, so the dictionary never retains a caller's larger backing string.
+func (b *colBuilder) add(v string) uint64 {
+	code, ok := b.index[v]
+	if !ok {
+		code = uint32(len(b.dict))
+		v = strings.Clone(v)
+		b.dict = append(b.dict, v)
+		b.index[v] = code
+		b.hash = append(b.hash, hashCell(v))
+	}
+	b.codes = append(b.codes, code)
+	return b.hash[code]
+}
+
+func (b *colBuilder) column() *CodedColumn { return newCodedColumn(b.dict, b.codes, b.index) }
 
 // ColumnStats is the value distribution of a CodedColumn. Lex and Numeric
 // list only codes that occur in the column (nonzero count), so dictionary
@@ -116,8 +161,6 @@ func (c *CodedColumn) buildStats() {
 			st.Lex = append(st.Lex, uint32(code))
 		}
 	}
-	// Sorting by rank never indexes with a rank, so a snapshot carrying
-	// inconsistent ranks yields a wrong order rather than a panic.
 	slices.SortFunc(st.Lex, func(a, b uint32) int { return cmp.Compare(c.ranks[a], c.ranks[b]) })
 	parsed := make([]float64, len(c.Dict))
 	for _, code := range st.Lex {
@@ -150,7 +193,7 @@ func (c *CodedColumn) Code(value string) (uint32, bool) {
 	return code, ok
 }
 
-// ensureIndex builds the value→code map for columns loaded without one.
+// ensureIndex builds the value→code map for columns created without one.
 func (c *CodedColumn) ensureIndex() {
 	if c.index != nil {
 		return
@@ -162,135 +205,33 @@ func (c *CodedColumn) ensureIndex() {
 	c.index = idx
 }
 
-// colCache holds the per-table columnar caches. It is shared between tables
-// that share row storage (WithSchema views) and guarded by a mutex so that
-// concurrent readers — for example parallel Mondrian workers — can build and
-// reuse columns safely.
-type colCache struct {
-	mu     sync.Mutex
-	floats map[int]*FloatColumn
-	codes  map[int]*CodedColumn
-	// fp is the cached row-content fingerprint (see fingerprint.go); empty
-	// means "not computed". It shares the columnar caches' invalidation: any
-	// mutation that could change cell bytes clears it.
-	fp string
-}
-
-func newColCache() *colCache { return &colCache{} }
-
-// derive returns the cache of a table derived from this cache's table:
-// column j of the derived table holds the cells of column cols[j], so it
-// starts with the views cached for column cols[j] here. Views built later on
-// either table are not shared. A Clone (cols is the identity) also keeps the
-// row-content fingerprint.
-func (c *colCache) derive(cols []int, clone bool) *colCache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := &colCache{}
-	for j, src := range cols {
-		if fc, ok := c.floats[src]; ok {
-			if out.floats == nil {
-				out.floats = make(map[int]*FloatColumn)
-			}
-			out.floats[j] = fc
-		}
-		if cc, ok := c.codes[src]; ok {
-			if out.codes == nil {
-				out.codes = make(map[int]*CodedColumn)
-			}
-			out.codes[j] = cc
-		}
-	}
-	if clone {
-		out.fp = c.fp
-	}
-	return out
-}
-
-// invalidateAll drops every cached column (row set changed).
-func (c *colCache) invalidateAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.floats = nil
-	c.codes = nil
-	c.fp = ""
-	c.mu.Unlock()
-}
-
-// invalidateCol drops the cached views of a single column (cell mutated).
-func (c *colCache) invalidateCol(col int) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	delete(c.floats, col)
-	delete(c.codes, col)
-	c.fp = ""
-	c.mu.Unlock()
-}
-
-// colcache returns the table's cache, allocating it race-free for tables
-// constructed without a constructor (for example by struct literals inside
-// the package).
-func (t *Table) colcache() *colCache {
-	t.cacheOnce.Do(func() {
-		if t.cache == nil {
-			t.cache = newColCache()
+// floatView returns the column's parse-once numeric view, building it on
+// first use.
+func (c *CodedColumn) floatView() *FloatColumn {
+	c.floatOnce.Do(func() {
+		if c.float == nil {
+			c.float = floatColumnFromCodes(c)
 		}
 	})
-	return t.cache
+	return c.float
 }
 
-// FloatColumn returns the parse-once numeric view of column col, building and
-// caching it on first access. The returned column is a read-only snapshot;
-// callers must not modify it.
-func (t *Table) FloatColumn(col int) (*FloatColumn, error) {
-	if col < 0 || col >= t.schema.Len() {
+// column bounds-checks a column index and returns its storage.
+func (t *Table) column(col int) (*CodedColumn, error) {
+	if col < 0 || col >= len(t.cols) {
 		return nil, fmt.Errorf("dataset: column index %d out of range", col)
 	}
-	c := t.colcache()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fc, ok := c.floats[col]; ok {
-		return fc, nil
+	return t.cols[col], nil
+}
+
+// FloatColumn returns the parse-once numeric view of column col, building it
+// on first access. The returned column is shared and read-only.
+func (t *Table) FloatColumn(col int) (*FloatColumn, error) {
+	cc, err := t.column(col)
+	if err != nil {
+		return nil, err
 	}
-	var fc *FloatColumn
-	if cc, ok := c.codes[col]; ok {
-		// A coded view already exists (for example built during CSV ingest):
-		// parse each distinct dictionary value once and fan the results out
-		// over the code sequence instead of re-parsing every cell.
-		fc = floatColumnFromCodes(cc)
-	} else {
-		rows := t.data()
-		fc = &FloatColumn{
-			Values: make([]float64, len(rows)),
-			Valid:  make([]bool, len(rows)),
-			Min:    math.Inf(1),
-			Max:    math.Inf(-1),
-		}
-		for i, r := range rows {
-			f, err := strconv.ParseFloat(strings.TrimSpace(r[col]), 64)
-			if err != nil {
-				continue
-			}
-			fc.Values[i] = f
-			fc.Valid[i] = true
-			fc.ValidCount++
-			if f < fc.Min {
-				fc.Min = f
-			}
-			if f > fc.Max {
-				fc.Max = f
-			}
-		}
-	}
-	if c.floats == nil {
-		c.floats = make(map[int]*FloatColumn)
-	}
-	c.floats[col] = fc
-	return fc, nil
+	return cc.floatView(), nil
 }
 
 // FloatColumnByName is FloatColumn keyed by attribute name.
@@ -302,57 +243,33 @@ func (t *Table) FloatColumnByName(name string) (*FloatColumn, error) {
 	return t.FloatColumn(col)
 }
 
-// CodedColumn returns the dictionary-encoded view of column col, building and
-// caching it on first access. Codes are assigned in first-appearance order,
-// so the encoding is deterministic for a given table content. The returned
-// column is a read-only snapshot; callers must not modify it.
+// CodedColumn returns column col. Codes are assigned in first-appearance
+// order, so the encoding is deterministic for a given table content. The
+// returned column is shared and read-only.
 func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
-	if col < 0 || col >= t.schema.Len() {
-		return nil, fmt.Errorf("dataset: column index %d out of range", col)
-	}
-	c := t.colcache()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cc, ok := c.codes[col]; ok {
-		return cc, nil
-	}
-	rows := t.data()
-	cc := &CodedColumn{
-		Codes: make([]uint32, len(rows)),
-		index: make(map[string]uint32),
-	}
-	for i, r := range rows {
-		v := r[col]
-		code, ok := cc.index[v]
-		if !ok {
-			code = uint32(len(cc.Dict))
-			cc.Dict = append(cc.Dict, v)
-			cc.index[v] = code
-		}
-		cc.Codes[i] = code
-	}
-	cc.buildRanks()
-	if c.codes == nil {
-		c.codes = make(map[int]*CodedColumn)
-	}
-	c.codes[col] = cc
-	return cc, nil
+	return t.column(col)
 }
 
-// SetCodedColumn overwrites column col with dict[codes[i]] in every row i
-// and installs (dict, codes) as the column's coded view: a caller that
-// recodes a whole column pays one bulk write instead of one SetValue per
-// cell, and the next CodedColumn call returns the installed view. dict must
-// list distinct values in first-appearance order of codes, each used by at
-// least one row — exactly what the lazy builder produces — otherwise an
-// error is returned and the table is unchanged. The table takes ownership
-// of both slices; callers must not modify them afterwards.
-func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
-	if col < 0 || col >= t.schema.Len() {
-		return fmt.Errorf("dataset: column index %d out of range", col)
+// CodedColumnByName is CodedColumn keyed by attribute name.
+func (t *Table) CodedColumnByName(name string) (*CodedColumn, error) {
+	col, err := t.schema.Index(name)
+	if err != nil {
+		return nil, err
 	}
-	if len(codes) != t.Len() {
-		return fmt.Errorf("dataset: coded column has %d rows, table has %d", len(codes), t.Len())
+	return t.CodedColumn(col)
+}
+
+// SetCodedColumn replaces column col with dict[codes[i]] in every row i. dict
+// must list distinct values in first-appearance order of codes, each used by
+// at least one row — the encoding every table column has — otherwise an
+// error is returned and the table is unchanged. The table takes ownership of
+// both slices; callers must not modify them afterwards.
+func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
+	if _, err := t.column(col); err != nil {
+		return err
+	}
+	if len(codes) != t.n {
+		return fmt.Errorf("dataset: coded column has %d rows, table has %d", len(codes), t.n)
 	}
 	next := uint32(0)
 	for i, code := range codes {
@@ -372,20 +289,8 @@ func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
 		}
 		index[v] = uint32(code)
 	}
-	t.promote()
-	for i, r := range t.rows {
-		r[col] = dict[codes[i]]
-	}
-	cc := &CodedColumn{Codes: codes, Dict: dict, index: index}
-	cc.buildRanks()
-	c := t.colcache()
-	c.invalidateCol(col)
-	c.mu.Lock()
-	if c.codes == nil {
-		c.codes = make(map[int]*CodedColumn)
-	}
-	c.codes[col] = cc
-	c.mu.Unlock()
+	t.cols[col] = newCodedColumn(dict, codes, index)
+	t.hash.Store(nil)
 	return nil
 }
 
@@ -401,21 +306,118 @@ func (c *CodedColumn) buildRanks() {
 	for pos, code := range order {
 		c.ranks[code] = uint32(pos)
 	}
-	c.clean = true
-	for _, v := range c.Dict {
+	c.clean = allClean(c.Dict)
+}
+
+// allClean reports whether no value contains a byte below 0x20.
+func allClean(values []string) bool {
+	for _, v := range values {
 		for i := 0; i < len(v); i++ {
 			if v[i] < 0x20 {
-				c.clean = false
-				return
+				return false
 			}
 		}
 	}
+	return true
+}
+
+// lexOrder returns the column's codes in byte-lexicographic order of their
+// values: the inverse of ranks.
+func (c *CodedColumn) lexOrder() []uint32 {
+	order := make([]uint32, len(c.ranks))
+	for code, rank := range c.ranks {
+		order[rank] = uint32(code)
+	}
+	return order
+}
+
+// appendColumn returns c extended by the cells of o. Old codes are copied as
+// integers; o's values are looked up in c's dictionary by binary search over
+// c's rank order, and values c lacks are appended to the dictionary in
+// first-appearance order, exactly where a fresh encoding of the
+// concatenated cells would put them. The ranks are merged rather than
+// re-sorted, so no old value is compared more than O(log dict) times.
+func (c *CodedColumn) appendColumn(o *CodedColumn) *CodedColumn {
+	order := c.lexOrder()
+	dict := slices.Clip(c.Dict)
+	codes := make([]uint32, len(c.Codes), len(c.Codes)+len(o.Codes))
+	copy(codes, c.Codes)
+	remap := make([]uint32, len(o.Dict))
+	seen := make([]bool, len(o.Dict))
+	var added []uint32
+	for _, oc := range o.Codes {
+		if !seen[oc] {
+			seen[oc] = true
+			v := o.Dict[oc]
+			pos, found := slices.BinarySearchFunc(order, v, func(code uint32, v string) int {
+				return strings.Compare(c.Dict[code], v)
+			})
+			if found {
+				remap[oc] = order[pos]
+			} else {
+				remap[oc] = uint32(len(dict))
+				added = append(added, remap[oc])
+				dict = append(dict, strings.Clone(v))
+			}
+		}
+		codes = append(codes, remap[oc])
+	}
+	out := &CodedColumn{Codes: codes, Dict: dict, clean: c.clean && allClean(dict[len(c.Dict):])}
+	if len(added) == 0 {
+		out.ranks = c.ranks
+		return out
+	}
+	// Merge the old lexicographic order with the sorted new values.
+	slices.SortFunc(added, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
+	out.ranks = make([]uint32, len(dict))
+	i, j := 0, 0
+	for pos := range out.ranks {
+		var code uint32
+		if j == len(added) || (i < len(order) && dict[order[i]] < dict[added[j]]) {
+			code, i = order[i], i+1
+		} else {
+			code, j = added[j], j+1
+		}
+		out.ranks[code] = uint32(pos)
+	}
+	return out
+}
+
+// selectRows returns the column holding the cells of rows idx, in order,
+// re-coded into first-appearance order. Ranks follow from the source's:
+// the kept codes keep their relative lexicographic order.
+func (c *CodedColumn) selectRows(idx []int) *CodedColumn {
+	remap := make([]uint32, len(c.Dict))
+	for i := range remap {
+		remap[i] = math.MaxUint32
+	}
+	var kept []uint32 // old code per new code
+	codes := make([]uint32, len(idx))
+	for i, r := range idx {
+		oc := c.Codes[r]
+		if remap[oc] == math.MaxUint32 {
+			remap[oc] = uint32(len(kept))
+			kept = append(kept, oc)
+		}
+		codes[i] = remap[oc]
+	}
+	dict := make([]string, len(kept))
+	byRank := make([]uint32, len(kept))
+	for nc, oc := range kept {
+		dict[nc] = c.Dict[oc]
+		byRank[nc] = uint32(nc)
+	}
+	slices.SortFunc(byRank, func(a, b uint32) int { return cmp.Compare(c.ranks[kept[a]], c.ranks[kept[b]]) })
+	out := &CodedColumn{Codes: codes, Dict: dict, ranks: make([]uint32, len(kept)), clean: c.clean || allClean(dict)}
+	for pos, nc := range byRank {
+		out.ranks[nc] = uint32(pos)
+	}
+	return out
 }
 
 // floatColumnFromCodes builds the parse-once numeric view of a column from
 // its dictionary encoding: each distinct value is parsed once and the result
-// fanned out over the code sequence, matching exactly what the row-scanning
-// builder would produce.
+// fanned out over the code sequence.
 func floatColumnFromCodes(cc *CodedColumn) *FloatColumn {
 	parsed := make([]float64, len(cc.Dict))
 	valid := make([]bool, len(cc.Dict))
@@ -449,13 +451,4 @@ func floatColumnFromCodes(cc *CodedColumn) *FloatColumn {
 		}
 	}
 	return fc
-}
-
-// CodedColumnByName is CodedColumn keyed by attribute name.
-func (t *Table) CodedColumnByName(name string) (*CodedColumn, error) {
-	col, err := t.schema.Index(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.CodedColumn(col)
 }

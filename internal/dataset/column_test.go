@@ -138,7 +138,7 @@ func lexValues(cc *CodedColumn, codes []uint32) []string {
 	return out
 }
 
-func TestColumnCacheInvalidatedBySetValue(t *testing.T) {
+func TestSetValueInstallsNewColumn(t *testing.T) {
 	tbl := testTable(t)
 	age := tbl.Schema().MustIndex("age")
 	before, err := tbl.FloatColumn(age)
@@ -153,34 +153,39 @@ func TestColumnCacheInvalidatedBySetValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after == before {
-		t.Fatal("SetValue did not invalidate the float cache")
+		t.Fatal("SetValue kept the old float view")
 	}
 	if after.Values[0] != 99 || after.Max != 99 {
-		t.Errorf("rebuilt column Values[0]=%v Max=%v, want 99", after.Values[0], after.Max)
+		t.Errorf("new column Values[0]=%v Max=%v, want 99", after.Values[0], after.Max)
 	}
-	// The old snapshot is immutable.
+	// The old column is immutable.
 	if before.Values[0] != 30 {
-		t.Errorf("old snapshot mutated: %v", before.Values[0])
+		t.Errorf("old column mutated: %v", before.Values[0])
 	}
-	// Mutating one column does not invalidate others.
+	// Writing one column leaves the others in place.
 	diagBefore, _ := tbl.CodedColumnByName("diagnosis")
 	if err := tbl.SetValue(0, age, "100"); err != nil {
 		t.Fatal(err)
 	}
 	diagAfter, _ := tbl.CodedColumnByName("diagnosis")
 	if diagBefore != diagAfter {
-		t.Error("mutating age invalidated the diagnosis cache")
+		t.Error("writing age replaced the diagnosis column")
 	}
 }
 
-func TestColumnCacheInvalidatedByAppend(t *testing.T) {
+func TestAppendTableInstallsNewColumns(t *testing.T) {
 	tbl := testTable(t)
 	age := tbl.Schema().MustIndex("age")
 	before, err := tbl.FloatColumn(age)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Append(Row{"zed", "70", "30309", "flu"}); err != nil {
+	zipBefore, _ := tbl.CodedColumnByName("zip")
+	extra, err := FromRows(tbl.Schema(), []Row{{"zed", "70", "30309", "flu"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendTable(extra); err != nil {
 		t.Fatal(err)
 	}
 	after, err := tbl.FloatColumn(age)
@@ -188,21 +193,18 @@ func TestColumnCacheInvalidatedByAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after == before || after.Len() != 6 || after.Max != 70 {
-		t.Errorf("Append did not rebuild the column: len=%d max=%v", after.Len(), after.Max)
+		t.Errorf("AppendTable did not install a new column: len=%d max=%v", after.Len(), after.Max)
 	}
-
-	cc1, _ := tbl.CodedColumnByName("zip")
-	other := testTable(t)
-	if err := tbl.AppendTable(other); err != nil {
-		t.Fatal(err)
+	if before.Len() != 5 {
+		t.Errorf("old column grew to %d rows", before.Len())
 	}
-	cc2, _ := tbl.CodedColumnByName("zip")
-	if cc1 == cc2 || cc2.Len() != tbl.Len() {
-		t.Error("AppendTable did not invalidate the coded cache")
+	zipAfter, _ := tbl.CodedColumnByName("zip")
+	if zipAfter == zipBefore || zipAfter.Len() != tbl.Len() || zipBefore.Len() != 5 {
+		t.Error("AppendTable did not replace the coded column")
 	}
 }
 
-func TestWithSchemaViewSharesCache(t *testing.T) {
+func TestWithSchemaCopySharesColumns(t *testing.T) {
 	tbl := testTable(t)
 	s2, err := tbl.Schema().WithKinds(map[string]Kind{"zip": Sensitive})
 	if err != nil {
@@ -214,17 +216,21 @@ func TestWithSchemaViewSharesCache(t *testing.T) {
 	}
 	age := tbl.Schema().MustIndex("age")
 	before, _ := tbl.FloatColumn(age)
-	// Mutating through the view invalidates the base table's cache too:
-	// they share row storage.
+	if got, _ := view.FloatColumn(age); got != before {
+		t.Fatal("WithSchema copy does not share the source's columns")
+	}
+	// A write through the copy replaces only the copy's column.
 	if err := view.SetValue(0, age, "80"); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := tbl.FloatColumn(age)
-	if after == before {
-		t.Fatal("mutation through WithSchema view did not invalidate base cache")
+	if after, _ := tbl.FloatColumn(age); after != before {
+		t.Fatal("write through the WithSchema copy replaced the source's column")
 	}
-	if after.Values[0] != 80 {
-		t.Errorf("base table column not rebuilt: %v", after.Values[0])
+	if v, _ := view.Value(0, age); v != "80" {
+		t.Errorf("copy value = %q, want 80", v)
+	}
+	if v, _ := tbl.Value(0, age); v != "30" {
+		t.Errorf("source value = %q, want 30", v)
 	}
 }
 
@@ -238,8 +244,8 @@ func TestAppendTableRejectsMismatchedSchemas(t *testing.T) {
 		Attribute{Name: "zip", Kind: QuasiIdentifier, Type: Categorical},
 		Attribute{Name: "diagnosis", Kind: Sensitive, Type: Categorical},
 	)
-	other := NewTable(renamed)
-	if err := other.Append(Row{"x", "1", "2", "flu"}); err != nil {
+	other, err := FromRows(renamed, []Row{{"x", "1", "2", "flu"}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.AppendTable(other); !errors.Is(err, ErrSchemaMismatch) {
@@ -286,9 +292,8 @@ func TestGroupByCodedMatchesSignaturePath(t *testing.T) {
 			}
 			attrs[i] = Attribute{Name: fmt.Sprintf("c%d", i), Kind: QuasiIdentifier, Type: typ}
 		}
-		tbl := NewTable(MustSchema(attrs...))
-		nrows := rng.Intn(60)
-		for r := 0; r < nrows; r++ {
+		rows := make([]Row, rng.Intn(60))
+		for r := range rows {
 			row := make(Row, ncols)
 			for i := range row {
 				if attrs[i].Type == Numeric {
@@ -297,9 +302,11 @@ func TestGroupByCodedMatchesSignaturePath(t *testing.T) {
 					row[i] = categorical[rng.Intn(len(categorical))]
 				}
 			}
-			if err := tbl.Append(row); err != nil {
-				t.Fatal(err)
-			}
+			rows[r] = row
+		}
+		tbl, err := FromRows(MustSchema(attrs...), rows)
+		if err != nil {
+			t.Fatal(err)
 		}
 		names := tbl.Schema().Names()
 		coded, err := tbl.GroupBy(names...)
@@ -329,14 +336,11 @@ func TestGroupByControlByteFallback(t *testing.T) {
 		Attribute{Name: "x", Kind: QuasiIdentifier, Type: Categorical},
 		Attribute{Name: "y", Kind: QuasiIdentifier, Type: Categorical},
 	)
-	tbl := NewTable(s)
-	rows := []Row{
+	tbl, err := FromRows(s, []Row{
 		{"a", "b"}, {"a\x01c", "b"}, {"a", "\x02"}, {"a\x01c", "b"}, {"q", "r"},
-	}
-	for _, r := range rows {
-		if err := tbl.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	coded, err := tbl.GroupBy("x", "y")
 	if err != nil {
@@ -359,17 +363,19 @@ func TestGroupByRadixOverflowFallback(t *testing.T) {
 	for i := range attrs {
 		attrs[i] = Attribute{Name: fmt.Sprintf("w%d", i), Kind: QuasiIdentifier, Type: Categorical}
 	}
-	tbl := NewTable(MustSchema(attrs...))
 	rng := rand.New(rand.NewSource(3))
-	for r := 0; r < 300; r++ {
+	rows := make([]Row, 300)
+	for r := range rows {
 		row := make(Row, ncols)
 		for i := range row {
 			// ~150 distinct values per column: 150^10 overflows uint64.
 			row[i] = fmt.Sprintf("v%03d", rng.Intn(150))
 		}
-		if err := tbl.Append(row); err != nil {
-			t.Fatal(err)
-		}
+		rows[r] = row
+	}
+	tbl, err := FromRows(MustSchema(attrs...), rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	classes, err := tbl.GroupBy(tbl.Schema().Names()...)
 	if err != nil {

@@ -7,17 +7,23 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
-// WriteCSV writes the table to w as RFC 4180 CSV with a header row.
+// WriteCSV writes the table to w as RFC 4180 CSV with a header row. Rows are
+// read straight from the columns into one reused record.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.schema.Names()); err != nil {
 		return fmt.Errorf("dataset: write header: %w", err)
 	}
-	for i, r := range t.data() {
-		if err := cw.Write(r); err != nil {
+	rec := make([]string, len(t.cols))
+	for i := 0; i < t.n; i++ {
+		for j, cc := range t.cols {
+			rec[j] = cc.Dict[cc.Codes[i]]
+		}
+		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("dataset: write row %d: %w", i, err)
 		}
 	}
@@ -62,8 +68,8 @@ func ReadCSV(schema *Schema, r io.Reader) (*Table, error) {
 
 // sizeHint reports the total bytes r will yield when it exposes them (for
 // example bytes.Reader, bytes.Buffer and strings.Reader), or 0 when the size
-// is unknown (network bodies). readRows uses it to pre-size the row and code
-// storage after sampling the average record length.
+// is unknown (network bodies). readRows uses it to pre-size the code storage
+// after sampling the average record length.
 func sizeHint(r io.Reader) int64 {
 	if l, ok := r.(interface{ Len() int }); ok {
 		return int64(l.Len())
@@ -215,57 +221,28 @@ func (s *recordScanner) Read() ([]string, error) {
 	}
 }
 
-// arenaBlockCells bounds the string-header arena blocks rows are packed into:
-// blocks grow geometrically from a few rows up to this many row slots, so
-// small files stay small and large files amortize to one allocation per
-// thousands of rows.
-const arenaBlockCells = 64 * 1024
-
-// Adaptive interning bounds: once a column has been sampled for
-// internSampleRows rows, interning stops for it if more than half its cells
-// were distinct — dictionary-encoding a near-unique column (record ids,
-// names, continuous measurements) costs map inserts, clones and a
-// rank sort for a view nothing will group by. The rule only looks at the
-// column's own prefix, so the decision is deterministic for a given content.
-const internSampleRows = 256
+// sizeSampleRows is the number of records readRows reads before it
+// estimates the row count from the input size.
+const sizeSampleRows = 256
 
 // readRows streams every remaining record of sc into a new table over
-// schema. It is the single ingest loop behind ReadCSV and ReadCSVInferred
-// and replaces the old per-row Append path with a columnar fast path:
+// schema. It is the single ingest loop behind ReadCSV and ReadCSVInferred:
 //
 //   - records are split by the quote-free byte scanner above (encoding/csv
-//     takes over on the first quote), rows are packed into shared arena
-//     blocks instead of one slice allocation per row, and the record slice
-//     is reused;
-//   - every cell of a groupable (low-cardinality) column is interned through
-//     a per-column dictionary, so repeated values share one string
-//     allocation across the whole column, and the dictionaries become the
-//     table's CodedColumn caches (numeric attributes later derive their
-//     parse-once FloatColumn from the dictionary, each distinct value parsed
-//     exactly once); near-unique columns opt out after a sampled prefix and
-//     keep the csv reader's per-record field strings as-is;
+//     takes over on the first quote) and the record slice is reused;
+//   - every cell is interned into its column's dictionary, so repeated
+//     values share one string allocation and the columns are the table's
+//     storage the moment ingest ends;
 //   - the content fingerprint is folded in the same pass — each distinct
 //     value is byte-hashed once when it enters the dictionary, and every
 //     repeat folds the memoized 64-bit word;
 //   - when the reader exposes its size (buffers, files read into memory),
-//     the row and code storage is pre-sized from the average record length
-//     of the first rows, eliminating append-doubling churn —
-//
-// so the coded views and the result-cache key are ready the moment the
-// table exists, with no invalidate/rebuild churn and nothing hashed twice.
+//     the code storage is pre-sized from the average record length of the
+//     first rows, eliminating append-doubling churn.
 func readRows(sc *recordScanner, schema *Schema, size int64) (*Table, error) {
 	k := schema.Len()
 	sc.want = k
-
-	cols := make([]*CodedColumn, k)
-	dictHash := make([][]uint64, k)
-	for i := range cols {
-		cols[i] = &CodedColumn{index: make(map[string]uint32)}
-	}
-	hasher := newContentHasher()
-	var rows []Row
-	var arena []string
-	blockCells := 64 * k
+	b := newTableBuilder(k, 0)
 	startOff := sc.inputOffset()
 	for {
 		rec, err := sc.Read()
@@ -275,79 +252,16 @@ func readRows(sc *recordScanner, schema *Schema, size int64) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: read row: %w", err)
 		}
-		if len(arena) < k {
-			arena = make([]string, blockCells)
-			if blockCells < arenaBlockCells {
-				blockCells *= 2
-			}
-		}
-		row := Row(arena[:k:k])
-		arena = arena[k:]
-		for i, v := range rec {
-			cc := cols[i]
-			if cc == nil {
-				// Interning disabled for this column: both scanner paths
-				// allocate a fresh backing string per record (only the field
-				// slice is reused), so retaining v is safe.
-				row[i] = v
-				hasher.fold(hashCell(v))
-				continue
-			}
-			code, ok := cc.index[v]
-			if !ok {
-				if len(cc.Codes) >= internSampleRows && 2*len(cc.Dict) > len(cc.Codes) {
-					cols[i] = nil
-					row[i] = v
-					hasher.fold(hashCell(v))
-					continue
-				}
-				code = uint32(len(cc.Dict))
-				cc.Dict = append(cc.Dict, strings.Clone(v))
-				cc.index[cc.Dict[code]] = code
-				dictHash[i] = append(dictHash[i], hashCell(cc.Dict[code]))
-			}
-			row[i] = cc.Dict[code]
-			cc.Codes = append(cc.Codes, code)
-			hasher.fold(dictHash[i][code])
-		}
-		hasher.endRow()
-		rows = append(rows, row)
-		if len(rows) == internSampleRows && size > 0 {
+		b.addRow(rec)
+		if b.n == sizeSampleRows && size > 0 {
 			// Pre-size the remaining storage from the sampled record length.
 			consumed := sc.inputOffset() - startOff
-			est := len(rows) + int(int64(len(rows))*(size-startOff-consumed)/consumed)
+			est := b.n + int(int64(b.n)*(size-startOff-consumed)/consumed)
 			est += est / 8 // slack for shorter records ahead
-			if est > cap(rows) {
-				grown := make([]Row, len(rows), est)
-				copy(grown, rows)
-				rows = grown
-				need := (est - len(rows)) * k
-				if len(arena) < need {
-					arena = make([]string, need)
-				}
-				for _, cc := range cols {
-					if cc == nil || cap(cc.Codes) >= est {
-						continue
-					}
-					codes := make([]uint32, len(cc.Codes), est)
-					copy(codes, cc.Codes)
-					cc.Codes = codes
-				}
+			for i := range b.cols {
+				b.cols[i].codes = slices.Grow(b.cols[i].codes, max(est-b.n, 0))
 			}
 		}
 	}
-
-	t := NewTable(schema)
-	t.rows = rows
-	c := t.cache
-	c.codes = make(map[int]*CodedColumn, k)
-	for i, cc := range cols {
-		if cc == nil {
-			continue
-		}
-		cc.buildRanks()
-		c.codes[i] = cc
-	}
-	c.fp = hasher.sum()
-	return t, nil
+	return b.table(schema), nil
 }

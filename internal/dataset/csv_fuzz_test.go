@@ -10,8 +10,8 @@ import (
 // These fuzz targets pin the dual-path CSV reader (quote-free byte scanner
 // with an encoding/csv fallback, csv.go) to pure encoding/csv as the oracle:
 // for every input, both sides must agree on error presence, on every cell,
-// and — through the from-scratch rowsFingerprint rebuild — on the content
-// fingerprint the streaming ingest folds incrementally. Error presence, not
+// and — through the cell-by-cell reference hash — on the content fingerprint
+// the streaming ingest folds incrementally. Error presence, not
 // text: the fallback reader starts mid-stream, so its ParseError line numbers
 // legitimately differ from the oracle's.
 
@@ -40,16 +40,15 @@ func oracleRecords(data []byte, want int) (header []string, rows [][]string, err
 }
 
 // compareTable checks the parsed table's cells and fingerprint against the
-// oracle's rows. The fingerprint is rebuilt from scratch over a second table,
-// so the incremental dictionary-memoized fold of readRows is checked against
-// rowsFingerprint's plain pass.
-func compareTable(t *testing.T, tbl *Table, schema *Schema, rows [][]string) {
+// oracle's rows. The incremental dictionary-memoized fold of readRows is
+// checked against referenceRowsHash's plain cell-by-cell pass.
+func compareTable(t *testing.T, tbl *Table, rows [][]string) {
 	t.Helper()
-	if len(tbl.rows) != len(rows) {
-		t.Fatalf("rows = %d, oracle has %d", len(tbl.rows), len(rows))
+	if tbl.Len() != len(rows) {
+		t.Fatalf("rows = %d, oracle has %d", tbl.Len(), len(rows))
 	}
 	for i, want := range rows {
-		got := tbl.rows[i]
+		got, _ := tbl.Row(i)
 		if len(got) != len(want) {
 			t.Fatalf("row %d has %d cells, oracle has %d", i, len(got), len(want))
 		}
@@ -59,13 +58,8 @@ func compareTable(t *testing.T, tbl *Table, schema *Schema, rows [][]string) {
 			}
 		}
 	}
-	oracle := NewTable(schema)
-	oracle.rows = make([]Row, len(rows))
-	for i, r := range rows {
-		oracle.rows[i] = Row(r)
-	}
-	if got, want := tbl.Fingerprint(), oracle.Fingerprint(); got != want {
-		t.Fatalf("fingerprint = %s, from-scratch rebuild = %s", got, want)
+	if got, want := tbl.rowsHash().sum(), referenceRowsHash(rows); got != want {
+		t.Fatalf("row-content hash = %s, reference = %s", got, want)
 	}
 }
 
@@ -118,7 +112,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
-		compareTable(t, tbl, schema, rows)
+		compareTable(t, tbl, rows)
 	})
 }
 
@@ -129,7 +123,6 @@ func FuzzReadCSVInferred(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tbl, err := ReadCSVInferred(bytes.NewReader(data))
 		header, rows, oerr := oracleRecords(data, 0)
-		var schema *Schema
 		serr := oerr
 		if oerr == nil {
 			// Mirror ReadCSVInferred's header-to-schema step; schema
@@ -138,7 +131,7 @@ func FuzzReadCSVInferred(f *testing.F) {
 			for i, h := range header {
 				attrs[i] = Attribute{Name: h, Kind: Insensitive, Type: Categorical}
 			}
-			schema, serr = NewSchema(attrs...)
+			_, serr = NewSchema(attrs...)
 		}
 		if (err != nil) != (serr != nil) {
 			t.Fatalf("ReadCSVInferred error = %v, oracle error = %v", err, serr)
@@ -146,6 +139,6 @@ func FuzzReadCSVInferred(f *testing.F) {
 		if err != nil {
 			return
 		}
-		compareTable(t, tbl, schema, rows)
+		compareTable(t, tbl, rows)
 	})
 }

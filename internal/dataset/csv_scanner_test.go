@@ -119,14 +119,13 @@ func TestReadCSVLongLine(t *testing.T) {
 	}
 }
 
-// TestReadCSVHighCardinalityColumn checks that a near-unique column still
-// round-trips correctly after interning opts out, and that a coded view can
-// be built lazily afterwards.
+// TestReadCSVHighCardinalityColumn checks that a near-unique column
+// round-trips and is coded at ingest like every other column.
 func TestReadCSVHighCardinalityColumn(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("a,b,c\n")
-	rows := make([]Row, 0, 2*internSampleRows)
-	for i := 0; i < 2*internSampleRows; i++ {
+	rows := make([]Row, 0, 512)
+	for i := 0; i < 512; i++ {
 		id := "id" + strings.Repeat("x", i%7) + "-" + string(rune('a'+i%26)) + "-" + itoa(i)
 		r := Row{id, "grp" + string(rune('a'+i%3)), "s"}
 		rows = append(rows, r)
@@ -145,8 +144,8 @@ func TestReadCSVHighCardinalityColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cc.Cardinality() != 2*internSampleRows {
-		t.Errorf("lazy coded cardinality = %d, want %d", cc.Cardinality(), 2*internSampleRows)
+	if cc.Cardinality() != 512 {
+		t.Errorf("coded cardinality = %d, want %d", cc.Cardinality(), 512)
 	}
 	built, err := FromRows(scannerSchema(), rows)
 	if err != nil {

@@ -110,11 +110,11 @@ func derivations(t *testing.T, src *Table) map[string]struct {
 	}
 }
 
-// TestDerivedTablesInheritViews checks that Clone, Project and
-// DropIdentifiers of heap and snapshot-backed tables start with the source's
-// views — the same immutable objects, not rebuilds — and that those views
-// equal fresh builds over the derived cells.
-func TestDerivedTablesInheritViews(t *testing.T) {
+// TestDerivedTablesShareColumns checks that Clone, Project and
+// DropIdentifiers of heap and snapshot-backed tables share the source's
+// column objects — never copies or rebuilds — and that those columns equal
+// fresh builds over the derived cells.
+func TestDerivedTablesShareColumns(t *testing.T) {
 	heap := deriveFixture(t)
 	mt, err := OpenSnapshot(writeSnapshotFile(t, heap))
 	if err != nil {
@@ -125,14 +125,12 @@ func TestDerivedTablesInheritViews(t *testing.T) {
 		for name, d := range derivations(t, src) {
 			t.Run(srcName+"/"+name, func(t *testing.T) {
 				for j, sc := range d.cols {
-					want := src.cache.codes[sc]
-					if got, _ := d.tbl.CodedColumn(j); want == nil || got != want {
-						t.Errorf("column %d: coded view not inherited from source column %d", j, sc)
+					if got, _ := d.tbl.CodedColumn(j); got != src.cols[sc] {
+						t.Errorf("column %d: not the source's column %d", j, sc)
 					}
-					if want := src.cache.floats[sc]; want != nil {
-						if got, _ := d.tbl.FloatColumn(j); got != want {
-							t.Errorf("column %d: float view not inherited from source column %d", j, sc)
-						}
+					want, _ := src.FloatColumn(sc)
+					if got, _ := d.tbl.FloatColumn(j); got != want {
+						t.Errorf("column %d: float view not shared with source column %d", j, sc)
 					}
 				}
 				checkViewsFresh(t, d.tbl)
@@ -141,9 +139,9 @@ func TestDerivedTablesInheritViews(t *testing.T) {
 	}
 }
 
-// TestDerivedMutationIsolation checks that a write to a derived table drops
-// only its own views and fingerprint, and a write to the source only the
-// source's.
+// TestDerivedMutationIsolation checks that a write to a derived table
+// replaces only its own column and fingerprint, and a write to the source
+// only the source's.
 func TestDerivedMutationIsolation(t *testing.T) {
 	for name := range derivations(t, deriveFixture(t)) {
 		t.Run(name, func(t *testing.T) {
@@ -151,13 +149,13 @@ func TestDerivedMutationIsolation(t *testing.T) {
 			srcFP := src.Fingerprint()
 			d := derivations(t, src)[name]
 			age := slices.Index(d.cols, 1)
-			srcAge := src.cache.codes[1]
+			srcAge := src.cols[1]
 
 			// Derived write: the source keeps its views and fingerprint.
 			if err := d.tbl.SetValue(0, age, "99"); err != nil {
 				t.Fatal(err)
 			}
-			if src.cache.codes[1] != srcAge || src.Fingerprint() != srcFP {
+			if src.cols[1] != srcAge || src.Fingerprint() != srcFP {
 				t.Fatal("write to the derived table touched the source's views")
 			}
 			if v, _ := src.Value(0, 1); v != "20" {
@@ -168,11 +166,11 @@ func TestDerivedMutationIsolation(t *testing.T) {
 
 			// Source write: the derived table keeps what it holds.
 			derivedFP := d.tbl.Fingerprint()
-			derivedZip := d.tbl.cache.codes[slices.Index(d.cols, 2)]
+			derivedZip := d.tbl.cols[slices.Index(d.cols, 2)]
 			if err := src.SetValue(1, 2, "99999"); err != nil {
 				t.Fatal(err)
 			}
-			if d.tbl.Fingerprint() != derivedFP || d.tbl.cache.codes[slices.Index(d.cols, 2)] != derivedZip {
+			if d.tbl.Fingerprint() != derivedFP || d.tbl.cols[slices.Index(d.cols, 2)] != derivedZip {
 				t.Fatal("write to the source touched the derived table's views")
 			}
 			checkViewsFresh(t, d.tbl)
@@ -182,10 +180,14 @@ func TestDerivedMutationIsolation(t *testing.T) {
 }
 
 // TestConcurrentProjectAndColumns derives projections of one stored table
-// while other goroutines read and build its views; run under -race.
+// while other goroutines read it and build its columns' lazy views; run
+// under -race.
 func TestConcurrentProjectAndColumns(t *testing.T) {
-	src := deriveFixture(t)
-	src.cache.invalidateAll() // views get built while projections copy the cache
+	fixture := deriveFixture(t)
+	src, err := FromRows(fixture.Schema(), fixture.Rows()) // no lazy view built yet
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -224,7 +226,7 @@ func TestConcurrentProjectAndColumns(t *testing.T) {
 }
 
 // TestSetCodedColumn checks the bulk writer: cells are written, the
-// installed view equals a lazy build over them, the float view and
+// installed column equals a fresh build over them, the float view and
 // fingerprint are refreshed, and malformed input leaves the table unchanged.
 func TestSetCodedColumn(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
@@ -269,7 +271,7 @@ func TestSetCodedColumn(t *testing.T) {
 		if v, _ := tbl.Value(6, 1); v != "[30-40)" {
 			t.Errorf("cell = %q", v)
 		}
-		if code, ok := tbl.cache.codes[1].Code(" 32"); !ok || code != 3 {
+		if code, ok := tbl.cols[1].Code(" 32"); !ok || code != 3 {
 			t.Errorf("Code(\" 32\") = %d, %v", code, ok)
 		}
 		if tbl.Fingerprint() == before {
@@ -279,10 +281,11 @@ func TestSetCodedColumn(t *testing.T) {
 	}
 }
 
-// TestDerivedViewsCopiedAtDerivation checks that a derived table starts with
-// exactly the views its source held when it was derived: later builds on
-// either side stay on that side, and a write drops only the writer's view.
-func TestDerivedViewsCopiedAtDerivation(t *testing.T) {
+// TestDerivedTablesShareLazyViews checks that lazily built views live on the
+// shared column: a view built through a projection is the one the source
+// and its other derivations see, and a write replaces only the writer's
+// column.
+func TestDerivedTablesShareLazyViews(t *testing.T) {
 	src, err := FromRows(deriveFixture(t).Schema(), deriveFixture(t).Rows())
 	if err != nil {
 		t.Fatal(err)
@@ -295,40 +298,124 @@ func TestDerivedViewsCopiedAtDerivation(t *testing.T) {
 	written, _ := src.DropIdentifiers()
 	for name, d := range map[string]*Table{"projection": p1, "clone of projection": p1.Clone()} {
 		if got, _ := d.CodedColumnByName("zip"); got != zip {
-			t.Errorf("%s rebuilt the zip view", name)
+			t.Errorf("%s does not share the zip column", name)
 		}
 	}
 
-	// Views built after the derivation are not shared.
-	disease, err := p1.CodedColumnByName("disease")
+	// A view built on the projection serves the source too.
+	hours, err := p1.FloatColumnByName("hours")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.cache.codes[4] != nil {
-		t.Error("view built on a projection was stored on the source")
+	if got, _ := src.FloatColumnByName("hours"); got != hours {
+		t.Error("float view built on a projection not shared with the source")
 	}
-	hours, err := src.FloatColumnByName("hours")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := p1.FloatColumnByName("hours"); got == hours {
-		t.Error("view built on the source after the derivation reached the projection")
-	}
-	if got, _ := p1.Clone().CodedColumnByName("disease"); got != disease {
-		t.Error("clone did not copy the projection's own view")
+	stats := p1.Clone().cols[3].Stats()
+	if got, _ := src.CodedColumnByName("disease"); got.Stats() != stats {
+		t.Error("stats built on a clone of a projection not shared with the source")
 	}
 
-	// A derived table's write drops its own view of that column only.
+	// A derived table's write replaces its own column only.
 	if err := written.SetValue(0, 1, "00000"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := written.CodedColumnByName("zip"); got == zip {
-		t.Error("written column still holds the source's view")
+		t.Error("written column still is the source's column")
 	}
-	if src.cache.codes[2] != zip {
-		t.Error("derived write replaced the source's view")
+	if src.cols[2] != zip || p1.cols[1] != zip {
+		t.Error("derived write replaced another table's column")
 	}
 	checkViewsFresh(t, written)
 	checkViewsFresh(t, p1)
 	checkViewsFresh(t, src)
+}
+
+// TestWritersMatchFreshBuild checks that every writer and row-set
+// derivation leaves columns (Dict, Codes, ranks, clean, stats, float view)
+// and fingerprint equal to a fresh FromRows of the same cells, for heap and
+// snapshot-backed tables alike.
+func TestWritersMatchFreshBuild(t *testing.T) {
+	heap := deriveFixture(t)
+	mt, err := OpenSnapshot(writeSnapshotFile(t, heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	// extra mixes values the fixture holds with new ones that sort before,
+	// between and after them, including control bytes and repeats.
+	extra, err := FromRows(heap.Schema(), []Row{
+		{"p03", "21", "13001", "0", "flu"},
+		{"a\x01", "!", "13099", "5", "zzz"},
+		{"p99", "21", "00000", "0", "cancer"},
+		{"p99", "99", "13001", "5", "asthma"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for srcName, src := range map[string]*Table{"heap": heap, "snapshot": mt.Table()} {
+		writes := map[string]func() (*Table, error){
+			"append": func() (*Table, error) {
+				out := src.Clone()
+				return out, out.AppendTable(extra)
+			},
+			"append onto extra": func() (*Table, error) {
+				out := extra.Clone()
+				return out, out.AppendTable(src)
+			},
+			"append to self": func() (*Table, error) {
+				out := src.Clone()
+				return out, out.AppendTable(out)
+			},
+			"append twice": func() (*Table, error) {
+				out := src.Clone()
+				if err := out.AppendTable(extra); err != nil {
+					return nil, err
+				}
+				return out, out.AppendTable(extra)
+			},
+			"set value": func() (*Table, error) {
+				out := src.Clone()
+				return out, out.SetValue(3, 2, "\x02zip")
+			},
+			"set coded column": func() (*Table, error) {
+				out := src.Clone()
+				codes := make([]uint32, out.Len())
+				for i := range codes {
+					codes[i] = uint32(min(i%3, i))
+				}
+				return out, out.SetCodedColumn(4, []string{"b", "a", "c"}, codes)
+			},
+			"select":      func() (*Table, error) { return src.Select([]int{9, 3, 9, 0, 41, 4}) },
+			"select none": func() (*Table, error) { return src.Select(nil) },
+			"with schema": func() (*Table, error) {
+				s2, err := src.Schema().WithKinds(map[string]Kind{"zip": Sensitive})
+				if err != nil {
+					return nil, err
+				}
+				return src.WithSchema(s2)
+			},
+		}
+		for name, write := range writes {
+			t.Run(srcName+"/"+name, func(t *testing.T) {
+				out, err := write()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkViewsFresh(t, out)
+				if got, want := out.rowsHash().sum(), referenceRowsHash(rowsOf(out)); got != want {
+					t.Errorf("row-content hash %s, reference %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// rowsOf returns a table's cells as plain string rows.
+func rowsOf(tbl *Table) [][]string {
+	out := make([][]string, tbl.Len())
+	for i := range out {
+		r, _ := tbl.Row(i)
+		out[i] = r
+	}
+	return out
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"strconv"
-
-	"github.com/ppdp/ppdp/internal/parallel"
 )
 
 // This file implements the table content fingerprint: a cheap, deterministic
@@ -13,12 +11,10 @@ import (
 // changes. It is the dataset half of the cross-request result-cache key (see
 // internal/resultcache): two tables with the same fingerprint hold the same
 // released bytes, so a memoized release computed from one is valid for the
-// other. The row-content part is cached in the shared colCache and is
-// invalidated exactly where the columnar caches are — Append/AppendTable drop
-// it with invalidateAll, SetValue with invalidateCol — so a mutated table can
-// never keep a stale fingerprint. CSV ingest computes the hash while
-// streaming rows in (see csv.go), making the fingerprint free for the upload
-// path that feeds the result cache.
+// other. The row-content part is a running hasher state kept with the
+// table: builders (CSV ingest, FromRows) fold it while encoding, AppendTable
+// extends it over the appended rows only, and a table whose columns were
+// replaced refolds it from its coded columns on the next call.
 //
 // The hash is two 64-bit accumulators folded over per-cell FNV-1a hashes:
 // each cell's bytes (plus a terminator, so boundaries stay unambiguous) are
@@ -93,114 +89,65 @@ func (c *contentHasher) endRow() {
 }
 
 // sum returns the accumulated hash in lowercase hex.
-func (c *contentHasher) sum() string {
+func (c contentHasher) sum() string {
 	var out [16]byte
 	binary.BigEndian.PutUint64(out[:8], c.a)
 	binary.BigEndian.PutUint64(out[8:], c.b)
 	return hex.EncodeToString(out[:])
 }
 
-// rowsFingerprint hashes a row set from scratch. It is the rebuild path for
-// tables whose fingerprint was invalidated by mutation (ingest computes the
-// same hash incrementally while reading, via the dictionary memo).
-func rowsFingerprint(rows []Row) string {
-	ch := newContentHasher()
-	for _, r := range rows {
-		for _, v := range r {
-			ch.cell(v)
-		}
-		ch.endRow()
+// parseHasher restores a hasher state from its sum, reporting whether s is
+// one (32 hex digits).
+func parseHasher(s string) (contentHasher, bool) {
+	var raw [16]byte
+	if len(s) != 32 {
+		return contentHasher{}, false
 	}
-	return ch.sum()
+	if _, err := hex.Decode(raw[:], []byte(s)); err != nil {
+		return contentHasher{}, false
+	}
+	return contentHasher{a: binary.BigEndian.Uint64(raw[:8]), b: binary.BigEndian.Uint64(raw[8:])}, true
 }
 
-// Parallel-rebuild tuning. Variables so equivalence tests can force the
-// chunked path onto small fixtures.
-var (
-	// fpWindowRows bounds the word buffer: rows are hashed window-at-a-time
-	// so the scratch stays cache-sized instead of O(rows).
-	fpWindowRows = 4096
-	// fpHashMinRows is the smallest per-worker chunk of the cell-hashing
-	// pass; tables under twice this size take the plain sequential rebuild.
-	fpHashMinRows = 512
-)
+// foldRows folds rows [0, n) of cols into h, hashing each distinct
+// dictionary value once and folding the per-cell words in row order.
+func foldRows(h *contentHasher, n int, cols []*CodedColumn) {
+	memo := make([][]uint64, len(cols))
+	for j, cc := range cols {
+		m := make([]uint64, len(cc.Dict))
+		for code, v := range cc.Dict {
+			m[code] = hashCell(v)
+		}
+		memo[j] = m
+	}
+	for i := 0; i < n; i++ {
+		for j, cc := range cols {
+			h.fold(memo[j][cc.Codes[i]])
+		}
+		h.endRow()
+	}
+}
 
-// rowsFingerprintParallel rebuilds the row-content hash with the per-cell
-// byte hashing — the dominant cost, roughly an order of magnitude more work
-// per word than the fold — spread across workers, while the position-
-// sensitive accumulator fold stays strictly sequential and in row order, so
-// the result is bit-identical to rowsFingerprint for every worker count.
-//
-// The fold cannot itself be chunked: committed fingerprints (result-cache
-// keys, content-addressed tables/<fp>.tbl filenames) pin the existing
-// multiply-xor recurrence, and multiplication mod 2^64 does not distribute
-// over xor, so per-chunk accumulators cannot be recombined with multiplier
-// powers the way a true polynomial (multiply-add) hash would allow. Hashing
-// cell bytes into a windowed word buffer in parallel and streaming the
-// buffer through one hasher keeps the committed values while parallelizing
-// the expensive part.
-func rowsFingerprintParallel(rows []Row, workers int) string {
-	n := len(rows)
-	if n == 0 {
-		return rowsFingerprint(rows)
+// rowsHash returns the row-content hasher state over all rows, folding it
+// from the columns the first time it is needed.
+func (t *Table) rowsHash() contentHasher {
+	if h := t.hash.Load(); h != nil {
+		return *h
 	}
-	k := len(rows[0])
-	for _, r := range rows {
-		if len(r) != k { // constructors enforce arity; stay safe if it ever breaks
-			return rowsFingerprint(rows)
-		}
-	}
-	stride := k + 1 // per-row cell hashes plus the row terminator
-	window := fpWindowRows
-	if window > n {
-		window = n
-	}
-	words := make([]uint64, window*stride)
-	ch := newContentHasher()
-	for base := 0; base < n; base += window {
-		m := n - base
-		if m > window {
-			m = window
-		}
-		parallel.Chunks(m, workers, fpHashMinRows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				o := i * stride
-				for j, v := range rows[base+i] {
-					words[o+j] = hashCell(v)
-				}
-				words[o+k] = fpRowSep
-			}
-		})
-		for _, w := range words[:m*stride] {
-			ch.fold(w)
-		}
-	}
-	return ch.sum()
+	h := newContentHasher()
+	foldRows(&h, t.n, t.cols)
+	t.hash.Store(&h)
+	return h
 }
 
 // Fingerprint returns a deterministic content hash of the table: its schema
 // (attribute names, kinds and types, in order) combined with every cell
 // value. Tables with equal schemas and equal cell contents have equal
 // fingerprints; any mutation — appending rows or overwriting a cell — yields
-// a different one. The row-content hash is cached alongside the columnar
-// caches and shares their invalidation, so repeated calls on an unchanged
-// table are O(schema); the schema part is mixed in per call because
-// WithSchema views share row storage (and therefore the cache) while
-// differing in schema.
+// a different one. The row-content hash is kept with the table, so repeated
+// calls on an unchanged table are O(schema).
 func (t *Table) Fingerprint() string {
-	c := t.colcache()
-	c.mu.Lock()
-	if c.fp == "" {
-		rows := t.data()
-		if w := t.scanParallelism(); w > 1 && len(rows) >= 2*fpHashMinRows {
-			c.fp = rowsFingerprintParallel(rows, w)
-		} else {
-			c.fp = rowsFingerprint(rows)
-		}
-	}
-	rowsFP := c.fp
-	c.mu.Unlock()
-
+	rows := t.rowsHash()
 	ch := newContentHasher()
 	for _, a := range t.schema.attrs {
 		ch.cell(a.Name)
@@ -208,7 +155,7 @@ func (t *Table) Fingerprint() string {
 		ch.cell(strconv.Itoa(int(a.Type)))
 		ch.endRow()
 	}
-	ch.cell(strconv.Itoa(t.Len()))
-	ch.cell(rowsFP)
+	ch.cell(strconv.Itoa(t.n))
+	ch.cell(rows.sum())
 	return ch.sum()
 }

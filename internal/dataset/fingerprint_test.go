@@ -13,6 +13,19 @@ func fpSchema() *Schema {
 	)
 }
 
+// referenceRowsHash is the row-content hash computed the plain way: every
+// cell hashed from its bytes, in row order.
+func referenceRowsHash[R ~[]string](rows []R) string {
+	ch := newContentHasher()
+	for _, r := range rows {
+		for _, v := range r {
+			ch.cell(v)
+		}
+		ch.endRow()
+	}
+	return ch.sum()
+}
+
 func fpRows() []Row {
 	return []Row{
 		{"34", "130", "flu"},
@@ -54,11 +67,15 @@ func TestFingerprintSeesMutations(t *testing.T) {
 	if mutated == orig {
 		t.Error("SetValue did not change the fingerprint")
 	}
-	if err := tbl.Append(Row{"52", "132", "flu"}); err != nil {
+	extra, err := FromRows(fpSchema(), []Row{{"52", "132", "flu"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.AppendTable(extra); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Fingerprint() == mutated {
-		t.Error("Append did not change the fingerprint")
+		t.Error("AppendTable did not change the fingerprint")
 	}
 }
 
@@ -69,7 +86,7 @@ func TestFingerprintCoversSchema(t *testing.T) {
 	}
 	// Same rows under a different schema (diagnosis demoted to insensitive)
 	// must fingerprint differently: the released bytes depend on attribute
-	// kinds, and WithSchema views share the row storage and column cache.
+	// kinds, and WithSchema copies share the columns and row-content hash.
 	alt := MustSchema(
 		Attribute{Name: "age", Kind: QuasiIdentifier, Type: Numeric},
 		Attribute{Name: "zip", Kind: QuasiIdentifier, Type: Categorical},

@@ -8,7 +8,7 @@ import (
 )
 
 // This file locks down the chunked scan kernels (see internal/parallel):
-// parallel GroupBy, Fingerprint and snapshot encode/decode must be
+// parallel GroupBy and snapshot encode/decode must be
 // byte-identical to their sequential paths for every worker count. The
 // fixtures are generated with a private LCG so the tests need no imports
 // from packages that depend on dataset.
@@ -46,9 +46,9 @@ func kernelTable(t *testing.T, n int, seed uint64) *Table {
 // parallel paths run on test-sized fixtures, restoring them on cleanup.
 func forceSmallChunks(t *testing.T) {
 	t.Helper()
-	savedGB, savedWin, savedHash := groupByMinChunk, fpWindowRows, fpHashMinRows
-	groupByMinChunk, fpWindowRows, fpHashMinRows = 16, 64, 16
-	t.Cleanup(func() { groupByMinChunk, fpWindowRows, fpHashMinRows = savedGB, savedWin, savedHash })
+	saved := groupByMinChunk
+	groupByMinChunk = 16
+	t.Cleanup(func() { groupByMinChunk = saved })
 }
 
 // TestGroupByWorkersEquivalence: the chunked grouping pass must reproduce
@@ -138,22 +138,17 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestFingerprintWorkersEquivalence: the windowed parallel rebuild must be
-// bit-identical to the sequential fold for every worker count and table
-// size, including sizes that straddle window and chunk boundaries.
-func TestFingerprintWorkersEquivalence(t *testing.T) {
-	forceSmallChunks(t)
-	for _, n := range []int{1, 31, 32, 63, 64, 65, 200, 1000} {
-		want := rowsFingerprint(kernelRows(n, uint64(n)))
-		for _, workers := range []int{1, 2, 4, 8} {
-			if got := rowsFingerprintParallel(kernelRows(n, uint64(n)), workers); got != want {
-				t.Errorf("n=%d workers=%d: parallel fingerprint %s != sequential %s", n, workers, got, want)
-			}
+// TestFingerprintMatchesReference: the coded fold must equal the plain
+// cell-by-cell hash for every table size, whatever the scan-worker bound.
+func TestFingerprintMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 31, 64, 200, 1000} {
+		want := referenceRowsHash(kernelRows(n, uint64(n)))
+		for _, workers := range []int{1, 8} {
 			tbl := kernelTable(t, n, uint64(n))
 			tbl.SetScanWorkers(workers)
-			ref := kernelTable(t, n, uint64(n))
-			if got, wantFP := tbl.Fingerprint(), ref.Fingerprint(); got != wantFP {
-				t.Errorf("n=%d workers=%d: table fingerprint %s != sequential %s", n, workers, got, wantFP)
+			tbl.hash.Store(nil) // refold from the columns
+			if got := tbl.rowsHash().sum(); got != want {
+				t.Errorf("n=%d workers=%d: coded fold %s != reference %s", n, workers, got, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -43,7 +44,7 @@ func SplitSignature(sig string) []string { return strings.Split(sig, signatureSe
 // that identifies the value tuple exactly — so the hot loop does one integer
 // map operation per row and allocates nothing per row. Member-row sets and
 // per-class value slices are carved out of shared arenas, and the string
-// signature is materialized once per class, byte-identical to the historical
+// signature is built once per class, byte-identical to the historical
 // string-join implementation (which remains as groupBySignature, both as the
 // fallback when the cardinality product overflows and as the reference
 // implementation for equivalence tests).
@@ -256,10 +257,10 @@ func groupAssign(coded []*CodedColumn, radix []uint64, n, workers int) ([]grp, [
 // coded grouping is tested against.
 func (t *Table) groupBySignature(cols []int) ([]EquivalenceClass, error) {
 	groups := make(map[string][]int)
-	for r, row := range t.data() {
+	for r := 0; r < t.n; r++ {
 		key := make([]string, len(cols))
 		for i, c := range cols {
-			key[i] = row[c]
+			key[i] = t.cols[c].Dict[t.cols[c].Codes[r]]
 		}
 		sig := Signature(key)
 		groups[sig] = append(groups[sig], r)
@@ -323,17 +324,16 @@ func AverageClassSize(classes []EquivalenceClass) float64 {
 // frequency of each value of the named sensitive column among the class
 // members.
 func (t *Table) SensitiveDistribution(class EquivalenceClass, sensitive string) (map[string]int, error) {
-	col, err := t.schema.Index(sensitive)
+	cc, err := t.CodedColumnByName(sensitive)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]int)
 	for _, r := range class.Rows {
-		row, err := t.Row(r)
-		if err != nil {
-			return nil, err
+		if r < 0 || r >= t.n {
+			return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, r, t.n)
 		}
-		out[row[col]]++
+		out[cc.Dict[cc.Codes[r]]]++
 	}
 	return out, nil
 }

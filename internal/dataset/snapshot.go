@@ -46,8 +46,9 @@ import (
 // corrupted snapshot is refused instead of served. Loaded columns alias the
 // mapping (see cast.go): codes, ranks and float arrays are reinterpreted in
 // place, and dictionary strings point into the mapped blob, so a cold table
-// shares pages with the OS cache instead of the Go heap until first write
-// (see Table.promote).
+// shares pages with the OS cache instead of the Go heap. A loaded table is an
+// ordinary Table whose column buffers live in the mapping; writers install
+// new heap columns beside the mapped ones.
 
 // snapshotMagic identifies a columnar snapshot file.
 var snapshotMagic = [8]byte{'P', 'P', 'D', 'P', 'C', 'O', 'L', '1'}
@@ -234,15 +235,10 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Fingerprint() caches the row-content hash; snapshots persist both so a
-	// load can seed the cache without touching row storage.
-	full := t.Fingerprint()
-	c := t.colcache()
-	c.mu.Lock()
-	rowsFP := c.fp
-	c.mu.Unlock()
-
-	h := snapHeader{Version: 1, Rows: t.Len(), Fingerprint: full, RowsFP: rowsFP}
+	// Snapshots persist the row-content hasher state beside the full
+	// fingerprint, so a load restores it without folding any cell.
+	rows := t.rowsHash()
+	h := snapHeader{Version: 1, Rows: t.n, Fingerprint: t.Fingerprint(), RowsFP: rows.sum()}
 	for _, a := range t.schema.Attributes() {
 		h.Attrs = append(h.Attrs, snapAttr{Name: a.Name, Kind: int(a.Kind), Type: int(a.Type)})
 	}
@@ -307,10 +303,9 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 // MappedTable is a table loaded from a columnar snapshot. The table's column
 // views and dictionary strings alias the underlying mapping: they stay valid
 // until Close, and Close must not be called while the table (or any table
-// derived from it without a deep copy) is still in use. Mutating the table
-// promotes it to heap row storage first (see Table.promote), but promoted
-// cells still share dictionary bytes with the mapping, so the lifetime rule
-// stands. Long-running services keep mappings open for the process lifetime;
+// derived from it) is still in use: derived tables share the mapped
+// columns, and cells written later may share dictionary bytes with them.
+// Long-running services keep mappings open for the process lifetime;
 // the OS reclaims cold pages under memory pressure either way.
 type MappedTable struct {
 	tbl    *Table
@@ -338,15 +333,9 @@ func (m *MappedTable) Size() int64 { return m.size }
 // hand-forged headers. It scans every cell, so it is for integrity audits
 // and tests, not the boot path.
 func (m *MappedTable) VerifyContent() error {
-	cols := make([]*CodedColumn, m.tbl.schema.Len())
-	for i := range cols {
-		cc, err := m.tbl.CodedColumn(i)
-		if err != nil {
-			return err
-		}
-		cols[i] = cc
-	}
-	if got := codedRowsFingerprint(m.tbl.Len(), cols); got != m.rowsFP {
+	h := newContentHasher()
+	foldRows(&h, m.tbl.n, m.tbl.cols)
+	if got := h.sum(); got != m.rowsFP {
 		return corrupt("%s: row-content fingerprint mismatch (got %s, want %s)", m.path, got, m.rowsFP)
 	}
 	if got := m.tbl.Fingerprint(); got != m.fingerprint {
@@ -454,30 +443,18 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]*CodedColumn, len(h.Cols))
-	floats := make(map[int]*FloatColumn)
+	t := &Table{schema: schema, n: h.Rows, cols: make([]*CodedColumn, len(segs))}
 	for i, s := range segs {
-		cols[i] = s.cc
-		if s.fc != nil {
-			floats[i] = s.fc
-		}
+		s.cc.float = s.fc
+		t.cols[i] = s.cc
 	}
-
-	t := &Table{schema: schema, cache: newColCache()}
-	t.cache.codes = make(map[int]*CodedColumn, len(cols))
-	for i, cc := range cols {
-		t.cache.codes[i] = cc
+	rows, ok := parseHasher(h.RowsFP)
+	if !ok {
+		return nil, corrupt("%s: row-content fingerprint %q is not a hasher state", path, h.RowsFP)
 	}
-	if len(floats) > 0 {
-		t.cache.floats = make(map[int]*FloatColumn, len(floats))
-		for i, fc := range floats {
-			t.cache.floats[i] = fc
-		}
-	}
-	t.cache.fp = h.RowsFP
-	t.src = &rowSource{n: h.Rows, cols: cols}
-	// Cheap cross-check of the header's two fingerprints (the cached rows
-	// hash makes Fingerprint a schema-hash fold, not a row scan). The full
+	t.hash.Store(&rows)
+	// Cheap cross-check of the header's two fingerprints (the restored
+	// hasher state makes Fingerprint a schema-hash fold, not a row scan). The full
 	// cell-by-cell recompute is VerifyContent's job.
 	if got := t.Fingerprint(); got != h.Fingerprint {
 		return nil, corrupt("%s: table fingerprint mismatch (got %s, want %s)", path, got, h.Fingerprint)
@@ -487,7 +464,7 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 
 // slice bounds-checks one subsection of a segment and returns it.
 func slice(path string, data []byte, start, length int64, what string) ([]byte, error) {
-	if start < 0 || length < 0 || start+length > int64(len(data)) {
+	if start < 0 || length < 0 || start > int64(len(data)) || length > int64(len(data))-start {
 		return nil, corrupt("%s: %s [%d,+%d) out of bounds (file %d bytes)",
 			path, what, start, length, len(data))
 	}
@@ -504,6 +481,9 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 	}
 	if crc32.ChecksumIEEE(seg) != col.CRC {
 		return nil, nil, corrupt("%s: column segment at %d: checksum mismatch", path, segStart)
+	}
+	if col.DictLen < 0 || int64(col.DictLen) > col.SegLen/4 {
+		return nil, nil, corrupt("%s: column segment at %d: dictionary length %d invalid", path, segStart, col.DictLen)
 	}
 	d := int64(col.DictLen)
 	idxB, err := slice(path, seg, 0, (d+1)*4, "dict index")
@@ -539,10 +519,21 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		// index stays nil: Code() builds it lazily on first use, so opening a
 		// snapshot never pays O(dict) map construction per column.
 	}
+	if len(cc.Codes) != rows || len(cc.ranks) != col.DictLen {
+		return nil, nil, corrupt("%s: column segment at %d: section sizes do not match the header", path, segStart)
+	}
 	for _, code := range cc.Codes {
 		if int(code) >= col.DictLen {
 			return nil, nil, corrupt("%s: code %d exceeds dictionary size %d", path, code, col.DictLen)
 		}
+	}
+	// Ranks must be a permutation of the codes: lexOrder inverts them.
+	seen := make([]bool, col.DictLen)
+	for _, r := range cc.ranks {
+		if int(r) >= col.DictLen || seen[r] {
+			return nil, nil, corrupt("%s: column segment at %d: ranks are not a permutation", path, segStart)
+		}
+		seen[r] = true
 	}
 	var fc *FloatColumn
 	if col.Float != nil {
@@ -566,52 +557,4 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		}
 	}
 	return cc, fc, nil
-}
-
-// codedRowsFingerprint recomputes the row-content fingerprint from coded
-// columns, hashing each distinct dictionary value once and folding the
-// per-cell words in row order — the exact stream rowsFingerprint produces
-// from row storage.
-func codedRowsFingerprint(rows int, cols []*CodedColumn) string {
-	memo := make([][]uint64, len(cols))
-	for j, cc := range cols {
-		m := make([]uint64, len(cc.Dict))
-		for code, v := range cc.Dict {
-			m[code] = hashCell(v)
-		}
-		memo[j] = m
-	}
-	ch := newContentHasher()
-	for i := 0; i < rows; i++ {
-		for j, cc := range cols {
-			ch.fold(memo[j][cc.Codes[i]])
-		}
-		ch.endRow()
-	}
-	return ch.sum()
-}
-
-// rowSource materializes row storage on demand for snapshot-backed tables:
-// cells are reconstructed as dictionary strings (aliasing the mapped blob),
-// packed into one arena of row blocks, so materialization allocates string
-// headers but never copies cell bytes.
-type rowSource struct {
-	n    int
-	cols []*CodedColumn
-}
-
-func (s *rowSource) materialize() []Row {
-	k := len(s.cols)
-	rows := make([]Row, s.n)
-	arena := make([]string, s.n*k)
-	for j, cc := range s.cols {
-		dict, codes := cc.Dict, cc.Codes
-		for i, code := range codes {
-			arena[i*k+j] = dict[code]
-		}
-	}
-	for i := range rows {
-		rows[i] = arena[i*k : (i+1)*k : (i+1)*k]
-	}
-	return rows
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -174,10 +175,10 @@ func TestSnapshotEmptyTable(t *testing.T) {
 	}
 }
 
-// TestSnapshotLazyRows asserts that scanning a mapped table through the
-// columnar views never materializes row storage — the whole point of the
-// zero-copy open path.
-func TestSnapshotLazyRows(t *testing.T) {
+// TestSnapshotRowsReadFromColumns asserts that a mapped table serves rows
+// and cells straight from its mapped columns, and that a returned row is a
+// copy.
+func TestSnapshotRowsReadFromColumns(t *testing.T) {
 	tbl := snapshotFixture(t)
 	mt, err := OpenSnapshot(writeSnapshotFile(t, tbl))
 	if err != nil {
@@ -185,35 +186,26 @@ func TestSnapshotLazyRows(t *testing.T) {
 	}
 	defer mt.Close()
 	got := mt.Table()
-	if got.rows != nil {
-		t.Fatal("rows materialized at open")
-	}
-	if _, err := got.GroupBy("age", "zip"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.FloatColumn(0); err != nil {
-		t.Fatal(err)
-	}
-	_ = got.Fingerprint()
 	if got.Len() != tbl.Len() {
 		t.Fatal("Len mismatch")
 	}
-	if got.rows != nil {
-		t.Fatal("columnar scans materialized row storage")
+	for i := 0; i < tbl.Len(); i++ {
+		want, _ := tbl.Row(i)
+		if r, err := got.Row(i); err != nil || !slices.Equal(r, want) {
+			t.Fatalf("Row(%d) = %v, %v; want %v", i, r, err, want)
+		}
 	}
-	// Row access materializes on demand.
-	if r, err := got.Row(0); err != nil || r[0] != "34" {
-		t.Fatalf("Row(0) = %v, %v", r, err)
-	}
-	if got.rows == nil {
-		t.Fatal("Row access did not materialize")
+	r, _ := got.Row(0)
+	r[0] = "mutated"
+	if v, _ := got.Value(0, 0); v != "34" {
+		t.Fatalf("Row returned aliased storage: Value(0, 0) = %q", v)
 	}
 }
 
-// TestSnapshotPromoteOnWrite asserts copy-on-write promotion: mutating a
-// mapped table detaches it from the snapshot (new fingerprint, visible write)
-// without altering the file.
-func TestSnapshotPromoteOnWrite(t *testing.T) {
+// TestSnapshotWriteLeavesFile asserts that writing to a mapped table
+// installs heap columns (new fingerprint, visible write) without altering
+// the file.
+func TestSnapshotWriteLeavesFile(t *testing.T) {
 	tbl := snapshotFixture(t)
 	path := writeSnapshotFile(t, tbl)
 	before, err := os.ReadFile(path)
@@ -235,7 +227,11 @@ func TestSnapshotPromoteOnWrite(t *testing.T) {
 	if got.Fingerprint() == tbl.Fingerprint() {
 		t.Fatal("fingerprint unchanged after mutation")
 	}
-	if err := got.Append(Row{"50", "99999", "flu"}); err != nil {
+	extra, err := FromRows(tbl.Schema(), []Row{{"50", "99999", "flu"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.AppendTable(extra); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != tbl.Len()+1 {
@@ -425,9 +421,6 @@ func TestMmapScanLargerThanHeapBudget(t *testing.T) {
 	if budget := size / 3; growth > budget {
 		t.Fatalf("heap grew %d bytes scanning a %d-byte snapshot (budget %d): scan is not zero-copy", growth, size, budget)
 	}
-	if mt.Table().rows != nil {
-		t.Fatal("scan materialized row storage")
-	}
 }
 
 // TestSnapshotVerifyContent exercises the audit-grade verification pass: it
@@ -459,10 +452,7 @@ func TestSnapshotVerifyContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsFPOf := func(t2 *Table) string {
-		t2.Fingerprint() // fills the rows-hash cache
-		return t2.colcache().fp
-	}
+	rowsFPOf := func(t2 *Table) string { return t2.rowsHash().sum() }
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -42,26 +42,22 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Table is an ordered collection of rows sharing a schema. The zero value is
-// not usable; construct tables with NewTable or FromRows.
+// Table is an ordered collection of rows sharing a schema, stored as one
+// immutable dictionary-coded column per attribute (see column.go). The zero
+// value is not usable; construct tables with NewTable, FromRows, ReadCSV or
+// OpenSnapshot.
 type Table struct {
 	schema *Schema
-	rows   []Row
-	// src, when non-nil, defers row materialization for snapshot-backed
-	// tables (see snapshot.go): the typed column views are served straight
-	// from the mapping, and string row storage is only built if a caller
-	// actually asks for rows. rowsOnce guards the one-time materialization.
-	src      *rowSource
-	rowsOnce sync.Once
-	// cache holds the lazily-built columnar views (see column.go). Tables
-	// that share row storage (WithSchema views) share the cache. All
-	// constructors set it; cacheOnce guards the fallback initialization for
-	// tables built by in-package struct literals so that concurrent column
-	// accessors never race on the pointer.
-	cache     *colCache
-	cacheOnce sync.Once
+	n      int
+	cols   []*CodedColumn
+	// hash is the row-content fingerprint hasher folded over all n rows (see
+	// fingerprint.go), or nil until first needed. Builders store it as they
+	// encode; AppendTable extends it over the appended rows only; writers
+	// that replace a column reset it. Atomic so concurrent readers of a
+	// shared table may fill it in.
+	hash atomic.Pointer[contentHasher]
 	// scanWorkers bounds the worker pool used by the chunked scan kernels
-	// (GroupBy, Fingerprint, snapshot encode, metric scans) on this table.
+	// (GroupBy, snapshot encode, metric scans) on this table.
 	// Zero — the default — keeps every scan sequential, so library callers
 	// that never opt in observe the historical single-threaded behavior;
 	// core and server resolve their configured Workers (0 → GOMAXPROCS) and
@@ -104,110 +100,120 @@ func (t *Table) inheritScanWorkers(src *Table) *Table {
 	return t
 }
 
-// data returns the table's row storage, materializing it on first access for
-// snapshot-backed tables. Every reader of t.rows outside this method must go
-// through it.
-func (t *Table) data() []Row {
-	if t.src != nil {
-		t.rowsOnce.Do(func() { t.rows = t.src.materialize() })
-	}
-	return t.rows
-}
-
-// promote detaches a snapshot-backed table from its column source before a
-// mutation: rows are materialized (copy-on-write — written cells become heap
-// strings, untouched cells keep aliasing the mapped dictionary) and the
-// source is dropped so the mutated rows are the single source of truth.
-func (t *Table) promote() {
-	if t.src == nil {
-		return
-	}
-	t.data()
-	t.src = nil
-}
-
 // NewTable returns an empty table with the given schema.
 func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, cache: newColCache()}
+	t, _ := FromRows(schema, nil)
+	return t
 }
 
-// FromRows builds a table from the given rows, validating arity. Rows are
-// copied into one shared backing arena (a single allocation instead of one
-// per row, as in Clone).
+// FromRows builds a table from the given rows, validating arity. Every
+// column is dictionary-encoded in one pass, folding the row-content
+// fingerprint as it goes.
 func FromRows(schema *Schema, rows []Row) (*Table, error) {
-	t := NewTable(schema)
 	k := schema.Len()
-	t.rows = make([]Row, len(rows))
-	arena := make([]string, len(rows)*k)
+	b := newTableBuilder(k, len(rows))
 	for i, r := range rows {
 		if len(r) != k {
 			return nil, fmt.Errorf("row %d: %w: got %d values, want %d", i, ErrRowArity, len(r), k)
 		}
-		nr := arena[i*k : (i+1)*k : (i+1)*k]
-		copy(nr, r)
-		t.rows[i] = nr
+		b.addRow(r)
 	}
-	return t, nil
+	return b.table(schema), nil
+}
+
+// tableBuilder encodes rows into columns, folding the row-content hash.
+type tableBuilder struct {
+	cols   []colBuilder
+	hasher contentHasher
+	n      int
+}
+
+func newTableBuilder(k, rows int) *tableBuilder {
+	b := &tableBuilder{cols: make([]colBuilder, k), hasher: newContentHasher()}
+	for i := range b.cols {
+		b.cols[i].init(rows)
+	}
+	return b
+}
+
+func (b *tableBuilder) addRow(r []string) {
+	for i, v := range r {
+		b.hasher.fold(b.cols[i].add(v))
+	}
+	b.hasher.endRow()
+	b.n++
+}
+
+func (b *tableBuilder) table(schema *Schema) *Table {
+	t := &Table{schema: schema, n: b.n, cols: make([]*CodedColumn, len(b.cols))}
+	for i := range b.cols {
+		t.cols[i] = b.cols[i].column()
+	}
+	t.hash.Store(&b.hasher)
+	return t
+}
+
+// derive returns a table over schema and cols with t's row count and scan
+// worker bound. The column objects are shared, not copied.
+func (t *Table) derive(schema *Schema, cols []*CodedColumn) *Table {
+	out := &Table{schema: schema, n: t.n, cols: cols}
+	return out.inheritScanWorkers(t)
 }
 
 // Schema returns the table schema.
 func (t *Table) Schema() *Schema { return t.schema }
 
-// Len returns the number of rows. Snapshot-backed tables answer from the
-// column source without materializing row storage.
-func (t *Table) Len() int {
-	if s := t.src; s != nil {
-		return s.n
-	}
-	return len(t.rows)
-}
+// Len returns the number of rows.
+func (t *Table) Len() int { return t.n }
 
-// Append adds a row to the table. The row is copied.
-func (t *Table) Append(r Row) error {
-	if len(r) != t.schema.Len() {
-		return fmt.Errorf("%w: got %d values, want %d", ErrRowArity, len(r), t.schema.Len())
-	}
-	t.promote()
-	t.rows = append(t.rows, r.Clone())
-	t.cache.invalidateAll()
-	return nil
-}
-
-// Row returns the i-th row. The returned slice is the table's backing storage
-// and must not be modified by callers; use SetValue to mutate.
+// Row returns a fresh copy of the i-th row.
 func (t *Table) Row(i int) (Row, error) {
-	rows := t.data()
-	if i < 0 || i >= len(rows) {
-		return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, len(rows))
+	if i < 0 || i >= t.n {
+		return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
 	}
-	return rows[i], nil
+	out := make(Row, len(t.cols))
+	for j, cc := range t.cols {
+		out[j] = cc.Dict[cc.Codes[i]]
+	}
+	return out, nil
 }
 
 // Value returns the value of column col in row i.
 func (t *Table) Value(i, col int) (string, error) {
-	r, err := t.Row(i)
+	if i < 0 || i >= t.n {
+		return "", fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
+	}
+	cc, err := t.column(col)
 	if err != nil {
 		return "", err
 	}
-	if col < 0 || col >= len(r) {
-		return "", fmt.Errorf("dataset: column index %d out of range", col)
-	}
-	return r[col], nil
+	return cc.Dict[cc.Codes[i]], nil
 }
 
-// SetValue overwrites the value of column col in row i.
+// SetValue overwrites the value of column col in row i. It re-encodes the
+// whole column, O(rows): bulk writers use SetCodedColumn instead.
 func (t *Table) SetValue(i, col int, v string) error {
-	t.promote()
-	r, err := t.Row(i)
+	if i < 0 || i >= t.n {
+		return fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
+	}
+	cc, err := t.column(col)
 	if err != nil {
 		return err
 	}
-	if col < 0 || col >= len(r) {
-		return fmt.Errorf("dataset: column index %d out of range", col)
-	}
-	r[col] = v
-	t.cache.invalidateCol(col)
+	values := cc.values()
+	values[i] = v
+	t.cols[col] = codeValues(values)
+	t.hash.Store(nil)
 	return nil
+}
+
+// values returns the column's cells as strings.
+func (c *CodedColumn) values() []string {
+	out := make([]string, len(c.Codes))
+	for i, code := range c.Codes {
+		out[i] = c.Dict[code]
+	}
+	return out
 }
 
 // Float returns the value of column col in row i parsed as a float64.
@@ -223,41 +229,22 @@ func (t *Table) Float(i, col int) (float64, error) {
 	return f, nil
 }
 
-// Clone returns a deep copy of the table (same schema pointer, copied rows).
-// All cloned rows share one backing arena, which makes cloning a single
-// allocation per table instead of one per row; rows remain independent
-// fixed-capacity subslices. The copy starts with the source's columnar views
-// and fingerprint (see colCache.derive), so it never rebuilds what the source
-// had already built.
+// Clone returns an independent copy of the table. Columns are immutable, so
+// the copy shares the source's column objects and fingerprint state; a later
+// write on either table replaces that table's own columns only.
 func (t *Table) Clone() *Table {
-	rows := t.data()
-	k := t.schema.Len()
-	cols := make([]int, k)
-	for i := range cols {
-		cols[i] = i
-	}
-	out := &Table{schema: t.schema, rows: make([]Row, len(rows)), cache: t.colcache().derive(cols, true)}
-	arena := make([]string, len(rows)*k)
-	for i, r := range rows {
-		nr := arena[i*k : (i+1)*k : (i+1)*k]
-		copy(nr, r)
-		out.rows[i] = nr
-	}
-	return out.inheritScanWorkers(t)
+	out := t.derive(t.schema, slices.Clone(t.cols))
+	out.hash.Store(t.hash.Load())
+	return out
 }
 
 // Column returns a copy of all values of the named column.
 func (t *Table) Column(name string) ([]string, error) {
-	col, err := t.schema.Index(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return nil, err
 	}
-	rows := t.data()
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r[col]
-	}
-	return out, nil
+	return cc.values(), nil
 }
 
 // Domain returns the distinct values of the named column in sorted order.
@@ -293,7 +280,7 @@ func (t *Table) Frequencies(name string) (map[string]int, error) {
 // NumericRange returns the minimum and maximum of a numeric column. Values
 // that do not parse as numbers (for example suppressed cells) are skipped; if
 // no value parses, ErrNotNumeric is returned. The scan is served from the
-// parse-once FloatColumn cache.
+// parse-once FloatColumn.
 func (t *Table) NumericRange(name string) (min, max float64, err error) {
 	fc, err := t.FloatColumnByName(name)
 	if err != nil {
@@ -306,27 +293,17 @@ func (t *Table) NumericRange(name string) (min, max float64, err error) {
 }
 
 // Project returns a new table containing only the named columns, in order.
-// The projection starts with the source's columnar views of the kept
-// columns (see colCache.derive).
+// The projection shares the source's column objects.
 func (t *Table) Project(names ...string) (*Table, error) {
 	schema, err := t.schema.Project(names...)
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(names))
+	cols := make([]*CodedColumn, len(names))
 	for i, n := range names {
-		idx[i] = t.schema.MustIndex(n)
+		cols[i] = t.cols[t.schema.MustIndex(n)]
 	}
-	rows := t.data()
-	out := &Table{schema: schema, rows: make([]Row, len(rows)), cache: t.colcache().derive(idx, false)}
-	for i, r := range rows {
-		nr := make(Row, len(idx))
-		for j, c := range idx {
-			nr[j] = r[c]
-		}
-		out.rows[i] = nr
-	}
-	return out.inheritScanWorkers(t), nil
+	return t.derive(schema, cols), nil
 }
 
 // DropIdentifiers returns a copy of the table with all direct-identifier
@@ -345,29 +322,21 @@ func (t *Table) DropIdentifiers() (*Table, error) {
 }
 
 // Select returns a new table containing the rows at the given indices (in the
-// given order). Indices may repeat.
+// given order). Indices may repeat. Each column is re-coded into
+// first-appearance order over the selected rows.
 func (t *Table) Select(indices []int) (*Table, error) {
-	out := NewTable(t.schema)
-	out.rows = make([]Row, 0, len(indices))
 	for _, i := range indices {
-		r, err := t.Row(i)
-		if err != nil {
-			return nil, err
-		}
-		out.rows = append(out.rows, r.Clone())
-	}
-	return out.inheritScanWorkers(t), nil
-}
-
-// Filter returns the indices of all rows for which keep returns true.
-func (t *Table) Filter(keep func(Row) bool) []int {
-	var out []int
-	for i, r := range t.data() {
-		if keep(r) {
-			out = append(out, i)
+		if i < 0 || i >= t.n {
+			return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
 		}
 	}
-	return out
+	cols := make([]*CodedColumn, len(t.cols))
+	for j, cc := range t.cols {
+		cols[j] = cc.selectRows(indices)
+	}
+	out := t.derive(t.schema, cols)
+	out.n = len(indices)
+	return out, nil
 }
 
 // Sample returns a new table with n rows drawn without replacement using rng.
@@ -400,18 +369,17 @@ func (t *Table) Split(frac float64, rng *rand.Rand) (*Table, *Table) {
 	return first, second
 }
 
-// WithSchema returns a shallow re-typed view of the table under a different
-// schema with the same arity. It is used when attribute kinds are
-// reconfigured (for example changing which columns are quasi-identifiers).
+// WithSchema returns a re-typed copy of the table under a different schema
+// with the same arity. It is used when attribute kinds are reconfigured (for
+// example changing which columns are quasi-identifiers). The copy shares the
+// source's column objects; writes to either table do not affect the other.
 func (t *Table) WithSchema(s *Schema) (*Table, error) {
 	if s.Len() != t.schema.Len() {
 		return nil, fmt.Errorf("dataset: schema arity %d does not match table arity %d", s.Len(), t.schema.Len())
 	}
-	// The view shares row storage, so it also shares the columnar cache:
-	// a mutation through either table invalidates both. Snapshot-backed
-	// tables materialize first so both views mutate the same rows.
-	out := &Table{schema: s, rows: t.data(), cache: t.colcache()}
-	return out.inheritScanWorkers(t), nil
+	out := t.derive(s, slices.Clone(t.cols))
+	out.hash.Store(t.hash.Load())
+	return out, nil
 }
 
 // AppendTable appends all rows of other to the table. The schemas must be
@@ -419,26 +387,31 @@ func (t *Table) WithSchema(s *Schema) (*Table, error) {
 // merely the same arity; appending rows under a re-typed or renamed schema
 // would silently change their meaning. Callers that intend such a re-typing
 // must make it explicit with WithSchema first.
+//
+// Existing cells are copied as codes, never re-read as strings: each column
+// interns only other's values, and the fingerprint state is extended over
+// the appended rows only.
 func (t *Table) AppendTable(other *Table) error {
 	if !t.schema.Equal(other.schema) {
 		return fmt.Errorf("%w: cannot append table with schema %v to table with schema %v",
 			ErrSchemaMismatch, other.schema.Names(), t.schema.Names())
 	}
-	t.promote()
-	for _, r := range other.data() {
-		t.rows = append(t.rows, r.Clone())
+	h := t.rowsHash()
+	foldRows(&h, other.n, other.cols)
+	for j, cc := range t.cols {
+		t.cols[j] = cc.appendColumn(other.cols[j])
 	}
-	t.cache.invalidateAll()
+	t.n += other.n
+	t.hash.Store(&h)
 	return nil
 }
 
 // Rows returns a copy of all rows. It is intended for tests and small tables;
-// algorithm code should iterate with Row to avoid the copy.
+// algorithm code should read columns instead.
 func (t *Table) Rows() []Row {
-	rows := t.data()
-	out := make([]Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
+	out := make([]Row, t.n)
+	for i := range out {
+		out[i], _ = t.Row(i)
 	}
 	return out
 }
@@ -450,17 +423,14 @@ func (t *Table) String() string {
 	var b strings.Builder
 	b.WriteString(strings.Join(t.schema.Names(), " | "))
 	b.WriteString("\n")
-	rows := t.data()
-	limit := len(rows)
-	if limit > 10 {
-		limit = 10
-	}
+	limit := min(t.n, 10)
 	for i := 0; i < limit; i++ {
-		b.WriteString(strings.Join(rows[i], " | "))
+		r, _ := t.Row(i)
+		b.WriteString(strings.Join(r, " | "))
 		b.WriteString("\n")
 	}
-	if len(rows) > limit {
-		fmt.Fprintf(&b, "... (%d more rows)\n", len(rows)-limit)
+	if t.n > limit {
+		fmt.Fprintf(&b, "... (%d more rows)\n", t.n-limit)
 	}
 	return b.String()
 }

@@ -215,17 +215,16 @@ func Synthesize(t *dataset.Table, cfg SyntheticConfig) (*dataset.Table, *Conting
 	if err != nil {
 		return nil, nil, err
 	}
-	out := dataset.NewTable(schema)
-
 	rows := cfg.Rows
 	if rows <= 0 {
 		rows = t.Len()
 	}
+	synthetic := make([]dataset.Row, rows)
 	rootValues, rootWeights := histogramDistribution(rootMarginal, nil)
 	if len(rootValues) == 0 {
 		return nil, nil, errors.New("dp: noisy root marginal is empty")
 	}
-	for i := 0; i < rows; i++ {
+	for i := range synthetic {
 		rootVal := sampleWeighted(rng, rootValues, rootWeights)
 		row := make(dataset.Row, len(attrs))
 		for j, a := range attrs {
@@ -245,9 +244,11 @@ func Synthesize(t *dataset.Table, cfg SyntheticConfig) (*dataset.Table, *Conting
 			}
 			row[j] = sampleWeighted(rng, values, weights)
 		}
-		if err := out.Append(row); err != nil {
-			return nil, nil, err
-		}
+		synthetic[i] = row
+	}
+	out, err := dataset.FromRows(schema, synthetic)
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, release, nil
 }

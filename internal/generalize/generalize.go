@@ -22,7 +22,8 @@ var ErrNodeArity = errors.New("generalize: node arity does not match attribute c
 // FullDomain applies the full-domain recoding described by node: the i-th
 // quasi-identifier attribute in attrs is generalized to level node[i] using
 // its hierarchy. All other columns are left untouched. The input table is not
-// modified.
+// modified. Each distinct value is generalized once, and each recoded column
+// is written once through Table.SetCodedColumn.
 func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattice.Node) (*dataset.Table, error) {
 	if len(attrs) != len(node) {
 		return nil, fmt.Errorf("%w: %d attributes, %d levels", ErrNodeArity, len(attrs), len(node))
@@ -41,27 +42,51 @@ func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattic
 		if err != nil {
 			return nil, err
 		}
-		// Cache per distinct value: generalization is value-deterministic.
-		cache := make(map[string]string)
-		for r := 0; r < out.Len(); r++ {
-			v, err := out.Value(r, col)
-			if err != nil {
-				return nil, err
-			}
-			g, ok := cache[v]
-			if !ok {
-				g, err = h.Generalize(v, level)
+		cc, err := out.CodedColumn(col)
+		if err != nil {
+			return nil, err
+		}
+		// Generalization is value-deterministic: one call per source code,
+		// at its first row, so a failure names the row a row scan would.
+		gen := make([]uint32, cc.Cardinality()) // recoded code + 1; 0 = not yet
+		var rc recoder
+		for r, old := range cc.Codes {
+			if gen[old] == 0 {
+				g, err := h.Generalize(cc.Value(old), level)
 				if err != nil {
 					return nil, fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
 				}
-				cache[v] = g
+				gen[old] = rc.code(g) + 1
 			}
-			if err := out.SetValue(r, col, g); err != nil {
-				return nil, err
-			}
+			rc.codes = append(rc.codes, gen[old]-1)
+		}
+		if err := out.SetCodedColumn(col, rc.dict, rc.codes); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// recoder accumulates one recoded column: codes in first-appearance order of
+// the recoded values, ready for Table.SetCodedColumn.
+type recoder struct {
+	dict  []string
+	codes []uint32
+	index map[string]uint32
+}
+
+// code returns the code of v, interning it on first use.
+func (rc *recoder) code(v string) uint32 {
+	if rc.index == nil {
+		rc.index = make(map[string]uint32)
+	}
+	code, ok := rc.index[v]
+	if !ok {
+		code = uint32(len(rc.dict))
+		rc.dict = append(rc.dict, v)
+		rc.index[v] = code
+	}
+	return code
 }
 
 // SuppressRows returns a copy of the table with the given row indices
@@ -84,7 +109,8 @@ func SuppressRows(t *dataset.Table, drop []int) (*dataset.Table, error) {
 }
 
 // SuppressCells overwrites the named columns of the given rows with the
-// suppression marker "*". It modifies a copy and returns it.
+// suppression marker "*". It modifies a copy and returns it; each column is
+// written once through Table.SetCodedColumn.
 func SuppressCells(t *dataset.Table, rows []int, attrs []string) (*dataset.Table, error) {
 	out := t.Clone()
 	cols := make([]int, len(attrs))
@@ -95,11 +121,35 @@ func SuppressCells(t *dataset.Table, rows []int, attrs []string) (*dataset.Table
 		}
 		cols[i] = c
 	}
+	if len(cols) == 0 {
+		return out, nil
+	}
+	hide := make([]bool, t.Len())
 	for _, r := range rows {
-		for _, c := range cols {
-			if err := out.SetValue(r, c, dataset.SuppressedValue); err != nil {
-				return nil, err
+		if r < 0 || r >= t.Len() {
+			return nil, fmt.Errorf("%w: %d (table has %d rows)", dataset.ErrRowIndex, r, t.Len())
+		}
+		hide[r] = true
+	}
+	for _, c := range cols {
+		cc, err := out.CodedColumn(c)
+		if err != nil {
+			return nil, err
+		}
+		kept := make([]uint32, cc.Cardinality()) // recoded code + 1; 0 = not yet
+		var rc recoder
+		for r, old := range cc.Codes {
+			if hide[r] {
+				rc.codes = append(rc.codes, rc.code(dataset.SuppressedValue))
+				continue
 			}
+			if kept[old] == 0 {
+				kept[old] = rc.code(cc.Value(old)) + 1
+			}
+			rc.codes = append(rc.codes, kept[old]-1)
+		}
+		if err := out.SetCodedColumn(c, rc.dict, rc.codes); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -3,7 +3,7 @@ package generalize
 // The string implementation of RecodeGroups that the coded one replaced,
 // kept verbatim as the differential-test oracle: it reads every member cell
 // as a string, parses and generalizes per cell, and writes the release one
-// SetValue at a time.
+// string cell at a time into a copy of the rows.
 
 import (
 	"fmt"
@@ -34,7 +34,7 @@ func recodeGroupsOracle(t *dataset.Table, attrs []string, hs *hierarchy.Set, gro
 		numeric[i] = attr.Type == dataset.Numeric
 	}
 
-	out := t.Clone()
+	rows := t.Rows()
 	summaries := make([]GroupSummary, 0, len(groups))
 	seen := make([]bool, t.Len())
 	for gi, g := range groups {
@@ -66,13 +66,16 @@ func recodeGroupsOracle(t *dataset.Table, attrs []string, hs *hierarchy.Set, gro
 			}
 			seen[r] = true
 			for ai := range attrs {
-				if err := out.SetValue(r, cols[ai], values[ai]); err != nil {
-					return nil, nil, err
-				}
+				rows[r][cols[ai]] = values[ai]
 			}
 		}
 		summaries = append(summaries, GroupSummary{Rows: append([]int(nil), g...), Values: values})
 	}
+	out, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.SetScanWorkers(t.ScanWorkers())
 	return out, summaries, nil
 }
 

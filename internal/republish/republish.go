@@ -123,22 +123,18 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
 	}
-	idCol, err := snapshot.Schema().Index(p.cfg.ID)
+	idCol, err := snapshot.CodedColumnByName(p.cfg.ID)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownID, err)
 	}
-	sensCol, err := snapshot.Schema().Index(sensitive)
+	sensCol, err := snapshot.CodedColumnByName(sensitive)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 
 	var existing, fresh []record
 	for r := 0; r < snapshot.Len(); r++ {
-		row, err := snapshot.Row(r)
-		if err != nil {
-			return nil, err
-		}
-		rc := record{row: r, id: row[idCol], sens: row[sensCol]}
+		rc := record{row: r, id: idCol.Dict[idCol.Codes[r]], sens: sensCol.Dict[sensCol.Codes[r]]}
 		if _, ok := p.signatures[rc.id]; ok {
 			existing = append(existing, rc)
 		} else {
@@ -193,11 +189,12 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	if err != nil {
 		return nil, err
 	}
-	qit := dataset.NewTable(qitSchema)
-	st := dataset.NewTable(stSchema)
-	qiCols := make([]int, len(qi))
+	var qitRows, stRows []dataset.Row
+	qiCols := make([]*dataset.CodedColumn, len(qi))
 	for i, a := range qi {
-		qiCols[i] = snapshot.Schema().MustIndex(a)
+		if qiCols[i], err = snapshot.CodedColumnByName(a); err != nil {
+			return nil, err
+		}
 	}
 
 	keys := make([]string, 0, len(buckets))
@@ -214,18 +211,11 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			row, err := snapshot.Row(rc.row)
-			if err != nil {
-				return nil, err
-			}
 			out := make(dataset.Row, 0, len(qi)+2)
-			for _, c := range qiCols {
-				out = append(out, row[c])
+			for _, cc := range qiCols {
+				out = append(out, cc.Dict[cc.Codes[rc.row]])
 			}
-			out = append(out, fmt.Sprint(bucketID), rc.id)
-			if err := qit.Append(out); err != nil {
-				return nil, err
-			}
+			qitRows = append(qitRows, append(out, fmt.Sprint(bucketID), rc.id))
 			// The published histogram lists the signature values; a member
 			// whose current value left the signature is counted under its
 			// original signature slot to keep the release m-invariant.
@@ -247,23 +237,22 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 				for range qi {
 					counterfeit = append(counterfeit, dataset.SuppressedValue)
 				}
-				counterfeit = append(counterfeit, fmt.Sprint(bucketID), CounterfeitValue)
-				if err := qit.Append(counterfeit); err != nil {
-					return nil, err
-				}
+				qitRows = append(qitRows, append(counterfeit, fmt.Sprint(bucketID), CounterfeitValue))
 				counts[v]++
 				rel.Counterfeits++
 			}
 		}
 		for _, v := range b.signature {
-			if err := st.Append(dataset.Row{fmt.Sprint(bucketID), v, fmt.Sprint(counts[v])}); err != nil {
-				return nil, err
-			}
+			stRows = append(stRows, dataset.Row{fmt.Sprint(bucketID), v, fmt.Sprint(counts[v])})
 		}
 		bucketID++
 	}
-	rel.QIT = qit
-	rel.ST = st
+	if rel.QIT, err = dataset.FromRows(qitSchema, qitRows); err != nil {
+		return nil, err
+	}
+	if rel.ST, err = dataset.FromRows(stSchema, stRows); err != nil {
+		return nil, err
+	}
 	p.releases = append(p.releases, rel)
 	return rel, nil
 }

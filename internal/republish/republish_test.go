@@ -154,9 +154,13 @@ func TestPublishErrors(t *testing.T) {
 		dataset.Attribute{Name: "age", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
 		dataset.Attribute{Name: "diag", Kind: dataset.Sensitive, Type: dataset.Categorical},
 	)
-	tbl := dataset.NewTable(schema)
+	var rows []dataset.Row
 	for i := 0; i < 10; i++ {
-		_ = tbl.Append(dataset.Row{fmt.Sprintf("p%d", i), strconv.Itoa(20 + i), "flu"})
+		rows = append(rows, dataset.Row{fmt.Sprintf("p%d", i), strconv.Itoa(20 + i), "flu"})
+	}
+	tbl, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	pub2, _ := NewPublisher(Config{M: 2, ID: "id"})
 	if _, err := pub2.Publish(tbl); !errors.Is(err, ErrEligibility) {

@@ -121,8 +121,8 @@ func CensusSchema() *dataset.Schema {
 // occupation loosely tracks education.
 func Census(n int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
-	t := dataset.NewTable(CensusSchema())
-	for i := 0; i < n; i++ {
+	rows := make([]dataset.Row, n)
+	for i := range rows {
 		age := sampleAge(rng)
 		sex := censusSexes[weighted(rng, []float64{0.52, 0.48})]
 		race := censusRaces[weighted(rng, censusRaceWeights)]
@@ -134,7 +134,7 @@ func Census(n int, seed int64) *dataset.Table {
 		hours := sampleHours(rng, workclass)
 		salary := sampleSalary(rng, education, hours, age, marital)
 
-		row := dataset.Row{
+		rows[i] = dataset.Row{
 			fmt.Sprintf("person-%06d", i),
 			fmt.Sprint(age),
 			workclass,
@@ -147,10 +147,11 @@ func Census(n int, seed int64) *dataset.Table {
 			country,
 			salary,
 		}
-		// Append only fails on arity mismatch, which is impossible here.
-		if err := t.Append(row); err != nil {
-			panic(err)
-		}
+	}
+	// FromRows only fails on arity mismatch, which is impossible here.
+	t, err := dataset.FromRows(CensusSchema(), rows)
+	if err != nil {
+		panic(err)
 	}
 	return t
 }

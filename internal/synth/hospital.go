@@ -53,14 +53,14 @@ func HospitalSchema() *dataset.Schema {
 // which gives attribute-linkage attacks a realistic signal to exploit.
 func Hospital(n int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
-	t := dataset.NewTable(HospitalSchema())
-	for i := 0; i < n; i++ {
+	rows := make([]dataset.Row, n)
+	for i := range rows {
 		age := 1 + rng.Intn(95)
 		zip := hospitalZips[zipIndexForAge(rng, age)]
 		sex := censusSexes[rng.Intn(2)]
 		nat := hospitalNationalities[weighted(rng, hospitalNationalityWeights)]
 		diag := sampleDiagnosis(rng, age)
-		row := dataset.Row{
+		rows[i] = dataset.Row{
 			fmt.Sprintf("patient-%06d", i),
 			fmt.Sprint(age),
 			zip,
@@ -68,9 +68,10 @@ func Hospital(n int, seed int64) *dataset.Table {
 			nat,
 			diag,
 		}
-		if err := t.Append(row); err != nil {
-			panic(err)
-		}
+	}
+	t, err := dataset.FromRows(HospitalSchema(), rows)
+	if err != nil {
+		panic(err)
 	}
 	return t
 }
@@ -170,17 +171,21 @@ func IdentifiedRegister(private *dataset.Table, overlap float64, decoys int, see
 	// available generically, so decoys are resampled rows with fresh
 	// identifiers and lightly perturbed quasi-identifiers.
 	out := members.Clone()
-	for i := 0; i < decoys; i++ {
-		src := rng.Intn(proj.Len())
-		row, err := proj.Row(src)
+	extra := make([]dataset.Row, decoys)
+	for i := range extra {
+		r, err := proj.Row(rng.Intn(proj.Len()))
 		if err != nil {
 			return nil, err
 		}
-		r := row.Clone()
 		r[0] = fmt.Sprintf("decoy-%06d", i)
-		if err := out.Append(r); err != nil {
-			return nil, err
-		}
+		extra[i] = r
+	}
+	decoyTable, err := dataset.FromRows(proj.Schema(), extra)
+	if err != nil {
+		return nil, err
+	}
+	if err := out.AppendTable(decoyTable); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,7 +3,6 @@ package synth
 import (
 	"testing"
 
-	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 )
 
@@ -77,18 +76,21 @@ func TestCensusCorrelations(t *testing.T) {
 	tbl := Census(8000, 3)
 	// Doctorates should out-earn 11th-grade dropouts on average.
 	rate := func(edu string) float64 {
-		idx := tbl.Filter(func(r dataset.Row) bool { return r[3] == edu })
-		if len(idx) == 0 {
-			return 0
-		}
-		hi := 0
-		for _, i := range idx {
+		n, hi := 0, 0
+		for i := 0; i < tbl.Len(); i++ {
 			row, _ := tbl.Row(i)
+			if row[3] != edu {
+				continue
+			}
+			n++
 			if row[10] == ">50k" {
 				hi++
 			}
 		}
-		return float64(hi) / float64(len(idx))
+		if n == 0 {
+			return 0
+		}
+		return float64(hi) / float64(n)
 	}
 	if rate("doctorate") <= rate("11th") {
 		t.Errorf("salary correlation missing: doctorate %.2f <= 11th %.2f", rate("doctorate"), rate("11th"))
