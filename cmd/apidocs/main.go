@@ -113,6 +113,9 @@ a per-criterion verification keyed by criterion type:
 }
 ` + "```" + `
 
+A measurement that is not a finite number is encoded as ` + "`null`" + `: recursive
+(c,l)-diversity measures +Inf on a class with fewer than l sensitive values.
+
 ## Algorithms
 
 Capability cards as served by ` + "`GET /v1/algorithms`" + ` (and

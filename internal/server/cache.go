@@ -39,9 +39,11 @@ const cacheKeySep = "\x1f"
 // algorithm, the canonical policy document (which subsumes every flat
 // privacy parameter: k, l, t, c, diversity mode, suppression budget), and
 // the remaining request knobs that steer the run outside the policy —
-// sensitive-attribute override, quasi-identifier restriction, and strict
-// Mondrian. Workers is deliberately excluded (output-invariant), as are
-// store / include_rows / timeout_ms (response shaping, not computation).
+// sensitive-attribute override, quasi-identifier restriction, strict
+// Mondrian, and, when set, the flat ordered_sensitive (which changes the
+// measured max_emd even when no t-closeness criterion carries it). Workers
+// is deliberately excluded (output-invariant), as are store / include_rows /
+// timeout_ms (response shaping, not computation).
 func cacheKey(p *preparedRun) (string, error) {
 	pol, err := p.declared.Encode()
 	if err != nil {
@@ -55,6 +57,9 @@ func cacheKey(p *preparedRun) (string, error) {
 		p.req.Sensitive,
 		strings.Join(p.req.QuasiIdentifiers, ","),
 		strconv.FormatBool(p.req.StrictMondrian),
+	}
+	if p.orderedEMD {
+		parts = append(parts, "ordered_sensitive")
 	}
 	return strings.Join(parts, cacheKeySep), nil
 }

@@ -659,15 +659,19 @@ type apiError struct {
 	Message string `json:"message"`
 }
 
-// writeJSON renders v with the proper content type. Encoding errors at this
-// point can only be I/O failures on a committed response, so they are
-// ignored.
+// writeJSON renders v with the proper content type. v is marshalled before
+// the status is committed, so a value the encoder rejects becomes the 500
+// error envelope rather than a success status with an empty body; write
+// errors after that are I/O failures on a committed response and ignored.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "internal", "encode response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // writeError renders the JSON error envelope.
