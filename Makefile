@@ -53,10 +53,10 @@ race:
 # trajectory is tracked per PR (see the non-gating CI bench job). The file
 # name carries the PR number that introduced the recording; bench-compare
 # diffs the fresh numbers against the previous PR's committed baseline.
-BENCH_OUT ?= BENCH_PR13.json
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR15.json
+BENCH_BASELINE ?= BENCH_PR13.json
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
+	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
 	cat bench.out
 	$(GO) run ./cmd/benchjson < bench.out > $(BENCH_OUT)
@@ -75,13 +75,18 @@ bench-cores:
 	sh scripts/bench_cores.sh
 
 # Coverage-guided fuzzing of the dual-path CSV reader against pure
-# encoding/csv: error presence, every cell and the content fingerprint must
-# agree. The committed corpora under internal/dataset/testdata/fuzz replay in
-# every ordinary `go test` run; this target keeps exploring.
+# encoding/csv (error presence, every cell and the content fingerprint must
+# agree) and of the snapshot decoder on arbitrary bytes (refuse, or serve a
+# table that reads without panicking). The committed corpora under
+# internal/dataset/testdata/fuzz replay in every ordinary `go test` run; this
+# target keeps exploring. Snapshot inputs are page-aligned, so at least
+# 12 KiB each: minimizing every new one would eat the budget, hence the
+# short -fuzzminimizetime.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSVInferred$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Micro-benchmarks for the hot paths (quick mode, ~1 minute).
 bench-quick:

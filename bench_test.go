@@ -229,34 +229,61 @@ func BenchmarkGroupByCutoffSmall(b *testing.B) {
 	}
 }
 
-// benchFingerprintWorkers measures a full row-content rebuild per iteration:
-// rewriting a cell with its own value drops the cached hash without changing
-// the content, so every Fingerprint call re-hashes all 5k rows.
-func benchFingerprintWorkers(b *testing.B, workers int) {
+// BenchmarkFingerprintRebuild measures a full row-content fold per
+// iteration: a projection onto every column shares the columns but not the
+// fingerprint state, so each Fingerprint call re-folds all 5k rows from the
+// coded columns.
+func BenchmarkFingerprintRebuild(b *testing.B) {
 	tbl := synth.Census(5000, 1)
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tbl.SetScanWorkers(workers)
+	names := tbl.Schema().Names()
 	want := tbl.Fingerprint()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := tbl.Value(0, 0)
+		p, err := tbl.Project(names...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tbl.SetValue(0, 0, v); err != nil {
-			b.Fatal(err)
-		}
-		if got := tbl.Fingerprint(); got != want {
+		if got := p.Fingerprint(); got != want {
 			b.Fatalf("fingerprint drifted: %s != %s", got, want)
 		}
 	}
 }
 
-func BenchmarkFingerprintWorkers1(b *testing.B)   { benchFingerprintWorkers(b, 1) }
-func BenchmarkFingerprintWorkersMax(b *testing.B) { benchFingerprintWorkers(b, 0) }
+// BenchmarkAppendTable measures one durable append as the service runs it:
+// clone a stored 10k-row census table, append a 50-row batch, fingerprint
+// the result and encode its snapshot.
+func BenchmarkAppendTable(b *testing.B) {
+	all := synth.Census(10050, 1)
+	rows := func(lo, hi int) []int {
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	base, err := all.Select(rows(0, 10000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch, err := all.Select(rows(10000, 10050))
+	if err != nil {
+		b.Fatal(err)
+	}
+	base.Fingerprint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merged := base.Clone()
+		if err := merged.AppendTable(batch); err != nil {
+			b.Fatal(err)
+		}
+		merged.Fingerprint()
+		if err := merged.WriteSnapshot(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkMondrianParallel measures full Mondrian runs across row counts
 // and worker-pool sizes (workers=1 is the sequential baseline; workers=0

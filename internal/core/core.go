@@ -107,7 +107,7 @@ type Config struct {
 	// Workers bounds the per-run parallelism: the algorithms' worker pools
 	// (Mondrian's recursion, the lattice searches, and so on) and, via the
 	// table handle (dataset.Table.SetScanWorkers), the chunked scan kernels
-	// — GroupBy, Fingerprint, metric scans — used throughout the run. Zero
+	// — GroupBy, snapshot encode, metric scans — used throughout the run. Zero
 	// uses GOMAXPROCS; 1 forces a sequential run. Every path is
 	// byte-identical for all worker counts. Long-running callers (the HTTP
 	// service) set this once per process so concurrent requests share the
@@ -310,7 +310,7 @@ func (a *Anonymizer) AnonymizeContext(ctx context.Context, t *dataset.Table) (*R
 	if err != nil {
 		return nil, err
 	}
-	// The chunked scan kernels (GroupBy, Fingerprint, metric scans) take
+	// The chunked scan kernels (GroupBy, snapshot encode, metric scans) take
 	// their worker bound from the table handle, so one setting here covers
 	// every scan in the run without threading Workers through the seven
 	// algorithm signatures. Every kernel is byte-identical for all worker

@@ -1,6 +1,7 @@
 // Package dataset provides the in-memory tabular data model used throughout
-// the PPDP library: schemas, typed attributes, row-oriented tables,
-// equivalence-class partitioning, projections, sampling and CSV interchange.
+// the PPDP library: schemas, typed attributes, dictionary-coded tables,
+// equivalence-class partitioning, projections, sampling, CSV interchange and
+// columnar snapshots.
 //
 // # Model
 //
@@ -8,38 +9,41 @@
 // literature. Every attribute carries a Kind that describes its disclosure
 // role (identifier, quasi-identifier, sensitive, insensitive) and a Type that
 // describes how its values are interpreted (categorical or numeric). Values
-// are stored as strings; numeric attributes are parsed on demand, which keeps
+// are strings; numeric attributes are parsed on demand, which keeps
 // the table representation uniform across original, generalized and perturbed
 // releases (a generalized numeric value such as "[20-29]" is no longer a
 // number).
 //
-// # Columnar views
+// # Storage
 //
-// Row storage is the source of truth, but hot paths never re-parse or
-// re-join row strings: Table.FloatColumn returns a parse-once numeric view
-// (values, validity, extrema) and Table.CodedColumn a dictionary-encoded
-// view (dense uint32 codes in first-appearance order, with lexicographic
-// ranks). Table.GroupBy builds equivalence classes from mixed-radix coded
-// keys — one uint64 per row — and falls back to the historical string path
-// only when a dictionary contains control bytes or the key space overflows;
-// both paths produce byte-identical output.
+// A Table is its columns: one immutable dictionary-coded CodedColumn per
+// attribute (dense uint32 codes in first-appearance order, the dictionary,
+// and the values' lexicographic ranks), plus the row count and the running
+// row-content fingerprint state. There is no row storage; Row and Value
+// read Dict[Codes[i]], and Row returns a fresh copy. Hot paths never
+// re-parse or re-join strings: Table.FloatColumn returns a parse-once
+// numeric view derived from the dictionary, and Table.GroupBy builds
+// equivalence classes from mixed-radix coded keys — one uint64 per row —
+// falling back to the historical string path only when a dictionary
+// contains control bytes or the key space overflows; both paths produce
+// byte-identical output. Heap tables (FromRows, ReadCSV) and snapshot
+// tables (OpenSnapshot) are the same type and differ only in where the
+// column buffers live.
 //
-// # Mutation and concurrency
+// # Writes and concurrency
 //
-// Columnar views are cached per table and invalidated on mutation (SetValue
-// invalidates one column, Append and AppendTable invalidate all) and rebuilt
-// lazily. Returned views are immutable snapshots: a mutation never changes a
-// column a caller already holds. The cache is mutex-guarded, so concurrent
+// Columns never change once installed: writers build a new column and swap
+// it in. SetCodedColumn installs a whole recoded column (per-group and
+// full-domain recoding and cell suppression in internal/generalize use it);
+// AppendTable copies the old codes as integers, interns only the appended
+// values and extends the fingerprint over the appended rows; SetValue
+// re-encodes one column and exists for tests. Derived tables — Clone,
+// Project (and so DropIdentifiers) and WithSchema — share the source's
+// column objects, so a stored dataset's columns, installed at CSV ingest or
+// snapshot open, are never rebuilt per request; Select re-codes the rows it
+// picks. Each column builds its float view, value distribution and reverse
+// index once, under a sync.Once, for every table sharing it, so concurrent
 // readers — parallel Mondrian workers, concurrent HTTP requests against one
-// stored dataset — can build and share columns safely. Tables produced by
-// WithSchema share row storage and therefore share the cache.
-//
-// Views survive derivation: Clone and Project (and so DropIdentifiers) start
-// with the source's views of the columns they keep, so the views of a
-// stored dataset — installed at CSV ingest or snapshot open, or built by an
-// earlier reader — are not rebuilt once per request. Views are immutable, so
-// a later write on either table only drops that table's own views. SetCodedColumn writes
-// a whole column and installs its coded view in one step; per-group
-// recoding (internal/generalize) releases every quasi-identifier column
-// through it.
+// stored dataset — need no table lock. Writers require exclusive access to
+// the table they write.
 package dataset

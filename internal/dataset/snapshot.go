@@ -454,8 +454,8 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 	}
 	t.hash.Store(&rows)
 	// Cheap cross-check of the header's two fingerprints (the restored
-	// hasher state makes Fingerprint a schema-hash fold, not a row scan). The full
-	// cell-by-cell recompute is VerifyContent's job.
+	// hasher state makes Fingerprint a schema-hash fold, not a row scan).
+	// The full cell-by-cell recompute is VerifyContent's job.
 	if got := t.Fingerprint(); got != h.Fingerprint {
 		return nil, corrupt("%s: table fingerprint mismatch (got %s, want %s)", path, got, h.Fingerprint)
 	}

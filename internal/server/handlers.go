@@ -276,8 +276,7 @@ func pageParams(w http.ResponseWriter, r *http.Request) (limit, offset int, expl
 }
 
 // pageOf slices one row window out of a table via the per-row accessor —
-// O(limit) per page, never a full-table copy (Table.Rows clones every row;
-// stored tables are immutable, so serving the shared row slices is safe).
+// O(limit) per page, never a full-table copy (Table.Rows copies every row).
 func pageOf(t *dataset.Table, limit, offset int) [][]string {
 	end := offset + limit
 	if end > t.Len() || end < 0 { // end < 0: offset+limit overflowed

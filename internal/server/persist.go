@@ -24,9 +24,8 @@ import (
 // journaled; record metadata (tenants, parameters, measurements, policies)
 // is serialized as opaque JSON the store hands back verbatim at recovery.
 //
-// Recovery (Open) rebuilds the registry from the store: tables come back as
-// zero-copy mmap views that materialize rows only if a handler ever needs
-// them, hierarchies are rebuilt deterministically from the dataset's family,
+// Recovery (Open) rebuilds the registry from the store: tables come back
+// with their columns served zero-copy from mmap, hierarchies are rebuilt deterministically from the dataset's family,
 // and release ids resume past the highest recovered sequence number.
 
 // errPersist marks storage failures during a registry mutation, mapped to a
@@ -216,8 +215,8 @@ func (r *registry) persistReleaseTables(rel *storedRelease) (originFP string, fp
 
 // recover rebuilds the registry from a freshly opened store: datasets and
 // policies first, then releases (which reference dataset snapshots). Tables
-// load as mmap-backed zero-copy views and stay cold — rows materialize only
-// when a handler actually needs row access. Any inconsistency refuses boot:
+// load with mmap-backed zero-copy columns and stay cold until a handler
+// reads them. Any inconsistency refuses boot:
 // a server that starts must serve exactly what was acknowledged.
 func (s *Server) recover(st *store.Store) error {
 	reg := s.reg

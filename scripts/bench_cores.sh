@@ -1,7 +1,7 @@
 #!/bin/sh
 # Sweeps GOMAXPROCS over the parallel-path benchmarks (the per-algorithm
 # Workers1/WorkersMax pairs, the parallel Mondrian recursion, and the
-# chunked scan kernels: GroupBy, Fingerprint, snapshot encode) and prints
+# chunked scan kernels: GroupBy, snapshot encode) and prints
 # the speedup-per-core profile via `benchjson speedup`. The sweep is clamped
 # to the host's cores: asking for more processors than exist measures
 # scheduler thrash, not scaling.
@@ -16,7 +16,7 @@ GO=${GO:-go}
 PROCS=${PROCS:-"1 2 4"}
 OUT_DIR=${OUT_DIR:-bench-cores}
 
-PATTERN='BenchmarkMondrianParallel|BenchmarkDataflyWorkers|BenchmarkSamaratiWorkers|BenchmarkKMemberWorkers|BenchmarkAnatomyWorkers|BenchmarkTopDownWorkers|BenchmarkIncognitoWorkers|BenchmarkGroupByWorkers|BenchmarkFingerprintWorkers|BenchmarkSnapshotWriteWorkers'
+PATTERN='BenchmarkMondrianParallel|BenchmarkDataflyWorkers|BenchmarkSamaratiWorkers|BenchmarkKMemberWorkers|BenchmarkAnatomyWorkers|BenchmarkTopDownWorkers|BenchmarkIncognitoWorkers|BenchmarkGroupByWorkers|BenchmarkSnapshotWriteWorkers'
 
 avail=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 mkdir -p "$OUT_DIR"
