@@ -7,6 +7,7 @@ package generalize
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -48,45 +49,50 @@ func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattic
 		}
 		// Generalization is value-deterministic: one call per source code,
 		// at its first row, so a failure names the row a row scan would.
-		gen := make([]uint32, cc.Cardinality()) // recoded code + 1; 0 = not yet
-		var rc recoder
-		for r, old := range cc.Codes {
-			if gen[old] == 0 {
-				g, err := h.Generalize(cc.Value(old), level)
-				if err != nil {
-					return nil, fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
-				}
-				gen[old] = rc.code(g) + 1
+		dict, codes, err := recodeColumn(slices.Clone(cc.Codes), cc.Cardinality(), func(code uint32, r int) (string, error) {
+			g, err := h.Generalize(cc.Value(code), level)
+			if err != nil {
+				return "", fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
 			}
-			rc.codes = append(rc.codes, gen[old]-1)
+			return g, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if err := out.SetCodedColumn(col, rc.dict, rc.codes); err != nil {
+		if err := out.SetCodedColumn(col, dict, codes); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// recoder accumulates one recoded column: codes in first-appearance order of
-// the recoded values, ready for Table.SetCodedColumn.
-type recoder struct {
-	dict  []string
-	codes []uint32
-	index map[string]uint32
-}
-
-// code returns the code of v, interning it on first use.
-func (rc *recoder) code(v string) uint32 {
-	if rc.index == nil {
-		rc.index = make(map[string]uint32)
+// recodeColumn turns per-row keys in [0, nkeys) into a column coded in
+// first-appearance order, ready for Table.SetCodedColumn: row i holds
+// value(keys[i], i), and value is called once per distinct key, at the key's
+// first row. keys is overwritten with the codes and returned.
+func recodeColumn(keys []uint32, nkeys int, value func(key uint32, row int) (string, error)) ([]string, []uint32, error) {
+	final := make([]uint32, nkeys) // the key's output code plus one; zero: unassigned
+	index := make(map[string]uint32)
+	var dict []string
+	for i, k := range keys {
+		c := final[k]
+		if c == 0 {
+			v, err := value(k, i)
+			if err != nil {
+				return nil, nil, err
+			}
+			code, ok := index[v]
+			if !ok {
+				code = uint32(len(dict))
+				dict = append(dict, v)
+				index[v] = code
+			}
+			c = code + 1
+			final[k] = c
+		}
+		keys[i] = c - 1
 	}
-	code, ok := rc.index[v]
-	if !ok {
-		code = uint32(len(rc.dict))
-		rc.dict = append(rc.dict, v)
-		rc.index[v] = code
-	}
-	return code
+	return dict, keys, nil
 }
 
 // SuppressRows returns a copy of the table with the given row indices
@@ -121,34 +127,29 @@ func SuppressCells(t *dataset.Table, rows []int, attrs []string) (*dataset.Table
 		}
 		cols[i] = c
 	}
-	if len(cols) == 0 {
-		return out, nil
-	}
-	hide := make([]bool, t.Len())
 	for _, r := range rows {
 		if r < 0 || r >= t.Len() {
 			return nil, fmt.Errorf("%w: %d (table has %d rows)", dataset.ErrRowIndex, r, t.Len())
 		}
-		hide[r] = true
 	}
 	for _, c := range cols {
 		cc, err := out.CodedColumn(c)
 		if err != nil {
 			return nil, err
 		}
-		kept := make([]uint32, cc.Cardinality()) // recoded code + 1; 0 = not yet
-		var rc recoder
-		for r, old := range cc.Codes {
-			if hide[r] {
-				rc.codes = append(rc.codes, rc.code(dataset.SuppressedValue))
-				continue
-			}
-			if kept[old] == 0 {
-				kept[old] = rc.code(cc.Value(old)) + 1
-			}
-			rc.codes = append(rc.codes, kept[old]-1)
+		// Keys are the source codes, plus one extra key for suppressed cells.
+		hidden := uint32(cc.Cardinality())
+		keys := slices.Clone(cc.Codes)
+		for _, r := range rows {
+			keys[r] = hidden
 		}
-		if err := out.SetCodedColumn(c, rc.dict, rc.codes); err != nil {
+		dict, codes, _ := recodeColumn(keys, cc.Cardinality()+1, func(k uint32, _ int) (string, error) {
+			if k == hidden {
+				return dataset.SuppressedValue, nil
+			}
+			return cc.Value(k), nil
+		})
+		if err := out.SetCodedColumn(c, dict, codes); err != nil {
 			return nil, err
 		}
 	}
@@ -425,40 +426,26 @@ func (rc *columnRecoder) valueSet() string {
 
 // release assembles the recoded column: rows in a group take the group's
 // summary value (summaries[g].Values[ai]), other rows keep their value. The
-// dictionary is interned in first-appearance row order, matching what
-// Table.CodedColumn would build over the written cells; each group and each
-// source code is looked up in the intern map once.
+// dictionary is interned in first-appearance row order, matching a fresh
+// encoding of the written cells; each group and each source code is looked
+// up in the intern map once.
 func (rc *columnRecoder) release(rowGroup []int32, summaries []GroupSummary, ai int) ([]string, []uint32) {
-	numGroups := len(summaries)
+	numGroups := uint32(len(summaries))
 	// Keys [0, numGroups) are groups; numGroups+code is an ungrouped source
-	// code. final[key] is the key's output code plus one (zero: unassigned).
-	final := make([]uint32, numGroups+rc.cc.Cardinality())
-	index := make(map[string]uint32)
-	var dict []string
-	codes := make([]uint32, len(rowGroup))
+	// code.
+	keys := make([]uint32, len(rowGroup))
 	for i, g := range rowGroup {
-		key := int(g)
-		if g < 0 {
-			key = numGroups + int(rc.cc.Codes[i])
+		if g >= 0 {
+			keys[i] = uint32(g)
+		} else {
+			keys[i] = numGroups + rc.cc.Codes[i]
 		}
-		c := final[key]
-		if c == 0 {
-			var v string
-			if g >= 0 {
-				v = summaries[g].Values[ai]
-			} else {
-				v = rc.cc.Dict[rc.cc.Codes[i]]
-			}
-			code, ok := index[v]
-			if !ok {
-				code = uint32(len(dict))
-				dict = append(dict, v)
-				index[v] = code
-			}
-			c = code + 1
-			final[key] = c
-		}
-		codes[i] = c - 1
 	}
+	dict, codes, _ := recodeColumn(keys, int(numGroups)+rc.cc.Cardinality(), func(k uint32, _ int) (string, error) {
+		if k < numGroups {
+			return summaries[k].Values[ai], nil
+		}
+		return rc.cc.Dict[k-numGroups], nil
+	})
 	return dict, codes
 }
