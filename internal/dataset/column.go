@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -301,7 +300,7 @@ func (c *CodedColumn) buildRanks() {
 	for i := range order {
 		order[i] = uint32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return c.Dict[order[i]] < c.Dict[order[j]] })
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(c.Dict[a], c.Dict[b]) })
 	c.ranks = make([]uint32, len(c.Dict))
 	for pos, code := range order {
 		c.ranks[code] = uint32(pos)

@@ -35,13 +35,6 @@ const SuppressedValue = "*"
 // order.
 type Row []string
 
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
 // Table is an ordered collection of rows sharing a schema, stored as one
 // immutable dictionary-coded column per attribute (see column.go). The zero
 // value is not usable; construct tables with NewTable, FromRows, ReadCSV or

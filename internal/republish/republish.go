@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -202,10 +203,10 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	bucketID := 0
 	done, total := 0, snapshot.Len()
-	for _, k := range keys {
+	for bucketID, k := range keys {
 		b := buckets[k]
+		bid := strconv.Itoa(bucketID)
 		counts := make(map[string]int)
 		for _, rc := range b.members {
 			if err := ctx.Err(); err != nil {
@@ -215,7 +216,7 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 			for _, cc := range qiCols {
 				out = append(out, cc.Dict[cc.Codes[rc.row]])
 			}
-			qitRows = append(qitRows, append(out, fmt.Sprint(bucketID), rc.id))
+			qitRows = append(qitRows, append(out, bid, rc.id))
 			// The published histogram lists the signature values; a member
 			// whose current value left the signature is counted under its
 			// original signature slot to keep the release m-invariant.
@@ -237,15 +238,14 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 				for range qi {
 					counterfeit = append(counterfeit, dataset.SuppressedValue)
 				}
-				qitRows = append(qitRows, append(counterfeit, fmt.Sprint(bucketID), CounterfeitValue))
+				qitRows = append(qitRows, append(counterfeit, bid, CounterfeitValue))
 				counts[v]++
 				rel.Counterfeits++
 			}
 		}
 		for _, v := range b.signature {
-			stRows = append(stRows, dataset.Row{fmt.Sprint(bucketID), v, fmt.Sprint(counts[v])})
+			stRows = append(stRows, dataset.Row{bid, v, strconv.Itoa(counts[v])})
 		}
-		bucketID++
 	}
 	if rel.QIT, err = dataset.FromRows(qitSchema, qitRows); err != nil {
 		return nil, err
