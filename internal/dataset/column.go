@@ -86,16 +86,6 @@ func newCodedColumn(dict []string, codes []uint32, index map[string]uint32) *Cod
 	return cc
 }
 
-// codeValues dictionary-encodes a sequence of cell values.
-func codeValues(values []string) *CodedColumn {
-	var b colBuilder
-	b.init(len(values))
-	for _, v := range values {
-		b.add(v)
-	}
-	return b.column()
-}
-
 // colBuilder interns one column's cells in first-appearance order and
 // memoizes each distinct value's fingerprint cell hash, so a builder loop
 // can fold the row-content hash without hashing repeated values.
@@ -215,18 +205,10 @@ func (c *CodedColumn) floatView() *FloatColumn {
 	return c.float
 }
 
-// column bounds-checks a column index and returns its storage.
-func (t *Table) column(col int) (*CodedColumn, error) {
-	if col < 0 || col >= len(t.cols) {
-		return nil, fmt.Errorf("dataset: column index %d out of range", col)
-	}
-	return t.cols[col], nil
-}
-
 // FloatColumn returns the parse-once numeric view of column col, building it
 // on first access. The returned column is shared and read-only.
 func (t *Table) FloatColumn(col int) (*FloatColumn, error) {
-	cc, err := t.column(col)
+	cc, err := t.CodedColumn(col)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +228,10 @@ func (t *Table) FloatColumnByName(name string) (*FloatColumn, error) {
 // order, so the encoding is deterministic for a given table content. The
 // returned column is shared and read-only.
 func (t *Table) CodedColumn(col int) (*CodedColumn, error) {
-	return t.column(col)
+	if col < 0 || col >= len(t.cols) {
+		return nil, fmt.Errorf("dataset: column index %d out of range", col)
+	}
+	return t.cols[col], nil
 }
 
 // CodedColumnByName is CodedColumn keyed by attribute name.
@@ -264,7 +249,7 @@ func (t *Table) CodedColumnByName(name string) (*CodedColumn, error) {
 // error is returned and the table is unchanged. The table takes ownership of
 // both slices; callers must not modify them afterwards.
 func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
-	if _, err := t.column(col); err != nil {
+	if _, err := t.CodedColumn(col); err != nil {
 		return err
 	}
 	if len(codes) != t.n {

@@ -519,8 +519,8 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		// index stays nil: Code() builds it lazily on first use, so opening a
 		// snapshot never pays O(dict) map construction per column.
 	}
-	if len(cc.Codes) != rows || len(cc.ranks) != col.DictLen {
-		return nil, nil, corrupt("%s: column segment at %d: section sizes do not match the header", path, segStart)
+	if len(cc.Codes) != rows {
+		return nil, nil, corrupt("%s: column segment at %d: %d codes for %d rows", path, segStart, len(cc.Codes), rows)
 	}
 	for _, code := range cc.Codes {
 		if int(code) >= col.DictLen {

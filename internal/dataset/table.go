@@ -176,7 +176,7 @@ func (t *Table) Value(i, col int) (string, error) {
 	if i < 0 || i >= t.n {
 		return "", fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
 	}
-	cc, err := t.column(col)
+	cc, err := t.CodedColumn(col)
 	if err != nil {
 		return "", err
 	}
@@ -189,24 +189,22 @@ func (t *Table) SetValue(i, col int, v string) error {
 	if i < 0 || i >= t.n {
 		return fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
 	}
-	cc, err := t.column(col)
+	cc, err := t.CodedColumn(col)
 	if err != nil {
 		return err
 	}
-	values := cc.values()
-	values[i] = v
-	t.cols[col] = codeValues(values)
+	var b colBuilder
+	b.init(t.n)
+	for r, code := range cc.Codes {
+		if r == i {
+			b.add(v)
+		} else {
+			b.add(cc.Dict[code])
+		}
+	}
+	t.cols[col] = b.column()
 	t.hash.Store(nil)
 	return nil
-}
-
-// values returns the column's cells as strings.
-func (c *CodedColumn) values() []string {
-	out := make([]string, len(c.Codes))
-	for i, code := range c.Codes {
-		out[i] = c.Dict[code]
-	}
-	return out
 }
 
 // Float returns the value of column col in row i parsed as a float64.
@@ -237,7 +235,11 @@ func (t *Table) Column(name string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cc.values(), nil
+	out := make([]string, len(cc.Codes))
+	for i, code := range cc.Codes {
+		out[i] = cc.Dict[code]
+	}
+	return out, nil
 }
 
 // Domain returns the distinct values of the named column in sorted order.
