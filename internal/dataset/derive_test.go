@@ -362,6 +362,10 @@ func TestWritersMatchFreshBuild(t *testing.T) {
 				out := extra.Clone()
 				return out, out.AppendTable(src)
 			},
+			"append onto empty": func() (*Table, error) {
+				out := NewTable(src.Schema())
+				return out, out.AppendTable(src)
+			},
 			"append to self": func() (*Table, error) {
 				out := src.Clone()
 				return out, out.AppendTable(out)
