@@ -406,20 +406,10 @@ func TestWritersMatchFreshBuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkViewsFresh(t, out)
-				if got, want := out.rowsHash().sum(), referenceRowsHash(rowsOf(out)); got != want {
+				if got, want := out.rowsHash().sum(), referenceRowsHash(out.Rows()); got != want {
 					t.Errorf("row-content hash %s, reference %s", got, want)
 				}
 			})
 		}
 	}
-}
-
-// rowsOf returns a table's cells as plain string rows.
-func rowsOf(tbl *Table) [][]string {
-	out := make([][]string, tbl.Len())
-	for i := range out {
-		r, _ := tbl.Row(i)
-		out[i] = r
-	}
-	return out
 }
