@@ -13,8 +13,9 @@ import (
 // adapter plugs the m-invariant publisher into the engine registry as the
 // "republish" algorithm. A one-shot run publishes release 1 of a fresh
 // history (the stateless view clients get through POST /v1/anonymize); the
-// reconciler drives the stateful sequential mode directly through
-// Restore/Publish, accumulating releases across dataset generations.
+// reconciler drives the stateful sequential mode directly, publishing each
+// dataset generation from the previous release's Index (Resume), or from a
+// validated Restore of the stored history when it has none.
 type adapter struct{}
 
 func init() { engine.Register(adapter{}) }

@@ -49,7 +49,7 @@ type Release struct {
 	// ST lists each bucket's sensitive values and counts.
 	ST *dataset.Table
 	// Signatures maps record id -> sorted signature of sensitive values of
-	// its bucket in this release.
+	// its bucket in this release. Individuals of one bucket share one slice.
 	Signatures map[string][]string
 	// Counterfeits is the number of counterfeit records added.
 	Counterfeits int
@@ -78,10 +78,10 @@ type Config struct {
 // Publisher produces m-invariant sequential releases.
 type Publisher struct {
 	cfg Config
-	// signatures fixes each individual's sensitive-value signature at first
-	// publication.
-	signatures map[string][]string
-	releases   []*Release
+	// idx fixes each individual's sensitive-value signature at first
+	// publication; every Publish replaces it with the extended index.
+	idx      *Index
+	releases []*Release
 }
 
 // NewPublisher validates the configuration.
@@ -92,11 +92,34 @@ func NewPublisher(cfg Config) (*Publisher, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("%w: an id column is required to track individuals", ErrConfig)
 	}
-	return &Publisher{cfg: cfg, signatures: make(map[string][]string)}, nil
+	return &Publisher{cfg: cfg, idx: newIndex()}, nil
 }
 
-// Releases returns the releases published so far.
+// Resume continues publication from the index of a previously published
+// history (see Publisher.Index) without re-reading or re-validating the
+// releases it was built from: the next Publish produces release
+// idx.Version()+1. The index is not modified, so a release that is never
+// committed can simply be dropped. Restore is the validating counterpart
+// that starts from the releases themselves.
+func Resume(cfg Config, idx *Index) (*Publisher, error) {
+	p, err := NewPublisher(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if idx != nil {
+		p.idx = idx
+	}
+	return p, nil
+}
+
+// Releases returns the releases this publisher holds: the history it was
+// restored from plus every release it published (a resumed publisher holds
+// only its own).
 func (p *Publisher) Releases() []*Release { return p.releases }
+
+// Index returns the signature index after the latest release. It is
+// immutable: later releases derive a new one.
+func (p *Publisher) Index() *Index { return p.idx }
 
 // Publish produces the next release from the current snapshot of the table.
 // The snapshot must contain every previously published individual that is
@@ -133,12 +156,15 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 
+	base := p.idx
 	var existing, fresh []record
 	for r := 0; r < snapshot.Len(); r++ {
 		rc := record{row: r, id: idCol.Dict[idCol.Codes[r]], sens: sensCol.Dict[sensCol.Codes[r]]}
-		if _, ok := p.signatures[rc.id]; ok {
+		if sig, ok := base.ids[rc.id]; ok {
+			rc.sig = sig
 			existing = append(existing, rc)
 		} else {
+			rc.fresh = true
 			fresh = append(fresh, rc)
 		}
 	}
@@ -149,41 +175,34 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	// current sensitive value is no longer in their signature keep the
 	// signature (m-invariance fixes it forever); their bucket is padded with
 	// counterfeits for the missing values.
-	buckets := make(map[string]*freshBucket)
-	keyOf := func(sig []string) string { return strings.Join(sig, "\x1f") }
+	members := make(map[int32][]record)
 	for _, rc := range existing {
-		sig := p.signatures[rc.id]
-		k := keyOf(sig)
-		if buckets[k] == nil {
-			buckets[k] = &freshBucket{signature: sig}
-		}
-		buckets[k].members = append(buckets[k].members, rc)
+		members[rc.sig] = append(members[rc.sig], rc)
 	}
 
 	// Partition fresh individuals into new m-diverse buckets using the
-	// Anatomy-style greedy assignment.
+	// Anatomy-style greedy assignment; their value sets join the next index
+	// (a copy, so the receiver's index is untouched if this release fails).
+	next := &Index{sigs: base.sigs, width: base.width, byKey: base.byKey, ids: base.ids}
 	if len(fresh) > 0 {
 		newBuckets, err := partitionFresh(fresh, p.cfg.M)
 		if err != nil {
 			return nil, err
 		}
+		next = base.clone()
+		cache := make(map[sigRef]sigInfo)
 		for _, b := range newBuckets {
-			k := keyOf(b.signature)
-			if buckets[k] == nil {
-				buckets[k] = &freshBucket{signature: b.signature}
-			}
-			buckets[k].members = append(buckets[k].members, b.members...)
-			for _, rc := range b.members {
-				p.signatures[rc.id] = b.signature
-			}
+			sig := next.intern(b.signature, cache)
+			members[sig] = append(members[sig], b.members...)
 		}
 	}
+	next.version = base.version + 1
 
 	// Materialize the release: each signature bucket must expose exactly its
 	// signature's value set; counterfeit records cover values with no live
 	// member.
 	rel := &Release{
-		Version:    len(p.releases) + 1,
+		Version:    next.version,
 		Signatures: make(map[string][]string),
 	}
 	qitSchema, stSchema, err := releaseSchemas(snapshot, qi, sensitive, p.cfg.ID)
@@ -198,17 +217,22 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 		}
 	}
 
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
+	// Buckets are numbered in the byte order of their joined signatures.
+	type bucket struct {
+		key string
+		sig int32
 	}
-	sort.Strings(keys)
+	order := make([]bucket, 0, len(members))
+	for sig := range members {
+		order = append(order, bucket{strings.Join(next.sigs[sig], "\x1f"), sig})
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
 	done, total := 0, snapshot.Len()
-	for bucketID, k := range keys {
-		b := buckets[k]
+	for bucketID, bk := range order {
+		signature := next.sigs[bk.sig]
 		bid := strconv.Itoa(bucketID)
 		counts := make(map[string]int)
-		for _, rc := range b.members {
+		for _, rc := range members[bk.sig] {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -221,18 +245,25 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 			// whose current value left the signature is counted under its
 			// original signature slot to keep the release m-invariant.
 			v := rc.sens
-			if !contains(b.signature, v) {
-				v = b.signature[0]
+			if !contains(signature, v) {
+				v = signature[0]
 			}
 			counts[v]++
-			rel.Signatures[rc.id] = b.signature
+			rel.Signatures[rc.id] = signature
+			// A newcomer's signature is fixed by the bucket it is published
+			// in: with duplicate ids the last row wins, as when the release
+			// is rebuilt from its tables. CounterfeitValue is reserved for
+			// padding and never tracked as an individual.
+			if rc.fresh && rc.id != CounterfeitValue {
+				next.ids[rc.id] = bk.sig
+			}
 			done++
 			if p.cfg.Progress != nil {
 				p.cfg.Progress(done, total)
 			}
 		}
 		// Counterfeits for signature values with no member.
-		for _, v := range b.signature {
+		for _, v := range signature {
 			if counts[v] == 0 {
 				counterfeit := make(dataset.Row, 0, len(qi)+2)
 				for range qi {
@@ -243,7 +274,7 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 				rel.Counterfeits++
 			}
 		}
-		for _, v := range b.signature {
+		for _, v := range signature {
 			stRows = append(stRows, dataset.Row{bid, v, strconv.Itoa(counts[v])})
 		}
 	}
@@ -253,15 +284,19 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	if rel.ST, err = dataset.FromRows(stSchema, stRows); err != nil {
 		return nil, err
 	}
+	p.idx = next
 	p.releases = append(p.releases, rel)
 	return rel, nil
 }
 
-// record is one individual's row in the current snapshot.
+// record is one individual's row in the current snapshot: sig is its fixed
+// signature's position in the index, unless the individual is fresh.
 type record struct {
-	row  int
-	id   string
-	sens string
+	row   int
+	id    string
+	sens  string
+	sig   int32
+	fresh bool
 }
 
 // freshBucket groups records sharing one sensitive-value signature.
@@ -308,9 +343,16 @@ func partitionFresh(fresh []record, m int) ([]freshBucket, error) {
 		}
 		out = append(out, b)
 	}
-	// Residuals join an existing bucket whose signature contains their value.
-	for v, rows := range byValue {
-		for _, rc := range rows {
+	// Residuals join an existing bucket whose signature contains their value,
+	// value by value in sorted order: two residual values sharing a bucket
+	// then always append in the same order, keeping the release deterministic.
+	residual := make([]string, 0, len(byValue))
+	for v := range byValue {
+		residual = append(residual, v)
+	}
+	sort.Strings(residual)
+	for _, v := range residual {
+		for _, rc := range byValue[v] {
 			placed := false
 			for i := range out {
 				if contains(out[i].signature, v) {

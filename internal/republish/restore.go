@@ -2,7 +2,6 @@ package republish
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 )
@@ -34,33 +33,55 @@ func ReleaseFromTables(version int, qit, st *dataset.Table) (*Release, error) {
 	sensCol := sensIdx[0]
 
 	// The publisher emits ST rows per bucket in signature order, so the
-	// per-bucket value list rebuilds the signature exactly.
-	sigByBucket := make(map[string][]string)
-	for r := 0; r < st.Len(); r++ {
-		row, err := st.Row(r)
-		if err != nil {
-			return nil, err
-		}
-		b := row[stBucketCol]
-		sigByBucket[b] = append(sigByBucket[b], row[sensCol])
+	// per-bucket value list rebuilds the signature exactly. Both tables are
+	// read as dictionary codes: one signature per distinct bucket value, and
+	// one string lookup per QIT dictionary entry rather than per row.
+	stBuckets, err := st.CodedColumn(stBucketCol)
+	if err != nil {
+		return nil, err
+	}
+	stValues, err := st.CodedColumn(sensCol)
+	if err != nil {
+		return nil, err
+	}
+	sigByBucket := make(map[string][]string, len(stBuckets.Dict))
+	for r, code := range stBuckets.Codes {
+		b := stBuckets.Dict[code]
+		sigByBucket[b] = append(sigByBucket[b], stValues.Dict[stValues.Codes[r]])
 	}
 
-	rel := &Release{Version: version, QIT: qit, ST: st, Signatures: make(map[string][]string)}
-	for r := 0; r < qit.Len(); r++ {
-		row, err := qit.Row(r)
-		if err != nil {
-			return nil, err
-		}
-		id := row[idCol]
+	buckets, err := qit.CodedColumn(bucketCol)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := qit.CodedColumn(idCol)
+	if err != nil {
+		return nil, err
+	}
+	sigOf := make([][]string, len(buckets.Dict))
+	for code, b := range buckets.Dict {
+		sigOf[code] = sigByBucket[b]
+	}
+	// A linear scan, not ids.Code: that would build a value index over a
+	// dictionary of mostly unique ids just to find one entry.
+	counterfeit := -1
+	for code, id := range ids.Dict {
 		if id == CounterfeitValue {
+			counterfeit = code
+			break
+		}
+	}
+	rel := &Release{Version: version, QIT: qit, ST: st, Signatures: make(map[string][]string, qit.Len())}
+	for r, code := range ids.Codes {
+		if int(code) == counterfeit {
 			rel.Counterfeits++
 			continue
 		}
-		sig, ok := sigByBucket[row[bucketCol]]
-		if !ok {
-			return nil, fmt.Errorf("%w: QIT bucket %q has no ST rows", ErrConfig, row[bucketCol])
+		b := buckets.Codes[r]
+		if sigOf[b] == nil {
+			return nil, fmt.Errorf("%w: QIT bucket %q has no ST rows", ErrConfig, buckets.Dict[b])
 		}
-		rel.Signatures[id] = sig
+		rel.Signatures[ids.Dict[code]] = sigOf[b]
 	}
 	return rel, nil
 }
@@ -70,7 +91,10 @@ func ReleaseFromTables(version int, qit, st *dataset.Table) (*Release, error) {
 // re-fixed from the release it first appeared in, and the next Publish call
 // produces release len(history)+1. The history must be m-invariant under the
 // configuration's m (a signature drift means the stored history is corrupt
-// or was produced under a different policy).
+// or was produced under a different policy). Validation folds the releases
+// into the index one at a time — each release is checked against the index
+// of the releases before it, exactly as Index.Check checks a new one — with
+// signatures compared by their interned position.
 func Restore(cfg Config, history []*Release) (*Publisher, error) {
 	p, err := NewPublisher(cfg)
 	if err != nil {
@@ -80,32 +104,17 @@ func Restore(cfg Config, history []*Release) (*Publisher, error) {
 		if rel.Version != i+1 {
 			return nil, fmt.Errorf("%w: release %d carries version %d", ErrConfig, i+1, rel.Version)
 		}
-		for _, id := range sortedIDs(rel.Signatures) {
-			sig := rel.Signatures[id]
-			if len(uniq(sig)) < cfg.M {
+		cache := make(map[sigRef]sigInfo)
+		if v := p.idx.firstViolation(rel, cfg.M, cache); v != nil {
+			if v.prev == nil {
 				return nil, fmt.Errorf("%w: release %d: individual %s has signature %v with fewer than %d distinct values",
-					ErrEligibility, rel.Version, id, sig, cfg.M)
+					ErrEligibility, rel.Version, v.id, v.sig, cfg.M)
 			}
-			prev, ok := p.signatures[id]
-			if !ok {
-				p.signatures[id] = sig
-				continue
-			}
-			if !equalSignature(prev, sig) {
-				return nil, fmt.Errorf("%w: release %d: individual %s changed signature from %v to %v",
-					ErrConfig, rel.Version, id, prev, sig)
-			}
+			return nil, fmt.Errorf("%w: release %d: individual %s changed signature from %v to %v",
+				ErrConfig, rel.Version, v.id, v.prev, v.sig)
 		}
+		p.idx.absorb(rel, cache)
 		p.releases = append(p.releases, rel)
 	}
 	return p, nil
-}
-
-func sortedIDs(sigs map[string][]string) []string {
-	out := make([]string, 0, len(sigs))
-	for id := range sigs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }

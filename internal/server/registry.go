@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/ppdp/ppdp/internal/core"
@@ -130,6 +131,11 @@ type registry struct {
 	// replay order matches apply order. Table snapshots are persisted before
 	// the journaling, outside the lock (see persist.go).
 	st *store.Store
+
+	// failSpecPersist, while positive, fails that many upcoming spec
+	// journal writes before they reach the store: fault injection for the
+	// swap-rollback tests.
+	failSpecPersist atomic.Int32
 }
 
 func newRegistry(maxDatasets, maxReleases, maxPolicies int) *registry {

@@ -48,10 +48,19 @@ type storedSpec struct {
 	reconGen  uint64
 	reconFP   string
 	// history is the m-invariance release sequence (nil for other
-	// algorithms): each reconciliation appends one release, and the whole
-	// chain is revalidated against the fixed per-individual signatures
-	// before a new release may land.
-	history []*republish.Release
+	// algorithms), one metadata entry per landed release: version, QIT/ST
+	// fingerprints, rows and counterfeits. The tables themselves stay in the
+	// store; they are read back only when live is nil and the chain has to be
+	// re-validated.
+	history []specHistoryMeta
+	// live is the publisher's signature index after the last landed release
+	// (nil for other algorithms, and until the first m-invariance
+	// reconciliation after creation, a restart or a dropped swap). A
+	// reconciliation publishes from it and checks only the new release
+	// against it; swapSpecRelease replaces it when the release lands. With
+	// no live index the reconciliation first restores one from history,
+	// re-validating every stored release.
+	live *republish.Index
 	// invariant records the latest cross-release m-invariance check.
 	invariant       bool
 	invariantDetail string
@@ -156,8 +165,13 @@ type specRun struct {
 	policyRef string
 	policy    *policy.Policy
 	params    anonymizeRequest
-	history   []*republish.Release
 	ds        *storedDataset
+	// spec, history and live are the spec's m-invariance state as of the
+	// snapshot; swapSpecRelease refuses a release built on a state that has
+	// since moved on.
+	spec    *storedSpec
+	history []specHistoryMeta
+	live    *republish.Index
 }
 
 // specRunSnapshot captures a spec and its dataset for one reconciliation.
@@ -172,8 +186,6 @@ func (r *registry) specRunSnapshot(name string) (*specRun, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", errDatasetMissing, sp.dataset)
 	}
-	hist := make([]*republish.Release, len(sp.history))
-	copy(hist, sp.history)
 	return &specRun{
 		name:      sp.name,
 		tenant:    sp.tenant,
@@ -182,9 +194,25 @@ func (r *registry) specRunSnapshot(name string) (*specRun, error) {
 		policyRef: sp.policyRef,
 		policy:    sp.policy,
 		params:    sp.params,
-		history:   hist,
 		ds:        ds,
+		spec:      sp,
+		history:   append([]specHistoryMeta(nil), sp.history...),
+		live:      sp.live,
 	}, nil
+}
+
+// errSpecSuperseded refuses an m-invariance release built on a history that
+// changed while it ran; the manager retries on the current state.
+var errSpecSuperseded = errors.New("spec history moved mid-reconciliation")
+
+// seqOutcome is what an m-invariance reconciliation hands the swap: the new
+// history entry (its table fingerprints are filled in when the tables are
+// persisted), the index to commit, and the invariance verdict.
+type seqOutcome struct {
+	entry     specHistoryMeta
+	next      *republish.Index
+	invariant bool
+	detail    string
 }
 
 // swapSpecRelease atomically lands one successful reconciliation: the new
@@ -195,7 +223,12 @@ func (r *registry) specRunSnapshot(name string) (*specRun, error) {
 // observe either the old release id or the new one, never neither; and a
 // crash between the journal appends recovers to a state the recovery loop
 // reconciles (a release whose owning spec does not reference it is dropped).
-func (r *registry) swapSpecRelease(name string, rel *storedRelease, hist *republish.Release, invariant bool, invariantDetail string, gen uint64, fp string) (string, error) {
+// An m-invariance swap commits seq.next as the spec's live index only once
+// the release has landed; a swap dropped after the spec changed in memory
+// clears the live index, so the next reconciliation re-validates the stored
+// history from scratch.
+func (r *registry) swapSpecRelease(run *specRun, rel *storedRelease, seq *seqOutcome, gen uint64, fp string) (string, error) {
+	name := run.name
 	var originFP string
 	var fps releaseTableFPs
 	if r.st != nil {
@@ -209,6 +242,9 @@ func (r *registry) swapSpecRelease(name string, rel *storedRelease, hist *republ
 	sp, ok := r.specs[name]
 	if !ok {
 		return "", fmt.Errorf("%w: %q (deleted mid-reconciliation)", errSpecMissing, name)
+	}
+	if seq != nil && (sp != run.spec || len(sp.history) != len(run.history)) {
+		return "", fmt.Errorf("%w: %q", errSpecSuperseded, name)
 	}
 	// The swap replaces the old release, so occupancy only grows for the
 	// spec's first release.
@@ -225,26 +261,36 @@ func (r *registry) swapSpecRelease(name string, rel *storedRelease, hist *republ
 			return "", err
 		}
 	}
-	oldID := sp.releaseID
+	// The reconciliation-owned fields, for a rollback; the declaration fields
+	// are read without the lock and must never be written.
+	oldID, oldGen, oldFP := sp.releaseID, sp.reconGen, sp.reconFP
+	oldHistory, oldInvariant, oldDetail := sp.history, sp.invariant, sp.invariantDetail
 	sp.releaseID = rel.id
 	if gen > sp.reconGen {
 		sp.reconGen, sp.reconFP = gen, fp
 	}
-	if hist != nil {
-		sp.history = append(sp.history, hist)
-		sp.invariant, sp.invariantDetail = invariant, invariantDetail
+	if seq != nil {
+		entry := seq.entry
+		entry.QITFP, entry.STFP = fps.qit, fps.st
+		sp.history = append(sp.history, entry)
+		sp.invariant, sp.invariantDetail = seq.invariant, seq.detail
 	}
 	if r.st != nil {
 		if err := r.persistSpec(sp); err != nil {
 			// Roll the spec back and un-journal the release so memory and
-			// acknowledged history stay aligned; the manager retries.
-			sp.releaseID = oldID
-			if hist != nil {
-				sp.history = sp.history[:len(sp.history)-1]
+			// acknowledged history stay aligned; the manager retries, and
+			// without a live index the retry re-validates the history.
+			sp.releaseID, sp.reconGen, sp.reconFP = oldID, oldGen, oldFP
+			sp.history, sp.invariant, sp.invariantDetail = oldHistory, oldInvariant, oldDetail
+			if seq != nil {
+				sp.live = nil
 			}
 			_ = r.persistDelete(store.KindRelease, rel.id)
 			return "", err
 		}
+	}
+	if seq != nil {
+		sp.live = seq.next
 	}
 	r.releases[rel.id] = rel
 	if oldID != "" {
@@ -287,9 +333,9 @@ func (r *registry) markSpecSynced(name string, gen uint64, fp string) error {
 // ---- persistence ----
 
 // specMeta is the journaled form of one release spec. The m-invariance
-// history is stored as table fingerprints only: ST rows are emitted per
-// bucket in signature order, so ReleaseFromTables reconstructs signatures and
-// counterfeit counts exactly from the QIT/ST snapshots at recovery.
+// history is stored as metadata only: ST rows are emitted per bucket in
+// signature order, so ReleaseFromTables reconstructs signatures exactly from
+// the QIT/ST snapshots whenever the history has to be re-validated.
 type specMeta struct {
 	Tenant          string            `json:"tenant,omitempty"`
 	Dataset         string            `json:"dataset"`
@@ -306,12 +352,17 @@ type specMeta struct {
 	CreatedUnix     int64             `json:"created_unix_ns"`
 }
 
-// specHistoryMeta references one historical m-invariance release by its
-// snapshot fingerprints.
+// specHistoryMeta describes one historical m-invariance release: its
+// snapshot fingerprints plus the row and counterfeit counts GET
+// /v1/specs/{name} reports, so serving them never touches the tables. The
+// fingerprints are empty without a data directory. Records journaled before
+// the counts were kept carry rows 0; recovery derives them from the tables.
 type specHistoryMeta struct {
-	Version int    `json:"version"`
-	QITFP   string `json:"qit_fp"`
-	STFP    string `json:"st_fp"`
+	Version      int    `json:"version"`
+	QITFP        string `json:"qit_fp"`
+	STFP         string `json:"st_fp"`
+	Rows         int    `json:"rows"`
+	Counterfeits int    `json:"counterfeits"`
 }
 
 // persistSpec journals a spec put under the registry write lock. History
@@ -320,6 +371,9 @@ type specHistoryMeta struct {
 // content-addressed, so the spec record referencing the same fingerprints
 // keeps the snapshots alive after the release record is superseded).
 func (r *registry) persistSpec(sp *storedSpec) error {
+	if r.failSpecPersist.Load() > 0 && r.failSpecPersist.Add(-1) >= 0 {
+		return fmt.Errorf("%w: injected spec journal failure", errPersist)
+	}
 	m := specMeta{
 		Tenant:          sp.tenant,
 		Dataset:         sp.dataset,
@@ -330,22 +384,14 @@ func (r *registry) persistSpec(sp *storedSpec) error {
 		ReleaseID:       sp.releaseID,
 		ReconGen:        sp.reconGen,
 		ReconFP:         sp.reconFP,
+		History:         sp.history,
 		Invariant:       sp.invariant,
 		InvariantDetail: sp.invariantDetail,
 		CreatedUnix:     sp.created.UnixNano(),
 	}
-	var tables []string
-	for _, rel := range sp.history {
-		qitFP, err := r.st.PutTable(rel.QIT)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errPersist, err)
-		}
-		stFP, err := r.st.PutTable(rel.ST)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errPersist, err)
-		}
-		m.History = append(m.History, specHistoryMeta{Version: rel.Version, QITFP: qitFP, STFP: stFP})
-		tables = append(tables, qitFP, stFP)
+	tables := make([]string, 0, 2*len(sp.history))
+	for _, h := range sp.history {
+		tables = append(tables, h.QITFP, h.STFP)
 	}
 	meta, err := json.Marshal(m)
 	if err != nil {
@@ -362,9 +408,9 @@ func (r *registry) persistSpec(sp *storedSpec) error {
 }
 
 // recoverSpecs rebuilds the spec map from the store. The m-invariance history
-// loads as zero-copy mmap views and each release's signatures are
-// reconstructed from its QIT/ST tables, so a recovered publisher resumes the
-// sequence exactly where the crashed process left it.
+// recovers as metadata; the specs come back without a live index, so each
+// one's first reconciliation re-reads its QIT/ST tables, re-validates the
+// chain and resumes the sequence exactly where the crashed process left it.
 func (s *Server) recoverSpecs(st *store.Store) error {
 	reg := s.reg
 	for _, rec := range st.Records(store.KindSpec) {
@@ -389,23 +435,17 @@ func (s *Server) recoverSpecs(st *store.Store) error {
 			invariant:       m.Invariant,
 			invariantDetail: m.InvariantDetail,
 			created:         time.Unix(0, m.CreatedUnix),
+			history:         m.History,
 		}
-		for _, h := range m.History {
-			qit, err := st.Table(h.QITFP)
-			if err != nil {
-				return fmt.Errorf("server: recover spec %q: history v%d QIT: %w", rec.Key, h.Version, err)
+		for i, h := range sp.history {
+			if h.Rows > 0 {
+				continue
 			}
-			stt, err := st.Table(h.STFP)
+			rel, err := historyRelease(st, h)
 			if err != nil {
-				return fmt.Errorf("server: recover spec %q: history v%d ST: %w", rec.Key, h.Version, err)
+				return fmt.Errorf("server: recover spec %q: %w", rec.Key, err)
 			}
-			qit.SetScanWorkers(s.scanWorkers())
-			stt.SetScanWorkers(s.scanWorkers())
-			rel, err := republish.ReleaseFromTables(h.Version, qit, stt)
-			if err != nil {
-				return fmt.Errorf("server: recover spec %q: history v%d: %w", rec.Key, h.Version, err)
-			}
-			sp.history = append(sp.history, rel)
+			sp.history[i].Rows, sp.history[i].Counterfeits = rel.QIT.Len(), rel.Counterfeits
 		}
 		reg.specs[rec.Key] = sp
 	}
@@ -486,10 +526,9 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 	gen, fp := run.ds.generation, run.ds.fp
 	start := time.Now()
 	var rel *core.Release
-	var hist *republish.Release
-	invariant, invariantDetail := false, ""
+	var seq *seqOutcome
 	if c, ok := run.policy.Find(policy.MInvariance); ok {
-		hist, rel, invariant, invariantDetail, err = s.sequentialPublish(ctx, run, c)
+		seq, rel, err = s.sequentialPublish(ctx, run, c)
 	} else {
 		rel, err = s.oneShotPublish(ctx, run)
 	}
@@ -507,7 +546,7 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 		elapsed:   elapsed,
 		created:   time.Now(),
 	}
-	if _, err := s.reg.swapSpecRelease(name, stored, hist, invariant, invariantDetail, gen, fp); err != nil {
+	if _, err := s.reg.swapSpecRelease(run, stored, seq, gen, fp); err != nil {
 		return 0, "", err
 	}
 	return gen, fp, nil
@@ -533,33 +572,54 @@ func (s *Server) oneShotPublish(ctx context.Context, run *specRun) (*core.Releas
 	return pipe.run(ctx, run.ds.table, nil)
 }
 
-// sequentialPublish reconciles an m-invariance spec: the publisher is
-// restored from the spec's release history (revalidating every release
-// against the fixed per-individual signatures — a tampered or non-invariant
-// history refuses to extend), the dataset's current snapshot is published as
-// the next release, and the whole chain is checked for m-invariance. The
-// check's verdict lands on the release's measurements and the spec's status.
-func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.Criterion) (*republish.Release, *core.Release, bool, string, error) {
+// sequentialPublish reconciles an m-invariance spec: the dataset's current
+// snapshot is published as the next release from the spec's live signature
+// index, and only that release is checked against the index (the earlier
+// releases were checked when they landed). Without a live index the
+// publisher is first restored from the stored history, re-validating every
+// release against the fixed per-individual signatures — a tampered or
+// non-invariant history refuses to extend. The check's verdict lands on the
+// release's measurements and the spec's status; a failed verdict commits no
+// live index, so the next reconciliation re-validates the whole chain.
+func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.Criterion) (*seqOutcome, *core.Release, error) {
 	sensitive := c.Sensitive
 	if sensitive == "" {
 		sensitive = run.params.Sensitive
 	}
-	pub, err := republish.Restore(republish.Config{
+	cfg := republish.Config{
 		M:                c.M,
 		ID:               c.ID,
 		Sensitive:        sensitive,
 		QuasiIdentifiers: run.params.QuasiIdentifiers,
-	}, run.history)
+	}
+	base := run.live
+	if base == nil {
+		history, err := s.reg.historyReleases(run.history)
+		if err != nil {
+			return nil, nil, err
+		}
+		restored, err := republish.Restore(cfg, history)
+		if err != nil {
+			return nil, nil, err
+		}
+		base = restored.Index()
+	}
+	pub, err := republish.Resume(cfg, base)
 	if err != nil {
-		return nil, nil, false, "", err
+		return nil, nil, err
 	}
 	hist, err := pub.PublishContext(ctx, run.ds.table)
 	if err != nil {
-		return nil, nil, false, "", err
+		return nil, nil, err
 	}
-	ok, detail, err := republish.CheckInvariance(pub.Releases(), c.M)
-	if err != nil {
-		return nil, nil, false, "", err
+	ok, detail := base.Check(hist, c.M)
+	seq := &seqOutcome{
+		entry:     specHistoryMeta{Version: hist.Version, Rows: hist.QIT.Len(), Counterfeits: hist.Counterfeits},
+		invariant: ok,
+		detail:    detail,
+	}
+	if ok {
+		seq.next = pub.Index()
 	}
 	// Measured is the weakest signature width across individuals of the new
 	// release — the effective m the history sustains.
@@ -591,7 +651,47 @@ func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.C
 			},
 		},
 	}
-	return hist, rel, ok, detail, nil
+	return seq, rel, nil
+}
+
+// historyReleases reads a spec's stored history back from the store as
+// releases, for the full re-validation a reconciliation without a live index
+// runs. Without a data directory there is nothing to read: such a spec only
+// lacks a live index before its first release.
+func (r *registry) historyReleases(history []specHistoryMeta) ([]*republish.Release, error) {
+	if len(history) == 0 {
+		return nil, nil
+	}
+	if r.st == nil {
+		return nil, fmt.Errorf("server: m-invariance history of %d releases has no stored tables to re-validate", len(history))
+	}
+	out := make([]*republish.Release, len(history))
+	for i, h := range history {
+		rel, err := historyRelease(r.st, h)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = rel
+	}
+	return out, nil
+}
+
+// historyRelease loads one history entry's QIT/ST snapshots and rebuilds the
+// release from them.
+func historyRelease(st *store.Store, h specHistoryMeta) (*republish.Release, error) {
+	qit, err := st.Table(h.QITFP)
+	if err != nil {
+		return nil, fmt.Errorf("history v%d QIT: %w", h.Version, err)
+	}
+	stt, err := st.Table(h.STFP)
+	if err != nil {
+		return nil, fmt.Errorf("history v%d ST: %w", h.Version, err)
+	}
+	rel, err := republish.ReleaseFromTables(h.Version, qit, stt)
+	if err != nil {
+		return nil, fmt.Errorf("history v%d: %w", h.Version, err)
+	}
+	return rel, nil
 }
 
 // notifyDatasetChanged tells the reconcile manager a dataset moved. The
@@ -670,11 +770,11 @@ func (s *Server) specJSON(sp *storedSpec) specInfo {
 		Created:   sp.created,
 	}
 	if _, ok := sp.mInvariance(); ok {
-		for _, rel := range sp.history {
+		for _, h := range sp.history {
 			info.History = append(info.History, specHistoryJSON{
-				Version:      rel.Version,
-				Rows:         rel.QIT.Len(),
-				Counterfeits: rel.Counterfeits,
+				Version:      h.Version,
+				Rows:         h.Rows,
+				Counterfeits: h.Counterfeits,
 			})
 		}
 		if len(sp.history) > 0 {
