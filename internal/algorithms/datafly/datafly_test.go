@@ -3,9 +3,11 @@ package datafly
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/privacy"
 	"github.com/ppdp/ppdp/internal/synth"
 	"github.com/ppdp/ppdp/internal/testctx"
@@ -119,19 +121,43 @@ func TestAnonymizeExplicitQISubset(t *testing.T) {
 	}
 }
 
-func TestViolatingRows(t *testing.T) {
-	classes := []dataset.EquivalenceClass{
-		{Rows: []int{0, 1, 2}},
-		{Rows: []int{3}},
-		{Rows: []int{4, 5}},
+// TestSuppressionBudgetIsExact: a budget fraction admits every row count
+// whose share does not exceed it — 29 of 100 rows at 0.29, although
+// 0.29*100 truncates to 28.
+func TestSuppressionBudgetIsExact(t *testing.T) {
+	tbl, hs := budgetTable(t)
+	res, err := Anonymize(tbl, Config{K: 2, Hierarchies: hs, MaxSuppression: 0.29})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := violatingRows(classes, 3)
-	if len(got) != 3 {
-		t.Errorf("violatingRows = %v", got)
+	if res.Node.Height() != 0 || res.SuppressedRows != 29 {
+		t.Errorf("node %v suppressed %d, want the original table with its 29 singletons suppressed", res.Node, res.SuppressedRows)
 	}
-	if got := violatingRows(classes, 1); got != nil {
-		t.Errorf("violatingRows k=1 = %v", got)
+}
+
+// budgetTable returns 100 rows over one quasi-identifier: 71 share a value
+// and 29 are unique, under a flat hierarchy.
+func budgetTable(t *testing.T) (*dataset.Table, *hierarchy.Set) {
+	t.Helper()
+	schema := dataset.MustSchema(dataset.Attribute{Name: "zip", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical})
+	rows := make([]dataset.Row, 100)
+	domain := []string{"common"}
+	for i := range rows {
+		rows[i] = dataset.Row{"common"}
+		if i < 29 {
+			rows[i] = dataset.Row{fmt.Sprint("u", i)}
+			domain = append(domain, rows[i][0])
+		}
 	}
+	tbl, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := hierarchy.NewFlatCategory("zip", domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl, hierarchy.MustSet(h)
 }
 
 // TestAnonymizeContextCancellation checks the context gate at the
@@ -159,5 +185,19 @@ func TestAnonymizeContextCancellation(t *testing.T) {
 	// A live context is unaffected.
 	if _, err := AnonymizeContext(context.Background(), tbl, cfg); err != nil {
 		t.Fatalf("live context: %v", err)
+	}
+}
+
+// BenchmarkDatafly measures a full Datafly run on 2000 census rows.
+func BenchmarkDatafly(b *testing.B) {
+	tbl := synth.Census(2000, 1)
+	hs := synth.CensusHierarchies()
+	qi := []string{"age", "sex", "education", "marital-status", "race"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Anonymize(tbl, Config{K: 10, QuasiIdentifiers: qi, Hierarchies: hs}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,20 +3,21 @@
 // generalization lattice that exploits the generalization (rollup) property —
 // once a node satisfies the privacy criterion every node that dominates it
 // does too, so dominated-by-none minimal satisfying nodes are the complete
-// answer set. The released node is the minimal satisfying node with the best
-// utility score.
+// answer set. The released node is the first minimal node of the lowest
+// height.
 //
 // The original Incognito additionally prunes using single-attribute and
 // attribute-subset lattices before combining them; this implementation keeps
 // the subset pre-check for single attributes (cheap and effective) and then
 // searches the full lattice breadth-first with rollup pruning.
 //
-// Lattice nodes at one height are independent of each other — no node can
-// dominate a distinct node of equal height — so each breadth-first layer is
-// checked by a bounded worker pool (Config.Workers). The result is identical
-// for every worker count: candidates are collected per index and folded back
+// Nodes are tested on the shared full-domain search core
+// (generalize.Search). Lattice nodes at one height are independent of each
+// other — no node can dominate a distinct node of equal height — so each
+// breadth-first layer is tested by its bounded worker pool (Config.Workers).
+// The result is identical for every worker count: outcomes are folded back
 // in node order. Runs are cancelable: AnonymizeContext polls the context
-// once per evaluated lattice node and returns ctx.Err() without publishing a
+// once per tested lattice node and returns ctx.Err() without publishing a
 // partial result.
 package incognito
 
@@ -24,14 +25,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
-	"github.com/ppdp/ppdp/internal/parallel"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
@@ -58,10 +56,6 @@ type Config struct {
 	// criteria must be monotone under generalization for the rollup pruning
 	// to remain sound; the models in the privacy package are.
 	Extra []privacy.Criterion
-	// ScoreNode ranks satisfying nodes; lower is better. When nil, the node
-	// height (total generalization) is used. It is always called from a
-	// single goroutine, after the search, so it may close over shared state.
-	ScoreNode func(t *dataset.Table, classes []dataset.EquivalenceClass, node lattice.Node) float64
 	// Workers bounds the pool that checks the independent nodes of one
 	// lattice layer concurrently. Zero uses runtime.GOMAXPROCS(0); 1 forces
 	// a sequential search. The released node is identical for every count.
@@ -87,7 +81,7 @@ type Result struct {
 	QuasiIdentifiers []string
 	// MinimalNodes are all minimal satisfying nodes discovered.
 	MinimalNodes []lattice.Node
-	// NodesEvaluated counts lattice nodes whose release was materialized.
+	// NodesEvaluated counts the tested lattice nodes.
 	NodesEvaluated int
 }
 
@@ -111,84 +105,48 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if cfg.Hierarchies == nil {
 		return nil, fmt.Errorf("%w: nil hierarchy set", ErrConfig)
 	}
-	qi := cfg.QuasiIdentifiers
-	if len(qi) == 0 {
-		qi = t.Schema().QuasiIdentifierNames()
+	s, err := generalize.NewSearch(ctx, t, cfg.QuasiIdentifiers, cfg.Hierarchies, cfg.Workers, cfg.Progress)
+	if errors.Is(err, generalize.ErrNoQuasiIdentifiers) {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
-	}
-	maxLevels, err := cfg.Hierarchies.MaxLevels(qi)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := lattice.New(qi, maxLevels)
-	if err != nil {
-		return nil, err
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	report := cfg.Progress
-	if report == nil {
-		report = func(int, int) {}
-	}
-	totalNodes := lat.Size()
-
-	var evaluated atomic.Int64
-	satisfies := func(node lattice.Node) (bool, *dataset.Table, []dataset.EquivalenceClass, error) {
-		if err := ctx.Err(); err != nil {
-			return false, nil, nil, fmt.Errorf("incognito: %w", err)
-		}
-		// The subset pre-check can revisit nodes the breadth-first phase also
-		// materializes, so cap the reported count at the lattice size.
-		report(min(int(evaluated.Add(1)), totalNodes), totalNodes)
-		recoded, err := generalize.FullDomain(t, qi, cfg.Hierarchies, node)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		classes, err := recoded.GroupBy(qi...)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		criteria := append([]privacy.Criterion{privacy.KAnonymity{K: cfg.K}}, cfg.Extra...)
-		ok, _, err := privacy.CheckAll(recoded, classes, criteria...)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		return ok, recoded, classes, nil
-	}
+	s.K, s.Extra = cfg.K, cfg.Extra
 
 	// Subset pre-check: the minimum level per single attribute at which that
 	// attribute alone (with all others fully generalized) can satisfy
 	// k-anonymity. Levels below that floor can never appear in a satisfying
 	// node, so the breadth-first search skips them.
-	floors := make([]int, len(qi))
-	for i := range qi {
-		floors[i] = 0
-		for level := 0; level <= maxLevels[i]; level++ {
-			node := lat.Top()
+	maxLevels := s.Lattice.Top()
+	floors := make([]int, len(s.QI))
+	for i := range s.QI {
+		for level := 0; ; level++ {
+			node := s.Lattice.Top()
 			node[i] = level
-			ok, _, _, err := satisfies(node)
+			out, err := s.Test(node)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if out.OK {
 				floors[i] = level
 				break
 			}
 			if level == maxLevels[i] {
 				return nil, fmt.Errorf("%w (attribute %q cannot reach %d-anonymity even fully generalized elsewhere)",
-					ErrUnsatisfiable, qi[i], cfg.K)
+					ErrUnsatisfiable, s.QI[i], cfg.K)
 			}
 		}
 	}
 
 	// Breadth-first search by height with rollup pruning.
 	var minimal []lattice.Node
-	dominatedByMinimal := func(n lattice.Node) bool {
+	skip := func(n lattice.Node) bool {
+		for i := range n {
+			if n[i] < floors[i] {
+				return true
+			}
+		}
 		for _, m := range minimal {
 			if n.Dominates(m) {
 				return true
@@ -196,84 +154,41 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		}
 		return false
 	}
-	belowFloor := func(n lattice.Node) bool {
-		for i := range n {
-			if n[i] < floors[i] {
-				return true
-			}
-		}
-		return false
-	}
-
-	type candidate struct {
-		node    lattice.Node
-		table   *dataset.Table
-		classes []dataset.EquivalenceClass
-	}
-	var all []candidate
-	for h := 0; h <= lat.MaxHeight(); h++ {
+	for h := 0; h <= s.Lattice.MaxHeight(); h++ {
 		// Nodes of equal height cannot dominate one another (domination with
 		// equal component sums forces equality), so pruning only ever uses
 		// minimal nodes from lower layers: the surviving nodes of this layer
-		// are independent and safe to check concurrently.
+		// are independent and safe to test concurrently.
 		var layer []lattice.Node
-		for _, node := range lat.NodesAtHeight(h) {
-			if belowFloor(node) || dominatedByMinimal(node) {
-				continue
+		for _, node := range s.Lattice.NodesAtHeight(h) {
+			if !skip(node) {
+				layer = append(layer, node)
 			}
-			layer = append(layer, node.Clone())
 		}
-		outcomes, err := parallel.Map(len(layer), workers, func(i int) (outcome, error) {
-			ok, table, classes, err := satisfies(layer[i])
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{ok: ok, table: table, classes: classes}, nil
-		})
+		outcomes, err := s.TestAll(layer)
 		if err != nil {
 			return nil, err
 		}
-		// Fold back in node order so the result is identical for every
-		// worker count.
 		for i, out := range outcomes {
-			if !out.ok {
-				continue
+			if out.OK {
+				minimal = append(minimal, layer[i])
 			}
-			minimal = append(minimal, layer[i])
-			all = append(all, candidate{node: layer[i], table: out.table, classes: out.classes})
 		}
 	}
 	if len(minimal) == 0 {
 		return nil, fmt.Errorf("%w (k=%d)", ErrUnsatisfiable, cfg.K)
 	}
-
-	score := cfg.ScoreNode
-	if score == nil {
-		score = func(_ *dataset.Table, _ []dataset.EquivalenceClass, node lattice.Node) float64 {
-			return float64(node.Height())
-		}
+	// Layers run by height, so minimal[0] is the first node of the lowest
+	// satisfying height.
+	released, _, err := s.Release(minimal[0])
+	if err != nil {
+		return nil, err
 	}
-	best := 0
-	bestScore := score(all[0].table, all[0].classes, all[0].node)
-	for i := 1; i < len(all); i++ {
-		s := score(all[i].table, all[i].classes, all[i].node)
-		if s < bestScore {
-			best, bestScore = i, s
-		}
-	}
-	report(totalNodes, totalNodes)
 	return &Result{
-		Table:            all[best].table,
-		Node:             all[best].node,
-		QuasiIdentifiers: append([]string(nil), qi...),
+		Table:            released,
+		Node:             minimal[0],
+		QuasiIdentifiers: s.QI,
 		MinimalNodes:     minimal,
-		NodesEvaluated:   int(evaluated.Load()),
+		NodesEvaluated:   s.Evaluated(),
 	}, nil
-}
-
-// outcome is the per-node result of one layer check.
-type outcome struct {
-	ok      bool
-	table   *dataset.Table
-	classes []dataset.EquivalenceClass
 }

@@ -3,24 +3,23 @@
 // height at which some node achieves k-anonymity with at most MaxSuppression
 // records suppressed. Among the satisfying nodes of that height, the node
 // suppressing the fewest records is released.
-// The nodes of one height level are independent of each other, so each
-// level is evaluated by a bounded worker pool (Config.Workers); the released
-// node is identical for every worker count because the fewest-suppressions
-// fold happens sequentially, in level order, after the pool joins.
+// Nodes are tested on the shared full-domain search core
+// (generalize.Search). The nodes of one height level are independent of each
+// other, so each level is tested by a bounded worker pool
+// (Config.Workers); the released node is identical for every worker count
+// because the fewest-suppressions fold happens sequentially, in level order,
+// after the pool joins.
 package samarati
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
-	"github.com/ppdp/ppdp/internal/parallel"
 )
 
 // Common errors.
@@ -42,7 +41,8 @@ type Config struct {
 	// Hierarchies supplies a hierarchy for every quasi-identifier.
 	Hierarchies *hierarchy.Set
 	// MaxSuppression is the maximum fraction of records (0..1) that may be
-	// suppressed.
+	// suppressed: the budget is the largest row count b with
+	// b/rows <= MaxSuppression.
 	MaxSuppression float64
 	// Workers bounds the pool that evaluates one height level's lattice
 	// nodes concurrently. Zero uses runtime.GOMAXPROCS(0); 1 forces a
@@ -98,150 +98,57 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w: workers = %d", ErrConfig, cfg.Workers)
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	s, err := generalize.NewSearch(ctx, t, cfg.QuasiIdentifiers, cfg.Hierarchies, cfg.Workers, cfg.Progress)
+	if errors.Is(err, generalize.ErrNoQuasiIdentifiers) {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	qi := cfg.QuasiIdentifiers
-	if len(qi) == 0 {
-		qi = t.Schema().QuasiIdentifierNames()
-	}
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
-	}
-	maxLevels, err := cfg.Hierarchies.MaxLevels(qi)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := lattice.New(qi, maxLevels)
-	if err != nil {
-		return nil, err
-	}
-	budget := int(cfg.MaxSuppression * float64(t.Len()))
-	report := cfg.Progress
-	if report == nil {
-		report = func(int, int) {}
-	}
-	totalNodes := lat.Size()
+	s.K, s.Budget = cfg.K, generalize.SuppressionBudget(t.Len(), cfg.MaxSuppression)
 
-	var evaluated atomic.Int64
-	// bestAtHeight returns the best satisfying node at height h, or nil. The
-	// level's nodes are independent, so they are recoded and checked by the
-	// worker pool; the fewest-suppressions fold runs sequentially afterwards,
-	// in level order, so the choice is identical for every worker count.
-	bestAtHeight := func(h int) (lattice.Node, int, error) {
-		level := lat.NodesAtHeight(h)
-		costs, err := parallel.Map(len(level), workers, func(i int) (int, error) {
-			if err := ctx.Err(); err != nil {
-				return 0, fmt.Errorf("samarati: %w", err)
-			}
-			// The verification walk below the binary search can revisit a
-			// height, so cap the reported count at the lattice size.
-			report(min(int(evaluated.Add(1)), totalNodes), totalNodes)
-			return violations(t, qi, cfg.Hierarchies, level[i], cfg.K)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		var best lattice.Node
-		bestSuppress := -1
-		for i, suppress := range costs {
-			if suppress <= budget && (bestSuppress == -1 || suppress < bestSuppress) {
-				best = level[i].Clone()
-				bestSuppress = suppress
-			}
-		}
-		return best, bestSuppress, nil
-	}
-
-	// Binary search the minimal height with a satisfying node. Satisfiability
-	// is monotone in height only in the weak sense used by Samarati: the top
-	// node maximally generalizes, so if it fails nothing succeeds; the search
-	// still verifies the found layer exactly.
-	lo, hi := 0, lat.MaxHeight()
+	// Binary search the minimal height with a satisfying node; the top node
+	// maximally generalizes, so if it fails nothing succeeds. The search ends
+	// with lo == foundHeight, and lo only rises past a failing height, so
+	// the height below the found one has already been tested and failed.
+	// Within a height the fold runs in level order, so the pick is identical
+	// for every worker count.
+	lo, hi := 0, s.Lattice.MaxHeight()
 	var found lattice.Node
-	foundSuppress := 0
 	foundHeight := -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		node, suppress, err := bestAtHeight(mid)
+		level := s.Lattice.NodesAtHeight(mid)
+		outcomes, err := s.TestAll(level)
 		if err != nil {
 			return nil, err
 		}
-		if node != nil {
-			found, foundSuppress, foundHeight = node, suppress, mid
+		best := -1
+		for i, out := range outcomes {
+			if out.OK && (best == -1 || out.Suppressed < outcomes[best].Suppressed) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			found, foundHeight = level[best], mid
 			hi = mid - 1
 		} else {
 			lo = mid + 1
 		}
 	}
 	if found == nil {
-		return nil, fmt.Errorf("%w (k=%d, budget=%d rows)", ErrUnsatisfiable, cfg.K, budget)
+		return nil, fmt.Errorf("%w (k=%d, budget=%d rows)", ErrUnsatisfiable, cfg.K, s.Budget)
 	}
-	// The binary search can overshoot when satisfiability is not perfectly
-	// monotone across heights; walk down from the found height to the first
-	// height where no node satisfies, keeping the lowest satisfying layer.
-	for h := foundHeight - 1; h >= 0; h-- {
-		node, suppress, err := bestAtHeight(h)
-		if err != nil {
-			return nil, err
-		}
-		if node == nil {
-			break
-		}
-		found, foundSuppress, foundHeight = node, suppress, h
-	}
-
-	released, err := apply(t, qi, cfg.Hierarchies, found, cfg.K)
+	released, suppressed, err := s.Release(found)
 	if err != nil {
 		return nil, err
 	}
-	report(totalNodes, totalNodes)
 	return &Result{
 		Table:            released,
 		Node:             found,
-		QuasiIdentifiers: append([]string(nil), qi...),
-		SuppressedRows:   foundSuppress,
+		QuasiIdentifiers: s.QI,
+		SuppressedRows:   suppressed,
 		Height:           foundHeight,
-		NodesEvaluated:   int(evaluated.Load()),
+		NodesEvaluated:   s.Evaluated(),
 	}, nil
-}
-
-// violations counts the records that would need suppression for node to be
-// k-anonymous.
-func violations(t *dataset.Table, qi []string, hs *hierarchy.Set, node lattice.Node, k int) (int, error) {
-	recoded, err := generalize.FullDomain(t, qi, hs, node)
-	if err != nil {
-		return 0, err
-	}
-	classes, err := recoded.GroupBy(qi...)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, c := range classes {
-		if c.Size() < k {
-			total += c.Size()
-		}
-	}
-	return total, nil
-}
-
-// apply produces the released table for node, suppressing undersized classes.
-func apply(t *dataset.Table, qi []string, hs *hierarchy.Set, node lattice.Node, k int) (*dataset.Table, error) {
-	recoded, err := generalize.FullDomain(t, qi, hs, node)
-	if err != nil {
-		return nil, err
-	}
-	classes, err := recoded.GroupBy(qi...)
-	if err != nil {
-		return nil, err
-	}
-	var drop []int
-	for _, c := range classes {
-		if c.Size() < k {
-			drop = append(drop, c.Rows...)
-		}
-	}
-	return generalize.SuppressRows(recoded, drop)
 }

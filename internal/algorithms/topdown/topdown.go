@@ -2,31 +2,31 @@
 // the style of Fung, Wang and Yu: the release starts from the fully
 // generalized table (every quasi-identifier at its hierarchy root) and is
 // repeatedly specialized one attribute level at a time, always choosing the
-// specialization with the best score, for as long as the privacy criteria
-// remain satisfied. Because specialization only ever refines equivalence
-// classes, the walk can stop at the first level where every further
-// specialization violates the criteria, yielding a minimally generalized
-// full-domain release.
-// Candidate specializations of one step are independent of each other, so
-// they are evaluated by a bounded worker pool (Config.Workers); the chosen
-// specialization is identical for every worker count because scoring and the
-// tie-breaking fold happen sequentially after the pool joins. Runs are
-// cancelable: AnonymizeContext polls the context once per evaluated
-// candidate and returns ctx.Err() without publishing a partial result.
+// specialization with the most equivalence classes (finer data, more
+// information for classification workloads), for as long as the privacy
+// criteria remain satisfied. Because specialization only ever refines
+// equivalence classes, the walk can stop at the first level where every
+// further specialization violates the criteria, yielding a minimally
+// generalized full-domain release.
+// Candidates are tested on the shared full-domain search core
+// (generalize.Search). Candidate specializations of one step are independent
+// of each other, so they are tested by a bounded worker pool
+// (Config.Workers); the chosen specialization is identical for every worker
+// count because the tie-breaking fold happens sequentially after the pool
+// joins. Runs are cancelable: AnonymizeContext polls the context once per
+// tested candidate and returns ctx.Err() without publishing a partial
+// result.
 package topdown
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
-	"github.com/ppdp/ppdp/internal/parallel"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
@@ -39,10 +39,6 @@ var (
 	ErrUnsatisfiable = errors.New("topdown: privacy criteria fail even at full generalization")
 )
 
-// Score ranks candidate releases; higher is better. It receives the recoded
-// table and its equivalence classes.
-type Score func(t *dataset.Table, classes []dataset.EquivalenceClass) float64
-
 // Config controls a top-down specialization run.
 type Config struct {
 	// K is the required minimum equivalence-class size.
@@ -54,12 +50,6 @@ type Config struct {
 	Hierarchies *hierarchy.Set
 	// Extra lists additional privacy criteria gating every specialization.
 	Extra []privacy.Criterion
-	// Score ranks candidate specializations; when nil the number of
-	// equivalence classes is used (more classes = finer data = more
-	// information for classification workloads). It is always called from a
-	// single goroutine, after each step's candidate pool joins, so it may
-	// close over shared state.
-	Score Score
 	// Workers bounds the pool that evaluates one step's candidate
 	// specializations concurrently. Zero uses runtime.GOMAXPROCS(0); 1
 	// forces a sequential run. The released node is identical for every
@@ -107,119 +97,52 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if cfg.Hierarchies == nil {
 		return nil, fmt.Errorf("%w: nil hierarchy set", ErrConfig)
 	}
-	qi := cfg.QuasiIdentifiers
-	if len(qi) == 0 {
-		qi = t.Schema().QuasiIdentifierNames()
+	s, err := generalize.NewSearch(ctx, t, cfg.QuasiIdentifiers, cfg.Hierarchies, cfg.Workers, cfg.Progress)
+	if errors.Is(err, generalize.ErrNoQuasiIdentifiers) {
+		return nil, fmt.Errorf("%w: %w", ErrConfig, err)
 	}
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
-	}
-	maxLevels, err := cfg.Hierarchies.MaxLevels(qi)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := lattice.New(qi, maxLevels)
+	s.K, s.Extra = cfg.K, cfg.Extra
+
+	current := s.Lattice.Top()
+	out, err := s.Test(current)
 	if err != nil {
 		return nil, err
 	}
-	score := cfg.Score
-	if score == nil {
-		score = func(_ *dataset.Table, classes []dataset.EquivalenceClass) float64 {
-			return float64(len(classes))
-		}
-	}
-	criteria := append([]privacy.Criterion{privacy.KAnonymity{K: cfg.K}}, cfg.Extra...)
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	report := cfg.Progress
-	if report == nil {
-		report = func(int, int) {}
-	}
-	totalNodes := lat.Size()
-
-	var evaluated atomic.Int64
-	evaluate := func(node lattice.Node) (bool, *dataset.Table, []dataset.EquivalenceClass, error) {
-		if err := ctx.Err(); err != nil {
-			return false, nil, nil, fmt.Errorf("topdown: %w", err)
-		}
-		report(min(int(evaluated.Add(1)), totalNodes), totalNodes)
-		recoded, err := generalize.FullDomain(t, qi, cfg.Hierarchies, node)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		classes, err := recoded.GroupBy(qi...)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		ok, _, err := privacy.CheckAll(recoded, classes, criteria...)
-		if err != nil {
-			return false, nil, nil, err
-		}
-		return ok, recoded, classes, nil
-	}
-
-	current := lat.Top()
-	ok, currentTable, _, err := evaluate(current)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	if !out.OK {
 		return nil, fmt.Errorf("%w (k=%d, %d rows)", ErrUnsatisfiable, cfg.K, t.Len())
 	}
-
 	steps := 0
 	for {
-		preds, err := lat.Predecessors(current)
+		preds := s.Lattice.Predecessors(current)
+		outcomes, err := s.TestAll(preds)
 		if err != nil {
 			return nil, err
 		}
-		outcomes, err := parallel.Map(len(preds), workers, func(i int) (outcome, error) {
-			ok, table, classes, err := evaluate(preds[i])
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{ok: ok, table: table, classes: classes}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Score and tie-break sequentially, in candidate order, so the walk
-		// is identical for every worker count (first best wins, as in the
-		// sequential reference).
-		bestIdx := -1
-		bestScore := 0.0
-		var bestTable *dataset.Table
+		// Fold in candidate order, so the walk is identical for every worker
+		// count: the first candidate with the most classes wins.
+		best := -1
 		for i, out := range outcomes {
-			if !out.ok {
-				continue
-			}
-			s := score(out.table, out.classes)
-			if bestIdx == -1 || s > bestScore {
-				bestIdx, bestScore, bestTable = i, s, out.table
+			if out.OK && (best == -1 || out.Classes > outcomes[best].Classes) {
+				best = i
 			}
 		}
-		if bestIdx == -1 {
+		if best == -1 {
 			break
 		}
-		current = preds[bestIdx]
-		currentTable = bestTable
+		current = preds[best]
 		steps++
 	}
-	report(totalNodes, totalNodes)
+	released, _, err := s.Release(current)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
-		Table:            currentTable,
+		Table:            released,
 		Node:             current,
-		QuasiIdentifiers: append([]string(nil), qi...),
+		QuasiIdentifiers: s.QI,
 		Specializations:  steps,
 	}, nil
-}
-
-// outcome is the evaluation result of one candidate specialization.
-type outcome struct {
-	ok      bool
-	table   *dataset.Table
-	classes []dataset.EquivalenceClass
 }

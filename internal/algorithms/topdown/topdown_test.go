@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/privacy"
 	"github.com/ppdp/ppdp/internal/synth"
 	"github.com/ppdp/ppdp/internal/testctx"
@@ -87,27 +86,6 @@ func TestWithLDiversity(t *testing.T) {
 	}
 	if l < 2 {
 		t.Errorf("release not 2-diverse: %d", l)
-	}
-}
-
-func TestCustomScore(t *testing.T) {
-	tbl := synth.Hospital(300, 5)
-	qi := []string{"age", "sex"}
-	called := false
-	_, err := Anonymize(tbl, Config{
-		K:                5,
-		QuasiIdentifiers: qi,
-		Hierarchies:      synth.HospitalHierarchies(),
-		Score: func(_ *dataset.Table, classes []dataset.EquivalenceClass) float64 {
-			called = true
-			return dataset.AverageClassSize(classes)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Error("custom score never invoked")
 	}
 }
 

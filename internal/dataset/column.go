@@ -249,33 +249,62 @@ func (t *Table) CodedColumnByName(name string) (*CodedColumn, error) {
 // error is returned and the table is unchanged. The table takes ownership of
 // both slices; callers must not modify them afterwards.
 func (t *Table) SetCodedColumn(col int, dict []string, codes []uint32) error {
+	if err := t.checkColumn(col, len(codes)); err != nil {
+		return err
+	}
+	cc, err := NewCodedColumn(dict, codes)
+	if err != nil {
+		return err
+	}
+	t.cols[col] = cc
+	t.hash.Store(nil)
+	return nil
+}
+
+// SetColumn replaces column col with cc. Columns are immutable, so cc may be
+// installed in any number of tables with the same row count.
+func (t *Table) SetColumn(col int, cc *CodedColumn) error {
+	if err := t.checkColumn(col, cc.Len()); err != nil {
+		return err
+	}
+	t.cols[col] = cc
+	t.hash.Store(nil)
+	return nil
+}
+
+// checkColumn validates a write of a column with rows rows to column col.
+func (t *Table) checkColumn(col, rows int) error {
 	if _, err := t.CodedColumn(col); err != nil {
 		return err
 	}
-	if len(codes) != t.n {
-		return fmt.Errorf("dataset: coded column has %d rows, table has %d", len(codes), t.n)
+	if rows != t.n {
+		return fmt.Errorf("dataset: coded column has %d rows, table has %d", rows, t.n)
 	}
+	return nil
+}
+
+// NewCodedColumn returns the column holding dict[codes[i]] in row i, with the
+// encoding rules of SetCodedColumn. The column takes ownership of both slices.
+func NewCodedColumn(dict []string, codes []uint32) (*CodedColumn, error) {
 	next := uint32(0)
 	for i, code := range codes {
 		if code == next {
 			next++
 		} else if code > next {
-			return fmt.Errorf("dataset: code %d of row %d is not in first-appearance order", code, i)
+			return nil, fmt.Errorf("dataset: code %d of row %d is not in first-appearance order", code, i)
 		}
 	}
 	if int(next) != len(dict) {
-		return fmt.Errorf("dataset: dictionary has %d values, codes use %d", len(dict), next)
+		return nil, fmt.Errorf("dataset: dictionary has %d values, codes use %d", len(dict), next)
 	}
 	index := make(map[string]uint32, len(dict))
 	for code, v := range dict {
 		if _, dup := index[v]; dup {
-			return fmt.Errorf("dataset: dictionary repeats value %q", v)
+			return nil, fmt.Errorf("dataset: dictionary repeats value %q", v)
 		}
 		index[v] = uint32(code)
 	}
-	t.cols[col] = newCodedColumn(dict, codes, index)
-	t.hash.Store(nil)
-	return nil
+	return newCodedColumn(dict, codes, index), nil
 }
 
 // buildRanks computes the byte-lexicographic rank of every code and whether

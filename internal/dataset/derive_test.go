@@ -278,6 +278,21 @@ func TestSetCodedColumn(t *testing.T) {
 			t.Error("fingerprint not refreshed")
 		}
 		checkViewsFresh(t, tbl)
+
+		// SetColumn installs that very column in another table, sharing it,
+		// and refuses a column of another length or position.
+		other := deriveFixture(t)
+		if err := other.SetColumn(1, tbl.cols[1]); err != nil {
+			t.Fatal(err)
+		}
+		if other.cols[1] != tbl.cols[1] {
+			t.Error("SetColumn copied the column instead of sharing it")
+		}
+		short, _ := NewCodedColumn([]string{"a"}, []uint32{0})
+		if other.SetColumn(1, short) == nil || other.SetColumn(9, tbl.cols[1]) == nil {
+			t.Error("SetColumn accepted a wrong-length column or an out-of-range index")
+		}
+		checkViewsFresh(t, other)
 	}
 }
 

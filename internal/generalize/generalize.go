@@ -23,16 +23,14 @@ var ErrNodeArity = errors.New("generalize: node arity does not match attribute c
 // FullDomain applies the full-domain recoding described by node: the i-th
 // quasi-identifier attribute in attrs is generalized to level node[i] using
 // its hierarchy. All other columns are left untouched. The input table is not
-// modified. Each distinct value is generalized once, and each recoded column
-// is written once through Table.SetCodedColumn.
+// modified. Each distinct value is generalized once (see recodeLevel).
 func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattice.Node) (*dataset.Table, error) {
 	if len(attrs) != len(node) {
 		return nil, fmt.Errorf("%w: %d attributes, %d levels", ErrNodeArity, len(attrs), len(node))
 	}
 	out := t.Clone()
 	for i, attr := range attrs {
-		level := node[i]
-		if level == 0 {
+		if node[i] == 0 {
 			continue
 		}
 		h, err := hs.Get(attr)
@@ -43,27 +41,32 @@ func FullDomain(t *dataset.Table, attrs []string, hs *hierarchy.Set, node lattic
 		if err != nil {
 			return nil, err
 		}
-		cc, err := out.CodedColumn(col)
-		if err != nil {
+		cc, _ := t.CodedColumn(col)
+		if cc, err = recodeLevel(cc, attr, h, node[i]); err != nil {
 			return nil, err
 		}
-		// Generalization is value-deterministic: one call per source code,
-		// at its first row, so a failure names the row a row scan would.
-		dict, codes, err := recodeColumn(slices.Clone(cc.Codes), cc.Cardinality(), func(code uint32, r int) (string, error) {
-			g, err := h.Generalize(cc.Value(code), level)
-			if err != nil {
-				return "", fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
-			}
-			return g, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := out.SetCodedColumn(col, dict, codes); err != nil {
+		if err := out.SetColumn(col, cc); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// recodeLevel returns column cc of attribute attr generalized to level by h.
+// Generalization is value-deterministic: one call per source code, at its
+// first row, so a failure names the row a row scan would.
+func recodeLevel(cc *dataset.CodedColumn, attr string, h hierarchy.Hierarchy, level int) (*dataset.CodedColumn, error) {
+	dict, codes, err := recodeColumn(slices.Clone(cc.Codes), cc.Cardinality(), func(code uint32, r int) (string, error) {
+		g, err := h.Generalize(cc.Value(code), level)
+		if err != nil {
+			return "", fmt.Errorf("generalize: row %d attribute %q: %w", r, attr, err)
+		}
+		return g, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dataset.NewCodedColumn(dict, codes)
 }
 
 // recodeColumn turns per-row keys in [0, nkeys) into a column coded in

@@ -13,23 +13,13 @@ package lattice
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
-
-// ErrShape is returned when a node's arity does not match the lattice.
-var ErrShape = errors.New("lattice: node arity does not match lattice dimensions")
 
 // Node is a vector of generalization levels, one per attribute of the
 // lattice, in lattice attribute order.
 type Node []int
-
-// Clone returns a copy of the node.
-func (n Node) Clone() Node {
-	out := make(Node, len(n))
-	copy(out, n)
-	return out
-}
 
 // Height returns the sum of the node's levels.
 func (n Node) Height() int {
@@ -49,23 +39,6 @@ func (n Node) Key() string {
 	return strings.Join(parts, ",")
 }
 
-// ParseNode parses the output of Key back into a Node.
-func ParseNode(key string) (Node, error) {
-	if key == "" {
-		return nil, errors.New("lattice: empty node key")
-	}
-	parts := strings.Split(key, ",")
-	out := make(Node, len(parts))
-	for i, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &v); err != nil {
-			return nil, fmt.Errorf("lattice: bad node key %q: %w", key, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Dominates reports whether n >= o component-wise (n is at least as general
 // as o in every attribute).
 func (n Node) Dominates(o Node) bool {
@@ -80,23 +53,9 @@ func (n Node) Dominates(o Node) bool {
 	return true
 }
 
-// Equal reports component-wise equality.
-func (n Node) Equal(o Node) bool {
-	if len(n) != len(o) {
-		return false
-	}
-	for i := range n {
-		if n[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Lattice is the full-domain generalization lattice for a fixed attribute
 // order with fixed per-attribute maximum levels.
 type Lattice struct {
-	attrs     []string
 	maxLevels []int
 }
 
@@ -114,29 +73,12 @@ func New(attrs []string, maxLevels []int) (*Lattice, error) {
 			return nil, fmt.Errorf("lattice: negative max level %d for %q", m, attrs[i])
 		}
 	}
-	return &Lattice{
-		attrs:     append([]string(nil), attrs...),
-		maxLevels: append([]int(nil), maxLevels...),
-	}, nil
+	return &Lattice{maxLevels: slices.Clone(maxLevels)}, nil
 }
-
-// Attributes returns the lattice's attribute order.
-func (l *Lattice) Attributes() []string { return append([]string(nil), l.attrs...) }
-
-// MaxLevels returns the per-attribute maximum levels.
-func (l *Lattice) MaxLevels() []int { return append([]int(nil), l.maxLevels...) }
-
-// Dimensions returns the number of attributes.
-func (l *Lattice) Dimensions() int { return len(l.attrs) }
-
-// Bottom returns the all-zero node (no generalization).
-func (l *Lattice) Bottom() Node { return make(Node, len(l.attrs)) }
 
 // Top returns the node with every attribute at its maximum level.
 func (l *Lattice) Top() Node {
-	out := make(Node, len(l.maxLevels))
-	copy(out, l.maxLevels)
-	return out
+	return slices.Clone(Node(l.maxLevels))
 }
 
 // MaxHeight returns the height of the top node.
@@ -151,59 +93,18 @@ func (l *Lattice) Size() int {
 	return n
 }
 
-// Contains reports whether node is a valid member of the lattice.
-func (l *Lattice) Contains(n Node) bool {
-	if len(n) != len(l.maxLevels) {
-		return false
-	}
-	for i, v := range n {
-		if v < 0 || v > l.maxLevels[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// validate returns ErrShape for nodes of the wrong arity.
-func (l *Lattice) validate(n Node) error {
-	if len(n) != len(l.maxLevels) {
-		return fmt.Errorf("%w: node has %d components, lattice has %d", ErrShape, len(n), len(l.maxLevels))
-	}
-	return nil
-}
-
-// Successors returns the immediate generalizations of n: every node obtained
-// by incrementing exactly one component that is below its maximum.
-func (l *Lattice) Successors(n Node) ([]Node, error) {
-	if err := l.validate(n); err != nil {
-		return nil, err
-	}
-	var out []Node
-	for i := range n {
-		if n[i] < l.maxLevels[i] {
-			s := n.Clone()
-			s[i]++
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
 // Predecessors returns the immediate specializations of n: every node
 // obtained by decrementing exactly one positive component.
-func (l *Lattice) Predecessors(n Node) ([]Node, error) {
-	if err := l.validate(n); err != nil {
-		return nil, err
-	}
+func (l *Lattice) Predecessors(n Node) []Node {
 	var out []Node
 	for i := range n {
 		if n[i] > 0 {
-			p := n.Clone()
+			p := slices.Clone(n)
 			p[i]--
 			out = append(out, p)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // NodesAtHeight enumerates all nodes whose components sum to h, in
@@ -216,7 +117,7 @@ func (l *Lattice) NodesAtHeight(h int) []Node {
 	rec = func(dim, remaining int) {
 		if dim == len(l.maxLevels) {
 			if remaining == 0 {
-				out = append(out, cur.Clone())
+				out = append(out, slices.Clone(cur))
 			}
 			return
 		}
@@ -234,86 +135,4 @@ func (l *Lattice) NodesAtHeight(h int) []Node {
 		rec(0, h)
 	}
 	return out
-}
-
-// AllNodes enumerates every node of the lattice ordered by height then
-// lexicographically. Use with care: the count is the product of
-// (maxLevel+1) over all attributes.
-func (l *Lattice) AllNodes() []Node {
-	var out []Node
-	for h := 0; h <= l.MaxHeight(); h++ {
-		out = append(out, l.NodesAtHeight(h)...)
-	}
-	return out
-}
-
-// GeneralizationsOf returns every node that dominates n (including n itself),
-// ordered by height. These are the candidate releases that are at least as
-// general as n.
-func (l *Lattice) GeneralizationsOf(n Node) ([]Node, error) {
-	if err := l.validate(n); err != nil {
-		return nil, err
-	}
-	var out []Node
-	for _, cand := range l.AllNodes() {
-		if cand.Dominates(n) {
-			out = append(out, cand)
-		}
-	}
-	return out, nil
-}
-
-// SortNodes orders nodes by height, then lexicographically. It sorts in
-// place and returns the slice for convenience.
-func SortNodes(nodes []Node) []Node {
-	sort.Slice(nodes, func(i, j int) bool {
-		hi, hj := nodes[i].Height(), nodes[j].Height()
-		if hi != hj {
-			return hi < hj
-		}
-		for d := range nodes[i] {
-			if nodes[i][d] != nodes[j][d] {
-				return nodes[i][d] < nodes[j][d]
-			}
-		}
-		return false
-	})
-	return nodes
-}
-
-// Project returns the node restricted to the given attribute subset (by
-// lattice attribute name), along with a sub-lattice over that subset.
-// Incognito uses projections to test anonymity of attribute subsets before
-// combining them.
-func (l *Lattice) Project(n Node, attrs []string) (*Lattice, Node, error) {
-	if err := l.validate(n); err != nil {
-		return nil, nil, err
-	}
-	idx := make([]int, 0, len(attrs))
-	for _, a := range attrs {
-		found := -1
-		for i, la := range l.attrs {
-			if la == a {
-				found = i
-				break
-			}
-		}
-		if found == -1 {
-			return nil, nil, fmt.Errorf("lattice: attribute %q not in lattice", a)
-		}
-		idx = append(idx, found)
-	}
-	subAttrs := make([]string, len(idx))
-	subMax := make([]int, len(idx))
-	subNode := make(Node, len(idx))
-	for i, j := range idx {
-		subAttrs[i] = l.attrs[j]
-		subMax[i] = l.maxLevels[j]
-		subNode[i] = n[j]
-	}
-	sub, err := New(subAttrs, subMax)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, subNode, nil
 }

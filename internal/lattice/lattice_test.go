@@ -1,8 +1,7 @@
 package lattice
 
 import (
-	"errors"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,29 +29,19 @@ func TestNewErrors(t *testing.T) {
 
 func TestBasics(t *testing.T) {
 	l := newTestLattice(t)
-	if l.Dimensions() != 3 {
-		t.Errorf("Dimensions = %d", l.Dimensions())
-	}
-	if !reflect.DeepEqual(l.Attributes(), []string{"age", "zip", "sex"}) {
-		t.Errorf("Attributes = %v", l.Attributes())
-	}
-	if !reflect.DeepEqual(l.MaxLevels(), []int{2, 3, 1}) {
-		t.Errorf("MaxLevels = %v", l.MaxLevels())
-	}
-	if !l.Bottom().Equal(Node{0, 0, 0}) {
-		t.Errorf("Bottom = %v", l.Bottom())
-	}
-	if !l.Top().Equal(Node{2, 3, 1}) {
+	if !slices.Equal(l.Top(), Node{2, 3, 1}) {
 		t.Errorf("Top = %v", l.Top())
+	}
+	top := l.Top()
+	top[0] = 0
+	if l.Top()[0] != 2 {
+		t.Error("Top aliases the lattice's levels")
 	}
 	if l.MaxHeight() != 6 {
 		t.Errorf("MaxHeight = %d", l.MaxHeight())
 	}
 	if l.Size() != 3*4*2 {
 		t.Errorf("Size = %d", l.Size())
-	}
-	if !l.Contains(Node{1, 1, 1}) || l.Contains(Node{3, 0, 0}) || l.Contains(Node{0, 0}) {
-		t.Error("Contains wrong")
 	}
 }
 
@@ -64,81 +53,37 @@ func TestNodeHelpers(t *testing.T) {
 	if n.Key() != "1,2,0" {
 		t.Errorf("Key = %q", n.Key())
 	}
-	back, err := ParseNode("1,2,0")
-	if err != nil || !back.Equal(n) {
-		t.Errorf("ParseNode = %v, %v", back, err)
-	}
-	if _, err := ParseNode(""); err == nil {
-		t.Error("ParseNode empty accepted")
-	}
-	if _, err := ParseNode("a,b"); err == nil {
-		t.Error("ParseNode garbage accepted")
-	}
-	c := n.Clone()
-	c[0] = 9
-	if n[0] != 1 {
-		t.Error("Clone aliases storage")
-	}
 	if !Node([]int{2, 2, 1}).Dominates(n) || n.Dominates(Node{2, 2, 1}) {
 		t.Error("Dominates wrong")
 	}
 	if n.Dominates(Node{1, 2}) {
 		t.Error("Dominates should be false for arity mismatch")
 	}
-	if n.Equal(Node{1, 2}) {
-		t.Error("Equal should be false for arity mismatch")
-	}
 }
 
-func TestSuccessorsPredecessors(t *testing.T) {
+func TestPredecessors(t *testing.T) {
 	l := newTestLattice(t)
-	succ, err := l.Successors(Node{2, 3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(succ) != 1 || !succ[0].Equal(Node{2, 3, 1}) {
-		t.Errorf("Successors = %v", succ)
-	}
-	succ, _ = l.Successors(l.Top())
-	if len(succ) != 0 {
-		t.Errorf("Top successors = %v", succ)
-	}
-	pred, err := l.Predecessors(Node{0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pred) != 2 {
+	pred := l.Predecessors(Node{0, 1, 1})
+	if len(pred) != 2 || !slices.Equal(pred[0], Node{0, 0, 1}) || !slices.Equal(pred[1], Node{0, 1, 0}) {
 		t.Errorf("Predecessors = %v", pred)
 	}
-	pred, _ = l.Predecessors(l.Bottom())
-	if len(pred) != 0 {
-		t.Errorf("Bottom predecessors = %v", pred)
-	}
-	if _, err := l.Successors(Node{0}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad arity error = %v", err)
-	}
-	if _, err := l.Predecessors(Node{0}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad arity error = %v", err)
+	if pred := l.Predecessors(Node{0, 0, 0}); len(pred) != 0 {
+		t.Errorf("bottom predecessors = %v", pred)
 	}
 }
 
 func TestNodesAtHeight(t *testing.T) {
 	l := newTestLattice(t)
 	h0 := l.NodesAtHeight(0)
-	if len(h0) != 1 || !h0[0].Equal(l.Bottom()) {
+	if len(h0) != 1 || !slices.Equal(h0[0], Node{0, 0, 0}) {
 		t.Errorf("height 0 = %v", h0)
 	}
 	h1 := l.NodesAtHeight(1)
 	if len(h1) != 3 {
 		t.Errorf("height 1 = %v", h1)
 	}
-	for _, n := range h1 {
-		if n.Height() != 1 {
-			t.Errorf("node %v has height %d", n, n.Height())
-		}
-	}
 	top := l.NodesAtHeight(l.MaxHeight())
-	if len(top) != 1 || !top[0].Equal(l.Top()) {
+	if len(top) != 1 || !slices.Equal(top[0], l.Top()) {
 		t.Errorf("top layer = %v", top)
 	}
 	if got := l.NodesAtHeight(-1); got != nil {
@@ -149,126 +94,35 @@ func TestNodesAtHeight(t *testing.T) {
 	}
 }
 
-func TestAllNodesCountAndOrder(t *testing.T) {
-	l := newTestLattice(t)
-	all := l.AllNodes()
-	if len(all) != l.Size() {
-		t.Fatalf("AllNodes len = %d, want %d", len(all), l.Size())
-	}
-	seen := make(map[string]bool)
-	prevHeight := 0
-	for _, n := range all {
-		if seen[n.Key()] {
-			t.Fatalf("duplicate node %v", n)
-		}
-		seen[n.Key()] = true
-		if n.Height() < prevHeight {
-			t.Fatalf("nodes not ordered by height")
-		}
-		prevHeight = n.Height()
-		if !l.Contains(n) {
-			t.Fatalf("AllNodes produced invalid node %v", n)
-		}
-	}
-}
-
-func TestGeneralizationsOf(t *testing.T) {
-	l := newTestLattice(t)
-	g, err := l.GeneralizationsOf(Node{2, 3, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g) != 2 {
-		t.Errorf("GeneralizationsOf = %v", g)
-	}
-	if _, err := l.GeneralizationsOf(Node{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad arity error = %v", err)
-	}
-	all, _ := l.GeneralizationsOf(l.Bottom())
-	if len(all) != l.Size() {
-		t.Errorf("generalizations of bottom = %d, want %d", len(all), l.Size())
-	}
-}
-
-func TestSortNodes(t *testing.T) {
-	nodes := []Node{{1, 1, 0}, {0, 0, 0}, {0, 2, 0}, {0, 0, 1}}
-	SortNodes(nodes)
-	if !nodes[0].Equal(Node{0, 0, 0}) {
-		t.Errorf("first node = %v", nodes[0])
-	}
-	if !nodes[1].Equal(Node{0, 0, 1}) {
-		t.Errorf("second node = %v (want lexicographic within height)", nodes[1])
-	}
-	if nodes[3].Height() != 2 {
-		t.Errorf("last node = %v", nodes[3])
-	}
-}
-
-func TestProject(t *testing.T) {
-	l := newTestLattice(t)
-	sub, n, err := l.Project(Node{2, 3, 1}, []string{"sex", "age"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sub.Attributes(), []string{"sex", "age"}) {
-		t.Errorf("projected attrs = %v", sub.Attributes())
-	}
-	if !n.Equal(Node{1, 2}) {
-		t.Errorf("projected node = %v", n)
-	}
-	if _, _, err := l.Project(Node{0, 0, 0}, []string{"nope"}); err == nil {
-		t.Error("Project with unknown attribute succeeded")
-	}
-	if _, _, err := l.Project(Node{0}, []string{"age"}); !errors.Is(err, ErrShape) {
-		t.Errorf("bad arity error = %v", err)
-	}
-}
-
-// Property: successors always increase height by exactly one and remain in
-// the lattice; predecessors decrease it by one.
-func TestSuccessorHeightProperty(t *testing.T) {
-	l := newTestLattice(t)
-	all := l.AllNodes()
-	f := func(idx uint16) bool {
-		n := all[int(idx)%len(all)]
-		succ, err := l.Successors(n)
-		if err != nil {
-			return false
-		}
-		for _, s := range succ {
-			if s.Height() != n.Height()+1 || !l.Contains(s) || !s.Dominates(n) {
-				return false
-			}
-		}
-		pred, err := l.Predecessors(n)
-		if err != nil {
-			return false
-		}
-		for _, p := range pred {
-			if p.Height() != n.Height()-1 || !l.Contains(p) || !n.Dominates(p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the layer sizes sum to the lattice size.
-func TestLayerSizesSumProperty(t *testing.T) {
+// Property: the height layers partition the lattice — they hold Size()
+// distinct in-bounds nodes, each layer in lexicographic order — and every
+// predecessor of a layer-h node lies one layer down and is dominated by it.
+func TestLayersPartitionLatticeProperty(t *testing.T) {
 	f := func(a, b, c uint8) bool {
-		ma, mb, mc := int(a%4), int(b%4), int(c%4)
-		l, err := New([]string{"x", "y", "z"}, []int{ma, mb, mc})
+		maxLevels := []int{int(a % 4), int(b % 4), int(c % 4)}
+		l, err := New([]string{"x", "y", "z"}, maxLevels)
 		if err != nil {
 			return false
 		}
-		total := 0
+		seen := make(map[string]bool)
 		for h := 0; h <= l.MaxHeight(); h++ {
-			total += len(l.NodesAtHeight(h))
+			layer := l.NodesAtHeight(h)
+			if !slices.IsSortedFunc(layer, slices.Compare[Node]) {
+				return false
+			}
+			for _, n := range layer {
+				if n.Height() != h || seen[n.Key()] || !l.Top().Dominates(n) || !n.Dominates(Node{0, 0, 0}) {
+					return false
+				}
+				seen[n.Key()] = true
+				for _, p := range l.Predecessors(n) {
+					if p.Height() != h-1 || !n.Dominates(p) {
+						return false
+					}
+				}
+			}
 		}
-		return total == l.Size()
+		return len(seen) == l.Size()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
