@@ -95,6 +95,25 @@ func TestExtraCriteria(t *testing.T) {
 	}
 }
 
+// TestReleasesFirstLowestMinimalNode: the release is the minimal node of
+// least height, the lexicographically first among minimal nodes of that
+// height, and MinimalNodes lists it first.
+func TestReleasesFirstLowestMinimalNode(t *testing.T) {
+	tbl := synth.Hospital(300, 5)
+	res, err := Anonymize(tbl, Config{K: 2, QuasiIdentifiers: []string{"age", "zip", "sex"}, Hierarchies: synth.HospitalHierarchies()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.MinimalNodes[0], res.Node) {
+		t.Errorf("released %v, first minimal node %v", res.Node, res.MinimalNodes[0])
+	}
+	for _, m := range res.MinimalNodes[1:] {
+		if m.Height() < res.Node.Height() || (m.Height() == res.Node.Height() && slices.Compare(m, res.Node) < 0) {
+			t.Errorf("minimal node %v precedes released %v", m, res.Node)
+		}
+	}
+}
+
 func TestConfigErrors(t *testing.T) {
 	tbl := synth.Hospital(50, 6)
 	hs := synth.HospitalHierarchies()

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
@@ -125,6 +128,128 @@ func TestSearchExtraAndCancel(t *testing.T) {
 	empty := dataset.NewTable(dataset.MustSchema(dataset.Attribute{Name: "x", Kind: dataset.Sensitive, Type: dataset.Categorical}))
 	if _, err := NewSearch(context.Background(), empty, nil, hs, 1, nil); !errors.Is(err, ErrNoQuasiIdentifiers) {
 		t.Errorf("schema without quasi-identifiers: %v", err)
+	}
+}
+
+// TestSearchTestAllMatchesSequential: TestAll returns, in node order, the
+// outcomes of testing each node alone, for every worker count sharing one
+// recode memo.
+func TestSearchTestAllMatchesSequential(t *testing.T) {
+	tbl, hs := testTable(t)
+	seq, err := NewSearch(context.Background(), tbl, nil, hs, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq.K = 2
+	for _, workers := range []int{1, 4} {
+		par, err := NewSearch(context.Background(), tbl, nil, hs, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par.K = 2
+		for h := 0; h <= par.Lattice.MaxHeight(); h++ {
+			layer := par.Lattice.NodesAtHeight(h)
+			got, err := par.TestAll(layer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, node := range layer {
+				want, err := seq.Test(node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Errorf("workers=%d node %v: TestAll %+v, Test %+v", workers, node, got[i], want)
+				}
+			}
+		}
+		if par.Evaluated() != par.Lattice.Size() {
+			t.Errorf("workers=%d: Evaluated = %d, want %d", workers, par.Evaluated(), par.Lattice.Size())
+		}
+	}
+}
+
+// TestNewSearchDefaultsAndErrors: NewSearch fills in the schema's
+// quasi-identifiers and the worker count, and rejects attributes without a
+// hierarchy or a column.
+func TestNewSearchDefaultsAndErrors(t *testing.T) {
+	tbl, hs := testTable(t)
+	s, err := NewSearch(context.Background(), tbl, nil, hs, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(s.QI, ",") != "age,sex" || s.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("defaults: QI %v, Workers %d", s.QI, s.Workers)
+	}
+	if s.K != 1 || s.Budget != 0 || s.Total != s.Lattice.Size() || s.Lattice.Size() != 4*2 {
+		t.Errorf("initial K %d, Budget %d, Total %d, lattice size %d", s.K, s.Budget, s.Total, s.Lattice.Size())
+	}
+	if _, err := NewSearch(context.Background(), tbl, []string{"age", "diag"}, hs, 1, nil); err == nil {
+		t.Error("attribute without a hierarchy accepted")
+	}
+	extra := hierarchy.MustSet(
+		hierarchy.MustInterval("age", 0, 99, []float64{10, 25}),
+		hierarchy.MustCategory("zip", map[string][]string{"1": {"*"}}),
+	)
+	if _, err := NewSearch(context.Background(), tbl, []string{"age", "zip"}, extra, 1, nil); err == nil {
+		t.Error("attribute missing from the schema accepted")
+	}
+}
+
+// TestSearchColumnError: a value the hierarchy cannot generalize fails the
+// node test and the release with the first row holding it, while nodes
+// leaving that attribute ungeneralized still pass.
+func TestSearchColumnError(t *testing.T) {
+	tbl, hs := testTable(t)
+	rows := tbl.Rows()
+	rows[2][1], rows[4][1] = "other", "other"
+	bad, err := dataset.FromRows(tbl.Schema(), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSearch(context.Background(), bad, nil, hs, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Test(lattice.Node{2, 0}); err != nil {
+		t.Errorf("node leaving sex ungeneralized: %v", err)
+	}
+	if _, err := s.Test(lattice.Node{0, 1}); err == nil || !strings.Contains(err.Error(), `row 2 attribute "sex"`) {
+		t.Errorf("Test error = %v, want one naming row 2", err)
+	}
+	if _, _, err := s.Release(lattice.Node{1, 1}); err == nil || !strings.Contains(err.Error(), `row 2 attribute "sex"`) {
+		t.Errorf("Release error = %v, want one naming row 2", err)
+	}
+}
+
+// TestSearchProgressCapped: progress never reports more than Total done,
+// however often nodes are re-tested, and Release reports completion.
+func TestSearchProgressCapped(t *testing.T) {
+	tbl, hs := testTable(t)
+	var last [2]int
+	over := false
+	s, err := NewSearch(context.Background(), tbl, nil, hs, 1, func(done, total int) {
+		over = over || done > total
+		last = [2]int{done, total}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Total = 2
+	for i := 0; i < 5; i++ {
+		if _, err := s.Test(s.Lattice.Top()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if over || last != [2]int{2, 2} || s.Evaluated() != 5 {
+		t.Errorf("last report %v (overshoot %v), Evaluated %d", last, over, s.Evaluated())
+	}
+	last = [2]int{}
+	if _, _, err := s.Release(s.Lattice.Top()); err != nil {
+		t.Fatal(err)
+	}
+	if last != [2]int{2, 2} {
+		t.Errorf("Release reported %v, want completion", last)
 	}
 }
 

@@ -128,3 +128,22 @@ func TestLayersPartitionLatticeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the layer sizes sum to the lattice size.
+func TestLayerSizesSumProperty(t *testing.T) {
+	f := func(a, b, c uint8) bool {
+		ma, mb, mc := int(a%4), int(b%4), int(c%4)
+		l, err := New([]string{"x", "y", "z"}, []int{ma, mb, mc})
+		if err != nil {
+			return false
+		}
+		total := 0
+		for h := 0; h <= l.MaxHeight(); h++ {
+			total += len(l.NodesAtHeight(h))
+		}
+		return total == l.Size()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
