@@ -53,8 +53,8 @@ race:
 # trajectory is tracked per PR (see the non-gating CI bench job). The file
 # name carries the PR number that introduced the recording; bench-compare
 # diffs the fresh numbers against the previous PR's committed baseline.
-BENCH_OUT ?= BENCH_PR17.json
-BENCH_BASELINE ?= BENCH_PR15.json
+BENCH_OUT ?= BENCH_PR18.json
+BENCH_BASELINE ?= BENCH_PR17.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }

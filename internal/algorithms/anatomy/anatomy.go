@@ -8,23 +8,19 @@
 // are answered far more accurately than from a generalized release, while the
 // attacker's posterior about any individual's sensitive value is bounded by
 // 1/L.
-// The bucket rounds are planned first from the sensitive-value counts alone
-// (cheap and inherently sequential); given the plan, each round's record
-// assignment and each group's QIT slice are independent, so both are filled
-// by a bounded worker pool (Config.Workers) with output identical for every
-// worker count.
 package anatomy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
-	"github.com/ppdp/ppdp/internal/parallel"
 )
 
 // Common errors.
@@ -47,11 +43,6 @@ type Config struct {
 	// QuasiIdentifiers lists the columns published in the QIT; when empty
 	// the schema's quasi-identifier columns are used.
 	QuasiIdentifiers []string
-	// Workers bounds the pool that assigns records to the planned bucket
-	// rounds and materializes the QIT. Zero uses runtime.GOMAXPROCS(0); 1
-	// forces a sequential run. The released tables are identical for every
-	// count.
-	Workers int
 	// Progress, when non-nil, receives (done, total) after every bucket
 	// round of the group-creation phase — the same unit of work the context
 	// is polled at. Done counts the records bucketized so far and total is
@@ -90,14 +81,6 @@ func Anonymize(t *dataset.Table, cfg Config) (*Result, error) {
 	return AnonymizeContext(context.Background(), t, cfg)
 }
 
-// pick is one planned record draw: the pos-th element of a sensitive value's
-// row list. Rounds are planned over remaining counts only; the draw position
-// mirrors the stack behavior of taking from the end of the list.
-type pick struct {
-	value string
-	pos   int
-}
-
 // AnonymizeContext bucketizes t into l-diverse groups. The context is polled
 // once per bucket round of the group-creation phase — the algorithm's
 // natural unit of work — so a canceled or timed-out run returns ctx.Err()
@@ -105,13 +88,6 @@ type pick struct {
 func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Result, error) {
 	if cfg.L < 2 {
 		return nil, fmt.Errorf("%w: l = %d", ErrConfig, cfg.L)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("%w: workers = %d", ErrConfig, cfg.Workers)
-	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	sensitive := cfg.Sensitive
 	if sensitive == "" {
@@ -128,31 +104,30 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
 	}
-	sensCol, err := t.Schema().Index(sensitive)
+	sens, err := t.CodedColumnByName(sensitive)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 
 	// Eligibility: no sensitive value may exceed n/l of the records.
-	freq, err := t.Frequencies(sensitive)
-	if err != nil {
-		return nil, err
-	}
-	for v, n := range freq {
-		if float64(n) > float64(t.Len())/float64(cfg.L) {
+	stats := sens.Stats()
+	for _, code := range stats.Lex {
+		if n := stats.Counts[code]; float64(n) > float64(t.Len())/float64(cfg.L) {
 			return nil, fmt.Errorf("%w: value %q appears %d times in %d records (limit %d for l=%d)",
-				ErrEligibility, v, n, t.Len(), t.Len()/cfg.L, cfg.L)
+				ErrEligibility, sens.Dict[code], n, t.Len(), t.Len()/cfg.L, cfg.L)
 		}
 	}
 
-	// Hash records by sensitive value.
-	byValue := make(map[string][]int)
-	for r := 0; r < t.Len(); r++ {
-		row, err := t.Row(r)
-		if err != nil {
-			return nil, err
+	// Hash records by sensitive value, reading the column's codes.
+	byCode := make([][]int, sens.Cardinality())
+	for r, code := range sens.Codes {
+		byCode[code] = append(byCode[code], r)
+	}
+	byValue := make(map[string][]int, len(byCode))
+	for code, rows := range byCode {
+		if len(rows) > 0 {
+			byValue[sens.Dict[code]] = rows
 		}
-		byValue[row[sensCol]] = append(byValue[row[sensCol]], r)
 	}
 
 	report := cfg.Progress
@@ -161,16 +136,14 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	}
 	bucketized := 0
 
-	// Group-creation phase, planned over counts: while at least L sensitive
-	// values have records remaining, one round draws a record from each of
-	// the L largest. Planning needs only the remaining counts, so it runs
-	// sequentially and cheaply; the record assignment it implies is done by
-	// the worker pool below.
+	// Group-creation phase: while at least L sensitive values have records
+	// remaining, one round forms a group from the last remaining record of
+	// each of the L values with the most records left.
 	remaining := make(map[string]int, len(byValue))
 	for v, rows := range byValue {
 		remaining[v] = len(rows)
 	}
-	var schedule [][]pick
+	var groups []Group
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("anatomy: %w", err)
@@ -180,32 +153,17 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		if len(order) < cfg.L {
 			break
 		}
-		round := make([]pick, cfg.L)
-		for i := 0; i < cfg.L; i++ {
-			v := order[i]
-			round[i] = pick{value: v, pos: remaining[v] - 1}
+		grp := Group{ID: len(groups), Rows: make([]int, 0, cfg.L), Counts: make(map[string]int, cfg.L)}
+		for _, v := range order[:cfg.L] {
 			remaining[v]--
+			grp.Rows = append(grp.Rows, byValue[v][remaining[v]])
+			grp.Counts[v]++
 			if remaining[v] == 0 {
 				delete(remaining, v)
 			}
 		}
-		schedule = append(schedule, round)
+		groups = append(groups, grp)
 		bucketized += cfg.L
-	}
-	// Bucket-round assignment: each planned round resolves its draws against
-	// the (now read-only) hash lists independently of every other round, so
-	// the rounds are assigned by the worker pool. Group g of round g is the
-	// same for every worker count because the plan fixes every draw.
-	groups, err := parallel.Map(len(schedule), workers, func(g int) (Group, error) {
-		grp := Group{ID: g, Rows: make([]int, 0, cfg.L), Counts: make(map[string]int, cfg.L)}
-		for _, p := range schedule[g] {
-			grp.Rows = append(grp.Rows, byValue[p.value][p.pos])
-			grp.Counts[p.value]++
-		}
-		return grp, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	// Residual-assignment phase: each leftover record joins a group that does
 	// not yet contain its sensitive value. Values are visited in sorted order
@@ -233,7 +191,7 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		}
 	}
 
-	qit, st, err := buildTables(t, qi, sensitive, groups, workers)
+	qit, st, err := buildTables(t, qi, sensitive, groups)
 	if err != nil {
 		return nil, err
 	}
@@ -254,66 +212,52 @@ func valuesByRemaining(remaining map[string]int) []string {
 	for v := range remaining {
 		values = append(values, v)
 	}
-	sort.Slice(values, func(i, j int) bool {
-		ni, nj := remaining[values[i]], remaining[values[j]]
-		if ni != nj {
-			return ni > nj
+	slices.SortFunc(values, func(a, b string) int {
+		if c := cmp.Compare(remaining[b], remaining[a]); c != 0 {
+			return c
 		}
-		return values[i] < values[j]
+		return strings.Compare(a, b)
 	})
 	return values
 }
 
-// buildTables materializes the QIT and ST releases. QIT rows follow group
-// order with per-group offsets known up front, so each group's slice is
-// filled independently by the worker pool.
-func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group, workers int) (*dataset.Table, *dataset.Table, error) {
-	qiAttrs := make([]dataset.Attribute, 0, len(qi)+1)
-	for _, a := range qi {
-		attr, err := t.Schema().ByName(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		qiAttrs = append(qiAttrs, attr)
-	}
-	qiAttrs = append(qiAttrs, dataset.Attribute{Name: "group", Kind: dataset.Insensitive, Type: dataset.Numeric})
-	qitSchema, err := dataset.NewSchema(qiAttrs...)
+// buildTables materializes the QIT and ST releases. The QIT is the source's
+// QI columns with their rows reordered into group order, plus a coded group
+// column: no cell is copied as a string.
+func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group) (*dataset.Table, *dataset.Table, error) {
+	proj, err := t.Project(qi...)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	cols := make([]int, len(qi))
-	for i, a := range qi {
-		cols[i] = t.Schema().MustIndex(a)
-	}
-	offsets := make([]int, len(groups)+1)
-	for i, g := range groups {
-		offsets[i+1] = offsets[i] + len(g.Rows)
-	}
-	width := len(qi) + 1
-	rows := make([]dataset.Row, offsets[len(groups)])
-	arena := make([]string, offsets[len(groups)]*width)
-	if _, err := parallel.Map(len(groups), workers, func(gi int) (struct{}, error) {
-		g := groups[gi]
-		id := strconv.Itoa(g.ID)
-		for j, r := range g.Rows {
-			row, err := t.Row(r)
-			if err != nil {
-				return struct{}{}, err
-			}
-			at := offsets[gi] + j
-			out := arena[at*width : (at+1)*width : (at+1)*width]
-			for ci, c := range cols {
-				out[ci] = row[c]
-			}
-			out[len(qi)] = id
-			rows[at] = dataset.Row(out)
-		}
-		return struct{}{}, nil
-	}); err != nil {
+	qitSchema, err := dataset.NewSchema(append(proj.Schema().Attributes(),
+		dataset.Attribute{Name: "group", Kind: dataset.Insensitive, Type: dataset.Numeric})...)
+	if err != nil {
 		return nil, nil, err
 	}
-	qit, err := dataset.FromRows(qitSchema, rows)
+	order := make([]int, 0, t.Len())
+	ids := make([]string, len(groups))
+	codes := make([]uint32, 0, t.Len())
+	for gi, g := range groups {
+		ids[gi] = strconv.Itoa(g.ID)
+		order = append(order, g.Rows...)
+		for range g.Rows {
+			codes = append(codes, uint32(gi))
+		}
+	}
+	sel, err := proj.Select(order)
+	if err != nil {
+		return nil, nil, err
+	}
+	cols := make([]*dataset.CodedColumn, len(qi)+1)
+	for j := range qi {
+		if cols[j], err = sel.CodedColumn(j); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cols[len(qi)], err = dataset.NewCodedColumn(ids, codes); err != nil {
+		return nil, nil, err
+	}
+	qit, err := dataset.FromColumns(qitSchema, cols)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -350,29 +294,30 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 // anatomized release: within each group, records matching the predicate are
 // assumed to carry each sensitive value in proportion to the group's
 // published histogram. The predicate receives the QI values of one QIT row
-// in QuasiIdentifiers order.
+// in QuasiIdentifiers order, in a slice it must not retain.
 func (r *Result) EstimateCount(pred func(qi []string) bool, sensitiveValue string) float64 {
-	// Row offsets of the QIT follow group order, so walk groups and rows in
-	// parallel.
+	cols := make([]*dataset.CodedColumn, len(r.QuasiIdentifiers))
+	for j := range cols {
+		cols[j], _ = r.QIT.CodedColumn(j)
+	}
+	qi := make([]string, len(cols))
+	// QIT rows follow group order, so walk groups and rows together.
 	est := 0.0
-	rowIdx := 0
+	row := 0
 	for _, g := range r.Groups {
 		matched := 0
 		for range g.Rows {
-			row, err := r.QIT.Row(rowIdx)
-			rowIdx++
-			if err != nil {
-				continue
+			for j, cc := range cols {
+				qi[j] = cc.Dict[cc.Codes[row]]
 			}
-			if pred(row[:len(r.QuasiIdentifiers)]) {
+			row++
+			if pred(qi) {
 				matched++
 			}
 		}
-		if matched == 0 {
-			continue
+		if matched > 0 {
+			est += float64(matched) * float64(g.Counts[sensitiveValue]) / float64(len(g.Rows))
 		}
-		size := len(g.Rows)
-		est += float64(matched) * float64(g.Counts[sensitiveValue]) / float64(size)
 	}
 	return est
 }

@@ -202,3 +202,16 @@ func TestAnonymizeContextCancellation(t *testing.T) {
 		t.Fatalf("live context: %v", err)
 	}
 }
+
+// BenchmarkAnatomy measures a full Anatomy run on 5k hospital rows: bucket
+// planning, the QIT built from the source's coded columns, and the ST.
+func BenchmarkAnatomy(b *testing.B) {
+	tbl := synth.Hospital(5000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Anonymize(tbl, Config{L: 3}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -22,14 +22,12 @@ func (adapter) Describe() engine.Info {
 		Name:         "anatomy",
 		Description:  "l-diverse bucketization into QIT/ST (no generalization)",
 		Kind:         engine.Bucketized,
-		Parallel:     true,
 		CostExponent: 1,
 		Criteria:     []string{policy.DistinctLDiversity},
 		Parameters: []engine.Param{
 			{Name: "l", Type: "int", Required: true, Description: "distinct sensitive values per bucket (>= 2)"},
 			{Name: "sensitive", Type: "string", Description: "sensitive attribute (schema's first sensitive column when empty)"},
 			{Name: "quasi_identifiers", Type: "[]string", Description: "columns published in the QIT (schema QI columns when empty)"},
-			{Name: "workers", Type: "int", Description: "bucket-assignment worker pool bound (0 = GOMAXPROCS)"},
 		},
 	}
 }
@@ -49,13 +47,12 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 		L:                spec.L,
 		Sensitive:        spec.Sensitive,
 		QuasiIdentifiers: spec.QuasiIdentifiers,
-		Workers:          spec.Workers,
 		Progress:         engine.Monotone(spec.Progress),
 	})
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &engine.Result{QIT: res.QIT, ST: res.ST, Extra: res}, nil
+	return &engine.Result{QIT: res.QIT, ST: res.ST}, nil
 }
 
 // classify wraps the package's sentinel errors with the engine's error

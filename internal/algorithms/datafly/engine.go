@@ -58,7 +58,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &engine.Result{Table: res.Table, Node: res.Node, SuppressedRows: res.SuppressedRows, Extra: res}, nil
+	return &engine.Result{Table: res.Table, Node: res.Node, SuppressedRows: res.SuppressedRows}, nil
 }
 
 // classify wraps the package's sentinel errors with the engine's error

@@ -68,7 +68,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &engine.Result{Table: res.Table, Node: res.Node, Extra: res}, nil
+	return &engine.Result{Table: res.Table, Node: res.Node}, nil
 }
 
 // classify wraps the package's sentinel errors with the engine's error

@@ -55,7 +55,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &engine.Result{Table: res.Table, Extra: res}, nil
+	return &engine.Result{Table: res.Table}, nil
 }
 
 // classify wraps the package's sentinel errors with the engine's error

@@ -117,17 +117,9 @@ func (nb *NaiveBayes) Train(t *dataset.Table, features []string, label string) e
 	if t.Len() == 0 {
 		return ErrEmptyTraining
 	}
-	labelCol, err := t.Schema().Index(label)
+	labels, cols, err := labelAndFeatures(t, features, label)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoLabel, err)
-	}
-	cols := make([]int, len(features))
-	for i, f := range features {
-		c, err := t.Schema().Index(f)
-		if err != nil {
-			return err
-		}
-		cols[i] = c
+		return err
 	}
 
 	labelFreq := make(map[string]int)
@@ -138,14 +130,10 @@ func (nb *NaiveBayes) Train(t *dataset.Table, features []string, label string) e
 		domains[i] = make(map[string]struct{})
 	}
 	for r := 0; r < t.Len(); r++ {
-		row, err := t.Row(r)
-		if err != nil {
-			return err
-		}
-		y := row[labelCol]
+		y := labels.Dict[labels.Codes[r]]
 		labelFreq[y]++
 		for i, c := range cols {
-			v := row[c]
+			v := c.Dict[c.Codes[r]]
 			domains[i][v] = struct{}{}
 			if counts[i][y] == nil {
 				counts[i][y] = make(map[string]int)
@@ -244,19 +232,13 @@ func (k *KNN) Train(t *dataset.Table, features []string, label string) error {
 	if t.Len() == 0 {
 		return ErrEmptyTraining
 	}
-	labelCol, err := t.Schema().Index(label)
+	labels, cols, err := labelAndFeatures(t, features, label)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNoLabel, err)
+		return err
 	}
-	cols := make([]int, len(features))
 	k.numeric = make([]bool, len(features))
 	k.scale = make([]float64, len(features))
 	for i, f := range features {
-		c, err := t.Schema().Index(f)
-		if err != nil {
-			return err
-		}
-		cols[i] = c
 		attr, _ := t.Schema().ByName(f)
 		k.numeric[i] = attr.Type == dataset.Numeric
 		k.scale[i] = 1
@@ -271,16 +253,8 @@ func (k *KNN) Train(t *dataset.Table, features []string, label string) error {
 	k.rows = make([][]string, 0, t.Len())
 	k.labels = make([]string, 0, t.Len())
 	for r := 0; r < t.Len(); r++ {
-		row, err := t.Row(r)
-		if err != nil {
-			return err
-		}
-		vec := make([]string, len(cols))
-		for i, c := range cols {
-			vec[i] = row[c]
-		}
-		k.rows = append(k.rows, vec)
-		k.labels = append(k.labels, row[labelCol])
+		k.rows = append(k.rows, featureVector(cols, r))
+		k.labels = append(k.labels, labels.Dict[labels.Codes[r]])
 	}
 	return nil
 }
@@ -364,17 +338,9 @@ func Evaluate(c Classifier, train, test *dataset.Table, features []string, label
 	if err := c.Train(train, features, label); err != nil {
 		return nil, err
 	}
-	labelCol, err := test.Schema().Index(label)
+	labels, cols, err := labelAndFeatures(test, features, label)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoLabel, err)
-	}
-	cols := make([]int, len(features))
-	for i, f := range features {
-		ci, err := test.Schema().Index(f)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = ci
+		return nil, err
 	}
 	baseline := &Majority{}
 	if err := baseline.Train(train, features, label); err != nil {
@@ -382,23 +348,17 @@ func Evaluate(c Classifier, train, test *dataset.Table, features []string, label
 	}
 	correct, baseCorrect := 0, 0
 	for r := 0; r < test.Len(); r++ {
-		row, err := test.Row(r)
-		if err != nil {
-			return nil, err
-		}
-		vec := make([]string, len(cols))
-		for i, ci := range cols {
-			vec[i] = row[ci]
-		}
+		vec := featureVector(cols, r)
+		want := labels.Dict[labels.Codes[r]]
 		pred, err := c.Predict(vec)
 		if err != nil {
 			return nil, err
 		}
-		if pred == row[labelCol] {
+		if pred == want {
 			correct++
 		}
 		bp, _ := baseline.Predict(vec)
-		if bp == row[labelCol] {
+		if bp == want {
 			baseCorrect++
 		}
 	}
@@ -410,6 +370,30 @@ func Evaluate(c Classifier, train, test *dataset.Table, features []string, label
 		BaselineAccuracy: float64(baseCorrect) / float64(test.Len()),
 		TestSize:         test.Len(),
 	}, nil
+}
+
+// labelAndFeatures returns the label column and the feature columns of t.
+func labelAndFeatures(t *dataset.Table, features []string, label string) (*dataset.CodedColumn, []*dataset.CodedColumn, error) {
+	labels, err := t.CodedColumnByName(label)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrNoLabel, err)
+	}
+	cols := make([]*dataset.CodedColumn, len(features))
+	for i, f := range features {
+		if cols[i], err = t.CodedColumnByName(f); err != nil {
+			return nil, nil, err
+		}
+	}
+	return labels, cols, nil
+}
+
+// featureVector returns row r's values of the feature columns.
+func featureVector(cols []*dataset.CodedColumn, r int) []string {
+	vec := make([]string, len(cols))
+	for i, c := range cols {
+		vec[i] = c.Dict[c.Codes[r]]
+	}
+	return vec
 }
 
 // SplitEvaluate splits the table into train/test with the given fraction and

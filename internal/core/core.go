@@ -22,12 +22,12 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
 
-	"github.com/ppdp/ppdp/internal/algorithms/anatomy"
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
 	_ "github.com/ppdp/ppdp/internal/engine/all" // register the built-in algorithms
@@ -125,6 +125,30 @@ type Config struct {
 // ErrConfig is returned for invalid top-level configurations.
 var ErrConfig = errors.New("core: invalid configuration")
 
+// Measure is a measured value. It encodes as a JSON number, or as null when
+// it is not finite (recursive (c,l)-diversity measures +Inf on a class with
+// fewer than l sensitive values), which a JSON number cannot carry; null
+// decodes as NaN. Release reports and the durable journal share this
+// encoding.
+type Measure float64
+
+// MarshalJSON implements json.Marshaler.
+func (m Measure) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(m), 0) || math.IsNaN(float64(m)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(m))
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (m *Measure) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*m = Measure(math.NaN())
+		return nil
+	}
+	return json.Unmarshal(b, (*float64)(m))
+}
+
 // CriterionMeasurement reports the verification of one policy criterion
 // against the released table.
 type CriterionMeasurement struct {
@@ -136,9 +160,9 @@ type CriterionMeasurement struct {
 	// distinct count (or effective entropy l) for the diversity family, the
 	// smallest satisfiable c for recursive (c,l)-diversity, and the maximum
 	// per-class EMD for t-closeness.
-	Measured float64
+	Measured Measure
 	// Target is the parameter the policy declared.
-	Target float64
+	Target Measure
 	// Sensitive is the resolved sensitive attribute the criterion was
 	// checked against ("" for k-anonymity).
 	Sensitive string
@@ -158,13 +182,13 @@ type Measurements struct {
 	DistinctL int
 	// MaxEMD is the largest per-class earth mover's distance to the global
 	// sensitive distribution (0 when no sensitive attribute is configured).
-	MaxEMD float64
+	MaxEMD Measure
 	// NCP is the normalized certainty penalty of the release.
-	NCP float64
+	NCP Measure
 	// Discernibility is the discernibility metric of the release.
-	Discernibility float64
+	Discernibility Measure
 	// ProsecutorMaxRisk is the maximum re-identification probability.
-	ProsecutorMaxRisk float64
+	ProsecutorMaxRisk Measure
 	// SuppressedRows is the number of records removed by the algorithm.
 	SuppressedRows int
 }
@@ -176,8 +200,6 @@ type Release struct {
 	// QIT and ST are the Anatomy releases (nil for other algorithms).
 	QIT *dataset.Table
 	ST  *dataset.Table
-	// Anatomy retains the full Anatomy result for query estimation.
-	Anatomy *anatomy.Result
 	// Algorithm echoes the algorithm used.
 	Algorithm Algorithm
 	// Policy echoes the canonical privacy policy the release was measured
@@ -343,9 +365,6 @@ func (a *Anonymizer) AnonymizeContext(ctx context.Context, t *dataset.Table) (*R
 		}
 	}
 	release.Measured.SuppressedRows = res.SuppressedRows
-	if anat, ok := res.Extra.(*anatomy.Result); ok {
-		release.Anatomy = anat
-	}
 
 	// Gate between the algorithm and the measurement phase so a request
 	// canceled right at the boundary skips the grouping and metric passes.
@@ -414,17 +433,17 @@ func (a *Anonymizer) measure(original, released *dataset.Table, sensitive string
 	if err != nil {
 		return nil, fmt.Errorf("core: NCP: %w", err)
 	}
-	m.NCP = ncp
+	m.NCP = Measure(ncp)
 	dm, err := metrics.Discernibility(released, original.Len())
 	if err != nil {
 		return nil, fmt.Errorf("core: discernibility: %w", err)
 	}
-	m.Discernibility = dm
+	m.Discernibility = Measure(dm)
 	// Prosecutor risk over the same quasi-identifier the release was built
 	// for (the schema may contain further QI columns the caller chose not to
 	// anonymize; risk.MeasureReidentification covers that stricter view).
 	if m.K > 0 {
-		m.ProsecutorMaxRisk = 1 / float64(m.K)
+		m.ProsecutorMaxRisk = Measure(1 / float64(m.K))
 	}
 	return m, nil
 }
@@ -479,7 +498,7 @@ func measurePolicy(m *Measurements, released *dataset.Table, classes []dataset.E
 		if err != nil {
 			return err
 		}
-		m.MaxEMD = emd
+		m.MaxEMD = Measure(emd)
 	}
 	m.Criteria = nil
 	if pol == nil || len(pol.Criteria) == 0 {
@@ -487,49 +506,53 @@ func measurePolicy(m *Measurements, released *dataset.Table, classes []dataset.E
 	}
 	m.Criteria = make(map[string]CriterionMeasurement, len(pol.Criteria))
 	for _, c := range pol.ResolveSensitive(sensitive).Criteria {
-		entry := CriterionMeasurement{Sensitive: c.Sensitive}
 		if c.Type != policy.KAnonymity {
 			if c.Sensitive == "" || !released.Schema().Has(c.Sensitive) {
 				continue
 			}
 		}
-		var err error
+		var (
+			measured, target float64
+			satisfied        bool
+			err              error
+		)
 		switch c.Type {
 		case policy.KAnonymity:
-			entry.Target = float64(c.K)
-			entry.Measured = float64(privacy.MeasureK(classes))
-			entry.Satisfied = entry.Measured >= entry.Target
+			target = float64(c.K)
+			measured = float64(privacy.MeasureK(classes))
+			satisfied = measured >= target
 		case policy.AlphaKAnonymity:
-			entry.Target = c.Alpha
-			entry.Measured, err = privacy.MeasureMaxAlpha(released, classes, c.Sensitive)
-			entry.Satisfied = err == nil && entry.Measured <= c.Alpha && privacy.MeasureK(classes) >= c.K
+			target = c.Alpha
+			measured, err = privacy.MeasureMaxAlpha(released, classes, c.Sensitive)
+			satisfied = err == nil && measured <= c.Alpha && privacy.MeasureK(classes) >= c.K
 		case policy.DistinctLDiversity:
-			entry.Target = c.L
+			target = c.L
 			var l int
 			l, err = privacy.MeasureDistinctL(released, classes, c.Sensitive)
-			entry.Measured = float64(l)
-			entry.Satisfied = err == nil && entry.Measured >= c.L
+			measured = float64(l)
+			satisfied = err == nil && measured >= c.L
 		case policy.EntropyLDiversity:
-			entry.Target = c.L
+			target = c.L
 			var h float64
 			h, err = privacy.MeasureEntropyL(released, classes, c.Sensitive)
 			// Report the effective l (e^H), directly comparable to the target.
-			entry.Measured = math.Exp(h)
-			entry.Satisfied = err == nil && h >= math.Log(c.L)-1e-12
+			measured = math.Exp(h)
+			satisfied = err == nil && h >= math.Log(c.L)-1e-12
 		case policy.RecursiveCLDiversity:
-			entry.Target = c.C
-			entry.Measured, err = privacy.MeasureRecursiveC(released, classes, int(c.L), c.Sensitive)
-			entry.Satisfied = err == nil && entry.Measured < c.C
+			target = c.C
+			measured, err = privacy.MeasureRecursiveC(released, classes, int(c.L), c.Sensitive)
+			satisfied = err == nil && measured < c.C
 		case policy.TCloseness:
-			entry.Target = c.T
-			entry.Measured, err = privacy.MeasureMaxEMD(released, classes, c.Sensitive, c.Ordered)
-			entry.Satisfied = err == nil && entry.Measured <= c.T+1e-12
+			target = c.T
+			measured, err = privacy.MeasureMaxEMD(released, classes, c.Sensitive, c.Ordered)
+			satisfied = err == nil && measured <= c.T+1e-12
 		default:
 			continue
 		}
 		if err != nil {
 			return fmt.Errorf("core: measure %s: %w", c.Type, err)
 		}
+		entry := CriterionMeasurement{Satisfied: satisfied, Measured: Measure(measured), Target: Measure(target), Sensitive: c.Sensitive}
 		m.Criteria[c.Type] = entry
 	}
 	return nil

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/metrics"
@@ -182,7 +185,7 @@ func TestAnonymizeAnatomy(t *testing.T) {
 	if rel.Table != nil {
 		t.Error("anatomy should not produce a single microdata table")
 	}
-	if rel.QIT == nil || rel.ST == nil || rel.Anatomy == nil {
+	if rel.QIT == nil || rel.ST == nil {
 		t.Fatal("anatomy release missing QIT/ST")
 	}
 	if rel.QIT.Len() != tbl.Len() {
@@ -323,5 +326,39 @@ func TestWorkersValidation(t *testing.T) {
 	rel, err := a.Anonymize(synth.Census(400, 4))
 	if err != nil || rel.Measured.K < 5 {
 		t.Fatalf("workers=2 release = %+v, err %v", rel, err)
+	}
+}
+
+// TestMeasurementsJSON: finite measures encode as numbers, non-finite ones
+// as null, null decodes as NaN, and a record written before Measure existed
+// (plain numbers under the Go field names) decodes unchanged.
+func TestMeasurementsJSON(t *testing.T) {
+	m := Measurements{
+		K: 5, MaxEMD: 0.25, NCP: Measure(math.Inf(1)), Discernibility: Measure(math.NaN()),
+		Criteria: map[string]CriterionMeasurement{"recursive-cl-diversity": {Measured: Measure(math.Inf(1)), Target: 3}},
+	}
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"Criteria":{"recursive-cl-diversity":{"Satisfied":false,"Measured":null,"Target":3,"Sensitive":""}},` +
+		`"K":5,"DistinctL":0,"MaxEMD":0.25,"NCP":null,"Discernibility":null,"ProsecutorMaxRisk":0,"SuppressedRows":0}`
+	if string(raw) != want {
+		t.Fatalf("encoded\n %s\nwant\n %s", raw, want)
+	}
+	var back Measurements
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(float64(back.NCP)) || !math.IsNaN(float64(back.Criteria["recursive-cl-diversity"].Measured)) || back.MaxEMD != 0.25 {
+		t.Errorf("decoded %+v", back)
+	}
+	old := `{"K":4,"DistinctL":2,"MaxEMD":0.5,"NCP":0.125,"Discernibility":1200,"ProsecutorMaxRisk":0.25,"SuppressedRows":3}`
+	var dec Measurements
+	if err := json.Unmarshal([]byte(old), &dec); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, Measurements{K: 4, DistinctL: 2, MaxEMD: 0.5, NCP: 0.125, Discernibility: 1200, ProsecutorMaxRisk: 0.25, SuppressedRows: 3}) {
+		t.Errorf("old record decoded as %+v", dec)
 	}
 }

@@ -158,8 +158,5 @@ func TestRegistryDispatchGolden(t *testing.T) {
 		if !bytes.Equal(csvOf(t, rel.ST), csvOf(t, want.ST)) {
 			t.Error("registry dispatch ST differs from direct invocation")
 		}
-		if rel.Anatomy == nil {
-			t.Error("release lost the anatomy payload")
-		}
 	})
 }

@@ -234,6 +234,55 @@ func TestWithSchemaCopySharesColumns(t *testing.T) {
 	}
 }
 
+// TestFromColumns: a table built over another table's columns shares them,
+// reads and fingerprints exactly like FromRows over the same cells, and a
+// write to it replaces only its own column.
+func TestFromColumns(t *testing.T) {
+	src := testTable(t)
+	proj, err := src.Project("zip", "age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []*CodedColumn{}
+	for j := 0; j < proj.Schema().Len(); j++ {
+		cc, _ := proj.CodedColumn(j)
+		cols = append(cols, cc)
+	}
+	tbl, err := FromColumns(proj.Schema(), cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, cc := range cols {
+		if got, _ := tbl.CodedColumn(j); got != cc {
+			t.Fatalf("column %d is not shared", j)
+		}
+	}
+	viaRows, err := FromRows(proj.Schema(), proj.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != viaRows.Len() || !reflect.DeepEqual(tbl.Rows(), viaRows.Rows()) {
+		t.Fatalf("rows %v, FromRows %v", tbl.Rows(), viaRows.Rows())
+	}
+	if tbl.Fingerprint() != viaRows.Fingerprint() {
+		t.Errorf("fingerprint %s, FromRows %s", tbl.Fingerprint(), viaRows.Fingerprint())
+	}
+	if err := tbl.SetValue(0, 0, "99999"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := proj.Value(0, 0); v != "30301" {
+		t.Errorf("write through FromColumns table reached the source: %q", v)
+	}
+
+	if _, err := FromColumns(proj.Schema(), cols[:1]); !errors.Is(err, ErrRowArity) {
+		t.Errorf("one column for a two-attribute schema: err = %v, want ErrRowArity", err)
+	}
+	short, _ := NewCodedColumn([]string{"1"}, []uint32{0})
+	if _, err := FromColumns(proj.Schema(), []*CodedColumn{cols[0], short}); err == nil {
+		t.Error("columns of unequal length accepted")
+	}
+}
+
 func TestAppendTableRejectsMismatchedSchemas(t *testing.T) {
 	tbl := testTable(t)
 

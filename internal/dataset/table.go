@@ -114,6 +114,25 @@ func FromRows(schema *Schema, rows []Row) (*Table, error) {
 	return b.table(schema), nil
 }
 
+// FromColumns builds a table over the given columns, one per schema
+// attribute in order. Columns are immutable, so the table shares them with
+// every other table holding them; they must all have the same row count.
+func FromColumns(schema *Schema, cols []*CodedColumn) (*Table, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("%w: got %d columns, want %d", ErrRowArity, len(cols), schema.Len())
+	}
+	n := 0
+	for j, cc := range cols {
+		if j == 0 {
+			n = cc.Len()
+		} else if cc.Len() != n {
+			return nil, fmt.Errorf("dataset: column %q has %d rows, column %q has %d",
+				schema.attrs[j].Name, cc.Len(), schema.attrs[0].Name, n)
+		}
+	}
+	return &Table{schema: schema, n: n, cols: slices.Clone(cols)}, nil
+}
+
 // tableBuilder encodes rows into columns, folding the row-content hash.
 type tableBuilder struct {
 	cols   []colBuilder

@@ -54,7 +54,8 @@ type HistogramConfig struct {
 
 // ReleaseHistogram publishes a differentially private histogram of the table
 // over the configured attributes using the Laplace mechanism with
-// sensitivity 1.
+// sensitivity 1. Noise is drawn cell by cell in signature order, so a seeded
+// Rng gives a reproducible release.
 func ReleaseHistogram(t *dataset.Table, cfg HistogramConfig) (*Histogram, error) {
 	if len(cfg.Attributes) == 0 {
 		return nil, errors.New("dp: histogram needs at least one attribute")
@@ -63,33 +64,17 @@ func ReleaseHistogram(t *dataset.Table, cfg HistogramConfig) (*Histogram, error)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]int, len(cfg.Attributes))
-	for i, a := range cfg.Attributes {
-		c, err := t.Schema().Index(a)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	cells, err := t.GroupBy(cfg.Attributes...)
+	if err != nil {
+		return nil, err
 	}
-	trueCounts := make(map[string]int)
-	for r := 0; r < t.Len(); r++ {
-		row, err := t.Row(r)
-		if err != nil {
-			return nil, err
-		}
-		key := make([]string, len(cols))
-		for i, c := range cols {
-			key[i] = row[c]
-		}
-		trueCounts[dataset.Signature(key)]++
-	}
-	noisy := make(map[string]float64, len(trueCounts))
-	for sig, n := range trueCounts {
-		v := mech.Release(float64(n))
+	noisy := make(map[string]float64, len(cells))
+	for _, c := range cells {
+		v := mech.Release(float64(c.Size()))
 		if cfg.PostProcess && v < 0 {
 			v = 0
 		}
-		noisy[sig] = v
+		noisy[c.Signature] = v
 	}
 	return &Histogram{
 		Attributes: append([]string(nil), cfg.Attributes...),
@@ -255,10 +240,17 @@ func Synthesize(t *dataset.Table, cfg SyntheticConfig) (*dataset.Table, *Conting
 
 // histogramDistribution extracts (values, weights) of the *last* attribute of
 // the histogram, optionally filtering cells by a predicate on the full
-// signature. Weights are the noisy counts clamped at zero.
+// signature. Weights are the noisy counts clamped at zero, summed in
+// signature order so the floating-point result does not depend on map order.
 func histogramDistribution(h *Histogram, keep func(sig []string) bool) ([]string, []float64) {
+	sigs := make([]string, 0, len(h.Counts))
+	for sig := range h.Counts {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
 	agg := make(map[string]float64)
-	for sig, c := range h.Counts {
+	for _, sig := range sigs {
+		c := h.Counts[sig]
 		if c <= 0 {
 			continue
 		}

@@ -126,9 +126,6 @@ type Result struct {
 	Node []int
 	// SuppressedRows is the number of records the algorithm removed.
 	SuppressedRows int
-	// Extra carries an algorithm-specific payload (e.g. *anatomy.Result for
-	// query estimation); callers type-assert what they understand.
-	Extra any
 }
 
 // ReleaseKind classifies what a Run publishes.

@@ -8,6 +8,7 @@ import (
 	"github.com/ppdp/ppdp/internal/algorithms/incognito"
 	"github.com/ppdp/ppdp/internal/algorithms/mondrian"
 	"github.com/ppdp/ppdp/internal/classify"
+	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/dp"
 	"github.com/ppdp/ppdp/internal/metrics"
 	"github.com/ppdp/ppdp/internal/synth"
@@ -21,7 +22,6 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	tbl := synth.Census(n, opt.seed())
 	hs := synth.CensusHierarchies()
 	attrs := []string{"sex", "education"}
-	trueCounts := make(map[string]int)
 	sexes, err := tbl.Domain("sex")
 	if err != nil {
 		return nil, err
@@ -30,11 +30,13 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sexCol := tbl.Schema().MustIndex("sex")
-	eduCol := tbl.Schema().MustIndex("education")
-	for r := 0; r < tbl.Len(); r++ {
-		row, _ := tbl.Row(r)
-		trueCounts[row[sexCol]+"|"+row[eduCol]]++
+	cells, err := tbl.GroupBy(attrs...)
+	if err != nil {
+		return nil, err
+	}
+	trueCounts := make(map[string]int, len(cells))
+	for _, c := range cells {
+		trueCounts[c.Signature] = c.Size()
 	}
 
 	rep := &Report{
@@ -51,7 +53,7 @@ func E9DPQueryError(opt Options) (*Report, error) {
 		total, count := 0.0, 0
 		for _, sex := range sexes {
 			for _, edu := range edus {
-				truth := trueCounts[sex+"|"+edu]
+				truth := trueCounts[dataset.Signature([]string{sex, edu})]
 				est := h.Count(sex, edu)
 				total += metrics.RelativeError(est, truth, sanity)
 				count++
@@ -101,7 +103,7 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	total, count := 0.0, 0
 	for _, sex := range sexes {
 		for _, edu := range edus {
-			truth := trueCounts[sex+"|"+edu]
+			truth := trueCounts[dataset.Signature([]string{sex, edu})]
 			q := metrics.CountQuery{Conditions: []metrics.Condition{
 				{Attribute: "sex", Equals: sex},
 				{Attribute: "education", Equals: edu},

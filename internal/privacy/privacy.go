@@ -543,25 +543,13 @@ func MeasurePresence(private, public *dataset.Table) (min, max float64, err erro
 		return 0, 0, err
 	}
 	// Count private rows per signature using the same QI columns.
-	privCounts := make(map[string]int)
-	cols := make([]int, len(qi))
-	for i, a := range qi {
-		c, err := private.Schema().Index(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		cols[i] = c
+	privClasses, err := private.GroupBy(qi...)
+	if err != nil {
+		return 0, 0, err
 	}
-	for r := 0; r < private.Len(); r++ {
-		row, err := private.Row(r)
-		if err != nil {
-			return 0, 0, err
-		}
-		key := make([]string, len(cols))
-		for i, c := range cols {
-			key[i] = row[c]
-		}
-		privCounts[dataset.Signature(key)]++
+	privCounts := make(map[string]int, len(privClasses))
+	for _, c := range privClasses {
+		privCounts[c.Signature] = c.Size()
 	}
 	min, max = 1, 0
 	if len(pubClasses) == 0 {

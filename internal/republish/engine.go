@@ -77,7 +77,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 	if err != nil {
 		return nil, classify(err)
 	}
-	return &engine.Result{QIT: rel.QIT, ST: rel.ST, Extra: rel}, nil
+	return &engine.Result{QIT: rel.QIT, ST: rel.ST}, nil
 }
 
 // publisherConfig maps a criterion plus the run spec onto the publisher's

@@ -109,37 +109,28 @@ func LinkageAttack(released, register *dataset.Table, hs *hierarchy.Set) (*Linka
 	if len(qi) == 0 {
 		return nil, ErrNoQuasiIdentifiers
 	}
-	relCols := make([]int, len(qi))
-	regCols := make([]int, len(qi))
+	rel := make([]*dataset.CodedColumn, len(qi))
+	reg := make([]*dataset.CodedColumn, len(qi))
+	hier := make([]hierarchy.Hierarchy, len(qi))
 	for i, a := range qi {
-		c, err := released.Schema().Index(a)
-		if err != nil {
+		var err error
+		if rel[i], err = released.CodedColumnByName(a); err != nil {
 			return nil, err
 		}
-		relCols[i] = c
-		rc, err := register.Schema().Index(a)
-		if err != nil {
+		if reg[i], err = register.CodedColumnByName(a); err != nil {
 			return nil, fmt.Errorf("risk: register is missing quasi-identifier %q: %w", a, err)
 		}
-		regCols[i] = rc
+		hier[i] = lookupHierarchy(hs, a)
 	}
 
 	res := &LinkageResult{RegisterSize: register.Len()}
 	totalMatchSize := 0
 	for ri := 0; ri < register.Len(); ri++ {
-		regRow, err := register.Row(ri)
-		if err != nil {
-			return nil, err
-		}
 		matches := 0
 		for ti := 0; ti < released.Len(); ti++ {
-			relRow, err := released.Row(ti)
-			if err != nil {
-				return nil, err
-			}
 			all := true
 			for a := range qi {
-				if !ValueMatches(relRow[relCols[a]], regRow[regCols[a]], lookupHierarchy(hs, qi[a])) {
+				if !ValueMatches(rel[a].Dict[rel[a].Codes[ti]], reg[a].Dict[reg[a].Codes[ri]], hier[a]) {
 					all = false
 					break
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"mime"
 	"net/http"
 	"strconv"
@@ -445,24 +444,12 @@ func (r anonymizeRequest) flatParamsSet() bool {
 		r.MaxSuppression != nil || r.OrderedSensitive
 }
 
-// measure is a measured value in a response: a JSON number, or null when
-// the value is not finite (recursive (c,l)-diversity measures +Inf on a
-// class with fewer than l sensitive values), which JSON numbers cannot carry.
-type measure float64
-
-func (m measure) MarshalJSON() ([]byte, error) {
-	if math.IsInf(float64(m), 0) || math.IsNaN(float64(m)) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(m))
-}
-
 // criterionMeasurementJSON is the JSON view of one verified policy criterion.
 type criterionMeasurementJSON struct {
-	Satisfied bool    `json:"satisfied"`
-	Measured  measure `json:"measured"`
-	Target    measure `json:"target"`
-	Sensitive string  `json:"sensitive,omitempty"`
+	Satisfied bool         `json:"satisfied"`
+	Measured  core.Measure `json:"measured"`
+	Target    core.Measure `json:"target"`
+	Sensitive string       `json:"sensitive,omitempty"`
 }
 
 // measurementsJSON is the JSON view of core.Measurements. The legacy scalar
@@ -471,25 +458,25 @@ type criterionMeasurementJSON struct {
 type measurementsJSON struct {
 	K                 int                                 `json:"k"`
 	DistinctL         int                                 `json:"distinct_l"`
-	MaxEMD            measure                             `json:"max_emd"`
+	MaxEMD            core.Measure                        `json:"max_emd"`
 	Criteria          map[string]criterionMeasurementJSON `json:"criteria,omitempty"`
-	NCP               measure                             `json:"ncp"`
-	Discernibility    measure                             `json:"discernibility"`
-	ProsecutorMaxRisk measure                             `json:"prosecutor_max_risk"`
+	NCP               core.Measure                        `json:"ncp"`
+	Discernibility    core.Measure                        `json:"discernibility"`
+	ProsecutorMaxRisk core.Measure                        `json:"prosecutor_max_risk"`
 	SuppressedRows    int                                 `json:"suppressed_rows"`
 }
 
 func measurementsJSONOf(m core.Measurements) measurementsJSON {
 	out := measurementsJSON{
-		K: m.K, DistinctL: m.DistinctL, MaxEMD: measure(m.MaxEMD), NCP: measure(m.NCP),
-		Discernibility: measure(m.Discernibility), ProsecutorMaxRisk: measure(m.ProsecutorMaxRisk),
+		K: m.K, DistinctL: m.DistinctL, MaxEMD: m.MaxEMD, NCP: m.NCP,
+		Discernibility: m.Discernibility, ProsecutorMaxRisk: m.ProsecutorMaxRisk,
 		SuppressedRows: m.SuppressedRows,
 	}
 	if len(m.Criteria) > 0 {
 		out.Criteria = make(map[string]criterionMeasurementJSON, len(m.Criteria))
 		for typ, c := range m.Criteria {
 			out.Criteria[typ] = criterionMeasurementJSON{
-				Satisfied: c.Satisfied, Measured: measure(c.Measured), Target: measure(c.Target), Sensitive: c.Sensitive,
+				Satisfied: c.Satisfied, Measured: c.Measured, Target: c.Target, Sensitive: c.Sensitive,
 			}
 		}
 	}

@@ -150,6 +150,40 @@ func TestPersistGoldenRecovery(t *testing.T) {
 	}
 }
 
+// TestPersistNonFiniteMeasurement: recursive (c,l)-diversity measures +Inf
+// on a class with fewer than l sensitive values. A stored release with that
+// measurement must journal (as null), and after a restart its report must be
+// byte-identical, null included.
+func TestPersistNonFiniteMeasurement(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Workers: 1}
+	ts, srv := bootPersistent(t, cfg)
+	seedDataset(t, ts, "census", "census", 400)
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{
+		"dataset": "census", "k": 5, "l": 2, "diversity_mode": "recursive", "sensitive": "occupation", "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("anonymize: %d %v", status, body)
+	}
+	path := "/v1/releases/" + body["release_id"].(string)
+	status, before := getRaw(t, ts.URL+path, "")
+	if status != http.StatusOK {
+		t.Fatalf("release: %d %s", status, before)
+	}
+	if !strings.Contains(string(before), `"measured": null`) {
+		t.Fatalf("release report carries no null measurement: %s", before)
+	}
+
+	ts.Close()
+	srv.Close()
+	ts2, _ := bootPersistent(t, cfg)
+	status, after := getRaw(t, ts2.URL+path, "")
+	if status != http.StatusOK {
+		t.Fatalf("recovered release: %d %s", status, after)
+	}
+	if string(after) != string(before) {
+		t.Errorf("release changed across restart:\n before: %s\n after:  %s", before, after)
+	}
+}
+
 // TestPersistDeleteSurvivesRestart checks that deletions are journaled too:
 // a deleted policy and release must stay gone after recovery, and a release
 // id is never reused for new work after a restart.

@@ -644,8 +644,8 @@ func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.C
 			Criteria: map[string]core.CriterionMeasurement{
 				policy.MInvariance: {
 					Satisfied: ok,
-					Measured:  float64(minSig),
-					Target:    float64(c.M),
+					Measured:  core.Measure(minSig),
+					Target:    core.Measure(c.M),
 					Sensitive: sensitive,
 				},
 			},

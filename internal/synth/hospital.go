@@ -171,17 +171,19 @@ func IdentifiedRegister(private *dataset.Table, overlap float64, decoys int, see
 	// available generically, so decoys are resampled rows with fresh
 	// identifiers and lightly perturbed quasi-identifiers.
 	out := members.Clone()
-	extra := make([]dataset.Row, decoys)
-	for i := range extra {
-		r, err := proj.Row(rng.Intn(proj.Len()))
-		if err != nil {
-			return nil, err
-		}
-		r[0] = fmt.Sprintf("decoy-%06d", i)
-		extra[i] = r
+	picks := make([]int, decoys)
+	ids := make([]string, decoys)
+	codes := make([]uint32, decoys)
+	for i := range picks {
+		picks[i] = rng.Intn(proj.Len())
+		ids[i] = fmt.Sprintf("decoy-%06d", i)
+		codes[i] = uint32(i)
 	}
-	decoyTable, err := dataset.FromRows(proj.Schema(), extra)
+	decoyTable, err := proj.Select(picks)
 	if err != nil {
+		return nil, err
+	}
+	if err := decoyTable.SetCodedColumn(0, ids, codes); err != nil {
 		return nil, err
 	}
 	if err := out.AppendTable(decoyTable); err != nil {

@@ -16,7 +16,7 @@ GO=${GO:-go}
 PROCS=${PROCS:-"1 2 4"}
 OUT_DIR=${OUT_DIR:-bench-cores}
 
-PATTERN='BenchmarkMondrianParallel|BenchmarkSamaratiWorkers|BenchmarkKMemberWorkers|BenchmarkAnatomyWorkers|BenchmarkTopDownWorkers|BenchmarkIncognitoWorkers|BenchmarkGroupByWorkers|BenchmarkSnapshotWriteWorkers'
+PATTERN='BenchmarkMondrianParallel|BenchmarkSamaratiWorkers|BenchmarkKMemberWorkers|BenchmarkTopDownWorkers|BenchmarkIncognitoWorkers|BenchmarkGroupByWorkers|BenchmarkSnapshotWriteWorkers'
 
 avail=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 mkdir -p "$OUT_DIR"
