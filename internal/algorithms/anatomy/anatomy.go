@@ -271,15 +271,14 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 		return nil, nil, err
 	}
 	var stRows []dataset.Row
-	for _, g := range groups {
+	for gi, g := range groups {
 		values := make([]string, 0, len(g.Counts))
 		for v := range g.Counts {
 			values = append(values, v)
 		}
 		sort.Strings(values)
-		id := strconv.Itoa(g.ID)
 		for _, v := range values {
-			stRows = append(stRows, dataset.Row{id, v, strconv.Itoa(g.Counts[v])})
+			stRows = append(stRows, dataset.Row{ids[gi], v, strconv.Itoa(g.Counts[v])})
 		}
 	}
 	st, err := dataset.FromRows(stSchema, stRows)
@@ -298,6 +297,7 @@ func buildTables(t *dataset.Table, qi []string, sensitive string, groups []Group
 func (r *Result) EstimateCount(pred func(qi []string) bool, sensitiveValue string) float64 {
 	cols := make([]*dataset.CodedColumn, len(r.QuasiIdentifiers))
 	for j := range cols {
+		// The QIT's leading columns are the QI columns, so j is in range.
 		cols[j], _ = r.QIT.CodedColumn(j)
 	}
 	qi := make([]string, len(cols))

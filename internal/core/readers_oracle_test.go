@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"flag"
 	"fmt"
@@ -59,7 +57,7 @@ func TestReadersOracle(t *testing.T) {
 					continue
 				}
 				add("%s groups=%d qit=%s qitfp=%s st=%s stfp=%s est=%s", head, len(res.Groups),
-					fullCSVHash(t, res.QIT), res.QIT.Fingerprint(), fullCSVHash(t, res.ST), res.ST.Fingerprint(),
+					csvHash(t, res.QIT), res.QIT.Fingerprint(), csvHash(t, res.ST), res.ST.Fingerprint(),
 					anatomyEstimates(t, fx.tbl, res))
 			}
 		}
@@ -103,7 +101,7 @@ func TestReadersOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		add("register %s overlap=%v decoys=%d rows=%d fp=%s csv=%s", rc.name, rc.overlap, rc.decoys, reg.Len(), reg.Fingerprint(), fullCSVHash(t, reg))
+		add("register %s overlap=%v decoys=%d rows=%d fp=%s csv=%s", rc.name, rc.overlap, rc.decoys, reg.Len(), reg.Fingerprint(), csvHash(t, reg))
 	}
 	register, err := synth.IdentifiedRegister(rawHospital, 0.3, 40, 2)
 	if err != nil {
@@ -240,14 +238,4 @@ func onlyQI(t *testing.T, tbl *dataset.Table, qi []string) *dataset.Table {
 		t.Fatal(err)
 	}
 	return out
-}
-
-// fullCSVHash returns the SHA-256 of the table's CSV rendering.
-func fullCSVHash(t *testing.T, tbl *dataset.Table) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
 }

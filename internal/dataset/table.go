@@ -37,8 +37,8 @@ type Row []string
 
 // Table is an ordered collection of rows sharing a schema, stored as one
 // immutable dictionary-coded column per attribute (see column.go). The zero
-// value is not usable; construct tables with NewTable, FromRows, ReadCSV or
-// OpenSnapshot.
+// value is not usable; construct tables with NewTable, FromRows,
+// FromColumns, ReadCSV or OpenSnapshot.
 type Table struct {
 	schema *Schema
 	n      int
@@ -122,10 +122,11 @@ func FromColumns(schema *Schema, cols []*CodedColumn) (*Table, error) {
 		return nil, fmt.Errorf("%w: got %d columns, want %d", ErrRowArity, len(cols), schema.Len())
 	}
 	n := 0
+	if len(cols) > 0 {
+		n = cols[0].Len()
+	}
 	for j, cc := range cols {
-		if j == 0 {
-			n = cc.Len()
-		} else if cc.Len() != n {
+		if cc.Len() != n {
 			return nil, fmt.Errorf("dataset: column %q has %d rows, column %q has %d",
 				schema.attrs[j].Name, cc.Len(), schema.attrs[0].Name, n)
 		}
