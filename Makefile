@@ -81,12 +81,15 @@ bench-cores:
 # internal/dataset/testdata/fuzz replay in every ordinary `go test` run; this
 # target keeps exploring. Snapshot inputs are page-aligned, so at least
 # 12 KiB each: minimizing every new one would eat the budget, hence the
-# short -fuzzminimizetime.
+# short -fuzzminimizetime. FuzzPolicyValidate feeds arbitrary bytes through
+# the strict policy decoder into every algorithm's engine.Validate (no
+# panics; accepted policies re-encode to identical bytes).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSVInferred$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/engine -run '^$$' -fuzz 'FuzzPolicyValidate$$' -fuzztime $(FUZZTIME)
 
 # Micro-benchmarks for the hot paths (quick mode, ~1 minute).
 bench-quick:

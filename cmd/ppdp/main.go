@@ -130,20 +130,6 @@ func flagOf(p engine.Param) string {
 	return strings.ReplaceAll(p.Name, "_", "-")
 }
 
-// defaultInt and defaultFloat resolve a shared flag default from the engine
-// registry metadata (falling back only if no algorithm declares one), so the
-// CLI, the server and GET /v1/algorithms all advertise the same values. The
-// coercion goes through Param's own helpers, so a default the server would
-// resolve (e.g. a float parameter declared with an int literal) resolves
-// identically here.
-func defaultInt(param string, fallback int) int {
-	return engine.Param{Default: engine.ParamDefault(param)}.IntDefault(fallback)
-}
-
-func defaultFloat(param string, fallback float64) float64 {
-	return engine.Param{Default: engine.ParamDefault(param)}.FloatDefault(fallback)
-}
-
 // writeAlgorithmListing renders the registry's algorithms as the usage
 // block: one line of flags (required first, optional bracketed) and one line
 // of description per algorithm. Both the CLI usage and `ppdp algorithms`
@@ -275,10 +261,10 @@ func cmdAnonymize(args []string) error {
 	in := fs.String("in", "", "input CSV path (required)")
 	out := fs.String("out", "", "output CSV path (stdout when empty)")
 	algorithm := fs.String("algorithm", "mondrian", strings.Join(engine.Names(), "|"))
-	// Shared parameter defaults come from the engine registry's metadata —
-	// the same source GET /v1/algorithms serves and the server resolves — so
-	// the CLI cannot drift from the service.
-	k := fs.Int("k", defaultInt("k", 10), "k-anonymity parameter")
+	// -k and -max-suppression default per algorithm, from the engine
+	// registry's metadata (engine.Info.FlatPolicy), when left unset — the
+	// same rule the service applies, so the CLI cannot drift from it.
+	k := fs.Int("k", 0, "k-anonymity parameter (default: the algorithm's declared k, 10 where it reads one)")
 	l := fs.Int("l", 0, "l-diversity parameter (0 disables; anatomy requires >= 2)")
 	t := fs.Float64("t", 0, "t-closeness parameter (0 disables)")
 	diversity := fs.String("diversity", "", "l-diversity variant: distinct|entropy|recursive (distinct when empty)")
@@ -286,8 +272,8 @@ func cmdAnonymize(args []string) error {
 	sensitive := fs.String("sensitive", "", "sensitive attribute (defaults to the schema's first sensitive column)")
 	strict := fs.Bool("strict", false, "strict Mondrian partitioning (never separate equal values)")
 	workers := fs.Int("workers", 0, "worker pool bound for parallel algorithms (0 = GOMAXPROCS)")
-	suppress := fs.Float64("max-suppression", defaultFloat("max_suppression", 0.02),
-		"maximum fraction of suppressed records (datafly/samarati)")
+	suppress := fs.Float64("max-suppression", 0,
+		"maximum fraction of suppressed records (default: the algorithm's declared budget, 0.02 for datafly/samarati)")
 	policyPath := fs.String("policy", "",
 		"privacy-policy JSON file declaring the criteria (replaces -k/-l/-t/-diversity/-c/-max-suppression)")
 	progress := fs.Bool("progress", false, "report run progress on stderr")
@@ -307,19 +293,20 @@ func cmdAnonymize(args []string) error {
 	if err != nil {
 		return err
 	}
+	// set holds the flags given on the command line: only those count as
+	// supplied, for the -policy conflict and for the flat defaults.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var pol *policy.Policy
 	if *policyPath != "" {
 		// A policy file and explicit flat privacy flags are mutually
 		// exclusive; the flat flags' defaults are simply not applied.
-		flatFlags := map[string]bool{
-			"k": true, "l": true, "t": true, "diversity": true, "c": true, "max-suppression": true,
-		}
 		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			if flatFlags[f.Name] {
-				conflict = append(conflict, "-"+f.Name)
+		for _, name := range []string{"c", "diversity", "k", "l", "max-suppression", "t"} {
+			if set[name] {
+				conflict = append(conflict, "-"+name)
 			}
-		})
+		}
 		if len(conflict) > 0 {
 			return fmt.Errorf("anonymize: -policy and the flat privacy flags are mutually exclusive (got %s)",
 				strings.Join(conflict, " "))
@@ -341,18 +328,19 @@ func cmdAnonymize(args []string) error {
 		Hierarchies:    hs,
 	}
 	if pol == nil {
-		// Deprecated flat flags: translated once here. The run enforces what
-		// the algorithm supports; the echo below is the full declaration.
-		// (The summary line needs no re-measurement: without an ordered
-		// flag, its max-EMD does not depend on the declared criteria.)
+		// Deprecated flat flags: translated once here, by the rule the
+		// service applies. The run enforces what the algorithm supports; the
+		// echo below is the full declaration. (The summary line needs no
+		// re-measurement: without an ordered flag, its max-EMD does not
+		// depend on the declared criteria.)
 		engineAlg, err := engine.Lookup(string(alg))
 		if err != nil {
 			return err
 		}
-		cfg.Policy, pol, err = policy.FromFlatFor(policy.Flat{
+		cfg.Policy, pol, err = engineAlg.Describe().FlatPolicy(policy.Flat{
 			K: *k, L: *l, DiversityMode: *diversity, C: *c, T: *t,
 			Sensitive: *sensitive, MaxSuppression: *suppress,
-		}, engineAlg.Describe().Criteria)
+		}, set["k"], set["max-suppression"])
 		if err != nil {
 			return fmt.Errorf("%w: %v", core.ErrConfig, err)
 		}

@@ -21,16 +21,18 @@ import (
 	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("anatomy: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("anatomy: invalid configuration"))
 	// ErrEligibility is returned when the sensitive distribution makes an
 	// l-diverse bucketization impossible (some value exceeds n/l of the
 	// records).
-	ErrEligibility = errors.New("anatomy: sensitive distribution violates the l-eligibility condition")
+	ErrEligibility = engine.UnsatisfiableError(errors.New("anatomy: sensitive distribution violates the l-eligibility condition"))
 )
 
 // Config controls an Anatomy run.

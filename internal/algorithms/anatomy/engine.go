@@ -2,8 +2,6 @@ package anatomy
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
@@ -14,8 +12,6 @@ import (
 type adapter struct{}
 
 func init() { engine.Register(adapter{}) }
-
-func (adapter) Name() string { return "anatomy" }
 
 func (adapter) Describe() engine.Info {
 	return engine.Info{
@@ -32,16 +28,6 @@ func (adapter) Describe() engine.Info {
 	}
 }
 
-func (adapter) Validate(spec engine.Spec) error {
-	if err := engine.ValidateCriteria(adapter{}.Describe(), spec); err != nil {
-		return err
-	}
-	if spec.L < 2 {
-		return fmt.Errorf("anatomy requires L >= 2 (got %d)", spec.L)
-	}
-	return nil
-}
-
 func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*engine.Result, error) {
 	res, err := AnonymizeContext(ctx, t, Config{
 		L:                spec.L,
@@ -50,19 +36,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 		Progress:         engine.Monotone(spec.Progress),
 	})
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return &engine.Result{QIT: res.QIT, ST: res.ST}, nil
-}
-
-// classify wraps the package's sentinel errors with the engine's error
-// classes so the service layer can map them without importing this package.
-func classify(err error) error {
-	switch {
-	case errors.Is(err, ErrConfig):
-		return engine.ConfigError(err)
-	case errors.Is(err, ErrEligibility):
-		return engine.UnsatisfiableError(err)
-	}
-	return err
 }

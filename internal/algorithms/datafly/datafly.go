@@ -14,18 +14,20 @@ import (
 	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrUnsatisfiable is returned when even full generalization with the
 	// allowed suppression budget cannot reach k-anonymity.
-	ErrUnsatisfiable = errors.New("datafly: k-anonymity not reachable within the suppression budget")
+	ErrUnsatisfiable = engine.UnsatisfiableError(errors.New("datafly: k-anonymity not reachable within the suppression budget"))
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("datafly: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("datafly: invalid configuration"))
 )
 
 // Config controls a Datafly run.

@@ -2,8 +2,6 @@ package incognito
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
@@ -14,8 +12,6 @@ import (
 type adapter struct{}
 
 func init() { engine.Register(adapter{}) }
-
-func (adapter) Name() string { return "incognito" }
 
 func (adapter) Describe() engine.Info {
 	return engine.Info{
@@ -43,19 +39,6 @@ func (adapter) Describe() engine.Info {
 	}
 }
 
-func (adapter) Validate(spec engine.Spec) error {
-	if err := engine.ValidateCriteria(adapter{}.Describe(), spec); err != nil {
-		return err
-	}
-	if spec.K < 1 {
-		return fmt.Errorf("incognito: K must be at least 1 (got %d)", spec.K)
-	}
-	if spec.Hierarchies == nil {
-		return fmt.Errorf("incognito: algorithm requires generalization hierarchies")
-	}
-	return nil
-}
-
 func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*engine.Result, error) {
 	res, err := AnonymizeContext(ctx, t, Config{
 		K:                spec.K,
@@ -66,19 +49,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 		Progress:         engine.Monotone(spec.Progress),
 	})
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return &engine.Result{Table: res.Table, Node: res.Node}, nil
-}
-
-// classify wraps the package's sentinel errors with the engine's error
-// classes so the service layer can map them without importing this package.
-func classify(err error) error {
-	switch {
-	case errors.Is(err, ErrConfig):
-		return engine.ConfigError(err)
-	case errors.Is(err, ErrUnsatisfiable):
-		return engine.UnsatisfiableError(err)
-	}
-	return err
 }

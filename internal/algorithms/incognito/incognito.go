@@ -27,19 +27,21 @@ import (
 	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrUnsatisfiable is returned when no lattice node satisfies the
 	// criteria.
-	ErrUnsatisfiable = errors.New("incognito: no full-domain generalization satisfies the privacy criteria")
+	ErrUnsatisfiable = engine.UnsatisfiableError(errors.New("incognito: no full-domain generalization satisfies the privacy criteria"))
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("incognito: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("incognito: invalid configuration"))
 )
 
 // Config controls an Incognito run.

@@ -21,17 +21,19 @@ import (
 	"sort"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/parallel"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("kmember: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("kmember: invalid configuration"))
 	// ErrTooFewRecords is returned when the table has fewer than k records.
-	ErrTooFewRecords = errors.New("kmember: table has fewer than k records")
+	ErrTooFewRecords = engine.UnsatisfiableError(errors.New("kmember: table has fewer than k records"))
 )
 
 // Config controls a k-member clustering run.

@@ -2,22 +2,18 @@ package mondrian
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/policy"
 )
 
-// adapter plugs Mondrian into the engine registry (see package engine). It
-// owns the algorithm's capability metadata and its table-independent
-// validation, so no other layer needs to know Mondrian exists.
+// adapter plugs Mondrian into the engine registry (see package engine). Its
+// capability metadata is the algorithm's whole contract, so no other layer
+// needs to know Mondrian exists.
 type adapter struct{}
 
 func init() { engine.Register(adapter{}) }
-
-func (adapter) Name() string { return "mondrian" }
 
 func (adapter) Describe() engine.Info {
 	return engine.Info{
@@ -45,16 +41,6 @@ func (adapter) Describe() engine.Info {
 	}
 }
 
-func (adapter) Validate(spec engine.Spec) error {
-	if err := engine.ValidateCriteria(adapter{}.Describe(), spec); err != nil {
-		return err
-	}
-	if spec.K < 1 {
-		return fmt.Errorf("mondrian: K must be at least 1 (got %d)", spec.K)
-	}
-	return nil
-}
-
 func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*engine.Result, error) {
 	res, err := AnonymizeContext(ctx, t, Config{
 		K:                spec.K,
@@ -66,19 +52,7 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 		Progress:         engine.Monotone(spec.Progress),
 	})
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return &engine.Result{Table: res.Table}, nil
-}
-
-// classify wraps the package's sentinel errors with the engine's error
-// classes so the service layer can map them without importing this package.
-func classify(err error) error {
-	switch {
-	case errors.Is(err, ErrConfig):
-		return engine.ConfigError(err)
-	case errors.Is(err, ErrUnsatisfiable):
-		return engine.UnsatisfiableError(err)
-	}
-	return err
 }

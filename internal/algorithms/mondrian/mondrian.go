@@ -44,18 +44,20 @@ import (
 	"sync/atomic"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("mondrian: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("mondrian: invalid configuration"))
 	// ErrUnsatisfiable is returned when even the unsplit table violates the
 	// privacy criteria (for example k larger than the table).
-	ErrUnsatisfiable = errors.New("mondrian: privacy criteria cannot be satisfied even without splitting")
+	ErrUnsatisfiable = engine.UnsatisfiableError(errors.New("mondrian: privacy criteria cannot be satisfied even without splitting"))
 )
 
 // parallelThreshold is the minimum partition size worth dispatching to

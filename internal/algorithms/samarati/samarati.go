@@ -17,18 +17,20 @@ import (
 	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrUnsatisfiable is returned when no lattice node achieves k-anonymity
 	// within the suppression budget.
-	ErrUnsatisfiable = errors.New("samarati: no generalization satisfies k-anonymity within the suppression budget")
+	ErrUnsatisfiable = engine.UnsatisfiableError(errors.New("samarati: no generalization satisfies k-anonymity within the suppression budget"))
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("samarati: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("samarati: invalid configuration"))
 )
 
 // Config controls a Samarati run.

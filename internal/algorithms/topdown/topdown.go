@@ -24,19 +24,21 @@ import (
 	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/generalize"
 	"github.com/ppdp/ppdp/internal/hierarchy"
 	"github.com/ppdp/ppdp/internal/lattice"
 	"github.com/ppdp/ppdp/internal/privacy"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("topdown: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("topdown: invalid configuration"))
 	// ErrUnsatisfiable is returned when even the fully generalized table
 	// violates the privacy criteria.
-	ErrUnsatisfiable = errors.New("topdown: privacy criteria fail even at full generalization")
+	ErrUnsatisfiable = engine.UnsatisfiableError(errors.New("topdown: privacy criteria fail even at full generalization"))
 )
 
 // Config controls a top-down specialization run.

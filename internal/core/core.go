@@ -15,8 +15,9 @@
 // The HTTP service in internal/server is the primary such caller.
 //
 // Algorithm dispatch is registry-driven: every algorithm is an engine
-// adapter (see internal/engine) and core resolves names, validation and
-// execution through the registry, so adding an algorithm package adds it to
+// adapter (see internal/engine), core resolves names and execution through
+// the registry, and engine.Validate checks a configuration against the
+// algorithm's declared metadata, so adding an algorithm package adds it to
 // the whole pipeline.
 package core
 
@@ -68,7 +69,7 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	if err != nil {
 		return "", fmt.Errorf("core: unknown algorithm %q", s)
 	}
-	return Algorithm(alg.Name()), nil
+	return Algorithm(alg.Describe().Name), nil
 }
 
 // Algorithms lists every registered algorithm name, default first.
@@ -217,22 +218,25 @@ type Anonymizer struct {
 	cfg Config
 	alg engine.Algorithm
 	// pol is the canonical Config.Policy (nil only inside New, for a
-	// configuration without one, which no adapter accepts): the engine
-	// spec, the extra run criteria, the measurements, Verify and the policy
-	// echo all derive from it.
+	// configuration without one, which engine.Validate rejects for every
+	// algorithm): the engine spec, the extra run criteria, the
+	// measurements, Verify and the policy echo all derive from it.
 	pol *policy.Policy
 }
 
 // New validates the configuration and returns an Anonymizer. The policy is
-// canonicalized, and everything algorithm-specific (required parameters,
-// hierarchies, supported criterion types) is delegated to the algorithm's
-// own engine adapter, so core carries no per-algorithm knowledge.
+// canonicalized (which rejects out-of-range criteria, such as m < 2 or a
+// missing id column for m-invariance), and everything algorithm-specific
+// (required parameters, hierarchies, supported criterion types) is checked
+// by engine.Validate against the algorithm's declared metadata, so core
+// carries no per-algorithm knowledge.
 func New(cfg Config) (*Anonymizer, error) {
 	alg, err := engine.Lookup(string(cfg.Algorithm))
 	if err != nil {
 		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrConfig, cfg.Algorithm)
 	}
-	cfg.Algorithm = Algorithm(alg.Name())
+	info := alg.Describe()
+	cfg.Algorithm = Algorithm(info.Name)
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w: Workers=%d", ErrConfig, cfg.Workers)
 	}
@@ -242,7 +246,7 @@ func New(cfg Config) (*Anonymizer, error) {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 	}
-	if err := alg.Validate(a.spec("", nil)); err != nil {
+	if err := engine.Validate(info, a.spec("", nil)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return a, nil

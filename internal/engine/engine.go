@@ -4,15 +4,27 @@
 // algorithms exist, what parameters do they take, how do I run one" asks the
 // registry instead of maintaining its own list.
 //
-// The registry is the single source of truth that used to be duplicated by
-// hand across four layers (core's dispatch switch, core.New's per-algorithm
-// validation, the server's /v1/algorithms list and the CLI usage text). An
-// adapter lives next to each algorithm package (see
-// internal/algorithms/*/engine.go) and self-registers in init; the blank
-// imports in internal/engine/all pull every built-in adapter into a binary.
-// Adding an eighth algorithm is one new package plus one import line — core,
-// server, CLI and experiments pick it up from the registry metadata with no
-// further edits.
+// The engine owns the algorithm contract. An adapter lives next to each
+// algorithm package (see internal/algorithms/*/engine.go) and is two
+// methods: Describe returns the algorithm's capability card (Info) and Run
+// executes it. Everything an algorithm accepts is declared once, in that
+// card, and the engine derives the rest from it:
+//
+//   - Validate checks a Spec against the card before any data is touched:
+//     supported criteria, each Required parameter (k, l, policy), and
+//     RequiresHierarchies.
+//   - Info.FlatPolicy translates the deprecated flat parameters, filling a
+//     declared Param.Default only for the algorithms that declare it, so the
+//     HTTP service and the CLI declare the same policy.
+//   - Error classes travel with the errors themselves: each algorithm
+//     package declares its sentinels through ConfigError or
+//     UnsatisfiableError, so Run returns them unchanged and callers match
+//     either the package sentinel or the engine class with errors.Is.
+//
+// Adapters self-register in init; the blank imports in internal/engine/all
+// pull every built-in adapter into a binary. Adding an eighth algorithm is
+// one new package plus one import line — core, server, CLI and experiments
+// pick it up from the registry metadata with no further edits.
 //
 // Execution is uniform: Run takes a context.Context that every algorithm
 // polls at its natural unit of work (lattice node, generalization round,
@@ -29,7 +41,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -100,10 +114,10 @@ type Spec struct {
 	// Policy is the declarative privacy policy the run enforces; the caller
 	// (internal/core) resolves it and mirrors it into the scalar fields above
 	// (K, L, MaxSuppression) and Extra, which the algorithms keep reading.
-	// Adapters validate it against their Info.Criteria via ValidateCriteria,
-	// so a policy naming a criterion the algorithm cannot enforce fails
-	// before any data is touched. Nil when the caller bypasses the policy
-	// layer (direct engine users, tests).
+	// Validate checks it against the algorithm's Info.Criteria, so a policy
+	// naming a criterion the algorithm cannot enforce fails before any data
+	// is touched. Nil when the caller bypasses the policy layer (direct
+	// engine users, tests).
 	Policy *policy.Policy
 	// Progress receives (done, total) events as the run advances, reported at
 	// the same per-unit sites where the algorithm polls its context. Nil
@@ -152,13 +166,15 @@ type Param struct {
 	// Type is the parameter's type: "int", "float", "bool", "string" or
 	// "[]string".
 	Type string `json:"type"`
-	// Required marks parameters without a usable zero default.
+	// Required marks parameters without a usable zero default; Validate
+	// checks each one ("k" >= 1, "l" >= 2, a "policy" carrying one of the
+	// algorithm's criteria).
 	Required bool `json:"required"`
-	// Default is the value the pipeline substitutes when the caller omits the
-	// parameter (nil when the zero value simply disables the feature). It is
-	// declared once, here, so the HTTP service, the CLI usage text and the
-	// server-side resolution can never drift apart. Use int for "int"
-	// parameters and float64 for "float" ones.
+	// Default is the value Info.FlatPolicy substitutes when a flat caller
+	// omits the parameter (nil when the zero value simply disables the
+	// feature). It is declared once, here, so the HTTP service, the CLI and
+	// GET /v1/algorithms can never drift apart. Use int for "int" parameters
+	// and float64 for "float" ones.
 	Default any `json:"default,omitempty"`
 	// Description is a one-line human summary.
 	Description string `json:"description"`
@@ -198,7 +214,7 @@ type Info struct {
 	// FullDomain marks algorithms whose release carries a lattice node.
 	FullDomain bool `json:"full_domain,omitempty"`
 	// RequiresHierarchies marks algorithms that cannot run without a
-	// generalization hierarchy per quasi-identifier.
+	// generalization hierarchy per quasi-identifier; Validate enforces it.
 	RequiresHierarchies bool `json:"requires_hierarchies,omitempty"`
 	// Parallel marks algorithms that honor Spec.Workers internally.
 	Parallel bool `json:"parallel,omitempty"`
@@ -210,7 +226,7 @@ type Info struct {
 	Default bool `json:"default,omitempty"`
 	// Criteria lists the policy criterion types (see internal/policy) the
 	// algorithm can enforce. A policy naming any other type is rejected by
-	// ValidateCriteria before the run starts; the capability card served on
+	// Validate before the run starts; the capability card served on
 	// GET /v1/algorithms carries the list so clients can check up front.
 	Criteria []string `json:"criteria"`
 	// Parameters lists every Spec field the algorithm reads.
@@ -240,21 +256,17 @@ func (i Info) Param(name string) (Param, bool) {
 
 // Algorithm is one pluggable anonymization algorithm.
 type Algorithm interface {
-	// Name returns the registry key.
-	Name() string
-	// Describe returns the machine-readable capability/parameter metadata.
+	// Describe returns the machine-readable capability/parameter metadata:
+	// the whole contract Validate checks a Spec against.
 	Describe() Info
-	// Validate checks the table-independent parts of a Spec. Errors are
-	// reported to the caller before any data is touched.
-	Validate(Spec) error
 	// Run executes the algorithm. Implementations poll ctx at their natural
 	// unit of work and return ctx.Err() (wrapped) on cancellation without
 	// publishing partial state.
 	Run(ctx context.Context, t *dataset.Table, spec Spec) (*Result, error)
 }
 
-// Error classes. Adapters wrap their package's sentinel errors with
-// ConfigError/UnsatisfiableError so callers (the HTTP service) can map any
+// Error classes. Algorithm packages declare their sentinel errors through
+// ConfigError/UnsatisfiableError, so callers (the HTTP service) can map any
 // algorithm's failure onto a status code without naming algorithm packages.
 var (
 	// ErrUnknownAlgorithm is returned by Lookup for unregistered names.
@@ -293,27 +305,75 @@ func UnsatisfiableError(err error) error {
 	return &classified{err: err, class: ErrUnsatisfiable}
 }
 
-// ValidateCriteria checks a spec's policy against an algorithm's declared
-// criterion support: every criterion type in the policy must appear in
-// info.Criteria. Adapters call it from Validate, so an unsupported
-// combination fails as a ConfigError before any data is touched — the HTTP
-// service maps it to a 400 the same way it maps any other configuration
-// problem. A nil policy passes: direct engine users that build a Spec by
-// hand keep working without one.
-func ValidateCriteria(info Info, spec Spec) error {
-	if spec.Policy == nil {
-		return nil
-	}
-	for _, typ := range spec.Policy.CriterionTypes() {
-		if !info.SupportsCriterion(typ) {
-			return ConfigError(fmt.Errorf("%s: criterion %q is not supported (supported: %v)",
-				info.Name, typ, info.Criteria))
+// Validate checks the table-independent parts of spec against the
+// algorithm's declared contract, in order: every criterion type in the
+// policy must appear in info.Criteria; each Required parameter must be set
+// ("k" at least 1, "l" at least 2, "policy" carrying one of info.Criteria);
+// and an algorithm with RequiresHierarchies needs spec.Hierarchies. Every
+// failure is a ConfigError, reported before any data is touched. A nil
+// policy passes the criteria check: direct engine users that build a Spec
+// by hand keep working without one.
+func Validate(info Info, spec Spec) error {
+	if spec.Policy != nil {
+		for _, typ := range spec.Policy.CriterionTypes() {
+			if !info.SupportsCriterion(typ) {
+				return ConfigError(fmt.Errorf("%s: criterion %q is not supported (supported: %v)",
+					info.Name, typ, info.Criteria))
+			}
 		}
+	}
+	for _, p := range info.Parameters {
+		if !p.Required {
+			continue
+		}
+		switch p.Name {
+		case "k":
+			if spec.K < 1 {
+				return ConfigError(fmt.Errorf("%s: K must be at least 1 (got %d)", info.Name, spec.K))
+			}
+		case "l":
+			if spec.L < 2 {
+				return ConfigError(fmt.Errorf("%s requires L >= 2 (got %d)", info.Name, spec.L))
+			}
+		case "policy":
+			criteria := strings.Join(info.Criteria, " or ")
+			if spec.Policy == nil {
+				return ConfigError(fmt.Errorf("%s: a policy with an %s criterion is required (flat parameters cannot express it)",
+					info.Name, criteria))
+			}
+			if !slices.ContainsFunc(info.Criteria, spec.Policy.Has) {
+				return ConfigError(fmt.Errorf("%s: the policy must carry an %s criterion", info.Name, criteria))
+			}
+		}
+	}
+	if info.RequiresHierarchies && spec.Hierarchies == nil {
+		return ConfigError(fmt.Errorf("%s: algorithm requires generalization hierarchies", info.Name))
 	}
 	return nil
 }
 
-// registry is the process-wide algorithm registry. Registration happens in
+// validatedParams are the parameter names Validate knows how to check when
+// an algorithm declares them Required.
+var validatedParams = map[string]bool{"k": true, "l": true, "policy": true}
+
+// FlatPolicy translates the deprecated flat parameters for this algorithm,
+// the one rule both flat edges (the HTTP service and the CLI) apply: a
+// declared Param.Default fills k or max_suppression only when the caller
+// did not supply it (haveK, haveSuppression) and the algorithm declares that
+// parameter; policy.FromFlatFor then splits the translation into what the
+// algorithm enforces and what the release declares.
+func (i Info) FlatPolicy(f policy.Flat, haveK, haveSuppression bool) (enforced, declared *policy.Policy, err error) {
+	if p, ok := i.Param("k"); ok && !haveK {
+		f.K = p.IntDefault(f.K)
+	}
+	if p, ok := i.Param("max_suppression"); ok && !haveSuppression {
+		f.MaxSuppression = p.FloatDefault(f.MaxSuppression)
+	}
+	return policy.FromFlatFor(f, i.Criteria)
+}
+
+// registry is the process-wide algorithm registry, keyed by the name each
+// algorithm's Describe reported at Register. Registration happens in
 // package init functions (see internal/engine/all); lookups are read-only
 // after that, but the mutex keeps concurrent test registration safe.
 var (
@@ -322,16 +382,23 @@ var (
 	defaultName string
 )
 
-// Register adds an algorithm to the process-wide registry. It panics on a
-// nil algorithm, an empty name, or a duplicate — all programmer errors at
-// init time.
+// Register adds an algorithm to the process-wide registry under its
+// Describe().Name. It panics on a nil algorithm, an empty name, a
+// duplicate, a second default, or a Required parameter Validate cannot
+// check — all programmer errors at init time.
 func Register(a Algorithm) {
 	if a == nil {
 		panic("engine: Register(nil)")
 	}
-	name := a.Name()
+	info := a.Describe()
+	name := info.Name
 	if name == "" {
 		panic("engine: Register with empty name")
+	}
+	for _, p := range info.Parameters {
+		if p.Required && !validatedParams[p.Name] {
+			panic(fmt.Sprintf("engine: %s: required parameter %q has no validation rule", name, p.Name))
+		}
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -339,7 +406,7 @@ func Register(a Algorithm) {
 		panic(fmt.Sprintf("engine: algorithm %q registered twice", name))
 	}
 	algorithms[name] = a
-	if a.Describe().Default {
+	if info.Default {
 		if defaultName != "" && defaultName != name {
 			panic(fmt.Sprintf("engine: both %q and %q claim to be the default algorithm", defaultName, name))
 		}
@@ -362,31 +429,32 @@ func Lookup(name string) (Algorithm, error) {
 	return a, nil
 }
 
-// Registered returns every registered algorithm in listing order: the
+// Names returns every registered algorithm name in listing order: the
 // default first, the rest alphabetically.
-func Registered() []Algorithm {
+func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]Algorithm, 0, len(algorithms))
-	for _, a := range algorithms {
-		out = append(out, a)
+	out := make([]string, 0, len(algorithms))
+	for name := range algorithms {
+		out = append(out, name)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		ni, nj := out[i].Name(), out[j].Name()
-		if (ni == defaultName) != (nj == defaultName) {
-			return ni == defaultName
+		if (out[i] == defaultName) != (out[j] == defaultName) {
+			return out[i] == defaultName
 		}
-		return ni < nj
+		return out[i] < out[j]
 	})
 	return out
 }
 
-// Names returns every registered algorithm name in listing order.
-func Names() []string {
-	regs := Registered()
-	out := make([]string, len(regs))
-	for i, a := range regs {
-		out[i] = a.Name()
+// Registered returns every registered algorithm in listing order.
+func Registered() []Algorithm {
+	names := Names()
+	regMu.RLock()
+	defer regMu.RUnlock()
+	out := make([]Algorithm, len(names))
+	for i, name := range names {
+		out[i] = algorithms[name]
 	}
 	return out
 }
@@ -400,19 +468,4 @@ func Infos() []Info {
 		out[i] = a.Describe()
 	}
 	return out
-}
-
-// ParamDefault returns the declared default for a wire parameter name: the
-// first non-nil Default among registered algorithms in listing order, or nil
-// when no algorithm declares one. Algorithms that declare the same parameter
-// must agree on its default (enforced by the engine tests), so callers that
-// need one cross-algorithm value — the CLI's shared flag defaults — can use
-// this without picking an algorithm first.
-func ParamDefault(name string) any {
-	for _, info := range Infos() {
-		if p, ok := info.Param(name); ok && p.Default != nil {
-			return p.Default
-		}
-	}
-	return nil
 }

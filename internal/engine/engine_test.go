@@ -42,13 +42,13 @@ func TestRegistryListsBuiltinsDefaultFirst(t *testing.T) {
 func TestLookup(t *testing.T) {
 	for _, b := range builtins {
 		alg, err := engine.Lookup(b)
-		if err != nil || alg.Name() != b {
+		if err != nil || alg.Describe().Name != b {
 			t.Errorf("Lookup(%q) = %v, %v", b, alg, err)
 		}
 	}
 	// Empty resolves to the default.
 	alg, err := engine.Lookup("")
-	if err != nil || alg.Name() != "mondrian" {
+	if err != nil || alg.Describe().Name != "mondrian" {
 		t.Errorf("Lookup(\"\") = %v, %v", alg, err)
 	}
 	// Exact match only.
@@ -109,13 +109,18 @@ func TestErrorClassification(t *testing.T) {
 }
 
 // fakeAlg is a minimal Algorithm for registration tests.
-type fakeAlg struct{ name string }
-
-func (f fakeAlg) Name() string { return f.name }
-func (f fakeAlg) Describe() engine.Info {
-	return engine.Info{Name: f.name, Description: "fake", Kind: engine.Microdata, Parameters: []engine.Param{{Name: "k", Type: "int"}}}
+type fakeAlg struct {
+	name   string
+	params []engine.Param
 }
-func (f fakeAlg) Validate(engine.Spec) error { return nil }
+
+func (f fakeAlg) Describe() engine.Info {
+	params := f.params
+	if params == nil {
+		params = []engine.Param{{Name: "k", Type: "int"}}
+	}
+	return engine.Info{Name: f.name, Description: "fake", Kind: engine.Microdata, Parameters: params}
+}
 func (f fakeAlg) Run(context.Context, *dataset.Table, engine.Spec) (*engine.Result, error) {
 	return nil, errors.New("fake: not runnable")
 }
@@ -128,4 +133,18 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 		}
 	}()
 	engine.Register(fakeAlg{name: "engine-test-fake"})
+}
+
+// TestRegisterRejectsUncheckableRequiredParam checks that a Required
+// parameter Validate has no rule for fails at registration instead of
+// silently going unchecked.
+func TestRegisterRejectsUncheckableRequiredParam(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Register accepted a required parameter without a validation rule")
+		}
+	}()
+	engine.Register(fakeAlg{name: "engine-test-uncheckable", params: []engine.Param{
+		{Name: "epsilon", Type: "float", Required: true},
+	}})
 }

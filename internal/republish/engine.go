@@ -2,8 +2,6 @@ package republish
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
@@ -20,8 +18,6 @@ type adapter struct{}
 
 func init() { engine.Register(adapter{}) }
 
-func (adapter) Name() string { return "republish" }
-
 func (adapter) Describe() engine.Info {
 	return engine.Info{
 		Name:        "republish",
@@ -36,69 +32,27 @@ func (adapter) Describe() engine.Info {
 	}
 }
 
-// criterion extracts the m-invariance criterion the run is driven by.
-func criterion(spec engine.Spec) (policy.Criterion, error) {
-	if spec.Policy == nil {
-		return policy.Criterion{}, engine.ConfigError(fmt.Errorf("republish: a policy with an %s criterion is required (flat parameters cannot express it)", policy.MInvariance))
-	}
-	c, ok := spec.Policy.Find(policy.MInvariance)
-	if !ok {
-		return policy.Criterion{}, engine.ConfigError(fmt.Errorf("republish: the policy must carry an %s criterion", policy.MInvariance))
-	}
-	return c, nil
-}
-
-func (adapter) Validate(spec engine.Spec) error {
-	if err := engine.ValidateCriteria(adapter{}.Describe(), spec); err != nil {
-		return err
-	}
-	c, err := criterion(spec)
-	if err != nil {
-		return err
-	}
-	if _, err := NewPublisher(publisherConfig(c, spec)); err != nil {
-		return classify(err)
-	}
-	return nil
-}
-
+// Run publishes t as release 1 of a fresh history under the policy's
+// m-invariance criterion. engine.Validate checks the policy first; a direct
+// caller without one reaches NewPublisher with m = 0, which rejects it as
+// ErrConfig. The criterion's sensitive attribute wins over the spec's: the
+// policy layer resolves defaults into the criterion before the run.
 func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*engine.Result, error) {
-	c, err := criterion(spec)
+	var c policy.Criterion
+	if spec.Policy != nil {
+		c, _ = spec.Policy.Find(policy.MInvariance)
+	}
+	if c.Sensitive == "" {
+		c.Sensitive = spec.Sensitive
+	}
+	p, err := NewPublisher(Config{M: c.M, ID: c.ID, Sensitive: c.Sensitive, QuasiIdentifiers: spec.QuasiIdentifiers,
+		Progress: engine.Monotone(spec.Progress)})
 	if err != nil {
 		return nil, err
 	}
-	cfg := publisherConfig(c, spec)
-	cfg.Progress = engine.Monotone(spec.Progress)
-	p, err := NewPublisher(cfg)
-	if err != nil {
-		return nil, classify(err)
-	}
 	rel, err := p.PublishContext(ctx, t)
 	if err != nil {
-		return nil, classify(err)
+		return nil, err
 	}
 	return &engine.Result{QIT: rel.QIT, ST: rel.ST}, nil
-}
-
-// publisherConfig maps a criterion plus the run spec onto the publisher's
-// configuration. The criterion's sensitive attribute wins over the spec's:
-// the policy layer resolves defaults into the criterion before the run.
-func publisherConfig(c policy.Criterion, spec engine.Spec) Config {
-	sensitive := c.Sensitive
-	if sensitive == "" {
-		sensitive = spec.Sensitive
-	}
-	return Config{M: c.M, ID: c.ID, Sensitive: sensitive, QuasiIdentifiers: spec.QuasiIdentifiers}
-}
-
-// classify wraps the package's sentinel errors with the engine's error
-// classes so the service layer can map them without importing this package.
-func classify(err error) error {
-	switch {
-	case errors.Is(err, ErrConfig), errors.Is(err, ErrUnknownID):
-		return engine.ConfigError(err)
-	case errors.Is(err, ErrEligibility):
-		return engine.UnsatisfiableError(err)
-	}
-	return err
 }

@@ -21,18 +21,20 @@ import (
 	"strings"
 
 	"github.com/ppdp/ppdp/internal/dataset"
+	"github.com/ppdp/ppdp/internal/engine"
 )
 
-// Common errors.
+// Common errors. Each carries its engine class (engine.ErrConfig or
+// engine.ErrUnsatisfiable), so errors.Is matches either.
 var (
 	// ErrConfig is returned for invalid configurations.
-	ErrConfig = errors.New("republish: invalid configuration")
+	ErrConfig = engine.ConfigError(errors.New("republish: invalid configuration"))
 	// ErrEligibility is returned when a snapshot cannot be partitioned into
 	// m-diverse buckets (some sensitive value is too frequent).
-	ErrEligibility = errors.New("republish: sensitive distribution violates the m-eligibility condition")
+	ErrEligibility = engine.UnsatisfiableError(errors.New("republish: sensitive distribution violates the m-eligibility condition"))
 	// ErrUnknownID is returned when a record lacks the identity column used
 	// to track individuals across releases.
-	ErrUnknownID = errors.New("republish: record id column missing")
+	ErrUnknownID = engine.ConfigError(errors.New("republish: record id column missing"))
 )
 
 // CounterfeitValue marks counterfeit identities injected to keep signatures

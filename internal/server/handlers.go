@@ -815,7 +815,12 @@ func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
-	k := rel.params.K
+	// C_avg normalizes against the release's own class-size bound, which a
+	// policy request declares in its policy rather than a flat k.
+	k := 0
+	if rel.release.Policy != nil {
+		k = rel.release.Policy.KAnonymityK()
+	}
 	if k < 1 {
 		k = 10
 	}

@@ -69,14 +69,12 @@ type pipeline struct {
 // reconciliation, so a spec publishes exactly what an anonymize request
 // runs. explicit is the request's policy document (inline, or the stored one
 // its policy_ref pinned); nil selects the deprecated flat parameters,
-// translated here once. Flat defaults come from the engine registry's
-// metadata (Param.Default), so the server, GET /v1/algorithms and the CLI
-// usage text resolve the same values by construction; only algorithms that
-// declare a parameter get its default (bucketizing algorithms are keyed on l
-// and never receive a k). Explicit policies take no defaults.
-func (s *Server) newPipeline(alg engine.Algorithm, req anonymizeRequest, explicit *policy.Policy, hier *hierarchy.Set) (*pipeline, error) {
+// translated here once by the algorithm's engine.Info.FlatPolicy — the same
+// rule the CLI applies, so both edges declare the same policy. Explicit
+// policies take no defaults.
+func (s *Server) newPipeline(info engine.Info, req anonymizeRequest, explicit *policy.Policy, hier *hierarchy.Set) (*pipeline, error) {
 	cfg := core.Config{
-		Algorithm:        core.Algorithm(alg.Name()),
+		Algorithm:        core.Algorithm(info.Name),
 		Policy:           explicit,
 		Sensitive:        req.Sensitive,
 		QuasiIdentifiers: req.QuasiIdentifiers,
@@ -86,20 +84,13 @@ func (s *Server) newPipeline(alg engine.Algorithm, req anonymizeRequest, explici
 	}
 	var declared *policy.Policy
 	if explicit == nil {
-		info := alg.Describe()
 		flat := policy.Flat{K: req.K, L: req.L, DiversityMode: req.DiversityMode, C: req.C, T: req.T,
 			OrderedSensitive: req.OrderedSensitive, Sensitive: req.Sensitive}
-		if p, ok := info.Param("k"); ok && flat.K == 0 {
-			flat.K = p.IntDefault(0)
-		}
-		if p, ok := info.Param("max_suppression"); ok {
-			flat.MaxSuppression = p.FloatDefault(0)
-		}
 		if req.MaxSuppression != nil {
 			flat.MaxSuppression = *req.MaxSuppression
 		}
 		var err error
-		if cfg.Policy, declared, err = policy.FromFlatFor(flat, info.Criteria); err != nil {
+		if cfg.Policy, declared, err = info.FlatPolicy(flat, req.K != 0, req.MaxSuppression != nil); err != nil {
 			return nil, fmt.Errorf("%w: %v", core.ErrConfig, err)
 		}
 	}
@@ -135,8 +126,8 @@ func (p *pipeline) run(ctx context.Context, t *dataset.Table, sink func(done, to
 // cannot change the run) or the deprecated flat parameters — mutually
 // exclusive forms that all resolve to one canonical policy before any work
 // is admitted (see newPipeline). Unsupported criterion/algorithm
-// combinations in a policy are rejected at this stage by the adapter's
-// metadata-driven validation.
+// combinations in a policy are rejected at this stage by engine.Validate,
+// which checks the algorithm's declared metadata.
 func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *preparedRun {
 	if req.Dataset == "" {
 		writeError(w, http.StatusBadRequest, "bad_request", "dataset is required")
@@ -152,6 +143,7 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 		return nil
 	}
+	info := engineAlg.Describe()
 	explicit := req.Policy
 	switch {
 	case req.Policy != nil && req.PolicyRef != "":
@@ -171,7 +163,7 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 		// snapshot for the lifetime of the run and its release.
 		explicit = sp.policy
 	}
-	pipe, err := s.newPipeline(engineAlg, req, explicit, ds.hier)
+	pipe, err := s.newPipeline(info, req, explicit, ds.hier)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_config", "%v", err)
 		return nil
@@ -184,7 +176,7 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 			timeout = d
 		}
 	}
-	return &preparedRun{pipeline: pipe, req: req, ds: ds, alg: core.Algorithm(engineAlg.Name()),
+	return &preparedRun{pipeline: pipe, req: req, ds: ds, alg: core.Algorithm(info.Name),
 		policyRef: req.PolicyRef, timeout: timeout}
 }
 

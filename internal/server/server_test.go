@@ -481,6 +481,16 @@ func TestReleaseLifecycleAndReports(t *testing.T) {
 	if body["normalized_avg_class_size_k"].(float64) != 5 {
 		t.Errorf("default k = %v", body["normalized_avg_class_size_k"])
 	}
+	// A policy release defaults to its policy's k, not the flat fallback.
+	status, body = doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{"dataset": "c", "algorithm": "mondrian",
+		"policy": map[string]any{"criteria": []any{map[string]any{"type": "k-anonymity", "k": 5}}}, "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("policy anonymize = %d %v", status, body)
+	}
+	status, body = doJSON(t, "GET", ts.URL+"/v1/releases/"+body["release_id"].(string)+"/utility", nil)
+	if status != http.StatusOK || body["normalized_avg_class_size_k"].(float64) != 5 {
+		t.Errorf("policy release utility = %d, default k = %v", status, body["normalized_avg_class_size_k"])
+	}
 
 	// The original dataset is delete-protected while the release lives.
 	if status, body = doJSON(t, "DELETE", ts.URL+"/v1/datasets/c", nil); status != http.StatusConflict {

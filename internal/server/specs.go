@@ -565,7 +565,7 @@ func (s *Server) oneShotPublish(ctx context.Context, run *specRun) (*core.Releas
 	if run.params.Policy == nil && run.params.PolicyRef == "" {
 		explicit = nil
 	}
-	pipe, err := s.newPipeline(alg, run.params, explicit, run.ds.hier)
+	pipe, err := s.newPipeline(alg.Describe(), run.params, explicit, run.ds.hier)
 	if err != nil {
 		return nil, err
 	}
