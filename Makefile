@@ -83,13 +83,17 @@ bench-cores:
 # 12 KiB each: minimizing every new one would eat the budget, hence the
 # short -fuzzminimizetime. FuzzPolicyValidate feeds arbitrary bytes through
 # the strict policy decoder into every algorithm's engine.Validate (no
-# panics; accepted policies re-encode to identical bytes).
+# panics; accepted policies re-encode to identical bytes). FuzzParseAPIKeys
+# feeds them to the serve -api-keys file parser (no panics; an accepted map
+# has no empty or whitespace-holding key or tenant and round-trips through
+# its "<key> <tenant>" lines).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSVInferred$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run '^$$' -fuzz 'FuzzPolicyValidate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzParseAPIKeys$$' -fuzztime $(FUZZTIME)
 
 # Micro-benchmarks for the hot paths (quick mode, ~1 minute).
 bench-quick:

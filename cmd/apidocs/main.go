@@ -113,7 +113,15 @@ a per-criterion verification keyed by criterion type:
 }
 ` + "```" + `
 
-A measurement that is not a finite number is encoded as ` + "`null`" + `: recursive
+Each entry applies the rule the algorithms enforce, and ` + "`satisfied`" + ` follows from
+` + "`measured`" + ` and ` + "`target`" + `: measured ≥ target for k-anonymity (smallest class),
+distinct-l-diversity (fewest distinct sensitive values in a class) and
+entropy-l-diversity (effective l, e^H for the lowest class entropy H);
+measured ≤ target for alpha-k-anonymity (largest sensitive-value share in a
+class; every class must also hold k records) and t-closeness (largest class
+EMD); measured < target for recursive-cl-diversity (largest r1/(r_l+…+r_m)
+over the classes, against c). Entropy and t compare within 1e-12. A
+measurement that is not a finite number is encoded as ` + "`null`" + `: recursive
 (c,l)-diversity measures +Inf on a class with fewer than l sensitive values.
 
 ## Algorithms

@@ -28,7 +28,7 @@ func TestAnonymizeReachesK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := privacy.KAnonymity{K: 5}.Check(res.Table, classes)
+	ok, _, err := privacy.CheckAll(res.Table, classes, privacy.KAnonymity{K: 5})
 	if err != nil || !ok {
 		t.Errorf("release not 5-anonymous: %v %v (min class %d)", ok, err, privacy.MeasureK(classes))
 	}

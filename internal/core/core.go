@@ -33,7 +33,6 @@ import (
 	"github.com/ppdp/ppdp/internal/engine"
 	_ "github.com/ppdp/ppdp/internal/engine/all" // register the built-in algorithms
 	"github.com/ppdp/ppdp/internal/hierarchy"
-	"github.com/ppdp/ppdp/internal/lattice"
 	"github.com/ppdp/ppdp/internal/metrics"
 	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/privacy"
@@ -43,7 +42,7 @@ import (
 type Algorithm string
 
 // Names of the built-in algorithms. The authoritative list is the engine
-// registry (see Algorithms); these constants are mnemonics for callers.
+// registry (see engine.Names); these constants are mnemonics for callers.
 const (
 	// Mondrian is multidimensional greedy partitioning (default).
 	Mondrian Algorithm = "mondrian"
@@ -70,16 +69,6 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return "", fmt.Errorf("core: unknown algorithm %q", s)
 	}
 	return Algorithm(alg.Describe().Name), nil
-}
-
-// Algorithms lists every registered algorithm name, default first.
-func Algorithms() []Algorithm {
-	names := engine.Names()
-	out := make([]Algorithm, len(names))
-	for i, n := range names {
-		out[i] = Algorithm(n)
-	}
-	return out
 }
 
 // Config describes one release.
@@ -153,17 +142,12 @@ func (m *Measure) UnmarshalJSON(b []byte) error {
 // CriterionMeasurement reports the verification of one policy criterion
 // against the released table.
 type CriterionMeasurement struct {
-	// Satisfied reports whether the release meets the criterion.
+	// Satisfied, Measured and Target are the privacy.Verdict of the
+	// criterion's model — the verdict the algorithms enforce. See each
+	// model's Evaluate for what it measures and how Satisfied follows.
 	Satisfied bool
-	// Measured is the strongest value of the criterion's headline parameter
-	// the release attains: the minimum class size for k-anonymity, the
-	// maximum sensitive-value share for (α,k)-anonymity, the minimum
-	// distinct count (or effective entropy l) for the diversity family, the
-	// smallest satisfiable c for recursive (c,l)-diversity, and the maximum
-	// per-class EMD for t-closeness.
-	Measured Measure
-	// Target is the parameter the policy declared.
-	Target Measure
+	Measured  Measure
+	Target    Measure
 	// Sensitive is the resolved sensitive attribute the criterion was
 	// checked against ("" for k-anonymity).
 	Sensitive string
@@ -285,9 +269,6 @@ func (a *Anonymizer) WithProgress(sink func(done, total int)) *Anonymizer {
 	return &b
 }
 
-// Config returns a copy of the anonymizer's configuration.
-func (a *Anonymizer) Config() Config { return a.cfg }
-
 // sensitiveAttr resolves the sensitive attribute for a table.
 func (a *Anonymizer) sensitiveAttr(t *dataset.Table) string {
 	if a.cfg.Sensitive != "" {
@@ -303,9 +284,6 @@ func (a *Anonymizer) sensitiveAttr(t *dataset.Table) string {
 // extraCriteria instantiates the policy's attribute-linkage criteria against
 // the resolved sensitive attribute.
 func (a *Anonymizer) extraCriteria(sensitive string) ([]privacy.Criterion, error) {
-	if a.pol == nil {
-		return nil, nil
-	}
 	out, err := a.pol.AttributeCriteria(sensitive)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -392,18 +370,13 @@ func (a *Anonymizer) AnonymizeContext(ctx context.Context, t *dataset.Table) (*R
 // (pseudonymous) per-record identity; the republish algorithm publishes it
 // only in the QIT's audit column, never generalizes over it.
 func (a *Anonymizer) inputTable(t *dataset.Table) (*dataset.Table, error) {
-	keepID := ""
-	if a.pol != nil {
-		if c, ok := a.pol.Find(policy.MInvariance); ok {
-			keepID = c.ID
-		}
-	}
-	if keepID == "" {
+	c, ok := a.pol.Find(policy.MInvariance)
+	if !ok {
 		return t.DropIdentifiers()
 	}
 	var keep []string
 	for _, attr := range t.Schema().Attributes() {
-		if attr.Kind != dataset.Identifier || attr.Name == keepID {
+		if attr.Kind != dataset.Identifier || attr.Name == c.ID {
 			keep = append(keep, attr.Name)
 		}
 	}
@@ -492,7 +465,7 @@ func measurePolicy(m *Measurements, released *dataset.Table, classes []dataset.E
 			orderedEMD = tc.Ordered
 		}
 	}
-	if sensitive != "" && released.Schema().Has(sensitive) {
+	if released.Schema().Has(sensitive) {
 		l, err := privacy.MeasureDistinctL(released, classes, sensitive)
 		if err != nil {
 			return err
@@ -510,54 +483,15 @@ func measurePolicy(m *Measurements, released *dataset.Table, classes []dataset.E
 	}
 	m.Criteria = make(map[string]CriterionMeasurement, len(pol.Criteria))
 	for _, c := range pol.ResolveSensitive(sensitive).Criteria {
-		if c.Type != policy.KAnonymity {
-			if c.Sensitive == "" || !released.Schema().Has(c.Sensitive) {
-				continue
-			}
-		}
-		var (
-			measured, target float64
-			satisfied        bool
-			err              error
-		)
-		switch c.Type {
-		case policy.KAnonymity:
-			target = float64(c.K)
-			measured = float64(privacy.MeasureK(classes))
-			satisfied = measured >= target
-		case policy.AlphaKAnonymity:
-			target = c.Alpha
-			measured, err = privacy.MeasureMaxAlpha(released, classes, c.Sensitive)
-			satisfied = err == nil && measured <= c.Alpha && privacy.MeasureK(classes) >= c.K
-		case policy.DistinctLDiversity:
-			target = c.L
-			var l int
-			l, err = privacy.MeasureDistinctL(released, classes, c.Sensitive)
-			measured = float64(l)
-			satisfied = err == nil && measured >= c.L
-		case policy.EntropyLDiversity:
-			target = c.L
-			var h float64
-			h, err = privacy.MeasureEntropyL(released, classes, c.Sensitive)
-			// Report the effective l (e^H), directly comparable to the target.
-			measured = math.Exp(h)
-			satisfied = err == nil && h >= math.Log(c.L)-1e-12
-		case policy.RecursiveCLDiversity:
-			target = c.C
-			measured, err = privacy.MeasureRecursiveC(released, classes, int(c.L), c.Sensitive)
-			satisfied = err == nil && measured < c.C
-		case policy.TCloseness:
-			target = c.T
-			measured, err = privacy.MeasureMaxEMD(released, classes, c.Sensitive, c.Ordered)
-			satisfied = err == nil && measured <= c.T+1e-12
-		default:
+		ck := c.Checker()
+		if ck == nil || (c.Type != policy.KAnonymity && !released.Schema().Has(c.Sensitive)) {
 			continue
 		}
+		v, err := ck.Evaluate(released, classes)
 		if err != nil {
 			return fmt.Errorf("core: measure %s: %w", c.Type, err)
 		}
-		entry := CriterionMeasurement{Satisfied: satisfied, Measured: Measure(measured), Target: Measure(target), Sensitive: c.Sensitive}
-		m.Criteria[c.Type] = entry
+		m.Criteria[c.Type] = CriterionMeasurement{Satisfied: v.Satisfied, Measured: Measure(v.Measured), Target: Measure(v.Target), Sensitive: c.Sensitive}
 	}
 	return nil
 }
@@ -575,42 +509,6 @@ func (a *Anonymizer) Verify(released *dataset.Table) (bool, string, error) {
 	if err != nil {
 		return false, "", err
 	}
-	k := 1
-	if a.pol != nil {
-		k = max(a.pol.KAnonymityK(), 1)
-	}
-	criteria := append([]privacy.Criterion{privacy.KAnonymity{K: k}}, extra...)
+	criteria := append([]privacy.Criterion{privacy.KAnonymity{K: max(a.pol.KAnonymityK(), 1)}}, extra...)
 	return privacy.CheckAll(released, classes, criteria...)
-}
-
-// FullDomainPrecision is a convenience that computes Sweeney's precision for
-// a full-domain release node produced by Datafly, Samarati, Incognito or
-// TopDown under the anonymizer's hierarchies.
-func (a *Anonymizer) FullDomainPrecision(node []int, qi []string) (float64, error) {
-	if a.cfg.Hierarchies == nil {
-		return 0, fmt.Errorf("%w: precision requires hierarchies", ErrConfig)
-	}
-	maxLevels, err := a.cfg.Hierarchies.MaxLevels(qi)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.GeneralizationPrecision(node, maxLevels)
-}
-
-// LatticeSize reports how many full-domain recodings exist for the given
-// quasi-identifier under the anonymizer's hierarchies — a quick way to judge
-// whether an exhaustive lattice search is feasible.
-func (a *Anonymizer) LatticeSize(qi []string) (int, error) {
-	if a.cfg.Hierarchies == nil {
-		return 0, fmt.Errorf("%w: lattice size requires hierarchies", ErrConfig)
-	}
-	maxLevels, err := a.cfg.Hierarchies.MaxLevels(qi)
-	if err != nil {
-		return 0, err
-	}
-	lat, err := lattice.New(qi, maxLevels)
-	if err != nil {
-		return 0, err
-	}
-	return lat.Size(), nil
 }

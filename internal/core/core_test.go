@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/ppdp/ppdp/internal/engine"
 	"github.com/ppdp/ppdp/internal/metrics"
 	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/synth"
@@ -31,8 +32,9 @@ func distinctL(l int, sensitive string) policy.Criterion {
 }
 
 func TestParseAlgorithm(t *testing.T) {
-	for _, a := range Algorithms() {
-		got, err := ParseAlgorithm(string(a))
+	for _, name := range engine.Names() {
+		a := Algorithm(name)
+		got, err := ParseAlgorithm(name)
 		if err != nil || got != a {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v", a, got, err)
 		}
@@ -66,8 +68,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if a.Config().Algorithm != Datafly {
-		t.Errorf("Config() = %+v", a.Config())
+	if a.cfg.Algorithm != Datafly {
+		t.Errorf("cfg = %+v", a.cfg)
 	}
 	// Recursive diversity defaults C to 3.
 	a, err = New(Config{Algorithm: Mondrian, Sensitive: "diagnosis",
@@ -193,35 +195,6 @@ func TestAnonymizeAnatomy(t *testing.T) {
 	}
 }
 
-func TestLatticeSizeAndPrecision(t *testing.T) {
-	hs := synth.HospitalHierarchies()
-	a, err := New(Config{Algorithm: Datafly, Policy: kPolicy(2), Hierarchies: hs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := a.LatticeSize([]string{"age", "sex"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != 6*2 {
-		t.Errorf("LatticeSize = %d", size)
-	}
-	p, err := a.FullDomainPrecision([]int{5, 1}, []string{"age", "sex"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 0 {
-		t.Errorf("full generalization precision = %v", p)
-	}
-	noH, _ := New(Config{Algorithm: Mondrian, Policy: kPolicy(2)})
-	if _, err := noH.LatticeSize([]string{"age"}); !errors.Is(err, ErrConfig) {
-		t.Errorf("LatticeSize without hierarchies = %v", err)
-	}
-	if _, err := noH.FullDomainPrecision([]int{1}, []string{"age"}); !errors.Is(err, ErrConfig) {
-		t.Errorf("precision without hierarchies = %v", err)
-	}
-}
-
 func TestSensitiveDefaultsAndLDiversityWithoutSensitive(t *testing.T) {
 	tbl := synth.Hospital(300, 5)
 	// Drop the sensitive column to provoke the error path.
@@ -256,9 +229,9 @@ func TestParseAlgorithmStrictness(t *testing.T) {
 		}
 	}
 	// Every listed algorithm round-trips through its string form.
-	for _, a := range Algorithms() {
-		if got, err := ParseAlgorithm(string(a)); err != nil || got != a {
-			t.Errorf("round-trip %q = %v, %v", a, got, err)
+	for _, name := range engine.Names() {
+		if got, err := ParseAlgorithm(name); err != nil || got != Algorithm(name) {
+			t.Errorf("round-trip %q = %v, %v", name, got, err)
 		}
 	}
 }

@@ -100,8 +100,8 @@ func runFlat(t *testing.T, cfg Config, flat policy.Flat, tbl *dataset.Table) *Re
 // tables, node, suppression accounting, measurements and policy echo to the
 // explicit policy document they mean.
 func TestPolicyPathGolden(t *testing.T) {
-	for _, alg := range Algorithms() {
-		alg := alg
+	for _, name := range engine.Names() {
+		alg := Algorithm(name)
 		t.Run(string(alg), func(t *testing.T) {
 			tc := flatGoldenCase(t, alg)
 			relFlat := runFlat(t, tc.cfg, tc.flat, tc.tbl)

@@ -150,7 +150,7 @@ func TestWithProgressLeavesReceiverUntouched(t *testing.T) {
 	if !called {
 		t.Error("WithProgress sink never called")
 	}
-	if a.Config().Progress != nil {
+	if a.cfg.Progress != nil {
 		t.Error("WithProgress mutated the receiver's configuration")
 	}
 	// The original anonymizer still runs silently.

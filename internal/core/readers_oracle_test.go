@@ -76,11 +76,11 @@ func TestReadersOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, err := privacy.DeltaPresence{DeltaMin: 0.2, DeltaMax: 0.5, Public: pub}.Check(priv, nil)
+		v, err := privacy.DeltaPresence{DeltaMin: 0.2, DeltaMax: 0.5, Public: pub}.Evaluate(priv, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		add("presence node=%v min=%v max=%v check(0.2,0.5)=%v", node, lo, hi, ok)
+		add("presence node=%v min=%v max=%v check(0.2,0.5)=%v", node, lo, hi, v.Satisfied)
 	}
 
 	// Identified registers and the linkage attack against raw and

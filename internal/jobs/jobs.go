@@ -649,8 +649,8 @@ func (m *Manager) Counts() (queued, running, finished int) {
 	return
 }
 
-// TenantCounts reports each tenant's admitted (queued + running) jobs; the
-// HTTP service surfaces it for quota observability.
+// TenantCounts reports each tenant's admitted (queued + running) jobs, the
+// counts the per-tenant admission cap is checked against.
 func (m *Manager) TenantCounts() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

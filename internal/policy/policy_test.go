@@ -151,9 +151,6 @@ func TestHelpers(t *testing.T) {
 	if p.BucketL() != 4 {
 		t.Errorf("BucketL = %d", p.BucketL())
 	}
-	if !p.NeedsSensitive() {
-		t.Error("NeedsSensitive = false for an unnamed diversity sensitive")
-	}
 	resolved := p.ResolveSensitive("disease")
 	if c, _ := resolved.Find(DistinctLDiversity); c.Sensitive != "disease" {
 		t.Errorf("ResolveSensitive: %+v", c)

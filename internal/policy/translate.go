@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -169,17 +170,6 @@ func (p *Policy) SuppressionBudget() float64 {
 	return 0
 }
 
-// NeedsSensitive reports whether any criterion guards a sensitive attribute
-// without naming one, i.e. whether the pipeline must resolve a default.
-func (p *Policy) NeedsSensitive() bool {
-	for _, c := range p.Criteria {
-		if c.Type != KAnonymity && c.Sensitive == "" {
-			return true
-		}
-	}
-	return false
-}
-
 // ResolveSensitive returns a copy with every empty criterion-level sensitive
 // attribute filled from the default. Criteria that already name one keep it.
 func (p *Policy) ResolveSensitive(def string) *Policy {
@@ -192,46 +182,48 @@ func (p *Policy) ResolveSensitive(def string) *Policy {
 	return out
 }
 
+// Checker maps the criterion onto the privacy model that evaluates it on one
+// release table, against the criterion's own sensitive attribute (see
+// ResolveSensitive). It is the one mapping the algorithms' enforcement and
+// the release measurements share. It returns nil for m-invariance, which
+// guards a release history rather than one table's classes and is checked by
+// the republish pipeline, and for an unknown type.
+func (c Criterion) Checker() privacy.Criterion {
+	switch c.Type {
+	case KAnonymity:
+		return privacy.KAnonymity{K: c.K}
+	case AlphaKAnonymity:
+		return privacy.AlphaKAnonymity{K: c.K, Alpha: c.Alpha, Sensitive: c.Sensitive}
+	case DistinctLDiversity:
+		return privacy.DistinctLDiversity{L: int(c.L), Sensitive: c.Sensitive}
+	case EntropyLDiversity:
+		return privacy.EntropyLDiversity{L: c.L, Sensitive: c.Sensitive}
+	case RecursiveCLDiversity:
+		return privacy.RecursiveCLDiversity{C: cmp.Or(c.C, 3), L: int(c.L), Sensitive: c.Sensitive}
+	case TCloseness:
+		return privacy.TCloseness{T: c.T, Sensitive: c.Sensitive, Ordered: c.Ordered}
+	}
+	return nil
+}
+
 // AttributeCriteria instantiates the policy's attribute-linkage criteria —
-// everything beyond plain k-anonymity — as privacy.Criterion checkers, with
-// empty sensitive attributes resolved to def. Criteria that need a sensitive
-// attribute fail when neither they nor def name one.
+// everything beyond plain k-anonymity and m-invariance — through Checker,
+// with empty sensitive attributes resolved to def. Criteria that need a
+// sensitive attribute fail when neither they nor def name one.
 func (p *Policy) AttributeCriteria(def string) ([]privacy.Criterion, error) {
 	var out []privacy.Criterion
-	for _, c := range p.Criteria {
-		if c.Type == KAnonymity {
+	for _, c := range p.ResolveSensitive(def).Criteria {
+		if c.Type == KAnonymity || c.Type == MInvariance {
 			continue
 		}
-		// m-invariance guards the release history, not one table's classes;
-		// it is checked by the republish pipeline, not a per-class checker.
-		if c.Type == MInvariance {
-			continue
-		}
-		sensitive := c.Sensitive
-		if sensitive == "" {
-			sensitive = def
-		}
-		if sensitive == "" {
+		if c.Sensitive == "" {
 			return nil, fmt.Errorf("policy: %s requires a sensitive attribute", c.Type)
 		}
-		switch c.Type {
-		case AlphaKAnonymity:
-			out = append(out, privacy.AlphaKAnonymity{K: c.K, Alpha: c.Alpha, Sensitive: sensitive})
-		case DistinctLDiversity:
-			out = append(out, privacy.DistinctLDiversity{L: int(c.L), Sensitive: sensitive})
-		case EntropyLDiversity:
-			out = append(out, privacy.EntropyLDiversity{L: c.L, Sensitive: sensitive})
-		case RecursiveCLDiversity:
-			cc := c.C
-			if cc == 0 {
-				cc = 3
-			}
-			out = append(out, privacy.RecursiveCLDiversity{C: cc, L: int(c.L), Sensitive: sensitive})
-		case TCloseness:
-			out = append(out, privacy.TCloseness{T: c.T, Sensitive: sensitive, Ordered: c.Ordered})
-		default:
+		ck := c.Checker()
+		if ck == nil {
 			return nil, fmt.Errorf("policy: unknown criterion type %q", c.Type)
 		}
+		out = append(out, ck)
 	}
 	return out, nil
 }

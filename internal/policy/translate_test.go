@@ -193,3 +193,24 @@ func TestAttributeCriteria(t *testing.T) {
 		t.Errorf("k-only AttributeCriteria = %v, %v", crits, err)
 	}
 }
+
+// TestChecker pins the one policy → privacy mapping: each per-table
+// criterion maps to its model against its own sensitive attribute, the
+// recursive c defaulting to 3, and m-invariance (a release-history guard)
+// and unknown types map to none.
+func TestChecker(t *testing.T) {
+	for _, tc := range []struct {
+		c    Criterion
+		want privacy.Criterion
+	}{
+		{Criterion{Type: KAnonymity, K: 4}, privacy.KAnonymity{K: 4}},
+		{Criterion{Type: RecursiveCLDiversity, L: 2, Sensitive: "s"}, privacy.RecursiveCLDiversity{C: 3, L: 2, Sensitive: "s"}},
+		{Criterion{Type: TCloseness, T: 0.2, Ordered: true}, privacy.TCloseness{T: 0.2, Ordered: true}},
+		{Criterion{Type: MInvariance, M: 2, ID: "id", Sensitive: "s"}, nil},
+		{Criterion{Type: "bogus"}, nil},
+	} {
+		if got := tc.c.Checker(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%+v.Checker() = %#v, want %#v", tc.c, got, tc.want)
+		}
+	}
+}

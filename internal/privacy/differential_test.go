@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 )
 
 // This file checks the coded sensitive-attribute kernel against a reference
-// that evaluates every measure the historical way: per-class string maps
+// that evaluates every criterion the historical way: per-class string maps
 // built from cell values, a global string map, and a domain sorted by value.
 // Float results must agree bit for bit.
 
@@ -243,65 +244,58 @@ func TestCodedMeasuresMatchStringReference(t *testing.T) {
 
 func checkAgainstReference(t *testing.T, name string, tbl *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) {
 	t.Helper()
-	// Coded measures first, so snapshot tables are measured before the
+	// Coded verdicts first, so snapshot tables are evaluated before the
 	// reference materializes their rows.
-	alpha, err1 := MeasureMaxAlpha(tbl, classes, sensitive)
-	l, err2 := MeasureDistinctL(tbl, classes, sensitive)
-	h, err3 := MeasureEntropyL(tbl, classes, sensitive)
-	c, err4 := MeasureRecursiveC(tbl, classes, refL, sensitive)
-	emd, err5 := MeasureMaxEMD(tbl, classes, sensitive, false)
-	oemd, err6 := MeasureMaxEMD(tbl, classes, sensitive, true)
-	for _, err := range []error{err1, err2, err3, err4, err5, err6} {
+	criteria := []Criterion{
+		AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: sensitive},
+		DistinctLDiversity{L: 2, Sensitive: sensitive},
+		EntropyLDiversity{L: 1.5, Sensitive: sensitive},
+		RecursiveCLDiversity{C: refC, L: refL, Sensitive: sensitive},
+		TCloseness{T: 0.2, Sensitive: sensitive},
+		TCloseness{T: 0.2, Sensitive: sensitive, Ordered: true},
+	}
+	verdicts := make([]Verdict, len(criteria))
+	for i, c := range criteria {
+		v, err := c.Evaluate(tbl, classes)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %s: %v", name, c.Name(), err)
 		}
+		verdicts[i] = v
+	}
+	l, err := MeasureDistinctL(tbl, classes, sensitive)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	want := reference(t, tbl, classes, sensitive)
 	if len(classes) == 0 {
 		want.distinctL, want.entropyL = 0, 0
 	}
-	floats := []struct {
-		measure   string
-		got, want float64
+	minSize := dataset.MinClassSize(classes)
+	refs := []struct {
+		measured float64
+		ok       bool
 	}{
-		{"MeasureMaxAlpha", alpha, want.maxAlpha},
-		{"MeasureEntropyL", h, want.entropyL},
-		{"MeasureRecursiveC", c, want.recursiveC},
-		{"MeasureMaxEMD", emd, want.emd},
-		{"MeasureMaxEMD ordered", oemd, want.orderedEMD},
+		{want.maxAlpha, minSize >= 1 && want.maxAlpha <= 0.5},
+		{float64(want.distinctL), want.distinctL >= 2},
+		{math.Exp(want.entropyL), want.entropyL >= math.Log(1.5)-1e-12},
+		{want.recursiveC, want.recursiveOK},
+		{want.emd, want.emd <= 0.2+1e-12},
+		{want.orderedEMD, want.orderedEMD <= 0.2+1e-12},
 	}
-	for _, f := range floats {
-		if math.Float64bits(f.got) != math.Float64bits(f.want) {
-			t.Errorf("%s: %s = %v, reference %v", name, f.measure, f.got, f.want)
+	for i, ref := range refs {
+		c, v := criteria[i], verdicts[i]
+		if math.Float64bits(v.Measured) != math.Float64bits(ref.measured) {
+			t.Errorf("%s: %s measured %v, reference %v", name, c.Name(), v.Measured, ref.measured)
+		}
+		if v.Satisfied != ref.ok {
+			t.Errorf("%s: %s satisfied %v, reference %v", name, c.Name(), v.Satisfied, ref.ok)
 		}
 	}
 	if l != want.distinctL {
 		t.Errorf("%s: MeasureDistinctL = %d, reference %d", name, l, want.distinctL)
 	}
-
-	if len(classes) == 0 {
-		return // every Check rejects an empty release with ErrNoClasses
-	}
-	minSize := dataset.MinClassSize(classes)
-	checks := []struct {
-		crit Criterion
-		want bool
-	}{
-		{AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: sensitive}, minSize >= 1 && want.maxAlpha <= 0.5},
-		{DistinctLDiversity{L: 2, Sensitive: sensitive}, want.distinctL >= 2},
-		{EntropyLDiversity{L: 1.5, Sensitive: sensitive}, want.entropyL >= math.Log(1.5)-1e-12},
-		{RecursiveCLDiversity{C: refC, L: refL, Sensitive: sensitive}, want.recursiveOK},
-		{TCloseness{T: 0.2, Sensitive: sensitive}, want.emd <= 0.2+1e-12},
-		{TCloseness{T: 0.2, Sensitive: sensitive, Ordered: true}, want.orderedEMD <= 0.2+1e-12},
-	}
-	for _, ck := range checks {
-		got, err := ck.crit.Check(tbl, classes)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, ck.crit.Name(), err)
-		}
-		if got != ck.want {
-			t.Errorf("%s: %s = %v, reference %v", name, ck.crit.Name(), got, ck.want)
-		}
+	if _, _, err := CheckAll(tbl, classes, criteria...); (len(classes) == 0) != errors.Is(err, ErrNoClasses) {
+		t.Errorf("%s: CheckAll error %v on %d classes", name, err, len(classes))
 	}
 }
 
@@ -311,17 +305,18 @@ func checkAgainstReference(t *testing.T, name string, tbl *dataset.Table, classe
 func TestEntropyDeterministic(t *testing.T) {
 	tbl := diffTable(t, 7, 300)
 	classes := []dataset.EquivalenceClass{{Rows: allRows(tbl.Len())}}
-	first, err := MeasureEntropyL(tbl, classes, "disease")
+	crit := EntropyLDiversity{L: 2, Sensitive: "disease"}
+	first, err := crit.Evaluate(tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		h, err := MeasureEntropyL(tbl, classes, "disease")
+		v, err := crit.Evaluate(tbl, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(h) != math.Float64bits(first) {
-			t.Fatalf("call %d: entropy %v, first call %v", i, h, first)
+		if math.Float64bits(v.Measured) != math.Float64bits(first.Measured) {
+			t.Fatalf("call %d: effective l %v, first call %v", i, v.Measured, first.Measured)
 		}
 	}
 }

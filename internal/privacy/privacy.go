@@ -1,10 +1,12 @@
 // Package privacy implements the privacy models (release criteria) cataloged
 // by the PPDP survey: k-anonymity and (α,k)-anonymity against record linkage,
 // the l-diversity family and t-closeness against attribute linkage, and
-// δ-presence against table linkage. Each model is both *checkable* (does a
-// release satisfy it?) and *measurable* (what is the strongest parameter the
-// release satisfies?), because the algorithms use checks while the experiment
-// harness reports measurements.
+// δ-presence against table linkage. Each model has one Evaluate, which
+// measures the strongest value of the model's headline parameter a release
+// attains and decides from it whether the release meets the declared one.
+// The algorithms enforce a model through that verdict (CheckAll) and the
+// release pipeline reports it as the release's measurements, so what a
+// release claims and what its anonymization enforced cannot disagree.
 package privacy
 
 import (
@@ -21,31 +23,49 @@ var (
 	// ErrParameter is returned for non-sensical model parameters
 	// (k < 1, l < 1, t outside [0,1], ...).
 	ErrParameter = errors.New("privacy: invalid model parameter")
-	// ErrNoClasses is returned when a model is checked against an empty
+	// ErrNoClasses is returned when criteria are checked against an empty
 	// release.
 	ErrNoClasses = errors.New("privacy: release has no equivalence classes")
 )
 
-// Criterion is a privacy model that can be checked against a released table
+// Verdict is one criterion's evaluation of a release.
+type Verdict struct {
+	// Satisfied reports whether the release meets the criterion. For every
+	// model but (α,k)-anonymity and δ-presence it follows from Measured and
+	// Target alone.
+	Satisfied bool
+	// Measured is the strongest value of the criterion's headline parameter
+	// the release attains (see each model's Evaluate).
+	Measured float64
+	// Target is the parameter the criterion declares.
+	Target float64
+}
+
+// Criterion is a privacy model evaluated against a released table
 // partitioned into quasi-identifier equivalence classes.
 type Criterion interface {
 	// Name returns a short human-readable description such as "5-anonymity".
 	Name() string
-	// Check reports whether the release satisfies the criterion. The classes
-	// must be the quasi-identifier equivalence classes of t.
-	Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error)
+	// Evaluate measures the release and decides the criterion. The classes
+	// must be the quasi-identifier equivalence classes of t; with none, the
+	// models measure 0 (entropy l-diversity e^0 = 1).
+	Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error)
 }
 
 // CheckAll evaluates all criteria and returns true only if every one is
 // satisfied. The first dissatisfied criterion's name is returned for
-// diagnostics.
+// diagnostics. A release with no classes satisfies nothing: it is reported
+// as ErrNoClasses against the first criterion.
 func CheckAll(t *dataset.Table, classes []dataset.EquivalenceClass, criteria ...Criterion) (bool, string, error) {
+	if len(classes) == 0 && len(criteria) > 0 {
+		return false, criteria[0].Name(), ErrNoClasses
+	}
 	for _, c := range criteria {
-		ok, err := c.Check(t, classes)
+		v, err := c.Evaluate(t, classes)
 		if err != nil {
 			return false, c.Name(), err
 		}
-		if !ok {
+		if !v.Satisfied {
 			return false, c.Name(), nil
 		}
 	}
@@ -65,15 +85,14 @@ type KAnonymity struct {
 // Name implements Criterion.
 func (k KAnonymity) Name() string { return fmt.Sprintf("%d-anonymity", k.K) }
 
-// Check implements Criterion.
-func (k KAnonymity) Check(_ *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the minimum class size, and the
+// release is k-anonymous when it is at least K.
+func (k KAnonymity) Evaluate(_ *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if k.K < 1 {
-		return false, fmt.Errorf("%w: k = %d", ErrParameter, k.K)
+		return Verdict{}, fmt.Errorf("%w: k = %d", ErrParameter, k.K)
 	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
-	}
-	return dataset.MinClassSize(classes) >= k.K, nil
+	m := MeasureK(classes)
+	return Verdict{Satisfied: m >= k.K, Measured: float64(m), Target: float64(k.K)}, nil
 }
 
 // MeasureK returns the largest k for which the release is k-anonymous, i.e.
@@ -101,40 +120,20 @@ func (a AlphaKAnonymity) Name() string {
 	return fmt.Sprintf("(%.2f,%d)-anonymity[%s]", a.Alpha, a.K, a.Sensitive)
 }
 
-// Check implements Criterion.
-func (a AlphaKAnonymity) Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the largest relative frequency
+// any sensitive value reaches inside one class — the smallest α the release
+// satisfies — and the release is (α,k)-anonymous when it is at most Alpha
+// and every class holds at least K records.
+func (a AlphaKAnonymity) Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if a.K < 1 || a.Alpha <= 0 || a.Alpha > 1 {
-		return false, fmt.Errorf("%w: alpha=%v k=%d", ErrParameter, a.Alpha, a.K)
+		return Verdict{}, fmt.Errorf("%w: alpha=%v k=%d", ErrParameter, a.Alpha, a.K)
 	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
-	}
-	if dataset.MinClassSize(classes) < a.K {
-		return false, nil
-	}
-	ok := true
-	err := eachClass(t, classes, a.Sensitive, func(h *classHist) bool {
-		ok = h.maxShare() <= a.Alpha
-		return ok
-	})
-	return ok && err == nil, err
-}
-
-// MeasureMaxAlpha returns the largest relative frequency any sensitive value
-// reaches inside one equivalence class — the smallest α for which the release
-// is (α,k)-anonymous (given it is k-anonymous).
-func MeasureMaxAlpha(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (float64, error) {
-	max := 0.0
-	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
-		if f := h.maxShare(); f > max {
-			max = f
-		}
-		return true
-	})
+	max, err := maxOver(t, classes, a.Sensitive, (*classHist).maxShare)
 	if err != nil {
-		return 0, err
+		return Verdict{}, err
 	}
-	return max, nil
+	ok := max <= a.Alpha && MeasureK(classes) >= a.K
+	return Verdict{Satisfied: ok, Measured: max, Target: a.Alpha}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -153,35 +152,25 @@ func (d DistinctLDiversity) Name() string {
 	return fmt.Sprintf("distinct %d-diversity[%s]", d.L, d.Sensitive)
 }
 
-// Check implements Criterion.
-func (d DistinctLDiversity) Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the minimum number of distinct
+// sensitive values per class, and the release is distinct l-diverse when it
+// is at least L.
+func (d DistinctLDiversity) Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if d.L < 1 {
-		return false, fmt.Errorf("%w: l = %d", ErrParameter, d.L)
-	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
+		return Verdict{}, fmt.Errorf("%w: l = %d", ErrParameter, d.L)
 	}
 	l, err := MeasureDistinctL(t, classes, d.Sensitive)
 	if err != nil {
-		return false, err
+		return Verdict{}, err
 	}
-	return l >= d.L, nil
+	return Verdict{Satisfied: l >= d.L, Measured: float64(l), Target: float64(d.L)}, nil
 }
 
 // MeasureDistinctL returns the minimum number of distinct sensitive values
 // over all classes — the strongest distinct l-diversity the release satisfies.
 func MeasureDistinctL(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (int, error) {
-	min := math.MaxInt
-	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
-		if h.distinct < min {
-			min = h.distinct
-		}
-		return true
-	})
-	if err != nil || len(classes) == 0 {
-		return 0, err
-	}
-	return min, nil
+	negMin, err := maxOver(t, classes, sensitive, func(h *classHist) float64 { return -float64(h.distinct) })
+	return int(-negMin), err
 }
 
 // EntropyLDiversity requires the entropy of the sensitive distribution in
@@ -196,36 +185,20 @@ func (e EntropyLDiversity) Name() string {
 	return fmt.Sprintf("entropy %.2f-diversity[%s]", e.L, e.Sensitive)
 }
 
-// Check implements Criterion.
-func (e EntropyLDiversity) Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the effective l, e^H for the
+// minimum natural-log sensitive entropy H over all classes, and the release
+// is entropy l-diverse when it is at least L (H ≥ log L within 1e-12).
+func (e EntropyLDiversity) Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if e.L < 1 {
-		return false, fmt.Errorf("%w: l = %v", ErrParameter, e.L)
+		return Verdict{}, fmt.Errorf("%w: l = %v", ErrParameter, e.L)
 	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
-	}
-	minEntropy, err := MeasureEntropyL(t, classes, e.Sensitive)
+	// The minimum entropy is the negated maximum of -H.
+	negMin, err := maxOver(t, classes, e.Sensitive, func(h *classHist) float64 { return -h.entropy() })
 	if err != nil {
-		return false, err
+		return Verdict{}, err
 	}
-	return minEntropy >= math.Log(e.L)-1e-12, nil
-}
-
-// MeasureEntropyL returns the minimum sensitive-value entropy (natural log)
-// over all classes. A release satisfies entropy l-diversity iff this value is
-// at least log(l).
-func MeasureEntropyL(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) (float64, error) {
-	min := math.Inf(1)
-	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
-		if e := h.entropy(); e < min {
-			min = e
-		}
-		return true
-	})
-	if err != nil || len(classes) == 0 {
-		return 0, err
-	}
-	return min, nil
+	min := -negMin
+	return Verdict{Satisfied: min >= math.Log(e.L)-1e-12, Measured: math.Exp(min), Target: e.L}, nil
 }
 
 // RecursiveCLDiversity implements recursive (c, l)-diversity: in every class,
@@ -242,48 +215,25 @@ func (r RecursiveCLDiversity) Name() string {
 	return fmt.Sprintf("recursive (%.1f,%d)-diversity[%s]", r.C, r.L, r.Sensitive)
 }
 
-// Check implements Criterion.
-func (r RecursiveCLDiversity) Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the maximum over classes of
+// r1 / (r_l + ... + r_m), +Inf when a class has fewer than L distinct
+// sensitive values, and the release is recursive (c,l)-diverse when it is
+// strictly below C.
+func (r RecursiveCLDiversity) Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if r.C <= 0 || r.L < 1 {
-		return false, fmt.Errorf("%w: c=%v l=%d", ErrParameter, r.C, r.L)
+		return Verdict{}, fmt.Errorf("%w: c=%v l=%d", ErrParameter, r.C, r.L)
 	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
-	}
-	ok := true
-	err := eachClass(t, classes, r.Sensitive, func(h *classHist) bool {
+	max, err := maxOver(t, classes, r.Sensitive, func(h *classHist) float64 {
 		r1, tail, diverse := h.recursiveTerms(r.L)
-		ok = diverse && float64(r1) < r.C*float64(tail)
-		return ok
-	})
-	return ok && err == nil, err
-}
-
-// MeasureRecursiveC returns the smallest c for which the release satisfies
-// recursive (c,l)-diversity at the given l: the maximum over classes of
-// r1 / (r_l + ... + r_m) with counts sorted descending (plus a hair, since
-// the criterion is a strict inequality). A class with fewer than l distinct
-// sensitive values satisfies no c, reported as +Inf.
-func MeasureRecursiveC(t *dataset.Table, classes []dataset.EquivalenceClass, l int, sensitive string) (float64, error) {
-	if l < 1 {
-		return 0, fmt.Errorf("%w: l = %d", ErrParameter, l)
-	}
-	max := 0.0
-	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
-		r1, tail, diverse := h.recursiveTerms(l)
 		if !diverse {
-			max = math.Inf(1)
-			return false
+			return math.Inf(1)
 		}
-		if ratio := float64(r1) / float64(tail); ratio > max {
-			max = ratio
-		}
-		return true
+		return float64(r1) / float64(tail)
 	})
 	if err != nil {
-		return 0, err
+		return Verdict{}, err
 	}
-	return max, nil
+	return Verdict{Satisfied: max < r.C, Measured: max, Target: r.C}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -308,19 +258,17 @@ func (tc TCloseness) Name() string {
 	return fmt.Sprintf("%.2f-closeness[%s]", tc.T, tc.Sensitive)
 }
 
-// Check implements Criterion.
-func (tc TCloseness) Check(t *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion: Measured is the maximum per-class EMD, and
+// the release is t-close when it is at most T (within 1e-12).
+func (tc TCloseness) Evaluate(t *dataset.Table, classes []dataset.EquivalenceClass) (Verdict, error) {
 	if tc.T < 0 || tc.T > 1 {
-		return false, fmt.Errorf("%w: t = %v", ErrParameter, tc.T)
-	}
-	if len(classes) == 0 {
-		return false, ErrNoClasses
+		return Verdict{}, fmt.Errorf("%w: t = %v", ErrParameter, tc.T)
 	}
 	maxEMD, err := MeasureMaxEMD(t, classes, tc.Sensitive, tc.Ordered)
 	if err != nil {
-		return false, err
+		return Verdict{}, err
 	}
-	return maxEMD <= tc.T+1e-12, nil
+	return Verdict{Satisfied: maxEMD <= tc.T+1e-12, Measured: maxEMD, Target: tc.T}, nil
 }
 
 // MeasureMaxEMD returns the maximum earth mover's distance between any
@@ -343,29 +291,18 @@ func MeasureMaxEMD(t *dataset.Table, classes []dataset.EquivalenceClass, sensiti
 		globalDist[i] = float64(st.Counts[code]) / float64(cc.Len())
 	}
 	localDist := make([]float64, len(domain))
-	max := 0.0
-	err = eachClass(t, classes, sensitive, func(h *classHist) bool {
+	return maxOver(t, classes, sensitive, func(h *classHist) float64 {
 		for i, code := range domain {
 			localDist[i] = 0
 			if h.size > 0 {
 				localDist[i] = float64(h.counts[code]) / float64(h.size)
 			}
 		}
-		var d float64
 		if ordered {
-			d = orderedEMD(localDist, globalDist)
-		} else {
-			d = equalEMD(localDist, globalDist)
+			return orderedEMD(localDist, globalDist)
 		}
-		if d > max {
-			max = d
-		}
-		return true
+		return equalEMD(localDist, globalDist)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return max, nil
 }
 
 // equalEMD is the earth mover's distance under the equal ground distance,
@@ -446,6 +383,20 @@ func eachClass(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive s
 	return nil
 }
 
+// maxOver returns the maximum of f over the classes' histograms, or 0 with
+// no classes. It stops at +Inf, which no later class can exceed.
+func maxOver(t *dataset.Table, classes []dataset.EquivalenceClass, sensitive string, f func(*classHist) float64) (float64, error) {
+	max := math.Inf(-1)
+	err := eachClass(t, classes, sensitive, func(h *classHist) bool {
+		max = math.Max(max, f(h))
+		return !math.IsInf(max, 1)
+	})
+	if err != nil || len(classes) == 0 {
+		return 0, err
+	}
+	return max, nil
+}
+
 // maxShare is the largest relative frequency of one value in the class.
 func (h *classHist) maxShare() float64 {
 	max := 0.0
@@ -514,16 +465,20 @@ func (d DeltaPresence) Name() string {
 	return fmt.Sprintf("(%.2f,%.2f)-presence", d.DeltaMin, d.DeltaMax)
 }
 
-// Check implements Criterion.
-func (d DeltaPresence) Check(t *dataset.Table, _ []dataset.EquivalenceClass) (bool, error) {
+// Evaluate implements Criterion. It groups the public table itself, so the
+// classes are ignored. Measured is the largest presence ratio and Target
+// DeltaMax; the release is δ-present when the ratios lie in
+// [DeltaMin, DeltaMax] (within 1e-12).
+func (d DeltaPresence) Evaluate(t *dataset.Table, _ []dataset.EquivalenceClass) (Verdict, error) {
 	lo, hi, err := MeasurePresence(t, d.Public)
 	if err != nil {
-		return false, err
+		return Verdict{}, err
 	}
 	if d.DeltaMin < 0 || d.DeltaMax > 1 || d.DeltaMin > d.DeltaMax {
-		return false, fmt.Errorf("%w: delta range [%v, %v]", ErrParameter, d.DeltaMin, d.DeltaMax)
+		return Verdict{}, fmt.Errorf("%w: delta range [%v, %v]", ErrParameter, d.DeltaMin, d.DeltaMax)
 	}
-	return lo >= d.DeltaMin-1e-12 && hi <= d.DeltaMax+1e-12, nil
+	ok := lo >= d.DeltaMin-1e-12 && hi <= d.DeltaMax+1e-12
+	return Verdict{Satisfied: ok, Measured: hi, Target: d.DeltaMax}, nil
 }
 
 // MeasurePresence computes the minimum and maximum presence ratio

@@ -29,6 +29,13 @@ func buildTable(t *testing.T, rows []dataset.Row) (*dataset.Table, []dataset.Equ
 	return tbl, classes
 }
 
+// check decides one criterion through CheckAll, the path the algorithms
+// enforce criteria by.
+func check(c Criterion, tbl *dataset.Table, classes []dataset.EquivalenceClass) (bool, error) {
+	ok, _, err := CheckAll(tbl, classes, c)
+	return ok, err
+}
+
 func anonRows() []dataset.Row {
 	return []dataset.Row{
 		{"[20-30)", "303**", "flu"},
@@ -46,7 +53,7 @@ func TestKAnonymity(t *testing.T) {
 		k    int
 		want bool
 	}{{1, true}, {2, true}, {3, true}, {4, false}} {
-		ok, err := KAnonymity{K: tc.k}.Check(tbl, classes)
+		ok, err := check(KAnonymity{K: tc.k}, tbl, classes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +64,10 @@ func TestKAnonymity(t *testing.T) {
 	if MeasureK(classes) != 3 {
 		t.Errorf("MeasureK = %d", MeasureK(classes))
 	}
-	if _, err := (KAnonymity{K: 0}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(KAnonymity{K: 0}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("k=0 error = %v", err)
 	}
-	if _, err := (KAnonymity{K: 2}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(KAnonymity{K: 2}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
 	if got := (KAnonymity{K: 5}).Name(); got != "5-anonymity" {
@@ -71,14 +78,14 @@ func TestKAnonymity(t *testing.T) {
 func TestAlphaKAnonymity(t *testing.T) {
 	tbl, classes := buildTable(t, anonRows())
 	// Second class is 2/3 flu; alpha 0.5 fails, alpha 0.7 passes.
-	ok, err := AlphaKAnonymity{K: 2, Alpha: 0.5, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, err := check(AlphaKAnonymity{K: 2, Alpha: 0.5, Sensitive: "diagnosis"}, tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok {
 		t.Error("alpha=0.5 should fail")
 	}
-	ok, err = AlphaKAnonymity{K: 2, Alpha: 0.7, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, err = check(AlphaKAnonymity{K: 2, Alpha: 0.7, Sensitive: "diagnosis"}, tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +93,17 @@ func TestAlphaKAnonymity(t *testing.T) {
 		t.Error("alpha=0.7 should pass")
 	}
 	// K gate.
-	ok, _ = AlphaKAnonymity{K: 4, Alpha: 1, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(AlphaKAnonymity{K: 4, Alpha: 1, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("k=4 should fail before alpha is considered")
 	}
-	if _, err := (AlphaKAnonymity{K: 1, Alpha: 0, Sensitive: "diagnosis"}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(AlphaKAnonymity{K: 1, Alpha: 0, Sensitive: "diagnosis"}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("alpha=0 error = %v", err)
 	}
-	if _, err := (AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: "nope"}).Check(tbl, classes); err == nil {
+	if _, err := check(AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: "nope"}, tbl, classes); err == nil {
 		t.Error("unknown sensitive accepted")
 	}
-	if _, err := (AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: "diagnosis"}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: "diagnosis"}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
 }
@@ -111,18 +118,18 @@ func TestDistinctLDiversity(t *testing.T) {
 	if l != 2 {
 		t.Errorf("MeasureDistinctL = %d", l)
 	}
-	ok, _ := DistinctLDiversity{L: 2, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ := check(DistinctLDiversity{L: 2, Sensitive: "diagnosis"}, tbl, classes)
 	if !ok {
 		t.Error("2-diversity should hold")
 	}
-	ok, _ = DistinctLDiversity{L: 3, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(DistinctLDiversity{L: 3, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("3-diversity should fail")
 	}
-	if _, err := (DistinctLDiversity{L: 0, Sensitive: "diagnosis"}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(DistinctLDiversity{L: 0, Sensitive: "diagnosis"}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("l=0 error = %v", err)
 	}
-	if _, err := (DistinctLDiversity{L: 2, Sensitive: "diagnosis"}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(DistinctLDiversity{L: 2, Sensitive: "diagnosis"}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
 	if l, _ := MeasureDistinctL(tbl, nil, "diagnosis"); l != 0 {
@@ -135,61 +142,62 @@ func TestDistinctLDiversity(t *testing.T) {
 
 func TestEntropyLDiversity(t *testing.T) {
 	tbl, classes := buildTable(t, anonRows())
-	h, err := MeasureEntropyL(tbl, classes, "diagnosis")
+	v, err := EntropyLDiversity{L: 2, Sensitive: "diagnosis"}.Evaluate(tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Worst class: {flu:2, gastritis:1}: H = -(2/3)ln(2/3) - (1/3)ln(1/3).
+	// Worst class: {flu:2, gastritis:1}: H = -(2/3)ln(2/3) - (1/3)ln(1/3),
+	// reported as the effective l e^H.
 	want := -(2.0/3)*math.Log(2.0/3) - (1.0/3)*math.Log(1.0/3)
-	if math.Abs(h-want) > 1e-9 {
-		t.Errorf("MeasureEntropyL = %v, want %v", h, want)
+	if math.Abs(v.Measured-math.Exp(want)) > 1e-9 || v.Target != 2 {
+		t.Errorf("entropy verdict = %+v, want measured %v", v, math.Exp(want))
 	}
 	// exp(want) ~ 1.88: entropy 1.8-diversity holds, 2-diversity fails.
-	ok, _ := EntropyLDiversity{L: 1.8, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ := check(EntropyLDiversity{L: 1.8, Sensitive: "diagnosis"}, tbl, classes)
 	if !ok {
 		t.Error("entropy 1.8-diversity should hold")
 	}
-	ok, _ = EntropyLDiversity{L: 2, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(EntropyLDiversity{L: 2, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("entropy 2-diversity should fail")
 	}
-	if _, err := (EntropyLDiversity{L: 0.5, Sensitive: "diagnosis"}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(EntropyLDiversity{L: 0.5, Sensitive: "diagnosis"}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("l<1 error = %v", err)
 	}
-	if _, err := (EntropyLDiversity{L: 2, Sensitive: "diagnosis"}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(EntropyLDiversity{L: 2, Sensitive: "diagnosis"}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
-	if h, _ := MeasureEntropyL(tbl, nil, "diagnosis"); h != 0 {
-		t.Errorf("MeasureEntropyL(empty) = %v", h)
+	if v, _ := (EntropyLDiversity{L: 2, Sensitive: "diagnosis"}).Evaluate(tbl, nil); v.Measured != 1 || v.Satisfied {
+		t.Errorf("entropy verdict on no classes = %+v, want e^0 = 1, unsatisfied", v)
 	}
 }
 
 func TestRecursiveCLDiversity(t *testing.T) {
 	tbl, classes := buildTable(t, anonRows())
 	// Worst class counts sorted: [2,1]. For l=2: r1=2, tail=1. Need 2 < c*1.
-	ok, err := RecursiveCLDiversity{C: 3, L: 2, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, err := check(RecursiveCLDiversity{C: 3, L: 2, Sensitive: "diagnosis"}, tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("(3,2)-diversity should hold")
 	}
-	ok, _ = RecursiveCLDiversity{C: 1.5, L: 2, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(RecursiveCLDiversity{C: 1.5, L: 2, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("(1.5,2)-diversity should fail")
 	}
 	// l larger than the number of distinct values fails.
-	ok, _ = RecursiveCLDiversity{C: 10, L: 3, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(RecursiveCLDiversity{C: 10, L: 3, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("(10,3)-diversity should fail (only 2 distinct values in a class)")
 	}
-	if _, err := (RecursiveCLDiversity{C: 0, L: 2, Sensitive: "diagnosis"}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(RecursiveCLDiversity{C: 0, L: 2, Sensitive: "diagnosis"}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("c=0 error = %v", err)
 	}
-	if _, err := (RecursiveCLDiversity{C: 1, L: 1, Sensitive: "nope"}).Check(tbl, classes); err == nil {
+	if _, err := check(RecursiveCLDiversity{C: 1, L: 1, Sensitive: "nope"}, tbl, classes); err == nil {
 		t.Error("unknown sensitive accepted")
 	}
-	if _, err := (RecursiveCLDiversity{C: 1, L: 1, Sensitive: "diagnosis"}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(RecursiveCLDiversity{C: 1, L: 1, Sensitive: "diagnosis"}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
 }
@@ -206,18 +214,18 @@ func TestTCloseness(t *testing.T) {
 	if math.Abs(maxEMD-1.0/3) > 1e-9 {
 		t.Errorf("MeasureMaxEMD = %v, want 1/3", maxEMD)
 	}
-	ok, _ := TCloseness{T: 0.35, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ := check(TCloseness{T: 0.35, Sensitive: "diagnosis"}, tbl, classes)
 	if !ok {
 		t.Error("0.35-closeness should hold")
 	}
-	ok, _ = TCloseness{T: 0.2, Sensitive: "diagnosis"}.Check(tbl, classes)
+	ok, _ = check(TCloseness{T: 0.2, Sensitive: "diagnosis"}, tbl, classes)
 	if ok {
 		t.Error("0.2-closeness should fail")
 	}
-	if _, err := (TCloseness{T: -1, Sensitive: "diagnosis"}).Check(tbl, classes); !errors.Is(err, ErrParameter) {
+	if _, err := check(TCloseness{T: -1, Sensitive: "diagnosis"}, tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("t<0 error = %v", err)
 	}
-	if _, err := (TCloseness{T: 0.5, Sensitive: "diagnosis"}).Check(tbl, nil); !errors.Is(err, ErrNoClasses) {
+	if _, err := check(TCloseness{T: 0.5, Sensitive: "diagnosis"}, tbl, nil); !errors.Is(err, ErrNoClasses) {
 		t.Errorf("no classes error = %v", err)
 	}
 	if _, err := MeasureMaxEMD(tbl, classes, "nope", false); err == nil {
@@ -317,19 +325,19 @@ func TestDeltaPresence(t *testing.T) {
 	if math.Abs(lo-1.0/3) > 1e-9 || math.Abs(hi-0.5) > 1e-9 {
 		t.Errorf("presence bounds = [%v, %v], want [1/3, 1/2]", lo, hi)
 	}
-	ok, err := DeltaPresence{DeltaMin: 0.2, DeltaMax: 0.6, Public: public}.Check(private, nil)
-	if err != nil || !ok {
-		t.Errorf("presence check = %v, %v", ok, err)
+	v, err := DeltaPresence{DeltaMin: 0.2, DeltaMax: 0.6, Public: public}.Evaluate(private, nil)
+	if err != nil || !v.Satisfied || v.Measured != hi || v.Target != 0.6 {
+		t.Errorf("presence verdict = %+v, %v", v, err)
 	}
-	ok, _ = DeltaPresence{DeltaMin: 0.4, DeltaMax: 0.6, Public: public}.Check(private, nil)
-	if ok {
+	v, _ = DeltaPresence{DeltaMin: 0.4, DeltaMax: 0.6, Public: public}.Evaluate(private, nil)
+	if v.Satisfied {
 		t.Error("delta-min violation not detected")
 	}
-	ok, _ = DeltaPresence{DeltaMin: 0.0, DeltaMax: 0.4, Public: public}.Check(private, nil)
-	if ok {
+	v, _ = DeltaPresence{DeltaMin: 0.0, DeltaMax: 0.4, Public: public}.Evaluate(private, nil)
+	if v.Satisfied {
 		t.Error("delta-max violation not detected")
 	}
-	if _, err := (DeltaPresence{DeltaMin: 0.9, DeltaMax: 0.1, Public: public}).Check(private, nil); !errors.Is(err, ErrParameter) {
+	if _, err := (DeltaPresence{DeltaMin: 0.9, DeltaMax: 0.1, Public: public}).Evaluate(private, nil); !errors.Is(err, ErrParameter) {
 		t.Errorf("inverted delta range error = %v", err)
 	}
 	if _, _, err := MeasurePresence(private, nil); err == nil {
@@ -341,7 +349,7 @@ func TestDeltaPresence(t *testing.T) {
 }
 
 // Property: for random small releases, MeasureK equals the smallest class
-// size, and KAnonymity.Check agrees with comparing against MeasureK.
+// size, and the k-anonymity verdict agrees with comparing against MeasureK.
 func TestMeasureKConsistencyProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw%5) + 1
@@ -358,7 +366,7 @@ func TestMeasureKConsistencyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ok, err := KAnonymity{K: k}.Check(tbl, classes)
+		ok, err := check(KAnonymity{K: k}, tbl, classes)
 		if err != nil {
 			return false
 		}
@@ -386,55 +394,83 @@ func propertyRows(seed int64) []dataset.Row {
 	return rows
 }
 
-// TestMeasureMaxAlpha checks the (α,k) measurement against the hand-built
+// TestAlphaKMeasured checks the (α,k) measurement against the hand-built
 // table: class one is 1/3-homogeneous per value, class two has flu at 2/3.
-func TestMeasureMaxAlpha(t *testing.T) {
+func TestAlphaKMeasured(t *testing.T) {
 	tbl, classes := buildTable(t, anonRows())
-	alpha, err := MeasureMaxAlpha(tbl, classes, "diagnosis")
+	v, err := AlphaKAnonymity{K: 1, Alpha: 0.5, Sensitive: "diagnosis"}.Evaluate(tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2.0 / 3.0; math.Abs(alpha-want) > 1e-12 {
-		t.Errorf("MeasureMaxAlpha = %v, want %v", alpha, want)
+	alpha := v.Measured
+	if want := 2.0 / 3.0; math.Abs(alpha-want) > 1e-12 || v.Target != 0.5 || v.Satisfied {
+		t.Errorf("alpha verdict = %+v, want measured %v, unsatisfied", v, want)
 	}
 	// Consistency with the checkable criterion: the measured α is the
 	// smallest cap the release satisfies.
-	if ok, err := (AlphaKAnonymity{K: 1, Alpha: alpha, Sensitive: "diagnosis"}).Check(tbl, classes); err != nil || !ok {
-		t.Errorf("Check at measured alpha = %v, %v", ok, err)
+	if ok, err := check(AlphaKAnonymity{K: 1, Alpha: alpha, Sensitive: "diagnosis"}, tbl, classes); err != nil || !ok {
+		t.Errorf("check at measured alpha = %v, %v", ok, err)
 	}
-	if ok, _ := (AlphaKAnonymity{K: 1, Alpha: alpha - 0.01, Sensitive: "diagnosis"}).Check(tbl, classes); ok {
-		t.Error("Check below measured alpha should fail")
+	if ok, _ := check(AlphaKAnonymity{K: 1, Alpha: alpha - 0.01, Sensitive: "diagnosis"}, tbl, classes); ok {
+		t.Error("check below measured alpha should fail")
 	}
 }
 
-// TestMeasureRecursiveC checks the recursive (c,l) measurement: at l=2,
+// TestRecursiveCMeasured checks the recursive (c,l) measurement: at l=2,
 // class two has counts (2,1) so the worst r1/tail ratio is 2/1.
-func TestMeasureRecursiveC(t *testing.T) {
+func TestRecursiveCMeasured(t *testing.T) {
 	tbl, classes := buildTable(t, anonRows())
-	c, err := MeasureRecursiveC(tbl, classes, 2, "diagnosis")
+	v, err := RecursiveCLDiversity{C: 3, L: 2, Sensitive: "diagnosis"}.Evaluate(tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 2.0; c != want {
-		t.Errorf("MeasureRecursiveC(l=2) = %v, want %v", c, want)
+	c := v.Measured
+	if want := 2.0; c != want || v.Target != 3 || !v.Satisfied {
+		t.Errorf("recursive verdict (l=2) = %+v, want measured %v, satisfied", v, want)
 	}
 	// Any c strictly above the measurement satisfies the criterion; the
 	// measurement itself does not (strict inequality).
-	if ok, err := (RecursiveCLDiversity{C: c + 0.01, L: 2, Sensitive: "diagnosis"}).Check(tbl, classes); err != nil || !ok {
-		t.Errorf("Check above measured c = %v, %v", ok, err)
+	if ok, err := check(RecursiveCLDiversity{C: c + 0.01, L: 2, Sensitive: "diagnosis"}, tbl, classes); err != nil || !ok {
+		t.Errorf("check above measured c = %v, %v", ok, err)
 	}
-	if ok, _ := (RecursiveCLDiversity{C: c, L: 2, Sensitive: "diagnosis"}).Check(tbl, classes); ok {
-		t.Error("Check at measured c should fail (strict inequality)")
+	if ok, _ := check(RecursiveCLDiversity{C: c, L: 2, Sensitive: "diagnosis"}, tbl, classes); ok {
+		t.Error("check at measured c should fail (strict inequality)")
 	}
 	// A class with fewer than l distinct values satisfies no c.
-	c4, err := MeasureRecursiveC(tbl, classes, 4, "diagnosis")
+	v4, err := RecursiveCLDiversity{C: 3, L: 4, Sensitive: "diagnosis"}.Evaluate(tbl, classes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsInf(c4, 1) {
-		t.Errorf("MeasureRecursiveC(l=4) = %v, want +Inf", c4)
+	if !math.IsInf(v4.Measured, 1) || v4.Satisfied {
+		t.Errorf("recursive verdict (l=4) = %+v, want +Inf, unsatisfied", v4)
 	}
-	if _, err := MeasureRecursiveC(tbl, classes, 0, "diagnosis"); !errors.Is(err, ErrParameter) {
+	if _, err := (RecursiveCLDiversity{C: 3, L: 0, Sensitive: "diagnosis"}).Evaluate(tbl, classes); !errors.Is(err, ErrParameter) {
 		t.Errorf("l=0 error = %v, want ErrParameter", err)
+	}
+}
+
+// TestRecursiveBoundary pins the strict inequality at a float boundary:
+// counts (55, 25) give r1/tail = 2.2 exactly, while 2.2*25 rounds to
+// 55.00000000000001, so comparing r1 < c*tail would accept c = 2.2. The
+// verdict compares the published measurement with c and refuses it.
+func TestRecursiveBoundary(t *testing.T) {
+	rows := make([]dataset.Row, 0, 80)
+	for i := 0; i < 80; i++ {
+		s := "a"
+		if i >= 55 {
+			s = "b"
+		}
+		rows = append(rows, dataset.Row{"[20-30)", "303**", s})
+	}
+	tbl, classes := buildTable(t, rows)
+	v, err := RecursiveCLDiversity{C: 2.2, L: 2, Sensitive: "diagnosis"}.Evaluate(tbl, classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Measured != 2.2 || v.Target != 2.2 || v.Satisfied {
+		t.Errorf("boundary verdict = %+v, want measured 2.2, target 2.2, unsatisfied", v)
+	}
+	if ok, _ := check(RecursiveCLDiversity{C: 2.2, L: 2, Sensitive: "diagnosis"}, tbl, classes); ok {
+		t.Error("CheckAll accepted r1/tail = c")
 	}
 }

@@ -69,10 +69,20 @@ func doAuthJSON(t testing.TB, method, url, key string, body any) (int, http.Head
 	return resp.StatusCode, resp.Header, out
 }
 
+// apiKeysValid and apiKeysInvalid are TestParseAPIKeys's inputs; they also
+// seed FuzzParseAPIKeys.
+var (
+	apiKeysValid   = "# ops keys\n\n  k-acme-1   acme\nk-acme-2 acme\nk-globex globex\n"
+	apiKeysInvalid = map[string]string{
+		"duplicate key":  "k1 acme\nk1 globex\n",
+		"malformed line": "k1 acme extra\n",
+		"empty file":     "# nothing but comments\n",
+	}
+)
+
 func TestParseAPIKeys(t *testing.T) {
 	t.Run("valid", func(t *testing.T) {
-		keys, err := ParseAPIKeys(strings.NewReader(
-			"# ops keys\n\n  k-acme-1   acme\nk-acme-2 acme\nk-globex globex\n"))
+		keys, err := ParseAPIKeys(strings.NewReader(apiKeysValid))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +90,7 @@ func TestParseAPIKeys(t *testing.T) {
 			t.Errorf("keys = %v", keys)
 		}
 	})
-	for name, input := range map[string]string{
-		"duplicate key":  "k1 acme\nk1 globex\n",
-		"malformed line": "k1 acme extra\n",
-		"empty file":     "# nothing but comments\n",
-	} {
+	for name, input := range apiKeysInvalid {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseAPIKeys(strings.NewReader(input)); err == nil {
 				t.Errorf("ParseAPIKeys(%q) succeeded, want error", input)

@@ -403,10 +403,12 @@ type anonymizeRequest struct {
 	// PolicyRef names a stored policy (see POST /v1/policies); the run pins
 	// the stored document as an immutable snapshot.
 	PolicyRef string `json:"policy_ref"`
-	// K, L, T, C and DiversityMode are the flat privacy parameters.
+	// K, L, T, C and DiversityMode are the flat privacy parameters. K is a
+	// pointer so an explicit 0, rejected like the CLI's -k 0, is told apart
+	// from an omitted k, which takes the algorithm's declared default.
 	//
 	// Deprecated: declare criteria in "policy" / "policy_ref" instead.
-	K             int     `json:"k"`
+	K             *int    `json:"k"`
 	L             int     `json:"l"`
 	T             float64 `json:"t"`
 	C             float64 `json:"c"`
@@ -440,8 +442,18 @@ type anonymizeRequest struct {
 // flatParamsSet reports whether any deprecated flat privacy parameter is
 // present, for the mutual-exclusion check against policy/policy_ref.
 func (r anonymizeRequest) flatParamsSet() bool {
-	return r.K != 0 || r.L != 0 || r.T != 0 || r.C != 0 || r.DiversityMode != "" ||
+	return r.K != nil || r.L != 0 || r.T != 0 || r.C != 0 || r.DiversityMode != "" ||
 		r.MaxSuppression != nil || r.OrderedSensitive
+}
+
+// journaled returns r as read back from the journal. Records written before
+// K was a pointer say "k": 0 for an omitted k, and an explicit 0 is rejected
+// before anything is journaled, so a journaled 0 always means omitted.
+func (r anonymizeRequest) journaled() anonymizeRequest {
+	if r.K != nil && *r.K == 0 {
+		r.K = nil
+	}
+	return r
 }
 
 // criterionMeasurementJSON is the JSON view of one verified policy criterion.

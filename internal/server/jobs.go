@@ -84,13 +84,16 @@ func (s *Server) newPipeline(info engine.Info, req anonymizeRequest, explicit *p
 	}
 	var declared *policy.Policy
 	if explicit == nil {
-		flat := policy.Flat{K: req.K, L: req.L, DiversityMode: req.DiversityMode, C: req.C, T: req.T,
+		flat := policy.Flat{L: req.L, DiversityMode: req.DiversityMode, C: req.C, T: req.T,
 			OrderedSensitive: req.OrderedSensitive, Sensitive: req.Sensitive}
+		if req.K != nil {
+			flat.K = *req.K
+		}
 		if req.MaxSuppression != nil {
 			flat.MaxSuppression = *req.MaxSuppression
 		}
 		var err error
-		if cfg.Policy, declared, err = info.FlatPolicy(flat, req.K != 0, req.MaxSuppression != nil); err != nil {
+		if cfg.Policy, declared, err = info.FlatPolicy(flat, req.K != nil, req.MaxSuppression != nil); err != nil {
 			return nil, fmt.Errorf("%w: %v", core.ErrConfig, err)
 		}
 	}

@@ -331,7 +331,7 @@ func (s *Server) recover(st *store.Store) error {
 			origin:    originDS,
 			algorithm: core.Algorithm(m.Algorithm),
 			policyRef: m.PolicyRef,
-			params:    m.Params,
+			params:    m.Params.journaled(),
 			release: &core.Release{
 				Table:     tbl,
 				QIT:       qit,

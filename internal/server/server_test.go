@@ -338,6 +338,34 @@ func TestAnonymizeBadInputs(t *testing.T) {
 	}
 }
 
+// TestAnonymizeRecursiveBoundary checks that a table on the float boundary
+// of recursive (c,l)-diversity is refused rather than published as
+// violating its own policy: one class of 55 "a" and 25 "b" diagnoses has
+// r1/tail = 2.2, which c = 2.2 does not strictly bound.
+func TestAnonymizeRecursiveBoundary(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Workers: 1})
+	var csv strings.Builder
+	csv.WriteString("name,age,zip,sex,nationality,diagnosis\n")
+	for i := 0; i < 80; i++ {
+		diagnosis := "a"
+		if i >= 55 {
+			diagnosis = "b"
+		}
+		fmt.Fprintf(&csv, "p%d,30,13053,M,US,%s\n", i, diagnosis)
+	}
+	if status, body := sendCSV(t, "PUT", ts.URL+"/v1/datasets/b?family=hospital", []byte(csv.String())); status != http.StatusCreated {
+		t.Fatalf("upload: %d %v", status, body)
+	}
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{"dataset": "b", "algorithm": "mondrian",
+		"policy": map[string]any{"criteria": []map[string]any{
+			{"type": "k-anonymity", "k": 2},
+			{"type": "recursive-cl-diversity", "l": 2, "c": 2.2},
+		}}})
+	if status != http.StatusUnprocessableEntity || errorCode(t, body) != "unsatisfiable" {
+		t.Errorf("boundary table: %d %v, want 422 unsatisfiable", status, body)
+	}
+}
+
 // TestAnonymizeCancellation checks both cancellation paths: a client that
 // goes away (499 envelope on the server side) and a request deadline that
 // expires inside the Mondrian pool (504).

@@ -428,7 +428,7 @@ func (s *Server) recoverSpecs(st *store.Store) error {
 			algorithm:       core.Algorithm(m.Algorithm),
 			policyRef:       m.PolicyRef,
 			policy:          m.Policy,
-			params:          m.Params,
+			params:          m.Params.journaled(),
 			releaseID:       m.ReleaseID,
 			reconGen:        m.ReconGen,
 			reconFP:         m.ReconFP,
