@@ -51,7 +51,7 @@ func cacheKey(p *preparedRun) (string, error) {
 	}
 	parts := []string{
 		p.ds.table.Fingerprint(),
-		p.ds.family,
+		p.ds.Family,
 		string(p.alg),
 		string(pol),
 		p.req.Sensitive,

@@ -36,12 +36,12 @@ type datasetInfo struct {
 func datasetJSON(ds *storedDataset) datasetInfo {
 	return datasetInfo{
 		Name:             ds.name,
-		Family:           ds.family,
+		Family:           ds.Family,
 		Rows:             ds.table.Len(),
 		Columns:          ds.table.Schema().Names(),
 		QuasiIdentifiers: ds.table.Schema().QuasiIdentifierNames(),
 		Sensitive:        ds.table.Schema().SensitiveNames(),
-		Created:          ds.created,
+		Created:          time.Unix(0, ds.CreatedUnix),
 	}
 }
 
@@ -98,12 +98,10 @@ func (s *Server) handleGenerateDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ds := &storedDataset{
-		name:    req.Name,
-		family:  family.Name,
-		tenant:  tenant,
-		table:   family.Generate(req.Rows, seed),
-		hier:    family.Hierarchies(),
-		created: time.Now(),
+		name:        req.Name,
+		datasetMeta: datasetMeta{Family: family.Name, Tenant: tenant, CreatedUnix: time.Now().UnixNano()},
+		table:       family.Generate(req.Rows, seed),
+		hier:        family.Hierarchies(),
 	}
 	ds.table.SetScanWorkers(s.scanWorkers())
 	if err := s.reg.putDataset(ds, false, s.cfg.TenantMaxDatasets); err != nil {
@@ -111,22 +109,6 @@ func (s *Server) handleGenerateDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, datasetJSON(ds))
-}
-
-// writeRegistryError maps registry store failures: occupancy limits are 507
-// (free space with DELETE and retry), an exhausted per-tenant quota is 429
-// (the tenant can free its own entries), everything else is a name conflict.
-func writeRegistryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, errRegistryFull):
-		writeError(w, http.StatusInsufficientStorage, "registry_full", "%v", err)
-	case errors.Is(err, errTenantQuota):
-		writeError(w, http.StatusTooManyRequests, "tenant_quota", "%v", err)
-	case errors.Is(err, errPersist):
-		writeError(w, http.StatusInternalServerError, "storage", "%v", err)
-	default:
-		writeError(w, http.StatusConflict, "conflict", "%v", err)
-	}
 }
 
 // handleUploadDataset ingests a CSV body under PUT /v1/datasets/{name}. The
@@ -158,7 +140,8 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tbl.SetScanWorkers(s.scanWorkers())
-	ds := &storedDataset{name: name, family: f.Name, tenant: tenantOf(r), table: tbl, hier: f.Hierarchies(), created: time.Now()}
+	ds := &storedDataset{name: name, table: tbl, hier: f.Hierarchies(),
+		datasetMeta: datasetMeta{Family: f.Name, Tenant: tenantOf(r), CreatedUnix: time.Now().UnixNano()}}
 	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
 		writeRegistryError(w, err)
 		return
@@ -178,12 +161,12 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // reconciler is notified.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	cur, err := s.reg.getDataset(name)
+	cur, err := s.reg.datasets.get(name)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
-	f, err := synth.FamilyByName(cur.family)
+	f, err := synth.FamilyByName(cur.Family)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "unsupported",
 			"dataset %q has no resolvable schema family (%v); re-upload it under a known family first", name, err)
@@ -212,7 +195,8 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	merged.SetScanWorkers(s.scanWorkers())
-	ds := &storedDataset{name: name, family: cur.family, tenant: tenantOf(r), table: merged, hier: cur.hier, created: time.Now()}
+	ds := &storedDataset{name: name, table: merged, hier: cur.hier,
+		datasetMeta: datasetMeta{Family: cur.Family, Tenant: tenantOf(r), CreatedUnix: time.Now().UnixNano()}}
 	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
 		writeRegistryError(w, err)
 		return
@@ -222,12 +206,35 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	list := s.reg.listDatasets()
-	out := make([]datasetInfo, len(list))
-	for i, ds := range list {
-		out[i] = datasetJSON(ds)
+	serveList(w, "datasets", s.reg.datasets.list(), datasetJSON)
+}
+
+// serveList renders every entry of a collection listing under key.
+func serveList[T, V any](w http.ResponseWriter, key string, list []T, view func(T) V) {
+	out := make([]V, len(list))
+	for i, v := range list {
+		out[i] = view(v)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+	writeJSON(w, http.StatusOK, map[string]any{key: out})
+}
+
+// serveGet renders one entry of c, or the registry error for a missing name.
+func serveGet[T, V any](w http.ResponseWriter, c *collection[T], name string, view func(T) V) {
+	v, err := c.get(name)
+	if err != nil {
+		writeRegistryError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, view(v))
+}
+
+// serveDelete answers a registry delete: 204, or the error's envelope.
+func serveDelete(w http.ResponseWriter, err error) {
+	if err != nil {
+		writeRegistryError(w, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // acceptsMedia reports whether the request's Accept header asks for the
@@ -328,9 +335,9 @@ type datasetPage struct {
 // a row page when limit/offset are present, or the full table as streamed
 // CSV under Accept: text/csv.
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	ds, err := s.reg.getDataset(r.PathValue("name"))
+	ds, err := s.reg.datasets.get(r.PathValue("name"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	if acceptsMedia(r, "text/csv") {
@@ -356,21 +363,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	err := s.reg.deleteDataset(r.PathValue("name"))
-	switch {
-	case errors.Is(err, errDatasetMissing):
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-	case errors.Is(err, errDatasetReferred):
-		writeError(w, http.StatusConflict, "conflict", "%v", err)
-	case errors.Is(err, errDatasetSpecPinned):
-		// Machine-readable for automation: delete the spec(s) first, which
-		// cascades to their releases, then retry the dataset delete.
-		writeError(w, http.StatusConflict, "spec_pinned", "%v", err)
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-	default:
-		w.WriteHeader(http.StatusNoContent)
-	}
+	serveDelete(w, s.reg.deleteDataset(r.PathValue("name")))
 }
 
 // ---- algorithms ----
@@ -614,34 +607,15 @@ func releaseJSON(rel *storedRelease) releaseInfo {
 }
 
 func (s *Server) handleListReleases(w http.ResponseWriter, r *http.Request) {
-	list := s.reg.listReleases()
-	out := make([]releaseInfo, len(list))
-	for i, rel := range list {
-		out[i] = releaseJSON(rel)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"releases": out})
+	serveList(w, "releases", s.reg.releases.list(), releaseJSON)
 }
 
 func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.reg.getRelease(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, releaseJSON(rel))
+	serveGet(w, &s.reg.releases, r.PathValue("id"), releaseJSON)
 }
 
 func (s *Server) handleDeleteRelease(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.deleteRelease(r.PathValue("id")); err != nil {
-		if errors.Is(err, errReleaseSpecOwned) {
-			writeError(w, http.StatusConflict, "spec_pinned",
-				"%v; delete the spec to remove its release", err)
-			return
-		}
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	serveDelete(w, s.reg.deleteRelease(r.PathValue("id")))
 }
 
 // releaseDataPage is the paginated JSON view of a release's rows.
@@ -663,9 +637,9 @@ type releaseDataPage struct {
 // and reject an explicit table selector rather than silently serving the
 // wrong thing.
 func (s *Server) handleReleaseData(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.reg.getRelease(r.PathValue("id"))
+	rel, err := s.reg.releases.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	which := r.URL.Query().Get("table")
@@ -738,9 +712,9 @@ type sensitiveRiskJSON struct {
 }
 
 func (s *Server) handleReleaseRisk(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.reg.getRelease(r.PathValue("id"))
+	rel, err := s.reg.releases.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	tbl := rel.release.Table
@@ -807,9 +781,9 @@ type utilityReport struct {
 }
 
 func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
-	rel, err := s.reg.getRelease(r.PathValue("id"))
+	rel, err := s.reg.releases.get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	tbl := rel.release.Table

@@ -136,9 +136,9 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 		writeError(w, http.StatusBadRequest, "bad_request", "dataset is required")
 		return nil
 	}
-	ds, err := s.reg.getDataset(req.Dataset)
+	ds, err := s.reg.datasets.get(req.Dataset)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
+		writeRegistryError(w, err)
 		return nil
 	}
 	engineAlg, err := engine.Lookup(req.Algorithm)
@@ -157,14 +157,14 @@ func (s *Server) prepareAnonymize(w http.ResponseWriter, req anonymizeRequest) *
 			"policy/policy_ref and the deprecated flat privacy parameters are mutually exclusive")
 		return nil
 	case req.PolicyRef != "":
-		sp, err := s.reg.getPolicy(req.PolicyRef)
+		sp, err := s.reg.policies.get(req.PolicyRef)
 		if err != nil {
-			writeError(w, http.StatusNotFound, "not_found", "%v", err)
+			writeRegistryError(w, err)
 			return nil
 		}
 		// The stored document is immutable; holding the pointer pins the
 		// snapshot for the lifetime of the run and its release.
-		explicit = sp.policy
+		explicit = sp.Policy
 	}
 	pipe, err := s.newPipeline(info, req, explicit, ds.hier)
 	if err != nil {

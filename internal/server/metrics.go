@@ -210,18 +210,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	m.regDatasets = r.GaugeFunc("ppdp_registry_datasets",
 		"Datasets stored in the registry.", func() float64 {
-			d, _, _ := s.reg.counts()
-			return float64(d)
+			return float64(s.reg.datasets.size())
 		})
 	m.regReleases = r.GaugeFunc("ppdp_registry_releases",
 		"Releases stored in the registry.", func() float64 {
-			_, rel, _ := s.reg.counts()
-			return float64(rel)
+			return float64(s.reg.releases.size())
 		})
 	m.regPolicies = r.GaugeFunc("ppdp_registry_policies",
 		"Policies stored in the registry.", func() float64 {
-			_, _, pol := s.reg.counts()
-			return float64(pol)
+			return float64(s.reg.policies.size())
 		})
 
 	// Reconciler metrics collect from the manager's Stats snapshot at scrape

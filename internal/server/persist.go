@@ -16,17 +16,19 @@ import (
 
 // This file bridges the in-memory registry to the durable store
 // (internal/store). With Config.DataDir set, every registry mutation —
-// dataset put/replace/delete, release publish/delete, policy create/delete —
-// is journaled to the write-ahead log (append + fsync) before the in-memory
-// map changes, so an acknowledged API response is always recoverable. Table
+// dataset put/replace/delete, release publish/delete, policy create/delete,
+// spec create/delete/swap — goes through registry.journal to the
+// write-ahead log (append + fsync) before the in-memory map changes, so an
+// acknowledged API response is always recoverable. Table
 // contents travel separately as content-addressed columnar snapshots
 // (Store.PutTable), written durably before the record referencing them is
 // journaled; record metadata (tenants, parameters, measurements, policies)
 // is serialized as opaque JSON the store hands back verbatim at recovery.
 //
-// Recovery (Open) rebuilds the registry from the store: tables come back
-// with their columns served zero-copy from mmap, hierarchies are rebuilt deterministically from the dataset's family,
-// and release ids resume past the highest recovered sequence number.
+// Recovery (Open) rebuilds the registry from the store, one recoverKind pass
+// per kind: tables come back with their columns served zero-copy from mmap,
+// hierarchies are rebuilt deterministically from the dataset's family, and
+// release ids resume past the highest recovered sequence number.
 
 // errPersist marks storage failures during a registry mutation, mapped to a
 // 500 with the "storage" code (the request is well-formed; the disk is not).
@@ -95,235 +97,216 @@ func hierarchyForFamily(family string) *hierarchy.Set {
 	return f.Hierarchies()
 }
 
-// persistDataset journals a dataset put. The caller must hold the registry
-// write lock; the table snapshot must already be durable and its fingerprint
-// recorded on ds.fp (see putDataset).
-func (r *registry) persistDataset(ds *storedDataset) error {
-	meta, err := json.Marshal(datasetMeta{
-		Family:      ds.family,
-		Tenant:      ds.tenant,
-		Generation:  ds.generation,
-		CreatedUnix: ds.created.UnixNano(),
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
+// journal writes one registry mutation through to the durable store: meta,
+// when non-nil, is marshalled as the op's metadata, then the op is appended
+// and fsynced. The caller holds the registry write lock and changes the maps
+// only once journal succeeds; without a store it does nothing. Every failure
+// wraps errPersist.
+func (r *registry) journal(op store.Op, meta any) error {
+	if r.st == nil {
+		return nil
 	}
-	err = r.st.Apply(store.Op{
-		Op: store.OpPut, Kind: store.KindDataset, Key: ds.name,
-		Tables: []string{ds.fp}, Meta: meta,
-	})
-	if err != nil {
+	if op.Op == store.OpPut && op.Kind == store.KindSpec &&
+		r.failSpecPersist.Load() > 0 && r.failSpecPersist.Add(-1) >= 0 {
+		return fmt.Errorf("%w: injected spec journal failure", errPersist)
+	}
+	if meta != nil {
+		var err error
+		if op.Meta, err = json.Marshal(meta); err != nil {
+			return fmt.Errorf("%w: %v", errPersist, err)
+		}
+	}
+	if err := r.st.Apply(op); err != nil {
 		return fmt.Errorf("%w: %v", errPersist, err)
 	}
 	return nil
 }
 
-// persistRelease journals a release put. The caller must hold the registry
-// write lock and must have persisted every referenced table snapshot.
-func (r *registry) persistRelease(rel *storedRelease, originFP string, tableFPs releaseTableFPs) error {
-	meta, err := json.Marshal(releaseMeta{
-		Seq:           rel.seq,
+// releaseRecord is a release's journal entry before its id is assigned: the
+// table snapshots it references (origin first) and its metadata.
+type releaseRecord struct {
+	tables []string
+	meta   releaseMeta
+}
+
+// releaseRecord writes the release's origin and published tables as durable
+// content-addressed snapshots and returns the record that references them
+// (zero without a store, so registry unit tests may store origin-less
+// stubs). Called outside the registry lock — snapshot encoding is the
+// expensive part, and PutTable is idempotent, so a put that later loses the
+// id race leaves at worst an unreferenced file for the next checkpoint's GC.
+func (r *registry) releaseRecord(rel *storedRelease) (releaseRecord, error) {
+	if r.st == nil {
+		return releaseRecord{}, nil
+	}
+	var fps [4]string
+	for i, t := range []*dataset.Table{rel.origin.table, rel.release.Table, rel.release.QIT, rel.release.ST} {
+		if t == nil {
+			continue
+		}
+		fp, err := r.st.PutTable(t)
+		if err != nil {
+			return releaseRecord{}, fmt.Errorf("%w: %v", errPersist, err)
+		}
+		fps[i] = fp
+	}
+	rec := releaseRecord{tables: []string{fps[0]}, meta: releaseMeta{
 		Dataset:       rel.dataset,
-		OriginFP:      originFP,
-		OriginFamily:  rel.origin.family,
-		OriginTenant:  rel.origin.tenant,
-		OriginCreated: rel.origin.created.UnixNano(),
+		OriginFP:      fps[0],
+		OriginFamily:  rel.origin.Family,
+		OriginTenant:  rel.origin.Tenant,
+		OriginCreated: rel.origin.CreatedUnix,
 		Algorithm:     string(rel.algorithm),
 		PolicyRef:     rel.policyRef,
 		Params:        rel.params,
 		Policy:        rel.release.Policy,
 		Node:          rel.release.Node,
 		Measured:      rel.release.Measured,
-		TableFP:       tableFPs.table,
-		QITFP:         tableFPs.qit,
-		STFP:          tableFPs.st,
+		TableFP:       fps[1],
+		QITFP:         fps[2],
+		STFP:          fps[3],
 		Spec:          rel.spec,
 		ElapsedNS:     rel.elapsed.Nanoseconds(),
 		CreatedUnix:   rel.created.UnixNano(),
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	tables := []string{originFP}
-	for _, fp := range []string{tableFPs.table, tableFPs.qit, tableFPs.st} {
-		if fp != "" && fp != originFP {
-			tables = append(tables, fp)
+	}}
+	for _, fp := range fps[1:] {
+		if fp != "" && fp != fps[0] {
+			rec.tables = append(rec.tables, fp)
 		}
 	}
-	err = r.st.Apply(store.Op{
-		Op: store.OpPut, Kind: store.KindRelease, Key: rel.id,
-		Seq: uint64(rel.seq), Tables: tables, Meta: meta,
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	return nil
+	return rec, nil
 }
 
-// persistPolicy journals a policy put under the registry write lock.
-func (r *registry) persistPolicy(sp *storedPolicy) error {
-	meta, err := json.Marshal(policyMeta{Policy: sp.policy, CreatedUnix: sp.created.UnixNano()})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	if err := r.st.Apply(store.Op{Op: store.OpPut, Kind: store.KindPolicy, Key: sp.name, Meta: meta}); err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	return nil
-}
-
-// persistDelete journals a delete of any kind under the registry write lock.
-func (r *registry) persistDelete(kind, key string) error {
-	if err := r.st.Apply(store.Op{Op: store.OpDelete, Kind: kind, Key: key}); err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	return nil
-}
-
-// releaseTableFPs carries the snapshot fingerprints of a release's published
-// tables (microdata, or the Anatomy QIT/ST pair).
-type releaseTableFPs struct {
-	table, qit, st string
-}
-
-// persistReleaseTables writes the release's published tables as durable
-// content-addressed snapshots. Called outside the registry lock — snapshot
-// encoding is the expensive part, and PutTable is idempotent, so a put that
-// later loses the id race leaves at worst an unreferenced file for the next
-// checkpoint's GC.
-func (r *registry) persistReleaseTables(rel *storedRelease) (originFP string, fps releaseTableFPs, err error) {
-	put := func(t *dataset.Table) (string, error) {
-		if t == nil {
-			return "", nil
+// recoverKind decodes every record of one kind and hands it to add, naming
+// the kind and key in any error.
+func recoverKind[M any](st *store.Store, kind string, add func(rec store.Record, m M) error) error {
+	for _, rec := range st.Records(kind) {
+		var m M
+		if err := json.Unmarshal(rec.Meta, &m); err != nil {
+			return fmt.Errorf("server: recover %s %q: undecodable metadata: %w", kind, rec.Key, err)
 		}
-		return r.st.PutTable(t)
+		if err := add(rec, m); err != nil {
+			return fmt.Errorf("server: recover %s %q: %w", kind, rec.Key, err)
+		}
 	}
-	if originFP, err = put(rel.origin.table); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
-	}
-	if fps.table, err = put(rel.release.Table); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
-	}
-	if fps.qit, err = put(rel.release.QIT); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
-	}
-	if fps.st, err = put(rel.release.ST); err != nil {
-		return "", fps, fmt.Errorf("%w: %v", errPersist, err)
-	}
-	return originFP, fps, nil
+	return nil
 }
 
 // recover rebuilds the registry from a freshly opened store: datasets and
-// policies first, then releases (which reference dataset snapshots). Tables
-// load with mmap-backed zero-copy columns and stay cold until a handler
-// reads them. Any inconsistency refuses boot:
-// a server that starts must serve exactly what was acknowledged.
+// policies first, then specs, then releases (which reference dataset
+// snapshots and their owning spec). Tables load with mmap-backed zero-copy
+// columns and stay cold until a handler reads them. Any inconsistency
+// refuses boot: a server that starts must serve exactly what was
+// acknowledged.
 func (s *Server) recover(st *store.Store) error {
 	reg := s.reg
-	for _, rec := range st.Records(store.KindDataset) {
-		var m datasetMeta
-		if err := json.Unmarshal(rec.Meta, &m); err != nil {
-			return fmt.Errorf("server: recover dataset %q: undecodable metadata: %w", rec.Key, err)
+	load := func(fp string) (*dataset.Table, error) {
+		if fp == "" {
+			return nil, nil
 		}
-		if len(rec.Tables) != 1 {
-			return fmt.Errorf("server: recover dataset %q: %d table references, want 1", rec.Key, len(rec.Tables))
+		t, err := st.Table(fp)
+		if t != nil {
+			t.SetScanWorkers(s.scanWorkers())
 		}
-		tbl, err := st.Table(rec.Tables[0])
-		if err != nil {
-			return fmt.Errorf("server: recover dataset %q: %w", rec.Key, err)
-		}
-		tbl.SetScanWorkers(s.scanWorkers())
-		gen := m.Generation
-		if gen == 0 {
-			gen = 1 // records journaled before generations existed
-		}
-		reg.datasets[rec.Key] = &storedDataset{
-			name:       rec.Key,
-			family:     m.Family,
-			tenant:     m.Tenant,
-			table:      tbl,
-			hier:       hierarchyForFamily(m.Family),
-			generation: gen,
-			// The snapshot is content-addressed, so its fingerprint in the
-			// record IS the dataset's content fingerprint — no rescan needed.
-			fp:      rec.Tables[0],
-			created: time.Unix(0, m.CreatedUnix),
-		}
+		return t, err
 	}
-	for _, rec := range st.Records(store.KindPolicy) {
-		var m policyMeta
-		if err := json.Unmarshal(rec.Meta, &m); err != nil {
-			return fmt.Errorf("server: recover policy %q: undecodable metadata: %w", rec.Key, err)
+	err := recoverKind(st, store.KindDataset, func(rec store.Record, m datasetMeta) error {
+		if len(rec.Tables) != 1 {
+			return fmt.Errorf("%d table references, want 1", len(rec.Tables))
 		}
-		if m.Policy == nil {
-			return fmt.Errorf("server: recover policy %q: no policy document", rec.Key)
-		}
-		canon, err := m.Policy.Canonical()
+		tbl, err := load(rec.Tables[0])
 		if err != nil {
-			return fmt.Errorf("server: recover policy %q: %w", rec.Key, err)
+			return err
 		}
-		reg.policies[rec.Key] = &storedPolicy{name: rec.Key, policy: canon, created: time.Unix(0, m.CreatedUnix)}
+		if m.Generation == 0 {
+			m.Generation = 1 // records journaled before generations existed
+		}
+		// The snapshot is content-addressed, so its fingerprint in the
+		// record IS the dataset's content fingerprint — no rescan needed.
+		reg.datasets.put(rec.Key, &storedDataset{name: rec.Key, datasetMeta: m, table: tbl,
+			hier: hierarchyForFamily(m.Family), fp: rec.Tables[0]})
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	err = recoverKind(st, store.KindPolicy, func(rec store.Record, m policyMeta) error {
+		if m.Policy == nil {
+			return errors.New("no policy document")
+		}
+		var err error
+		if m.Policy, err = m.Policy.Canonical(); err != nil {
+			return err
+		}
+		reg.policies.put(rec.Key, &storedPolicy{name: rec.Key, policyMeta: m})
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Specs recover before releases: a spec-owned release is only valid while
 	// its owning spec references it, which the release loop checks below.
-	if err := s.recoverSpecs(st); err != nil {
+	// The m-invariance history recovers as metadata; specs come back without
+	// a live index, so each one's first reconciliation re-reads its QIT/ST
+	// tables, re-validates the chain and resumes the sequence exactly where
+	// the crashed process left it.
+	err = recoverKind(st, store.KindSpec, func(rec store.Record, m specMeta) error {
+		if m.Policy == nil {
+			return errors.New("no pinned policy")
+		}
+		m.Params = m.Params.journaled()
+		for i, h := range m.History {
+			if h.Rows > 0 {
+				continue
+			}
+			// Records journaled before the counts were kept carry rows 0.
+			rel, err := historyRelease(st, h)
+			if err != nil {
+				return err
+			}
+			m.History[i].Rows, m.History[i].Counterfeits = rel.QIT.Len(), rel.Counterfeits
+		}
+		reg.specs.put(rec.Key, &storedSpec{name: rec.Key, specMeta: m})
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	for _, rec := range st.Records(store.KindRelease) {
-		var m releaseMeta
-		if err := json.Unmarshal(rec.Meta, &m); err != nil {
-			return fmt.Errorf("server: recover release %q: undecodable metadata: %w", rec.Key, err)
-		}
+	err = recoverKind(st, store.KindRelease, func(rec store.Record, m releaseMeta) error {
 		if m.Spec != "" {
 			// A spec-owned release whose spec is gone or points elsewhere is a
 			// straggler from a crash mid-swap; drop it rather than resurrect a
 			// release no spec acknowledges.
-			sp, ok := reg.specs[m.Spec]
-			if !ok || sp.releaseID != rec.Key {
-				continue
+			sp, ok := reg.specs.items[m.Spec]
+			if !ok || sp.ReleaseID != rec.Key {
+				return nil
 			}
-		}
-		load := func(fp string) (*dataset.Table, error) {
-			if fp == "" {
-				return nil, nil
-			}
-			t, err := st.Table(fp)
-			if t != nil {
-				t.SetScanWorkers(s.scanWorkers())
-			}
-			return t, err
 		}
 		origin, err := load(m.OriginFP)
 		if err != nil || origin == nil {
-			return fmt.Errorf("server: recover release %q: origin snapshot: %w", rec.Key, err)
+			return fmt.Errorf("origin snapshot: %w", err)
 		}
 		tbl, err := load(m.TableFP)
 		if err != nil {
-			return fmt.Errorf("server: recover release %q: released table: %w", rec.Key, err)
+			return fmt.Errorf("released table: %w", err)
 		}
 		qit, err := load(m.QITFP)
 		if err != nil {
-			return fmt.Errorf("server: recover release %q: QIT table: %w", rec.Key, err)
+			return fmt.Errorf("QIT table: %w", err)
 		}
 		stt, err := load(m.STFP)
 		if err != nil {
-			return fmt.Errorf("server: recover release %q: ST table: %w", rec.Key, err)
+			return fmt.Errorf("ST table: %w", err)
 		}
 		// The origin reuses the live dataset entry when it is the same
 		// snapshot (the common case — replace/delete are refused while a
 		// release references the dataset), so reports share one mmap view.
-		originDS := reg.datasets[m.Dataset]
+		originDS := reg.datasets.items[m.Dataset]
 		if originDS == nil || originDS.table != origin {
-			originDS = &storedDataset{
-				name:    m.Dataset,
-				family:  m.OriginFamily,
-				tenant:  m.OriginTenant,
-				table:   origin,
-				hier:    hierarchyForFamily(m.OriginFamily),
-				created: time.Unix(0, m.OriginCreated),
-			}
+			originDS = &storedDataset{name: m.Dataset, table: origin, hier: hierarchyForFamily(m.OriginFamily),
+				datasetMeta: datasetMeta{Family: m.OriginFamily, Tenant: m.OriginTenant, CreatedUnix: m.OriginCreated}}
 		}
-		reg.releases[rec.Key] = &storedRelease{
+		reg.releases.put(rec.Key, &storedRelease{
 			id:        rec.Key,
 			seq:       m.Seq,
 			dataset:   m.Dataset,
@@ -343,7 +326,11 @@ func (s *Server) recover(st *store.Store) error {
 			},
 			elapsed: time.Duration(m.ElapsedNS),
 			created: time.Unix(0, m.CreatedUnix),
-		}
+		})
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// Release ids resume past every sequence number ever acknowledged, so a
 	// recovered server never reuses the id of a deleted release.

@@ -114,7 +114,7 @@ func TestPersistGoldenRecovery(t *testing.T) {
 		}
 		golden[i] = raw
 	}
-	censusFP := srv.reg.datasets["census"].table.Fingerprint()
+	censusFP := srv.reg.datasets.items["census"].table.Fingerprint()
 
 	// Restart on the same directory.
 	ts.Close()
@@ -130,7 +130,7 @@ func TestPersistGoldenRecovery(t *testing.T) {
 			t.Errorf("%s changed across restart:\n before: %s\n after:  %s", rd.name, golden[i], raw)
 		}
 	}
-	if got := srv2.reg.datasets["census"].table.Fingerprint(); got != censusFP {
+	if got := srv2.reg.datasets.items["census"].table.Fingerprint(); got != censusFP {
 		t.Errorf("census fingerprint changed across restart: %s != %s", got, censusFP)
 	}
 	// The recovered registry is live, not a read-only replica: new work on
@@ -467,9 +467,10 @@ func walFile(t testing.TB, dir string) string {
 	return matches[len(matches)-1]
 }
 
-// TestPersistStorageFailureSurfaces arms a fault after boot so the next
-// journaled mutation fails, and checks the HTTP mapping: 500 with code
-// "storage", and the registry unchanged (the dataset is not registered).
+// TestPersistStorageFailureSurfaces closes the store under a live server so
+// every journal append fails, then drives each mutating route: all of them
+// must answer 500 with the "storage" code and leave the registry unchanged
+// (the read after each request sees the state from before it).
 func TestPersistStorageFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Open(Config{DataDir: dir, Workers: 1})
@@ -479,22 +480,74 @@ func TestPersistStorageFailureSurfaces(t *testing.T) {
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	seedDataset(t, ts, "ok", "census", 120)
+	for _, name := range []string{"ok", "gone", "src", "watched"} {
+		seedDataset(t, ts, name, "census", 120)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize",
+		map[string]any{"dataset": "src", "k": 5, "store": true}); status != http.StatusOK || body["release_id"] != "r1" {
+		t.Fatalf("stored anonymize: %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/policies",
+		map[string]any{"name": "p", "policy": policyDoc(5)}); status != http.StatusCreated {
+		t.Fatalf("create policy: %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/specs",
+		map[string]any{"name": "s", "dataset": "watched", "k": 5}); status != http.StatusCreated {
+		t.Fatalf("create spec: %d %v", status, body)
+	}
+	pollSpec(t, ts, "s", specSettled(1))
+	csv := censusChunks(t, 60)[0]
 
 	// Closing the store out from under the server makes every subsequent
 	// journal append fail deterministically.
 	if err := srv.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	status, body := doJSON(t, "POST", ts.URL+"/v1/datasets",
-		map[string]any{"name": "doomed", "family": "census", "rows": 120})
-	if status != http.StatusInternalServerError {
-		t.Fatalf("dataset with dead store: %d %v", status, body)
+	cases := []struct {
+		method, path string
+		body         any    // JSON body
+		csv          []byte // raw CSV body instead
+		// read is fetched after the failure; want is its status.
+		read string
+		want int
+	}{
+		{"POST", "/v1/datasets", map[string]any{"name": "doomed", "rows": 120}, nil, "/v1/datasets/doomed", 404},
+		{"PUT", "/v1/datasets/ok", nil, csv, "/v1/datasets/ok?limit=1", 200},
+		{"POST", "/v1/datasets/ok/rows", nil, csv, "/v1/datasets/ok?limit=1", 200},
+		{"DELETE", "/v1/datasets/gone", nil, nil, "/v1/datasets/gone", 200},
+		{"POST", "/v1/policies", map[string]any{"name": "q", "policy": policyDoc(5)}, nil, "/v1/policies/q", 404},
+		{"DELETE", "/v1/policies/p", nil, nil, "/v1/policies/p", 200},
+		{"POST", "/v1/anonymize", map[string]any{"dataset": "ok", "k": 5, "store": true}, nil, "/v1/releases/r3", 404},
+		{"DELETE", "/v1/releases/r1", nil, nil, "/v1/releases/r1", 200},
+		{"POST", "/v1/specs", map[string]any{"name": "s2", "dataset": "ok", "k": 5}, nil, "/v1/specs/s2", 404},
+		{"DELETE", "/v1/specs/s", nil, nil, "/v1/specs/s", 200},
+		{"POST", "/v1/snapshot", nil, nil, "/healthz", 200},
 	}
-	if code := errorCode(t, body); code != "storage" {
-		t.Errorf("code = %q, want storage", code)
+	for _, c := range cases {
+		var status int
+		var body map[string]any
+		if c.csv != nil {
+			status, body = sendCSV(t, c.method, ts.URL+c.path, c.csv)
+		} else {
+			status, body = doJSON(t, c.method, ts.URL+c.path, c.body)
+		}
+		env, _ := body["error"].(map[string]any)
+		if status != http.StatusInternalServerError || env["code"] != "storage" {
+			t.Errorf("%s %s with a dead store: %d %v, want 500 storage", c.method, c.path, status, body)
+		}
+		if status, body := doJSON(t, "GET", ts.URL+c.read, nil); status != c.want {
+			t.Errorf("after failed %s %s: GET %s = %d %v, want %d", c.method, c.path, c.read, status, body, c.want)
+		} else if c.read == "/v1/datasets/ok?limit=1" && body["total_rows"] != float64(120) {
+			t.Errorf("after failed %s %s: dataset ok has %v rows, want 120", c.method, c.path, body["total_rows"])
+		}
 	}
-	if srv.HasDataset("doomed") {
-		t.Error("failed journal append still registered the dataset")
+	// The background path reports the same failure on the job.
+	status, body := doJSON(t, "POST", ts.URL+"/v1/jobs", map[string]any{"dataset": "ok", "k": 5, "store": true, "no_cache": true})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit job: %d %v", status, body)
+	}
+	job := pollJob(t, ts, body["id"].(string))
+	if env, _ := job["error"].(map[string]any); job["state"] != "failed" || env["code"] != "storage" {
+		t.Errorf("job with a dead store: %v, want failed with code storage", job)
 	}
 }

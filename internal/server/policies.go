@@ -31,9 +31,9 @@ type policyInfo struct {
 func policyJSON(sp *storedPolicy) policyInfo {
 	return policyInfo{
 		Name:    sp.name,
-		Summary: sp.policy.Describe(),
-		Policy:  sp.policy,
-		Created: sp.created,
+		Summary: sp.Policy.Describe(),
+		Policy:  sp.Policy,
+		Created: time.Unix(0, sp.CreatedUnix),
 	}
 }
 
@@ -65,42 +65,24 @@ func (s *Server) handleCreatePolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_policy", "%v", err)
 		return
 	}
-	sp := &storedPolicy{name: req.Name, policy: canon, created: time.Now()}
+	sp := &storedPolicy{name: req.Name, policyMeta: policyMeta{Policy: canon, CreatedUnix: time.Now().UnixNano()}}
 	if err := s.reg.putPolicy(sp); err != nil {
-		if errors.Is(err, errRegistryFull) {
-			writeError(w, http.StatusInsufficientStorage, "registry_full", "%v", err)
-			return
-		}
-		writeError(w, http.StatusConflict, "conflict", "%v", err)
+		writeRegistryError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, policyJSON(sp))
 }
 
 func (s *Server) handleListPolicies(w http.ResponseWriter, r *http.Request) {
-	list := s.reg.listPolicies()
-	out := make([]policyInfo, len(list))
-	for i, sp := range list {
-		out[i] = policyJSON(sp)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"policies": out})
+	serveList(w, "policies", s.reg.policies.list(), policyJSON)
 }
 
 func (s *Server) handleGetPolicy(w http.ResponseWriter, r *http.Request) {
-	sp, err := s.reg.getPolicy(r.PathValue("name"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, policyJSON(sp))
+	serveGet(w, &s.reg.policies, r.PathValue("name"), policyJSON)
 }
 
 func (s *Server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
-	if err := s.reg.deletePolicy(r.PathValue("name")); err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	serveDelete(w, s.reg.deletePolicy(r.PathValue("name")))
 }
 
 // AddPolicy registers a policy under a name before the server starts taking
@@ -117,5 +99,5 @@ func (s *Server) AddPolicy(name string, p *policy.Policy) error {
 	if err != nil {
 		return err
 	}
-	return s.reg.putPolicy(&storedPolicy{name: name, policy: canon, created: time.Now()})
+	return s.reg.putPolicy(&storedPolicy{name: name, policyMeta: policyMeta{Policy: canon, CreatedUnix: time.Now().UnixNano()}})
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,24 +12,59 @@ import (
 	"github.com/ppdp/ppdp/internal/core"
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/hierarchy"
-	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/store"
 )
 
-// Registry errors.
+// Registry errors. A missing or taken name wraps errNotFound or errExists
+// with its kind (`dataset not found: "x"`, see collection).
 var (
-	errDatasetExists     = errors.New("dataset already exists")
-	errDatasetMissing    = errors.New("dataset not found")
-	errReleaseMissing    = errors.New("release not found")
-	errPolicyExists      = errors.New("policy already exists")
-	errPolicyMissing     = errors.New("policy not found")
+	errNotFound          = errors.New("not found")
+	errExists            = errors.New("already exists")
 	errDatasetReferred   = errors.New("dataset is referenced by stored releases")
 	errDatasetSpecPinned = errors.New("dataset is watched by release specs")
-	errSpecExists        = errors.New("spec already exists")
-	errSpecMissing       = errors.New("spec not found")
+	errReleaseSpecOwned  = errors.New("release is managed by a spec")
 	errRegistryFull      = errors.New("registry is full")
 	errTenantQuota       = errors.New("tenant dataset quota exceeded")
 )
+
+// registryErrors maps every registry refusal onto its HTTP status and
+// envelope code: occupancy limits are 507 (free space with DELETE and
+// retry), an exhausted per-tenant quota is 429 (the tenant can free its own
+// entries), a pin between kinds is a 409 whose spec_pinned code tells
+// automation to delete the spec first (which cascades to its release), and a
+// journal failure is a 500 "storage" (the request is well-formed; the disk
+// is not).
+var registryErrors = []struct {
+	err    error
+	status int
+	code   string
+}{
+	{errNotFound, http.StatusNotFound, "not_found"},
+	{errExists, http.StatusConflict, "conflict"},
+	{errDatasetReferred, http.StatusConflict, "conflict"},
+	{errDatasetSpecPinned, http.StatusConflict, "spec_pinned"},
+	{errReleaseSpecOwned, http.StatusConflict, "spec_pinned"},
+	{errRegistryFull, http.StatusInsufficientStorage, "registry_full"},
+	{errTenantQuota, http.StatusTooManyRequests, "tenant_quota"},
+	{errPersist, http.StatusInternalServerError, "storage"},
+}
+
+// classifyRegistryError looks err up in registryErrors; anything else is a
+// 500 "internal".
+func classifyRegistryError(err error) (status int, code string) {
+	for _, e := range registryErrors {
+		if errors.Is(err, e.err) {
+			return e.status, e.code
+		}
+	}
+	return http.StatusInternalServerError, "internal"
+}
+
+// writeRegistryError renders a registry error as its envelope.
+func writeRegistryError(w http.ResponseWriter, err error) {
+	status, code := classifyRegistryError(err)
+	writeError(w, status, code, "%v", err)
+}
 
 // Default registry occupancy caps (see Config.MaxDatasets/MaxReleases/
 // MaxPolicies). Datasets and stored releases retain full tables, so without
@@ -51,20 +87,17 @@ const maxSpecs = 256
 // storedDataset is one named table in the registry together with the
 // hierarchy set used to anonymize and score it. The table is treated as
 // immutable once stored: handlers only read it (reads build the shared
-// columnar caches, which are internally synchronized).
+// columnar caches, which are internally synchronized). The embedded
+// datasetMeta is what the journal records (family, tenant, generation,
+// creation time); the tenant ("" for unauthenticated uploads and preloads)
+// is what the per-tenant dataset quota counts, and the generation — 1 at
+// creation, incremented on every PUT replace and row append — is what the
+// reconciler compares to decide whether a spec's release is stale.
 type storedDataset struct {
-	name   string
-	family string
-	// tenant records who stored the dataset ("" for unauthenticated uploads
-	// and preloads); the per-tenant dataset quota counts entries by it.
-	tenant  string
-	table   *dataset.Table
-	hier    *hierarchy.Set
-	created time.Time
-	// generation counts the dataset's content versions: 1 at creation,
-	// incremented on every PUT replace and row append. The reconciler uses it
-	// to decide whether a spec's release is stale.
-	generation uint64
+	name string
+	datasetMeta
+	table *dataset.Table
+	hier  *hierarchy.Set
 	// fp is the table's content fingerprint, captured when the dataset is
 	// stored (it doubles as the snapshot address under -data-dir). The
 	// reconciler's byte-identical short-circuit compares it across
@@ -102,28 +135,97 @@ type storedRelease struct {
 // reference it pin the pointer as their snapshot, so deleting or re-creating
 // the name later never changes what an in-flight or finished run enforced.
 type storedPolicy struct {
-	name    string
-	policy  *policy.Policy
-	created time.Time
+	name string
+	policyMeta
 }
 
+// collection is one resource kind of the registry: its entries by name, its
+// occupancy cap, its store kind (which also names it in error messages) and
+// its list order. It shares the registry's single RWMutex: get, list and
+// size lock for themselves, while lookup, admit, room, put and remove run
+// under the caller's write lock, so a rule spanning kinds (dataset pins, the
+// spec→release cascade, tenant quotas) checks and mutates in one critical
+// section.
+type collection[T any] struct {
+	mu     *sync.RWMutex
+	kind   string // store.Kind*
+	plural string // for the cap message
+	max    int
+	items  map[string]T
+	less   func(a, b T) bool
+}
+
+func newCollection[T any](mu *sync.RWMutex, kind, plural string, max int, less func(a, b T) bool) collection[T] {
+	return collection[T]{mu: mu, kind: kind, plural: plural, max: max, items: make(map[string]T), less: less}
+}
+
+// get looks an entry up by name.
+func (c *collection[T]) get(name string) (T, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.lookup(name)
+}
+
+// list returns every entry in the collection's order.
+func (c *collection[T]) list() []T {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]T, 0, len(c.items))
+	for _, v := range c.items {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return c.less(out[i], out[j]) })
+	return out
+}
+
+// size reports occupancy for /healthz and /metrics.
+func (c *collection[T]) size() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.items)
+}
+
+// lookup is get under the caller's lock.
+func (c *collection[T]) lookup(name string) (T, error) {
+	v, ok := c.items[name]
+	if !ok {
+		return v, fmt.Errorf("%s %w: %q", c.kind, errNotFound, name)
+	}
+	return v, nil
+}
+
+// admit refuses a taken name or a full collection.
+func (c *collection[T]) admit(name string) error {
+	if _, ok := c.items[name]; ok {
+		return fmt.Errorf("%s %w: %q", c.kind, errExists, name)
+	}
+	return c.room()
+}
+
+// room refuses one more entry in a full collection.
+func (c *collection[T]) room() error {
+	if len(c.items) >= c.max {
+		return fmt.Errorf("%w: %d %s stored (limit %d)", errRegistryFull, len(c.items), c.plural, c.max)
+	}
+	return nil
+}
+
+func (c *collection[T]) put(name string, v T) { c.items[name] = v }
+
+func (c *collection[T]) remove(name string) { delete(c.items, name) }
+
 // registry is the concurrent in-memory store behind the service. A single
-// RWMutex suffices because handlers hold it only for map operations; the
-// expensive work (parsing, anonymizing, measuring) happens outside the lock,
-// so concurrent anonymize requests over one dataset do not serialize.
+// RWMutex, shared by the four collections, suffices because handlers hold it
+// only for map operations; the expensive work (parsing, anonymizing,
+// measuring) happens outside the lock, so concurrent anonymize requests over
+// one dataset do not serialize.
 type registry struct {
 	mu       sync.RWMutex
-	datasets map[string]*storedDataset
-	releases map[string]*storedRelease
-	policies map[string]*storedPolicy
-	specs    map[string]*storedSpec
+	datasets collection[*storedDataset]
+	releases collection[*storedRelease]
+	policies collection[*storedPolicy]
+	specs    collection[*storedSpec]
 	nextID   int
-
-	// Occupancy caps, resolved from the Config (or the defaults) at
-	// construction.
-	maxDatasets int
-	maxReleases int
-	maxPolicies int
 
 	// st, when non-nil, is the durable store every mutation writes through
 	// to: the op is journaled (append + fsync) under the write lock before
@@ -148,22 +250,28 @@ func newRegistry(maxDatasets, maxReleases, maxPolicies int) *registry {
 	if maxPolicies <= 0 {
 		maxPolicies = DefaultMaxPolicies
 	}
-	return &registry{
-		datasets:    make(map[string]*storedDataset),
-		releases:    make(map[string]*storedRelease),
-		policies:    make(map[string]*storedPolicy),
-		specs:       make(map[string]*storedSpec),
-		maxDatasets: maxDatasets,
-		maxReleases: maxReleases,
-		maxPolicies: maxPolicies,
-	}
+	r := &registry{}
+	r.datasets = newCollection(&r.mu, store.KindDataset, "datasets", maxDatasets,
+		func(a, b *storedDataset) bool { return a.name < b.name })
+	// Release ids are a counter, so the sequence number is a total creation
+	// order.
+	r.releases = newCollection(&r.mu, store.KindRelease, "releases", maxReleases,
+		func(a, b *storedRelease) bool { return a.seq < b.seq })
+	r.policies = newCollection(&r.mu, store.KindPolicy, "policies", maxPolicies,
+		func(a, b *storedPolicy) bool { return a.name < b.name })
+	r.specs = newCollection(&r.mu, store.KindSpec, "specs", maxSpecs,
+		func(a, b *storedSpec) bool { return a.name < b.name })
+	return r
 }
 
-// counts reports registry occupancy for /healthz.
-func (r *registry) counts() (datasets, releases, policies int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.datasets), len(r.releases), len(r.policies)
+// drop journals the delete of name from c and removes the entry; the caller
+// holds the write lock.
+func drop[T any](r *registry, c *collection[T], name string) error {
+	if err := r.journal(store.Op{Op: store.OpDelete, Kind: c.kind, Key: name}, nil); err != nil {
+		return err
+	}
+	c.remove(name)
+	return nil
 }
 
 // putPolicy stores a policy under a free name (policies are immutable;
@@ -171,42 +279,14 @@ func (r *registry) counts() (datasets, releases, policies int) {
 func (r *registry) putPolicy(sp *storedPolicy) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.policies[sp.name]; ok {
-		return fmt.Errorf("%w: %q", errPolicyExists, sp.name)
+	if err := r.policies.admit(sp.name); err != nil {
+		return err
 	}
-	if len(r.policies) >= r.maxPolicies {
-		return fmt.Errorf("%w: %d policies stored (limit %d)", errRegistryFull, len(r.policies), r.maxPolicies)
+	if err := r.journal(store.Op{Op: store.OpPut, Kind: store.KindPolicy, Key: sp.name}, sp.policyMeta); err != nil {
+		return err
 	}
-	if r.st != nil {
-		if err := r.persistPolicy(sp); err != nil {
-			return err
-		}
-	}
-	r.policies[sp.name] = sp
+	r.policies.put(sp.name, sp)
 	return nil
-}
-
-// getPolicy looks a policy up by name.
-func (r *registry) getPolicy(name string) (*storedPolicy, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	sp, ok := r.policies[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errPolicyMissing, name)
-	}
-	return sp, nil
-}
-
-// listPolicies returns every stored policy in name order.
-func (r *registry) listPolicies() []*storedPolicy {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*storedPolicy, 0, len(r.policies))
-	for _, sp := range r.policies {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }
 
 // deletePolicy removes a stored policy. Runs and releases that referenced it
@@ -214,27 +294,21 @@ func (r *registry) listPolicies() []*storedPolicy {
 func (r *registry) deletePolicy(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.policies[name]; !ok {
-		return fmt.Errorf("%w: %q", errPolicyMissing, name)
+	if _, err := r.policies.lookup(name); err != nil {
+		return err
 	}
-	if r.st != nil {
-		if err := r.persistDelete(store.KindPolicy, name); err != nil {
-			return err
-		}
-	}
-	delete(r.policies, name)
-	return nil
+	return drop(r, &r.policies, name)
 }
 
 // putDataset stores ds. When replace is false a name collision fails with
-// errDatasetExists. Even with replace, a dataset that ad-hoc stored releases
+// errExists. Even with replace, a dataset that ad-hoc stored releases
 // still reference is protected — swapping the table underneath them would
 // silently corrupt their utility reports, the same breakage deleteDataset
 // refuses. Releases owned by a release spec are exempt: the reconciler
 // re-publishes them from the new content, which is exactly what replacing a
 // watched dataset asks for (each spec-owned release pins its own origin
 // snapshot, so reports stay correct mid-reconciliation). maxPerTenant, when
-// positive, caps how many datasets ds.tenant may hold (replacing one's own
+// positive, caps how many datasets ds.Tenant may hold (replacing one's own
 // dataset never consumes quota).
 func (r *registry) putDataset(ds *storedDataset, replace bool, maxPerTenant int) error {
 	// Persist the table snapshot before taking the lock: encoding is the
@@ -254,50 +328,50 @@ func (r *registry) putDataset(ds *storedDataset, replace bool, maxPerTenant int)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	existing, exists := r.datasets[ds.name]
-	ds.generation = 1
-	if exists {
-		if !replace {
-			return fmt.Errorf("%w: %q", errDatasetExists, ds.name)
-		}
-		for _, rel := range r.releases {
+	existing, exists := r.datasets.items[ds.name]
+	ds.Generation = 1
+	if exists && replace {
+		for _, rel := range r.releases.items {
 			if rel.dataset == ds.name && rel.spec == "" {
 				return fmt.Errorf("%w: %q (release %s)", errDatasetReferred, ds.name, rel.id)
 			}
 		}
-		ds.generation = existing.generation + 1
-	} else if len(r.datasets) >= r.maxDatasets {
-		return fmt.Errorf("%w: %d datasets stored (limit %d)", errRegistryFull, len(r.datasets), r.maxDatasets)
+		ds.Generation = existing.Generation + 1
+	} else if err := r.datasets.admit(ds.name); err != nil {
+		return err
 	}
-	if maxPerTenant > 0 {
-		owned := r.tenantDatasetsLocked(ds.tenant)
-		if exists && existing.tenant == ds.tenant {
-			owned-- // replacing one of its own entries frees that slot
-		}
-		if owned >= maxPerTenant {
-			return fmt.Errorf("%w: tenant %q holds %d datasets (limit %d)",
-				errTenantQuota, ds.tenant, owned, maxPerTenant)
-		}
+	if err := r.tenantRoom(ds.Tenant, maxPerTenant, existing); err != nil {
+		return err
 	}
-	if r.st != nil {
-		if err := r.persistDataset(ds); err != nil {
-			return err
-		}
+	err := r.journal(store.Op{
+		Op: store.OpPut, Kind: store.KindDataset, Key: ds.name, Tables: []string{ds.fp},
+	}, ds.datasetMeta)
+	if err != nil {
+		return err
 	}
-	r.datasets[ds.name] = ds
+	r.datasets.put(ds.name, ds)
 	return nil
 }
 
-// tenantDatasetsLocked counts datasets owned by a tenant; the registry mutex
-// must be held (read or write).
-func (r *registry) tenantDatasetsLocked(tenant string) int {
-	n := 0
-	for _, ds := range r.datasets {
-		if ds.tenant == tenant {
-			n++
+// tenantRoom refuses a dataset that would take tenant past maxPerTenant
+// (no quota when not positive); replacing, when it belongs to the same
+// tenant, is about to be replaced and frees its slot. The caller holds the
+// registry lock (read or write).
+func (r *registry) tenantRoom(tenant string, maxPerTenant int, replacing *storedDataset) error {
+	if maxPerTenant <= 0 {
+		return nil
+	}
+	owned := 0
+	for _, ds := range r.datasets.items {
+		if ds.Tenant == tenant && ds != replacing {
+			owned++
 		}
 	}
-	return n
+	if owned >= maxPerTenant {
+		return fmt.Errorf("%w: tenant %q holds %d datasets (limit %d)",
+			errTenantQuota, tenant, owned, maxPerTenant)
+	}
+	return nil
 }
 
 // canCreateDataset is a cheap advisory pre-check (name free, under caps) so
@@ -306,42 +380,10 @@ func (r *registry) tenantDatasetsLocked(tenant string) int {
 func (r *registry) canCreateDataset(name, tenant string, maxPerTenant int) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if _, ok := r.datasets[name]; ok {
-		return fmt.Errorf("%w: %q", errDatasetExists, name)
+	if err := r.datasets.admit(name); err != nil {
+		return err
 	}
-	if len(r.datasets) >= r.maxDatasets {
-		return fmt.Errorf("%w: %d datasets stored (limit %d)", errRegistryFull, len(r.datasets), r.maxDatasets)
-	}
-	if maxPerTenant > 0 {
-		if owned := r.tenantDatasetsLocked(tenant); owned >= maxPerTenant {
-			return fmt.Errorf("%w: tenant %q holds %d datasets (limit %d)",
-				errTenantQuota, tenant, owned, maxPerTenant)
-		}
-	}
-	return nil
-}
-
-// getDataset looks a dataset up by name.
-func (r *registry) getDataset(name string) (*storedDataset, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ds, ok := r.datasets[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errDatasetMissing, name)
-	}
-	return ds, nil
-}
-
-// listDatasets returns every stored dataset in name order.
-func (r *registry) listDatasets() []*storedDataset {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*storedDataset, 0, len(r.datasets))
-	for _, ds := range r.datasets {
-		out = append(out, ds)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	return r.tenantRoom(tenant, maxPerTenant, nil)
 }
 
 // deleteDataset removes a dataset. Datasets still referenced by a stored
@@ -354,26 +396,20 @@ func (r *registry) listDatasets() []*storedDataset {
 func (r *registry) deleteDataset(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.datasets[name]; !ok {
-		return fmt.Errorf("%w: %q", errDatasetMissing, name)
+	if _, err := r.datasets.lookup(name); err != nil {
+		return err
 	}
-	for _, sp := range r.specs {
-		if sp.dataset == name {
+	for _, sp := range r.specs.items {
+		if sp.Dataset == name {
 			return fmt.Errorf("%w: %q (spec %s)", errDatasetSpecPinned, name, sp.name)
 		}
 	}
-	for _, rel := range r.releases {
+	for _, rel := range r.releases.items {
 		if rel.dataset == name {
 			return fmt.Errorf("%w: %q (release %s)", errDatasetReferred, name, rel.id)
 		}
 	}
-	if r.st != nil {
-		if err := r.persistDelete(store.KindDataset, name); err != nil {
-			return err
-		}
-	}
-	delete(r.datasets, name)
-	return nil
+	return drop(r, &r.datasets, name)
 }
 
 // putRelease stores a release and assigns it a process-unique id. With
@@ -382,37 +418,39 @@ func (r *registry) deleteDataset(name string) error {
 // under the freshly assigned id before the map changes — so a client that
 // received a release id can always fetch that release after a crash.
 func (r *registry) putRelease(rel *storedRelease) (string, error) {
-	var originFP string
-	var fps releaseTableFPs
-	if r.st != nil {
-		var err error
-		if originFP, fps, err = r.persistReleaseTables(rel); err != nil {
-			return "", err
-		}
+	rec, err := r.releaseRecord(rel)
+	if err != nil {
+		return "", err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.releases) >= r.maxReleases {
-		return "", fmt.Errorf("%w: %d releases stored (limit %d)", errRegistryFull, len(r.releases), r.maxReleases)
+	if err := r.releases.room(); err != nil {
+		return "", err
 	}
-	r.nextID++
-	rel.seq = r.nextID
-	rel.id = fmt.Sprintf("r%d", r.nextID)
-	if r.st != nil {
-		if err := r.persistRelease(rel, originFP, fps); err != nil {
-			// The journal refused: the id was never acknowledged anywhere, so
-			// it is safe to hand the same number to the next attempt.
-			r.nextID--
-			return "", err
-		}
+	if err := r.assignRelease(rel, rec); err != nil {
+		return "", err
 	}
-	r.releases[rel.id] = rel
+	r.releases.put(rel.id, rel)
 	return rel.id, nil
 }
 
-// errReleaseSpecOwned refuses deleting a release out from under the spec
-// that continuously republishes it.
-var errReleaseSpecOwned = errors.New("release is managed by a spec")
+// assignRelease gives rel the next release id and journals its record; the
+// caller holds the write lock and puts rel into the map.
+func (r *registry) assignRelease(rel *storedRelease, rec releaseRecord) error {
+	r.nextID++
+	rel.seq = r.nextID
+	rel.id = fmt.Sprintf("r%d", r.nextID)
+	rec.meta.Seq = rel.seq
+	err := r.journal(store.Op{
+		Op: store.OpPut, Kind: store.KindRelease, Key: rel.id, Seq: uint64(rel.seq), Tables: rec.tables,
+	}, rec.meta)
+	if err != nil {
+		// The journal refused: the id was never acknowledged anywhere, so
+		// it is safe to hand the same number to the next attempt.
+		r.nextID--
+	}
+	return err
+}
 
 // deleteRelease removes a stored release, unpinning its dataset. Releases
 // owned by a release spec are deleted through DELETE /v1/specs/{name}, which
@@ -420,31 +458,14 @@ var errReleaseSpecOwned = errors.New("release is managed by a spec")
 func (r *registry) deleteRelease(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rel, ok := r.releases[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", errReleaseMissing, id)
+	rel, err := r.releases.lookup(id)
+	if err != nil {
+		return err
 	}
 	if rel.spec != "" {
-		return fmt.Errorf("%w: %q (spec %s)", errReleaseSpecOwned, id, rel.spec)
+		return fmt.Errorf("%w: %q (spec %s); delete the spec to remove its release", errReleaseSpecOwned, id, rel.spec)
 	}
-	if r.st != nil {
-		if err := r.persistDelete(store.KindRelease, id); err != nil {
-			return err
-		}
-	}
-	delete(r.releases, id)
-	return nil
-}
-
-// getRelease looks a release up by id.
-func (r *registry) getRelease(id string) (*storedRelease, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rel, ok := r.releases[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errReleaseMissing, id)
-	}
-	return rel, nil
+	return drop(r, &r.releases, id)
 }
 
 // AddDataset registers a table (with the hierarchy set used to anonymize and
@@ -460,19 +481,7 @@ func (s *Server) AddDataset(name, family string, tbl *dataset.Table, hs *hierarc
 	}
 	tbl.SetScanWorkers(s.scanWorkers())
 	return s.reg.putDataset(&storedDataset{
-		name: name, family: family, table: tbl, hier: hs, created: time.Now(),
+		name: name, table: tbl, hier: hs,
+		datasetMeta: datasetMeta{Family: family, CreatedUnix: time.Now().UnixNano()},
 	}, false, 0)
-}
-
-// listReleases returns every stored release in creation order (ids are a
-// counter, so the sequence number is a total order).
-func (r *registry) listReleases() []*storedRelease {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*storedRelease, 0, len(r.releases))
-	for _, rel := range r.releases {
-		out = append(out, rel)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
 }

@@ -303,7 +303,7 @@ func (s *Server) scanWorkers() int {
 // -preload` uses it to skip re-seeding a name already recovered from
 // -data-dir.
 func (s *Server) HasDataset(name string) bool {
-	_, err := s.reg.getDataset(name)
+	_, err := s.reg.datasets.get(name)
 	return err == nil
 }
 
@@ -686,9 +686,9 @@ const StatusClientClosedRequest = 499
 // classifyAnonymizeError maps a pipeline error onto an HTTP status and
 // envelope code: configuration problems are the client's fault (400), privacy
 // parameters no algorithm run can meet are 422, timeouts are 504, abandoned
-// or canceled runs are 499, a full release registry at publish time is 507, a
-// durable-store failure while publishing is a 500 with the "storage" code,
-// anything else is a 500. Algorithm failures arrive pre-classified by their
+// or canceled runs are 499, and publishing failures (a full release registry
+// is 507, a durable-store failure a 500 "storage") read the registry's table,
+// registryErrors; anything else is a 500. Algorithm failures arrive pre-classified by their
 // engine adapters (engine.ErrConfig / engine.ErrUnsatisfiable), so the
 // mapping needs no per-algorithm knowledge. Both the synchronous response
 // path and the job-state rendering use this one table.
@@ -702,12 +702,8 @@ func classifyAnonymizeError(err error) (status int, code string) {
 		return http.StatusBadRequest, "bad_config"
 	case errors.Is(err, engine.ErrUnsatisfiable):
 		return http.StatusUnprocessableEntity, "unsatisfiable"
-	case errors.Is(err, errRegistryFull):
-		return http.StatusInsufficientStorage, "registry_full"
-	case errors.Is(err, errPersist):
-		return http.StatusInternalServerError, "storage"
 	default:
-		return http.StatusInternalServerError, "internal"
+		return classifyRegistryError(err)
 	}
 }
 

@@ -2,11 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"time"
 
 	"github.com/ppdp/ppdp/internal/core"
@@ -26,55 +24,33 @@ import (
 // the m-invariance release history that gives the "republish" algorithm its
 // sequential mode.
 
-// storedSpec is one release spec. Fields are guarded by the registry mutex;
-// the reconciler serializes runs per spec, so at most one reconciliation
-// mutates a spec at a time.
+// storedSpec is one release spec: the journaled specMeta plus the live
+// signature index. Fields are guarded by the registry mutex; the reconciler
+// serializes runs per spec, so at most one reconciliation mutates a spec at
+// a time. The declaration (Tenant, Dataset, Algorithm, PolicyRef, the pinned
+// Policy, Params) never changes after putSpec; ReleaseID, ReconGen, ReconFP,
+// History and the invariance verdict are the reconciliation-owned fields.
 type storedSpec struct {
-	name      string
-	tenant    string
-	dataset   string
-	algorithm core.Algorithm
-	// policyRef names the stored policy the spec referenced at creation; the
-	// enforced document itself is pinned on policy (resolving at creation
-	// means a later delete or re-create of the name never changes what the
-	// spec republishes).
-	policyRef string
-	policy    *policy.Policy
-	params    anonymizeRequest
-	// releaseID is the spec's current release ("" until the first
-	// reconciliation lands); reconGen/reconFP are the dataset generation and
-	// content fingerprint that release reflects.
-	releaseID string
-	reconGen  uint64
-	reconFP   string
-	// history is the m-invariance release sequence (nil for other
-	// algorithms), one metadata entry per landed release: version, QIT/ST
-	// fingerprints, rows and counterfeits. The tables themselves stay in the
-	// store; they are read back only when live is nil and the chain has to be
-	// re-validated.
-	history []specHistoryMeta
+	name string
+	specMeta
 	// live is the publisher's signature index after the last landed release
 	// (nil for other algorithms, and until the first m-invariance
 	// reconciliation after creation, a restart or a dropped swap). A
 	// reconciliation publishes from it and checks only the new release
 	// against it; swapSpecRelease replaces it when the release lands. With
-	// no live index the reconciliation first restores one from history,
+	// no live index the reconciliation first restores one from History,
 	// re-validating every stored release.
 	live *republish.Index
-	// invariant records the latest cross-release m-invariance check.
-	invariant       bool
-	invariantDetail string
-	created         time.Time
 }
 
 // mInvariance returns the spec's m-invariance criterion, if its policy
 // declares one — the switch between the one-shot engine path and the
 // sequential republish path.
 func (sp *storedSpec) mInvariance() (policy.Criterion, bool) {
-	if sp.policy == nil {
+	if sp.Policy == nil {
 		return policy.Criterion{}, false
 	}
-	return sp.policy.Find(policy.MInvariance)
+	return sp.Policy.Find(policy.MInvariance)
 }
 
 // ---- registry: spec CRUD ----
@@ -86,119 +62,66 @@ func (sp *storedSpec) mInvariance() (policy.Criterion, bool) {
 func (r *registry) putSpec(sp *storedSpec) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.specs[sp.name]; ok {
-		return fmt.Errorf("%w: %q", errSpecExists, sp.name)
+	if err := r.specs.admit(sp.name); err != nil {
+		return err
 	}
-	if len(r.specs) >= maxSpecs {
-		return fmt.Errorf("%w: %d specs stored (limit %d)", errRegistryFull, len(r.specs), maxSpecs)
+	if _, err := r.datasets.lookup(sp.Dataset); err != nil {
+		return err
 	}
-	if _, ok := r.datasets[sp.dataset]; !ok {
-		return fmt.Errorf("%w: %q", errDatasetMissing, sp.dataset)
+	if err := r.journalSpec(sp); err != nil {
+		return err
 	}
-	if r.st != nil {
-		if err := r.persistSpec(sp); err != nil {
-			return err
-		}
-	}
-	r.specs[sp.name] = sp
+	r.specs.put(sp.name, sp)
 	return nil
-}
-
-// getSpec looks a spec up by name.
-func (r *registry) getSpec(name string) (*storedSpec, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	sp, ok := r.specs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errSpecMissing, name)
-	}
-	return sp, nil
-}
-
-// listSpecs returns every stored spec in name order.
-func (r *registry) listSpecs() []*storedSpec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*storedSpec, 0, len(r.specs))
-	for _, sp := range r.specs {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
 }
 
 // deleteSpec removes a spec and cascades to the release it owns: the release
 // exists to satisfy the spec, and spec-owned releases cannot be deleted
-// directly, so orphaning it would pin the dataset forever.
+// directly, so orphaning it would pin the dataset forever. Each entry leaves
+// memory exactly when its delete is journaled; a release whose delete fails
+// after its spec's succeeded is a straggler recovery drops.
 func (r *registry) deleteSpec(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp, ok := r.specs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", errSpecMissing, name)
+	sp, err := r.specs.lookup(name)
+	if err != nil {
+		return err
 	}
-	if r.st != nil {
-		if err := r.persistDelete(store.KindSpec, name); err != nil {
-			return err
-		}
-		if sp.releaseID != "" {
-			if err := r.persistDelete(store.KindRelease, sp.releaseID); err != nil {
-				return err
-			}
-		}
+	if err := drop(r, &r.specs, name); err != nil || sp.ReleaseID == "" {
+		return err
 	}
-	delete(r.specs, name)
-	if sp.releaseID != "" {
-		delete(r.releases, sp.releaseID)
-	}
-	return nil
+	return drop(r, &r.releases, sp.ReleaseID)
 }
 
 // specRun is a consistent snapshot of everything one reconciliation needs,
 // taken under the registry read lock so the expensive work (anonymizing,
 // sequential publication) runs without holding it.
 type specRun struct {
-	name      string
-	tenant    string
-	dataset   string
-	algorithm core.Algorithm
-	policyRef string
-	policy    *policy.Policy
-	params    anonymizeRequest
-	ds        *storedDataset
-	// spec, history and live are the spec's m-invariance state as of the
-	// snapshot; swapSpecRelease refuses a release built on a state that has
-	// since moved on.
-	spec    *storedSpec
-	history []specHistoryMeta
-	live    *republish.Index
+	name string
+	// specMeta is a copy of the spec's record; with spec and live it is the
+	// spec's m-invariance state as of the snapshot, and swapSpecRelease
+	// refuses a release built on a state that has since moved on.
+	specMeta
+	ds   *storedDataset
+	spec *storedSpec
+	live *republish.Index
 }
 
 // specRunSnapshot captures a spec and its dataset for one reconciliation.
 func (r *registry) specRunSnapshot(name string) (*specRun, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	sp, ok := r.specs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errSpecMissing, name)
+	sp, err := r.specs.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	ds, ok := r.datasets[sp.dataset]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", errDatasetMissing, sp.dataset)
+	ds, err := r.datasets.lookup(sp.Dataset)
+	if err != nil {
+		return nil, err
 	}
-	return &specRun{
-		name:      sp.name,
-		tenant:    sp.tenant,
-		dataset:   sp.dataset,
-		algorithm: sp.algorithm,
-		policyRef: sp.policyRef,
-		policy:    sp.policy,
-		params:    sp.params,
-		ds:        ds,
-		spec:      sp,
-		history:   append([]specHistoryMeta(nil), sp.history...),
-		live:      sp.live,
-	}, nil
+	run := &specRun{name: sp.name, specMeta: sp.specMeta, ds: ds, spec: sp, live: sp.live}
+	run.History = append([]specHistoryMeta(nil), sp.History...)
+	return run, nil
 }
 
 // errSpecSuperseded refuses an m-invariance release built on a history that
@@ -229,78 +152,69 @@ type seqOutcome struct {
 // history from scratch.
 func (r *registry) swapSpecRelease(run *specRun, rel *storedRelease, seq *seqOutcome, gen uint64, fp string) (string, error) {
 	name := run.name
-	var originFP string
-	var fps releaseTableFPs
-	if r.st != nil {
-		var err error
-		if originFP, fps, err = r.persistReleaseTables(rel); err != nil {
-			return "", err
-		}
+	rel.spec = name
+	rec, err := r.releaseRecord(rel)
+	if err != nil {
+		return "", err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp, ok := r.specs[name]
-	if !ok {
-		return "", fmt.Errorf("%w: %q (deleted mid-reconciliation)", errSpecMissing, name)
+	sp, err := r.specs.lookup(name)
+	if err != nil {
+		return "", fmt.Errorf("%w (deleted mid-reconciliation)", err)
 	}
-	if seq != nil && (sp != run.spec || len(sp.history) != len(run.history)) {
+	if seq != nil && (sp != run.spec || len(sp.History) != len(run.History)) {
 		return "", fmt.Errorf("%w: %q", errSpecSuperseded, name)
 	}
 	// The swap replaces the old release, so occupancy only grows for the
 	// spec's first release.
-	if sp.releaseID == "" && len(r.releases) >= r.maxReleases {
-		return "", fmt.Errorf("%w: %d releases stored (limit %d)", errRegistryFull, len(r.releases), r.maxReleases)
-	}
-	r.nextID++
-	rel.seq = r.nextID
-	rel.id = fmt.Sprintf("r%d", r.nextID)
-	rel.spec = name
-	if r.st != nil {
-		if err := r.persistRelease(rel, originFP, fps); err != nil {
-			r.nextID--
+	if sp.ReleaseID == "" {
+		if err := r.releases.room(); err != nil {
 			return "", err
 		}
+	}
+	if err := r.assignRelease(rel, rec); err != nil {
+		return "", err
 	}
 	// The reconciliation-owned fields, for a rollback; the declaration fields
 	// are read without the lock and must never be written.
-	oldID, oldGen, oldFP := sp.releaseID, sp.reconGen, sp.reconFP
-	oldHistory, oldInvariant, oldDetail := sp.history, sp.invariant, sp.invariantDetail
-	sp.releaseID = rel.id
-	if gen > sp.reconGen {
-		sp.reconGen, sp.reconFP = gen, fp
+	oldID, oldGen, oldFP := sp.ReleaseID, sp.ReconGen, sp.ReconFP
+	oldHistory, oldInvariant, oldDetail := sp.History, sp.Invariant, sp.InvariantDetail
+	sp.ReleaseID = rel.id
+	if gen > sp.ReconGen {
+		sp.ReconGen, sp.ReconFP = gen, fp
 	}
 	if seq != nil {
 		entry := seq.entry
-		entry.QITFP, entry.STFP = fps.qit, fps.st
-		sp.history = append(sp.history, entry)
-		sp.invariant, sp.invariantDetail = seq.invariant, seq.detail
+		entry.QITFP, entry.STFP = rec.meta.QITFP, rec.meta.STFP
+		sp.History = append(sp.History, entry)
+		sp.Invariant, sp.InvariantDetail = seq.invariant, seq.detail
 	}
-	if r.st != nil {
-		if err := r.persistSpec(sp); err != nil {
-			// Roll the spec back and un-journal the release so memory and
-			// acknowledged history stay aligned; the manager retries, and
-			// without a live index the retry re-validates the history.
-			sp.releaseID, sp.reconGen, sp.reconFP = oldID, oldGen, oldFP
-			sp.history, sp.invariant, sp.invariantDetail = oldHistory, oldInvariant, oldDetail
-			if seq != nil {
-				sp.live = nil
-			}
-			_ = r.persistDelete(store.KindRelease, rel.id)
-			return "", err
+	if err := r.journalSpec(sp); err != nil {
+		// Roll the spec back and un-journal the release so memory and
+		// acknowledged history stay aligned; the manager retries, and
+		// without a live index the retry re-validates the history. A failed
+		// delete leaves a release record no spec references, which recovery
+		// drops.
+		sp.ReleaseID, sp.ReconGen, sp.ReconFP = oldID, oldGen, oldFP
+		sp.History, sp.Invariant, sp.InvariantDetail = oldHistory, oldInvariant, oldDetail
+		if seq != nil {
+			sp.live = nil
 		}
+		_ = r.journal(store.Op{Op: store.OpDelete, Kind: store.KindRelease, Key: rel.id}, nil)
+		return "", err
 	}
 	if seq != nil {
 		sp.live = seq.next
 	}
-	r.releases[rel.id] = rel
+	r.releases.put(rel.id, rel)
 	if oldID != "" {
-		if r.st != nil {
-			// A failed delete journal leaves a superseded release record
-			// behind; recovery drops releases their owning spec no longer
-			// references, so this is not propagated as a swap failure.
-			_ = r.persistDelete(store.KindRelease, oldID)
-		}
-		delete(r.releases, oldID)
+		// A failed delete journal leaves a superseded release record
+		// behind; recovery drops releases their owning spec no longer
+		// references, so this is not propagated as a swap failure, and the
+		// release leaves memory regardless.
+		_ = r.journal(store.Op{Op: store.OpDelete, Kind: store.KindRelease, Key: oldID}, nil)
+		r.releases.remove(oldID)
 	}
 	return rel.id, nil
 }
@@ -312,20 +226,15 @@ func (r *registry) swapSpecRelease(run *specRun, rel *storedRelease, seq *seqOut
 func (r *registry) markSpecSynced(name string, gen uint64, fp string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sp, ok := r.specs[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", errSpecMissing, name)
+	sp, err := r.specs.lookup(name)
+	if err != nil || gen <= sp.ReconGen {
+		return err
 	}
-	if gen <= sp.reconGen {
-		return nil
-	}
-	old, oldFP := sp.reconGen, sp.reconFP
-	sp.reconGen, sp.reconFP = gen, fp
-	if r.st != nil {
-		if err := r.persistSpec(sp); err != nil {
-			sp.reconGen, sp.reconFP = old, oldFP
-			return err
-		}
+	old, oldFP := sp.ReconGen, sp.ReconFP
+	sp.ReconGen, sp.ReconFP = gen, fp
+	if err := r.journalSpec(sp); err != nil {
+		sp.ReconGen, sp.ReconFP = old, oldFP
+		return err
 	}
 	return nil
 }
@@ -337,19 +246,32 @@ func (r *registry) markSpecSynced(name string, gen uint64, fp string) error {
 // signature order, so ReleaseFromTables reconstructs signatures exactly from
 // the QIT/ST snapshots whenever the history has to be re-validated.
 type specMeta struct {
-	Tenant          string            `json:"tenant,omitempty"`
-	Dataset         string            `json:"dataset"`
-	Algorithm       string            `json:"algorithm"`
-	PolicyRef       string            `json:"policy_ref,omitempty"`
-	Policy          *policy.Policy    `json:"policy"`
-	Params          anonymizeRequest  `json:"params"`
-	ReleaseID       string            `json:"release_id,omitempty"`
-	ReconGen        uint64            `json:"reconciled_generation"`
-	ReconFP         string            `json:"reconciled_fp,omitempty"`
-	History         []specHistoryMeta `json:"history,omitempty"`
-	Invariant       bool              `json:"invariant,omitempty"`
-	InvariantDetail string            `json:"invariant_detail,omitempty"`
-	CreatedUnix     int64             `json:"created_unix_ns"`
+	Tenant    string         `json:"tenant,omitempty"`
+	Dataset   string         `json:"dataset"`
+	Algorithm core.Algorithm `json:"algorithm"`
+	// PolicyRef names the stored policy the spec referenced at creation; the
+	// enforced document itself is pinned on Policy (resolving at creation
+	// means a later delete or re-create of the name never changes what the
+	// spec republishes).
+	PolicyRef string           `json:"policy_ref,omitempty"`
+	Policy    *policy.Policy   `json:"policy"`
+	Params    anonymizeRequest `json:"params"`
+	// ReleaseID is the spec's current release ("" until the first
+	// reconciliation lands); ReconGen/ReconFP are the dataset generation and
+	// content fingerprint that release reflects.
+	ReleaseID string `json:"release_id,omitempty"`
+	ReconGen  uint64 `json:"reconciled_generation"`
+	ReconFP   string `json:"reconciled_fp,omitempty"`
+	// History is the m-invariance release sequence (nil for other
+	// algorithms), one entry per landed release: version, QIT/ST
+	// fingerprints, rows and counterfeits. The tables themselves stay in the
+	// store; they are read back only when live is nil and the chain has to be
+	// re-validated.
+	History []specHistoryMeta `json:"history,omitempty"`
+	// Invariant records the latest cross-release m-invariance check.
+	Invariant       bool   `json:"invariant,omitempty"`
+	InvariantDetail string `json:"invariant_detail,omitempty"`
+	CreatedUnix     int64  `json:"created_unix_ns"`
 }
 
 // specHistoryMeta describes one historical m-invariance release: its
@@ -365,91 +287,17 @@ type specHistoryMeta struct {
 	Counterfeits int    `json:"counterfeits"`
 }
 
-// persistSpec journals a spec put under the registry write lock. History
+// journalSpec journals a spec put under the registry write lock. History
 // tables must already be durable — they always are, because every history
 // entry was first journaled as that reconciliation's release (PutTable is
 // content-addressed, so the spec record referencing the same fingerprints
 // keeps the snapshots alive after the release record is superseded).
-func (r *registry) persistSpec(sp *storedSpec) error {
-	if r.failSpecPersist.Load() > 0 && r.failSpecPersist.Add(-1) >= 0 {
-		return fmt.Errorf("%w: injected spec journal failure", errPersist)
-	}
-	m := specMeta{
-		Tenant:          sp.tenant,
-		Dataset:         sp.dataset,
-		Algorithm:       string(sp.algorithm),
-		PolicyRef:       sp.policyRef,
-		Policy:          sp.policy,
-		Params:          sp.params,
-		ReleaseID:       sp.releaseID,
-		ReconGen:        sp.reconGen,
-		ReconFP:         sp.reconFP,
-		History:         sp.history,
-		Invariant:       sp.invariant,
-		InvariantDetail: sp.invariantDetail,
-		CreatedUnix:     sp.created.UnixNano(),
-	}
-	tables := make([]string, 0, 2*len(sp.history))
-	for _, h := range sp.history {
+func (r *registry) journalSpec(sp *storedSpec) error {
+	tables := make([]string, 0, 2*len(sp.History))
+	for _, h := range sp.History {
 		tables = append(tables, h.QITFP, h.STFP)
 	}
-	meta, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	err = r.st.Apply(store.Op{
-		Op: store.OpPut, Kind: store.KindSpec, Key: sp.name,
-		Tables: tables, Meta: meta,
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", errPersist, err)
-	}
-	return nil
-}
-
-// recoverSpecs rebuilds the spec map from the store. The m-invariance history
-// recovers as metadata; the specs come back without a live index, so each
-// one's first reconciliation re-reads its QIT/ST tables, re-validates the
-// chain and resumes the sequence exactly where the crashed process left it.
-func (s *Server) recoverSpecs(st *store.Store) error {
-	reg := s.reg
-	for _, rec := range st.Records(store.KindSpec) {
-		var m specMeta
-		if err := json.Unmarshal(rec.Meta, &m); err != nil {
-			return fmt.Errorf("server: recover spec %q: undecodable metadata: %w", rec.Key, err)
-		}
-		if m.Policy == nil {
-			return fmt.Errorf("server: recover spec %q: no pinned policy", rec.Key)
-		}
-		sp := &storedSpec{
-			name:            rec.Key,
-			tenant:          m.Tenant,
-			dataset:         m.Dataset,
-			algorithm:       core.Algorithm(m.Algorithm),
-			policyRef:       m.PolicyRef,
-			policy:          m.Policy,
-			params:          m.Params.journaled(),
-			releaseID:       m.ReleaseID,
-			reconGen:        m.ReconGen,
-			reconFP:         m.ReconFP,
-			invariant:       m.Invariant,
-			invariantDetail: m.InvariantDetail,
-			created:         time.Unix(0, m.CreatedUnix),
-			history:         m.History,
-		}
-		for i, h := range sp.history {
-			if h.Rows > 0 {
-				continue
-			}
-			rel, err := historyRelease(st, h)
-			if err != nil {
-				return fmt.Errorf("server: recover spec %q: %w", rec.Key, err)
-			}
-			sp.history[i].Rows, sp.history[i].Counterfeits = rel.QIT.Len(), rel.Counterfeits
-		}
-		reg.specs[rec.Key] = sp
-	}
-	return nil
+	return r.journal(store.Op{Op: store.OpPut, Kind: store.KindSpec, Key: sp.name, Tables: tables}, sp.specMeta)
 }
 
 // trackRecoveredSpecs hands every recovered spec to the reconcile manager
@@ -457,13 +305,13 @@ func (s *Server) recoverSpecs(st *store.Store) error {
 // the server was down (or whose last reconciliation never landed) starts
 // catching up immediately.
 func (s *Server) trackRecoveredSpecs() {
-	for _, sp := range s.reg.listSpecs() {
+	for _, sp := range s.reg.specs.list() {
 		var gen uint64
 		var fp string
-		if ds, err := s.reg.getDataset(sp.dataset); err == nil {
-			gen, fp = ds.generation, ds.fp
+		if ds, err := s.reg.datasets.get(sp.Dataset); err == nil {
+			gen, fp = ds.Generation, ds.fp
 		}
-		s.recon.Track(sp.name, sp.dataset, gen, fp, sp.reconGen, sp.reconFP)
+		s.recon.Track(sp.name, sp.Dataset, gen, fp, sp.ReconGen, sp.ReconFP)
 	}
 }
 
@@ -476,13 +324,13 @@ func (s *Server) trackRecoveredSpecs() {
 type reconEngine struct{ s *Server }
 
 func (e reconEngine) Enqueue(name string, run func(ctx context.Context)) error {
-	sp, err := e.s.reg.getSpec(name)
+	sp, err := e.s.reg.specs.get(name)
 	if err != nil {
 		return err
 	}
 	timeout := e.s.cfg.RequestTimeout
-	if sp.params.TimeoutMS > 0 {
-		if d := time.Duration(sp.params.TimeoutMS) * time.Millisecond; d < timeout {
+	if sp.Params.TimeoutMS > 0 {
+		if d := time.Duration(sp.Params.TimeoutMS) * time.Millisecond; d < timeout {
 			timeout = d
 		}
 	}
@@ -490,12 +338,12 @@ func (e reconEngine) Enqueue(name string, run func(ctx context.Context)) error {
 		run(ctx)
 		return nil, nil
 	}, jobs.Options{
-		Tenant: sp.tenant,
+		Tenant: sp.Tenant,
 		Meta: jobMeta{
 			spec:      name,
-			dataset:   sp.dataset,
-			algorithm: string(sp.algorithm),
-			policyRef: sp.policyRef,
+			dataset:   sp.Dataset,
+			algorithm: string(sp.Algorithm),
+			policyRef: sp.PolicyRef,
 		},
 		Timeout: timeout,
 	})
@@ -523,11 +371,11 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 	if err != nil {
 		return 0, "", err
 	}
-	gen, fp := run.ds.generation, run.ds.fp
+	gen, fp := run.ds.Generation, run.ds.fp
 	start := time.Now()
 	var rel *core.Release
 	var seq *seqOutcome
-	if c, ok := run.policy.Find(policy.MInvariance); ok {
+	if c, ok := run.Policy.Find(policy.MInvariance); ok {
 		seq, rel, err = s.sequentialPublish(ctx, run, c)
 	} else {
 		rel, err = s.oneShotPublish(ctx, run)
@@ -537,11 +385,11 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 		return 0, "", err
 	}
 	stored := &storedRelease{
-		dataset:   run.dataset,
+		dataset:   run.Dataset,
 		origin:    run.ds,
-		algorithm: run.algorithm,
-		policyRef: run.policyRef,
-		params:    run.params,
+		algorithm: run.Algorithm,
+		policyRef: run.PolicyRef,
+		params:    run.Params,
 		release:   rel,
 		elapsed:   elapsed,
 		created:   time.Now(),
@@ -557,15 +405,15 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 // (the pinned policy for a policy or policy_ref spec, the persisted flat
 // parameters otherwise), and the dataset's current table runs through it.
 func (s *Server) oneShotPublish(ctx context.Context, run *specRun) (*core.Release, error) {
-	alg, err := engine.Lookup(string(run.algorithm))
+	alg, err := engine.Lookup(string(run.Algorithm))
 	if err != nil {
 		return nil, err
 	}
-	explicit := run.policy
-	if run.params.Policy == nil && run.params.PolicyRef == "" {
+	explicit := run.Policy
+	if run.Params.Policy == nil && run.Params.PolicyRef == "" {
 		explicit = nil
 	}
-	pipe, err := s.newPipeline(alg.Describe(), run.params, explicit, run.ds.hier)
+	pipe, err := s.newPipeline(alg.Describe(), run.Params, explicit, run.ds.hier)
 	if err != nil {
 		return nil, err
 	}
@@ -584,17 +432,17 @@ func (s *Server) oneShotPublish(ctx context.Context, run *specRun) (*core.Releas
 func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.Criterion) (*seqOutcome, *core.Release, error) {
 	sensitive := c.Sensitive
 	if sensitive == "" {
-		sensitive = run.params.Sensitive
+		sensitive = run.Params.Sensitive
 	}
 	cfg := republish.Config{
 		M:                c.M,
 		ID:               c.ID,
 		Sensitive:        sensitive,
-		QuasiIdentifiers: run.params.QuasiIdentifiers,
+		QuasiIdentifiers: run.Params.QuasiIdentifiers,
 	}
 	base := run.live
 	if base == nil {
-		history, err := s.reg.historyReleases(run.history)
+		history, err := s.reg.historyReleases(run.History)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -637,8 +485,8 @@ func (s *Server) sequentialPublish(ctx context.Context, run *specRun, c policy.C
 	rel := &core.Release{
 		QIT:       hist.QIT,
 		ST:        hist.ST,
-		Algorithm: run.algorithm,
-		Policy:    run.policy,
+		Algorithm: run.Algorithm,
+		Policy:    run.Policy,
 		Measured: core.Measurements{
 			DistinctL: minSig,
 			Criteria: map[string]core.CriterionMeasurement{
@@ -701,7 +549,7 @@ func historyRelease(st *store.Store, h specHistoryMeta) (*republish.Release, err
 // and notifying under the registry lock would order the two locks both ways.
 func (s *Server) notifyDatasetChanged(ds *storedDataset) {
 	if s.recon != nil {
-		s.recon.Notify(ds.name, ds.generation, ds.fp)
+		s.recon.Notify(ds.name, ds.Generation, ds.fp)
 	}
 }
 
@@ -761,24 +609,24 @@ func (s *Server) specJSON(sp *storedSpec) specInfo {
 	s.reg.mu.RLock()
 	info := specInfo{
 		Name:      sp.name,
-		Dataset:   sp.dataset,
-		Algorithm: string(sp.algorithm),
-		Policy:    sp.policy,
-		PolicyRef: sp.policyRef,
-		ReleaseID: sp.releaseID,
+		Dataset:   sp.Dataset,
+		Algorithm: string(sp.Algorithm),
+		Policy:    sp.Policy,
+		PolicyRef: sp.PolicyRef,
+		ReleaseID: sp.ReleaseID,
 		State:     "idle",
-		Created:   sp.created,
+		Created:   time.Unix(0, sp.CreatedUnix),
 	}
 	if _, ok := sp.mInvariance(); ok {
-		for _, h := range sp.history {
+		for _, h := range sp.History {
 			info.History = append(info.History, specHistoryJSON{
 				Version:      h.Version,
 				Rows:         h.Rows,
 				Counterfeits: h.Counterfeits,
 			})
 		}
-		if len(sp.history) > 0 {
-			info.Invariant = &invariantJSON{OK: sp.invariant, Detail: sp.invariantDetail}
+		if len(sp.History) > 0 {
+			info.Invariant = &invariantJSON{OK: sp.Invariant, Detail: sp.InvariantDetail}
 		}
 	}
 	s.reg.mu.RUnlock()
@@ -810,46 +658,38 @@ func (s *Server) handleCreateSpec(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	sp := &storedSpec{
-		name:      req.Name,
-		tenant:    tenantOf(r),
-		dataset:   req.Dataset,
-		algorithm: p.alg,
-		policyRef: p.policyRef,
-		policy:    p.declared,
-		params:    req.anonymizeRequest,
-		created:   time.Now(),
-	}
+	sp := &storedSpec{name: req.Name, specMeta: specMeta{
+		Tenant:      tenantOf(r),
+		Dataset:     req.Dataset,
+		Algorithm:   p.alg,
+		PolicyRef:   p.policyRef,
+		Policy:      p.declared,
+		Params:      req.anonymizeRequest,
+		CreatedUnix: time.Now().UnixNano(),
+	}}
 	if err := s.reg.putSpec(sp); err != nil {
 		writeRegistryError(w, err)
 		return
 	}
 	// Seed the control loop with the dataset's current generation; reconGen 0
 	// means the first reconciliation starts immediately.
-	s.recon.Track(sp.name, sp.dataset, p.ds.generation, p.ds.fp, 0, "")
+	s.recon.Track(sp.name, sp.Dataset, p.ds.Generation, p.ds.fp, 0, "")
 	w.Header().Set("Location", "/v1/specs/"+sp.name)
 	writeJSON(w, http.StatusCreated, s.specJSON(sp))
 }
 
 func (s *Server) handleListSpecs(w http.ResponseWriter, r *http.Request) {
-	list := s.reg.listSpecs()
-	out := make([]specInfo, len(list))
-	for i, sp := range list {
-		out[i] = s.specJSON(sp)
+	serveList(w, "specs", s.reg.specs.list(), func(sp *storedSpec) specInfo {
 		// Listings stay summaries, like jobs: the policy document is served
 		// by GET /v1/specs/{name}.
-		out[i].Policy = nil
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"specs": out})
+		info := s.specJSON(sp)
+		info.Policy = nil
+		return info
+	})
 }
 
 func (s *Server) handleGetSpec(w http.ResponseWriter, r *http.Request) {
-	sp, err := s.reg.getSpec(r.PathValue("name"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.specJSON(sp))
+	serveGet(w, &s.reg.specs, r.PathValue("name"), s.specJSON)
 }
 
 // handleDeleteSpec removes a spec, cascading to the release it owns. The
@@ -858,16 +698,5 @@ func (s *Server) handleGetSpec(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteSpec(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.recon.Forget(name)
-	if err := s.reg.deleteSpec(name); err != nil {
-		switch {
-		case errors.Is(err, errSpecMissing):
-			writeError(w, http.StatusNotFound, "not_found", "%v", err)
-		case errors.Is(err, errPersist):
-			writeError(w, http.StatusInternalServerError, "storage", "%v", err)
-		default:
-			writeError(w, http.StatusInternalServerError, "internal", "%v", err)
-		}
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	serveDelete(w, s.reg.deleteSpec(name))
 }

@@ -47,8 +47,8 @@ func BenchmarkReconcileRepublish(b *testing.B) {
 			if err := srv.AddDataset("pop", "census", cur, nil); err != nil {
 				b.Fatal(err)
 			}
-			if err := srv.reg.putSpec(&storedSpec{name: "seq", dataset: "pop",
-				algorithm: core.Algorithm("republish"), policy: pol, created: time.Now()}); err != nil {
+			if err := srv.reg.putSpec(&storedSpec{name: "seq", specMeta: specMeta{Dataset: "pop",
+				Algorithm: core.Algorithm("republish"), Policy: pol, CreatedUnix: time.Now().UnixNano()}}); err != nil {
 				b.Fatal(err)
 			}
 			appendBatch := func(i int) {
@@ -57,7 +57,8 @@ func BenchmarkReconcileRepublish(b *testing.B) {
 					b.Fatal(err)
 				}
 				cur = merged
-				if err := srv.reg.putDataset(&storedDataset{name: "pop", family: "census", table: merged, created: time.Now()}, true, 0); err != nil {
+				if err := srv.reg.putDataset(&storedDataset{name: "pop", table: merged,
+					datasetMeta: datasetMeta{Family: "census", CreatedUnix: time.Now().UnixNano()}}, true, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -193,9 +193,9 @@ func runInvarianceSequence(t *testing.T, gens, restartAt int) []string {
 		_, cur := doJSON(t, "GET", ts.URL+"/v1/specs/seq", nil)
 		retries, _ := cur["retries"].(float64)
 		body := pollSpec(t, ts, "seq", specSettledOrStuck(gen, retries))
-		ds, err := srv.reg.getDataset("pop")
-		if err != nil || ds.generation != uint64(gen) {
-			t.Fatalf("gen %d: dataset %v generation %d", gen, err, ds.generation)
+		ds, err := srv.reg.datasets.get("pop")
+		if err != nil || ds.Generation != uint64(gen) {
+			t.Fatalf("gen %d: dataset %v generation %d", gen, err, ds.Generation)
 		}
 		want, ok, detail, oracleErr := oracle.next(ds.table)
 		if !specSettled(gen)(body) {
@@ -207,7 +207,7 @@ func runInvarianceSequence(t *testing.T, gens, restartAt int) []string {
 		if oracleErr != nil {
 			t.Fatalf("gen %d: spec landed a release the oracle refuses: %v", gen, oracleErr)
 		}
-		stored, err := srv.reg.getRelease(body["release_id"].(string))
+		stored, err := srv.reg.releases.get(body["release_id"].(string))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func runInvarianceSequence(t *testing.T, gens, restartAt int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := run.history[len(run.history)-1]
+		h := run.History[len(run.History)-1]
 		if wantH := (specHistoryMeta{Version: want.Version, QITFP: qitFP, STFP: stFP, Rows: want.QIT.Len(), Counterfeits: want.Counterfeits}); h != wantH {
 			t.Fatalf("gen %d: history entry %+v, want %+v", gen, h, wantH)
 		}
@@ -327,12 +327,12 @@ func TestSpecSwapPersistFailureKeepsIndex(t *testing.T) {
 	if run.live != nil {
 		t.Fatalf("failed swap committed a live index at v%d", run.live.Version())
 	}
-	if len(run.history) != 2 {
-		t.Fatalf("failed swap left %d history entries", len(run.history))
+	if len(run.History) != 2 {
+		t.Fatalf("failed swap left %d history entries", len(run.History))
 	}
 
 	body := pollSpec(t, ts, "seq", specSettled(3))
-	history, err := srv.reg.historyReleases(run.history)
+	history, err := srv.reg.historyReleases(run.History)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestSpecSwapPersistFailureKeepsIndex(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("cold restore: ok=%v err=%v", ok, err)
 	}
-	stored, err := srv.reg.getRelease(body["release_id"].(string))
+	stored, err := srv.reg.releases.get(body["release_id"].(string))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSpecTamperedHistoryRefusesToExtend(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	path := filepath.Join(dir, "tables", run.history[0].QITFP+".tbl")
+	path := filepath.Join(dir, "tables", run.History[0].QITFP+".tbl")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,7 @@ func TestSpecMInvarianceSequential(t *testing.T) {
 	collect := func(body map[string]any) {
 		t.Helper()
 		relID, _ := body["release_id"].(string)
-		stored, err := srv.reg.getRelease(relID)
+		stored, err := srv.reg.releases.get(relID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,8 +250,8 @@ func TestSpecMInvarianceSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.history) != 3 {
-		t.Fatalf("stored history = %d releases", len(run.history))
+	if len(run.History) != 3 {
+		t.Fatalf("stored history = %d releases", len(run.History))
 	}
 	ok, detail, err := republish.CheckInvariance(landed, 2)
 	if err != nil {
