@@ -86,7 +86,10 @@ bench-cores:
 # panics; accepted policies re-encode to identical bytes). FuzzParseAPIKeys
 # feeds them to the serve -api-keys file parser (no panics; an accepted map
 # has no empty or whitespace-holding key or tenant and round-trips through
-# its "<key> <tenant>" lines).
+# its "<key> <tenant>" lines). FuzzReplayWAL opens a store over an arbitrary
+# WAL (refuse, or recover records that all have a kind and a key, with
+# NextSeq past every recovered sequence number); each input opens a store in
+# a fresh directory, so minimization gets the short budget too.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
@@ -94,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run '^$$' -fuzz 'FuzzPolicyValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzParseAPIKeys$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzReplayWAL$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Micro-benchmarks for the hot paths (quick mode, ~1 minute).
 bench-quick:

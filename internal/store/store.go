@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -207,6 +208,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err := json.Unmarshal(payload, &op); err != nil {
 			return nil, fmt.Errorf("%w: %s: undecodable record: %v", ErrWALCorrupt, s.walPath, err)
 		}
+		if err := checkOp(op); err != nil {
+			return nil, fmt.Errorf("%w: %s: %v", ErrWALCorrupt, s.walPath, err)
+		}
 		if err := s.applyLocked(op); err != nil {
 			return nil, fmt.Errorf("store: replay %s: %w", s.walPath, err)
 		}
@@ -307,28 +311,41 @@ func (s *Store) setRecord(r Record) {
 	}
 }
 
-// applyLocked mutates the in-memory view. It is used both by live Apply
-// (after the WAL append) and by replay.
+// checkOp refuses an op no store state can hold: an unknown op, an empty
+// kind or key, or the largest sequence number, past which NextSeq would wrap
+// to 0. Apply calls it before journaling, so a refused op leaves no WAL
+// trace; replay refuses such a record as ErrWALCorrupt.
+func checkOp(op Op) error {
+	switch {
+	case op.Op != OpPut && op.Op != OpDelete:
+		return fmt.Errorf("store: unknown op %q", op.Op)
+	case op.Kind == "" || op.Key == "":
+		return fmt.Errorf("store: op needs kind and key")
+	case op.Seq == math.MaxUint64:
+		return fmt.Errorf("store: op seq %d out of range", op.Seq)
+	}
+	return nil
+}
+
+// applyLocked mutates the in-memory view with an op checkOp accepted. It is
+// used both by live Apply (after the WAL append) and by replay.
 func (s *Store) applyLocked(op Op) error {
-	switch op.Op {
-	case OpPut:
-		for _, fp := range op.Tables {
-			if _, ok := s.tables[fp]; !ok {
-				return fmt.Errorf("%w: %s (%s %q)", ErrUnknownTable, fp, op.Kind, op.Key)
-			}
-		}
-		for _, fp := range op.Tables {
-			delete(s.putAt, fp)
-		}
-		s.setRecord(Record{Kind: op.Kind, Key: op.Key, Seq: op.Seq, Tables: op.Tables, Meta: op.Meta})
-	case OpDelete:
+	if op.Op == OpDelete {
 		delete(s.records[op.Kind], op.Key)
 		if op.Seq >= s.nextSeq {
 			s.nextSeq = op.Seq + 1
 		}
-	default:
-		return fmt.Errorf("store: unknown op %q", op.Op)
+		return nil
 	}
+	for _, fp := range op.Tables {
+		if _, ok := s.tables[fp]; !ok {
+			return fmt.Errorf("%w: %s (%s %q)", ErrUnknownTable, fp, op.Kind, op.Key)
+		}
+	}
+	for _, fp := range op.Tables {
+		delete(s.putAt, fp)
+	}
+	s.setRecord(Record{Kind: op.Kind, Key: op.Key, Seq: op.Seq, Tables: op.Tables, Meta: op.Meta})
 	return nil
 }
 
@@ -336,8 +353,8 @@ func (s *Store) applyLocked(op Op) error {
 // view. If journaling fails the view is untouched and the caller must treat
 // the mutation as not having happened.
 func (s *Store) Apply(op Op) error {
-	if op.Kind == "" || op.Key == "" {
-		return fmt.Errorf("store: op needs kind and key")
+	if err := checkOp(op); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -314,6 +315,36 @@ func TestStoreApplyUnknownTableRefused(t *testing.T) {
 	defer st2.Close()
 	if len(st2.Records(KindDataset)) != 0 {
 		t.Fatal("rejected op was journaled")
+	}
+}
+
+// TestStoreApplyMalformedOpRefused checks that Apply refuses, before
+// journaling, every op replay would refuse: an unknown op, an empty kind or
+// key, and the largest sequence number. The store then reopens cleanly.
+func TestStoreApplyMalformedOpRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{
+		{Op: "bogus", Kind: KindPolicy, Key: "p"},
+		{Op: OpPut, Kind: "", Key: "p"},
+		{Op: OpPut, Kind: KindPolicy, Key: ""},
+		{Op: OpDelete, Kind: KindPolicy, Key: "p", Seq: math.MaxUint64},
+	} {
+		if err := st.Apply(op); err == nil {
+			t.Errorf("Apply(%+v) accepted", op)
+		}
+	}
+	st.Close()
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after refused ops: %v", err)
+	}
+	defer st2.Close()
+	if st2.walRecords != 0 {
+		t.Fatalf("refused ops left %d WAL records", st2.walRecords)
 	}
 }
 
