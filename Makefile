@@ -50,14 +50,16 @@ race:
 	$(GO) test -race ./...
 
 # Hot-path benchmarks with memory stats, recorded as JSON so the perf
-# trajectory is tracked per PR (see the non-gating CI bench job). The file
-# name carries the PR number that introduced the recording; bench-compare
-# diffs the fresh numbers against the previous PR's committed baseline.
+# trajectory is tracked per PR (see the non-gating CI bench job). Each
+# benchmark runs six times and benchjson records the median of every unit
+# with the sample count. The file name carries the PR number that introduced
+# the recording; bench-compare diffs the fresh numbers against the previous
+# PR's committed baseline.
 BENCH_OUT ?= BENCH_PR18.json
 BENCH_BASELINE ?= BENCH_PR17.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
-		-benchmem ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
+		-benchmem -count=6 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
 	cat bench.out
 	$(GO) run ./cmd/benchjson < bench.out > $(BENCH_OUT)
 	@rm -f bench.out

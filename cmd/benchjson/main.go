@@ -12,7 +12,9 @@
 //
 // Non-benchmark lines (package headers, PASS/ok) are ignored; every metric
 // pair a benchmark reports (ns/op, B/op, allocs/op, custom b.ReportMetric
-// units) is preserved under its unit name.
+// units) is preserved under its unit name. The repeated lines of one
+// benchmark (`go test -count=N`) fold into one entry: the median of each
+// unit and of the iteration counts, with the number of samples.
 //
 // compare prints the per-benchmark ns/op and allocs/op deltas of the
 // benchmarks present in both files and exits with status 1 when any metric
@@ -33,6 +35,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -45,6 +48,9 @@ type Benchmark struct {
 	Iterations int64 `json:"iterations"`
 	// Metrics maps a unit (e.g. "ns/op") to its value.
 	Metrics map[string]float64 `json:"metrics"`
+	// Samples counts the result lines folded into this entry; records
+	// written before folding omit it and hold one sample per entry.
+	Samples int `json:"samples,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -54,7 +60,7 @@ type Report struct {
 	// MaxProcs is runtime.GOMAXPROCS at conversion time — benchmarks ran in
 	// the same environment, so it records the parallelism available.
 	MaxProcs int `json:"maxprocs"`
-	// Benchmarks lists every parsed result in input order.
+	// Benchmarks lists every benchmark once, in order of first appearance.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -84,9 +90,12 @@ func main() {
 	}
 }
 
-// parse reads `go test -bench` output and extracts the benchmark lines.
+// parse reads `go test -bench` output and extracts the benchmark lines,
+// folding the samples of each benchmark (see fold).
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Go: runtime.Version(), MaxProcs: runtime.GOMAXPROCS(0), Benchmarks: []Benchmark{}}
+	samples := map[string][]Benchmark{}
+	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -113,12 +122,49 @@ func parse(r io.Reader) (*Report, error) {
 			}
 			b.Metrics[fields[i+1]] = v
 		}
-		if ok {
-			rep.Benchmarks = append(rep.Benchmarks, b)
+		if !ok {
+			continue
 		}
+		if _, seen := samples[b.Name]; !seen {
+			order = append(order, b.Name)
+		}
+		samples[b.Name] = append(samples[b.Name], b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	for _, name := range order {
+		rep.Benchmarks = append(rep.Benchmarks, fold(samples[name]))
+	}
 	return rep, nil
+}
+
+// fold merges the samples of one benchmark into one entry: the median
+// iteration count and the median of each unit over the samples reporting it.
+func fold(samples []Benchmark) Benchmark {
+	iters := make([]float64, len(samples))
+	units := map[string][]float64{}
+	for i, s := range samples {
+		iters[i] = float64(s.Iterations)
+		for unit, v := range s.Metrics {
+			units[unit] = append(units[unit], v)
+		}
+	}
+	out := Benchmark{Name: samples[0].Name, Iterations: int64(median(iters)),
+		Metrics: make(map[string]float64, len(units)), Samples: len(samples)}
+	for unit, vs := range units {
+		out.Metrics[unit] = median(vs)
+	}
+	return out
+}
+
+// median returns the middle of vs (the mean of the two middle values for an
+// even count), sorting vs in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
