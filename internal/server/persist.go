@@ -129,13 +129,13 @@ type releaseRecord struct {
 	meta   releaseMeta
 }
 
-// releaseRecord writes the release's origin and published tables as durable
+// prepareRelease writes the release's origin and published tables as durable
 // content-addressed snapshots and returns the record that references them
 // (zero without a store, so registry unit tests may store origin-less
 // stubs). Called outside the registry lock — snapshot encoding is the
 // expensive part, and PutTable is idempotent, so a put that later loses the
 // id race leaves at worst an unreferenced file for the next checkpoint's GC.
-func (r *registry) releaseRecord(rel *storedRelease) (releaseRecord, error) {
+func (r *registry) prepareRelease(rel *storedRelease) (releaseRecord, error) {
 	if r.st == nil {
 		return releaseRecord{}, nil
 	}

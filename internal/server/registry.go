@@ -418,7 +418,7 @@ func (r *registry) deleteDataset(name string) error {
 // under the freshly assigned id before the map changes — so a client that
 // received a release id can always fetch that release after a crash.
 func (r *registry) putRelease(rel *storedRelease) (string, error) {
-	rec, err := r.releaseRecord(rel)
+	rec, err := r.prepareRelease(rel)
 	if err != nil {
 		return "", err
 	}

@@ -153,7 +153,7 @@ type seqOutcome struct {
 func (r *registry) swapSpecRelease(run *specRun, rel *storedRelease, seq *seqOutcome, gen uint64, fp string) (string, error) {
 	name := run.name
 	rel.spec = name
-	rec, err := r.releaseRecord(rel)
+	rec, err := r.prepareRelease(rel)
 	if err != nil {
 		return "", err
 	}
