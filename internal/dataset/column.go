@@ -362,9 +362,7 @@ func (c *CodedColumn) appendColumn(o *CodedColumn) *CodedColumn {
 		if !seen[oc] {
 			seen[oc] = true
 			v := o.Dict[oc]
-			pos, found := slices.BinarySearchFunc(order, v, func(code uint32, v string) int {
-				return strings.Compare(c.Dict[code], v)
-			})
+			pos, found := c.search(order, v)
 			if found {
 				remap[oc] = order[pos]
 			} else {
@@ -397,35 +395,87 @@ func (c *CodedColumn) appendColumn(o *CodedColumn) *CodedColumn {
 }
 
 // selectRows returns the column holding the cells of rows idx, in order,
-// re-coded into first-appearance order. Ranks follow from the source's:
-// the kept codes keep their relative lexicographic order.
-func (c *CodedColumn) selectRows(idx []int) *CodedColumn {
-	remap := make([]uint32, len(c.Dict))
+// where a row of -1 holds pad. The result is encoded exactly as a fresh
+// build over the same cells: codes in first-appearance order, and a pad
+// equal to a value of c shares that value's code. Ranks follow from the
+// source's, since the kept codes keep their relative lexicographic order;
+// a pad c lacks is placed among them by one binary search.
+func (c *CodedColumn) selectRows(idx []int, pad string) *CodedColumn {
+	// Old codes are c's, plus padCode for the pad: c's code of an equal
+	// value, or the extra code len(c.Dict) when c lacks it. padPos is the
+	// pad's position in c's rank order, resolved at the first pad row.
+	padCode, padPos := uint32(len(c.Dict)), -1
+	remap := make([]uint32, len(c.Dict)+1)
 	for i := range remap {
 		remap[i] = math.MaxUint32
 	}
 	var kept []uint32 // old code per new code
 	codes := make([]uint32, len(idx))
 	for i, r := range idx {
-		oc := c.Codes[r]
+		var oc uint32
+		if r >= 0 {
+			oc = c.Codes[r]
+		} else {
+			if padPos < 0 {
+				padCode, padPos = c.locate(pad)
+			}
+			oc = padCode
+		}
 		if remap[oc] == math.MaxUint32 {
 			remap[oc] = uint32(len(kept))
 			kept = append(kept, oc)
 		}
 		codes[i] = remap[oc]
 	}
+	padNew := remap[len(c.Dict)] != math.MaxUint32
+	if padNew {
+		pad = strings.Clone(pad)
+	}
+	// slot[2*rank+1] holds the new code (plus one) of the kept value with
+	// that source rank, and slot[2*padPos] the pad's when c lacks it, so one
+	// walk over slot yields the new ranks.
 	dict := make([]string, len(kept))
-	byRank := make([]uint32, len(kept))
+	slot := make([]uint32, 2*len(c.Dict)+1)
 	for nc, oc := range kept {
-		dict[nc] = c.Dict[oc]
-		byRank[nc] = uint32(nc)
+		if oc == uint32(len(c.Dict)) {
+			dict[nc] = pad
+			slot[2*padPos] = uint32(nc) + 1
+		} else {
+			dict[nc] = c.Dict[oc]
+			slot[2*c.ranks[oc]+1] = uint32(nc) + 1
+		}
 	}
-	slices.SortFunc(byRank, func(a, b uint32) int { return cmp.Compare(c.ranks[kept[a]], c.ranks[kept[b]]) })
-	out := &CodedColumn{Codes: codes, Dict: dict, ranks: make([]uint32, len(kept)), clean: c.clean || allClean(dict)}
-	for pos, nc := range byRank {
-		out.ranks[nc] = uint32(pos)
+	out := &CodedColumn{Codes: codes, Dict: dict, ranks: make([]uint32, len(kept))}
+	pos := uint32(0)
+	for _, s := range slot {
+		if s != 0 {
+			out.ranks[s-1] = pos
+			pos++
+		}
 	}
+	out.clean = (c.clean && !padNew) || allClean(dict)
 	return out
+}
+
+// locate returns the code of value v and its position in rank order. When
+// no value of c equals v, the code is len(c.Dict) and the position is the
+// rank v would take among c's values.
+func (c *CodedColumn) locate(v string) (uint32, int) {
+	order := c.lexOrder()
+	pos, found := c.search(order, v)
+	if found {
+		return order[pos], pos
+	}
+	return uint32(len(c.Dict)), pos
+}
+
+// search binary-searches order, c's codes in rank order (lexOrder), for
+// value v: its position, or where it would be inserted, and whether c
+// holds it.
+func (c *CodedColumn) search(order []uint32, v string) (int, bool) {
+	return slices.BinarySearchFunc(order, v, func(code uint32, v string) int {
+		return strings.Compare(c.Dict[code], v)
+	})
 }
 
 // floatColumnFromCodes builds the parse-once numeric view of a column from

@@ -340,14 +340,35 @@ func (t *Table) DropIdentifiers() (*Table, error) {
 // given order). Indices may repeat. Each column is re-coded into
 // first-appearance order over the selected rows.
 func (t *Table) Select(indices []int) (*Table, error) {
+	return t.SelectPad(indices, nil)
+}
+
+// SelectPad is Select where an index of -1 yields the row pad, which must
+// hold one value per column (a nil pad allows no -1). Cells are shared as
+// codes, never copied as strings, yet every column is encoded exactly as
+// FromRows over the same cells would encode it: codes in first-appearance
+// order, a pad value that occurs in the column sharing its code, and equal
+// ranks.
+func (t *Table) SelectPad(indices []int, pad Row) (*Table, error) {
+	lo := 0
+	if pad != nil {
+		if len(pad) != len(t.cols) {
+			return nil, fmt.Errorf("%w: pad has %d values, want %d", ErrRowArity, len(pad), len(t.cols))
+		}
+		lo = -1
+	}
 	for _, i := range indices {
-		if i < 0 || i >= t.n {
+		if i < lo || i >= t.n {
 			return nil, fmt.Errorf("%w: %d (table has %d rows)", ErrRowIndex, i, t.n)
 		}
 	}
 	cols := make([]*CodedColumn, len(t.cols))
 	for j, cc := range t.cols {
-		cols[j] = cc.selectRows(indices)
+		var v string
+		if pad != nil {
+			v = pad[j]
+		}
+		cols[j] = cc.selectRows(indices, v)
 	}
 	out := t.derive(t.schema, cols)
 	out.n = len(indices)

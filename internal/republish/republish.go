@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,6 +135,57 @@ func (p *Publisher) Publish(snapshot *dataset.Table) (*Release, error) {
 // PublishContext is Publish under a context: the publisher polls ctx once
 // per materialized row, so a canceled request aborts the release mid-build.
 func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table) (*Release, error) {
+	pl, err := p.plan(ctx, snapshot)
+	if err != nil {
+		return nil, err
+	}
+	rel := pl.rel
+	if rel.QIT, err = pl.qit(snapshot); err != nil {
+		return nil, err
+	}
+	// The ST has one row per bucket and signature value, so building it
+	// from rows costs little.
+	if rel.ST, err = dataset.FromRows(pl.stSchema, pl.stRows); err != nil {
+		return nil, err
+	}
+	p.idx = pl.next
+	p.releases = append(p.releases, rel)
+	return rel, nil
+}
+
+// plan is a release laid out over its snapshot but not yet materialized.
+type plan struct {
+	// rel carries the release's version, signatures and counterfeit count;
+	// its tables are built from the rest of the plan.
+	rel *Release
+	// next is the index after the release.
+	next *Index
+	// qi and id name the snapshot columns the QIT publishes.
+	qi []string
+	id string
+	// rows is the QIT's row order: QIT row i copies snapshot row rows[i],
+	// or is a counterfeit when rows[i] is -1. It lies in bucket buckets[i],
+	// published as bucketNames[buckets[i]].
+	rows        []int
+	buckets     []uint32
+	bucketNames []string
+	stRows      []dataset.Row
+	qitSchema   *dataset.Schema
+	stSchema    *dataset.Schema
+}
+
+// bucketRows lists one signature bucket's members as snapshot rows:
+// rows[:old] were published before, sorted by id; the rest are fresh, in
+// partition order.
+type bucketRows struct {
+	rows []int
+	old  int
+}
+
+// plan lays out the next release of snapshot without modifying p: which
+// bucket every individual joins, where counterfeits go, and the index the
+// release leaves behind.
+func (p *Publisher) plan(ctx context.Context, snapshot *dataset.Table) (*plan, error) {
 	sensitive := p.cfg.Sensitive
 	if sensitive == "" {
 		names := snapshot.Schema().SensitiveNames()
@@ -157,29 +209,40 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
+	idOf := func(r int) string { return idCol.Dict[idCol.Codes[r]] }
 
 	base := p.idx
-	var existing, fresh []record
-	for r := 0; r < snapshot.Len(); r++ {
-		rc := record{row: r, id: idCol.Dict[idCol.Codes[r]], sens: sensCol.Dict[sensCol.Codes[r]]}
-		if sig, ok := base.ids[rc.id]; ok {
-			rc.sig = sig
-			existing = append(existing, rc)
+	n := snapshot.Len()
+	sigOf := make([]int32, n)
+	var existing, fresh []int
+	for r := 0; r < n; r++ {
+		if sig, ok := base.ids[idOf(r)]; ok {
+			sigOf[r] = sig
+			existing = append(existing, r)
 		} else {
-			rc.fresh = true
-			fresh = append(fresh, rc)
+			fresh = append(fresh, r)
 		}
 	}
-	sort.Slice(existing, func(i, j int) bool { return existing[i].id < existing[j].id })
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].id < fresh[j].id })
+	sort.Slice(existing, func(i, j int) bool { return idOf(existing[i]) < idOf(existing[j]) })
+	sort.Slice(fresh, func(i, j int) bool { return idOf(fresh[i]) < idOf(fresh[j]) })
 
 	// Bucket existing individuals by their fixed signature. Records whose
 	// current sensitive value is no longer in their signature keep the
 	// signature (m-invariance fixes it forever); their bucket is padded with
 	// counterfeits for the missing values.
-	members := make(map[int32][]record)
-	for _, rc := range existing {
-		members[rc.sig] = append(members[rc.sig], rc)
+	members := make(map[int32]*bucketRows)
+	bucketOf := func(sig int32) *bucketRows {
+		b := members[sig]
+		if b == nil {
+			b = &bucketRows{}
+			members[sig] = b
+		}
+		return b
+	}
+	for _, r := range existing {
+		b := bucketOf(sigOf[r])
+		b.rows = append(b.rows, r)
+		b.old++
 	}
 
 	// Partition fresh individuals into new m-diverse buckets using the
@@ -187,39 +250,38 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 	// (a copy, so the receiver's index is untouched if this release fails).
 	next := &Index{sigs: base.sigs, width: base.width, byKey: base.byKey, ids: base.ids}
 	if len(fresh) > 0 {
-		newBuckets, err := partitionFresh(fresh, p.cfg.M)
+		newBuckets, err := partitionFresh(fresh, sensCol, p.cfg.M)
 		if err != nil {
 			return nil, err
 		}
 		next = base.clone()
 		cache := make(map[sigRef]sigInfo)
-		for _, b := range newBuckets {
-			sig := next.intern(b.signature, cache)
-			members[sig] = append(members[sig], b.members...)
+		for _, fb := range newBuckets {
+			b := bucketOf(next.intern(fb.signature, cache))
+			b.rows = append(b.rows, fb.members...)
 		}
 	}
 	next.version = base.version + 1
 
-	// Materialize the release: each signature bucket must expose exactly its
-	// signature's value set; counterfeit records cover values with no live
-	// member.
-	rel := &Release{
-		Version:    next.version,
-		Signatures: make(map[string][]string),
-	}
 	qitSchema, stSchema, err := releaseSchemas(snapshot, qi, sensitive, p.cfg.ID)
 	if err != nil {
 		return nil, err
 	}
-	var qitRows, stRows []dataset.Row
-	qiCols := make([]*dataset.CodedColumn, len(qi))
-	for i, a := range qi {
-		if qiCols[i], err = snapshot.CodedColumnByName(a); err != nil {
-			return nil, err
-		}
+	pl := &plan{
+		rel:       &Release{Version: next.version, Signatures: make(map[string][]string, n)},
+		next:      next,
+		qi:        qi,
+		id:        p.cfg.ID,
+		rows:      make([]int, 0, n),
+		buckets:   make([]uint32, 0, n),
+		qitSchema: qitSchema,
+		stSchema:  stSchema,
 	}
 
-	// Buckets are numbered in the byte order of their joined signatures.
+	// Lay out the release: each signature bucket must expose exactly its
+	// signature's value set; counterfeit records cover values with no live
+	// member. Buckets are numbered in the byte order of their joined
+	// signatures.
 	type bucket struct {
 		key string
 		sig int32
@@ -229,97 +291,116 @@ func (p *Publisher) PublishContext(ctx context.Context, snapshot *dataset.Table)
 		order = append(order, bucket{strings.Join(next.sigs[sig], "\x1f"), sig})
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
-	done, total := 0, snapshot.Len()
+	pl.bucketNames = make([]string, len(order))
+	done := 0
 	for bucketID, bk := range order {
 		signature := next.sigs[bk.sig]
 		bid := strconv.Itoa(bucketID)
+		pl.bucketNames[bucketID] = bid
 		counts := make(map[string]int)
-		for _, rc := range members[bk.sig] {
+		b := members[bk.sig]
+		for i, r := range b.rows {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out := make(dataset.Row, 0, len(qi)+2)
-			for _, cc := range qiCols {
-				out = append(out, cc.Dict[cc.Codes[rc.row]])
-			}
-			qitRows = append(qitRows, append(out, bid, rc.id))
+			pl.rows = append(pl.rows, r)
+			pl.buckets = append(pl.buckets, uint32(bucketID))
 			// The published histogram lists the signature values; a member
 			// whose current value left the signature is counted under its
 			// original signature slot to keep the release m-invariant.
-			v := rc.sens
+			v := sensCol.Dict[sensCol.Codes[r]]
 			if !contains(signature, v) {
 				v = signature[0]
 			}
 			counts[v]++
-			rel.Signatures[rc.id] = signature
+			id := idOf(r)
+			pl.rel.Signatures[id] = signature
 			// A newcomer's signature is fixed by the bucket it is published
 			// in: with duplicate ids the last row wins, as when the release
 			// is rebuilt from its tables. CounterfeitValue is reserved for
 			// padding and never tracked as an individual.
-			if rc.fresh && rc.id != CounterfeitValue {
-				next.ids[rc.id] = bk.sig
+			if i >= b.old && id != CounterfeitValue {
+				next.ids[id] = bk.sig
 			}
 			done++
 			if p.cfg.Progress != nil {
-				p.cfg.Progress(done, total)
+				p.cfg.Progress(done, n)
 			}
 		}
 		// Counterfeits for signature values with no member.
 		for _, v := range signature {
 			if counts[v] == 0 {
-				counterfeit := make(dataset.Row, 0, len(qi)+2)
-				for range qi {
-					counterfeit = append(counterfeit, dataset.SuppressedValue)
-				}
-				qitRows = append(qitRows, append(counterfeit, bid, CounterfeitValue))
+				pl.rows = append(pl.rows, -1)
+				pl.buckets = append(pl.buckets, uint32(bucketID))
 				counts[v]++
-				rel.Counterfeits++
+				pl.rel.Counterfeits++
 			}
 		}
 		for _, v := range signature {
-			stRows = append(stRows, dataset.Row{bid, v, strconv.Itoa(counts[v])})
+			pl.stRows = append(pl.stRows, dataset.Row{bid, v, strconv.Itoa(counts[v])})
 		}
 	}
-	if rel.QIT, err = dataset.FromRows(qitSchema, qitRows); err != nil {
-		return nil, err
-	}
-	if rel.ST, err = dataset.FromRows(stSchema, stRows); err != nil {
-		return nil, err
-	}
-	p.idx = next
-	p.releases = append(p.releases, rel)
-	return rel, nil
+	return pl, nil
 }
 
-// record is one individual's row in the current snapshot: sig is its fixed
-// signature's position in the index, unless the individual is fresh.
-type record struct {
-	row   int
-	id    string
-	sens  string
-	sig   int32
-	fresh bool
+// qit materializes the plan's QIT from snapshot's dictionary codes: the QI
+// and id columns are gathered in plan order (counterfeits padded with
+// SuppressedValue and CounterfeitValue) and joined with a coded bucket
+// column, so no cell is copied as a string.
+func (pl *plan) qit(snapshot *dataset.Table) (*dataset.Table, error) {
+	src, err := snapshot.Project(append(slices.Clip(pl.qi), pl.id)...)
+	if err != nil {
+		return nil, err
+	}
+	pad := make(dataset.Row, len(pl.qi)+1)
+	for j := range pl.qi {
+		pad[j] = dataset.SuppressedValue
+	}
+	pad[len(pl.qi)] = CounterfeitValue
+	sel, err := src.SelectPad(pl.rows, pad)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]*dataset.CodedColumn, len(pl.qi)+2)
+	for j := 0; j <= len(pl.qi); j++ {
+		if cols[j], err = sel.CodedColumn(j); err != nil {
+			return nil, err
+		}
+	}
+	// The schema puts the bucket before the id.
+	cols[len(pl.qi)+1] = cols[len(pl.qi)]
+	if cols[len(pl.qi)], err = dataset.NewCodedColumn(pl.bucketNames, pl.buckets); err != nil {
+		return nil, err
+	}
+	return dataset.FromColumns(pl.qitSchema, cols)
 }
 
-// freshBucket groups records sharing one sensitive-value signature.
+// freshBucket groups never-published individuals, as snapshot rows, sharing
+// one sensitive-value signature.
 type freshBucket struct {
 	signature []string
-	members   []record
+	members   []int
 }
 
-// partitionFresh groups never-published individuals into buckets of exactly m
-// distinct sensitive values using the Anatomy bucketization; the resulting
-// value sets become their permanent signatures.
-func partitionFresh(fresh []record, m int) ([]freshBucket, error) {
-	byValue := make(map[string][]record)
-	for _, rc := range fresh {
-		byValue[rc.sens] = append(byValue[rc.sens], rc)
+// partitionFresh groups never-published individuals (snapshot rows whose
+// sensitive values sens holds) into buckets of exactly m distinct sensitive
+// values using the Anatomy bucketization; the resulting value sets become
+// their permanent signatures.
+func partitionFresh(fresh []int, sens *dataset.CodedColumn, m int) ([]freshBucket, error) {
+	// byValue[code] lists the rows still unplaced holding sens value code.
+	byValue := make([][]int, sens.Cardinality())
+	for _, r := range fresh {
+		code := sens.Codes[r]
+		byValue[code] = append(byValue[code], r)
 	}
 	var out []freshBucket
+	values := make([]uint32, 0, len(byValue))
 	for {
-		values := make([]string, 0, len(byValue))
-		for v := range byValue {
-			values = append(values, v)
+		values = values[:0]
+		for code, rows := range byValue {
+			if len(rows) > 0 {
+				values = append(values, uint32(code))
+			}
 		}
 		if len(values) < m {
 			break
@@ -329,36 +410,30 @@ func partitionFresh(fresh []record, m int) ([]freshBucket, error) {
 			if ni != nj {
 				return ni > nj
 			}
-			return values[i] < values[j]
+			return sens.Dict[values[i]] < sens.Dict[values[j]]
 		})
 		chosen := values[:m]
-		sig := append([]string(nil), chosen...)
-		sort.Strings(sig)
-		b := freshBucket{signature: sig}
-		for _, v := range chosen {
-			rows := byValue[v]
+		b := freshBucket{signature: make([]string, m)}
+		for i, code := range chosen {
+			b.signature[i] = sens.Dict[code]
+			rows := byValue[code]
 			b.members = append(b.members, rows[len(rows)-1])
-			byValue[v] = rows[:len(rows)-1]
-			if len(byValue[v]) == 0 {
-				delete(byValue, v)
-			}
+			byValue[code] = rows[:len(rows)-1]
 		}
+		sort.Strings(b.signature)
 		out = append(out, b)
 	}
 	// Residuals join an existing bucket whose signature contains their value,
 	// value by value in sorted order: two residual values sharing a bucket
 	// then always append in the same order, keeping the release deterministic.
-	residual := make([]string, 0, len(byValue))
-	for v := range byValue {
-		residual = append(residual, v)
-	}
-	sort.Strings(residual)
-	for _, v := range residual {
-		for _, rc := range byValue[v] {
+	slices.SortFunc(values, func(a, b uint32) int { return strings.Compare(sens.Dict[a], sens.Dict[b]) })
+	for _, code := range values {
+		v := sens.Dict[code]
+		for _, r := range byValue[code] {
 			placed := false
 			for i := range out {
 				if contains(out[i].signature, v) {
-					out[i].members = append(out[i].members, rc)
+					out[i].members = append(out[i].members, r)
 					placed = true
 					break
 				}
