@@ -253,6 +253,17 @@ func (s *Store) loadManifest() (manifestJSON, error) {
 	if man.Version != 1 {
 		return manifestJSON{}, fmt.Errorf("%w: %s: unsupported version %d", ErrManifestCorrupt, path, man.Version)
 	}
+	// A checkpoint holds only records Apply accepted, with NextSeq past
+	// each of them.
+	for i, r := range man.Records {
+		if err := checkRecord(r.Kind, r.Key, r.Seq); err != nil {
+			return manifestJSON{}, fmt.Errorf("%w: %s: record %d: %v", ErrManifestCorrupt, path, i, err)
+		}
+		if r.Seq >= man.NextSeq {
+			return manifestJSON{}, fmt.Errorf("%w: %s: next_seq %d does not exceed record %d's seq %d",
+				ErrManifestCorrupt, path, man.NextSeq, i, r.Seq)
+		}
+	}
 	return man, nil
 }
 
@@ -311,18 +322,26 @@ func (s *Store) setRecord(r Record) {
 	}
 }
 
-// checkOp refuses an op no store state can hold: an unknown op, an empty
-// kind or key, or the largest sequence number, past which NextSeq would wrap
-// to 0. Apply calls it before journaling, so a refused op leaves no WAL
-// trace; replay refuses such a record as ErrWALCorrupt.
+// checkOp refuses an op no store state can hold: an unknown op, or one
+// checkRecord refuses. Apply calls it before journaling, so a refused op
+// leaves no WAL trace; replay refuses such a record as ErrWALCorrupt.
 func checkOp(op Op) error {
-	switch {
-	case op.Op != OpPut && op.Op != OpDelete:
+	if op.Op != OpPut && op.Op != OpDelete {
 		return fmt.Errorf("store: unknown op %q", op.Op)
-	case op.Kind == "" || op.Key == "":
+	}
+	return checkRecord(op.Kind, op.Key, op.Seq)
+}
+
+// checkRecord refuses a record no store state can hold: an empty kind or
+// key, or the largest sequence number, past which NextSeq would wrap to 0.
+// It guards both recovery sources: WAL ops (through checkOp) and checkpoint
+// manifest records, refused as ErrManifestCorrupt.
+func checkRecord(kind, key string, seq uint64) error {
+	switch {
+	case kind == "" || key == "":
 		return fmt.Errorf("store: op needs kind and key")
-	case op.Seq == math.MaxUint64:
-		return fmt.Errorf("store: op seq %d out of range", op.Seq)
+	case seq == math.MaxUint64:
+		return fmt.Errorf("store: op seq %d out of range", seq)
 	}
 	return nil
 }

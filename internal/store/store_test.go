@@ -458,6 +458,45 @@ func TestStoreManifestCorruptRefused(t *testing.T) {
 	}
 }
 
+// TestStoreManifestRecordsChecked: manifest records pass the rules WAL
+// replay applies (kind, key, sequence range), and next_seq must exceed every
+// record's seq; a manifest breaking either is refused as ErrManifestCorrupt.
+func TestStoreManifestRecordsChecked(t *testing.T) {
+	const head = `{"version":1,"gen":0,"created_unix":1,`
+	for name, tc := range map[string]struct {
+		manifest string
+		ok       bool
+	}{
+		"valid":           {`"next_seq":3,"records":[{"kind":"dataset","key":"d"},{"kind":"release","key":"r","seq":2}]}`, true},
+		"keyless max seq": {`"next_seq":0,"records":[{"kind":"dataset","key":"","seq":18446744073709551615}]}`, false},
+		"kindless":        {`"next_seq":1,"records":[{"kind":"","key":"d"}]}`, false},
+		"max seq":         {`"next_seq":0,"records":[{"kind":"dataset","key":"d","seq":18446744073709551615}]}`, false},
+		"stale next_seq":  {`"next_seq":2,"records":[{"kind":"release","key":"r","seq":2}]}`, false},
+		"zero next_seq":   {`"next_seq":0,"records":[{"kind":"dataset","key":"d"}]}`, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(head+tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir, Options{})
+			if !tc.ok {
+				if !errors.Is(err, ErrManifestCorrupt) {
+					t.Fatalf("err = %v, want ErrManifestCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if got := st.NextSeq(); got != 3 {
+				t.Errorf("NextSeq = %d, want 3", got)
+			}
+		})
+	}
+}
+
 func TestStoreMissingTableRefusedAtBoot(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
