@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fmt-check linkcheck api-docs api-docs-check loadbench-check serve bench bench-compare bench-cores bench-quick bench-full fuzz ci
+.PHONY: all build test vet race fmt-check linkcheck api-docs api-docs-check loadbench-check serve bench bench-file bench-compare bench-cores bench-quick bench-full fuzz ci
 
 all: build
 
@@ -55,8 +55,8 @@ race:
 # with the sample count. The file name carries the PR number that introduced
 # the recording; bench-compare diffs the fresh numbers against the previous
 # PR's committed baseline.
-BENCH_OUT ?= BENCH_PR18.json
-BENCH_BASELINE ?= BENCH_PR17.json
+BENCH_OUT ?= BENCH_PR22.json
+BENCH_BASELINE ?= BENCH_PR18.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem -count=6 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
@@ -64,6 +64,11 @@ bench:
 	$(GO) run ./cmd/benchjson < bench.out > $(BENCH_OUT)
 	@rm -f bench.out
 	@echo "wrote $(BENCH_OUT)"
+
+# Print the recording's file name, so CI reads it from here rather than
+# repeating it (`make -s bench-file`).
+bench-file:
+	@echo $(BENCH_OUT)
 
 # Per-benchmark ns/op and allocs/op deltas against the previous PR's
 # baseline; exits non-zero on a >10% regression (CI keeps this non-gating).
@@ -89,9 +94,10 @@ bench-cores:
 # feeds them to the serve -api-keys file parser (no panics; an accepted map
 # has no empty or whitespace-holding key or tenant and round-trips through
 # its "<key> <tenant>" lines). FuzzReplayWAL opens a store over an arbitrary
-# WAL (refuse, or recover records that all have a kind and a key, with
-# NextSeq past every recovered sequence number); each input opens a store in
-# a fresh directory, so minimization gets the short budget too.
+# WAL and FuzzOpenManifest over an arbitrary checkpoint manifest (refuse, or
+# recover records that all have a kind and a key, with NextSeq past every
+# recovered sequence number); each input opens a store in a fresh
+# directory, so minimization gets the short budget too.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
@@ -100,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/engine -run '^$$' -fuzz 'FuzzPolicyValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzParseAPIKeys$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzReplayWAL$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzOpenManifest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Micro-benchmarks for the hot paths (quick mode, ~1 minute).
 bench-quick:

@@ -60,19 +60,24 @@ func readReport(path string) (*Report, error) {
 
 // compareReports prints the delta table for the benchmarks present in both
 // reports (in the new report's order) and returns how many metrics regressed
-// beyond the threshold. Benchmarks present on only one side are announced
+// beyond the threshold. Benchmarks join on their base name (baseName), so a
+// baseline recorded at another GOMAXPROCS still compares; the header line
+// then names both values. Benchmarks present on only one side are announced
 // but never counted as regressions — a renamed or added benchmark must not
 // fail the comparison.
 func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int {
+	if oldRep.MaxProcs != newRep.MaxProcs {
+		fmt.Fprintf(w, "baseline ran at GOMAXPROCS=%d, new run at GOMAXPROCS=%d\n", oldRep.MaxProcs, newRep.MaxProcs)
+	}
 	oldBy := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
-		oldBy[b.Name] = b
+		oldBy[baseName(b.Name)] = b
 	}
 	seen := make(map[string]bool, len(newRep.Benchmarks))
 	regressions := 0
 	for _, nb := range newRep.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
+		seen[baseName(nb.Name)] = true
+		ob, ok := oldBy[baseName(nb.Name)]
 		if !ok {
 			fmt.Fprintf(w, "%-40s new benchmark (no baseline)\n", nb.Name)
 			continue
@@ -94,7 +99,7 @@ func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int 
 		}
 	}
 	for _, ob := range oldRep.Benchmarks {
-		if !seen[ob.Name] {
+		if !seen[baseName(ob.Name)] {
 			fmt.Fprintf(w, "%-40s removed (present only in baseline)\n", ob.Name)
 		}
 	}

@@ -104,3 +104,35 @@ func TestCompareArgumentErrors(t *testing.T) {
 		t.Error("unreadable files not rejected")
 	}
 }
+
+// TestCompareJoinsAcrossGOMAXPROCS: a baseline recorded at GOMAXPROCS=1
+// (names without a suffix) still compares against a run at GOMAXPROCS=2
+// (names ending in -2), and the header names both core counts.
+func TestCompareJoinsAcrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", &Report{MaxProcs: 1, Benchmarks: []Benchmark{
+		bench("BenchmarkHot", 1000, 100),
+		bench("BenchmarkSub/rows=10", 50, 5),
+	}})
+	newPath := writeReport(t, dir, "new.json", &Report{MaxProcs: 2, Benchmarks: []Benchmark{
+		bench("BenchmarkHot-2", 1300, 100), // +30% ns/op
+		bench("BenchmarkSub/rows=10-2", 50, 5),
+	}})
+	var out strings.Builder
+	code, err := runCompare([]string{oldPath, newPath}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if code != 1 || !strings.Contains(text, "<< regression") {
+		t.Errorf("exit code = %d, want the +30%% flagged:\n%s", code, text)
+	}
+	for _, want := range []string{"GOMAXPROCS=1", "GOMAXPROCS=2", "BenchmarkSub/rows=10-2"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("compare output missing %q:\n%s", want, text)
+		}
+	}
+	if strings.Contains(text, "no baseline") || strings.Contains(text, "removed") {
+		t.Errorf("suffix-only name difference reported as added/removed:\n%s", text)
+	}
+}
