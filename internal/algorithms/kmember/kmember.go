@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -76,8 +77,21 @@ type clusterState struct {
 	rows []int
 	// numeric extents
 	lo, hi []float64
-	// categorical distinct values
-	values []map[string]struct{}
+	// seen[i] lists the distinct dictionary codes of categorical dimension i
+	// held by the cluster; it never outgrows the cluster.
+	seen [][]uint32
+}
+
+// dim is one quasi-identifier as the clustering loss reads it: the parse-once
+// float view of a numeric attribute, or the dictionary codes of a
+// categorical one, with the normalizer of its penalty.
+type dim struct {
+	// fc is the numeric view; nil for categorical dimensions.
+	fc *dataset.FloatColumn
+	// codes are the categorical dimension's per-row dictionary codes.
+	codes []uint32
+	// scale is the numeric range or the number of distinct values.
+	scale float64
 }
 
 // Anonymize runs greedy k-member clustering over t with no cancellation; it
@@ -111,36 +125,31 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("%w: no quasi-identifier attributes", ErrConfig)
 	}
-	cols := make([]int, len(qi))
-	numeric := make([]bool, len(qi))
-	ranges := make([]float64, len(qi))
-	domains := make([]int, len(qi))
+	dims := make([]dim, len(qi))
 	for i, a := range qi {
 		c, err := t.Schema().Index(a)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
-		cols[i] = c
-		attr, _ := t.Schema().ByName(a)
-		numeric[i] = attr.Type == dataset.Numeric
-		if numeric[i] {
+		if attr, _ := t.Schema().ByName(a); attr.Type == dataset.Numeric {
 			lo, hi, err := t.NumericRange(a)
 			if err != nil {
 				return nil, err
 			}
-			ranges[i] = hi - lo
-			if ranges[i] <= 0 {
-				ranges[i] = 1
+			if dims[i].fc, err = t.FloatColumn(c); err != nil {
+				return nil, err
 			}
+			dims[i].scale = hi - lo
 		} else {
-			dom, err := t.Domain(a)
+			cc, err := t.CodedColumn(c)
 			if err != nil {
 				return nil, err
 			}
-			domains[i] = len(dom)
-			if domains[i] == 0 {
-				domains[i] = 1
-			}
+			dims[i].codes = cc.Codes
+			dims[i].scale = float64(len(cc.Stats().Lex))
+		}
+		if dims[i].scale <= 0 {
+			dims[i].scale = 1
 		}
 	}
 
@@ -152,61 +161,74 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		unassigned[i] = i
 	}
 
-	newCluster := func(seedRow int) (*clusterState, error) {
-		cs := &clusterState{
-			lo:     make([]float64, len(qi)),
-			hi:     make([]float64, len(qi)),
-			values: make([]map[string]struct{}, len(qi)),
+	// add places row r into cs — a new cluster seeded by r when cs is nil —
+	// and returns the cluster.
+	add := func(cs *clusterState, r int) *clusterState {
+		if cs == nil {
+			cs = &clusterState{
+				lo:   make([]float64, len(dims)),
+				hi:   make([]float64, len(dims)),
+				seen: make([][]uint32, len(dims)),
+			}
 		}
-		for i := range qi {
-			cs.values[i] = make(map[string]struct{})
+		for i, d := range dims {
+			if d.fc == nil {
+				if code := d.codes[r]; !slices.Contains(cs.seen[i], code) {
+					cs.seen[i] = append(cs.seen[i], code)
+				}
+				continue
+			}
+			if !d.fc.Valid[r] {
+				continue
+			}
+			v := d.fc.Values[r]
+			if len(cs.rows) == 0 || v < cs.lo[i] {
+				cs.lo[i] = v
+			}
+			if len(cs.rows) == 0 || v > cs.hi[i] {
+				cs.hi[i] = v
+			}
 		}
-		if err := addToCluster(t, cs, seedRow, cols, numeric); err != nil {
-			return nil, err
-		}
-		return cs, nil
+		cs.rows = append(cs.rows, r)
+		return cs
 	}
 
 	// loss computes the cluster's NCP after hypothetically adding row r. It
 	// only reads the cluster state and the table, so concurrent calls from
 	// the scan pool are safe between mutations.
-	loss := func(cs *clusterState, r int) (float64, error) {
+	loss := func(cs *clusterState, r int) float64 {
 		total := 0.0
-		for i := range qi {
-			if numeric[i] {
-				v, err := t.Float(r, cols[i])
-				if err != nil {
-					// Treat unparseable numerics as maximal spread.
-					total += 1
-					continue
-				}
-				lo, hi := cs.lo[i], cs.hi[i]
-				if len(cs.rows) == 0 {
-					lo, hi = v, v
-				} else {
-					if v < lo {
-						lo = v
-					}
-					if v > hi {
-						hi = v
-					}
-				}
-				total += (hi - lo) / ranges[i]
-			} else {
-				v, err := t.Value(r, cols[i])
-				if err != nil {
-					return 0, err
-				}
-				n := len(cs.values[i])
-				if _, ok := cs.values[i][v]; !ok {
+		for i, d := range dims {
+			if d.fc == nil {
+				n := len(cs.seen[i])
+				if !slices.Contains(cs.seen[i], d.codes[r]) {
 					n++
 				}
 				if n > 1 {
-					total += float64(n) / float64(domains[i])
+					total += float64(n) / d.scale
+				}
+				continue
+			}
+			if !d.fc.Valid[r] {
+				// Treat unparseable numerics as maximal spread.
+				total += 1
+				continue
+			}
+			v := d.fc.Values[r]
+			lo, hi := cs.lo[i], cs.hi[i]
+			if len(cs.rows) == 0 {
+				lo, hi = v, v
+			} else {
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
 				}
 			}
+			total += (hi - lo) / d.scale
 		}
-		return total, nil
+		return total
 	}
 
 	report := cfg.Progress
@@ -223,28 +245,17 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		// Seed selection follows Byun et al.: the record farthest (largest
 		// loss) from the previous cluster starts the next one; the first
 		// cluster starts from the lowest unassigned index.
-		seedRow, err := pickSeed(unassigned, clusters, workers, loss)
-		if err != nil {
-			return nil, err
-		}
+		seedRow := pickSeed(unassigned, clusters, workers, loss)
 		unassigned = removeSorted(unassigned, seedRow)
-		cs, err := newCluster(seedRow)
-		if err != nil {
-			return nil, err
-		}
+		cs := add(nil, seedRow)
 		for len(cs.rows) < cfg.K {
-			bestRow, _, err := scanBest(unassigned, workers,
-				func(r int) (float64, error) { return loss(cs, r) }, lowerLoss)
-			if err != nil {
-				return nil, err
-			}
+			bestRow, _ := scanBest(unassigned, workers,
+				func(r int) float64 { return loss(cs, r) }, lowerLoss)
 			if bestRow == -1 {
 				break
 			}
 			unassigned = removeSorted(unassigned, bestRow)
-			if err := addToCluster(t, cs, bestRow, cols, numeric); err != nil {
-				return nil, err
-			}
+			add(cs, bestRow)
 		}
 		clusters = append(clusters, cs)
 		placed += len(cs.rows)
@@ -252,26 +263,18 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	}
 	// Residual records join the cluster whose loss increases least, in
 	// ascending row order so repeated runs agree on the released row sets.
+	// The loop above formed at least one cluster, since t holds k records.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("kmember: %w", err)
 	}
 	for _, r := range unassigned {
-		bestIdx, bestLoss := -1, 0.0
-		for i, cs := range clusters {
-			l, err := loss(cs, r)
-			if err != nil {
-				return nil, err
-			}
-			if bestIdx == -1 || l < bestLoss {
-				bestIdx, bestLoss = i, l
+		best, bestLoss := clusters[0], loss(clusters[0], r)
+		for _, cs := range clusters[1:] {
+			if l := loss(cs, r); l < bestLoss {
+				best, bestLoss = cs, l
 			}
 		}
-		if bestIdx == -1 {
-			return nil, fmt.Errorf("%w: could not place residual record %d", ErrTooFewRecords, r)
-		}
-		if err := addToCluster(t, clusters[bestIdx], r, cols, numeric); err != nil {
-			return nil, err
-		}
+		add(best, r)
 	}
 
 	report(t.Len(), t.Len())
@@ -291,18 +294,18 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 // with the largest loss relative to the most recent cluster (ties and the
 // first cluster resolve to the smallest row index, keeping runs
 // deterministic).
-func pickSeed(unassigned []int, clusters []*clusterState, workers int, loss func(*clusterState, int) (float64, error)) (int, error) {
+func pickSeed(unassigned []int, clusters []*clusterState, workers int, loss func(*clusterState, int) float64) int {
 	if len(unassigned) == 0 {
-		return -1, nil
+		return -1
 	}
 	if len(clusters) == 0 {
 		// Every loss is zero relative to no cluster; the smallest index wins.
-		return unassigned[0], nil
+		return unassigned[0]
 	}
 	last := clusters[len(clusters)-1]
-	best, _, err := scanBest(unassigned, workers,
-		func(r int) (float64, error) { return loss(last, r) }, higherLoss)
-	return best, err
+	best, _ := scanBest(unassigned, workers,
+		func(r int) float64 { return loss(last, r) }, higherLoss)
+	return best
 }
 
 // lowerLoss is the growth-step order: least loss first, smallest row on ties.
@@ -327,23 +330,20 @@ const parallelScanMin = 512
 // concurrently, and the chunk results fold sequentially in slice order —
 // for a total order over (loss, row) the outcome is therefore identical for
 // every worker count.
-func scanBest(rows []int, workers int, score func(r int) (float64, error), better func(l float64, r int, bestL float64, bestR int) bool) (int, float64, error) {
+func scanBest(rows []int, workers int, score func(r int) float64, better func(l float64, r int, bestL float64, bestR int) bool) (int, float64) {
 	type best struct {
 		row  int
 		loss float64
 	}
-	fold := func(part []int) (best, error) {
+	fold := func(part []int) best {
 		b := best{row: -1}
 		for _, r := range part {
-			l, err := score(r)
-			if err != nil {
-				return best{}, err
-			}
+			l := score(r)
 			if b.row == -1 || better(l, r, b.loss, b.row) {
 				b = best{row: r, loss: l}
 			}
 		}
-		return b, nil
+		return b
 	}
 	chunks := workers
 	if len(rows) < parallelScanMin {
@@ -353,18 +353,15 @@ func scanBest(rows []int, workers int, score func(r int) (float64, error), bette
 		chunks = len(rows)
 	}
 	if chunks <= 1 {
-		b, err := fold(rows)
-		return b.row, b.loss, err
+		b := fold(rows)
+		return b.row, b.loss
 	}
 	// Cap the pool at workers explicitly: chunks currently equals workers,
 	// but the pool size must not silently grow if the chunking policy ever
-	// decouples from it.
-	outs, err := parallel.Map(chunks, workers, func(ci int) (best, error) {
-		return fold(rows[ci*len(rows)/chunks : (ci+1)*len(rows)/chunks])
+	// decouples from it. No chunk fails, so Map returns no error.
+	outs, _ := parallel.Map(chunks, workers, func(ci int) (best, error) {
+		return fold(rows[ci*len(rows)/chunks : (ci+1)*len(rows)/chunks]), nil
 	})
-	if err != nil {
-		return -1, 0, err
-	}
 	b := best{row: -1}
 	for _, o := range outs {
 		if o.row == -1 {
@@ -374,7 +371,7 @@ func scanBest(rows []int, workers int, score func(r int) (float64, error), bette
 			b = o
 		}
 	}
-	return b.row, b.loss, nil
+	return b.row, b.loss
 }
 
 // removeSorted deletes value v from the ascending slice s in place,
@@ -385,29 +382,4 @@ func removeSorted(s []int, v int) []int {
 		return s
 	}
 	return append(s[:i], s[i+1:]...)
-}
-
-// addToCluster updates the cluster's extent with row r.
-func addToCluster(t *dataset.Table, cs *clusterState, r int, cols []int, numeric []bool) error {
-	for i, c := range cols {
-		if numeric[i] {
-			v, err := t.Float(r, c)
-			if err == nil {
-				if len(cs.rows) == 0 || v < cs.lo[i] {
-					cs.lo[i] = v
-				}
-				if len(cs.rows) == 0 || v > cs.hi[i] {
-					cs.hi[i] = v
-				}
-			}
-		} else {
-			v, err := t.Value(r, c)
-			if err != nil {
-				return err
-			}
-			cs.values[i][v] = struct{}{}
-		}
-	}
-	cs.rows = append(cs.rows, r)
-	return nil
 }

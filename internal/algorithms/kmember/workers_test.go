@@ -64,7 +64,7 @@ func TestScanBestBoundsConcurrency(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3} {
 		var active, peak atomic.Int64
-		score := func(r int) (float64, error) {
+		score := func(r int) float64 {
 			cur := active.Add(1)
 			for {
 				p := peak.Load()
@@ -74,13 +74,10 @@ func TestScanBestBoundsConcurrency(t *testing.T) {
 			}
 			time.Sleep(50 * time.Microsecond) // widen the overlap window
 			active.Add(-1)
-			return float64(r), nil
+			return float64(r)
 		}
 		better := func(l float64, r int, bestL float64, bestR int) bool { return l < bestL }
-		row, loss, err := scanBest(rows, workers, score, better)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		row, loss := scanBest(rows, workers, score, better)
 		if row != 0 || loss != 0 {
 			t.Fatalf("workers=%d: best = (%d, %v), want (0, 0)", workers, row, loss)
 		}

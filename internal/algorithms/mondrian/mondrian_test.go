@@ -169,12 +169,16 @@ func TestNumericRecodingContainsOriginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	ageCol := res.Table.Schema().MustIndex("age")
+	ages, err := tbl.FloatColumn(ageCol)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range res.Summaries {
 		for _, r := range s.Rows {
-			orig, err := tbl.Float(r, ageCol)
-			if err != nil {
-				t.Fatal(err)
+			if !ages.Valid[r] {
+				t.Fatalf("row %d: unparseable original age", r)
 			}
+			orig := ages.Values[r]
 			released, _ := res.Table.Value(r, ageCol)
 			lo, hi, ok := hierarchy.ParseInterval(released)
 			if !ok {

@@ -183,12 +183,12 @@ func TestTableAccess(t *testing.T) {
 	if _, err := tbl.Value(0, 9); err == nil {
 		t.Error("Value with bad column succeeded")
 	}
-	f, err := tbl.Float(3, 1)
-	if err != nil || f != 45 {
-		t.Errorf("Float(3,1) = %v, %v", f, err)
+	ages, err := tbl.FloatColumn(1)
+	if err != nil || !ages.Valid[3] || ages.Values[3] != 45 {
+		t.Errorf("FloatColumn(1) row 3 = %v, %v", ages, err)
 	}
-	if _, err := tbl.Float(0, 3); !errors.Is(err, ErrNotNumeric) {
-		t.Errorf("Float on categorical error = %v", err)
+	if diag, _ := tbl.FloatColumn(3); diag.Valid[0] {
+		t.Error("categorical cell parsed as a number")
 	}
 	if err := tbl.SetValue(0, 3, "hiv"); err != nil {
 		t.Fatalf("SetValue: %v", err)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -225,19 +224,6 @@ func (t *Table) SetValue(i, col int, v string) error {
 	t.cols[col] = b.column()
 	t.hash.Store(nil)
 	return nil
-}
-
-// Float returns the value of column col in row i parsed as a float64.
-func (t *Table) Float(i, col int) (float64, error) {
-	v, err := t.Value(i, col)
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q", ErrNotNumeric, v)
-	}
-	return f, nil
 }
 
 // Clone returns an independent copy of the table. Columns are immutable, so
