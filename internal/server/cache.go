@@ -105,7 +105,8 @@ func (s *Server) serveFromCache(w http.ResponseWriter, tenant string, p *prepare
 }
 
 // cacheStatsJSON is the /healthz view of the result cache; handleHealthz
-// fills it from the same obsmetrics handles /metrics renders.
+// fills it from one resultcache.Stats snapshot, the fields the ppdp_cache_*
+// families scrape.
 type cacheStatsJSON struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

@@ -8,13 +8,17 @@ import (
 
 	"github.com/ppdp/ppdp/internal/jobs"
 	"github.com/ppdp/ppdp/internal/obsmetrics"
+	"github.com/ppdp/ppdp/internal/reconcile"
+	"github.com/ppdp/ppdp/internal/resultcache"
 	"github.com/ppdp/ppdp/internal/store"
 )
 
 // This file is the service's observability layer: one obsmetrics.Registry
-// holding every instrument GET /metrics exposes. /healthz reads the same
-// instrument handles (see handleHealthz), so the two endpoints cannot drift —
-// a number a load balancer checks is the number an alerting rule scrapes.
+// holding every instrument GET /metrics exposes. The function-backed
+// families collect from the same sources /healthz reads — the registry, the
+// executor, the reconciler, the result cache and the store — and take the
+// same fields of their Stats snapshots, so a number a load balancer checks is
+// the number an alerting rule scrapes.
 //
 // Metric inventory (all names prefixed ppdp_):
 //
@@ -54,9 +58,10 @@ import (
 // tables, wider than DefBuckets' request-latency spread.
 var runBuckets = []float64{.001, .005, .01, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60}
 
-// serverMetrics bundles every instrument of the service. It implements
-// jobs.Observer so the executor feeds the queue-wait histogram and lifecycle
-// counters directly.
+// serverMetrics bundles the instruments the service feeds directly. It
+// implements jobs.Observer so the executor feeds the queue-wait histogram and
+// lifecycle counters. The function-backed families need no handle: they
+// collect at scrape time.
 type serverMetrics struct {
 	registry *obsmetrics.Registry
 
@@ -69,45 +74,32 @@ type serverMetrics struct {
 
 	jobsTotal     *obsmetrics.CounterVec
 	jobsQueueWait *obsmetrics.Histogram
-	jobsQueued    *obsmetrics.FuncMetric
-	jobsRunning   *obsmetrics.FuncMetric
 
-	regDatasets *obsmetrics.FuncMetric
-	regReleases *obsmetrics.FuncMetric
-	regPolicies *obsmetrics.FuncMetric
+	// storeFsync is nil without Config.DataDir; Open registers it via
+	// registerStore once the durable store is attached.
+	storeFsync *obsmetrics.Histogram
+}
 
-	reconSpecs   *obsmetrics.FuncMetric
-	reconSuccess *obsmetrics.FuncMetric
-	reconNoop    *obsmetrics.FuncMetric
-	reconErrors  *obsmetrics.FuncMetric
-	reconRetries *obsmetrics.FuncMetric
-	reconLag     *obsmetrics.FuncMetric
+// statFamily is one function-backed family collected from a Stats snapshot
+// of type S.
+type statFamily[S any] struct {
+	name, help string
+	counter    bool
+	get        func(S) float64
+}
 
-	// Cache metrics are nil when caching is disabled.
-	cacheHits      *obsmetrics.FuncMetric
-	cacheMisses    *obsmetrics.FuncMetric
-	cacheEvictions *obsmetrics.FuncMetric
-	cacheEntries   *obsmetrics.FuncMetric
-	cacheCapacity  *obsmetrics.FuncMetric
-
-	uptime *obsmetrics.FuncMetric
-
-	// Storage metrics are nil without Config.DataDir; Open registers them
-	// via registerStore once the durable store is attached.
-	storeFsync            *obsmetrics.Histogram
-	storeGeneration       *obsmetrics.FuncMetric
-	storeWALBytes         *obsmetrics.FuncMetric
-	storeWALRecords       *obsmetrics.FuncMetric
-	storeWALFsyncs        *obsmetrics.FuncMetric
-	storeSnapshotAge      *obsmetrics.FuncMetric
-	storeCheckpointErrs   *obsmetrics.FuncMetric
-	storeRecovery         *obsmetrics.FuncMetric
-	storeRecoveredRecords *obsmetrics.FuncMetric
-	storeRecoveredTorn    *obsmetrics.FuncMetric
-	storeMappedTables     *obsmetrics.FuncMetric
-	storeMappedBytes      *obsmetrics.FuncMetric
-	storeTableFiles       *obsmetrics.FuncMetric
-	storeTableBytes       *obsmetrics.FuncMetric
+// registerStats registers fams, each collecting from a fresh snapshot at
+// scrape time: the source keeps the authoritative counters under its own
+// lock, so there is no second set to keep in sync.
+func registerStats[S any](r *obsmetrics.Registry, snapshot func() S, fams []statFamily[S]) {
+	for _, f := range fams {
+		collect := func() float64 { return f.get(snapshot()) }
+		if f.counter {
+			r.CounterFunc(f.name, f.help, collect)
+		} else {
+			r.GaugeFunc(f.name, f.help, collect)
+		}
+	}
 }
 
 // fsyncBuckets spreads WAL fsync latency: tens of microseconds on NVMe page
@@ -115,68 +107,57 @@ type serverMetrics struct {
 var fsyncBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1}
 
 // registerStore adds the ppdp_store_* families once Open has attached the
-// durable store. All gauges collect from store.Stats at scrape time — the
-// store keeps the authoritative counters under its own lock, so there is no
-// second set to keep in sync; /healthz's storage block reads these same
-// handles (see storageJSON).
+// durable store. Every family but the fsync histogram collects from
+// store.Stats; /healthz's storage block reads the same fields (see
+// storageJSON).
 func (m *serverMetrics) registerStore(s *Server) {
-	r := m.registry
-	stat := func(get func(store.Stats) float64) func() float64 {
-		return func() float64 { return get(s.store.Stats()) }
-	}
-	m.storeFsync = r.Histogram("ppdp_store_wal_fsync_seconds",
+	m.storeFsync = m.registry.Histogram("ppdp_store_wal_fsync_seconds",
 		"WAL append fsync latency in seconds.", fsyncBuckets)
-	m.storeGeneration = r.GaugeFunc("ppdp_store_generation",
-		"Checkpoint generation of the durable store.",
-		stat(func(st store.Stats) float64 { return float64(st.Generation) }))
-	m.storeWALBytes = r.GaugeFunc("ppdp_store_wal_bytes",
-		"Write-ahead log bytes since the last checkpoint.",
-		stat(func(st store.Stats) float64 { return float64(st.WALBytes) }))
-	m.storeWALRecords = r.GaugeFunc("ppdp_store_wal_records",
-		"Write-ahead log records since the last checkpoint.",
-		stat(func(st store.Stats) float64 { return float64(st.WALRecords) }))
-	m.storeWALFsyncs = r.CounterFunc("ppdp_store_wal_fsyncs_total",
-		"WAL fsyncs performed since boot.",
-		stat(func(st store.Stats) float64 { return float64(st.WALFsyncs) }))
-	m.storeSnapshotAge = r.GaugeFunc("ppdp_store_snapshot_age_seconds",
-		"Seconds since the newest checkpoint manifest was written.",
-		stat(func(st store.Stats) float64 { return time.Since(time.Unix(st.CheckpointUnix, 0)).Seconds() }))
-	m.storeCheckpointErrs = r.CounterFunc("ppdp_store_checkpoint_errors_total",
-		"Automatic checkpoints that failed (the WAL keeps the state safe).",
-		stat(func(st store.Stats) float64 { return float64(st.CheckpointErrors) }))
-	m.storeRecovery = r.GaugeFunc("ppdp_store_recovery_seconds",
-		"Duration of the last boot's recovery (manifest load + WAL replay).",
-		stat(func(st store.Stats) float64 { return st.RecoverySeconds }))
-	m.storeRecoveredRecords = r.GaugeFunc("ppdp_store_recovered_records",
-		"WAL records replayed by the last boot.",
-		stat(func(st store.Stats) float64 { return float64(st.RecoveredRecords) }))
-	m.storeRecoveredTorn = r.GaugeFunc("ppdp_store_recovered_torn",
-		"Whether the last boot truncated a torn WAL tail (1) or found a clean log (0).",
-		stat(func(st store.Stats) float64 {
-			if st.RecoveredTorn {
-				return 1
-			}
-			return 0
-		}))
-	m.storeMappedTables = r.GaugeFunc("ppdp_store_mapped_tables",
-		"Table snapshots currently mmap-resident.",
-		stat(func(st store.Stats) float64 { return float64(st.MappedTables) }))
-	m.storeMappedBytes = r.GaugeFunc("ppdp_store_mapped_bytes",
-		"Bytes of table snapshots currently mmap-resident.",
-		stat(func(st store.Stats) float64 { return float64(st.MappedBytes) }))
-	m.storeTableFiles = r.GaugeFunc("ppdp_store_table_files",
-		"Content-addressed table snapshot files on disk.",
-		stat(func(st store.Stats) float64 { return float64(st.TableFiles) }))
-	m.storeTableBytes = r.GaugeFunc("ppdp_store_table_bytes",
-		"Bytes of table snapshot files on disk.",
-		stat(func(st store.Stats) float64 { return float64(st.TableBytes) }))
+	registerStats(m.registry, s.store.Stats, []statFamily[store.Stats]{
+		{"ppdp_store_generation", "Checkpoint generation of the durable store.", false,
+			func(st store.Stats) float64 { return float64(st.Generation) }},
+		{"ppdp_store_wal_bytes", "Write-ahead log bytes since the last checkpoint.", false,
+			func(st store.Stats) float64 { return float64(st.WALBytes) }},
+		{"ppdp_store_wal_records", "Write-ahead log records since the last checkpoint.", false,
+			func(st store.Stats) float64 { return float64(st.WALRecords) }},
+		{"ppdp_store_wal_fsyncs_total", "WAL fsyncs performed since boot.", true,
+			func(st store.Stats) float64 { return float64(st.WALFsyncs) }},
+		{"ppdp_store_snapshot_age_seconds", "Seconds since the newest checkpoint manifest was written.", false,
+			snapshotAge},
+		{"ppdp_store_checkpoint_errors_total", "Automatic checkpoints that failed (the WAL keeps the state safe).", true,
+			func(st store.Stats) float64 { return float64(st.CheckpointErrors) }},
+		{"ppdp_store_recovery_seconds", "Duration of the last boot's recovery (manifest load + WAL replay).", false,
+			func(st store.Stats) float64 { return st.RecoverySeconds }},
+		{"ppdp_store_recovered_records", "WAL records replayed by the last boot.", false,
+			func(st store.Stats) float64 { return float64(st.RecoveredRecords) }},
+		{"ppdp_store_recovered_torn", "Whether the last boot truncated a torn WAL tail (1) or found a clean log (0).", false,
+			func(st store.Stats) float64 {
+				if st.RecoveredTorn {
+					return 1
+				}
+				return 0
+			}},
+		{"ppdp_store_mapped_tables", "Table snapshots currently mmap-resident.", false,
+			func(st store.Stats) float64 { return float64(st.MappedTables) }},
+		{"ppdp_store_mapped_bytes", "Bytes of table snapshots currently mmap-resident.", false,
+			func(st store.Stats) float64 { return float64(st.MappedBytes) }},
+		{"ppdp_store_table_files", "Content-addressed table snapshot files on disk.", false,
+			func(st store.Stats) float64 { return float64(st.TableFiles) }},
+		{"ppdp_store_table_bytes", "Bytes of table snapshot files on disk.", false,
+			func(st store.Stats) float64 { return float64(st.TableBytes) }},
+	})
+}
+
+// snapshotAge is the age in seconds of the newest checkpoint manifest.
+func snapshotAge(st store.Stats) float64 {
+	return time.Since(time.Unix(st.CheckpointUnix, 0)).Seconds()
 }
 
 // newServerMetrics registers the full inventory against s. The occupancy
 // gauges are function-backed: they collect from the registry, the jobs
-// manager and the result cache at scrape time, so there is no second set of
-// counters to keep in sync. The closures read s.jobs and s.cache lazily —
-// New assigns both before the server can serve a scrape.
+// manager, the reconciler and the result cache at scrape time. The closures
+// read s.jobs and s.recon lazily — New assigns both before the server can
+// serve a scrape.
 func newServerMetrics(s *Server) *serverMetrics {
 	r := obsmetrics.NewRegistry()
 	m := &serverMetrics{registry: r}
@@ -197,73 +178,61 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Jobs reaching a terminal state, by state.", "state")
 	m.jobsQueueWait = r.Histogram("ppdp_jobs_queue_wait_seconds",
 		"Time jobs spent in the admission queue before dispatch.", nil)
-	m.jobsQueued = r.GaugeFunc("ppdp_jobs_queued",
+	r.GaugeFunc("ppdp_jobs_queued",
 		"Jobs waiting in the admission queue.", func() float64 {
 			q, _, _ := s.jobs.Counts()
 			return float64(q)
 		})
-	m.jobsRunning = r.GaugeFunc("ppdp_jobs_running",
+	r.GaugeFunc("ppdp_jobs_running",
 		"Jobs currently executing.", func() float64 {
 			_, run, _ := s.jobs.Counts()
 			return float64(run)
 		})
 
-	m.regDatasets = r.GaugeFunc("ppdp_registry_datasets",
+	r.GaugeFunc("ppdp_registry_datasets",
 		"Datasets stored in the registry.", func() float64 {
 			return float64(s.reg.datasets.size())
 		})
-	m.regReleases = r.GaugeFunc("ppdp_registry_releases",
+	r.GaugeFunc("ppdp_registry_releases",
 		"Releases stored in the registry.", func() float64 {
 			return float64(s.reg.releases.size())
 		})
-	m.regPolicies = r.GaugeFunc("ppdp_registry_policies",
+	r.GaugeFunc("ppdp_registry_policies",
 		"Policies stored in the registry.", func() float64 {
 			return float64(s.reg.policies.size())
 		})
 
-	// Reconciler metrics collect from the manager's Stats snapshot at scrape
-	// time (the manager keeps the authoritative counters under its own lock);
-	// the closures read s.recon lazily — New assigns it before the first
-	// scrape, like s.jobs above.
-	m.reconSpecs = r.GaugeFunc("ppdp_reconcile_specs",
-		"Release specs tracked by the reconciler.", func() float64 {
-			return float64(s.recon.Stats().Specs)
-		})
-	m.reconSuccess = r.CounterFunc("ppdp_reconcile_success_total",
-		"Reconciliations that published a new release.", func() float64 {
-			return float64(s.recon.Stats().Success)
-		})
-	m.reconNoop = r.CounterFunc("ppdp_reconcile_noop_total",
-		"Reconciliations short-circuited by a byte-identical dataset fingerprint.", func() float64 {
-			return float64(s.recon.Stats().Noop)
-		})
-	m.reconErrors = r.CounterFunc("ppdp_reconcile_errors_total",
-		"Reconciliation runs that failed.", func() float64 {
-			return float64(s.recon.Stats().Errors)
-		})
-	m.reconRetries = r.CounterFunc("ppdp_reconcile_retries_total",
-		"Backoff retries scheduled after failed reconciliations.", func() float64 {
-			return float64(s.recon.Stats().Retries)
-		})
-	m.reconLag = r.GaugeFunc("ppdp_reconcile_lag",
-		"Summed dataset-generation lag over all tracked specs.", func() float64 {
-			return float64(s.recon.Stats().Lag)
-		})
+	registerStats(r, func() reconcile.Stats { return s.recon.Stats() }, []statFamily[reconcile.Stats]{
+		{"ppdp_reconcile_specs", "Release specs tracked by the reconciler.", false,
+			func(st reconcile.Stats) float64 { return float64(st.Specs) }},
+		{"ppdp_reconcile_success_total", "Reconciliations that published a new release.", true,
+			func(st reconcile.Stats) float64 { return float64(st.Success) }},
+		{"ppdp_reconcile_noop_total", "Reconciliations short-circuited by a byte-identical dataset fingerprint.", true,
+			func(st reconcile.Stats) float64 { return float64(st.Noop) }},
+		{"ppdp_reconcile_errors_total", "Reconciliation runs that failed.", true,
+			func(st reconcile.Stats) float64 { return float64(st.Errors) }},
+		{"ppdp_reconcile_retries_total", "Backoff retries scheduled after failed reconciliations.", true,
+			func(st reconcile.Stats) float64 { return float64(st.Retries) }},
+		{"ppdp_reconcile_lag", "Summed dataset-generation lag over all tracked specs.", false,
+			func(st reconcile.Stats) float64 { return float64(st.Lag) }},
+	})
 
 	if s.cache != nil {
-		m.cacheHits = r.CounterFunc("ppdp_cache_hits_total",
-			"Result-cache hits.", func() float64 { return float64(s.cache.Stats().Hits) })
-		m.cacheMisses = r.CounterFunc("ppdp_cache_misses_total",
-			"Result-cache misses.", func() float64 { return float64(s.cache.Stats().Misses) })
-		m.cacheEvictions = r.CounterFunc("ppdp_cache_evictions_total",
-			"Result-cache evictions.", func() float64 { return float64(s.cache.Stats().Evictions) })
-		m.cacheEntries = r.GaugeFunc("ppdp_cache_entries",
-			"Result-cache entries.", func() float64 { return float64(s.cache.Stats().Entries) })
-		m.cacheCapacity = r.GaugeFunc("ppdp_cache_capacity",
-			"Result-cache capacity.", func() float64 { return float64(s.cache.Stats().Capacity) })
+		registerStats(r, s.cache.Stats, []statFamily[resultcache.Stats]{
+			{"ppdp_cache_hits_total", "Result-cache hits.", true,
+				func(st resultcache.Stats) float64 { return float64(st.Hits) }},
+			{"ppdp_cache_misses_total", "Result-cache misses.", true,
+				func(st resultcache.Stats) float64 { return float64(st.Misses) }},
+			{"ppdp_cache_evictions_total", "Result-cache evictions.", true,
+				func(st resultcache.Stats) float64 { return float64(st.Evictions) }},
+			{"ppdp_cache_entries", "Result-cache entries.", false,
+				func(st resultcache.Stats) float64 { return float64(st.Entries) }},
+			{"ppdp_cache_capacity", "Result-cache capacity.", false,
+				func(st resultcache.Stats) float64 { return float64(st.Capacity) }},
+		})
 	}
 
-	m.uptime = r.GaugeFunc("ppdp_uptime_seconds",
+	r.GaugeFunc("ppdp_uptime_seconds",
 		"Seconds since the server started.", func() float64 {
 			return time.Since(s.started).Seconds()
 		})

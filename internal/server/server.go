@@ -569,64 +569,64 @@ type storageStatsJSON struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// Every number below is read through the same obsmetrics handles GET
-	// /metrics renders (the function-backed gauges and counters collect from
-	// the registry, the executor and the cache at call time), so /healthz and
-	// a scrape can never report different values for the same quantity.
-	m := s.metrics
+	// Each source is read once, so every block is one moment of its source.
+	// GET /metrics collects the same fields of the same sources (see
+	// newServerMetrics), so /healthz and a scrape agree on every quantity.
+	queued, running, _ := s.jobs.Counts()
+	rs := s.recon.Stats()
 	resp := healthResponse{
 		Status:      "ok",
-		Datasets:    int(m.regDatasets.Value()),
-		Releases:    int(m.regReleases.Value()),
-		Policies:    int(m.regPolicies.Value()),
-		JobsQueued:  int(m.jobsQueued.Value()),
-		JobsRunning: int(m.jobsRunning.Value()),
+		Datasets:    s.reg.datasets.size(),
+		Releases:    s.reg.releases.size(),
+		Policies:    s.reg.policies.size(),
+		JobsQueued:  queued,
+		JobsRunning: running,
 		Reconcile: &reconcileStatsJSON{
-			Specs:   int(m.reconSpecs.Value()),
-			Success: int64(m.reconSuccess.Value()),
-			Noop:    int64(m.reconNoop.Value()),
-			Errors:  int64(m.reconErrors.Value()),
-			Retries: int64(m.reconRetries.Value()),
-			Lag:     int64(m.reconLag.Value()),
+			Specs:   rs.Specs,
+			Success: rs.Success,
+			Noop:    rs.Noop,
+			Errors:  rs.Errors,
+			Retries: rs.Retries,
+			Lag:     int64(rs.Lag),
 		},
-		UptimeSec: int64(m.uptime.Value()),
+		UptimeSec: int64(time.Since(s.started).Seconds()),
 		Go:        runtime.Version(),
 	}
-	if m.cacheHits != nil {
+	if s.cache != nil {
+		cs := s.cache.Stats()
 		resp.Cache = &cacheStatsJSON{
-			Hits:      int64(m.cacheHits.Value()),
-			Misses:    int64(m.cacheMisses.Value()),
-			Evictions: int64(m.cacheEvictions.Value()),
-			Entries:   int(m.cacheEntries.Value()),
-			Capacity:  int(m.cacheCapacity.Value()),
+			Hits:      cs.Hits,
+			Misses:    cs.Misses,
+			Evictions: cs.Evictions,
+			Entries:   cs.Entries,
+			Capacity:  cs.Capacity,
 		}
 	}
-	if m.storeWALBytes != nil {
+	if s.store != nil {
 		resp.Storage = s.storageJSON()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// storageJSON renders the storage block through the same metric handles the
-// /metrics exposition scrapes, preserving the healthz/metrics consistency
-// contract for the ppdp_store_* families.
+// storageJSON renders the storage block from one store.Stats snapshot,
+// taking the fields the ppdp_store_* families scrape.
 func (s *Server) storageJSON() *storageStatsJSON {
-	m := s.metrics
+	st := s.store.Stats()
 	return &storageStatsJSON{
 		Dir:              s.cfg.DataDir,
-		Generation:       int64(m.storeGeneration.Value()),
-		WALBytes:         int64(m.storeWALBytes.Value()),
-		WALRecords:       int64(m.storeWALRecords.Value()),
-		WALFsyncs:        int64(m.storeWALFsyncs.Value()),
-		SnapshotAgeSec:   m.storeSnapshotAge.Value(),
-		CheckpointErrors: int64(m.storeCheckpointErrs.Value()),
-		RecoverySec:      m.storeRecovery.Value(),
-		RecoveredRecords: int(m.storeRecoveredRecords.Value()),
-		RecoveredTorn:    m.storeRecoveredTorn.Value() > 0,
-		MappedTables:     int(m.storeMappedTables.Value()),
-		MappedBytes:      int64(m.storeMappedBytes.Value()),
-		TableFiles:       int(m.storeTableFiles.Value()),
-		TableBytes:       int64(m.storeTableBytes.Value()),
+		Generation:       int64(st.Generation),
+		WALBytes:         st.WALBytes,
+		WALRecords:       st.WALRecords,
+		WALFsyncs:        st.WALFsyncs,
+		SnapshotAgeSec:   snapshotAge(st),
+		CheckpointErrors: st.CheckpointErrors,
+		RecoverySec:      st.RecoverySeconds,
+		RecoveredRecords: st.RecoveredRecords,
+		RecoveredTorn:    st.RecoveredTorn,
+		MappedTables:     st.MappedTables,
+		MappedBytes:      st.MappedBytes,
+		TableFiles:       st.TableFiles,
+		TableBytes:       st.TableBytes,
 	}
 }
 
