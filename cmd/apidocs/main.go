@@ -124,6 +124,14 @@ over the classes, against c). Entropy and t compare within 1e-12. A
 measurement that is not a finite number is encoded as ` + "`null`" + `: recursive
 (c,l)-diversity measures +Inf on a class with fewer than l sensitive values.
 
+The measurements read two column sets. ` + "`k`" + `, ` + "`distinct_l`" + `, ` + "`max_emd`" + `,
+` + "`prosecutor_max_risk`" + ` and every ` + "`criteria`" + ` entry group the release by the
+quasi-identifier it was built for: the request's ` + "`quasi_identifiers`" + `, or
+every quasi-identifier column of the schema when omitted. ` + "`ncp`" + ` and
+` + "`discernibility`" + ` are taken over every quasi-identifier column of the schema.
+On a run over a subset, NCP counts the columns left unrecoded as exact, and
+they split discernibility's classes, so it can fall below k·N.
+
 ## Algorithms
 
 Capability cards as served by ` + "`GET /v1/algorithms`" + ` (and

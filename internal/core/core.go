@@ -158,21 +158,31 @@ type Measurements struct {
 	// Criteria reports every policy criterion's verification, keyed by
 	// criterion type (e.g. "k-anonymity", "t-closeness"). Criteria whose
 	// sensitive attribute is absent from the released schema are skipped,
-	// mirroring the legacy scalar measurements.
+	// mirroring the legacy scalar measurements. Like K, the criteria group
+	// the release by the quasi-identifier it was built for.
 	Criteria map[string]CriterionMeasurement
-	// K is the smallest equivalence-class size of the release.
+	// K is the smallest equivalence-class size of the release, over the
+	// quasi-identifier the release was built for (Config.QuasiIdentifiers,
+	// or every schema QI column when that is empty).
 	K int
 	// DistinctL is the smallest number of distinct sensitive values per
-	// class (0 when no sensitive attribute is configured).
+	// class (0 when no sensitive attribute is configured), over the same
+	// classes as K.
 	DistinctL int
 	// MaxEMD is the largest per-class earth mover's distance to the global
-	// sensitive distribution (0 when no sensitive attribute is configured).
+	// sensitive distribution (0 when no sensitive attribute is configured),
+	// over the same classes as K.
 	MaxEMD Measure
-	// NCP is the normalized certainty penalty of the release.
+	// NCP is the normalized certainty penalty of the release over every QI
+	// column of the schema, not only the quasi-identifier the release was
+	// built for: columns a run left unrecoded count as exact.
 	NCP Measure
-	// Discernibility is the discernibility metric of the release.
+	// Discernibility is the discernibility metric of the release over the
+	// classes of every QI column of the schema. On a run over a QI subset
+	// the other columns split its classes further, so it can fall below k·N.
 	Discernibility Measure
-	// ProsecutorMaxRisk is the maximum re-identification probability.
+	// ProsecutorMaxRisk is the maximum re-identification probability, 1/K:
+	// taken over the same quasi-identifier as K.
 	ProsecutorMaxRisk Measure
 	// SuppressedRows is the number of records removed by the algorithm.
 	SuppressedRows int
