@@ -5,6 +5,11 @@
 // Clusters are then recoded multidimensionally. Clustering-based
 // anonymization trades O(n²) running time for lower information loss than
 // full-domain recoding.
+// The loss reads the input's columns, never cell strings: numeric
+// quasi-identifiers come from the parse-once FloatColumn (a cell that does
+// not parse counts as maximal spread) and categorical ones from the
+// dictionary codes, with each cluster keeping the distinct codes it holds
+// per dimension.
 // The candidate losses of one growth step are independent of each other, so
 // each nearest-record scan is split across a bounded worker pool
 // (Config.Workers): every worker folds a contiguous chunk of the unassigned
