@@ -34,33 +34,6 @@ func u32View(b []byte) []uint32 {
 	return out
 }
 
-// f64View reinterprets b as a []float64 of little-endian values. b must be
-// 8-byte aligned and len(b) a multiple of 8.
-func f64View(b []byte) []float64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func float64frombits(u uint64) float64 { return *(*float64)(unsafe.Pointer(&u)) }
-
-// boolView reinterprets b (bytes holding 0 or 1) as a []bool. Endianness
-// does not apply to single bytes, so this view is always zero-copy.
-func boolView(b []byte) []bool {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*bool)(unsafe.Pointer(&b[0])), len(b))
-}
-
 // viewString returns a string aliasing b without copying. The string is valid
 // only while the backing mapping stays mapped; see MappedTable.Close.
 func viewString(b []byte) string {
@@ -86,27 +59,8 @@ func u32Bytes(s []uint32) []byte {
 	return out
 }
 
-// f64Bytes returns the little-endian byte serialization of s, aliasing s on
-// little-endian hosts.
-func f64Bytes(s []float64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-	}
-	out := make([]byte, len(s)*8)
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[8*i:], *(*uint64)(unsafe.Pointer(&v)))
-	}
-	return out
-}
-
-// boolBytes returns the 0/1 byte serialization of s (always aliasing: a Go
-// bool is one byte holding 0 or 1).
-func boolBytes(s []bool) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
+// stringBytes returns the bytes of v without copying. The caller must not
+// modify them.
+func stringBytes(v string) []byte {
+	return unsafe.Slice(unsafe.StringData(v), len(v))
 }

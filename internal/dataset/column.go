@@ -72,8 +72,8 @@ type CodedColumn struct {
 	// later frequency, domain and privacy-criterion query.
 	stats     *ColumnStats
 	statsOnce sync.Once
-	// float is the parse-once numeric view, built on first use (floatOnce)
-	// unless a snapshot supplied it.
+	// float is the parse-once numeric view, built from the dictionary on
+	// first use (floatOnce), however the column was made.
 	float     *FloatColumn
 	floatOnce sync.Once
 }
@@ -194,14 +194,11 @@ func (c *CodedColumn) ensureIndex() {
 	c.index = idx
 }
 
-// floatView returns the column's parse-once numeric view, building it on
-// first use.
+// floatView returns the column's parse-once numeric view, building it from
+// the dictionary on first use. Heap and snapshot-loaded columns take the
+// same path, so a snapshot cannot supply numbers its cells do not parse to.
 func (c *CodedColumn) floatView() *FloatColumn {
-	c.floatOnce.Do(func() {
-		if c.float == nil {
-			c.float = floatColumnFromCodes(c)
-		}
-	})
+	c.floatOnce.Do(func() { c.float = floatColumnFromCodes(c) })
 	return c.float
 }
 

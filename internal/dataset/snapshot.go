@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"runtime"
 
@@ -16,9 +15,9 @@ import (
 )
 
 // This file implements the on-disk columnar snapshot format: a binary,
-// mmap-friendly serialization of the typed column views (CodedColumn /
-// FloatColumn) that lets a table be reopened in O(page-fault) instead of
-// O(re-parse) and scanned without copying cell bytes onto the heap.
+// mmap-friendly serialization of the table's dictionary-coded columns that
+// lets a table be reopened in O(page-fault) instead of O(re-parse) and
+// scanned without copying cell bytes onto the heap.
 //
 // Layout (all integers little-endian):
 //
@@ -37,18 +36,25 @@ import (
 //	dictIdx  (dictLen+1) × uint32   value boundaries into the dict blob
 //	ranks    dictLen × uint32       byte-lexicographic rank per code
 //	codes    rows × uint32          one dictionary code per row
-//	[floats  rows × float64]        parsed values (numeric attributes only)
-//	[valid   rows × byte]           0/1 parse-validity (numeric only)
 //	dict     blob of concatenated value bytes
 //
+// A segment holds only what the cells cannot give back. Whatever follows
+// from the dictionary is derived at load, never read from the file: the
+// clean flag (allClean over the decoded values) and, on first use, the
+// float view (floatColumnFromCodes, the path heap columns take). Snapshots
+// written before this rule may carry a float vector and validity bytes
+// between codes and dict, and "clean"/"float" header keys; the explicit
+// dict offset steps over those bytes, the decoder ignores the keys, and
+// the segment CRC still covers them.
+//
 // Every segment carries a CRC-32 in the header, and the header embeds the
-// table's content fingerprint; OpenSnapshot verifies both, so a torn or
-// corrupted snapshot is refused instead of served. Loaded columns alias the
-// mapping (see cast.go): codes, ranks and float arrays are reinterpreted in
-// place, and dictionary strings point into the mapped blob, so a cold table
-// shares pages with the OS cache instead of the Go heap. A loaded table is an
-// ordinary Table whose column buffers live in the mapping; writers install
-// new heap columns beside the mapped ones.
+// table's content fingerprint; OpenSnapshot verifies both, and checks that
+// the ranks order the dictionary, so a torn or corrupted snapshot is refused
+// instead of served. Loaded columns alias the mapping (see cast.go): codes
+// and ranks are reinterpreted in place, and dictionary strings point into
+// the mapped blob, so a cold table shares pages with the OS cache instead of
+// the Go heap. A loaded table is an ordinary Table whose column buffers live
+// in the mapping; writers install new heap columns beside the mapped ones.
 
 // snapshotMagic identifies a columnar snapshot file.
 var snapshotMagic = [8]byte{'P', 'P', 'D', 'P', 'C', 'O', 'L', '1'}
@@ -82,57 +88,24 @@ type snapAttr struct {
 // snapCol locates one column segment. Offsets named off* are relative to the
 // segment start; SegOff is relative to the page-aligned data start.
 type snapCol struct {
-	SegOff    int64      `json:"seg_off"`
-	SegLen    int64      `json:"seg_len"`
-	CRC       uint32     `json:"crc"`
-	DictLen   int        `json:"dict_len"`
-	DictBytes int64      `json:"dict_bytes"`
-	Clean     bool       `json:"clean"`
-	OffRanks  int64      `json:"off_ranks"`
-	OffCodes  int64      `json:"off_codes"`
-	OffDict   int64      `json:"off_dict"`
-	Float     *snapFloat `json:"float,omitempty"`
-}
-
-type snapFloat struct {
-	Off        int64   `json:"off"`
-	OffValid   int64   `json:"off_valid"`
-	ValidCount int     `json:"valid_count"`
-	Min        float64 `json:"min"`
-	Max        float64 `json:"max"`
+	SegOff    int64  `json:"seg_off"`
+	SegLen    int64  `json:"seg_len"`
+	CRC       uint32 `json:"crc"`
+	DictLen   int    `json:"dict_len"`
+	DictBytes int64  `json:"dict_bytes"`
+	OffRanks  int64  `json:"off_ranks"`
+	OffCodes  int64  `json:"off_codes"`
+	OffDict   int64  `json:"off_dict"`
 }
 
 func align8(n int64) int64 { return (n + 7) &^ 7 }
 
 func alignPage(n int64) int64 { return (n + snapshotPage - 1) &^ (snapshotPage - 1) }
 
-// snapColumns builds the typed views the snapshot serializes: the coded view
-// of every column, plus the parse-once float view for numeric attributes.
-func (t *Table) snapColumns() ([]*CodedColumn, []*FloatColumn, error) {
-	k := t.schema.Len()
-	codes := make([]*CodedColumn, k)
-	floats := make([]*FloatColumn, k)
-	for i := 0; i < k; i++ {
-		cc, err := t.CodedColumn(i)
-		if err != nil {
-			return nil, nil, err
-		}
-		codes[i] = cc
-		if t.schema.Attribute(i).Type == Numeric {
-			fc, err := t.FloatColumn(i)
-			if err != nil {
-				return nil, nil, err
-			}
-			floats[i] = fc
-		}
-	}
-	return codes, floats, nil
-}
-
 // layoutCol computes one column's segment layout and returns the segment
 // length. Subsections are 8-byte aligned; the variable-length dict blob sits
 // last.
-func layoutCol(rows int, cc *CodedColumn, fc *FloatColumn, col *snapCol) int64 {
+func layoutCol(rows int, cc *CodedColumn, col *snapCol) int64 {
 	d := int64(len(cc.Dict))
 	var dictBytes int64
 	for _, v := range cc.Dict {
@@ -145,24 +118,11 @@ func layoutCol(rows int, cc *CodedColumn, fc *FloatColumn, col *snapCol) int64 {
 	cur = align8(cur)
 	col.OffCodes = cur
 	cur += int64(rows) * 4
-	if fc != nil {
-		cur = align8(cur)
-		col.Float = &snapFloat{Off: cur, ValidCount: fc.ValidCount}
-		if fc.ValidCount > 0 {
-			// The no-valid-cells sentinels are ±Inf, which JSON cannot carry;
-			// they are implied by ValidCount == 0 and restored at load.
-			col.Float.Min, col.Float.Max = fc.Min, fc.Max
-		}
-		cur += int64(rows) * 8
-		col.Float.OffValid = cur
-		cur += int64(rows)
-	}
 	cur = align8(cur)
 	col.OffDict = cur
 	cur += dictBytes
 	col.DictLen = int(d)
 	col.DictBytes = dictBytes
-	col.Clean = cc.clean
 	return cur
 }
 
@@ -200,7 +160,7 @@ func (s *segmentWriter) pad(target int64) {
 }
 
 // writeSegment serializes one column segment per the layout in col.
-func writeSegment(w io.Writer, rows int, cc *CodedColumn, fc *FloatColumn, col *snapCol) (uint32, error) {
+func writeSegment(w io.Writer, cc *CodedColumn, col *snapCol) (uint32, error) {
 	s := &segmentWriter{w: w}
 	// dictIdx: cumulative value boundaries.
 	idx := make([]uint32, len(cc.Dict)+1)
@@ -215,14 +175,9 @@ func writeSegment(w io.Writer, rows int, cc *CodedColumn, fc *FloatColumn, col *
 	s.write(u32Bytes(cc.ranks))
 	s.pad(col.OffCodes)
 	s.write(u32Bytes(cc.Codes))
-	if fc != nil {
-		s.pad(col.Float.Off)
-		s.write(f64Bytes(fc.Values))
-		s.write(boolBytes(fc.Valid))
-	}
 	s.pad(col.OffDict)
 	for _, v := range cc.Dict {
-		s.write([]byte(v))
+		s.write(stringBytes(v))
 	}
 	return s.crc, s.err
 }
@@ -231,10 +186,6 @@ func writeSegment(w io.Writer, rows int, cc *CodedColumn, fc *FloatColumn, col *
 // The stream embeds the table's Fingerprint, so OpenSnapshot (and any caller
 // holding an expected fingerprint) can verify the loaded content.
 func (t *Table) WriteSnapshot(w io.Writer) error {
-	codes, floats, err := t.snapColumns()
-	if err != nil {
-		return err
-	}
 	// Snapshots persist the row-content hasher state beside the full
 	// fingerprint, so a load restores it without folding any cell.
 	rows := t.rowsHash()
@@ -242,7 +193,7 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	for _, a := range t.schema.Attributes() {
 		h.Attrs = append(h.Attrs, snapAttr{Name: a.Name, Kind: int(a.Kind), Type: int(a.Type)})
 	}
-	h.Cols = make([]snapCol, len(codes))
+	h.Cols = make([]snapCol, len(t.cols))
 
 	// Pass 1: layout + CRC (the header precedes the segments it describes, so
 	// segment checksums are computed before anything is written). The layout
@@ -251,14 +202,14 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	// cannot change the bytes: each column's checksum depends only on its own
 	// already-fixed layout.
 	var cur int64
-	for i, cc := range codes {
+	for i, cc := range t.cols {
 		cur = alignPage(cur)
 		h.Cols[i].SegOff = cur
-		h.Cols[i].SegLen = layoutCol(h.Rows, cc, floats[i], &h.Cols[i])
+		h.Cols[i].SegLen = layoutCol(h.Rows, cc, &h.Cols[i])
 		cur = h.Cols[i].SegOff + h.Cols[i].SegLen
 	}
-	crcs, err := parallel.Map(len(codes), t.scanParallelism(), func(i int) (uint32, error) {
-		return writeSegment(io.Discard, h.Rows, codes[i], floats[i], &h.Cols[i])
+	crcs, err := parallel.Map(len(t.cols), t.scanParallelism(), func(i int) (uint32, error) {
+		return writeSegment(io.Discard, t.cols[i], &h.Cols[i])
 	})
 	if err != nil {
 		return err
@@ -283,9 +234,9 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	out.pad(dataStart)
 
 	// Pass 2: the segments themselves.
-	for i, cc := range codes {
+	for i, cc := range t.cols {
 		out.pad(dataStart + h.Cols[i].SegOff)
-		crc, err := writeSegment(bw, h.Rows, cc, floats[i], &h.Cols[i])
+		crc, err := writeSegment(bw, cc, &h.Cols[i])
 		if err != nil {
 			return err
 		}
@@ -432,22 +383,13 @@ func snapshotFromMapping(path string, data []byte, workers int) (*MappedTable, e
 	}
 
 	dataStart := alignPage(16 + hlen)
-	type seg struct {
-		cc *CodedColumn
-		fc *FloatColumn
-	}
-	segs, err := parallel.Map(len(h.Cols), workers, func(i int) (seg, error) {
-		cc, fc, err := decodeSegment(path, data, dataStart, h.Rows, &h.Cols[i])
-		return seg{cc: cc, fc: fc}, err
+	cols, err := parallel.Map(len(h.Cols), workers, func(i int) (*CodedColumn, error) {
+		return decodeSegment(path, data, dataStart, h.Rows, &h.Cols[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{schema: schema, n: h.Rows, cols: make([]*CodedColumn, len(segs))}
-	for i, s := range segs {
-		s.cc.float = s.fc
-		t.cols[i] = s.cc
-	}
+	t := &Table{schema: schema, n: h.Rows, cols: cols}
 	rows, ok := parseHasher(h.RowsFP)
 	if !ok {
 		return nil, corrupt("%s: row-content fingerprint %q is not a hasher state", path, h.RowsFP)
@@ -472,42 +414,42 @@ func slice(path string, data []byte, start, length int64, what string) ([]byte, 
 }
 
 // decodeSegment verifies one column segment's CRC and builds its zero-copy
-// views.
-func decodeSegment(path string, data []byte, dataStart int64, rows int, col *snapCol) (*CodedColumn, *FloatColumn, error) {
+// views, deriving the clean flag from the decoded dictionary.
+func decodeSegment(path string, data []byte, dataStart int64, rows int, col *snapCol) (*CodedColumn, error) {
 	segStart := dataStart + col.SegOff
 	seg, err := slice(path, data, segStart, col.SegLen, "column segment")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if crc32.ChecksumIEEE(seg) != col.CRC {
-		return nil, nil, corrupt("%s: column segment at %d: checksum mismatch", path, segStart)
+		return nil, corrupt("%s: column segment at %d: checksum mismatch", path, segStart)
 	}
 	if col.DictLen < 0 || int64(col.DictLen) > col.SegLen/4 {
-		return nil, nil, corrupt("%s: column segment at %d: dictionary length %d invalid", path, segStart, col.DictLen)
+		return nil, corrupt("%s: column segment at %d: dictionary length %d invalid", path, segStart, col.DictLen)
 	}
 	d := int64(col.DictLen)
 	idxB, err := slice(path, seg, 0, (d+1)*4, "dict index")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ranksB, err := slice(path, seg, col.OffRanks, d*4, "ranks")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	codesB, err := slice(path, seg, col.OffCodes, int64(rows)*4, "codes")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dictB, err := slice(path, seg, col.OffDict, col.DictBytes, "dict blob")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	idx := u32View(idxB)
 	dict := make([]string, col.DictLen)
 	for i := range dict {
 		lo, hi := int64(idx[i]), int64(idx[i+1])
 		if lo > hi || hi > col.DictBytes {
-			return nil, nil, corrupt("%s: dict entry %d bounds [%d,%d) invalid", path, i, lo, hi)
+			return nil, corrupt("%s: dict entry %d bounds [%d,%d) invalid", path, i, lo, hi)
 		}
 		dict[i] = viewString(dictB[lo:hi])
 	}
@@ -515,46 +457,32 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		Codes: u32View(codesB),
 		Dict:  dict,
 		ranks: u32View(ranksB),
-		clean: col.Clean,
+		clean: allClean(dict),
 		// index stays nil: Code() builds it lazily on first use, so opening a
 		// snapshot never pays O(dict) map construction per column.
 	}
 	if len(cc.Codes) != rows {
-		return nil, nil, corrupt("%s: column segment at %d: %d codes for %d rows", path, segStart, len(cc.Codes), rows)
+		return nil, corrupt("%s: column segment at %d: %d codes for %d rows", path, segStart, len(cc.Codes), rows)
 	}
 	for _, code := range cc.Codes {
 		if int(code) >= col.DictLen {
-			return nil, nil, corrupt("%s: code %d exceeds dictionary size %d", path, code, col.DictLen)
+			return nil, corrupt("%s: code %d exceeds dictionary size %d", path, code, col.DictLen)
 		}
 	}
-	// Ranks must be a permutation of the codes: lexOrder inverts them.
-	seen := make([]bool, col.DictLen)
-	for _, r := range cc.ranks {
-		if int(r) >= col.DictLen || seen[r] {
-			return nil, nil, corrupt("%s: column segment at %d: ranks are not a permutation", path, segStart)
+	// Ranks must order the dictionary: a permutation of the codes (lexOrder
+	// inverts it) under which the values strictly increase in byte order,
+	// so grouping can compare ranks instead of strings.
+	byRank := make([]uint32, col.DictLen) // code+1 per rank; 0 while unseen
+	for code, r := range cc.ranks {
+		if int(r) >= col.DictLen || byRank[r] != 0 {
+			return nil, corrupt("%s: column segment at %d: ranks are not a permutation", path, segStart)
 		}
-		seen[r] = true
+		byRank[r] = uint32(code) + 1
 	}
-	var fc *FloatColumn
-	if col.Float != nil {
-		valB, err := slice(path, seg, col.Float.Off, int64(rows)*8, "float values")
-		if err != nil {
-			return nil, nil, err
-		}
-		validB, err := slice(path, seg, col.Float.OffValid, int64(rows), "float validity")
-		if err != nil {
-			return nil, nil, err
-		}
-		fc = &FloatColumn{
-			Values:     f64View(valB),
-			Valid:      boolView(validB),
-			ValidCount: col.Float.ValidCount,
-			Min:        col.Float.Min,
-			Max:        col.Float.Max,
-		}
-		if fc.ValidCount == 0 {
-			fc.Min, fc.Max = math.Inf(1), math.Inf(-1)
+	for r := 1; r < len(byRank); r++ {
+		if dict[byRank[r-1]-1] >= dict[byRank[r]-1] {
+			return nil, corrupt("%s: column segment at %d: ranks do not order the dictionary", path, segStart)
 		}
 	}
-	return cc, fc, nil
+	return cc, nil
 }

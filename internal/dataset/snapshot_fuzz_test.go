@@ -13,10 +13,14 @@ import (
 
 // FuzzOpenSnapshot feeds arbitrary bytes to the snapshot decoder: it must
 // either refuse them or return a table every cell of which reads, writes as
-// CSV and verifies without panicking. Random bytes rarely get past the
-// checksums, so each input is also tried resealed — header and segment CRCs
-// recomputed over the mutated bytes — which sends the structural checks
-// behind them the same inputs.
+// CSV and verifies without panicking, and which behaves exactly like
+// FromRows over its own decoded rows (float views, grouping, and — when
+// VerifyContent accepts the header — the fingerprint). Random bytes rarely
+// get past the checksums, so each input is also tried resealed — header and
+// segment CRCs recomputed over the mutated bytes — which sends the
+// structural checks behind them the same inputs. The seeds include the
+// snapshots under testdata/snapshot: one from an earlier encoder and three
+// forgeries of it.
 func FuzzOpenSnapshot(f *testing.F) {
 	for _, tbl := range fuzzSnapshotSeeds(f) {
 		var buf bytes.Buffer
@@ -24,6 +28,17 @@ func FuzzOpenSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "snapshot", "*.tbl"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("snapshot seeds: %v (%d files)", err, len(files))
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -50,7 +65,13 @@ func FuzzOpenSnapshot(f *testing.F) {
 			if err := tbl.WriteCSV(io.Discard); err != nil {
 				t.Fatalf("WriteCSV: %v", err)
 			}
-			_ = mt.VerifyContent()
+			diff, heap := heapMismatch(tbl)
+			if diff != "" {
+				t.Fatal(diff)
+			}
+			if verified := mt.VerifyContent() == nil; verified != (tbl.Fingerprint() == heap.Fingerprint()) {
+				t.Fatalf("VerifyContent passed = %v, but fingerprint %s vs heap rebuild %s", verified, tbl.Fingerprint(), heap.Fingerprint())
+			}
 			if err := mt.Close(); err != nil {
 				t.Fatal(err)
 			}

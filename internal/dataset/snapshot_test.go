@@ -3,9 +3,11 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -349,7 +351,10 @@ func TestSnapshotOfMappedTable(t *testing.T) {
 
 // TestMmapScanLargerThanHeapBudget scans a snapshot much larger than the
 // allowed heap growth: GroupBy and the float view must run over the mapping
-// without pulling the dictionary blob or code arrays onto the heap.
+// without pulling the dictionary blob or code arrays onto the heap. The
+// float view is derived from the dictionary on the heap (rows × 9 bytes),
+// as for a heap column, and is released before the measurement; what stays
+// is the per-value string headers the open builds over the mapped blob.
 func TestMmapScanLargerThanHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture")
@@ -484,4 +489,149 @@ func TestSnapshotVerifyContent(t *testing.T) {
 	if err := fm.VerifyContent(); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("VerifyContent on forged snapshot = %v, want ErrSnapshotCorrupt", err)
 	}
+}
+
+// heapMismatch rebuilds tbl on the heap with FromRows over its own decoded
+// rows and describes the first way tbl behaves differently: a float view of
+// any column, or GroupBy over all columns (signatures, values, members and
+// class order). It returns "" when the two agree. Fingerprints are left to
+// the caller, since a snapshot's comes from its header.
+func heapMismatch(tbl *Table) (string, *Table) {
+	heap, err := FromRows(tbl.Schema(), tbl.Rows())
+	if err != nil {
+		return fmt.Sprintf("FromRows over the decoded rows: %v", err), nil
+	}
+	for c := 0; c < tbl.Schema().Len(); c++ {
+		got, _ := tbl.FloatColumn(c)
+		want, _ := heap.FloatColumn(c)
+		if got.ValidCount != want.ValidCount || got.Min != want.Min || got.Max != want.Max ||
+			!slices.Equal(got.Valid, want.Valid) ||
+			!slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return fmt.Sprintf("column %d: FloatColumn %+v, heap %+v", c, *got, *want), heap
+		}
+	}
+	names := tbl.Schema().Names()
+	got, err := tbl.GroupBy(names...)
+	if err != nil {
+		return fmt.Sprintf("GroupBy: %v", err), heap
+	}
+	want, _ := heap.GroupBy(names...)
+	if !slices.EqualFunc(got, want, func(a, b EquivalenceClass) bool {
+		return a.Signature == b.Signature && slices.Equal(a.Values, b.Values) && slices.Equal(a.Rows, b.Rows)
+	}) {
+		return fmt.Sprintf("GroupBy %q, heap %q", got, want), heap
+	}
+	return "", heap
+}
+
+// TestSnapshotOlderFormat opens a snapshot written by an earlier encoder,
+// which also stored a float vector, validity bytes and the "clean" and
+// "float" header keys. The decoder ignores them: the table must have the
+// cells, fingerprint, float views and grouping of its heap rebuild, and
+// re-encode to the bytes the rebuild encodes to.
+func TestSnapshotOlderFormat(t *testing.T) {
+	path := filepath.Join("testdata", "snapshot", "parent.tbl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"float":{`)) || !bytes.Contains(raw, []byte(`"clean":`)) {
+		t.Fatal("fixture lost the older header keys")
+	}
+	mt, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mt.Close()
+	if err := mt.VerifyContent(); err != nil {
+		t.Fatal(err)
+	}
+	tbl := mt.Table()
+	if tbl.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", tbl.Len())
+	}
+	if v, _ := tbl.Value(4, 2); v != "hepa\x01titis" {
+		t.Fatalf("Value(4, 2) = %q", v)
+	}
+	diff, heap := heapMismatch(tbl)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	if tbl.Fingerprint() != heap.Fingerprint() {
+		t.Fatalf("fingerprint %s, heap rebuild %s", tbl.Fingerprint(), heap.Fingerprint())
+	}
+	for c, want := range []bool{true, true, false} {
+		if cc, _ := tbl.CodedColumn(c); cc.clean != want {
+			t.Fatalf("column %d: clean = %v, want %v", c, cc.clean, want)
+		}
+	}
+	var got, ref bytes.Buffer
+	if err := tbl.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := heap.WriteSnapshot(&ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+		t.Fatal("re-encoding the older snapshot differs from encoding its heap rebuild")
+	}
+	if bytes.Contains(ref.Bytes(), []byte(`"float"`)) || bytes.Contains(ref.Bytes(), []byte(`"clean"`)) {
+		t.Fatal("the encoder still writes derived header keys")
+	}
+	hlen := binary.LittleEndian.Uint32(ref.Bytes()[8:12])
+	var h snapHeader
+	if err := json.Unmarshal(ref.Bytes()[16:16+hlen], &h); err != nil {
+		t.Fatal(err)
+	}
+	for c, col := range h.Cols {
+		if col.OffDict != align8(col.OffCodes+4*int64(tbl.Len())) {
+			t.Fatalf("column %d: dict at %d, codes end at %d: a section sits between them", c, col.OffDict, col.OffCodes+4*int64(tbl.Len()))
+		}
+	}
+}
+
+// TestSnapshotForgedDerivedFacts opens snapshots whose CRCs were recomputed
+// over forged contents, each of which an earlier decoder served as a wrong
+// table: a float section reading 9999 for the cell "34" (and holding a
+// validity byte of 2), a clean flag over values holding the 0x1f signature
+// separator, and two swapped ranks. Derived facts now come from the cells,
+// so the first two behave exactly like their heap rebuilds; ranks are
+// stored, so a pair out of order is refused.
+func TestSnapshotForgedDerivedFacts(t *testing.T) {
+	for _, name := range []string{"forged_float.tbl", "forged_clean.tbl"} {
+		t.Run(name, func(t *testing.T) {
+			mt, err := OpenSnapshot(filepath.Join("testdata", "snapshot", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mt.Close()
+			diff, heap := heapMismatch(mt.Table())
+			if diff != "" {
+				t.Fatal(diff)
+			}
+			if mt.Table().Fingerprint() != heap.Fingerprint() {
+				t.Fatal("fingerprint differs from the heap rebuild")
+			}
+		})
+	}
+	t.Run("forged_clean.tbl/one class", func(t *testing.T) {
+		mt, err := OpenSnapshot(filepath.Join("testdata", "snapshot", "forged_clean.tbl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mt.Close()
+		if classes, _ := mt.Table().GroupBy("a", "b"); len(classes) != 1 {
+			t.Fatalf("GroupBy = %d classes, want 1 (both rows join to one signature)", len(classes))
+		}
+	})
+	t.Run("forged_ranks.tbl", func(t *testing.T) {
+		mt, err := OpenSnapshot(filepath.Join("testdata", "snapshot", "forged_ranks.tbl"))
+		if err == nil {
+			mt.Close()
+			t.Fatal("snapshot with swapped ranks opened")
+		}
+		if !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+		}
+	})
 }
