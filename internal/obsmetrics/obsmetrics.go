@@ -65,9 +65,25 @@ type family struct {
 	series map[string]renderable // key = joined escaped label values
 }
 
-// renderable is the rendering contract of one series.
+// renderable is the rendering contract of one series; sc is the state of
+// the render it belongs to.
 type renderable interface {
-	renderInto(w io.Writer, name, labelPart string)
+	renderInto(w io.Writer, name, labelPart string, sc *scrape)
+}
+
+// scrape is the state of one render: the result of each FuncGroup's
+// collect, taken when the first of its families renders.
+type scrape struct {
+	groups map[*funcGroup][]float64
+}
+
+func (sc *scrape) values(g *funcGroup) []float64 {
+	v, ok := sc.groups[g]
+	if !ok {
+		v = g.collect()
+		sc.groups[g] = v
+	}
+	return v
 }
 
 // NewRegistry returns an empty registry.
@@ -139,7 +155,7 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-func (c *Counter) renderInto(w io.Writer, name, labelPart string) {
+func (c *Counter) renderInto(w io.Writer, name, labelPart string, _ *scrape) {
 	fmt.Fprintf(w, "%s%s %d\n", name, labelPart, c.Value())
 }
 
@@ -202,7 +218,7 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-func (g *Gauge) renderInto(w io.Writer, name, labelPart string) {
+func (g *Gauge) renderInto(w io.Writer, name, labelPart string, _ *scrape) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labelPart, formatValue(g.Value()))
 }
 
@@ -227,7 +243,7 @@ type FuncMetric struct {
 // Value invokes the callback.
 func (m *FuncMetric) Value() float64 { return m.fn() }
 
-func (m *FuncMetric) renderInto(w io.Writer, name, labelPart string) {
+func (m *FuncMetric) renderInto(w io.Writer, name, labelPart string, _ *scrape) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labelPart, formatValue(m.Value()))
 }
 
@@ -248,6 +264,44 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) *FuncMetric
 	m := &FuncMetric{fn: fn}
 	f.series[""] = m
 	return m
+}
+
+// FuncFamily names one family of a FuncGroup.
+type FuncFamily struct {
+	Name, Help string
+	// Counter makes the family a counter (its values must be monotone);
+	// otherwise it is a gauge.
+	Counter bool
+}
+
+// funcGroup is the shared source of a FuncGroup's families.
+type funcGroup struct {
+	collect func() []float64
+}
+
+// groupMetric is family i of a FuncGroup.
+type groupMetric struct {
+	g *funcGroup
+	i int
+}
+
+func (m *groupMetric) renderInto(w io.Writer, name, labelPart string, sc *scrape) {
+	fmt.Fprintf(w, "%s%s %s\n", name, labelPart, formatValue(sc.values(m.g)[m.i]))
+}
+
+// FuncGroup registers function-backed families that read one source:
+// collect returns one value per family, in the order of fams, and each
+// render calls it once, so a source that snapshots its counters under a
+// lock is locked once per scrape and its families show one moment.
+func (r *Registry) FuncGroup(fams []FuncFamily, collect func() []float64) {
+	g := &funcGroup{collect: collect}
+	for i, ff := range fams {
+		typ := typeGauge
+		if ff.Counter {
+			typ = typeCounter
+		}
+		r.register(ff.Name, ff.Help, typ, nil).series[""] = &groupMetric{g: g, i: i}
+	}
 }
 
 // ---- histograms ----
@@ -293,7 +347,7 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-func (h *Histogram) renderInto(w io.Writer, name, labelPart string) {
+func (h *Histogram) renderInto(w io.Writer, name, labelPart string, _ *scrape) {
 	// Cumulative bucket counts; each le label extends the series' labels.
 	cum := int64(0)
 	for i, ub := range h.upper {
@@ -441,6 +495,7 @@ func (r *Registry) WriteText(w io.Writer) {
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	sc := &scrape{groups: make(map[*funcGroup][]float64)}
 	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
@@ -456,7 +511,7 @@ func (r *Registry) WriteText(w io.Writer) {
 		}
 		f.mu.Unlock()
 		for i, k := range keys {
-			series[i].renderInto(w, f.name, k)
+			series[i].renderInto(w, f.name, k, sc)
 		}
 	}
 }

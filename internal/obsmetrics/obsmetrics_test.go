@@ -133,6 +133,35 @@ func TestFuncMetrics(t *testing.T) {
 	}
 }
 
+// TestFuncGroup checks that a group's families render like one
+// function-backed family each, from one collect call per render.
+func TestFuncGroup(t *testing.T) {
+	grouped, single := NewRegistry(), NewRegistry()
+	calls := 0
+	grouped.FuncGroup([]FuncFamily{
+		{Name: "test_b_total", Help: "B.", Counter: true},
+		{Name: "test_a", Help: "A."},
+	}, func() []float64 {
+		calls++
+		return []float64{3, 0.5}
+	})
+	// A family of another source sorts between the group's two.
+	grouped.Gauge("test_ab", "Between.")
+	single.CounterFunc("test_b_total", "B.", func() float64 { return 3 })
+	single.GaugeFunc("test_a", "A.", func() float64 { return 0.5 })
+	single.Gauge("test_ab", "Between.")
+	if got, want := render(grouped), render(single); got != want {
+		t.Fatalf("grouped exposition:\n%s\nwant:\n%s", got, want)
+	}
+	if calls != 1 {
+		t.Fatalf("collect ran %d times in one render, want 1", calls)
+	}
+	render(grouped)
+	if calls != 2 {
+		t.Fatalf("collect ran %d times in two renders, want 2", calls)
+	}
+}
+
 func TestFamiliesSortedByName(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total", "Last.")

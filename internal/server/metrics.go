@@ -88,18 +88,23 @@ type statFamily[S any] struct {
 	get        func(S) float64
 }
 
-// registerStats registers fams, each collecting from a fresh snapshot at
-// scrape time: the source keeps the authoritative counters under its own
-// lock, so there is no second set to keep in sync.
+// registerStats registers fams as one group collected from a single
+// snapshot per scrape: the source keeps the authoritative counters under its
+// own lock, so there is no second set to keep in sync, and one scrape locks
+// it once and shows one moment of it.
 func registerStats[S any](r *obsmetrics.Registry, snapshot func() S, fams []statFamily[S]) {
-	for _, f := range fams {
-		collect := func() float64 { return f.get(snapshot()) }
-		if f.counter {
-			r.CounterFunc(f.name, f.help, collect)
-		} else {
-			r.GaugeFunc(f.name, f.help, collect)
-		}
+	names := make([]obsmetrics.FuncFamily, len(fams))
+	for i, f := range fams {
+		names[i] = obsmetrics.FuncFamily{Name: f.name, Help: f.help, Counter: f.counter}
 	}
+	r.FuncGroup(names, func() []float64 {
+		st := snapshot()
+		vals := make([]float64, len(fams))
+		for i, f := range fams {
+			vals[i] = f.get(st)
+		}
+		return vals
+	})
 }
 
 // fsyncBuckets spreads WAL fsync latency: tens of microseconds on NVMe page

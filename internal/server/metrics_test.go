@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/ppdp/ppdp/internal/obsmetrics"
 )
 
 // This file locks down the observability layer from the outside: a hand-rolled
@@ -647,4 +649,46 @@ func TestMetricsHealthzConsistency(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRegisterStatsOneSnapshotPerScrape renders two sources registered
+// through registerStats: each must be snapshotted once per render, and the
+// exposition must equal that of one function-backed family per field.
+func TestRegisterStatsOneSnapshotPerScrape(t *testing.T) {
+	type stats struct{ hits, size int }
+	calls := map[string]int{}
+	source := func(name string, base int) func() stats {
+		return func() stats {
+			calls[name]++
+			return stats{hits: base + 1, size: base + 2}
+		}
+	}
+	families := func(prefix string) []statFamily[stats] {
+		return []statFamily[stats]{
+			{prefix + "_hits_total", "Hits.", true, func(st stats) float64 { return float64(st.hits) }},
+			{prefix + "_size", "Size.", false, func(st stats) float64 { return float64(st.size) }},
+		}
+	}
+	grouped, single := obsmetrics.NewRegistry(), obsmetrics.NewRegistry()
+	for i, name := range []string{"alpha", "beta"} {
+		registerStats(grouped, source(name, 10*i), families("test_"+name))
+		snapshot := source("reference", 10*i)
+		for _, f := range families("test_" + name) {
+			collect := func() float64 { return f.get(snapshot()) }
+			if f.counter {
+				single.CounterFunc(f.name, f.help, collect)
+			} else {
+				single.GaugeFunc(f.name, f.help, collect)
+			}
+		}
+	}
+	var got, want strings.Builder
+	grouped.WriteText(&got)
+	single.WriteText(&want)
+	if got.String() != want.String() {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+	if calls["alpha"] != 1 || calls["beta"] != 1 {
+		t.Fatalf("snapshots per source in one scrape = %v, want 1 each", calls)
+	}
 }
