@@ -12,8 +12,12 @@
 // (each sample individually exact; cross-metric skew is inherent to
 // Prometheus scraping).
 //
-// The Value accessors (Counter.Value, Gauge.Value, FuncMetric.Value,
-// Histogram.Count) exist so other read paths — the service's /healthz — can
+// Numbers that already live behind their owner's lock are function-backed
+// (FuncGroup): collected from the owner at render time, once per render and
+// source, so the exposition keeps no second copy of them.
+//
+// The Value accessors (Counter.Value, Gauge.Value, Histogram.Count) exist
+// so other read paths — the service's /healthz — can
 // report the same numbers the exposition renders, from the same registry, and
 // therefore can never drift from it.
 package obsmetrics
@@ -232,40 +236,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // ---- function-backed metrics ----
 
-// FuncMetric reads its value from a callback at render time — the natural
-// shape for occupancy numbers that already live behind their own lock
-// (registry counts, queue depth, cache stats). Value calls the same callback,
-// so exposition and any other reader (the service's /healthz) see one source.
-type FuncMetric struct {
-	fn func() float64
-}
-
-// Value invokes the callback.
-func (m *FuncMetric) Value() float64 { return m.fn() }
-
-func (m *FuncMetric) renderInto(w io.Writer, name, labelPart string, _ *scrape) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labelPart, formatValue(m.Value()))
-}
-
-// GaugeFunc registers a gauge whose value is collected from fn at render
-// time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) *FuncMetric {
-	f := r.register(name, help, typeGauge, nil)
-	m := &FuncMetric{fn: fn}
-	f.series[""] = m
-	return m
-}
-
-// CounterFunc registers a counter whose value is collected from fn at render
-// time; fn must be monotone (the callers wrap counters maintained elsewhere,
-// e.g. the result cache's hit/miss totals).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) *FuncMetric {
-	f := r.register(name, help, typeCounter, nil)
-	m := &FuncMetric{fn: fn}
-	f.series[""] = m
-	return m
-}
-
 // FuncFamily names one family of a FuncGroup.
 type FuncFamily struct {
 	Name, Help string
@@ -289,10 +259,11 @@ func (m *groupMetric) renderInto(w io.Writer, name, labelPart string, sc *scrape
 	fmt.Fprintf(w, "%s%s %s\n", name, labelPart, formatValue(sc.values(m.g)[m.i]))
 }
 
-// FuncGroup registers function-backed families that read one source:
+// FuncGroup registers function-backed families that read one source, such
+// as occupancy numbers or counters kept behind the source's own lock:
 // collect returns one value per family, in the order of fams, and each
-// render calls it once, so a source that snapshots its counters under a
-// lock is locked once per scrape and its families show one moment.
+// render calls it once, so the source is locked once per scrape and its
+// families show one moment. Counter families must read monotone values.
 func (r *Registry) FuncGroup(fams []FuncFamily, collect func() []float64) {
 	g := &funcGroup{collect: collect}
 	for i, ff := range fams {

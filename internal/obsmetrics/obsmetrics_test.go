@@ -118,27 +118,26 @@ func TestHistogramVecBucketLabelsMerge(t *testing.T) {
 func TestFuncMetrics(t *testing.T) {
 	r := NewRegistry()
 	depth := 7.0
-	gf := r.GaugeFunc("test_queue_depth", "Queue depth.", func() float64 { return depth })
-	cf := r.CounterFunc("test_hits_total", "Hits.", func() float64 { return 41 })
-	if gf.Value() != 7 || cf.Value() != 41 {
-		t.Fatalf("func values = %v/%v", gf.Value(), cf.Value())
-	}
+	r.FuncGroup([]FuncFamily{{Name: "test_queue_depth", Help: "Queue depth."}},
+		func() []float64 { return []float64{depth} })
+	r.FuncGroup([]FuncFamily{{Name: "test_hits_total", Help: "Hits.", Counter: true}},
+		func() []float64 { return []float64{41} })
 	depth = 9
 	out := render(r)
-	if !strings.Contains(out, "test_queue_depth 9\n") {
+	if !strings.Contains(out, "# TYPE test_queue_depth gauge\ntest_queue_depth 9\n") {
 		t.Errorf("gauge func not collected at render:\n%s", out)
 	}
-	if !strings.Contains(out, "test_hits_total 41\n") {
+	if !strings.Contains(out, "# TYPE test_hits_total counter\ntest_hits_total 41\n") {
 		t.Errorf("counter func missing:\n%s", out)
 	}
 }
 
-// TestFuncGroup checks that a group's families render like one
-// function-backed family each, from one collect call per render.
+// TestFuncGroup checks that a group's families render in name order among
+// other families, each from one collect call per render.
 func TestFuncGroup(t *testing.T) {
-	grouped, single := NewRegistry(), NewRegistry()
+	r := NewRegistry()
 	calls := 0
-	grouped.FuncGroup([]FuncFamily{
+	r.FuncGroup([]FuncFamily{
 		{Name: "test_b_total", Help: "B.", Counter: true},
 		{Name: "test_a", Help: "A."},
 	}, func() []float64 {
@@ -146,17 +145,17 @@ func TestFuncGroup(t *testing.T) {
 		return []float64{3, 0.5}
 	})
 	// A family of another source sorts between the group's two.
-	grouped.Gauge("test_ab", "Between.")
-	single.CounterFunc("test_b_total", "B.", func() float64 { return 3 })
-	single.GaugeFunc("test_a", "A.", func() float64 { return 0.5 })
-	single.Gauge("test_ab", "Between.")
-	if got, want := render(grouped), render(single); got != want {
-		t.Fatalf("grouped exposition:\n%s\nwant:\n%s", got, want)
+	r.Gauge("test_ab", "Between.")
+	want := "# HELP test_a A.\n# TYPE test_a gauge\ntest_a 0.5\n" +
+		"# HELP test_ab Between.\n# TYPE test_ab gauge\ntest_ab 0\n" +
+		"# HELP test_b_total B.\n# TYPE test_b_total counter\ntest_b_total 3\n"
+	if got := render(r); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 	if calls != 1 {
 		t.Fatalf("collect ran %d times in one render, want 1", calls)
 	}
-	render(grouped)
+	render(r)
 	if calls != 2 {
 		t.Fatalf("collect ran %d times in two renders, want 2", calls)
 	}

@@ -183,29 +183,25 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Jobs reaching a terminal state, by state.", "state")
 	m.jobsQueueWait = r.Histogram("ppdp_jobs_queue_wait_seconds",
 		"Time jobs spent in the admission queue before dispatch.", nil)
-	r.GaugeFunc("ppdp_jobs_queued",
-		"Jobs waiting in the admission queue.", func() float64 {
-			q, _, _ := s.jobs.Counts()
-			return float64(q)
-		})
-	r.GaugeFunc("ppdp_jobs_running",
-		"Jobs currently executing.", func() float64 {
-			_, run, _ := s.jobs.Counts()
-			return float64(run)
-		})
+	r.FuncGroup([]obsmetrics.FuncFamily{
+		{Name: "ppdp_jobs_queued", Help: "Jobs waiting in the admission queue."},
+		{Name: "ppdp_jobs_running", Help: "Jobs currently executing."},
+	}, func() []float64 {
+		q, run, _ := s.jobs.Counts()
+		return []float64{float64(q), float64(run)}
+	})
 
-	r.GaugeFunc("ppdp_registry_datasets",
-		"Datasets stored in the registry.", func() float64 {
-			return float64(s.reg.datasets.size())
-		})
-	r.GaugeFunc("ppdp_registry_releases",
-		"Releases stored in the registry.", func() float64 {
-			return float64(s.reg.releases.size())
-		})
-	r.GaugeFunc("ppdp_registry_policies",
-		"Policies stored in the registry.", func() float64 {
-			return float64(s.reg.policies.size())
-		})
+	r.FuncGroup([]obsmetrics.FuncFamily{
+		{Name: "ppdp_registry_datasets", Help: "Datasets stored in the registry."},
+		{Name: "ppdp_registry_releases", Help: "Releases stored in the registry."},
+		{Name: "ppdp_registry_policies", Help: "Policies stored in the registry."},
+	}, func() []float64 {
+		return []float64{
+			float64(s.reg.datasets.size()),
+			float64(s.reg.releases.size()),
+			float64(s.reg.policies.size()),
+		}
+	})
 
 	registerStats(r, func() reconcile.Stats { return s.recon.Stats() }, []statFamily[reconcile.Stats]{
 		{"ppdp_reconcile_specs", "Release specs tracked by the reconciler.", false,
@@ -237,10 +233,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 	}
 
-	r.GaugeFunc("ppdp_uptime_seconds",
-		"Seconds since the server started.", func() float64 {
-			return time.Since(s.started).Seconds()
-		})
+	r.FuncGroup([]obsmetrics.FuncFamily{{Name: "ppdp_uptime_seconds", Help: "Seconds since the server started."}},
+		func() []float64 { return []float64{time.Since(s.started).Seconds()} })
 	return m
 }
 

@@ -652,41 +652,29 @@ func TestMetricsHealthzConsistency(t *testing.T) {
 }
 
 // TestRegisterStatsOneSnapshotPerScrape renders two sources registered
-// through registerStats: each must be snapshotted once per render, and the
-// exposition must equal that of one function-backed family per field.
+// through registerStats: each must be snapshotted once per render, and each
+// family must render its own field of the snapshot.
 func TestRegisterStatsOneSnapshotPerScrape(t *testing.T) {
 	type stats struct{ hits, size int }
 	calls := map[string]int{}
-	source := func(name string, base int) func() stats {
-		return func() stats {
-			calls[name]++
-			return stats{hits: base + 1, size: base + 2}
-		}
-	}
-	families := func(prefix string) []statFamily[stats] {
-		return []statFamily[stats]{
-			{prefix + "_hits_total", "Hits.", true, func(st stats) float64 { return float64(st.hits) }},
-			{prefix + "_size", "Size.", false, func(st stats) float64 { return float64(st.size) }},
-		}
-	}
-	grouped, single := obsmetrics.NewRegistry(), obsmetrics.NewRegistry()
+	r := obsmetrics.NewRegistry()
 	for i, name := range []string{"alpha", "beta"} {
-		registerStats(grouped, source(name, 10*i), families("test_"+name))
-		snapshot := source("reference", 10*i)
-		for _, f := range families("test_" + name) {
-			collect := func() float64 { return f.get(snapshot()) }
-			if f.counter {
-				single.CounterFunc(f.name, f.help, collect)
-			} else {
-				single.GaugeFunc(f.name, f.help, collect)
-			}
-		}
+		registerStats(r, func() stats {
+			calls[name]++
+			return stats{hits: 10*i + 1, size: 10*i + 2}
+		}, []statFamily[stats]{
+			{"test_" + name + "_hits_total", "Hits.", true, func(st stats) float64 { return float64(st.hits) }},
+			{"test_" + name + "_size", "Size.", false, func(st stats) float64 { return float64(st.size) }},
+		})
 	}
-	var got, want strings.Builder
-	grouped.WriteText(&got)
-	single.WriteText(&want)
-	if got.String() != want.String() {
-		t.Fatalf("exposition:\n%s\nwant:\n%s", got.String(), want.String())
+	var out strings.Builder
+	r.WriteText(&out)
+	want := "# HELP test_alpha_hits_total Hits.\n# TYPE test_alpha_hits_total counter\ntest_alpha_hits_total 1\n" +
+		"# HELP test_alpha_size Size.\n# TYPE test_alpha_size gauge\ntest_alpha_size 2\n" +
+		"# HELP test_beta_hits_total Hits.\n# TYPE test_beta_hits_total counter\ntest_beta_hits_total 11\n" +
+		"# HELP test_beta_size Size.\n# TYPE test_beta_size gauge\ntest_beta_size 12\n"
+	if out.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", out.String(), want)
 	}
 	if calls["alpha"] != 1 || calls["beta"] != 1 {
 		t.Fatalf("snapshots per source in one scrape = %v, want 1 each", calls)
