@@ -17,9 +17,9 @@
 // source, so the exposition keeps no second copy of them.
 //
 // The Value accessors (Counter.Value, Gauge.Value, Histogram.Count) exist
-// so other read paths — the service's /healthz — can
-// report the same numbers the exposition renders, from the same registry, and
-// therefore can never drift from it.
+// so other read paths — the service's /healthz — can report the same
+// numbers the exposition renders, from the same registry, and therefore can
+// never drift from it.
 package obsmetrics
 
 import (
