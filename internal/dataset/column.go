@@ -63,10 +63,6 @@ type CodedColumn struct {
 	// of the dictionary; grouping uses it to order classes without comparing
 	// strings.
 	ranks []uint32
-	// clean reports that no dictionary value contains a byte below 0x20.
-	// Only then is per-value rank order guaranteed to match the byte order
-	// of joined signatures (the separator is 0x1f).
-	clean bool
 	// stats is the column's value distribution, built on first use
 	// (statsOnce): the column is immutable, so one O(rows) scan serves every
 	// later frequency, domain and privacy-criterion query.
@@ -78,8 +74,8 @@ type CodedColumn struct {
 	floatOnce sync.Once
 }
 
-// newCodedColumn returns the column over (dict, codes) with its ranks and
-// clean flag computed. index may be nil.
+// newCodedColumn returns the column over (dict, codes) with its ranks
+// computed. index may be nil.
 func newCodedColumn(dict []string, codes []uint32, index map[string]uint32) *CodedColumn {
 	cc := &CodedColumn{Codes: codes, Dict: dict, index: index}
 	cc.buildRanks()
@@ -304,8 +300,7 @@ func NewCodedColumn(dict []string, codes []uint32) (*CodedColumn, error) {
 	return newCodedColumn(dict, codes, index), nil
 }
 
-// buildRanks computes the byte-lexicographic rank of every code and whether
-// the dictionary is free of control bytes (see the field docs).
+// buildRanks computes the byte-lexicographic rank of every code.
 func (c *CodedColumn) buildRanks() {
 	order := make([]uint32, len(c.Dict))
 	for i := range order {
@@ -316,19 +311,6 @@ func (c *CodedColumn) buildRanks() {
 	for pos, code := range order {
 		c.ranks[code] = uint32(pos)
 	}
-	c.clean = allClean(c.Dict)
-}
-
-// allClean reports whether no value contains a byte below 0x20.
-func allClean(values []string) bool {
-	for _, v := range values {
-		for i := 0; i < len(v); i++ {
-			if v[i] < 0x20 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // lexOrder returns the column's codes in byte-lexicographic order of their
@@ -370,7 +352,7 @@ func (c *CodedColumn) appendColumn(o *CodedColumn) *CodedColumn {
 		}
 		codes = append(codes, remap[oc])
 	}
-	out := &CodedColumn{Codes: codes, Dict: dict, clean: c.clean && allClean(dict[len(c.Dict):])}
+	out := &CodedColumn{Codes: codes, Dict: dict}
 	if len(added) == 0 {
 		out.ranks = c.ranks
 		return out
@@ -424,8 +406,7 @@ func (c *CodedColumn) selectRows(idx []int, pad string) *CodedColumn {
 		}
 		codes[i] = remap[oc]
 	}
-	padNew := remap[len(c.Dict)] != math.MaxUint32
-	if padNew {
+	if remap[len(c.Dict)] != math.MaxUint32 {
 		pad = strings.Clone(pad)
 	}
 	// slot[2*rank+1] holds the new code (plus one) of the kept value with
@@ -450,7 +431,6 @@ func (c *CodedColumn) selectRows(idx []int, pad string) *CodedColumn {
 			pos++
 		}
 	}
-	out.clean = (c.clean && !padNew) || allClean(dict)
 	return out
 }
 

@@ -3,8 +3,10 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -324,13 +326,46 @@ func TestAppendTableRejectsMismatchedSchemas(t *testing.T) {
 	}
 }
 
-// TestGroupByCodedMatchesSignaturePath is the property test required by the
-// columnar refactor: for random tables, coded grouping must return classes
-// byte-identical (signatures, values, member rows, order) to the historical
-// string-signature implementation.
-func TestGroupByCodedMatchesSignaturePath(t *testing.T) {
+// groupOracle is the naive grouping reference, sharing no code with
+// GroupBy: rows are read as strings, collected in a map keyed by the
+// quoted value tuple, and the classes sorted with slices.Compare over their
+// values.
+func groupOracle(t *testing.T, tbl *Table, columns ...string) []EquivalenceClass {
+	t.Helper()
+	idx := make([]int, len(columns))
+	for i, c := range columns {
+		idx[i] = tbl.Schema().MustIndex(c)
+	}
+	byTuple := make(map[string]*EquivalenceClass)
+	for r, row := range tbl.Rows() {
+		values := make([]string, len(idx))
+		for i, c := range idx {
+			values[i] = row[c]
+		}
+		key := fmt.Sprintf("%q", values)
+		c, ok := byTuple[key]
+		if !ok {
+			c = &EquivalenceClass{Values: values}
+			byTuple[key] = c
+		}
+		c.Rows = append(c.Rows, r)
+	}
+	out := make([]EquivalenceClass, 0, len(byTuple))
+	for _, c := range byTuple {
+		out = append(out, *c)
+	}
+	slices.SortFunc(out, func(a, b EquivalenceClass) int { return slices.Compare(a.Values, b.Values) })
+	return out
+}
+
+// TestGroupByMatchesOracle: for random tables, GroupBy must return exactly
+// the oracle's classes (values, member rows, order). The value pool holds
+// the 0x1f signature separator and other control bytes, so tuples that
+// join to one signature must still form separate classes.
+func TestGroupByMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	categorical := []string{"a", "b", "ab", "A", "", "z*z", "über", "flu", "[20-30)", "*"}
+	categorical := []string{"a", "b", "ab", "A", "", "z*z", "über", "flu", "[20-30)", "*",
+		"a\x1fb", "\x01", "a\x01", "b\x1fc"}
 	for trial := 0; trial < 200; trial++ {
 		ncols := 1 + rng.Intn(4)
 		attrs := make([]Attribute, ncols)
@@ -358,86 +393,106 @@ func TestGroupByCodedMatchesSignaturePath(t *testing.T) {
 			t.Fatal(err)
 		}
 		names := tbl.Schema().Names()
-		coded, err := tbl.GroupBy(names...)
+		got, err := tbl.GroupBy(names...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cols := make([]int, len(names))
-		for i, n := range names {
-			cols[i] = tbl.Schema().MustIndex(n)
-		}
-		ref, err := tbl.groupBySignature(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(coded, ref) {
-			t.Fatalf("trial %d: coded GroupBy diverged from string-signature path:\ncoded: %+v\nref:   %+v",
-				trial, coded, ref)
+		if want := groupOracle(t, tbl, names...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: GroupBy diverged from the oracle:\ngot:  %+v\nwant: %+v", trial, got, want)
 		}
 	}
 }
 
-// TestGroupByControlByteFallback exercises the string-sort fallback taken
-// when values contain bytes below 0x20 (rank order can then differ from
-// joined-signature byte order).
-func TestGroupByControlByteFallback(t *testing.T) {
+// TestGroupByControlBytes groups values holding bytes below 0x20, where
+// tuple order differs from the byte order of joined signatures and two
+// tuples can join to one signature.
+func TestGroupByControlBytes(t *testing.T) {
 	s := MustSchema(
 		Attribute{Name: "x", Kind: QuasiIdentifier, Type: Categorical},
 		Attribute{Name: "y", Kind: QuasiIdentifier, Type: Categorical},
 	)
 	tbl, err := FromRows(s, []Row{
 		{"a", "b"}, {"a\x01c", "b"}, {"a", "\x02"}, {"a\x01c", "b"}, {"q", "r"},
+		{"a\x1fb", "c"}, {"a", "b\x1fc"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := tbl.GroupBy("x", "y")
+	got, err := tbl.GroupBy("x", "y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := tbl.groupBySignature([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
+	if want := groupOracle(t, tbl, "x", "y"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("control-byte grouping diverged:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if !reflect.DeepEqual(coded, ref) {
-		t.Fatalf("control-byte grouping diverged:\ncoded: %+v\nref:   %+v", coded, ref)
+	want := []EquivalenceClass{
+		{Values: []string{"a", "\x02"}, Rows: []int{2}},
+		{Values: []string{"a", "b"}, Rows: []int{0}},
+		{Values: []string{"a", "b\x1fc"}, Rows: []int{6}},
+		{Values: []string{"a\x01c", "b"}, Rows: []int{1, 3}},
+		{Values: []string{"a\x1fb", "c"}, Rows: []int{5}},
+		{Values: []string{"q", "r"}, Rows: []int{4}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("GroupBy = %q, want %q", got, want)
 	}
 }
 
-// TestGroupByRadixOverflowFallback forces the cardinality product past
-// uint64 so GroupBy takes the string-signature path.
-func TestGroupByRadixOverflowFallback(t *testing.T) {
-	ncols := 10
+// TestGroupByRadixOverflow forces the cardinality product past 128 bits, so
+// GroupBy chains at least three runs of columns. Rows are mutations of a few
+// prototypes, so classes share long prefixes and recur across rows, and
+// every run's class numbering decides the final order.
+func TestGroupByRadixOverflow(t *testing.T) {
+	forceSmallChunks(t)
+	const ncols = 30
 	attrs := make([]Attribute, ncols)
+	names := make([]string, ncols)
 	for i := range attrs {
-		attrs[i] = Attribute{Name: fmt.Sprintf("w%d", i), Kind: QuasiIdentifier, Type: Categorical}
+		names[i] = fmt.Sprintf("w%d", i)
+		attrs[i] = Attribute{Name: names[i], Kind: QuasiIdentifier, Type: Categorical}
 	}
 	rng := rand.New(rand.NewSource(3))
-	rows := make([]Row, 300)
-	for r := range rows {
-		row := make(Row, ncols)
-		for i := range row {
-			// ~150 distinct values per column: 150^10 overflows uint64.
-			row[i] = fmt.Sprintf("v%03d", rng.Intn(150))
+	value := func() string {
+		return []string{"v", "v\x1f", "\x01v"}[rng.Intn(3)] + fmt.Sprintf("%02d", rng.Intn(50))
+	}
+	protos := make([]Row, 6)
+	for p := range protos {
+		protos[p] = make(Row, ncols)
+		for i := range protos[p] {
+			protos[p][i] = value()
 		}
-		rows[r] = row
+	}
+	rows := make([]Row, 2000)
+	for r := range rows {
+		rows[r] = slices.Clone(protos[rng.Intn(len(protos))])
+		if rng.Intn(2) == 0 {
+			rows[r][rng.Intn(ncols)] = value()
+		}
 	}
 	tbl, err := FromRows(MustSchema(attrs...), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	classes, err := tbl.GroupBy(tbl.Schema().Names()...)
-	if err != nil {
-		t.Fatal(err)
+	prod := 1.0
+	for i := range attrs {
+		cc, _ := tbl.CodedColumn(i)
+		prod *= float64(cc.Cardinality())
 	}
-	total := 0
-	for i, c := range classes {
-		total += c.Size()
-		if i > 0 && classes[i-1].Signature >= c.Signature {
-			t.Fatal("fallback classes not sorted by signature")
+	if prod < math.Pow(2, 128) {
+		t.Fatalf("cardinality product %g does not need three runs", prod)
+	}
+	want := groupOracle(t, tbl, names...)
+	if len(want) == len(rows) {
+		t.Fatal("fixture has no repeated tuples")
+	}
+	for _, workers := range []int{1, 4} {
+		tbl.SetScanWorkers(workers)
+		got, err := tbl.GroupBy(names...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != tbl.Len() {
-		t.Fatalf("fallback classes cover %d rows, want %d", total, tbl.Len())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: GroupBy over overflowing columns diverged from the oracle", workers)
+		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -508,16 +508,10 @@ func TestGroupByDeterministicOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := tbl.GroupBy("zip")
-	sigsA := make([]string, len(a))
-	sigsB := make([]string, len(b))
-	for i := range a {
-		sigsA[i] = a[i].Signature
-		sigsB[i] = b[i].Signature
-	}
-	if !sort.StringsAreSorted(sigsA) {
+	if !slices.IsSortedFunc(a, func(x, y EquivalenceClass) int { return slices.Compare(x.Values, y.Values) }) {
 		t.Error("GroupBy output not sorted")
 	}
-	if !reflect.DeepEqual(sigsA, sigsB) {
+	if !reflect.DeepEqual(a, b) {
 		t.Error("GroupBy not deterministic")
 	}
 }

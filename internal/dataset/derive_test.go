@@ -50,10 +50,10 @@ func buildAllViews(t *testing.T, tbl *Table) {
 }
 
 // sameCoded reports whether two coded views agree on everything a reader
-// observes: dictionary, codes, ranks, the control-byte flag and stats.
+// observes: dictionary, codes, ranks and stats.
 func sameCoded(a, b *CodedColumn) bool {
 	return slices.Equal(a.Dict, b.Dict) && slices.Equal(a.Codes, b.Codes) &&
-		slices.Equal(a.ranks, b.ranks) && a.clean == b.clean &&
+		slices.Equal(a.ranks, b.ranks) &&
 		reflect.DeepEqual(a.Stats(), b.Stats())
 }
 

@@ -22,11 +22,10 @@
 // row-content fingerprint state. There is no row storage; Row and Value
 // read Dict[Codes[i]], and Row returns a fresh copy. Hot paths never
 // re-parse or re-join strings: Table.FloatColumn returns a parse-once
-// numeric view derived from the dictionary, and Table.GroupBy builds
-// equivalence classes from mixed-radix coded keys — one uint64 per row —
-// falling back to the historical string path only when a dictionary
-// contains control bytes or the key space overflows; both paths produce
-// byte-identical output. Heap tables (FromRows, ReadCSV) and snapshot
+// numeric view derived from the dictionary, and Table.GroupBy identifies
+// each equivalence class by its value tuple through mixed-radix coded
+// keys — one uint64 per row, chained over runs of columns when the key
+// space overflows — and orders classes by the values' ranks. Heap tables (FromRows, ReadCSV) and snapshot
 // tables (OpenSnapshot) are the same type and differ only in where the
 // column buffers live.
 //

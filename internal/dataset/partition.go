@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -11,11 +12,9 @@ import (
 )
 
 // EquivalenceClass is a group of row indices that share identical values on a
-// set of grouping columns (normally the quasi-identifier). The Signature is
-// the joined grouping-value key that defines the class.
+// set of grouping columns (normally the quasi-identifier). The class is
+// identified by its value tuple.
 type EquivalenceClass struct {
-	// Signature is the unit-separator-joined grouping values of the class.
-	Signature string
 	// Values are the shared grouping values, in grouping-column order.
 	Values []string
 	// Rows are the indices (into the grouped table) of the class members.
@@ -25,29 +24,34 @@ type EquivalenceClass struct {
 // Size returns the number of records in the class.
 func (ec EquivalenceClass) Size() int { return len(ec.Rows) }
 
-// signatureSep separates values inside an equivalence-class signature. The
-// ASCII unit separator cannot appear in realistic attribute values.
+// signatureSep separates values inside a signature. The ASCII unit
+// separator is rare in realistic attribute values, but nothing refuses it,
+// so a signature is a display and map key, not a class identity.
 const signatureSep = "\x1f"
 
-// Signature joins grouping values into an equivalence-class key.
+// Signature joins grouping values into one string key. Values that contain
+// the separator can join to the same key as other values.
 func Signature(values []string) string { return strings.Join(values, signatureSep) }
 
-// SplitSignature splits an equivalence-class key back into its values.
+// SplitSignature splits a Signature key back into its values.
 func SplitSignature(sig string) []string { return strings.Split(sig, signatureSep) }
 
 // GroupBy partitions the table into equivalence classes over the named
-// columns. Classes are returned in deterministic order (sorted by signature)
-// and each class lists its member row indices in table order.
+// columns: one class per distinct tuple of values. Classes are ordered
+// lexicographically by value tuple (first column first, each value compared
+// byte-wise), and each class lists its member row indices in table order.
 //
-// Grouping runs over the dictionary-encoded columnar view: each row's key is
-// the mixed-radix combination of its interned value codes — a single uint64
-// that identifies the value tuple exactly — so the hot loop does one integer
-// map operation per row and allocates nothing per row. Member-row sets and
-// per-class value slices are carved out of shared arenas, and the string
-// signature is built once per class, byte-identical to the historical
-// string-join implementation (which remains as groupBySignature, both as the
-// fallback when the cardinality product overflows and as the reference
-// implementation for equivalence tests).
+// Grouping runs over the dictionary codes: a row's key is the mixed-radix
+// combination of its value codes, one uint64 that identifies the tuple
+// exactly, so the hot loop does one integer map operation per row and
+// allocates nothing per row. Combining the values' lexicographic ranks the
+// same way gives a key whose integer order is the tuple order, so classes
+// are sorted without comparing strings. When the cardinality product of
+// the columns overflows 64 bits, the columns are grouped in runs that fit:
+// each run's classes are numbered in class order, and that number is the
+// leading digit of the next run's key. Member-row sets and value slices
+// are carved out of shared arenas, and each class's values are read from
+// its first row's codes.
 func (t *Table) GroupBy(columns ...string) ([]EquivalenceClass, error) {
 	cols := make([]int, len(columns))
 	for i, c := range columns {
@@ -64,44 +68,70 @@ func (t *Table) GroupBy(columns ...string) ([]EquivalenceClass, error) {
 	k := len(cols)
 	coded := make([]*CodedColumn, k)
 	radix := make([]uint64, k)
-	prod := uint64(1)
 	for i, ci := range cols {
 		cc, err := t.CodedColumn(ci)
 		if err != nil {
 			return nil, err
 		}
-		if !cc.clean {
-			// A value contains a control byte: it could embed the 0x1f
-			// signature separator, in which case distinct value tuples can
-			// join to one signature and must be merged exactly as the
-			// historical implementation merged them (and rank order is no
-			// longer signature byte order). Delegate wholesale.
-			return t.groupBySignature(cols)
-		}
 		coded[i] = cc
-		card := uint64(cc.Cardinality())
-		radix[i] = card
-		if prod > math.MaxUint64/card {
-			// The exact combined key does not fit 64 bits (astronomically
-			// wide groupings only); fall back to string signatures.
-			return t.groupBySignature(cols)
-		}
-		prod *= card
+		radix[i] = uint64(cc.Cardinality())
 	}
 
-	// Pass 1: assign every row to a group via its exact combined key. With a
-	// scan-worker bound set (SetScanWorkers), contiguous row chunks build
-	// partial group maps concurrently and merge left to right; the result is
-	// byte-identical to the sequential scan for every worker count (see
-	// groupAssign).
-	groups, rowGroup := groupAssign(coded, radix, n, t.scanParallelism())
+	// Each run assigns every row to a group via its exact combined key (see
+	// groupAssign), sorts the groups by rank key, and renumbers rowGroup to
+	// class positions, which lead the next run's keys. A run always takes at
+	// least one column: a class count and a cardinality are both at most
+	// the row count, so their product fits.
+	var rowGroup []int32
+	var counts []int32
+	leadCard := uint64(1)
+	for lo := 0; ; {
+		hi, prod := lo, leadCard
+		for hi < k && prod <= math.MaxUint64/radix[hi] {
+			prod *= radix[hi]
+			hi++
+		}
+		var groups []grp
+		groups, rowGroup = groupAssign(rowGroup, coded[lo:hi], radix[lo:hi], n, t.scanParallelism())
+		counts = sortGroups(groups, rowGroup, coded[lo:hi], radix[lo:hi])
+		leadCard = uint64(len(counts))
+		if lo = hi; lo == k {
+			break
+		}
+	}
 
-	// Order classes before materializing. The dictionaries are free of
-	// control bytes (checked above), so the mixed-radix combination of
-	// per-value lexicographic ranks orders classes exactly like a byte
-	// comparison of their joined signatures would (values cannot contain the
-	// 0x1f separator or anything below it): the sort compares integers
-	// instead of strings.
+	// Scatter rows into one shared arena, preserving table order within
+	// each class.
+	offs := make([]int32, len(counts)+1)
+	for ci, c := range counts {
+		offs[ci+1] = offs[ci] + c
+	}
+	rowsArena := make([]int, n)
+	cursor := slices.Clone(offs[:len(counts)])
+	for r, ci := range rowGroup {
+		rowsArena[cursor[ci]] = r
+		cursor[ci]++
+	}
+
+	out := make([]EquivalenceClass, len(counts))
+	valuesArena := make([]string, len(counts)*k)
+	for ci := range out {
+		lo, hi := offs[ci], offs[ci+1]
+		values := valuesArena[ci*k : (ci+1)*k : (ci+1)*k]
+		first := rowsArena[lo]
+		for i, cc := range coded {
+			values[i] = cc.Dict[cc.Codes[first]]
+		}
+		out[ci] = EquivalenceClass{Values: values, Rows: rowsArena[lo:hi:hi]}
+	}
+	return out, nil
+}
+
+// sortGroups orders one run's groups by rank key, renumbers rowGroup in
+// place to each row's class position, and returns the class sizes in class
+// order. A group key's leading digit (above the run's columns) is the
+// previous run's class position, which is already in class order.
+func sortGroups(groups []grp, rowGroup []int32, coded []*CodedColumn, radix []uint64) []int32 {
 	type ranked struct {
 		rk uint64
 		gi int32
@@ -111,71 +141,31 @@ func (t *Table) GroupBy(columns ...string) ([]EquivalenceClass, error) {
 		key := g.key
 		rk := uint64(0)
 		weight := uint64(1)
-		for i := k - 1; i >= 0; i-- {
+		for i := len(coded) - 1; i >= 0; i-- {
 			rk += uint64(coded[i].ranks[key%radix[i]]) * weight
 			weight *= radix[i]
 			key /= radix[i]
 		}
-		perm[gi] = ranked{rk: rk, gi: int32(gi)}
+		perm[gi] = ranked{rk: rk + key*weight, gi: int32(gi)}
 	}
-	slices.SortFunc(perm, func(a, b ranked) int {
-		if a.rk < b.rk {
-			return -1
-		}
-		if a.rk > b.rk {
-			return 1
-		}
-		return 0
-	})
-
-	// Pass 2: scatter rows into one shared arena, preserving table order
-	// within each class.
-	rowsArena := make([]int, n)
-	cursor := make([]int32, len(groups))
-	off := int32(0)
-	for gi := range groups {
-		groups[gi].off = off
-		cursor[gi] = off
-		off += groups[gi].count
+	slices.SortFunc(perm, func(a, b ranked) int { return cmp.Compare(a.rk, b.rk) })
+	pos := make([]int32, len(groups))
+	counts := make([]int32, len(groups))
+	for ci, p := range perm {
+		pos[p.gi] = int32(ci)
+		counts[ci] = groups[p.gi].count
 	}
-	for r := 0; r < n; r++ {
-		gi := rowGroup[r]
-		rowsArena[cursor[gi]] = r
-		cursor[gi]++
+	for r, gi := range rowGroup {
+		rowGroup[r] = pos[gi]
 	}
-
-	// Materialize classes in output order: decode each group key back into
-	// value strings carved from a shared arena.
-	out := make([]EquivalenceClass, len(groups))
-	valuesArena := make([]string, len(groups)*k)
-	for oi, p := range perm {
-		g := groups[p.gi]
-		values := valuesArena[oi*k : (oi+1)*k : (oi+1)*k]
-		key := g.key
-		for i := k - 1; i >= 0; i-- {
-			values[i] = coded[i].Dict[key%radix[i]]
-			key /= radix[i]
-		}
-		sig := Signature(values)
-		if k == 0 {
-			// Preserve the historical string-split behavior: grouping by no
-			// columns yields Values == [""], not an empty slice.
-			values = SplitSignature(sig)
-		}
-		out[oi] = EquivalenceClass{
-			Signature: sig,
-			Values:    values,
-			Rows:      rowsArena[g.off : g.off+g.count : g.off+g.count],
-		}
-	}
-	return out, nil
+	return counts
 }
 
 // grp is pass-1 grouping state: one entry per distinct combined key, indexed
 // in first-appearance order over the table's rows.
 type grp struct {
-	key        uint64
-	count, off int32
+	key   uint64
+	count int32
 }
 
 // gbPartial is one row chunk's partial grouping state. Group ids are local
@@ -194,7 +184,8 @@ var groupByMinChunk = parallel.MinChunk
 
 // groupAssign computes, for every row, the id of its group (rowGroup) and
 // the per-group key/count table, with groups numbered in first-appearance
-// order. workers > 1 scans contiguous row chunks concurrently into partial
+// order. A non-nil lead holds each row's leading key digit, above the
+// columns' digits, and is overwritten with the row's group id. workers > 1 scans contiguous row chunks concurrently into partial
 // states and merges them strictly left to right.
 //
 // Determinism: chunk 0's local first-appearance order is by construction a
@@ -205,8 +196,11 @@ var groupByMinChunk = parallel.MinChunk
 // for every worker count; byte-identity of GroupBy's output follows. Each
 // chunk writes only its own rowGroup[lo:hi] segment, so the shared slice
 // needs no synchronization beyond the fold's completion barrier.
-func groupAssign(coded []*CodedColumn, radix []uint64, n, workers int) ([]grp, []int32) {
-	rowGroup := make([]int32, n)
+func groupAssign(lead []int32, coded []*CodedColumn, radix []uint64, n, workers int) ([]grp, []int32) {
+	rowGroup := lead
+	if rowGroup == nil {
+		rowGroup = make([]int32, n)
+	}
 	scan := func(lo, hi int) (*gbPartial, error) {
 		p := &gbPartial{
 			lo:     lo,
@@ -216,6 +210,9 @@ func groupAssign(coded []*CodedColumn, radix []uint64, n, workers int) ([]grp, [
 		}
 		for r := lo; r < hi; r++ {
 			key := uint64(0)
+			if lead != nil {
+				key = uint64(lead[r])
+			}
 			for i, cc := range coded {
 				key = key*radix[i] + uint64(cc.Codes[r])
 			}
@@ -250,31 +247,6 @@ func groupAssign(coded []*CodedColumn, radix []uint64, n, workers int) ([]grp, [
 	}
 	p, _ := parallel.Fold(n, workers, groupByMinChunk, scan, merge)
 	return p.groups, rowGroup
-}
-
-// groupBySignature is the historical string-join grouping used when the
-// coded-key space overflows uint64, and the reference implementation that
-// coded grouping is tested against.
-func (t *Table) groupBySignature(cols []int) ([]EquivalenceClass, error) {
-	groups := make(map[string][]int)
-	for r := 0; r < t.n; r++ {
-		key := make([]string, len(cols))
-		for i, c := range cols {
-			key[i] = t.cols[c].Dict[t.cols[c].Codes[r]]
-		}
-		sig := Signature(key)
-		groups[sig] = append(groups[sig], r)
-	}
-	out := make([]EquivalenceClass, 0, len(groups))
-	for sig, rows := range groups {
-		out = append(out, EquivalenceClass{
-			Signature: sig,
-			Values:    SplitSignature(sig),
-			Rows:      rows,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signature < out[j].Signature })
-	return out, nil
 }
 
 // GroupByQuasiIdentifier partitions the table into equivalence classes over

@@ -9,13 +9,13 @@ import (
 )
 
 // padAlphabet is the value pool of the SelectPad property test: short
-// values with shared prefixes, a control byte (so the clean flag varies),
-// the empty string and the suppression marker.
+// values with shared prefixes, a control byte (so byte order is not
+// printable order), the empty string and the suppression marker.
 var padAlphabet = []string{"", "*", "a", "ab", "b", "ba", "z\x01", "10", "9", "counterfeit"}
 
 // TestSelectPadMatchesFromRows: on random tables, SelectPad must encode
 // exactly what FromRows gives over the same cells — dictionary, codes,
-// ranks, clean flag, fingerprint and GroupBy class order — whether the pad
+// ranks, fingerprint and GroupBy class order — whether the pad
 // values collide with the column's values, are new, or fill every row.
 func TestSelectPadMatchesFromRows(t *testing.T) {
 	schema := MustSchema(
@@ -94,8 +94,8 @@ func assertSameEncoding(t *testing.T, trial int, got, want *Table) {
 		if !slices.Equal(g.Dict, w.Dict) || !slices.Equal(g.Codes, w.Codes) {
 			t.Fatalf("trial %d column %d: dict %q codes %v, want %q %v", trial, j, g.Dict, g.Codes, w.Dict, w.Codes)
 		}
-		if !slices.Equal(g.ranks, w.ranks) || g.clean != w.clean {
-			t.Fatalf("trial %d column %d: ranks %v clean %v, want %v %v", trial, j, g.ranks, g.clean, w.ranks, w.clean)
+		if !slices.Equal(g.ranks, w.ranks) {
+			t.Fatalf("trial %d column %d: ranks %v, want %v", trial, j, g.ranks, w.ranks)
 		}
 	}
 	if g, w := got.Fingerprint(), want.Fingerprint(); g != w {

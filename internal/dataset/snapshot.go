@@ -39,13 +39,12 @@ import (
 //	dict     blob of concatenated value bytes
 //
 // A segment holds only what the cells cannot give back. Whatever follows
-// from the dictionary is derived at load, never read from the file: the
-// clean flag (allClean over the decoded values) and, on first use, the
-// float view (floatColumnFromCodes, the path heap columns take). Snapshots
-// written before this rule may carry a float vector and validity bytes
-// between codes and dict, and "clean"/"float" header keys; the explicit
-// dict offset steps over those bytes, the decoder ignores the keys, and
-// the segment CRC still covers them.
+// from the dictionary is derived from it, never read from the file: the
+// float view is built on first use (floatColumnFromCodes, the path heap
+// columns take). Snapshots written before this rule may carry a float
+// vector and validity bytes between codes and dict, and "clean"/"float"
+// header keys; the explicit dict offset steps over those bytes, the
+// decoder ignores the keys, and the segment CRC still covers them.
 //
 // Every segment carries a CRC-32 in the header, and the header embeds the
 // table's content fingerprint; OpenSnapshot verifies both, and checks that
@@ -222,7 +221,7 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	out := &segmentWriter{w: bw}
 	var fixed [16]byte
 	copy(fixed[:8], snapshotMagic[:])
@@ -414,7 +413,7 @@ func slice(path string, data []byte, start, length int64, what string) ([]byte, 
 }
 
 // decodeSegment verifies one column segment's CRC and builds its zero-copy
-// views, deriving the clean flag from the decoded dictionary.
+// views.
 func decodeSegment(path string, data []byte, dataStart int64, rows int, col *snapCol) (*CodedColumn, error) {
 	segStart := dataStart + col.SegOff
 	seg, err := slice(path, data, segStart, col.SegLen, "column segment")
@@ -457,7 +456,6 @@ func decodeSegment(path string, data []byte, dataStart int64, rows int, col *sna
 		Codes: u32View(codesB),
 		Dict:  dict,
 		ranks: u32View(ranksB),
-		clean: allClean(dict),
 		// index stays nil: Code() builds it lazily on first use, so opening a
 		// snapshot never pays O(dict) map construction per column.
 	}

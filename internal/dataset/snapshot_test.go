@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -112,9 +113,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("col %d ranks[%d] = %d, want %d", col, c, gotCC.ranks[c], wantCC.ranks[c])
 			}
 		}
-		if gotCC.clean != wantCC.clean {
-			t.Fatalf("col %d clean = %v, want %v", col, gotCC.clean, wantCC.clean)
-		}
 		// Reverse lookup works via the lazily-built index.
 		code, ok := gotCC.Code(wantCC.Dict[0])
 		if !ok || code != 0 {
@@ -144,13 +142,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotGroups) != len(wantGroups) {
-		t.Fatalf("groups = %d, want %d", len(gotGroups), len(wantGroups))
-	}
-	for i := range wantGroups {
-		if gotGroups[i].Signature != wantGroups[i].Signature {
-			t.Fatalf("group %d signature mismatch", i)
-		}
+	if !reflect.DeepEqual(gotGroups, wantGroups) {
+		t.Fatal("GroupBy over the mapped table differs from the heap table")
 	}
 }
 
@@ -493,8 +486,8 @@ func TestSnapshotVerifyContent(t *testing.T) {
 
 // heapMismatch rebuilds tbl on the heap with FromRows over its own decoded
 // rows and describes the first way tbl behaves differently: a float view of
-// any column, or GroupBy over all columns (signatures, values, members and
-// class order). It returns "" when the two agree. Fingerprints are left to
+// any column, or GroupBy over all columns (values, members and class
+// order). It returns "" when the two agree. Fingerprints are left to
 // the caller, since a snapshot's comes from its header.
 func heapMismatch(tbl *Table) (string, *Table) {
 	heap, err := FromRows(tbl.Schema(), tbl.Rows())
@@ -517,7 +510,7 @@ func heapMismatch(tbl *Table) (string, *Table) {
 	}
 	want, _ := heap.GroupBy(names...)
 	if !slices.EqualFunc(got, want, func(a, b EquivalenceClass) bool {
-		return a.Signature == b.Signature && slices.Equal(a.Values, b.Values) && slices.Equal(a.Rows, b.Rows)
+		return slices.Equal(a.Values, b.Values) && slices.Equal(a.Rows, b.Rows)
 	}) {
 		return fmt.Sprintf("GroupBy %q, heap %q", got, want), heap
 	}
@@ -560,11 +553,6 @@ func TestSnapshotOlderFormat(t *testing.T) {
 	if tbl.Fingerprint() != heap.Fingerprint() {
 		t.Fatalf("fingerprint %s, heap rebuild %s", tbl.Fingerprint(), heap.Fingerprint())
 	}
-	for c, want := range []bool{true, true, false} {
-		if cc, _ := tbl.CodedColumn(c); cc.clean != want {
-			t.Fatalf("column %d: clean = %v, want %v", c, cc.clean, want)
-		}
-	}
 	var got, ref bytes.Buffer
 	if err := tbl.WriteSnapshot(&got); err != nil {
 		t.Fatal(err)
@@ -596,7 +584,9 @@ func TestSnapshotOlderFormat(t *testing.T) {
 // validity byte of 2), a clean flag over values holding the 0x1f signature
 // separator, and two swapped ranks. Derived facts now come from the cells,
 // so the first two behave exactly like their heap rebuilds; ranks are
-// stored, so a pair out of order is refused.
+// stored, so a pair out of order is refused. The clean forgery's two rows
+// join to one signature but differ as value tuples, so they form two
+// classes.
 func TestSnapshotForgedDerivedFacts(t *testing.T) {
 	for _, name := range []string{"forged_float.tbl", "forged_clean.tbl"} {
 		t.Run(name, func(t *testing.T) {
@@ -614,14 +604,14 @@ func TestSnapshotForgedDerivedFacts(t *testing.T) {
 			}
 		})
 	}
-	t.Run("forged_clean.tbl/one class", func(t *testing.T) {
+	t.Run("forged_clean.tbl/two classes", func(t *testing.T) {
 		mt, err := OpenSnapshot(filepath.Join("testdata", "snapshot", "forged_clean.tbl"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mt.Close()
-		if classes, _ := mt.Table().GroupBy("a", "b"); len(classes) != 1 {
-			t.Fatalf("GroupBy = %d classes, want 1 (both rows join to one signature)", len(classes))
+		if classes, _ := mt.Table().GroupBy("a", "b"); len(classes) != 2 {
+			t.Fatalf("GroupBy = %d classes, want 2 (the rows differ as value tuples)", len(classes))
 		}
 	})
 	t.Run("forged_ranks.tbl", func(t *testing.T) {

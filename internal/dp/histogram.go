@@ -54,8 +54,8 @@ type HistogramConfig struct {
 
 // ReleaseHistogram publishes a differentially private histogram of the table
 // over the configured attributes using the Laplace mechanism with
-// sensitivity 1. Noise is drawn cell by cell in signature order, so a seeded
-// Rng gives a reproducible release.
+// sensitivity 1. Noise is drawn cell by cell in GroupBy's class order (by
+// value tuple), so a seeded Rng gives a reproducible release.
 func ReleaseHistogram(t *dataset.Table, cfg HistogramConfig) (*Histogram, error) {
 	if len(cfg.Attributes) == 0 {
 		return nil, errors.New("dp: histogram needs at least one attribute")
@@ -74,7 +74,7 @@ func ReleaseHistogram(t *dataset.Table, cfg HistogramConfig) (*Histogram, error)
 		if cfg.PostProcess && v < 0 {
 			v = 0
 		}
-		noisy[c.Signature] = v
+		noisy[dataset.Signature(c.Values)] = v
 	}
 	return &Histogram{
 		Attributes: append([]string(nil), cfg.Attributes...),

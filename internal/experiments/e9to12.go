@@ -36,7 +36,7 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	}
 	trueCounts := make(map[string]int, len(cells))
 	for _, c := range cells {
-		trueCounts[c.Signature] = c.Size()
+		trueCounts[dataset.Signature(c.Values)] = c.Size()
 	}
 
 	rep := &Report{

@@ -497,21 +497,22 @@ func MeasurePresence(private, public *dataset.Table) (min, max float64, err erro
 	if err != nil {
 		return 0, 0, err
 	}
-	// Count private rows per signature using the same QI columns.
+	// Count private rows per value tuple using the same QI columns. The
+	// quoted tuple is an injective key: values may hold any byte.
 	privClasses, err := private.GroupBy(qi...)
 	if err != nil {
 		return 0, 0, err
 	}
 	privCounts := make(map[string]int, len(privClasses))
 	for _, c := range privClasses {
-		privCounts[c.Signature] = c.Size()
+		privCounts[fmt.Sprintf("%q", c.Values)] = c.Size()
 	}
 	min, max = 1, 0
 	if len(pubClasses) == 0 {
 		return 0, 0, ErrNoClasses
 	}
 	for _, c := range pubClasses {
-		ratio := float64(privCounts[c.Signature]) / float64(c.Size())
+		ratio := float64(privCounts[fmt.Sprintf("%q", c.Values)]) / float64(c.Size())
 		if ratio < min {
 			min = ratio
 		}

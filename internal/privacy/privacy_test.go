@@ -474,3 +474,29 @@ func TestRecursiveBoundary(t *testing.T) {
 		t.Error("CheckAll accepted r1/tail = c")
 	}
 }
+
+// TestDeltaPresenceSeparatorTuples measures δ-presence over public tuples
+// that join to one signature string: ("a\x1fb", "c") and ("a", "b\x1fc").
+// Only the first is in the private table, so its presence is 1 and the
+// other's is 0.
+func TestDeltaPresenceSeparatorTuples(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "x", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+		dataset.Attribute{Name: "y", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	public, err := dataset.FromRows(schema, []dataset.Row{{"a\x1fb", "c"}, {"a", "b\x1fc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	private, err := dataset.FromRows(schema, []dataset.Row{{"a\x1fb", "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, err := MeasurePresence(private, public)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo != 0 || hi != 1 {
+		t.Fatalf("presence bounds = [%v, %v], want [0, 1]", lo, hi)
+	}
+}

@@ -643,7 +643,10 @@ func (s *Store) checkpointLocked() error {
 	_ = s.fs.Remove(oldWAL)
 
 	// GC table snapshots nothing references anymore, except those whose
-	// referencing Apply may still be on its way (putAt).
+	// referencing Apply may still be on its way (putAt). Only the file and
+	// the tables entry go: a table already opened keeps its mapping in
+	// mapped and cached, and counts in MappedTables, until Close (the file
+	// stays readable through the mapping on POSIX).
 	referenced := map[string]bool{}
 	for _, byKey := range s.records {
 		for _, r := range byKey {
@@ -655,12 +658,6 @@ func (s *Store) checkpointLocked() error {
 	for fp := range s.tables {
 		if referenced[fp] || s.checkpointT.Sub(s.putAt[fp]) < putGrace {
 			continue
-		}
-		if mt, ok := s.mapped[fp]; ok {
-			// Still mapped by a live reader from before the delete; keep the
-			// mapping open (the file stays readable through it on POSIX) but
-			// drop our handles.
-			_ = mt
 		}
 		_ = s.fs.Remove(s.tablePath(fp))
 		delete(s.tables, fp)
