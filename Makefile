@@ -55,8 +55,8 @@ race:
 # with the sample count. The file name carries the PR number that introduced
 # the recording; bench-compare diffs the fresh numbers against the previous
 # PR's committed baseline.
-BENCH_OUT ?= BENCH_PR25.json
-BENCH_BASELINE ?= BENCH_PR24.json
+BENCH_OUT ?= BENCH_PR26.json
+BENCH_BASELINE ?= BENCH_PR25.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem -count=6 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }

@@ -136,6 +136,25 @@ func BenchmarkMondrianK10(b *testing.B) {
 	}
 }
 
+// BenchmarkMondrianCensus measures one sequential Mondrian run over all nine
+// census quasi-identifiers at k=10: the shape of the service's cold
+// anonymize request (5k rows) and of its reconcile after an append (10k
+// rows).
+func BenchmarkMondrianCensus(b *testing.B) {
+	hs := synth.CensusHierarchies()
+	for _, rows := range []int{5000, 10000} {
+		tbl := synth.Census(rows, 1)
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mondrian.Anonymize(tbl, mondrian.Config{K: 10, Hierarchies: hs, Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkRecodeGroups measures multidimensional recoding alone: 5k census
 // rows recoded over the groups of a Mondrian k=10 run, the release step every
 // Mondrian and k-member run ends with.

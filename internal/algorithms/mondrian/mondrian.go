@@ -17,6 +17,21 @@
 // (rank, row) keys instead of comparing values, and categorical dimensions
 // read dictionary-encoded
 // CodedColumns, so the recursion never re-parses or re-hashes cell strings.
+// A split of radixThreshold or more rows orders its keys with an LSD radix
+// sort, which gives the same order.
+//
+// Two exact pruning rules spare the recursion partitions that cannot split.
+// A partition of fewer than 2K rows is final without measuring anything:
+// every allowable split leaves at least K rows on each side, and the sides
+// add up to the partition (extra criteria only forbid more splits). And a
+// dimension that cannot split a partition — one distinct code, or one rank
+// (or none) on a numeric dimension — cannot split any subset of it, so each
+// partition hands its children only the dimensions still live over its own
+// rows. Liveness is this structural test, never width == 0: a numeric
+// column whose global span overflows to +Inf reads width 0 everywhere yet
+// still splits. Dead dimensions still enter the width sort, at width 0, so
+// the live ones are tried in the unpruned order.
+//
 // Independent subtrees of the recursion run on a bounded worker pool (see
 // Config.Workers); the result is deterministic regardless of worker count
 // because every partition is split identically and final groups are ordered
@@ -35,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -154,7 +170,11 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	// The calling goroutine is itself a worker; the semaphore only meters the
 	// extra ones.
 	run.sem = make(chan struct{}, workers-1)
-	run.partition(all, run.newScratch())
+	live := make([]int, len(qi))
+	for i := range live {
+		live[i] = i
+	}
+	run.partition(all, live, run.newScratch())
 	run.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mondrian: %w", err)
@@ -228,6 +248,7 @@ func newRunner(ctx context.Context, t *dataset.Table, cfg Config, qi []string) (
 		codes:      make([]*dataset.CodedColumn, len(qi)),
 		catFloat:   make([][]float64, len(qi)),
 		catIsNum:   make([][]bool, len(qi)),
+		rowBits:    bits.Len(uint(t.Len())),
 	}
 	for i, a := range qi {
 		c, err := t.Schema().Index(a)
@@ -253,6 +274,8 @@ type runner struct {
 	cols       []int
 	numeric    []bool
 	domainSpan []float64
+	// rowBits bounds the bit width of every row index.
+	rowBits int
 
 	// Columnar views of the quasi-identifier dimensions, built once before
 	// the recursion. A numeric dimension i is dense-ranked: ranks[i][row]
@@ -384,11 +407,26 @@ func (r *runner) allowable(rows []int) (bool, error) {
 	return ok, err
 }
 
+// maxStackDims is the quasi-identifier count up to which partition keeps its
+// dimension order and live list in stack arrays; wider runs allocate them.
+const maxStackDims = 16
+
+// dimWidth pairs a dimension with its normalized width over a partition and
+// whether it can still split it.
+type dimWidth struct {
+	dim   int
+	width float64
+	live  bool
+}
+
 // partition recursively splits rows and appends final partitions to groups.
+// live lists the dimensions that may still split rows: a dimension that
+// cannot split a partition cannot split any subset of it, so each partition
+// passes its children only the dimensions that were live over its own rows.
 // After a successful split the left subtree is handed to another worker when
 // one is free (and the subtree is large enough to amortize the handoff); the
 // right subtree always continues on the current goroutine.
-func (r *runner) partition(rows []int, sc *scratch) {
+func (r *runner) partition(rows []int, live []int, sc *scratch) {
 	// Cancellation gate: every subtree entry polls the context, so a canceled
 	// request stops the whole pool within one split's worth of work. The
 	// partial groups are discarded by AnonymizeContext, so bailing out without
@@ -398,10 +436,40 @@ func (r *runner) partition(rows []int, sc *scratch) {
 		return
 	default:
 	}
-	// Try dimensions in order of decreasing normalized width.
-	order := r.dimensionOrder(rows, sc)
-	for _, dim := range order {
-		lhs, rhs, ok := r.split(rows, dim, sc)
+	// Every allowable split leaves at least K rows on each side, so a
+	// partition of fewer than 2K rows is final without measuring anything.
+	if len(rows) < 2*r.cfg.K {
+		r.settle(rows)
+		return
+	}
+	var orderBuf [maxStackDims]dimWidth
+	var nextBuf [maxStackDims]int
+	order, next := orderBuf[:0], nextBuf[:0]
+	if n := len(r.cols); n > maxStackDims {
+		order, next = make([]dimWidth, 0, n), make([]int, 0, len(live))
+	}
+	// Try live dimensions in order of decreasing normalized width; next
+	// keeps the ones still live here in index order for the children. A
+	// dead dimension is neither measured nor tried, but it still enters the
+	// sort at width 0, its width in an unpruned recursion: sortByWidth is
+	// not a total order on NaN widths, so only the whole input keeps the
+	// live dimensions in the unpruned order.
+	for dim := range r.cols {
+		d := dimWidth{dim: dim}
+		if len(live) > 0 && live[0] == dim {
+			live = live[1:]
+			if d.width, d.live = r.width(rows, dim, sc); d.live {
+				next = append(next, dim)
+			}
+		}
+		order = append(order, d)
+	}
+	sortByWidth(order)
+	for _, o := range order {
+		if !o.live {
+			continue
+		}
+		lhs, rhs, ok := r.split(rows, o.dim, sc)
 		if !ok {
 			continue
 		}
@@ -418,22 +486,30 @@ func (r *runner) partition(rows []int, sc *scratch) {
 			if len(lhs) >= parallelThreshold {
 				select {
 				case r.sem <- struct{}{}:
+					// next lives in this frame, which the handed-off
+					// subtree may outlive.
+					own := slices.Clone(next)
 					r.wg.Add(1)
 					go func() {
 						defer r.wg.Done()
 						defer func() { <-r.sem }()
-						r.partition(lhs, r.newScratch())
+						r.partition(lhs, own, r.newScratch())
 					}()
-					r.partition(rhs, sc)
+					r.partition(rhs, next, sc)
 					return
 				default:
 				}
 			}
-			r.partition(lhs, sc)
-			r.partition(rhs, sc)
+			r.partition(lhs, next, sc)
+			r.partition(rhs, next, sc)
 			return
 		}
 	}
+	r.settle(rows)
+}
+
+// settle records rows as a final partition.
+func (r *runner) settle(rows []int) {
 	r.mu.Lock()
 	r.groups = append(r.groups, rows)
 	r.rowsDone += len(rows)
@@ -441,18 +517,12 @@ func (r *runner) partition(rows []int, sc *scratch) {
 	r.mu.Unlock()
 }
 
-// dimensionOrder returns quasi-identifier dimension indices sorted by
-// decreasing normalized width over the given rows.
-func (r *runner) dimensionOrder(rows []int, sc *scratch) []int {
-	type dw struct {
-		dim   int
-		width float64
-	}
-	widths := make([]dw, len(r.cols))
-	for i := range r.cols {
-		widths[i] = dw{dim: i, width: r.width(rows, i, sc)}
-	}
-	slices.SortFunc(widths, func(a, b dw) int {
+// sortByWidth orders dimensions by decreasing width, breaking ties on the
+// dimension index. A NaN width (a numeric span that overflows to +Inf on
+// both the partition and the column) compares after every other width both
+// ways, so there the order depends on the sort's input as a whole.
+func sortByWidth(order []dimWidth) {
+	slices.SortFunc(order, func(a, b dimWidth) int {
 		if a.width != b.width {
 			if a.width > b.width {
 				return -1
@@ -461,35 +531,35 @@ func (r *runner) dimensionOrder(rows []int, sc *scratch) []int {
 		}
 		return a.dim - b.dim
 	})
-	out := make([]int, len(widths))
-	for i, w := range widths {
-		out[i] = w.dim
-	}
-	return out
 }
 
 // width computes the normalized range of dimension dim over rows: the
 // numeric span divided by the attribute's global span, or the distinct-value
 // count divided by the global domain size. Both cases read the cached
-// columns; no cell is parsed.
-func (r *runner) width(rows []int, dim int, sc *scratch) float64 {
+// columns; no cell is parsed. live reports whether the dimension can still
+// split rows or a subset of them: a numeric dimension is dead once every row
+// shares one rank (or none has a rank), a categorical one once every row
+// shares one code. The test is structural, never width == 0: when a
+// column's global span overflows to +Inf every width is 0 (or NaN) while
+// splits still exist.
+func (r *runner) width(rows []int, dim int, sc *scratch) (w float64, live bool) {
 	span := r.domainSpan[dim]
 	if span <= 0 {
 		span = 1
 	}
 	if r.numeric[dim] {
 		lo, hi, _ := rankRange(r.ranks[dim], rows)
-		if lo < 0 {
-			return 0
+		if lo == hi {
+			return 0, false
 		}
 		vals := r.rankVals[dim]
-		return (vals[hi] - vals[lo]) / span
+		return (vals[hi] - vals[lo]) / span, true
 	}
 	distinct := sc.countDistinct(r.codes[dim], rows)
 	if distinct <= 1 {
-		return 0
+		return 0, false
 	}
-	return float64(distinct) / span
+	return float64(distinct) / span, true
 }
 
 // scratch holds one worker goroutine's reusable split and width buffers, so
@@ -502,8 +572,11 @@ type scratch struct {
 	// counts is all zero between calls.
 	counts []int32
 	codes  []uint32
-	// keys backs the numeric split's packed (rank, row) keys.
-	keys []uint64
+	// keys backs the numeric split's packed (rank, row) keys; radixTmp and
+	// radixCount are the radix sort's scatter buffer and digit histogram.
+	keys       []uint64
+	radixTmp   []uint64
+	radixCount [1 << radixDigitBits]int32
 }
 
 func (r *runner) newScratch() *scratch {
@@ -544,6 +617,50 @@ func (r *runner) split(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok boo
 	return r.splitCategorical(rows, dim, sc)
 }
 
+// radixThreshold is the partition size from which splitNumeric orders its
+// keys with radixSort instead of a comparison sort. Below it, clearing and
+// summing a digit histogram on every pass costs more than slices.Sort
+// (BenchmarkSortKeys times both).
+const radixThreshold = 256
+
+// radixDigitBits bounds the digit width of radixSort's passes.
+const radixDigitBits = 11
+
+// radixSort sorts keys whose set bits all lie below bit width (width > 0)
+// with a stable least-significant-digit radix sort: the same order as
+// slices.Sort, in a few counting passes instead of n log n comparisons.
+func (sc *scratch) radixSort(keys []uint64, width int) {
+	passes := (width + radixDigitBits - 1) / radixDigitBits
+	digit := uint((width + passes - 1) / passes)
+	if cap(sc.radixTmp) < len(keys) {
+		sc.radixTmp = make([]uint64, len(keys))
+	}
+	src, dst := keys, sc.radixTmp[:len(keys)]
+	count := sc.radixCount[:1<<digit]
+	mask := uint64(1)<<digit - 1
+	for pass := range passes {
+		shift := uint(pass) * digit
+		clear(count)
+		for _, k := range src {
+			count[k>>shift&mask]++
+		}
+		off := int32(0)
+		for d, c := range count {
+			count[d] = off
+			off += c
+		}
+		for _, k := range src {
+			d := k >> shift & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if passes%2 == 1 {
+		copy(keys, src)
+	}
+}
+
 // rankRange returns the smallest and largest rank among rows, ignoring rows
 // ranked -1 (lo = hi = -1 when every row is); complete reports that no row
 // was.
@@ -576,17 +693,24 @@ func (r *runner) splitNumeric(rows []int, dim int, sc *scratch) (lhs, rhs []int,
 		// all-equal values leave nothing to split.
 		return nil, nil, false
 	}
-	// Ranks and rows both fit in 32 bits (newRunner caps the row count).
+	// Each key packs the rank offset above the row index; both fit in 32
+	// bits (newRunner caps the row count), so keys order as (rank, row).
+	shift := r.rowBits
 	keys := sc.keys[:0]
 	for _, row := range rows {
-		keys = append(keys, uint64(rk[row])<<32|uint64(row))
+		keys = append(keys, uint64(rk[row]-lo)<<shift|uint64(row))
 	}
 	sc.keys = keys
-	slices.Sort(keys)
+	if len(keys) >= radixThreshold {
+		sc.radixSort(keys, shift+bits.Len32(uint32(hi-lo)))
+	} else {
+		slices.Sort(keys)
+	}
 	// The ordered rows land in one arena; lhs and rhs are its two halves.
 	arena := make([]int, len(rows))
+	mask := uint64(1)<<shift - 1
 	for i, key := range keys {
-		arena[i] = int(uint32(key))
+		arena[i] = int(key & mask)
 	}
 	cut := 0
 	if r.cfg.Strict {

@@ -3,7 +3,10 @@ package mondrian
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -399,5 +402,33 @@ func TestContextCancellationMidRunParallel(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatal("canceled run returned a result")
+	}
+}
+
+// BenchmarkSortKeys times splitNumeric's two ways of ordering packed
+// (rank, row) keys, shaped like census-5k's age column (13 row bits, 7 rank
+// bits), at partition sizes on both sides of radixThreshold.
+func BenchmarkSortKeys(b *testing.B) {
+	const rowBits, rankBits = 13, 7
+	for _, n := range []int{64, 128, 256, 512, 1024} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		in := make([]uint64, n)
+		for i, row := range rng.Perm(1 << rowBits)[:n] {
+			in[i] = uint64(rng.Intn(1<<rankBits))<<rowBits | uint64(row)
+		}
+		keys := make([]uint64, n)
+		sc := &scratch{}
+		b.Run(fmt.Sprintf("n=%d/radix", n), func(b *testing.B) {
+			for range b.N {
+				copy(keys, in)
+				sc.radixSort(keys, rowBits+rankBits)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/slices", n), func(b *testing.B) {
+			for range b.N {
+				copy(keys, in)
+				slices.Sort(keys)
+			}
+		})
 	}
 }

@@ -210,7 +210,19 @@ func referenceGroups(tb testing.TB, tbl *dataset.Table, cfg Config) ([][]int, in
 				widths[i] = categoricalWidthOracle(tbl, r.cols[i], rows)
 			}
 		}
-		sort.SliceStable(dims, func(a, b int) bool { return widths[dims[a]] > widths[dims[b]] })
+		// Decreasing width, ties in dimension order, with the recursion's
+		// comparator over every dimension: it is not a total order on NaN
+		// widths, so a stable sort can order those differently past
+		// twelve dimensions, where the sort leaves insertion sort.
+		slices.SortFunc(dims, func(a, b int) int {
+			if widths[a] != widths[b] {
+				if widths[a] > widths[b] {
+					return -1
+				}
+				return 1
+			}
+			return a - b
+		})
 		return dims
 	}
 	var groups [][]int
@@ -289,20 +301,103 @@ func spellingsTable(n int, seed int64, withNaN bool) *dataset.Table {
 	return t
 }
 
+// wideTable holds a numeric quasi-identifier whose values run from -1e308 to
+// 1e308, so its global span overflows to +Inf: every partition width on it
+// is 0, or NaN while a partition still holds values far enough apart, yet
+// it still splits. A second numeric and a categorical quasi-identifier
+// compete with it for the split.
+func wideTable(n int, seed int64) *dataset.Table {
+	rng := rand.New(rand.NewSource(seed))
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "wide", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
+		dataset.Attribute{Name: "score", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
+		dataset.Attribute{Name: "band", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+		dataset.Attribute{Name: "outcome", Kind: dataset.Sensitive, Type: dataset.Categorical},
+	)
+	rows := make([]dataset.Row, n)
+	for i := range rows {
+		wide := (2*rng.Float64() - 1) * 1e308
+		switch i {
+		case 0:
+			wide = -1e308
+		case 1:
+			wide = 1e308
+		}
+		rows[i] = dataset.Row{
+			strconv.FormatFloat(wide, 'g', -1, 64),
+			fmt.Sprint(rng.Intn(40)),
+			fmt.Sprintf("b%d", rng.Intn(5)),
+			fmt.Sprintf("o%d", rng.Intn(4)),
+		}
+	}
+	t, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// manyWideTable is wideTable's +Inf-span column beside thirteen more
+// quasi-identifiers, alternately numeric and categorical, of cardinality 1
+// to 13: more than twelve dimensions are live at the root, where the width
+// sort leaves insertion sort, and the low-cardinality ones die within a few
+// splits, so the live list shrinks while the wide column still reads NaN.
+func manyWideTable(n int, seed int64) *dataset.Table {
+	rng := rand.New(rand.NewSource(seed))
+	attrs := []dataset.Attribute{{Name: "wide", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric}}
+	for q := range 13 {
+		typ := dataset.Numeric
+		if q%2 == 1 {
+			typ = dataset.Categorical
+		}
+		attrs = append(attrs, dataset.Attribute{Name: fmt.Sprintf("q%d", q), Kind: dataset.QuasiIdentifier, Type: typ})
+	}
+	attrs = append(attrs, dataset.Attribute{Name: "outcome", Kind: dataset.Sensitive, Type: dataset.Categorical})
+	schema := dataset.MustSchema(attrs...)
+	rows := make([]dataset.Row, n)
+	for i := range rows {
+		wide := (2*rng.Float64() - 1) * 1e308
+		switch i {
+		case 0:
+			wide = -1e308
+		case 1:
+			wide = 1e308
+		}
+		row := dataset.Row{strconv.FormatFloat(wide, 'g', -1, 64)}
+		for q := range 13 {
+			row = append(row, fmt.Sprint(rng.Intn(q+1)))
+		}
+		rows[i] = append(row, fmt.Sprintf("o%d", rng.Intn(4)))
+	}
+	t, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // TestSplitMatchesOracle checks that the rank-based recursion produces
 // exactly the oracle's groups — including the row order inside each group —
 // and split count, for strict and relaxed partitioning over a range of k,
 // with and without extra criteria, at one and several workers.
 func TestSplitMatchesOracle(t *testing.T) {
+	// The wide tables' k values include 2k > n, where the root settles at
+	// once; their +Inf span guards that a dimension is retired only when it
+	// cannot split, never because its width reads 0. manywide also checks
+	// that retiring dimensions keeps the order of the rest where the width
+	// sort runs past insertion sort and a width reads NaN.
 	tables := []struct {
 		name      string
 		tbl       *dataset.Table
 		sensitive string
+		ks        []int
 	}{
-		{"census", synth.Census(1500, 21), "salary"},
-		{"hospital", synth.Hospital(1200, 22), "diagnosis"},
-		{"spellings", spellingsTable(600, 23, false), "outcome"},
-		{"nan", spellingsTable(600, 24, true), "outcome"},
+		{"census", synth.Census(1500, 21), "salary", []int{2, 5, 10, 50}},
+		{"hospital", synth.Hospital(1200, 22), "diagnosis", []int{2, 5, 10, 50}},
+		{"spellings", spellingsTable(600, 23, false), "outcome", []int{2, 5, 10, 50}},
+		{"nan", spellingsTable(600, 24, true), "outcome", []int{2, 5, 10, 50}},
+		{"wide", wideTable(400, 25), "outcome", []int{1, 2, 5, 201}},
+		{"manywide", manyWideTable(400, 26), "outcome", []int{1, 2, 5, 201}},
 	}
 	for _, tc := range tables {
 		extras := map[string][]privacy.Criterion{
@@ -311,7 +406,7 @@ func TestSplitMatchesOracle(t *testing.T) {
 			"tc":   {privacy.TCloseness{T: 0.4, Sensitive: tc.sensitive}},
 		}
 		for _, strict := range []bool{false, true} {
-			for _, k := range []int{2, 5, 10, 50} {
+			for _, k := range tc.ks {
 				for name, extra := range extras {
 					cfg := Config{K: k, Strict: strict, Extra: extra}
 					t.Run(fmt.Sprintf("%s/strict=%v/k=%d/%s", tc.name, strict, k, name), func(t *testing.T) {

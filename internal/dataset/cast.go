@@ -58,9 +58,3 @@ func u32Bytes(s []uint32) []byte {
 	}
 	return out
 }
-
-// stringBytes returns the bytes of v without copying. The caller must not
-// modify them.
-func stringBytes(v string) []byte {
-	return unsafe.Slice(unsafe.StringData(v), len(v))
-}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func testSchema(t *testing.T) *Schema {
@@ -399,20 +398,6 @@ func TestSensitiveDistribution(t *testing.T) {
 	}
 	if _, err := tbl.SensitiveDistribution(zip1, "missing"); err == nil {
 		t.Error("SensitiveDistribution(missing) succeeded")
-	}
-}
-
-func TestSignatureRoundTrip(t *testing.T) {
-	f := func(a, b, c string) bool {
-		// The separator byte cannot appear in values.
-		a = strings.ReplaceAll(a, signatureSep, "")
-		b = strings.ReplaceAll(b, signatureSep, "")
-		c = strings.ReplaceAll(c, signatureSep, "")
-		in := []string{a, b, c}
-		return reflect.DeepEqual(SplitSignature(Signature(in)), in)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"github.com/ppdp/ppdp/internal/parallel"
 )
@@ -23,18 +22,6 @@ type EquivalenceClass struct {
 
 // Size returns the number of records in the class.
 func (ec EquivalenceClass) Size() int { return len(ec.Rows) }
-
-// signatureSep separates values inside a signature. The ASCII unit
-// separator is rare in realistic attribute values, but nothing refuses it,
-// so a signature is a display and map key, not a class identity.
-const signatureSep = "\x1f"
-
-// Signature joins grouping values into one string key. Values that contain
-// the separator can join to the same key as other values.
-func Signature(values []string) string { return strings.Join(values, signatureSep) }
-
-// SplitSignature splits a Signature key back into its values.
-func SplitSignature(sig string) []string { return strings.Split(sig, signatureSep) }
 
 // GroupBy partitions the table into equivalence classes over the named
 // columns: one class per distinct tuple of values. Classes are ordered

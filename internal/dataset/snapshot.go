@@ -158,26 +158,34 @@ func (s *segmentWriter) pad(target int64) {
 	}
 }
 
-// writeSegment serializes one column segment per the layout in col.
-func writeSegment(w io.Writer, cc *CodedColumn, col *snapCol) (uint32, error) {
-	s := &segmentWriter{w: w}
-	// dictIdx: cumulative value boundaries.
-	idx := make([]uint32, len(cc.Dict)+1)
-	var cum uint32
+// segmentDict is one column's dictionary as the snapshot stores it: the
+// cumulative value boundaries and the values concatenated into one blob.
+// Both encode passes write it whole, so the CRC runs over long buffers.
+type segmentDict struct {
+	idx  []uint32
+	blob []byte
+}
+
+func newSegmentDict(cc *CodedColumn, col *snapCol) segmentDict {
+	d := segmentDict{idx: make([]uint32, len(cc.Dict)+1), blob: make([]byte, 0, col.DictBytes)}
 	for i, v := range cc.Dict {
-		idx[i] = cum
-		cum += uint32(len(v))
+		d.idx[i] = uint32(len(d.blob))
+		d.blob = append(d.blob, v...)
 	}
-	idx[len(cc.Dict)] = cum
-	s.write(u32Bytes(idx))
+	d.idx[len(cc.Dict)] = uint32(len(d.blob))
+	return d
+}
+
+// writeSegment serializes one column segment per the layout in col.
+func writeSegment(w io.Writer, cc *CodedColumn, col *snapCol, dict segmentDict) (uint32, error) {
+	s := &segmentWriter{w: w}
+	s.write(u32Bytes(dict.idx))
 	s.pad(col.OffRanks)
 	s.write(u32Bytes(cc.ranks))
 	s.pad(col.OffCodes)
 	s.write(u32Bytes(cc.Codes))
 	s.pad(col.OffDict)
-	for _, v := range cc.Dict {
-		s.write(stringBytes(v))
-	}
+	s.write(dict.blob)
 	return s.crc, s.err
 }
 
@@ -207,8 +215,10 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 		h.Cols[i].SegLen = layoutCol(h.Rows, cc, &h.Cols[i])
 		cur = h.Cols[i].SegOff + h.Cols[i].SegLen
 	}
+	dicts := make([]segmentDict, len(t.cols))
 	crcs, err := parallel.Map(len(t.cols), t.scanParallelism(), func(i int) (uint32, error) {
-		return writeSegment(io.Discard, t.cols[i], &h.Cols[i])
+		dicts[i] = newSegmentDict(t.cols[i], &h.Cols[i])
+		return writeSegment(io.Discard, t.cols[i], &h.Cols[i], dicts[i])
 	})
 	if err != nil {
 		return err
@@ -235,7 +245,7 @@ func (t *Table) WriteSnapshot(w io.Writer) error {
 	// Pass 2: the segments themselves.
 	for i, cc := range t.cols {
 		out.pad(dataStart + h.Cols[i].SegOff)
-		crc, err := writeSegment(bw, cc, &h.Cols[i])
+		crc, err := writeSegment(bw, cc, &h.Cols[i], dicts[i])
 		if err != nil {
 			return err
 		}

@@ -242,7 +242,7 @@ func TestReleaseHistogram(t *testing.T) {
 // them has an identical fingerprint.
 func TestSeededReleasesAreReproducible(t *testing.T) {
 	tbl := synth.Census(2000, 1)
-	var firstCounts map[string]float64
+	var firstCells []HistogramCell
 	var firstSynth string
 	for run := 0; run < 5; run++ {
 		h, err := ReleaseHistogram(tbl, HistogramConfig{
@@ -263,10 +263,10 @@ func TestSeededReleasesAreReproducible(t *testing.T) {
 			t.Fatal(err)
 		}
 		if run == 0 {
-			firstCounts, firstSynth = h.Counts, syn.Fingerprint()
+			firstCells, firstSynth = h.Cells, syn.Fingerprint()
 			continue
 		}
-		if !reflect.DeepEqual(h.Counts, firstCounts) {
+		if !reflect.DeepEqual(h.Cells, firstCells) {
 			t.Fatalf("run %d: seed 42 released different histogram counts", run)
 		}
 		if fp := syn.Fingerprint(); fp != firstSynth {
@@ -364,14 +364,14 @@ func TestSynthesizeErrors(t *testing.T) {
 func TestHistogramDistributionFiltering(t *testing.T) {
 	h := &Histogram{
 		Attributes: []string{"a", "b"},
-		Counts: map[string]float64{
-			dataset.Signature([]string{"x", "p"}): 5,
-			dataset.Signature([]string{"x", "q"}): 3,
-			dataset.Signature([]string{"y", "p"}): 2,
-			dataset.Signature([]string{"y", "q"}): -1, // clamped cells are skipped
+		Cells: []HistogramCell{
+			{Values: []string{"x", "p"}, Count: 5},
+			{Values: []string{"x", "q"}, Count: 3},
+			{Values: []string{"y", "p"}, Count: 2},
+			{Values: []string{"y", "q"}, Count: -1}, // clamped cells are skipped
 		},
 	}
-	values, weights := histogramDistribution(h, func(sig []string) bool { return sig[0] == "x" })
+	values, weights := histogramDistribution(h, func(values []string) bool { return values[0] == "x" })
 	if len(values) != 2 {
 		t.Fatalf("values = %v", values)
 	}
@@ -382,5 +382,39 @@ func TestHistogramDistributionFiltering(t *testing.T) {
 	all, _ := histogramDistribution(h, nil)
 	if len(all) != 2 { // p and q aggregated over both roots
 		t.Errorf("unfiltered values = %v", all)
+	}
+}
+
+// TestHistogramCellsAreValueTuples releases a histogram over two columns
+// whose value tuples ("a\x1fb", "c") and ("a", "b\x1fc") join to the same
+// string under a 0x1f separator. They are distinct cells: at a huge epsilon
+// the histogram holds two cells with counts 1 and 2, totalling 3.
+func TestHistogramCellsAreValueTuples(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "x", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+		dataset.Attribute{Name: "y", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	tbl, err := dataset.FromRows(schema, []dataset.Row{{"a\x1fb", "c"}, {"a", "b\x1fc"}, {"a", "b\x1fc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ReleaseHistogram(tbl, HistogramConfig{Attributes: []string{"x", "y"}, Epsilon: 1e9, Rng: rand.New(rand.NewSource(1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Cells) != 2 {
+		t.Fatalf("%d cells, want 2", len(h.Cells))
+	}
+	if got := h.Total(); math.Abs(got-3) > 1e-6 {
+		t.Errorf("Total() = %v, want 3", got)
+	}
+	if got := h.Count("a\x1fb", "c"); math.Abs(got-1) > 1e-6 {
+		t.Errorf(`Count("a\x1fb", "c") = %v, want 1`, got)
+	}
+	if got := h.Count("a", "b\x1fc"); math.Abs(got-2) > 1e-6 {
+		t.Errorf(`Count("a", "b\x1fc") = %v, want 2`, got)
+	}
+	if got := h.Count("a", "b"); got != 0 {
+		t.Errorf(`unobserved Count("a", "b") = %v, want 0`, got)
 	}
 }

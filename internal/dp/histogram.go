@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/ppdp/ppdp/internal/dataset"
@@ -12,27 +13,41 @@ import (
 // Histogram is a noisy frequency table over the cross product of one or more
 // categorical (or pre-discretized) attributes.
 type Histogram struct {
-	// Attributes are the histogram dimensions, in key order.
+	// Attributes are the histogram dimensions; every cell's Values follow
+	// this order.
 	Attributes []string
-	// Counts maps the signature of the attribute values (dataset.Signature)
-	// to the noisy count. Negative noisy counts are clamped to zero when
-	// PostProcess is true at release time.
-	Counts map[string]float64
+	// Cells are the observed cells, one per distinct value tuple, ordered
+	// lexicographically by tuple (GroupBy's class order). Negative noisy
+	// counts are clamped to zero when PostProcess is true at release time.
+	Cells []HistogramCell
 	// Epsilon is the budget the release consumed.
 	Epsilon float64
+}
+
+// HistogramCell is one cell of a Histogram: a value tuple, one value per
+// attribute, and its noisy count.
+type HistogramCell struct {
+	Values []string
+	Count  float64
 }
 
 // Count returns the noisy count of one cell (0 for cells never observed and
 // never materialized).
 func (h *Histogram) Count(values ...string) float64 {
-	return h.Counts[dataset.Signature(values)]
+	i, ok := slices.BinarySearchFunc(h.Cells, values, func(c HistogramCell, v []string) int {
+		return slices.Compare(c.Values, v)
+	})
+	if !ok {
+		return 0
+	}
+	return h.Cells[i].Count
 }
 
 // Total returns the sum of all noisy counts.
 func (h *Histogram) Total() float64 {
 	t := 0.0
-	for _, c := range h.Counts {
-		t += c
+	for _, c := range h.Cells {
+		t += c.Count
 	}
 	return t
 }
@@ -68,17 +83,17 @@ func ReleaseHistogram(t *dataset.Table, cfg HistogramConfig) (*Histogram, error)
 	if err != nil {
 		return nil, err
 	}
-	noisy := make(map[string]float64, len(cells))
-	for _, c := range cells {
+	noisy := make([]HistogramCell, len(cells))
+	for i, c := range cells {
 		v := mech.Release(float64(c.Size()))
 		if cfg.PostProcess && v < 0 {
 			v = 0
 		}
-		noisy[dataset.Signature(c.Values)] = v
+		noisy[i] = HistogramCell{Values: c.Values, Count: v}
 	}
 	return &Histogram{
 		Attributes: append([]string(nil), cfg.Attributes...),
-		Counts:     noisy,
+		Cells:      noisy,
 		Epsilon:    cfg.Epsilon,
 	}, nil
 }
@@ -217,7 +232,7 @@ func Synthesize(t *dataset.Table, cfg SyntheticConfig) (*dataset.Table, *Conting
 				row[j] = rootVal
 				continue
 			}
-			values, weights := histogramDistribution(pairs[a], func(sig []string) bool { return sig[0] == rootVal })
+			values, weights := histogramDistribution(pairs[a], func(values []string) bool { return values[0] == rootVal })
 			if len(values) == 0 {
 				// The noisy slice for this root value is empty; fall back to
 				// the attribute's unconditional noisy distribution.
@@ -239,26 +254,19 @@ func Synthesize(t *dataset.Table, cfg SyntheticConfig) (*dataset.Table, *Conting
 }
 
 // histogramDistribution extracts (values, weights) of the *last* attribute of
-// the histogram, optionally filtering cells by a predicate on the full
-// signature. Weights are the noisy counts clamped at zero, summed in
-// signature order so the floating-point result does not depend on map order.
-func histogramDistribution(h *Histogram, keep func(sig []string) bool) ([]string, []float64) {
-	sigs := make([]string, 0, len(h.Counts))
-	for sig := range h.Counts {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
+// the histogram, optionally filtering cells by a predicate on the cell's
+// value tuple. Weights are the noisy counts clamped at zero, summed in cell
+// (tuple) order so the floating-point result is reproducible.
+func histogramDistribution(h *Histogram, keep func(values []string) bool) ([]string, []float64) {
 	agg := make(map[string]float64)
-	for _, sig := range sigs {
-		c := h.Counts[sig]
-		if c <= 0 {
+	for _, c := range h.Cells {
+		if c.Count <= 0 {
 			continue
 		}
-		parts := dataset.SplitSignature(sig)
-		if keep != nil && !keep(parts) {
+		if keep != nil && !keep(c.Values) {
 			continue
 		}
-		agg[parts[len(parts)-1]] += c
+		agg[c.Values[len(c.Values)-1]] += c.Count
 	}
 	values := make([]string, 0, len(agg))
 	for v := range agg {

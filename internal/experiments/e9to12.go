@@ -8,7 +8,6 @@ import (
 	"github.com/ppdp/ppdp/internal/algorithms/incognito"
 	"github.com/ppdp/ppdp/internal/algorithms/mondrian"
 	"github.com/ppdp/ppdp/internal/classify"
-	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/dp"
 	"github.com/ppdp/ppdp/internal/metrics"
 	"github.com/ppdp/ppdp/internal/synth"
@@ -34,9 +33,9 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	trueCounts := make(map[string]int, len(cells))
+	trueCounts := make(map[[2]string]int, len(cells))
 	for _, c := range cells {
-		trueCounts[dataset.Signature(c.Values)] = c.Size()
+		trueCounts[[2]string(c.Values)] = c.Size()
 	}
 
 	rep := &Report{
@@ -53,7 +52,7 @@ func E9DPQueryError(opt Options) (*Report, error) {
 		total, count := 0.0, 0
 		for _, sex := range sexes {
 			for _, edu := range edus {
-				truth := trueCounts[dataset.Signature([]string{sex, edu})]
+				truth := trueCounts[[2]string{sex, edu}]
 				est := h.Count(sex, edu)
 				total += metrics.RelativeError(est, truth, sanity)
 				count++
@@ -103,7 +102,7 @@ func E9DPQueryError(opt Options) (*Report, error) {
 	total, count := 0.0, 0
 	for _, sex := range sexes {
 		for _, edu := range edus {
-			truth := trueCounts[dataset.Signature([]string{sex, edu})]
+			truth := trueCounts[[2]string{sex, edu}]
 			q := metrics.CountQuery{Conditions: []metrics.Condition{
 				{Attribute: "sex", Equals: sex},
 				{Attribute: "education", Equals: edu},

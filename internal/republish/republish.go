@@ -280,25 +280,22 @@ func (p *Publisher) plan(ctx context.Context, snapshot *dataset.Table) (*plan, e
 
 	// Lay out the release: each signature bucket must expose exactly its
 	// signature's value set; counterfeit records cover values with no live
-	// member. Buckets are numbered in the byte order of their joined
-	// signatures.
-	type bucket struct {
-		key string
-		sig int32
-	}
-	order := make([]bucket, 0, len(members))
+	// member. Buckets are numbered in the lexicographic order of their
+	// sorted signature value lists; distinct signatures never tie, so the
+	// numbering does not depend on map iteration order.
+	order := make([]int32, 0, len(members))
 	for sig := range members {
-		order = append(order, bucket{strings.Join(next.sigs[sig], "\x1f"), sig})
+		order = append(order, sig)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(next.sigs[a], next.sigs[b]) })
 	pl.bucketNames = make([]string, len(order))
 	done := 0
-	for bucketID, bk := range order {
-		signature := next.sigs[bk.sig]
+	for bucketID, sig := range order {
+		signature := next.sigs[sig]
 		bid := strconv.Itoa(bucketID)
 		pl.bucketNames[bucketID] = bid
 		counts := make(map[string]int)
-		b := members[bk.sig]
+		b := members[sig]
 		for i, r := range b.rows {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -320,7 +317,7 @@ func (p *Publisher) plan(ctx context.Context, snapshot *dataset.Table) (*plan, e
 			// is rebuilt from its tables. CounterfeitValue is reserved for
 			// padding and never tracked as an individual.
 			if i >= b.old && id != CounterfeitValue {
-				next.ids[id] = bk.sig
+				next.ids[id] = sig
 			}
 			done++
 			if p.cfg.Progress != nil {

@@ -3,6 +3,7 @@ package republish
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -222,5 +223,45 @@ func TestCounterfeitsKeepSignaturesStable(t *testing.T) {
 	disclosed, _ := IntersectionAttack(r1, r2)
 	if disclosed > 0 {
 		t.Errorf("intersection attack disclosed %.2f despite counterfeits", disclosed)
+	}
+}
+
+// TestBucketNumberingIgnoresMapOrder publishes a two-release history whose
+// two signatures, {"a\x1fb", "c"} and {"a", "b\x1fc"}, join to the same
+// string under a 0x1f separator. Bucket numbers must come from the
+// signature values themselves, so every fresh publisher releases the same
+// bytes, whatever order it meets its buckets in.
+func TestBucketNumberingIgnoresMapOrder(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "name", Kind: dataset.Identifier, Type: dataset.Categorical},
+		dataset.Attribute{Name: "zip", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+		dataset.Attribute{Name: "diagnosis", Kind: dataset.Sensitive, Type: dataset.Categorical},
+	)
+	first := []dataset.Row{{"p1", "z1", "a\x1fb"}, {"p2", "z2", "c"}}
+	second := append(slices.Clone(first), dataset.Row{"p3", "z3", "a"}, dataset.Row{"p4", "z4", "b\x1fc"})
+	tables := make([]*dataset.Table, 2)
+	for i, rows := range [][]dataset.Row{first, second} {
+		tbl, err := dataset.FromRows(schema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = tbl
+	}
+	pairs := map[[2]string]bool{}
+	for range 200 {
+		pub, err := NewPublisher(Config{M: 2, ID: "name"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rel *Release
+		for _, tbl := range tables {
+			if rel, err = pub.Publish(tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pairs[[2]string{rel.QIT.Fingerprint(), rel.ST.Fingerprint()}] = true
+	}
+	if len(pairs) != 1 {
+		t.Fatalf("200 fresh publishers released %d distinct QIT/ST pairs, want 1", len(pairs))
 	}
 }
