@@ -27,10 +27,10 @@
 // dimension that cannot split a partition — one distinct code, or one rank
 // (or none) on a numeric dimension — cannot split any subset of it, so each
 // partition hands its children only the dimensions still live over its own
-// rows. Liveness is this structural test, never width == 0: a numeric
-// column whose global span overflows to +Inf reads width 0 everywhere yet
-// still splits. Dead dimensions still enter the width sort, at width 0, so
-// the live ones are tried in the unpruned order.
+// rows. Liveness is this structural test, never width == 0: a width can
+// underflow to 0 while the partition still splits. Live dimensions are
+// tried in decreasing width, ties in dimension order; that is a total order,
+// so leaving the dead ones out of the sort keeps the order of the rest.
 //
 // Independent subtrees of the recursion run on a bounded worker pool (see
 // Config.Workers); the result is deterministic regardless of worker count
@@ -316,8 +316,12 @@ func (r *runner) buildColumns() error {
 				return err
 			}
 			r.ranks[i], r.rankVals[i] = denseRanks(fc, cc)
-			if fc.ValidCount > 0 && fc.Max > fc.Min {
-				r.domainSpan[i] = fc.Max - fc.Min
+			// Numeric spans are halved, here and in width, so that values
+			// near ±MaxFloat64 cannot overflow them. For normal values the
+			// width, a ratio of two halved spans, equals the unhalved ratio
+			// bit for bit.
+			if half := fc.Max/2 - fc.Min/2; fc.ValidCount > 0 && half > 0 {
+				r.domainSpan[i] = half
 			} else {
 				r.domainSpan[i] = 1
 			}
@@ -407,16 +411,16 @@ func (r *runner) allowable(rows []int) (bool, error) {
 	return ok, err
 }
 
-// maxStackDims is the quasi-identifier count up to which partition keeps its
-// dimension order and live list in stack arrays; wider runs allocate them.
+// maxStackDims is the live-dimension count up to which partition keeps its
+// dimension order and live list in stack arrays; more live dimensions
+// allocate them.
 const maxStackDims = 16
 
-// dimWidth pairs a dimension with its normalized width over a partition and
-// whether it can still split it.
+// dimWidth pairs a live dimension with its normalized width over a
+// partition.
 type dimWidth struct {
 	dim   int
 	width float64
-	live  bool
 }
 
 // partition recursively splits rows and appends final partitions to groups.
@@ -445,30 +449,19 @@ func (r *runner) partition(rows []int, live []int, sc *scratch) {
 	var orderBuf [maxStackDims]dimWidth
 	var nextBuf [maxStackDims]int
 	order, next := orderBuf[:0], nextBuf[:0]
-	if n := len(r.cols); n > maxStackDims {
-		order, next = make([]dimWidth, 0, n), make([]int, 0, len(live))
+	if n := len(live); n > maxStackDims {
+		order, next = make([]dimWidth, 0, n), make([]int, 0, n)
 	}
-	// Try live dimensions in order of decreasing normalized width; next
-	// keeps the ones still live here in index order for the children. A
-	// dead dimension is neither measured nor tried, but it still enters the
-	// sort at width 0, its width in an unpruned recursion: sortByWidth is
-	// not a total order on NaN widths, so only the whole input keeps the
-	// live dimensions in the unpruned order.
-	for dim := range r.cols {
-		d := dimWidth{dim: dim}
-		if len(live) > 0 && live[0] == dim {
-			live = live[1:]
-			if d.width, d.live = r.width(rows, dim, sc); d.live {
-				next = append(next, dim)
-			}
+	// Try the live dimensions in order of decreasing normalized width; next
+	// keeps the ones still live here, in index order, for the children.
+	for _, dim := range live {
+		if w, ok := r.width(rows, dim, sc); ok {
+			order = append(order, dimWidth{dim: dim, width: w})
+			next = append(next, dim)
 		}
-		order = append(order, d)
 	}
 	sortByWidth(order)
 	for _, o := range order {
-		if !o.live {
-			continue
-		}
 		lhs, rhs, ok := r.split(rows, o.dim, sc)
 		if !ok {
 			continue
@@ -518,18 +511,11 @@ func (r *runner) settle(rows []int) {
 }
 
 // sortByWidth orders dimensions by decreasing width, breaking ties on the
-// dimension index. A NaN width (a numeric span that overflows to +Inf on
-// both the partition and the column) compares after every other width both
-// ways, so there the order depends on the sort's input as a whole.
+// dimension index. cmp.Compare keeps the order total even on the NaN width
+// of a column that holds an infinite cell, which sorts last.
 func sortByWidth(order []dimWidth) {
 	slices.SortFunc(order, func(a, b dimWidth) int {
-		if a.width != b.width {
-			if a.width > b.width {
-				return -1
-			}
-			return 1
-		}
-		return a.dim - b.dim
+		return cmp.Or(cmp.Compare(b.width, a.width), a.dim-b.dim)
 	})
 }
 
@@ -539,21 +525,17 @@ func sortByWidth(order []dimWidth) {
 // columns; no cell is parsed. live reports whether the dimension can still
 // split rows or a subset of them: a numeric dimension is dead once every row
 // shares one rank (or none has a rank), a categorical one once every row
-// shares one code. The test is structural, never width == 0: when a
-// column's global span overflows to +Inf every width is 0 (or NaN) while
-// splits still exist.
+// shares one code. The test is structural, never width == 0: a width can
+// underflow to 0 while splits still exist.
 func (r *runner) width(rows []int, dim int, sc *scratch) (w float64, live bool) {
 	span := r.domainSpan[dim]
-	if span <= 0 {
-		span = 1
-	}
 	if r.numeric[dim] {
 		lo, hi, _ := rankRange(r.ranks[dim], rows)
 		if lo == hi {
 			return 0, false
 		}
 		vals := r.rankVals[dim]
-		return (vals[hi] - vals[lo]) / span, true
+		return (vals[hi]/2 - vals[lo]/2) / span, true
 	}
 	distinct := sc.countDistinct(r.codes[dim], rows)
 	if distinct <= 1 {

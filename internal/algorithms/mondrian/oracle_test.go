@@ -157,8 +157,20 @@ func categoricalWidthOracle(tbl *dataset.Table, col int, rows []int) float64 {
 }
 
 // widthOracle is the float-scanning numeric width the rank-based one
-// replaced; NaN cells are skipped like cells that do not parse.
-func widthOracle(fc *dataset.FloatColumn, rows []int, span float64) float64 {
+// replaced: the value range over rows divided by the range over all rows,
+// both halved so that values near ±MaxFloat64 cannot overflow them. NaN
+// cells are skipped like cells that do not parse.
+func widthOracle(fc *dataset.FloatColumn, rows, all []int) float64 {
+	span := halfRange(fc, all)
+	if span <= 0 {
+		span = 1
+	}
+	return halfRange(fc, rows) / span
+}
+
+// halfRange is half the distance between the smallest and largest value
+// among rows, or 0 when none has a value.
+func halfRange(fc *dataset.FloatColumn, rows []int) float64 {
 	lo, hi := 0.0, 0.0
 	first := true
 	for _, row := range rows {
@@ -174,7 +186,7 @@ func widthOracle(fc *dataset.FloatColumn, rows []int, span float64) float64 {
 		}
 		first = false
 	}
-	return (hi - lo) / span
+	return hi/2 - lo/2
 }
 
 // referenceGroups runs a sequential Mondrian recursion that measures,
@@ -199,30 +211,24 @@ func referenceGroups(tb testing.TB, tbl *dataset.Table, cfg Config) ([][]int, in
 			}
 		}
 	}
+	all := make([]int, tbl.Len())
+	for i := range all {
+		all[i] = i
+	}
+	// order lists every dimension, dead ones too, by decreasing width with
+	// ties in dimension order; no width the test tables produce is NaN.
 	order := func(rows []int) []int {
 		dims := make([]int, len(qi))
 		widths := make([]float64, len(qi))
 		for i := range qi {
 			dims[i] = i
 			if r.numeric[i] {
-				widths[i] = widthOracle(floats[i], rows, r.domainSpan[i])
+				widths[i] = widthOracle(floats[i], rows, all)
 			} else {
 				widths[i] = categoricalWidthOracle(tbl, r.cols[i], rows)
 			}
 		}
-		// Decreasing width, ties in dimension order, with the recursion's
-		// comparator over every dimension: it is not a total order on NaN
-		// widths, so a stable sort can order those differently past
-		// twelve dimensions, where the sort leaves insertion sort.
-		slices.SortFunc(dims, func(a, b int) int {
-			if widths[a] != widths[b] {
-				if widths[a] > widths[b] {
-					return -1
-				}
-				return 1
-			}
-			return a - b
-		})
+		sort.SliceStable(dims, func(a, b int) bool { return widths[dims[a]] > widths[dims[b]] })
 		return dims
 	}
 	var groups [][]int
@@ -250,10 +256,6 @@ func referenceGroups(tb testing.TB, tbl *dataset.Table, cfg Config) ([][]int, in
 			}
 		}
 		groups = append(groups, rows)
-	}
-	all := make([]int, tbl.Len())
-	for i := range all {
-		all[i] = i
 	}
 	rec(all)
 	sort.Slice(groups, func(a, b int) bool { return slices.Min(groups[a]) < slices.Min(groups[b]) })
@@ -302,10 +304,10 @@ func spellingsTable(n int, seed int64, withNaN bool) *dataset.Table {
 }
 
 // wideTable holds a numeric quasi-identifier whose values run from -1e308 to
-// 1e308, so its global span overflows to +Inf: every partition width on it
-// is 0, or NaN while a partition still holds values far enough apart, yet
-// it still splits. A second numeric and a categorical quasi-identifier
-// compete with it for the split.
+// 1e308, so its span exceeds the float range unless it is halved: an
+// unhalved width on it reads 0 or NaN while the column still splits. A
+// second numeric and a categorical quasi-identifier compete with it for the
+// split.
 func wideTable(n int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
 	schema := dataset.MustSchema(
@@ -337,11 +339,11 @@ func wideTable(n int, seed int64) *dataset.Table {
 	return t
 }
 
-// manyWideTable is wideTable's +Inf-span column beside thirteen more
+// manyWideTable is wideTable's wide column beside thirteen more
 // quasi-identifiers, alternately numeric and categorical, of cardinality 1
 // to 13: more than twelve dimensions are live at the root, where the width
 // sort leaves insertion sort, and the low-cardinality ones die within a few
-// splits, so the live list shrinks while the wide column still reads NaN.
+// splits, so the live list shrinks while the wide column still splits.
 func manyWideTable(n int, seed int64) *dataset.Table {
 	rng := rand.New(rand.NewSource(seed))
 	attrs := []dataset.Attribute{{Name: "wide", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric}}
@@ -382,10 +384,10 @@ func manyWideTable(n int, seed int64) *dataset.Table {
 // with and without extra criteria, at one and several workers.
 func TestSplitMatchesOracle(t *testing.T) {
 	// The wide tables' k values include 2k > n, where the root settles at
-	// once; their +Inf span guards that a dimension is retired only when it
-	// cannot split, never because its width reads 0. manywide also checks
-	// that retiring dimensions keeps the order of the rest where the width
-	// sort runs past insertion sort and a width reads NaN.
+	// once; their span near the float range guards the halved width. The
+	// oracle sorts every dimension, dead ones too, with a stable sort, so
+	// manywide also checks that sorting only the live dimensions keeps their
+	// order where the width sort runs past insertion sort.
 	tables := []struct {
 		name      string
 		tbl       *dataset.Table

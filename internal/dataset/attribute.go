@@ -1,9 +1,6 @@
 package dataset
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind describes the disclosure role an attribute plays during publishing.
 type Kind int
@@ -39,24 +36,6 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a textual kind (as used in CLI flags and config files)
-// into a Kind. Recognized spellings are case-insensitive and include the
-// common abbreviations "id", "qi" and "sa".
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "insensitive", "none", "":
-		return Insensitive, nil
-	case "identifier", "id":
-		return Identifier, nil
-	case "quasi-identifier", "quasi", "qi":
-		return QuasiIdentifier, nil
-	case "sensitive", "sa":
-		return Sensitive, nil
-	default:
-		return Insensitive, fmt.Errorf("dataset: unknown attribute kind %q", s)
-	}
-}
-
 // Type describes how attribute values are interpreted.
 type Type int
 
@@ -81,18 +60,6 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType converts a textual type into a Type.
-func ParseType(s string) (Type, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "categorical", "cat", "string", "":
-		return Categorical, nil
-	case "numeric", "num", "number", "continuous":
-		return Numeric, nil
-	default:
-		return Categorical, fmt.Errorf("dataset: unknown attribute type %q", s)
-	}
-}
-
 // Attribute describes a single column of a table.
 type Attribute struct {
 	// Name is the column name; it must be unique within a schema.
@@ -102,13 +69,6 @@ type Attribute struct {
 	// Type is the value interpretation of the column.
 	Type Type
 }
-
-// IsQuasiIdentifier reports whether the attribute is part of the
-// quasi-identifier.
-func (a Attribute) IsQuasiIdentifier() bool { return a.Kind == QuasiIdentifier }
-
-// IsSensitive reports whether the attribute is a sensitive attribute.
-func (a Attribute) IsSensitive() bool { return a.Kind == Sensitive }
 
 // String implements fmt.Stringer.
 func (a Attribute) String() string {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/ppdp/ppdp/internal/parallel"
 )
@@ -242,18 +241,6 @@ func (t *Table) GroupByQuasiIdentifier() ([]EquivalenceClass, error) {
 	return t.GroupBy(t.schema.QuasiIdentifierNames()...)
 }
 
-// ClassSizes returns the multiset of equivalence-class sizes, sorted
-// ascending. It is a convenient summary for k-anonymity checks and risk
-// metrics.
-func ClassSizes(classes []EquivalenceClass) []int {
-	out := make([]int, len(classes))
-	for i, c := range classes {
-		out[i] = c.Size()
-	}
-	sort.Ints(out)
-	return out
-}
-
 // MinClassSize returns the smallest equivalence-class size, or 0 if there are
 // no classes.
 func MinClassSize(classes []EquivalenceClass) int {
@@ -264,19 +251,6 @@ func MinClassSize(classes []EquivalenceClass) int {
 		}
 	}
 	return min
-}
-
-// AverageClassSize returns the mean equivalence-class size, or 0 if there are
-// no classes.
-func AverageClassSize(classes []EquivalenceClass) float64 {
-	if len(classes) == 0 {
-		return 0
-	}
-	total := 0
-	for _, c := range classes {
-		total += c.Size()
-	}
-	return float64(total) / float64(len(classes))
 }
 
 // SensitiveDistribution returns, for one equivalence class, the absolute

@@ -39,36 +39,6 @@ func NewPrefixCategory(attr string, domain []string, maskLevels int) (*CategoryH
 	return NewCategory(attr, paths)
 }
 
-// NewIntervalFromDomain builds an interval hierarchy whose level widths are
-// derived from the domain span: the first level groups values into `levels`
-// roughly equal buckets doubling in width at each subsequent level. It is a
-// convenience for attributes where no domain-specific widths are known.
-func NewIntervalFromDomain(attr string, min, max float64, levels int) (*IntervalHierarchy, error) {
-	if levels <= 0 {
-		return nil, fmt.Errorf("hierarchy: levels must be positive, got %d", levels)
-	}
-	span := max - min
-	if span <= 0 {
-		span = 1
-	}
-	widths := make([]float64, levels)
-	w := span / float64(int(1)<<uint(levels-1))
-	if w < 1 {
-		w = 1
-	}
-	for i := 0; i < levels; i++ {
-		widths[i] = w
-		w *= 2
-	}
-	// Enforce strict monotonicity in case rounding collapsed widths.
-	for i := 1; i < len(widths); i++ {
-		if widths[i] <= widths[i-1] {
-			widths[i] = widths[i-1] * 2
-		}
-	}
-	return NewInterval(attr, min, max, widths)
-}
-
 // Validate checks that every value of the given column domain is covered by
 // the hierarchy, returning the uncovered values (empty when fully covered).
 func Validate(h Hierarchy, domain []string) []string {

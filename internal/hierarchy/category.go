@@ -168,19 +168,6 @@ func (h *CategoryHierarchy) GroupSize(value string, level int) (int, error) {
 	return h.groupSizes[level][g], nil
 }
 
-// LevelOf returns the lowest level at which the given generalized value
-// appears, or -1 if it never appears. It is used to reverse-map released
-// values back onto the hierarchy (for example when computing ILoss of a
-// released table).
-func (h *CategoryHierarchy) LevelOf(generalized string) int {
-	for l := 0; l <= h.levels; l++ {
-		if _, ok := h.groupSizes[l][generalized]; ok {
-			return l
-		}
-	}
-	return -1
-}
-
 // GroupSizeOfGeneralized returns the number of leaves covered by an already
 // generalized value, searching all levels. Unknown values count as covering
 // the whole domain (they are treated as suppressed).

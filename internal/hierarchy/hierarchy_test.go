@@ -98,15 +98,6 @@ func TestCategoryGroupSizes(t *testing.T) {
 	if got := h.GroupSizeOfGeneralized("unknown-thing"); got != 5 {
 		t.Errorf("GroupSizeOfGeneralized(unknown) = %d, want domain size", got)
 	}
-	if got := h.LevelOf("secondary"); got != 1 {
-		t.Errorf("LevelOf(secondary) = %d", got)
-	}
-	if got := h.LevelOf("masters"); got != 0 {
-		t.Errorf("LevelOf(masters) = %d", got)
-	}
-	if got := h.LevelOf("nothing"); got != -1 {
-		t.Errorf("LevelOf(nothing) = %d", got)
-	}
 }
 
 func TestCategoryErrors(t *testing.T) {
@@ -356,23 +347,6 @@ func TestPrefixCategory(t *testing.T) {
 	}
 	if h2.MaxLevel() != 4 {
 		t.Errorf("default mask levels MaxLevel = %d", h2.MaxLevel())
-	}
-}
-
-func TestIntervalFromDomain(t *testing.T) {
-	h, err := NewIntervalFromDomain("hours", 1, 99, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.MaxLevel() != 5 {
-		t.Errorf("MaxLevel = %d", h.MaxLevel())
-	}
-	if _, err := NewIntervalFromDomain("hours", 1, 99, 0); err == nil {
-		t.Error("non-positive levels accepted")
-	}
-	// Degenerate domain still works.
-	if _, err := NewIntervalFromDomain("c", 5, 5, 3); err != nil {
-		t.Errorf("degenerate domain: %v", err)
 	}
 }
 

@@ -106,13 +106,6 @@ func (h *IntervalHierarchy) bucket(f float64, level int) (lo, hi float64) {
 	return lo, hi
 }
 
-func (h *IntervalHierarchy) format(f float64) string {
-	if h.integral {
-		return strconv.FormatInt(int64(f), 10)
-	}
-	return strconv.FormatFloat(f, 'g', 6, 64)
-}
-
 // FormatInterval renders an interval the way Generalize does. It is exported
 // so multidimensional recoders (Mondrian) can emit ranges in the same syntax.
 func FormatInterval(lo, hi float64, integral bool) string {

@@ -118,10 +118,6 @@ type Config struct {
 	// memory until the TTL expires. The oldest finished jobs are evicted
 	// first.
 	MaxFinished int
-	// RunTimeout, when positive, bounds the running phase of every job: the
-	// job's context gets the deadline when a worker picks it up, not while it
-	// waits in the queue.
-	RunTimeout time.Duration
 	// Now is the clock (time.Now when nil); tests inject a deterministic one
 	// to exercise TTL eviction without sleeping.
 	Now func() time.Time
@@ -275,7 +271,9 @@ type Options struct {
 	// Meta is an arbitrary caller payload echoed in every Snapshot (the HTTP
 	// service stores the request summary here for job listings).
 	Meta any
-	// Timeout overrides Config.RunTimeout for this job (0 keeps the config).
+	// Timeout, when positive, bounds the job's running phase: the job's
+	// context gets the deadline when a worker picks it up, not while it waits
+	// in the queue. 0 means no deadline.
 	Timeout time.Duration
 }
 
@@ -302,17 +300,13 @@ func (m *Manager) Submit(run Runner, opts Options) (Snapshot, error) {
 			ErrTenantQuota, opts.Tenant, tq.active, m.cfg.MaxPerTenant)
 	}
 	m.seq++
-	timeout := opts.Timeout
-	if timeout <= 0 {
-		timeout = m.cfg.RunTimeout
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id:      fmt.Sprintf("j%d", m.seq),
 		tenant:  opts.Tenant,
 		meta:    opts.Meta,
 		run:     run,
-		timeout: timeout,
+		timeout: opts.Timeout,
 		ctx:     ctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -647,20 +641,6 @@ func (m *Manager) Counts() (queued, running, finished int) {
 		}
 	}
 	return
-}
-
-// TenantCounts reports each tenant's admitted (queued + running) jobs, the
-// counts the per-tenant admission cap is checked against.
-func (m *Manager) TenantCounts() map[string]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.tenants))
-	for name, tq := range m.tenants {
-		if tq.active > 0 { // the anonymous record stays resident at zero
-			out[name] = tq.active
-		}
-	}
-	return out
 }
 
 // Close stops the manager: queued jobs are canceled, running jobs have their

@@ -218,8 +218,11 @@ func TestTenantQuota(t *testing.T) {
 	if _, err := m.Submit(gatedRunner(nil, release, nil), Options{Tenant: "B"}); err != nil {
 		t.Fatalf("submit B1: %v", err)
 	}
-	if got := m.TenantCounts(); got["A"] != 2 || got["B"] != 1 {
-		t.Fatalf("TenantCounts = %v, want A:2 B:1", got)
+	m.mu.Lock()
+	a, b := m.tenants["A"].active, m.tenants["B"].active
+	m.mu.Unlock()
+	if a != 2 || b != 1 {
+		t.Fatalf("admitted per tenant = A:%d B:%d, want A:2 B:1", a, b)
 	}
 	// Finishing A's jobs frees quota.
 	close(release)

@@ -201,11 +201,11 @@ func TestPanickingRunnerFailsJobOnly(t *testing.T) {
 }
 
 func TestRunTimeoutFailsJob(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, RunTimeout: 5 * time.Millisecond})
+	m := newTestManager(t, Config{Workers: 1})
 	snap, err := m.Submit(func(ctx context.Context, _ func(int, int)) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}, Options{})
+	}, Options{Timeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

@@ -12,9 +12,9 @@ import (
 )
 
 // MinChunk is the default smallest number of row-granular items a single
-// chunk of a Fold or Chunks call should hold. Below roughly a thousand rows
-// the goroutine hand-off costs more than the scan itself, so smaller inputs
-// run inline on the calling goroutine. Map deliberately has no such cutoff:
+// chunk of a Fold call should hold. Below roughly a thousand rows the
+// goroutine hand-off costs more than the scan itself, so smaller inputs run
+// inline on the calling goroutine. Map deliberately has no such cutoff:
 // its callers hand it a few coarse, expensive tasks (lattice nodes, scan
 // candidates), where inlining small n would serialize exactly the work the
 // pool exists for.
@@ -112,16 +112,4 @@ func Fold[S any](n, workers, minChunk int, fold func(lo, hi int) (S, error), mer
 		}
 	}
 	return acc, nil
-}
-
-// Chunks runs body over contiguous sub-ranges of [0, n) concurrently, with
-// the same chunk sizing and inline small-n cutoff as Fold. It is meant for
-// side-effecting scans that write disjoint regions of a shared buffer
-// (fingerprint cell hashing, per-row scatter); body must touch only state
-// derived from its own [lo, hi) range.
-func Chunks(n, workers, minChunk int, body func(lo, hi int)) {
-	type void = struct{}
-	_, _ = Fold(n, workers, minChunk,
-		func(lo, hi int) (void, error) { body(lo, hi); return void{}, nil },
-		func(acc, _ void) (void, error) { return acc, nil })
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -198,28 +197,5 @@ func TestFoldErrors(t *testing.T) {
 		func(a, b int) (int, error) { return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("merge error = %v", err)
-	}
-}
-
-func TestChunksCoversRange(t *testing.T) {
-	const n = 50_000
-	seen := make([]int32, n)
-	var mu sync.Mutex
-	var spans [][2]int
-	Chunks(n, 4, 1024, func(lo, hi int) {
-		mu.Lock()
-		spans = append(spans, [2]int{lo, hi})
-		mu.Unlock()
-		for i := lo; i < hi; i++ {
-			seen[i]++ // disjoint ranges: no atomics needed
-		}
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d covered %d times", i, c)
-		}
-	}
-	if len(spans) != 4 {
-		t.Fatalf("chunks=%d want 4", len(spans))
 	}
 }

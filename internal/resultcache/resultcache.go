@@ -98,9 +98,6 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// Cap returns the configured capacity.
-func (c *Cache) Cap() int { return c.cap }
-
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	// Hits and Misses count Get outcomes since construction.

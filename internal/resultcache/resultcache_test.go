@@ -55,8 +55,8 @@ func TestLRUEviction(t *testing.T) {
 
 func TestCapacityClamp(t *testing.T) {
 	c := New(0)
-	if c.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", c.Cap())
+	if s := c.Stats(); s.Capacity != 1 {
+		t.Fatalf("Capacity = %d, want 1", s.Capacity)
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)

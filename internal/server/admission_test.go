@@ -236,16 +236,16 @@ func TestTenantDatasetQuota(t *testing.T) {
 // directly: replacing one's own dataset must not consume a second slot.
 func TestPutDatasetTenantQuotaReplace(t *testing.T) {
 	r := newRegistry(0, 0, 0)
-	if err := r.putDataset(&storedDataset{name: "a", datasetMeta: datasetMeta{Tenant: "acme"}}, false, 1); err != nil {
+	if err := r.putDataset(&storedDataset{name: "a", datasetMeta: datasetMeta{Tenant: "acme"}}, false, nil, 1); err != nil {
 		t.Fatalf("first dataset: %v", err)
 	}
-	if err := r.putDataset(&storedDataset{name: "b", datasetMeta: datasetMeta{Tenant: "acme"}}, false, 1); !errors.Is(err, errTenantQuota) {
+	if err := r.putDataset(&storedDataset{name: "b", datasetMeta: datasetMeta{Tenant: "acme"}}, false, nil, 1); !errors.Is(err, errTenantQuota) {
 		t.Fatalf("over-quota dataset: %v, want errTenantQuota", err)
 	}
-	if err := r.putDataset(&storedDataset{name: "a", datasetMeta: datasetMeta{Tenant: "acme"}}, true, 1); err != nil {
+	if err := r.putDataset(&storedDataset{name: "a", datasetMeta: datasetMeta{Tenant: "acme"}}, true, nil, 1); err != nil {
 		t.Errorf("replacing own dataset at quota: %v, want nil", err)
 	}
-	if err := r.putDataset(&storedDataset{name: "b", datasetMeta: datasetMeta{Tenant: "globex"}}, false, 1); err != nil {
+	if err := r.putDataset(&storedDataset{name: "b", datasetMeta: datasetMeta{Tenant: "globex"}}, false, nil, 1); err != nil {
 		t.Errorf("other tenant's dataset: %v, want nil", err)
 	}
 }

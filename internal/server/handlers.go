@@ -104,7 +104,7 @@ func (s *Server) handleGenerateDataset(w http.ResponseWriter, r *http.Request) {
 		hier:        family.Hierarchies(),
 	}
 	ds.table.SetScanWorkers(s.scanWorkers())
-	if err := s.reg.putDataset(ds, false, s.cfg.TenantMaxDatasets); err != nil {
+	if err := s.reg.putDataset(ds, false, nil, s.cfg.TenantMaxDatasets); err != nil {
 		writeRegistryError(w, err)
 		return
 	}
@@ -142,7 +142,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	tbl.SetScanWorkers(s.scanWorkers())
 	ds := &storedDataset{name: name, table: tbl, hier: f.Hierarchies(),
 		datasetMeta: datasetMeta{Family: f.Name, Tenant: tenantOf(r), CreatedUnix: time.Now().UnixNano()}}
-	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
+	if err := s.reg.putDataset(ds, true, nil, s.cfg.TenantMaxDatasets); err != nil {
 		writeRegistryError(w, err)
 		return
 	}
@@ -158,7 +158,10 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // "schema_mismatch" code. The append is copy-on-write: releases pin the
 // previous snapshot, so the grown table replaces the name as a new generation
 // (same path as a PUT replace, including tenant quota accounting) and the
-// reconciler is notified.
+// reconciler is notified. The replace is conditional on the generation the
+// rows were applied to: when a concurrent append or PUT got there first, the
+// rows are applied again to the dataset as it now stands, so every
+// acknowledged append adds its rows exactly once.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	cur, err := s.reg.datasets.get(name)
@@ -182,27 +185,40 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_csv", "%v", err)
 		return
 	}
-	// Clone-then-append: the stored table is immutable (released snapshots and
-	// concurrent readers share it), so the rows land on a deep copy that then
-	// replaces the name as the next generation.
-	merged := cur.table.Clone()
-	if err := merged.AppendTable(rows); err != nil {
-		if errors.Is(err, dataset.ErrSchemaMismatch) {
-			writeError(w, http.StatusBadRequest, "schema_mismatch", "%v", err)
+	for {
+		// Clone-then-append: the stored table is immutable (released
+		// snapshots and concurrent readers share it), so the rows land on a
+		// deep copy that then replaces the name as the next generation.
+		merged := cur.table.Clone()
+		if err := merged.AppendTable(rows); err != nil {
+			if errors.Is(err, dataset.ErrSchemaMismatch) {
+				writeError(w, http.StatusBadRequest, "schema_mismatch", "%v", err)
+				return
+			}
+			writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", "%v", err)
+		merged.SetScanWorkers(s.scanWorkers())
+		ds := &storedDataset{name: name, table: merged, hier: cur.hier,
+			datasetMeta: datasetMeta{Family: cur.Family, Tenant: tenantOf(r), CreatedUnix: time.Now().UnixNano()}}
+		err := s.reg.putDataset(ds, true, cur, s.cfg.TenantMaxDatasets)
+		if errors.Is(err, errDatasetMoved) {
+			// Each lost race means another write succeeded, so the retries
+			// end. A dataset deleted meanwhile is a 404 from here.
+			if cur, err = s.reg.datasets.get(name); err != nil {
+				writeRegistryError(w, err)
+				return
+			}
+			continue
+		}
+		if err != nil {
+			writeRegistryError(w, err)
+			return
+		}
+		s.notifyDatasetChanged(ds)
+		writeJSON(w, http.StatusOK, datasetJSON(ds))
 		return
 	}
-	merged.SetScanWorkers(s.scanWorkers())
-	ds := &storedDataset{name: name, table: merged, hier: cur.hier,
-		datasetMeta: datasetMeta{Family: cur.Family, Tenant: tenantOf(r), CreatedUnix: time.Now().UnixNano()}}
-	if err := s.reg.putDataset(ds, true, s.cfg.TenantMaxDatasets); err != nil {
-		writeRegistryError(w, err)
-		return
-	}
-	s.notifyDatasetChanged(ds)
-	writeJSON(w, http.StatusOK, datasetJSON(ds))
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {

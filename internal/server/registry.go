@@ -25,6 +25,10 @@ var (
 	errReleaseSpecOwned  = errors.New("release is managed by a spec")
 	errRegistryFull      = errors.New("registry is full")
 	errTenantQuota       = errors.New("tenant dataset quota exceeded")
+	// errDatasetMoved refuses a put whose base is no longer the stored entry;
+	// the caller re-reads the dataset and retries, so it never reaches a
+	// client.
+	errDatasetMoved = errors.New("dataset changed since it was read")
 )
 
 // registryErrors maps every registry refusal onto its HTTP status and
@@ -309,8 +313,11 @@ func (r *registry) deletePolicy(name string) error {
 // watched dataset asks for (each spec-owned release pins its own origin
 // snapshot, so reports stay correct mid-reconciliation). maxPerTenant, when
 // positive, caps how many datasets ds.Tenant may hold (replacing one's own
-// dataset never consumes quota).
-func (r *registry) putDataset(ds *storedDataset, replace bool, maxPerTenant int) error {
+// dataset never consumes quota). base, when non-nil, is the entry ds was
+// derived from: the put is a compare-and-swap that fails with
+// errDatasetMoved unless the name still maps to base, so a read-modify-write
+// never overwrites a generation it did not see.
+func (r *registry) putDataset(ds *storedDataset, replace bool, base *storedDataset, maxPerTenant int) error {
 	// Persist the table snapshot before taking the lock: encoding is the
 	// expensive part and PutTable is content-addressed and idempotent, so a
 	// put whose op is then rejected below leaves at worst an unreferenced
@@ -329,6 +336,9 @@ func (r *registry) putDataset(ds *storedDataset, replace bool, maxPerTenant int)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	existing, exists := r.datasets.items[ds.name]
+	if base != nil && existing != base {
+		return errDatasetMoved
+	}
 	ds.Generation = 1
 	if exists && replace {
 		for _, rel := range r.releases.items {
@@ -483,5 +493,5 @@ func (s *Server) AddDataset(name, family string, tbl *dataset.Table, hs *hierarc
 	return s.reg.putDataset(&storedDataset{
 		name: name, table: tbl, hier: hs,
 		datasetMeta: datasetMeta{Family: family, CreatedUnix: time.Now().UnixNano()},
-	}, false, 0)
+	}, false, nil, 0)
 }

@@ -644,15 +644,15 @@ func TestRegistryCaps(t *testing.T) {
 	tbl := synth.Census(1, 1)
 	for i := 0; i < DefaultMaxDatasets; i++ {
 		ds := &storedDataset{name: fmt.Sprintf("d%d", i), table: tbl}
-		if err := reg.putDataset(ds, false, 0); err != nil {
+		if err := reg.putDataset(ds, false, nil, 0); err != nil {
 			t.Fatalf("dataset %d: %v", i, err)
 		}
 	}
-	if err := reg.putDataset(&storedDataset{name: "overflow", table: tbl}, false, 0); !errors.Is(err, errRegistryFull) {
+	if err := reg.putDataset(&storedDataset{name: "overflow", table: tbl}, false, nil, 0); !errors.Is(err, errRegistryFull) {
 		t.Fatalf("dataset overflow error = %v, want errRegistryFull", err)
 	}
 	// Replacing an existing name is not growth and stays allowed.
-	if err := reg.putDataset(&storedDataset{name: "d0", table: tbl}, true, 0); err != nil {
+	if err := reg.putDataset(&storedDataset{name: "d0", table: tbl}, true, nil, 0); err != nil {
 		t.Fatalf("replace at cap: %v", err)
 	}
 	for i := 0; i < DefaultMaxReleases; i++ {

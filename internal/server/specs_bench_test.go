@@ -58,7 +58,7 @@ func BenchmarkReconcileRepublish(b *testing.B) {
 				}
 				cur = merged
 				if err := srv.reg.putDataset(&storedDataset{name: "pop", table: merged,
-					datasetMeta: datasetMeta{Family: "census", CreatedUnix: time.Now().UnixNano()}}, true, 0); err != nil {
+					datasetMeta: datasetMeta{Family: "census", CreatedUnix: time.Now().UnixNano()}}, true, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,27 +49,37 @@ func censusChunks(t testing.TB, bounds ...int) [][]byte {
 // the JSON response.
 func sendCSV(t testing.TB, method, url string, body []byte) (int, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	status, out, err := trySendCSV(method, url, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return status, out
+}
+
+// trySendCSV is sendCSV returning its failure, for goroutines other than
+// the test's own, which must not call t.Fatal.
+func trySendCSV(method, url string, body []byte) (int, map[string]any, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "text/csv")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	out := map[string]any{}
 	if len(raw) > 0 {
 		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatalf("%s %s: non-JSON response %d: %s", method, url, resp.StatusCode, raw)
+			return 0, nil, fmt.Errorf("%s %s: non-JSON response %d: %s", method, url, resp.StatusCode, raw)
 		}
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
 }
 
 // pollSpec polls GET /v1/specs/{name} until pred accepts the body.

@@ -84,11 +84,10 @@ type FaultFS struct {
 	// unlimited. A write that would exceed it is truncated to the remaining
 	// budget (the short write) and fails with errInjectedFull.
 	writeBudget int64
-	// syncFailures counts down on every file fsync; when it hits zero that
-	// fsync (and every later one, until rearmed) fails with errInjectedSync.
+	// syncCountdown counts down on every file fsync; when it hits zero that
+	// fsync (and every later one, until disarmed) fails with errInjectedSync.
 	syncCountdown int
 	syncArmed     bool
-	syncs         int
 }
 
 // NewFaultFS returns a FaultFS delegating to inner (the OS when nil).
@@ -121,13 +120,6 @@ func (f *FaultFS) DisarmSync() {
 	f.mu.Lock()
 	f.syncArmed = false
 	f.mu.Unlock()
-}
-
-// Syncs returns the number of file fsyncs observed.
-func (f *FaultFS) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
 }
 
 // errInjected* mimic the real failure modes: ENOSPC for budget exhaustion,
@@ -184,7 +176,6 @@ func (f *faultFile) Write(b []byte) (int, error) {
 
 func (f *faultFile) Sync() error {
 	f.fs.mu.Lock()
-	f.fs.syncs++
 	fail := false
 	if f.fs.syncArmed {
 		f.fs.syncCountdown--

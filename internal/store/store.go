@@ -137,8 +137,8 @@ type Store struct {
 	// putGrace: any number of checkpoints may run inside that window.
 	putAt  map[string]time.Time
 	putSeq atomic.Uint64 // numbers PutTable temp files
+	// mapped holds every table snapshot opened so far, by fingerprint.
 	mapped map[string]*dataset.MappedTable
-	cached map[string]*dataset.Table
 
 	recovery         time.Duration
 	recoveredRecords int
@@ -176,7 +176,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		tables:  map[string]int64{},
 		putAt:   map[string]time.Time{},
 		mapped:  map[string]*dataset.MappedTable{},
-		cached:  map[string]*dataset.Table{},
 	}
 
 	man, err := s.loadManifest()
@@ -521,9 +520,9 @@ func (s *Store) Table(fp string) (*dataset.Table, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if t, ok := s.cached[fp]; ok {
+	if mt, ok := s.mapped[fp]; ok {
 		s.mu.Unlock()
-		return t, nil
+		return mt.Table(), nil
 	}
 	if _, ok := s.tables[fp]; !ok {
 		s.mu.Unlock()
@@ -546,12 +545,11 @@ func (s *Store) Table(fp string) (*dataset.Table, error) {
 		mt.Close()
 		return nil, ErrClosed
 	}
-	if t, ok := s.cached[fp]; ok { // lost a race with another loader
+	if prev, ok := s.mapped[fp]; ok { // lost a race with another loader
 		mt.Close()
-		return t, nil
+		return prev.Table(), nil
 	}
 	s.mapped[fp] = mt
-	s.cached[fp] = mt.Table()
 	return mt.Table(), nil
 }
 
@@ -572,6 +570,16 @@ func (s *Store) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 func (s *Store) checkpointLocked() error {
 	man := manifestJSON{
 		Version:     1,
@@ -579,22 +587,12 @@ func (s *Store) checkpointLocked() error {
 		NextSeq:     s.nextSeq,
 		CreatedUnix: s.now().Unix(),
 	}
-	for _, kind := range []string{KindDataset, KindRelease, KindPolicy} {
-		keys := make([]string, 0, len(s.records[kind]))
-		for k := range s.records[kind] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			man.Records = append(man.Records, s.records[kind][k])
-		}
-	}
-	for kind, byKey := range s.records {
-		if kind == KindDataset || kind == KindRelease || kind == KindPolicy {
-			continue
-		}
-		for _, r := range byKey {
-			man.Records = append(man.Records, r)
+	// Sorted kinds, then sorted keys: the record order depends only on the
+	// state.
+	for _, kind := range sortedKeys(s.records) {
+		byKey := s.records[kind]
+		for _, k := range sortedKeys(byKey) {
+			man.Records = append(man.Records, byKey[k])
 		}
 	}
 	// Compact marshaling keeps Record.Meta byte-stable across checkpoint
@@ -644,9 +642,9 @@ func (s *Store) checkpointLocked() error {
 
 	// GC table snapshots nothing references anymore, except those whose
 	// referencing Apply may still be on its way (putAt). Only the file and
-	// the tables entry go: a table already opened keeps its mapping in
-	// mapped and cached, and counts in MappedTables, until Close (the file
-	// stays readable through the mapping on POSIX).
+	// the tables entry go: a table already opened stays in mapped, and
+	// counts in MappedTables, until Close (the file stays readable through
+	// the mapping on POSIX).
 	referenced := map[string]bool{}
 	for _, byKey := range s.records {
 		for _, r := range byKey {
@@ -722,9 +720,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Close releases the WAL handle and every table mapping. Tables obtained
 // from the store must not be used afterwards.
 func (s *Store) Close() error {
@@ -746,7 +741,6 @@ func (s *Store) Close() error {
 			first = err
 		}
 		delete(s.mapped, fp)
-		delete(s.cached, fp)
 	}
 	return first
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,58 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if stats.MappedTables != 1 {
 		t.Fatalf("MappedTables = %d, want 1", stats.MappedTables)
+	}
+}
+
+// TestCheckpointRecordOrder checks that a manifest lists its records by
+// kind, then key, whatever order they were applied in: two stores given the
+// same records in opposite orders write byte-identical manifests.
+func TestCheckpointRecordOrder(t *testing.T) {
+	var ops []Op
+	for _, kind := range []string{KindSpec, KindRelease, KindPolicy, KindDataset} {
+		for i := range 6 {
+			ops = append(ops, Op{Op: OpPut, Kind: kind, Key: fmt.Sprintf("%s-%d", kind, (i*5)%6), Meta: meta(`{}`)})
+		}
+	}
+	clock := func() time.Time { return time.Unix(1_700_000_000, 0) }
+	manifest := func(ops []Op) []byte {
+		dir := t.TempDir()
+		st, err := Open(dir, Options{Now: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		for _, op := range ops {
+			if err := st.Apply(op); err != nil {
+				t.Fatalf("apply %+v: %v", op, err)
+			}
+		}
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, manifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	forward := manifest(ops)
+	var man manifestJSON
+	if err := json.Unmarshal(forward, &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Records) != len(ops) {
+		t.Fatalf("manifest holds %d records, want %d", len(man.Records), len(ops))
+	}
+	for i := 1; i < len(man.Records); i++ {
+		a, b := man.Records[i-1], man.Records[i]
+		if a.Kind > b.Kind || a.Kind == b.Kind && a.Key >= b.Key {
+			t.Fatalf("record %d (%s %s) follows (%s %s)", i, b.Kind, b.Key, a.Kind, a.Key)
+		}
+	}
+	slices.Reverse(ops)
+	if backward := manifest(ops); string(backward) != string(forward) {
+		t.Fatalf("manifests differ by apply order:\n%s\n%s", forward, backward)
 	}
 }
 

@@ -315,9 +315,3 @@ func CensusHierarchies() *hierarchy.Set {
 
 	return hierarchy.MustSet(age, hours, workclass, education, marital, occupation, race, sex, country)
 }
-
-// CensusQuasiIdentifiers returns the default quasi-identifier attribute names
-// of the census dataset, in schema order.
-func CensusQuasiIdentifiers() []string {
-	return CensusSchema().QuasiIdentifierNames()
-}

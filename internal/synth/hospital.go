@@ -125,12 +125,6 @@ func HospitalHierarchies() *hierarchy.Set {
 	return hierarchy.MustSet(age, zip, sex, nat)
 }
 
-// HospitalQuasiIdentifiers returns the quasi-identifier attribute names of
-// the hospital dataset, in schema order.
-func HospitalQuasiIdentifiers() []string {
-	return HospitalSchema().QuasiIdentifierNames()
-}
-
 // HospitalDiagnoses returns the sensitive-value domain of the hospital
 // dataset (most common first).
 func HospitalDiagnoses() []string {

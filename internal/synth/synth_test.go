@@ -100,7 +100,7 @@ func TestCensusCorrelations(t *testing.T) {
 func TestCensusHierarchiesCoverData(t *testing.T) {
 	tbl := Census(3000, 5)
 	hs := CensusHierarchies()
-	for _, qi := range CensusQuasiIdentifiers() {
+	for _, qi := range tbl.Schema().QuasiIdentifierNames() {
 		h, err := hs.Get(qi)
 		if err != nil {
 			t.Fatalf("no hierarchy for %q", qi)
@@ -139,7 +139,7 @@ func TestHospitalShapeAndSkew(t *testing.T) {
 func TestHospitalHierarchiesCoverData(t *testing.T) {
 	tbl := Hospital(2000, 2)
 	hs := HospitalHierarchies()
-	for _, qi := range HospitalQuasiIdentifiers() {
+	for _, qi := range tbl.Schema().QuasiIdentifierNames() {
 		h, err := hs.Get(qi)
 		if err != nil {
 			t.Fatalf("no hierarchy for %q", qi)
