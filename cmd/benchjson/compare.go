@@ -9,17 +9,20 @@ import (
 )
 
 // comparedMetrics are the units the compare subcommand diffs; both are
-// smaller-is-better, so a positive delta is a regression.
+// smaller-is-better, so a positive delta is a regression. ns/op regresses
+// beyond the threshold fraction; allocs/op is counted exactly, so any rise
+// of one allocation or more regresses, from zero too.
 var comparedMetrics = []string{"ns/op", "allocs/op"}
 
 // runCompare implements `benchjson compare [-threshold F] OLD.json NEW.json`.
 // It prints one line per benchmark/metric pair present in both files and
-// returns exit code 1 when any delta exceeds the threshold fraction (0 on a
-// clean comparison; hard errors surface as error).
+// returns exit code 1 when any ns/op delta exceeds the threshold fraction or
+// allocs/op rises by one or more (0 on a clean comparison; hard errors
+// surface as error).
 func runCompare(args []string, w io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchjson compare", flag.ContinueOnError)
 	threshold := fs.Float64("threshold", 0.10,
-		"regression threshold as a fraction (0.10 flags metrics more than 10% worse)")
+		"ns/op regression threshold as a fraction (0.10 flags more than 10% worse); allocs/op flags any rise")
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
@@ -39,7 +42,7 @@ func runCompare(args []string, w io.Writer) (int, error) {
 	}
 	regressions := compareReports(oldRep, newRep, *threshold, w)
 	if regressions > 0 {
-		fmt.Fprintf(w, "%d metric(s) regressed beyond %+.0f%%\n", regressions, *threshold*100)
+		fmt.Fprintf(w, "%d metric(s) regressed (ns/op beyond %+.0f%%, or more allocs/op)\n", regressions, *threshold*100)
 		return 1, nil
 	}
 	return 0, nil
@@ -59,8 +62,8 @@ func readReport(path string) (*Report, error) {
 }
 
 // compareReports prints the delta table for the benchmarks present in both
-// reports (in the new report's order) and returns how many metrics regressed
-// beyond the threshold. Benchmarks join on their base name (baseName), so a
+// reports (in the new report's order) and returns how many metrics regressed:
+// ns/op beyond the threshold, allocs/op by one allocation or more. Benchmarks join on their base name (baseName), so a
 // baseline recorded at another GOMAXPROCS still compares; the header line
 // then names both values. Benchmarks present on only one side are announced
 // but never counted as regressions — a renamed or added benchmark must not
@@ -85,17 +88,27 @@ func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int 
 		for _, metric := range comparedMetrics {
 			oldV, okOld := ob.Metrics[metric]
 			newV, okNew := nb.Metrics[metric]
-			if !okOld || !okNew || oldV == 0 {
+			if !okOld || !okNew {
 				continue
 			}
-			delta := (newV - oldV) / oldV
+			regressed := newV-oldV >= 1
+			if metric != "allocs/op" {
+				if oldV == 0 {
+					continue
+				}
+				regressed = (newV-oldV)/oldV > threshold
+			}
+			change := fmt.Sprintf("%+7.1f%%", (newV-oldV)/oldV*100)
+			if oldV == 0 {
+				change = fmt.Sprintf("%+7.0f", newV)
+			}
 			mark := ""
-			if delta > threshold {
+			if regressed {
 				mark = "  << regression"
 				regressions++
 			}
-			fmt.Fprintf(w, "%-40s %-10s %14.1f -> %14.1f  %+7.1f%%%s\n",
-				nb.Name, metric, oldV, newV, delta*100, mark)
+			fmt.Fprintf(w, "%-40s %-10s %14.1f -> %14.1f  %s%s\n",
+				nb.Name, metric, oldV, newV, change, mark)
 		}
 	}
 	for _, ob := range oldRep.Benchmarks {

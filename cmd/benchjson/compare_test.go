@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,47 @@ func TestCompareJoinsAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if strings.Contains(text, "no baseline") || strings.Contains(text, "removed") {
 		t.Errorf("suffix-only name difference reported as added/removed:\n%s", text)
+	}
+}
+
+// TestCompareFlagsAnyAllocRise: allocs/op is compared exactly — one more
+// allocation is a regression however small its fraction, and so is the
+// first allocation of a benchmark that allocated nothing — while ns/op
+// keeps the threshold.
+func TestCompareFlagsAnyAllocRise(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
+		bench("BenchmarkOneMore-4", 1000, 1000),
+		bench("BenchmarkFromZero-4", 1000, 0),
+		bench("BenchmarkStillZero-4", 1000, 0),
+		bench("BenchmarkFewer-4", 1000, 10),
+	}})
+	newPath := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
+		bench("BenchmarkOneMore-4", 1000, 1001), // +0.1% allocs
+		bench("BenchmarkFromZero-4", 1000, 1),   // first allocation
+		bench("BenchmarkStillZero-4", 1050, 0),  // +5% ns/op, inside the threshold
+		bench("BenchmarkFewer-4", 1000, 9),      // improvement
+	}})
+	var out strings.Builder
+	code, err := runCompare([]string{"-threshold", "0.5", oldPath, newPath}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if code != 1 {
+		t.Errorf("exit code = %d, want 1:\n%s", code, text)
+	}
+	flagged := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "<< regression") {
+			flagged[strings.Fields(line)[0]+" "+strings.Fields(line)[1]] = true
+		}
+	}
+	want := map[string]bool{"BenchmarkOneMore-4 allocs/op": true, "BenchmarkFromZero-4 allocs/op": true}
+	if !reflect.DeepEqual(flagged, want) {
+		t.Errorf("flagged %v, want %v:\n%s", flagged, want, text)
+	}
+	if !strings.Contains(text, "2 metric(s) regressed") {
+		t.Errorf("summary does not count both alloc rises:\n%s", text)
 	}
 }

@@ -17,10 +17,10 @@
 // unit and of the iteration counts, with the number of samples.
 //
 // compare prints the per-benchmark ns/op and allocs/op deltas of the
-// benchmarks present in both files and exits with status 1 when any metric
-// regressed by more than the threshold (a fraction: 0.10 = +10%), so a CI
-// job can surface regressions while staying non-gating via
-// continue-on-error.
+// benchmarks present in both files and exits with status 1 when ns/op
+// regressed by more than the threshold (a fraction: 0.10 = +10%) or
+// allocs/op rose by one allocation or more (from zero too), so a CI job can
+// surface regressions while staying non-gating via continue-on-error.
 //
 // speedup joins the records of a GOMAXPROCS sweep (scripts/bench_cores.sh)
 // on the benchmark base name and prints each benchmark's scaling profile:

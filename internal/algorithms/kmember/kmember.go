@@ -5,11 +5,11 @@
 // Clusters are then recoded multidimensionally. Clustering-based
 // anonymization trades O(n²) running time for lower information loss than
 // full-domain recoding.
-// The loss reads the input's columns, never cell strings: numeric
-// quasi-identifiers come from the parse-once FloatColumn (a cell that does
-// not parse counts as maximal spread) and categorical ones from the
-// dictionary codes, with each cluster keeping the distinct codes it holds
-// per dimension.
+// The loss reads the input's dictionary codes, never cell strings: a
+// numeric quasi-identifier reads each code's number from the column's
+// per-code numeric reading (a cell that does not parse counts as maximal
+// spread), and each cluster keeps the distinct codes it holds per
+// categorical dimension.
 // The candidate losses of one growth step are independent of each other, so
 // each nearest-record scan is split across a bounded worker pool
 // (Config.Workers): every worker folds a contiguous chunk of the unassigned
@@ -87,14 +87,15 @@ type clusterState struct {
 	seen [][]uint32
 }
 
-// dim is one quasi-identifier as the clustering loss reads it: the parse-once
-// float view of a numeric attribute, or the dictionary codes of a
-// categorical one, with the normalizer of its penalty.
+// dim is one quasi-identifier as the clustering loss reads it: the
+// dictionary codes of the attribute, with the per-code numeric reading of a
+// numeric one and the normalizer of its penalty.
 type dim struct {
-	// fc is the numeric view; nil for categorical dimensions.
-	fc *dataset.FloatColumn
-	// codes are the categorical dimension's per-row dictionary codes.
+	// codes are the dimension's per-row dictionary codes.
 	codes []uint32
+	// st holds a numeric dimension's per-code reading; nil for categorical
+	// dimensions.
+	st *dataset.ColumnStats
 	// scale is the numeric range or the number of distinct values.
 	scale float64
 }
@@ -136,21 +137,19 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
+		cc, err := t.CodedColumn(c)
+		if err != nil {
+			return nil, err
+		}
+		dims[i].codes = cc.Codes
 		if attr, _ := t.Schema().ByName(a); attr.Type == dataset.Numeric {
 			lo, hi, err := t.NumericRange(a)
 			if err != nil {
 				return nil, err
 			}
-			if dims[i].fc, err = t.FloatColumn(c); err != nil {
-				return nil, err
-			}
+			dims[i].st = cc.Stats()
 			dims[i].scale = hi - lo
 		} else {
-			cc, err := t.CodedColumn(c)
-			if err != nil {
-				return nil, err
-			}
-			dims[i].codes = cc.Codes
 			dims[i].scale = float64(len(cc.Stats().Lex))
 		}
 		if dims[i].scale <= 0 {
@@ -177,16 +176,17 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 			}
 		}
 		for i, d := range dims {
-			if d.fc == nil {
-				if code := d.codes[r]; !slices.Contains(cs.seen[i], code) {
+			code := d.codes[r]
+			if d.st == nil {
+				if !slices.Contains(cs.seen[i], code) {
 					cs.seen[i] = append(cs.seen[i], code)
 				}
 				continue
 			}
-			if !d.fc.Valid[r] {
+			if !d.st.Parsed[code] {
 				continue
 			}
-			v := d.fc.Values[r]
+			v := d.st.Num[code]
 			if len(cs.rows) == 0 || v < cs.lo[i] {
 				cs.lo[i] = v
 			}
@@ -204,9 +204,10 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	loss := func(cs *clusterState, r int) float64 {
 		total := 0.0
 		for i, d := range dims {
-			if d.fc == nil {
+			code := d.codes[r]
+			if d.st == nil {
 				n := len(cs.seen[i])
-				if !slices.Contains(cs.seen[i], d.codes[r]) {
+				if !slices.Contains(cs.seen[i], code) {
 					n++
 				}
 				if n > 1 {
@@ -214,12 +215,12 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 				}
 				continue
 			}
-			if !d.fc.Valid[r] {
+			if !d.st.Parsed[code] {
 				// Treat unparseable numerics as maximal spread.
 				total += 1
 				continue
 			}
-			v := d.fc.Values[r]
+			v := d.st.Num[code]
 			lo, hi := cs.lo[i], cs.hi[i]
 			if len(cs.rows) == 0 {
 				lo, hi = v, v

@@ -12,11 +12,11 @@
 // as l-diversity or t-closeness that gate every split.
 //
 // The implementation operates on the dataset package's cached columnar views:
-// numeric dimensions are dense-ranked once per run from the parse-once
-// FloatColumns, so a split orders its partition by sorting integer
-// (rank, row) keys instead of comparing values, and categorical dimensions
-// read dictionary-encoded
-// CodedColumns, so the recursion never re-parses or re-hashes cell strings.
+// numeric dimensions are dense-ranked once per run from the columns'
+// per-code numeric readings, so a split orders its partition by sorting
+// integer (rank, row) keys instead of comparing values, and categorical
+// dimensions read dictionary-encoded CodedColumns, so the recursion never
+// re-parses or re-hashes cell strings.
 // A split of radixThreshold or more rows orders its keys with an LSD radix
 // sort, which gives the same order.
 //
@@ -306,30 +306,24 @@ type runner struct {
 // dimensions compete on equal footing, as in the original algorithm.
 func (r *runner) buildColumns() error {
 	for i := range r.qi {
+		cc, err := r.t.CodedColumn(r.cols[i])
+		if err != nil {
+			return err
+		}
 		if r.numeric[i] {
-			fc, err := r.t.FloatColumn(r.cols[i])
-			if err != nil {
-				return err
-			}
-			cc, err := r.t.CodedColumn(r.cols[i])
-			if err != nil {
-				return err
-			}
-			r.ranks[i], r.rankVals[i] = denseRanks(fc, cc)
+			st := cc.Stats()
+			r.ranks[i], r.rankVals[i] = denseRanks(cc.Codes, st)
 			// Numeric spans are halved, here and in width, so that values
 			// near ±MaxFloat64 cannot overflow them. For normal values the
 			// width, a ratio of two halved spans, equals the unhalved ratio
-			// bit for bit.
-			if half := fc.Max/2 - fc.Min/2; fc.ValidCount > 0 && half > 0 {
+			// bit for bit. Min and Max skip NaN, so a column of NaN only
+			// has no positive span.
+			if half := st.Max/2 - st.Min/2; half > 0 {
 				r.domainSpan[i] = half
 			} else {
 				r.domainSpan[i] = 1
 			}
 			continue
-		}
-		cc, err := r.t.CodedColumn(r.cols[i])
-		if err != nil {
-			return err
 		}
 		r.codes[i] = cc
 		if cc.Cardinality() > 0 {
@@ -360,38 +354,32 @@ func (r *runner) buildColumns() error {
 
 // denseRanks ranks every row of a numeric column among the column's distinct
 // values, so a partition can be put in (value, row) order by counting
-// instead of comparison sorting. Values are read from the FloatColumn once
-// per dictionary code; equal values (including distinct spellings of one
-// number) share a rank. Cells that do not parse — and NaN cells, which have
-// no place in the order — rank -1, which makes any partition holding one
-// unsplittable on the dimension.
-func denseRanks(fc *dataset.FloatColumn, cc *dataset.CodedColumn) ([]int32, []float64) {
-	val := make([]float64, cc.Cardinality())
-	usable := make([]bool, cc.Cardinality())
-	for row, code := range cc.Codes {
-		val[code] = fc.Values[row]
-		usable[code] = fc.Valid[row] && !math.IsNaN(fc.Values[row])
-	}
-	order := make([]uint32, 0, len(val))
-	for code, ok := range usable {
-		if ok {
-			order = append(order, uint32(code))
+// instead of comparison sorting. Values are read from the column's
+// per-code numeric reading st; equal values (including distinct spellings
+// of one number) share a rank. Cells that do not parse — and NaN cells,
+// which have no place in the order — rank -1, which makes any partition
+// holding one unsplittable on the dimension.
+func denseRanks(codes []uint32, st *dataset.ColumnStats) ([]int32, []float64) {
+	order := make([]uint32, 0, len(st.Lex))
+	for _, code := range st.Lex {
+		if st.Parsed[code] && !math.IsNaN(st.Num[code]) {
+			order = append(order, code)
 		}
 	}
-	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(val[a], val[b]) })
-	codeRank := make([]int32, len(val))
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(st.Num[a], st.Num[b]) })
+	codeRank := make([]int32, len(st.Num))
 	for code := range codeRank {
 		codeRank[code] = -1
 	}
 	var rankVals []float64
 	for _, code := range order {
-		if n := len(rankVals); n == 0 || rankVals[n-1] != val[code] {
-			rankVals = append(rankVals, val[code])
+		if n := len(rankVals); n == 0 || rankVals[n-1] != st.Num[code] {
+			rankVals = append(rankVals, st.Num[code])
 		}
 		codeRank[code] = int32(len(rankVals) - 1)
 	}
-	ranks := make([]int32, len(cc.Codes))
-	for row, code := range cc.Codes {
+	ranks := make([]int32, len(codes))
+	for row, code := range codes {
 		ranks[row] = codeRank[code]
 	}
 	return ranks, rankVals
@@ -417,10 +405,14 @@ func (r *runner) allowable(rows []int) (bool, error) {
 const maxStackDims = 16
 
 // dimWidth pairs a live dimension with its normalized width over a
-// partition.
+// partition. On a numeric dimension it also keeps the partition's rank
+// range from the width scan (rankRange), so the split need not scan the
+// rows again.
 type dimWidth struct {
-	dim   int
-	width float64
+	dim      int
+	width    float64
+	lo, hi   int32
+	complete bool
 }
 
 // partition recursively splits rows and appends final partitions to groups.
@@ -456,13 +448,13 @@ func (r *runner) partition(rows []int, live []int, sc *scratch) {
 	// keeps the ones still live here, in index order, for the children.
 	for _, dim := range live {
 		if w, ok := r.width(rows, dim, sc); ok {
-			order = append(order, dimWidth{dim: dim, width: w})
+			order = append(order, w)
 			next = append(next, dim)
 		}
 	}
 	sortByWidth(order)
 	for _, o := range order {
-		lhs, rhs, ok := r.split(rows, o.dim, sc)
+		lhs, rhs, ok := r.split(rows, o, sc)
 		if !ok {
 			continue
 		}
@@ -527,21 +519,24 @@ func sortByWidth(order []dimWidth) {
 // shares one rank (or none has a rank), a categorical one once every row
 // shares one code. The test is structural, never width == 0: a width can
 // underflow to 0 while splits still exist.
-func (r *runner) width(rows []int, dim int, sc *scratch) (w float64, live bool) {
+func (r *runner) width(rows []int, dim int, sc *scratch) (w dimWidth, live bool) {
+	w.dim = dim
 	span := r.domainSpan[dim]
 	if r.numeric[dim] {
-		lo, hi, _ := rankRange(r.ranks[dim], rows)
-		if lo == hi {
-			return 0, false
+		w.lo, w.hi, w.complete = rankRange(r.ranks[dim], rows)
+		if w.lo == w.hi {
+			return w, false
 		}
 		vals := r.rankVals[dim]
-		return (vals[hi]/2 - vals[lo]/2) / span, true
+		w.width = (vals[w.hi]/2 - vals[w.lo]/2) / span
+		return w, true
 	}
 	distinct := sc.countDistinct(r.codes[dim], rows)
 	if distinct <= 1 {
-		return 0, false
+		return w, false
 	}
-	return float64(distinct) / span, true
+	w.width = float64(distinct) / span
+	return w, true
 }
 
 // scratch holds one worker goroutine's reusable split and width buffers, so
@@ -589,14 +584,14 @@ func (sc *scratch) countDistinct(cc *dataset.CodedColumn, rows []int) int {
 	return distinct
 }
 
-// split divides rows along dimension dim. It returns ok=false when the
-// dimension cannot be split (all values equal, or a strict split would leave
-// one side empty).
-func (r *runner) split(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
-	if r.numeric[dim] {
-		return r.splitNumeric(rows, dim, sc)
+// split divides rows along dimension w.dim, as measured over rows by width.
+// It returns ok=false when the dimension cannot be split (all values equal,
+// or a strict split would leave one side empty).
+func (r *runner) split(rows []int, w dimWidth, sc *scratch) (lhs, rhs []int, ok bool) {
+	if r.numeric[w.dim] {
+		return r.splitNumeric(rows, w, sc)
 	}
-	return r.splitCategorical(rows, dim, sc)
+	return r.splitCategorical(rows, w.dim, sc)
 }
 
 // radixThreshold is the partition size from which splitNumeric orders its
@@ -665,11 +660,11 @@ func rankRange(ranks []int32, rows []int) (lo, hi int32, complete bool) {
 // splitNumeric orders rows by (value, row) and cuts at the median. The order
 // comes from the dimension's dense ranks: packed (rank, row) keys sort as
 // plain integers into exactly the (value, row) order of a comparison sort
-// over the parsed values.
-func (r *runner) splitNumeric(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
-	rk := r.ranks[dim]
-	lo, hi, complete := rankRange(rk, rows)
-	if !complete || lo == hi {
+// over the parsed values. w carries the rank range of rows on w.dim.
+func (r *runner) splitNumeric(rows []int, w dimWidth, sc *scratch) (lhs, rhs []int, ok bool) {
+	rk := r.ranks[w.dim]
+	lo, hi := w.lo, w.hi
+	if !w.complete || lo == hi {
 		// A cell that is not a usable number (already generalized or
 		// suppressed input, or NaN) leaves the dimension without an order;
 		// all-equal values leave nothing to split.

@@ -23,17 +23,40 @@ type rv struct {
 	val float64
 }
 
+// cells is a numeric column as the oracles read it, parsed cell by cell
+// from the table's strings: vals[row] is the number the trimmed cell parses
+// to, meaningful only where ok[row].
+type cells struct {
+	vals []float64
+	ok   []bool
+}
+
+// parseCells reads column col of tbl row by row.
+func parseCells(tbl *dataset.Table, col int) cells {
+	c := cells{vals: make([]float64, tbl.Len()), ok: make([]bool, tbl.Len())}
+	for row := range c.vals {
+		v, _ := tbl.Value(row, col)
+		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		c.vals[row], c.ok[row] = f, err == nil
+	}
+	return c
+}
+
+// usable reports whether row holds a number with a place in the value
+// order: a cell that parses to anything but NaN.
+func (c cells) usable(row int) bool { return c.ok[row] && !math.IsNaN(c.vals[row]) }
+
 // splitNumericOracle is the comparison-sort numeric split the rank-based one
 // replaced, kept as the differential-test oracle: it sorts (value, row)
 // pairs of the partition and cuts at the median. A NaN cell, like a cell
 // that does not parse, makes the partition unsplittable on the dimension.
-func splitNumericOracle(fc *dataset.FloatColumn, rows []int, strict bool) (lhs, rhs []int, ok bool) {
+func splitNumericOracle(c cells, rows []int, strict bool) (lhs, rhs []int, ok bool) {
 	vals := make([]rv, 0, len(rows))
 	for _, row := range rows {
-		if !fc.Valid[row] || math.IsNaN(fc.Values[row]) {
+		if !c.usable(row) {
 			return nil, nil, false
 		}
-		vals = append(vals, rv{row, fc.Values[row]})
+		vals = append(vals, rv{row, c.vals[row]})
 	}
 	slices.SortFunc(vals, func(a, b rv) int {
 		if a.val != b.val {
@@ -69,6 +92,14 @@ func splitNumericOracle(fc *dataset.FloatColumn, rows []int, strict bool) (lhs, 
 		return nil, nil, false
 	}
 	return arena[:cut:cut], arena[cut:], true
+}
+
+// splitNumericRows is splitNumeric over the rank range of rows on dimension
+// dim, as partition's width scan would measure it.
+func (r *runner) splitNumericRows(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
+	w := dimWidth{dim: dim}
+	w.lo, w.hi, w.complete = rankRange(r.ranks[dim], rows)
+	return r.splitNumeric(rows, w, sc)
 }
 
 // sortCategorical is the string form of the categorical split order that
@@ -160,22 +191,22 @@ func categoricalWidthOracle(tbl *dataset.Table, col int, rows []int) float64 {
 // replaced: the value range over rows divided by the range over all rows,
 // both halved so that values near ±MaxFloat64 cannot overflow them. NaN
 // cells are skipped like cells that do not parse.
-func widthOracle(fc *dataset.FloatColumn, rows, all []int) float64 {
-	span := halfRange(fc, all)
+func widthOracle(c cells, rows, all []int) float64 {
+	span := halfRange(c, all)
 	if span <= 0 {
 		span = 1
 	}
-	return halfRange(fc, rows) / span
+	return halfRange(c, rows) / span
 }
 
 // halfRange is half the distance between the smallest and largest value
 // among rows, or 0 when none has a value.
-func halfRange(fc *dataset.FloatColumn, rows []int) float64 {
+func halfRange(c cells, rows []int) float64 {
 	lo, hi := 0.0, 0.0
 	first := true
 	for _, row := range rows {
-		v := fc.Values[row]
-		if !fc.Valid[row] || math.IsNaN(v) {
+		v := c.vals[row]
+		if !c.usable(row) {
 			continue
 		}
 		if first || v < lo {
@@ -203,12 +234,10 @@ func referenceGroups(tb testing.TB, tbl *dataset.Table, cfg Config) ([][]int, in
 	if err != nil {
 		tb.Fatal(err)
 	}
-	floats := make([]*dataset.FloatColumn, len(qi))
+	floats := make([]cells, len(qi))
 	for i := range qi {
 		if r.numeric[i] {
-			if floats[i], err = tbl.FloatColumn(r.cols[i]); err != nil {
-				tb.Fatal(err)
-			}
+			floats[i] = parseCells(tbl, r.cols[i])
 		}
 	}
 	all := make([]int, tbl.Len())
@@ -445,14 +474,11 @@ func TestSplitNumericMatchesOracleOnPartitions(t *testing.T) {
 		}
 		sc := r.newScratch()
 		for dim := range r.qi {
-			fc, err := tbl.FloatColumn(r.cols[dim])
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := parseCells(tbl, r.cols[dim])
 			for trial := 0; trial < 200; trial++ {
 				rows := rng.Perm(tbl.Len())[:1+rng.Intn(300)]
-				gotL, gotR, gotOK := r.splitNumeric(rows, dim, sc)
-				wantL, wantR, wantOK := splitNumericOracle(fc, rows, strict)
+				gotL, gotR, gotOK := r.splitNumericRows(rows, dim, sc)
+				wantL, wantR, wantOK := splitNumericOracle(c, rows, strict)
 				if gotOK != wantOK || !slices.Equal(gotL, wantL) || !slices.Equal(gotR, wantR) {
 					t.Fatalf("strict=%v dim=%d trial %d (%d rows): split differs from the oracle", strict, dim, trial, len(rows))
 				}
@@ -509,7 +535,7 @@ func TestNaNDimensionUnsplittable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := r.splitNumeric([]int{0, 5, 6, 7}, 0, r.newScratch()); ok {
+		if _, _, ok := r.splitNumericRows([]int{0, 5, 6, 7}, 0, r.newScratch()); ok {
 			t.Fatal("partition with a NaN age split on age")
 		}
 	}

@@ -14,37 +14,21 @@ import (
 // attribute. A CodedColumn interns every distinct value of its column as a
 // dense uint32 code in first-appearance (row) order, with the values'
 // byte-lexicographic ranks; the cells of the table are Dict[Codes[i]] and
-// nothing else. Hot paths — equivalence-class grouping, Mondrian
-// partitioning, query evaluation, information-loss metrics — compare codes
-// instead of strings, and numeric consumers read the column's parse-once
-// FloatColumn, derived from the dictionary (each distinct value parsed
-// once) on first use.
+// nothing else. Every fact about a value is derived once per dictionary
+// code — its rank, its count and numeric reading (ColumnStats), its entry
+// in the reverse index — and a row reaches it through Codes[row]. Hot
+// paths — equivalence-class grouping, Mondrian partitioning, query
+// evaluation, information-loss metrics — compare codes instead of strings
+// and read numbers per code, so no column keeps a per-row copy of its
+// cells.
 //
 // Columns are immutable once installed. Writers — SetCodedColumn,
 // AppendTable, SetValue — build a new column and swap it in, so a column a
 // caller holds never changes, and derived tables (Clone, Project,
 // WithSchema) share the source's column objects. Everything a column
-// computes lazily (its float view, value distribution and reverse index)
-// is built once under a sync.Once and shared by every table holding it.
-
-// FloatColumn is a parse-once numeric view of one column. Values[i] holds the
-// parsed number of row i and is meaningful only where Valid[i] is true (cells
-// that are suppressed or generalized to intervals do not parse).
-type FloatColumn struct {
-	// Values holds one parsed value per row; entries where Valid is false
-	// are zero and must be ignored.
-	Values []float64
-	// Valid reports, per row, whether the cell parsed as a number.
-	Valid []bool
-	// ValidCount is the number of rows whose cell parsed.
-	ValidCount int
-	// Min and Max are the extrema over valid cells; when ValidCount is zero
-	// Min is +Inf and Max is -Inf.
-	Min, Max float64
-}
-
-// Len returns the number of rows in the column.
-func (c *FloatColumn) Len() int { return len(c.Values) }
+// computes lazily (its value distribution with the numeric reading, and its
+// reverse index) is built once under a sync.Once and shared by every table
+// holding it.
 
 // CodedColumn is one dictionary-encoded column: every distinct string value
 // is interned as a dense uint32 code in first-appearance (row) order, which
@@ -68,10 +52,6 @@ type CodedColumn struct {
 	// later frequency, domain and privacy-criterion query.
 	stats     *ColumnStats
 	statsOnce sync.Once
-	// float is the parse-once numeric view, built from the dictionary on
-	// first use (floatOnce), however the column was made.
-	float     *FloatColumn
-	floatOnce sync.Once
 }
 
 // newCodedColumn returns the column over (dict, codes) with its ranks
@@ -114,9 +94,10 @@ func (b *colBuilder) add(v string) uint64 {
 
 func (b *colBuilder) column() *CodedColumn { return newCodedColumn(b.dict, b.codes, b.index) }
 
-// ColumnStats is the value distribution of a CodedColumn. Lex and Numeric
-// list only codes that occur in the column (nonzero count), so dictionary
-// entries no row holds never appear in a domain.
+// ColumnStats is the value distribution of a CodedColumn and its numeric
+// reading. Lex and Numeric list only codes that occur in the column
+// (nonzero count), so dictionary entries no row holds never appear in a
+// domain, and the numeric summary ranges over occurring codes only.
 type ColumnStats struct {
 	// Counts[code] is the number of rows holding code.
 	Counts []int
@@ -127,6 +108,18 @@ type ColumnStats struct {
 	// values (ties by Lex position), or is nil when some occurring value
 	// does not parse as a number.
 	Numeric []uint32
+	// Num[code] is the number Dict[code] reads as — the value with
+	// surrounding whitespace trimmed, parsed by strconv.ParseFloat — and is
+	// meaningful only where Parsed[code]. "NaN" parses. Codes no row holds
+	// are never parsed. Suppressed cells and intervals do not parse, so a
+	// numeric reader skips them by their code.
+	Num    []float64
+	Parsed []bool
+	// AnyParsed reports whether some row holds a value that parses. Min and
+	// Max are the extrema of those values, NaN excluded; when none remains
+	// Min is +Inf and Max is -Inf.
+	AnyParsed bool
+	Min, Max  float64
 }
 
 // Stats returns the column's value distribution, computing it once. The
@@ -137,7 +130,13 @@ func (c *CodedColumn) Stats() *ColumnStats {
 }
 
 func (c *CodedColumn) buildStats() {
-	st := &ColumnStats{Counts: make([]int, len(c.Dict))}
+	st := &ColumnStats{
+		Counts: make([]int, len(c.Dict)),
+		Num:    make([]float64, len(c.Dict)),
+		Parsed: make([]bool, len(c.Dict)),
+		Min:    math.Inf(1),
+		Max:    math.Inf(-1),
+	}
 	for _, code := range c.Codes {
 		st.Counts[code]++
 	}
@@ -147,17 +146,26 @@ func (c *CodedColumn) buildStats() {
 		}
 	}
 	slices.SortFunc(st.Lex, func(a, b uint32) int { return cmp.Compare(c.ranks[a], c.ranks[b]) })
-	parsed := make([]float64, len(c.Dict))
+	all := true
 	for _, code := range st.Lex {
 		f, err := strconv.ParseFloat(strings.TrimSpace(c.Dict[code]), 64)
 		if err != nil {
-			c.stats = st
-			return
+			all = false
+			continue
 		}
-		parsed[code] = f
+		st.Num[code], st.Parsed[code], st.AnyParsed = f, true, true
+		// NaN compares false both ways, so it never becomes an extremum.
+		if f < st.Min {
+			st.Min = f
+		}
+		if f > st.Max {
+			st.Max = f
+		}
 	}
-	st.Numeric = slices.Clone(st.Lex)
-	slices.SortStableFunc(st.Numeric, func(a, b uint32) int { return cmp.Compare(parsed[a], parsed[b]) })
+	if all {
+		st.Numeric = slices.Clone(st.Lex)
+		slices.SortStableFunc(st.Numeric, func(a, b uint32) int { return cmp.Compare(st.Num[a], st.Num[b]) })
+	}
 	c.stats = st
 }
 
@@ -188,33 +196,6 @@ func (c *CodedColumn) ensureIndex() {
 		idx[v] = uint32(code)
 	}
 	c.index = idx
-}
-
-// floatView returns the column's parse-once numeric view, building it from
-// the dictionary on first use. Heap and snapshot-loaded columns take the
-// same path, so a snapshot cannot supply numbers its cells do not parse to.
-func (c *CodedColumn) floatView() *FloatColumn {
-	c.floatOnce.Do(func() { c.float = floatColumnFromCodes(c) })
-	return c.float
-}
-
-// FloatColumn returns the parse-once numeric view of column col, building it
-// on first access. The returned column is shared and read-only.
-func (t *Table) FloatColumn(col int) (*FloatColumn, error) {
-	cc, err := t.CodedColumn(col)
-	if err != nil {
-		return nil, err
-	}
-	return cc.floatView(), nil
-}
-
-// FloatColumnByName is FloatColumn keyed by attribute name.
-func (t *Table) FloatColumnByName(name string) (*FloatColumn, error) {
-	col, err := t.schema.Index(name)
-	if err != nil {
-		return nil, err
-	}
-	return t.FloatColumn(col)
 }
 
 // CodedColumn returns column col. Codes are assigned in first-appearance
@@ -453,42 +434,4 @@ func (c *CodedColumn) search(order []uint32, v string) (int, bool) {
 	return slices.BinarySearchFunc(order, v, func(code uint32, v string) int {
 		return strings.Compare(c.Dict[code], v)
 	})
-}
-
-// floatColumnFromCodes builds the parse-once numeric view of a column from
-// its dictionary encoding: each distinct value is parsed once and the result
-// fanned out over the code sequence.
-func floatColumnFromCodes(cc *CodedColumn) *FloatColumn {
-	parsed := make([]float64, len(cc.Dict))
-	valid := make([]bool, len(cc.Dict))
-	for code, v := range cc.Dict {
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			continue
-		}
-		parsed[code] = f
-		valid[code] = true
-	}
-	fc := &FloatColumn{
-		Values: make([]float64, len(cc.Codes)),
-		Valid:  make([]bool, len(cc.Codes)),
-		Min:    math.Inf(1),
-		Max:    math.Inf(-1),
-	}
-	for i, code := range cc.Codes {
-		if !valid[code] {
-			continue
-		}
-		f := parsed[code]
-		fc.Values[i] = f
-		fc.Valid[i] = true
-		fc.ValidCount++
-		if f < fc.Min {
-			fc.Min = f
-		}
-		if f > fc.Max {
-			fc.Max = f
-		}
-	}
-	return fc
 }

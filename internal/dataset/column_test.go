@@ -10,42 +10,38 @@ import (
 	"testing"
 )
 
-func TestFloatColumnParsesOnceAndCaches(t *testing.T) {
+func TestNumericReadingParsesOnceAndCaches(t *testing.T) {
 	tbl := testTable(t)
-	age := tbl.Schema().MustIndex("age")
-	fc, err := tbl.FloatColumn(age)
+	cc, err := tbl.CodedColumnByName("age")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.Len() != tbl.Len() || fc.ValidCount != tbl.Len() {
-		t.Fatalf("FloatColumn len=%d valid=%d, want %d", fc.Len(), fc.ValidCount, tbl.Len())
+	st := cc.Stats()
+	if len(st.Num) != cc.Cardinality() || len(st.Parsed) != cc.Cardinality() || !st.AnyParsed {
+		t.Fatalf("reading covers %d/%d codes (any %v), want %d", len(st.Num), len(st.Parsed), st.AnyParsed, cc.Cardinality())
 	}
-	if fc.Min != 30 || fc.Max != 47 {
-		t.Errorf("Min/Max = %v/%v, want 30/47", fc.Min, fc.Max)
+	if st.Min != 30 || st.Max != 47 {
+		t.Errorf("Min/Max = %v/%v, want 30/47", st.Min, st.Max)
 	}
-	if fc.Values[3] != 45 || !fc.Valid[3] {
-		t.Errorf("Values[3] = %v (valid %v), want 45", fc.Values[3], fc.Valid[3])
+	if code := cc.Codes[3]; st.Num[code] != 45 || !st.Parsed[code] {
+		t.Errorf("row 3 reads %v (parsed %v), want 45", st.Num[code], st.Parsed[code])
 	}
-	again, err := tbl.FloatColumn(age)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != fc {
-		t.Error("second FloatColumn call did not return the cached snapshot")
+	if cc.Stats() != st {
+		t.Error("second Stats call did not return the cached reading")
 	}
 	// Non-numeric cells are flagged, not fatal.
-	diag, err := tbl.FloatColumnByName("diagnosis")
+	diag, err := tbl.CodedColumnByName("diagnosis")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diag.ValidCount != 0 {
-		t.Errorf("diagnosis ValidCount = %d, want 0", diag.ValidCount)
+	if diag.Stats().AnyParsed || slices.Contains(diag.Stats().Parsed, true) {
+		t.Error("diagnosis values parsed as numbers")
 	}
-	if _, err := tbl.FloatColumn(99); err == nil {
-		t.Error("FloatColumn out of range succeeded")
+	if _, _, err := tbl.NumericRange("diagnosis"); !errors.Is(err, ErrNotNumeric) {
+		t.Errorf("NumericRange(diagnosis) = %v, want ErrNotNumeric", err)
 	}
-	if _, err := tbl.FloatColumnByName("missing"); err == nil {
-		t.Error("FloatColumnByName(missing) succeeded")
+	if _, _, err := tbl.NumericRange("missing"); err == nil {
+		t.Error("NumericRange(missing) succeeded")
 	}
 }
 
@@ -143,26 +139,27 @@ func lexValues(cc *CodedColumn, codes []uint32) []string {
 func TestSetValueInstallsNewColumn(t *testing.T) {
 	tbl := testTable(t)
 	age := tbl.Schema().MustIndex("age")
-	before, err := tbl.FloatColumn(age)
+	before, err := tbl.CodedColumn(age)
 	if err != nil {
 		t.Fatal(err)
 	}
+	beforeSt := before.Stats()
 	if err := tbl.SetValue(0, age, "99"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := tbl.FloatColumn(age)
+	after, err := tbl.CodedColumn(age)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after == before {
-		t.Fatal("SetValue kept the old float view")
+	if after == before || after.Stats() == beforeSt {
+		t.Fatal("SetValue kept the old column")
 	}
-	if after.Values[0] != 99 || after.Max != 99 {
-		t.Errorf("new column Values[0]=%v Max=%v, want 99", after.Values[0], after.Max)
+	if st := after.Stats(); st.Num[after.Codes[0]] != 99 || st.Max != 99 {
+		t.Errorf("new column row 0 = %v, Max = %v, want 99", st.Num[after.Codes[0]], st.Max)
 	}
 	// The old column is immutable.
-	if before.Values[0] != 30 {
-		t.Errorf("old column mutated: %v", before.Values[0])
+	if got := before.Stats().Num[before.Codes[0]]; got != 30 || before.Stats() != beforeSt {
+		t.Errorf("old column mutated: %v", got)
 	}
 	// Writing one column leaves the others in place.
 	diagBefore, _ := tbl.CodedColumnByName("diagnosis")
@@ -178,7 +175,7 @@ func TestSetValueInstallsNewColumn(t *testing.T) {
 func TestAppendTableInstallsNewColumns(t *testing.T) {
 	tbl := testTable(t)
 	age := tbl.Schema().MustIndex("age")
-	before, err := tbl.FloatColumn(age)
+	before, err := tbl.CodedColumn(age)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +187,12 @@ func TestAppendTableInstallsNewColumns(t *testing.T) {
 	if err := tbl.AppendTable(extra); err != nil {
 		t.Fatal(err)
 	}
-	after, err := tbl.FloatColumn(age)
+	after, err := tbl.CodedColumn(age)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after == before || after.Len() != 6 || after.Max != 70 {
-		t.Errorf("AppendTable did not install a new column: len=%d max=%v", after.Len(), after.Max)
+	if after == before || after.Len() != 6 || after.Stats().Max != 70 {
+		t.Errorf("AppendTable did not install a new column: len=%d max=%v", after.Len(), after.Stats().Max)
 	}
 	if before.Len() != 5 {
 		t.Errorf("old column grew to %d rows", before.Len())
@@ -217,15 +214,15 @@ func TestWithSchemaCopySharesColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	age := tbl.Schema().MustIndex("age")
-	before, _ := tbl.FloatColumn(age)
-	if got, _ := view.FloatColumn(age); got != before {
+	before, _ := tbl.CodedColumn(age)
+	if got, _ := view.CodedColumn(age); got != before {
 		t.Fatal("WithSchema copy does not share the source's columns")
 	}
 	// A write through the copy replaces only the copy's column.
 	if err := view.SetValue(0, age, "80"); err != nil {
 		t.Fatal(err)
 	}
-	if after, _ := tbl.FloatColumn(age); after != before {
+	if after, _ := tbl.CodedColumn(age); after != before {
 		t.Fatal("write through the WithSchema copy replaced the source's column")
 	}
 	if v, _ := view.Value(0, age); v != "80" {

@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkReadCSV measures schema-directed ingest of the 5k census fixture:
-// the streaming columnar path interns cell values, builds the coded and
-// float columns and the content fingerprint in the same pass.
+// the streaming columnar path interns cell values, builds the coded
+// columns and the content fingerprint in the same pass.
 func BenchmarkReadCSV(b *testing.B) {
 	var buf bytes.Buffer
 	if err := synth.Census(5000, 1).WriteCSV(&buf); err != nil {

@@ -151,11 +151,11 @@ func TestTableAccess(t *testing.T) {
 	if _, err := tbl.Value(0, 9); err == nil {
 		t.Error("Value with bad column succeeded")
 	}
-	ages, err := tbl.FloatColumn(1)
-	if err != nil || !ages.Valid[3] || ages.Values[3] != 45 {
-		t.Errorf("FloatColumn(1) row 3 = %v, %v", ages, err)
+	ages, err := tbl.CodedColumn(1)
+	if st := ages.Stats(); err != nil || !st.Parsed[ages.Codes[3]] || st.Num[ages.Codes[3]] != 45 {
+		t.Errorf("column 1 row 3 reads %v, %v", st.Num[ages.Codes[3]], err)
 	}
-	if diag, _ := tbl.FloatColumn(3); diag.Valid[0] {
+	if diag, _ := tbl.CodedColumn(3); diag.Stats().Parsed[diag.Codes[0]] {
 		t.Error("categorical cell parsed as a number")
 	}
 	if err := tbl.SetValue(0, 3, "hiv"); err != nil {

@@ -41,16 +41,11 @@ func buildAllViews(t *testing.T, tbl *Table) {
 			t.Fatal(err)
 		}
 		cc.Stats()
-		if tbl.Schema().Attribute(col).Type == Numeric {
-			if _, err := tbl.FloatColumn(col); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 }
 
 // sameCoded reports whether two coded views agree on everything a reader
-// observes: dictionary, codes, ranks and stats.
+// observes: dictionary, codes, ranks and stats with the numeric reading.
 func sameCoded(a, b *CodedColumn) bool {
 	return slices.Equal(a.Dict, b.Dict) && slices.Equal(a.Codes, b.Codes) &&
 		slices.Equal(a.ranks, b.ranks) &&
@@ -73,11 +68,6 @@ func checkViewsFresh(t *testing.T, tbl *Table) {
 		want, _ := fresh.CodedColumn(col)
 		if !sameCoded(got, want) {
 			t.Errorf("column %d: coded view differs from a fresh build", col)
-		}
-		gotF, _ := tbl.FloatColumn(col)
-		wantF, _ := fresh.FloatColumn(col)
-		if !reflect.DeepEqual(gotF, wantF) {
-			t.Errorf("column %d: float view differs from a fresh build", col)
 		}
 	}
 	if tbl.Fingerprint() != fresh.Fingerprint() {
@@ -127,10 +117,6 @@ func TestDerivedTablesShareColumns(t *testing.T) {
 				for j, sc := range d.cols {
 					if got, _ := d.tbl.CodedColumn(j); got != src.cols[sc] {
 						t.Errorf("column %d: not the source's column %d", j, sc)
-					}
-					want, _ := src.FloatColumn(sc)
-					if got, _ := d.tbl.FloatColumn(j); got != want {
-						t.Errorf("column %d: float view not shared with source column %d", j, sc)
 					}
 				}
 				checkViewsFresh(t, d.tbl)
@@ -195,14 +181,12 @@ func TestConcurrentProjectAndColumns(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				col := (g + i) % src.Schema().Len()
-				if _, err := src.CodedColumn(col); err != nil {
+				c, err := src.CodedColumn(col)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := src.FloatColumn(col); err != nil {
-					t.Error(err)
-					return
-				}
+				c.Stats()
 				p, err := src.DropIdentifiers()
 				if err != nil {
 					t.Error(err)
@@ -226,7 +210,7 @@ func TestConcurrentProjectAndColumns(t *testing.T) {
 }
 
 // TestSetCodedColumn checks the bulk writer: cells are written, the
-// installed column equals a fresh build over them, the float view and
+// installed column equals a fresh build over them, the stats and
 // fingerprint are refreshed, and malformed input leaves the table unchanged.
 func TestSetCodedColumn(t *testing.T) {
 	for _, snapshot := range []bool{false, true} {
@@ -318,12 +302,12 @@ func TestDerivedTablesShareLazyViews(t *testing.T) {
 	}
 
 	// A view built on the projection serves the source too.
-	hours, err := p1.FloatColumnByName("hours")
+	hours, err := p1.CodedColumnByName("hours")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := src.FloatColumnByName("hours"); got != hours {
-		t.Error("float view built on a projection not shared with the source")
+	if got, _ := src.CodedColumnByName("hours"); got.Stats() != hours.Stats() {
+		t.Error("numeric reading built on a projection not shared with the source")
 	}
 	stats := p1.Clone().cols[3].Stats()
 	if got, _ := src.CodedColumnByName("disease"); got.Stats() != stats {
@@ -346,7 +330,7 @@ func TestDerivedTablesShareLazyViews(t *testing.T) {
 }
 
 // TestWritersMatchFreshBuild checks that every writer and row-set
-// derivation leaves columns (Dict, Codes, ranks, clean, stats, float view)
+// derivation leaves columns (Dict, Codes, ranks, stats with the numeric reading)
 // and fingerprint equal to a fresh FromRows of the same cells, for heap and
 // snapshot-backed tables alike.
 func TestWritersMatchFreshBuild(t *testing.T) {

@@ -20,14 +20,16 @@
 // attribute (dense uint32 codes in first-appearance order, the dictionary,
 // and the values' lexicographic ranks), plus the row count and the running
 // row-content fingerprint state. There is no row storage; Row and Value
-// read Dict[Codes[i]], and Row returns a fresh copy. Hot paths never
-// re-parse or re-join strings: Table.FloatColumn returns a parse-once
-// numeric view derived from the dictionary, and Table.GroupBy identifies
-// each equivalence class by its value tuple through mixed-radix coded
-// keys — one uint64 per row, chained over runs of columns when the key
-// space overflows — and orders classes by the values' ranks. Heap tables (FromRows, ReadCSV) and snapshot
-// tables (OpenSnapshot) are the same type and differ only in where the
-// column buffers live.
+// read Dict[Codes[i]], and Row returns a fresh copy. A column derives every
+// fact per dictionary code, never per row: ranks, stats, numbers and the
+// reverse index. Hot paths never re-parse or re-join strings:
+// CodedColumn.Stats parses each distinct value once into the column's
+// numeric reading, which readers index by Codes[row], and Table.GroupBy
+// identifies each equivalence class by its value tuple through mixed-radix
+// coded keys — one uint64 per row, chained over runs of columns when the
+// key space overflows — and orders classes by the values' ranks. Heap
+// tables (FromRows, ReadCSV) and snapshot tables (OpenSnapshot) are the
+// same type and differ only in where the column buffers live.
 //
 // # Writes and concurrency
 //
@@ -40,8 +42,9 @@
 // Project (and so DropIdentifiers) and WithSchema — share the source's
 // column objects, so a stored dataset's columns, installed at CSV ingest or
 // snapshot open, are never rebuilt per request; Select re-codes the rows it
-// picks. Each column builds its float view, value distribution and reverse
-// index once, under a sync.Once, for every table sharing it, so concurrent
+// picks. Each column builds its value distribution (numeric reading
+// included) and reverse index once, under a sync.Once, for every table
+// sharing it, so concurrent
 // readers — parallel Mondrian workers, concurrent HTTP requests against one
 // stored dataset — need no table lock. Writers require exclusive access to
 // the table they write.

@@ -39,9 +39,9 @@ import (
 //	dict     blob of concatenated value bytes
 //
 // A segment holds only what the cells cannot give back. Whatever follows
-// from the dictionary is derived from it, never read from the file: the
-// float view is built on first use (floatColumnFromCodes, the path heap
-// columns take). Snapshots written before this rule may carry a float
+// from the dictionary is derived from it per code, never read from the
+// file: stats, numbers and the reverse index are built on first use, the
+// path heap columns take. Snapshots written before this rule may carry a float
 // vector and validity bytes between codes and dict, and "clean"/"float"
 // header keys; the explicit dict offset steps over those bytes, the
 // decoder ignores the keys, and the segment CRC still covers them.

@@ -14,7 +14,7 @@ import (
 // FuzzOpenSnapshot feeds arbitrary bytes to the snapshot decoder: it must
 // either refuse them or return a table every cell of which reads, writes as
 // CSV and verifies without panicking, and which behaves exactly like
-// FromRows over its own decoded rows (float views, grouping, and — when
+// FromRows over its own decoded rows (numeric readings, grouping, and — when
 // VerifyContent accepts the header — the fingerprint). Random bytes rarely
 // get past the checksums, so each input is also tried resealed — header and
 // segment CRCs recomputed over the mutated bytes — which sends the

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -119,18 +118,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("Code(%q) = %d,%v, want 0,true", wantCC.Dict[0], code, ok)
 		}
 	}
-	wantFC, _ := tbl.FloatColumn(0)
-	gotFC, err := got.FloatColumn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFC.ValidCount != wantFC.ValidCount || gotFC.Min != wantFC.Min || gotFC.Max != wantFC.Max {
-		t.Fatalf("float column stats mismatch: %+v vs %+v", gotFC, wantFC)
-	}
-	for i := range wantFC.Values {
-		if gotFC.Valid[i] != wantFC.Valid[i] || gotFC.Values[i] != wantFC.Values[i] {
-			t.Fatalf("float cell %d mismatch", i)
-		}
+	if msg := numericMismatch(got, 0); msg != "" {
+		t.Fatal(msg)
 	}
 
 	// GroupBy over the mapped table must match the heap table.
@@ -343,11 +332,11 @@ func TestSnapshotOfMappedTable(t *testing.T) {
 }
 
 // TestMmapScanLargerThanHeapBudget scans a snapshot much larger than the
-// allowed heap growth: GroupBy and the float view must run over the mapping
-// without pulling the dictionary blob or code arrays onto the heap. The
-// float view is derived from the dictionary on the heap (rows × 9 bytes),
-// as for a heap column, and is released before the measurement; what stays
-// is the per-value string headers the open builds over the mapped blob.
+// allowed heap growth: GroupBy and the numeric reading must run over the
+// mapping without pulling the dictionary blob or code arrays onto the heap.
+// The numeric reading is derived per dictionary code on the heap, as for a
+// heap column; what stays is it and the per-value string headers the open
+// builds over the mapped blob.
 func TestMmapScanLargerThanHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture")
@@ -401,16 +390,16 @@ func TestMmapScanLargerThanHeapBudget(t *testing.T) {
 	if len(classes) != 17 {
 		t.Fatalf("classes = %d, want 17", len(classes))
 	}
-	fc, err := mt.Table().FloatColumnByName("score")
+	score, err := mt.Table().CodedColumnByName("score")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc.ValidCount != rows {
-		t.Fatalf("ValidCount = %d, want %d", fc.ValidCount, rows)
+	if st := score.Stats(); slices.Contains(st.Parsed, false) || st.Min != 0.5 || st.Max != 999.5 {
+		t.Fatalf("score reading: some value unparsed or range %v..%v, want 0.5..999.5", st.Min, st.Max)
 	}
-	classes, fc = nil, nil
+	classes, score = nil, nil
 	_ = classes
-	_ = fc
+	_ = score
 
 	runtime.GC()
 	var m1 runtime.MemStats
@@ -485,9 +474,10 @@ func TestSnapshotVerifyContent(t *testing.T) {
 }
 
 // heapMismatch rebuilds tbl on the heap with FromRows over its own decoded
-// rows and describes the first way tbl behaves differently: a float view of
-// any column, or GroupBy over all columns (values, members and class
-// order). It returns "" when the two agree. Fingerprints are left to
+// rows and describes the first way tbl behaves differently: the numeric
+// reading of any column (against a row-by-row parse of its cells), or
+// GroupBy over all columns (values, members and class order). It returns
+// "" when the two agree. Fingerprints are left to
 // the caller, since a snapshot's comes from its header.
 func heapMismatch(tbl *Table) (string, *Table) {
 	heap, err := FromRows(tbl.Schema(), tbl.Rows())
@@ -495,12 +485,8 @@ func heapMismatch(tbl *Table) (string, *Table) {
 		return fmt.Sprintf("FromRows over the decoded rows: %v", err), nil
 	}
 	for c := 0; c < tbl.Schema().Len(); c++ {
-		got, _ := tbl.FloatColumn(c)
-		want, _ := heap.FloatColumn(c)
-		if got.ValidCount != want.ValidCount || got.Min != want.Min || got.Max != want.Max ||
-			!slices.Equal(got.Valid, want.Valid) ||
-			!slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			return fmt.Sprintf("column %d: FloatColumn %+v, heap %+v", c, *got, *want), heap
+		if msg := numericMismatch(tbl, c); msg != "" {
+			return msg, heap
 		}
 	}
 	names := tbl.Schema().Names()
@@ -520,7 +506,7 @@ func heapMismatch(tbl *Table) (string, *Table) {
 // TestSnapshotOlderFormat opens a snapshot written by an earlier encoder,
 // which also stored a float vector, validity bytes and the "clean" and
 // "float" header keys. The decoder ignores them: the table must have the
-// cells, fingerprint, float views and grouping of its heap rebuild, and
+// cells, fingerprint, numeric readings and grouping of its heap rebuild, and
 // re-encode to the bytes the rebuild encodes to.
 func TestSnapshotOlderFormat(t *testing.T) {
 	path := filepath.Join("testdata", "snapshot", "parent.tbl")

@@ -280,17 +280,18 @@ func (t *Table) Frequencies(name string) (map[string]int, error) {
 
 // NumericRange returns the minimum and maximum of a numeric column. Values
 // that do not parse as numbers (for example suppressed cells) are skipped; if
-// no value parses, ErrNotNumeric is returned. The scan is served from the
-// parse-once FloatColumn.
+// no value parses, ErrNotNumeric is returned. It is served from the coded
+// column's per-code numeric reading (ColumnStats).
 func (t *Table) NumericRange(name string) (min, max float64, err error) {
-	fc, err := t.FloatColumnByName(name)
+	cc, err := t.CodedColumnByName(name)
 	if err != nil {
 		return 0, 0, err
 	}
-	if fc.ValidCount == 0 {
+	st := cc.Stats()
+	if !st.AnyParsed {
 		return 0, 0, fmt.Errorf("%w: column %q has no numeric values", ErrNotNumeric, name)
 	}
-	return fc.Min, fc.Max, nil
+	return st.Min, st.Max, nil
 }
 
 // Project returns a new table containing only the named columns, in order.

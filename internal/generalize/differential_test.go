@@ -2,8 +2,10 @@ package generalize_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/algorithms/kmember"
@@ -57,12 +59,26 @@ func checkInstalledViews(t *testing.T, out *dataset.Table, attrs []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		installed.Stats()
-		rebuilt.Stats()
+		// Neither column has built its value distribution yet, so DeepEqual
+		// compares the encoding alone; the distributions follow through
+		// sameStats, since DeepEqual never equates two NaN readings.
 		if !reflect.DeepEqual(installed, rebuilt) {
 			t.Fatalf("installed coded view of %q differs from a rebuild", a)
 		}
+		if !sameStats(installed.Stats(), rebuilt.Stats()) {
+			t.Fatalf("value distribution of %q differs from a rebuild", a)
+		}
 	}
+}
+
+// sameStats reports whether two value distributions are equal, comparing
+// the numeric readings bit for bit so that NaN equals NaN.
+func sameStats(a, b *dataset.ColumnStats) bool {
+	x, y := *a, *b
+	x.Num, y.Num = nil, nil
+	return reflect.DeepEqual(x, y) && slices.EqualFunc(a.Num, b.Num, func(p, q float64) bool {
+		return math.Float64bits(p) == math.Float64bits(q)
+	})
 }
 
 // spellingsTable writes one numeric quasi-identifier in several spellings of

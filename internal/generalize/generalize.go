@@ -179,7 +179,8 @@ type GroupSummary struct {
 //
 // Recoding runs over the input's dictionary-coded columns: a group's summary
 // is computed from its distinct codes in first-occurrence order, numeric
-// spans read the parse-once FloatColumn, and hierarchy generalizations are
+// spans read those codes' numbers from the column's per-code numeric
+// reading, and hierarchy generalizations are
 // memoized per (code, level). Each quasi-identifier column of the release is
 // written once through Table.SetCodedColumn, so later grouping and
 // measurement passes reuse the installed codes.
@@ -261,18 +262,17 @@ func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups []
 // dictionary codes and assembles the recoded column.
 type columnRecoder struct {
 	cc *dataset.CodedColumn
-	// fc is the parse-once numeric view; nil for categorical attributes.
-	fc *dataset.FloatColumn
+	// st holds the column's per-code numeric reading; nil for categorical
+	// attributes.
+	st *dataset.ColumnStats
 	// h is the attribute's hierarchy; nil when there is none.
 	h hierarchy.Hierarchy
 
 	// mark[code] == stamp when code was already seen in the current group;
-	// distinct and firstRow list the group's distinct codes in
-	// first-occurrence order and a member row holding each.
+	// distinct lists the group's distinct codes in first-occurrence order.
 	mark     []int32
 	stamp    int32
 	distinct []uint32
-	firstRow []int
 
 	// integral[code] caches isIntegral per code (0 unknown, 1 yes, 2 no);
 	// gen[level-1][code] and genState (0 unknown, 1 ok, 2 error) memoize
@@ -289,9 +289,7 @@ func newColumnRecoder(t *dataset.Table, col int, numeric bool) (*columnRecoder, 
 	}
 	rc := &columnRecoder{cc: cc, mark: make([]int32, cc.Cardinality())}
 	if numeric {
-		if rc.fc, err = t.FloatColumn(col); err != nil {
-			return nil, err
-		}
+		rc.st = cc.Stats()
 		rc.integral = make([]uint8, cc.Cardinality())
 	}
 	return rc, nil
@@ -301,19 +299,18 @@ func newColumnRecoder(t *dataset.Table, col int, numeric bool) (*columnRecoder, 
 // value.
 func (rc *columnRecoder) summarize(g []int) string {
 	rc.stamp++
-	rc.distinct, rc.firstRow = rc.distinct[:0], rc.firstRow[:0]
+	rc.distinct = rc.distinct[:0]
 	for _, r := range g {
 		code := rc.cc.Codes[r]
 		if rc.mark[code] != rc.stamp {
 			rc.mark[code] = rc.stamp
 			rc.distinct = append(rc.distinct, code)
-			rc.firstRow = append(rc.firstRow, r)
 		}
 	}
 	if len(rc.distinct) == 1 {
 		return rc.cc.Dict[rc.distinct[0]]
 	}
-	if rc.fc != nil {
+	if rc.st != nil {
 		if lo, hi, ok := rc.numericSpan(); ok {
 			// Intervals are half-open; widen the upper bound to include the max.
 			return hierarchy.FormatInterval(lo, hi+1, rc.isIntegral())
@@ -330,11 +327,11 @@ func (rc *columnRecoder) summarize(g []int) string {
 // numericSpan returns the extrema of the group's values; ok is false when
 // some value does not parse as a number.
 func (rc *columnRecoder) numericSpan() (lo, hi float64, ok bool) {
-	for i, r := range rc.firstRow {
-		if !rc.fc.Valid[r] {
+	for i, code := range rc.distinct {
+		if !rc.st.Parsed[code] {
 			return 0, 0, false
 		}
-		f := rc.fc.Values[r]
+		f := rc.st.Num[code]
 		if i == 0 || f < lo {
 			lo = f
 		}

@@ -1,10 +1,12 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/algorithms/mondrian"
+	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -90,5 +92,58 @@ func TestExactCountWorkerInvariance(t *testing.T) {
 		if brute != truths[i] {
 			t.Errorf("query %d: brute-force count %d, want %d", i, brute, truths[i])
 		}
+	}
+}
+
+// TestExactCountMatchesCellReference checks ExactCount's per-code masks
+// against matchesExact over every row, on a numeric column holding cells
+// that do not read as plain numbers: padded spellings, NaN, infinities,
+// suppressed and interval cells.
+func TestExactCountMatchesCellReference(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "age", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
+		dataset.Attribute{Name: "sex", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	ages := []string{"30", " 30", "30.0", "41", "NaN", "+Inf", "-Inf", "*", "[20-30)", "55 ", "1e1"}
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]dataset.Row, 400)
+	for i := range rows {
+		rows[i] = dataset.Row{ages[rng.Intn(len(ages))], []string{"F", "M"}[rng.Intn(2)]}
+	}
+	tbl, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := math.Inf(1)
+	queries := []CountQuery{
+		{Conditions: []Condition{{Attribute: "age", IsRange: true, Lo: 30, Hi: 31}}},
+		{Conditions: []Condition{{Attribute: "age", IsRange: true, Lo: -inf, Hi: inf}}},
+		{Conditions: []Condition{{Attribute: "age", IsRange: true, Lo: 0, Hi: inf}, {Attribute: "sex", Equals: "F"}}},
+		{Conditions: []Condition{{Attribute: "age", IsRange: true, Lo: 100, Hi: 200}}},
+		{Conditions: []Condition{{Attribute: "age", Equals: "*"}, {Attribute: "sex", Equals: "M"}}},
+		{Conditions: []Condition{{Attribute: "age", Equals: "99"}}},
+	}
+	for i, q := range queries {
+		got, err := ExactCount(tbl, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for r := 0; r < tbl.Len(); r++ {
+			row, _ := tbl.Row(r)
+			match := true
+			for _, c := range q.Conditions {
+				match = match && matchesExact(row[tbl.Schema().MustIndex(c.Attribute)], c)
+			}
+			if match {
+				want++
+			}
+		}
+		if got != want {
+			t.Errorf("query %d (%s): ExactCount %d, cell reference %d", i, q, got, want)
+		}
+	}
+	if _, err := ExactCount(tbl, CountQuery{Conditions: []Condition{{Attribute: "zip", Equals: "1"}}}); err == nil {
+		t.Error("unknown attribute accepted")
 	}
 }

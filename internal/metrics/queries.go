@@ -48,45 +48,38 @@ func (q CountQuery) String() string {
 }
 
 // ExactCount evaluates the query on a table of raw (ungeneralized) values.
-// Range predicates scan the parse-once FloatColumn and equality predicates
-// compare interned dictionary codes, so no cell is parsed or compared as a
-// string in the per-row loop.
+// Every condition becomes a per-code mask over its column's dictionary —
+// equality marks the one code holding the value, a range the codes whose
+// numeric reading falls in it — so the per-row loop only indexes masks by
+// dictionary codes and no cell is parsed or compared as a string.
 func ExactCount(t *dataset.Table, q CountQuery) (int, error) {
 	type matcher struct {
-		isRange bool
-		fc      *dataset.FloatColumn
-		lo, hi  float64
-		codes   []uint32
-		code    uint32
+		codes []uint32
+		mask  []bool
 	}
 	matchers := make([]matcher, len(q.Conditions))
 	impossible := false
 	for i, c := range q.Conditions {
-		idx, err := t.Schema().Index(c.Attribute)
+		cc, err := t.CodedColumnByName(c.Attribute)
 		if err != nil {
 			return 0, err
 		}
+		mask := make([]bool, cc.Cardinality())
+		hit := false
 		if c.IsRange {
-			fc, err := t.FloatColumn(idx)
-			if err != nil {
-				return 0, err
+			st := cc.Stats()
+			for code, f := range st.Num {
+				mask[code] = st.Parsed[code] && f >= c.Lo && f < c.Hi
+				hit = hit || mask[code]
 			}
-			matchers[i] = matcher{isRange: true, fc: fc, lo: c.Lo, hi: c.Hi}
-			continue
+		} else if code, ok := cc.Code(c.Equals); ok {
+			mask[code], hit = true, true
 		}
-		cc, err := t.CodedColumn(idx)
-		if err != nil {
-			return 0, err
-		}
-		code, present := cc.Code(c.Equals)
-		if !present {
-			// The value never occurs: the conjunctive query cannot match.
-			// Keep resolving the remaining conditions so unknown attributes
-			// still error, then skip the scan.
-			impossible = true
-			continue
-		}
-		matchers[i] = matcher{codes: cc.Codes, code: code}
+		// A condition no value meets makes the conjunctive query unmatchable.
+		// Keep resolving the remaining conditions so unknown attributes
+		// still error, then skip the scan.
+		impossible = impossible || !hit
+		matchers[i] = matcher{codes: cc.Codes, mask: mask}
 	}
 	if impossible {
 		return 0, nil
@@ -97,23 +90,14 @@ func ExactCount(t *dataset.Table, q CountQuery) (int, error) {
 	return parallel.Fold(t.Len(), t.ScanWorkers(), 0,
 		func(lo, hi int) (int, error) {
 			count := 0
+		rows:
 			for r := lo; r < hi; r++ {
-				match := true
-				for i := range matchers {
-					m := &matchers[i]
-					if m.isRange {
-						if !m.fc.Valid[r] || m.fc.Values[r] < m.lo || m.fc.Values[r] >= m.hi {
-							match = false
-							break
-						}
-					} else if m.codes[r] != m.code {
-						match = false
-						break
+				for _, m := range matchers {
+					if !m.mask[m.codes[r]] {
+						continue rows
 					}
 				}
-				if match {
-					count++
-				}
+				count++
 			}
 			return count, nil
 		},

@@ -785,12 +785,12 @@ func (s *Server) handleReleaseRisk(w http.ResponseWriter, r *http.Request) {
 
 // utilityReport is the GET /v1/releases/{id}/utility body.
 type utilityReport struct {
-	ReleaseID               string  `json:"release_id"`
-	Dataset                 string  `json:"dataset"`
-	NCP                     float64 `json:"ncp"`
-	Discernibility          float64 `json:"discernibility"`
-	NormalizedAvgClassSize  float64 `json:"normalized_avg_class_size"`
-	NormalizedAvgClassSizeK int     `json:"normalized_avg_class_size_k"`
+	ReleaseID               string       `json:"release_id"`
+	Dataset                 string       `json:"dataset"`
+	NCP                     core.Measure `json:"ncp"`
+	Discernibility          core.Measure `json:"discernibility"`
+	NormalizedAvgClassSize  float64      `json:"normalized_avg_class_size"`
+	NormalizedAvgClassSizeK int          `json:"normalized_avg_class_size_k"`
 	// GeneralizationPrecision is present only for full-domain releases
 	// (those that carry a lattice node).
 	GeneralizationPrecision *float64 `json:"generalization_precision,omitempty"`
@@ -806,15 +806,6 @@ func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
 	if tbl == nil {
 		writeError(w, http.StatusUnprocessableEntity, "unsupported",
 			"utility reports cover microdata releases; anatomy keeps exact QI values by design")
-		return
-	}
-	// Reports compare against the dataset snapshot captured at anonymize
-	// time (rel.origin), not a by-name lookup: a dataset replaced while the
-	// release was in flight must not change what the release is scored
-	// against.
-	original, err := rel.origin.table.DropIdentifiers()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
 		return
 	}
 	// C_avg normalizes against the release's own class-size bound, which a
@@ -833,17 +824,12 @@ func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	report := utilityReport{ReleaseID: rel.id, Dataset: rel.dataset, NormalizedAvgClassSizeK: k}
-	report.NCP, err = metrics.NCP(original, tbl, rel.origin.hier)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "NCP: %v", err)
-		return
-	}
-	report.Discernibility, err = metrics.Discernibility(tbl, original.Len())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "discernibility: %v", err)
-		return
-	}
+	// NCP and discernibility are the release's own measurements, taken
+	// against the dataset snapshot and hierarchies of its run; recomputing
+	// them here would score the release against whatever hierarchies the
+	// dataset has now (none, for an unknown family recovered from disk).
+	report := utilityReport{ReleaseID: rel.id, Dataset: rel.dataset, NormalizedAvgClassSizeK: k,
+		NCP: rel.release.Measured.NCP, Discernibility: rel.release.Measured.Discernibility}
 	report.NormalizedAvgClassSize, err = metrics.NormalizedAverageClassSize(tbl, k)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", "C_avg: %v", err)

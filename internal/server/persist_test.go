@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/ppdp/ppdp/internal/synth"
 )
 
 // bootPersistent starts the service through Open so the data directory is
@@ -550,4 +552,50 @@ func TestPersistStorageFailureSurfaces(t *testing.T) {
 	if env, _ := job["error"].(map[string]any); job["state"] != "failed" || env["code"] != "storage" {
 		t.Errorf("job with a dead store: %v, want failed with code storage", job)
 	}
+}
+
+// TestPersistUtilityReportsMeasuredRelease stores a hierarchy-generalized
+// Mondrian release of a dataset registered with its own hierarchies under a
+// family the server cannot rebuild, so the dataset recovers without them.
+// The utility report must keep the NCP and discernibility the release was
+// measured with, before and after the restart.
+func TestPersistUtilityReportsMeasuredRelease(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Workers: 1}
+	srv, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddDataset("own", "own-hierarchies", synth.Census(400, 5), synth.CensusHierarchies()); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{
+		"dataset": "own", "algorithm": "mondrian", "k": 5, "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("anonymize: %d %v", status, body)
+	}
+	measured := body["measurements"].(map[string]any)
+	path := ts.URL + "/v1/releases/" + body["release_id"].(string) + "/utility"
+	check := func(url, when string) {
+		t.Helper()
+		status, report := doJSON(t, "GET", url, nil)
+		if status != http.StatusOK {
+			t.Fatalf("%s: utility %d %v", when, status, report)
+		}
+		for _, m := range []string{"ncp", "discernibility"} {
+			if report[m] != measured[m] {
+				t.Errorf("%s: utility %s = %v, the release was measured at %v", when, m, report[m], measured[m])
+			}
+		}
+	}
+	check(path, "before restart")
+
+	ts.Close()
+	srv.Close()
+	ts2, srv2 := bootPersistent(t, cfg)
+	if srv2.reg.datasets.items["own"].hier != nil {
+		t.Fatal("dataset of an unknown family recovered with hierarchies")
+	}
+	check(strings.Replace(path, ts.URL, ts2.URL, 1), "after restart")
 }

@@ -114,9 +114,10 @@ type storedRelease struct {
 	id  string
 	seq int
 	// dataset is the registry name the release was built from; origin is
-	// the dataset snapshot actually used. Reports read origin, so a
-	// dataset replaced while the anonymization was in flight cannot make a
-	// release compare itself against a table it was not built from.
+	// the dataset snapshot actually used. The generalization-precision
+	// report reads origin's hierarchies, so a dataset replaced while the
+	// anonymization was in flight cannot make a release score itself
+	// against hierarchies it was not built with.
 	dataset   string
 	origin    *storedDataset
 	algorithm core.Algorithm
