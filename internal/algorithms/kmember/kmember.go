@@ -93,9 +93,10 @@ type clusterState struct {
 type dim struct {
 	// codes are the dimension's per-row dictionary codes.
 	codes []uint32
-	// st holds a numeric dimension's per-code reading; nil for categorical
-	// dimensions.
-	st *dataset.ColumnStats
+	// num and parsed are a numeric dimension's per-code reading
+	// (ColumnStats.Num and Parsed); nil for categorical dimensions.
+	num    []float64
+	parsed []bool
 	// scale is the numeric range or the number of distinct values.
 	scale float64
 }
@@ -147,7 +148,8 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 			if err != nil {
 				return nil, err
 			}
-			dims[i].st = cc.Stats()
+			st := cc.Stats()
+			dims[i].num, dims[i].parsed = st.Num, st.Parsed
 			dims[i].scale = hi - lo
 		} else {
 			dims[i].scale = float64(len(cc.Stats().Lex))
@@ -175,18 +177,19 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 				seen: make([][]uint32, len(dims)),
 			}
 		}
-		for i, d := range dims {
+		for i := range dims {
+			d := &dims[i]
 			code := d.codes[r]
-			if d.st == nil {
+			if d.parsed == nil {
 				if !slices.Contains(cs.seen[i], code) {
 					cs.seen[i] = append(cs.seen[i], code)
 				}
 				continue
 			}
-			if !d.st.Parsed[code] {
+			if !d.parsed[code] {
 				continue
 			}
-			v := d.st.Num[code]
+			v := d.num[code]
 			if len(cs.rows) == 0 || v < cs.lo[i] {
 				cs.lo[i] = v
 			}
@@ -203,9 +206,12 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	// the scan pool are safe between mutations.
 	loss := func(cs *clusterState, r int) float64 {
 		total := 0.0
-		for i, d := range dims {
+		// d points into dims: copying each dimension per candidate row
+		// shows in the O(n²) scans.
+		for i := range dims {
+			d := &dims[i]
 			code := d.codes[r]
-			if d.st == nil {
+			if d.parsed == nil {
 				n := len(cs.seen[i])
 				if !slices.Contains(cs.seen[i], code) {
 					n++
@@ -215,12 +221,12 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 				}
 				continue
 			}
-			if !d.st.Parsed[code] {
+			if !d.parsed[code] {
 				// Treat unparseable numerics as maximal spread.
 				total += 1
 				continue
 			}
-			v := d.st.Num[code]
+			v := d.num[code]
 			lo, hi := cs.lo[i], cs.hi[i]
 			if len(cs.rows) == 0 {
 				lo, hi = v, v

@@ -316,8 +316,8 @@ func (r *runner) buildColumns() error {
 			// Numeric spans are halved, here and in width, so that values
 			// near ±MaxFloat64 cannot overflow them. For normal values the
 			// width, a ratio of two halved spans, equals the unhalved ratio
-			// bit for bit. Min and Max skip NaN, so a column of NaN only
-			// has no positive span.
+			// bit for bit. A column with no number but NaN has Min +Inf
+			// and Max -Inf, so no positive span.
 			if half := st.Max/2 - st.Min/2; half > 0 {
 				r.domainSpan[i] = half
 			} else {
