@@ -63,11 +63,11 @@ func readReport(path string) (*Report, error) {
 
 // compareReports prints the delta table for the benchmarks present in both
 // reports (in the new report's order) and returns how many metrics regressed:
-// ns/op beyond the threshold, allocs/op by one allocation or more. Benchmarks join on their base name (baseName), so a
-// baseline recorded at another GOMAXPROCS still compares; the header line
-// then names both values. Benchmarks present on only one side are announced
-// but never counted as regressions — a renamed or added benchmark must not
-// fail the comparison.
+// ns/op beyond the threshold, allocs/op by one allocation or more.
+// Benchmarks join on their base name (baseName), so a baseline recorded at
+// another GOMAXPROCS still compares; the header line then names both values.
+// Benchmarks present on only one side are announced but never counted as
+// regressions — a renamed or added benchmark must not fail the comparison.
 func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int {
 	if oldRep.MaxProcs != newRep.MaxProcs {
 		fmt.Fprintf(w, "baseline ran at GOMAXPROCS=%d, new run at GOMAXPROCS=%d\n", oldRep.MaxProcs, newRep.MaxProcs)
@@ -88,19 +88,16 @@ func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int 
 		for _, metric := range comparedMetrics {
 			oldV, okOld := ob.Metrics[metric]
 			newV, okNew := nb.Metrics[metric]
-			if !okOld || !okNew {
+			if !okOld || !okNew || (oldV == 0 && metric == "ns/op") {
 				continue
 			}
 			regressed := newV-oldV >= 1
-			if metric != "allocs/op" {
-				if oldV == 0 {
-					continue
-				}
+			if metric == "ns/op" {
 				regressed = (newV-oldV)/oldV > threshold
 			}
-			change := fmt.Sprintf("%+7.1f%%", (newV-oldV)/oldV*100)
-			if oldV == 0 {
-				change = fmt.Sprintf("%+7.0f", newV)
+			change := fmt.Sprintf("%+7.0f", newV-oldV)
+			if oldV != 0 {
+				change = fmt.Sprintf("%+7.1f%%", (newV-oldV)/oldV*100)
 			}
 			mark := ""
 			if regressed {
