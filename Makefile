@@ -52,13 +52,14 @@ race:
 # Hot-path benchmarks with memory stats, recorded as JSON so the perf
 # trajectory is tracked per PR (see the non-gating CI bench job). Each
 # benchmark runs six times and benchjson records the median of every unit
-# with the sample count. The file name carries the PR number that introduced
-# the recording; bench-compare diffs the fresh numbers against the previous
-# PR's committed baseline.
-BENCH_OUT ?= BENCH_PR26.json
-BENCH_BASELINE ?= BENCH_PR25.json
+# with the sample count, plus every ns/op sample and their quartiles. The
+# file name carries the PR number that introduced the recording;
+# bench-compare diffs the fresh numbers against the previous PR's committed
+# baseline.
+BENCH_OUT ?= BENCH_PR29.json
+BENCH_BASELINE ?= BENCH_PR26.json
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
+	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkCoreAnonymizeCensus|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkServeAnonymizeMix|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem -count=6 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
 	cat bench.out
 	$(GO) run ./cmd/benchjson < bench.out > $(BENCH_OUT)
@@ -71,7 +72,8 @@ bench-file:
 	@echo $(BENCH_OUT)
 
 # Per-benchmark ns/op and allocs/op deltas against the previous PR's
-# baseline; exits non-zero on a >10% regression (CI keeps this non-gating).
+# baseline; exits non-zero on any allocs/op rise or a >10% ns/op regression
+# that the U test finds significant (CI keeps this non-gating).
 bench-compare:
 	$(GO) run ./cmd/benchjson compare $(BENCH_BASELINE) $(BENCH_OUT)
 

@@ -18,9 +18,11 @@ import (
 	"testing"
 
 	"github.com/ppdp/ppdp/internal/algorithms/mondrian"
+	"github.com/ppdp/ppdp/internal/core"
 	"github.com/ppdp/ppdp/internal/dp"
 	"github.com/ppdp/ppdp/internal/experiments"
 	"github.com/ppdp/ppdp/internal/generalize"
+	"github.com/ppdp/ppdp/internal/policy"
 	"github.com/ppdp/ppdp/internal/privacy"
 	"github.com/ppdp/ppdp/internal/synth"
 )
@@ -152,6 +154,30 @@ func BenchmarkMondrianCensus(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCoreAnonymizeCensus measures core.Anonymize on exactly the job of
+// internal/server's BenchmarkServeAnonymize: Mondrian at k=10 over all nine
+// quasi-identifiers of 5k census rows (seed 42) with the census hierarchies,
+// release and measurements included. Beside BenchmarkMondrianCensus and
+// BenchmarkServeAnonymize it splits one request's cost into the algorithm,
+// core and service layers.
+func BenchmarkCoreAnonymizeCensus(b *testing.B) {
+	tbl := synth.Census(5000, 42)
+	anon, err := core.New(core.Config{
+		Policy:      &policy.Policy{Criteria: []policy.Criterion{{Type: policy.KAnonymity, K: 10}}},
+		Hierarchies: synth.CensusHierarchies(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := anon.Anonymize(tbl); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

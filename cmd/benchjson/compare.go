@@ -10,8 +10,9 @@ import (
 
 // comparedMetrics are the units the compare subcommand diffs; both are
 // smaller-is-better, so a positive delta is a regression. ns/op regresses
-// beyond the threshold fraction; allocs/op is counted exactly, so any rise
-// of one allocation or more regresses, from zero too.
+// beyond the threshold fraction, and only if the U test finds the delta
+// significant where both records keep their samples; allocs/op is counted
+// exactly, so any rise of one allocation or more regresses, from zero too.
 var comparedMetrics = []string{"ns/op", "allocs/op"}
 
 // runCompare implements `benchjson compare [-threshold F] OLD.json NEW.json`.
@@ -42,7 +43,7 @@ func runCompare(args []string, w io.Writer) (int, error) {
 	}
 	regressions := compareReports(oldRep, newRep, *threshold, w)
 	if regressions > 0 {
-		fmt.Fprintf(w, "%d metric(s) regressed (ns/op beyond %+.0f%%, or more allocs/op)\n", regressions, *threshold*100)
+		fmt.Fprintf(w, "%d metric(s) regressed (ns/op beyond %+.0f%% and significant where sampled, or more allocs/op)\n", regressions, *threshold*100)
 		return 1, nil
 	}
 	return 0, nil
@@ -63,7 +64,8 @@ func readReport(path string) (*Report, error) {
 
 // compareReports prints the delta table for the benchmarks present in both
 // reports (in the new report's order) and returns how many metrics regressed:
-// ns/op beyond the threshold, allocs/op by one allocation or more.
+// ns/op beyond the threshold (and significant, where both sides keep their
+// samples), allocs/op by one allocation or more.
 // Benchmarks join on their base name (baseName), so a baseline recorded at
 // another GOMAXPROCS still compares; the header line then names both values.
 // Benchmarks present on only one side are announced but never counted as
@@ -92,16 +94,23 @@ func compareReports(oldRep, newRep *Report, threshold float64, w io.Writer) int 
 				continue
 			}
 			regressed := newV-oldV >= 1
-			if metric == "ns/op" {
-				regressed = (newV-oldV)/oldV > threshold
-			}
 			change := fmt.Sprintf("%+7.0f", newV-oldV)
 			if oldV != 0 {
 				change = fmt.Sprintf("%+7.1f%%", (newV-oldV)/oldV*100)
 			}
 			mark := ""
+			if metric == "ns/op" {
+				regressed = (newV-oldV)/oldV > threshold
+				if len(ob.NsSamples) > 0 && len(nb.NsSamples) > 0 {
+					p := mannWhitneyP(ob.NsSamples, nb.NsSamples)
+					if p >= alpha {
+						change, regressed = fmt.Sprintf("%8s", "~"), false
+					}
+					mark = fmt.Sprintf("  (p=%.3f n=%d+%d)", p, len(ob.NsSamples), len(nb.NsSamples))
+				}
+			}
 			if regressed {
-				mark = "  << regression"
+				mark += "  << regression"
 				regressions++
 			}
 			fmt.Fprintf(w, "%-40s %-10s %14.1f -> %14.1f  %s%s\n",

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -177,5 +179,89 @@ func TestCompareFlagsAnyAllocRise(t *testing.T) {
 	}
 	if !strings.Contains(text, "2 metric(s) regressed") {
 		t.Errorf("summary does not count both alloc rises:\n%s", text)
+	}
+}
+
+// TestMannWhitneyP checks the U test against values worked out by hand: the
+// exact tail of U for tie-free samples, the normal approximation with tie
+// and continuity corrections, and its symmetry in the two sides.
+func TestMannWhitneyP(t *testing.T) {
+	cases := []struct {
+		name string
+		x, y []float64
+		want float64
+	}{
+		// U = 0 is 1 of the C(6,3) = 20 orderings on each tail.
+		{"disjoint-3+3", []float64{1, 2, 3}, []float64{4, 5, 6}, 2.0 / 20},
+		// U = 0 again, 1 of C(12,6) = 924 orderings on each tail.
+		{"disjoint-6+6", []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2.0 / 924},
+		// U = 12 of 36: 182 of the 924 orderings lie at or below it.
+		{"overlap-6+6", []float64{100, 100.5, 101, 200, 201, 202}, []float64{99, 101.5, 199, 230, 231, 232}, 364.0 / 924},
+		// Ranks 1, 3, 3, 5.5 give U = 2.5; ties t = 3, 2, 2 give
+		// σ = sqrt(16/12·(9 − 36/56)) and z = (8 − 2.5 − 0.5)/σ.
+		{"ties", []float64{1, 2, 2, 3}, []float64{2, 3, 4, 4}, 0.134169},
+		{"all-equal", []float64{5, 5, 5}, []float64{5, 5}, 1},
+	}
+	for _, tc := range cases {
+		for _, p := range []float64{mannWhitneyP(tc.x, tc.y), mannWhitneyP(tc.y, tc.x)} {
+			if math.Abs(p-tc.want) > 1e-6 {
+				t.Errorf("%s: p = %v, want %v", tc.name, p, tc.want)
+			}
+		}
+	}
+}
+
+// sampled is bench with its ns/op samples kept, as fold records them.
+func sampled(name string, allocs float64, ns ...float64) Benchmark {
+	b := bench(name, 0, allocs)
+	b.NsSamples = ns
+	b.Metrics["ns/op"] = median(slices.Clone(ns))
+	return b
+}
+
+// TestCompareJudgesNsOpWithTheUTest: where both records keep their ns/op
+// samples, a significant +29% shift is flagged, a +42% median move whose
+// samples overlap prints "~" and is not, and records without samples on one
+// side keep the threshold rule.
+func TestCompareJudgesNsOpWithTheUTest(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeReport(t, dir, "old.json", &Report{Benchmarks: []Benchmark{
+		sampled("BenchmarkShift-2", 10, 100, 101, 102, 103, 104, 105),
+		sampled("BenchmarkOverlap-2", 10, 100, 100.5, 101, 200, 201, 202),
+		bench("BenchmarkOldRecord-2", 1000, 10),
+	}})
+	newPath := writeReport(t, dir, "new.json", &Report{Benchmarks: []Benchmark{
+		sampled("BenchmarkShift-2", 10, 130, 131, 132, 133, 134, 135),
+		sampled("BenchmarkOverlap-2", 10, 99, 101.5, 199, 230, 231, 232),
+		sampled("BenchmarkOldRecord-2", 10, 1300, 1300, 1300),
+	}})
+	var out strings.Builder
+	code, err := runCompare([]string{oldPath, newPath}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	if code != 1 || !strings.Contains(text, "2 metric(s) regressed") {
+		t.Errorf("exit code = %d, want 1 with two regressions:\n%s", code, text)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[1] == "ns/op" {
+			lines[f[0]] = line
+		}
+	}
+	for name, want := range map[string][]string{
+		"BenchmarkShift-2":     {"+29.3%", "(p=0.002 n=6+6)", "<< regression"},
+		"BenchmarkOverlap-2":   {" ~ ", "(p=0.394 n=6+6)"},
+		"BenchmarkOldRecord-2": {"+30.0%", "<< regression"},
+	} {
+		for _, w := range want {
+			if !strings.Contains(lines[name], w) {
+				t.Errorf("%s line %q lacks %q", name, lines[name], w)
+			}
+		}
+	}
+	if strings.Contains(lines["BenchmarkOverlap-2"], "regression") || strings.Contains(lines["BenchmarkOldRecord-2"], "p=") {
+		t.Errorf("U test misapplied:\n%s", text)
 	}
 }

@@ -14,13 +14,17 @@
 // pair a benchmark reports (ns/op, B/op, allocs/op, custom b.ReportMetric
 // units) is preserved under its unit name. The repeated lines of one
 // benchmark (`go test -count=N`) fold into one entry: the median of each
-// unit and of the iteration counts, with the number of samples.
+// unit and of the iteration counts, with the number of samples, every ns/op
+// sample and the ns/op quartiles.
 //
 // compare prints the per-benchmark ns/op and allocs/op deltas of the
 // benchmarks present in both files and exits with status 1 when ns/op
 // regressed by more than the threshold (a fraction: 0.10 = +10%) or
 // allocs/op rose by one allocation or more (from zero too), so a CI job can
-// surface regressions while staying non-gating via continue-on-error.
+// surface regressions while staying non-gating via continue-on-error. When
+// both records keep their ns/op samples, a two-sided Mann–Whitney U test
+// judges the ns/op delta first: a delta it does not find significant at
+// α = 0.05 prints as `~` and is never flagged.
 //
 // speedup joins the records of a GOMAXPROCS sweep (scripts/bench_cores.sh)
 // on the benchmark base name and prints each benchmark's scaling profile:
@@ -35,6 +39,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +56,11 @@ type Benchmark struct {
 	// Samples counts the result lines folded into this entry; records
 	// written before folding omit it and hold one sample per entry.
 	Samples int `json:"samples,omitempty"`
+	// NsSamples lists every ns/op sample folded into this entry, in run
+	// order, and NsQuartiles their first and third quartiles (the median is
+	// Metrics["ns/op"]). Older records omit both.
+	NsSamples   []float64 `json:"ns_samples,omitempty"`
+	NsQuartiles []float64 `json:"ns_quartiles,omitempty"`
 }
 
 // Report is the top-level JSON document.
@@ -140,7 +150,8 @@ func parse(r io.Reader) (*Report, error) {
 }
 
 // fold merges the samples of one benchmark into one entry: the median
-// iteration count and the median of each unit over the samples reporting it.
+// iteration count and the median of each unit over the samples reporting it,
+// plus the ns/op samples themselves and their quartiles.
 func fold(samples []Benchmark) Benchmark {
 	iters := make([]float64, len(samples))
 	units := map[string][]float64{}
@@ -152,10 +163,26 @@ func fold(samples []Benchmark) Benchmark {
 	}
 	out := Benchmark{Name: samples[0].Name, Iterations: int64(median(iters)),
 		Metrics: make(map[string]float64, len(units)), Samples: len(samples)}
+	// median sorts each unit's values in place, so keep the run order first.
+	out.NsSamples = slices.Clone(units["ns/op"])
 	for unit, vs := range units {
 		out.Metrics[unit] = median(vs)
 	}
+	if ns := units["ns/op"]; len(ns) > 0 {
+		out.NsQuartiles = []float64{quantile(ns, 0.25), quantile(ns, 0.75)}
+	}
 	return out
+}
+
+// quantile returns the p-quantile of sorted, interpolating linearly between
+// the two closest ranks.
+func quantile(sorted []float64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 == len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 // median returns the middle of vs (the mean of the two middle values for an

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,5 +99,18 @@ PASS
 	}
 	if code != 1 || strings.Count(out.String(), "<< regression") != 1 || strings.Count(out.String(), "BenchmarkA-2 ") != 2 {
 		t.Errorf("compare exit %d, want 1 with one regression line (A's ns/op) and two lines for A:\n%s", code, out.String())
+	}
+}
+
+// TestFoldKeepsNsSamples: a folded entry keeps its ns/op samples in run
+// order and their quartiles beside the median.
+func TestFoldKeepsNsSamples(t *testing.T) {
+	b := fold([]Benchmark{
+		{Name: "BenchmarkA-2", Iterations: 1, Metrics: map[string]float64{"ns/op": 3000}},
+		{Name: "BenchmarkA-2", Iterations: 1, Metrics: map[string]float64{"ns/op": 1000}},
+		{Name: "BenchmarkA-2", Iterations: 1, Metrics: map[string]float64{"ns/op": 2000}},
+	})
+	if !slices.Equal(b.NsSamples, []float64{3000, 1000, 2000}) || !slices.Equal(b.NsQuartiles, []float64{1500, 2500}) || b.Metrics["ns/op"] != 2000 {
+		t.Errorf("folded = %+v, want samples [3000 1000 2000], quartiles [1500 2500], median 2000", b)
 	}
 }

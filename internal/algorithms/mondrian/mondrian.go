@@ -18,7 +18,10 @@
 // dimensions read dictionary-encoded CodedColumns, so the recursion never
 // re-parses or re-hashes cell strings.
 // A split of radixThreshold or more rows orders its keys with an LSD radix
-// sort, which gives the same order.
+// sort, which gives the same order. The recursion splits one row permutation
+// in place, as quicksort does (Hoare, CACM 1962): every partition and group
+// is a capped subslice of it, and no split allocates. A categorical split
+// reuses the per-code counts the width scan left in the worker's scratch.
 //
 // Two exact pruning rules spare the recursion partitions that cannot split.
 // A partition of fewer than 2K rows is final without measuring anything:
@@ -115,7 +118,9 @@ type Result struct {
 	// Table is the released, multidimensionally recoded table.
 	Table *dataset.Table
 	// Groups are the final partitions as row-index sets into the input
-	// table, ordered by their smallest member row index.
+	// table, ordered by their smallest member row index. They are disjoint
+	// subslices of one row permutation, each capped at its length, so an
+	// append to one group never writes another.
 	Groups [][]int
 	// Summaries are the per-group released quasi-identifier values.
 	Summaries []generalize.GroupSummary
@@ -467,6 +472,12 @@ func (r *runner) partition(rows []int, live []int, sc *scratch) {
 			continue
 		}
 		if okL && okR {
+			// rows take the split's order only now, so a rejected attempt
+			// left them as they were; rows is capped, so both halves are.
+			cut := copy(rows, lhs)
+			copy(rows[cut:], rhs)
+			lhs, rhs = rows[:cut:cut], rows[cut:]
+			sc.clearCounts(live)
 			r.splits.Add(1)
 			if len(lhs) >= parallelThreshold {
 				select {
@@ -490,6 +501,7 @@ func (r *runner) partition(rows []int, live []int, sc *scratch) {
 			return
 		}
 	}
+	sc.clearCounts(live)
 	r.settle(rows)
 }
 
@@ -514,10 +526,11 @@ func sortByWidth(order []dimWidth) {
 // width computes the normalized range of dimension dim over rows: the
 // numeric span divided by the attribute's global span, or the distinct-value
 // count divided by the global domain size. Both cases read the cached
-// columns; no cell is parsed. live reports whether the dimension can still
-// split rows or a subset of them: a numeric dimension is dead once every row
-// shares one rank (or none has a rank), a categorical one once every row
-// shares one code. The test is structural, never width == 0: a width can
+// columns; no cell is parsed. A categorical scan leaves its per-code counts
+// and distinct codes in sc (see scratch). live reports whether the dimension
+// can still split rows or a subset of them: a numeric dimension is dead once
+// every row shares one rank (or none has a rank), a categorical one once
+// every row shares one code. The test is structural, never width == 0: a width can
 // underflow to 0 while splits still exist.
 func (r *runner) width(rows []int, dim int, sc *scratch) (w dimWidth, live bool) {
 	w.dim = dim
@@ -531,24 +544,34 @@ func (r *runner) width(rows []int, dim int, sc *scratch) (w dimWidth, live bool)
 		w.width = (vals[w.hi]/2 - vals[w.lo]/2) / span
 		return w, true
 	}
-	distinct := sc.countDistinct(r.codes[dim], rows)
-	if distinct <= 1 {
+	col, counts, codes := r.codes[dim].Codes, sc.counts[dim], sc.codes[dim]
+	for _, row := range rows {
+		code := col[row]
+		if counts[code] == 0 {
+			codes = append(codes, code)
+		}
+		counts[code]++
+	}
+	sc.codes[dim] = codes
+	if len(codes) <= 1 {
 		return w, false
 	}
-	w.width = float64(distinct) / span
+	w.width = float64(len(codes)) / span
 	return w, true
 }
 
 // scratch holds one worker goroutine's reusable split and width buffers, so
-// the recursion allocates only the arenas that become partitions. The
-// per-code buffers are sized to the largest categorical dictionary.
+// the recursion allocates nothing per split.
 type scratch struct {
-	// mark[code] == stamp when code was already seen by the current scan.
-	mark  []uint32
-	stamp uint32
-	// counts is all zero between calls.
-	counts []int32
-	codes  []uint32
+	// counts[dim] holds the per-code counts of categorical dimension dim
+	// over the partition last scanned, and codes[dim] its distinct codes in
+	// first-appearance order. The width scan fills them, splitCategorical
+	// reads them, and partition zeroes them (clearCounts) before it recurses
+	// or settles.
+	counts [][]int32
+	codes  [][]uint32
+	// perm receives a split's ordered rows: lhs and rhs are its two halves.
+	perm []int
 	// keys backs the numeric split's packed (rank, row) keys; radixTmp and
 	// radixCount are the radix sort's scatter buffer and digit histogram.
 	keys       []uint64
@@ -556,37 +579,41 @@ type scratch struct {
 	radixCount [1 << radixDigitBits]int32
 }
 
+// newScratch sizes a worker's per-code buffers to each categorical
+// dictionary.
 func (r *runner) newScratch() *scratch {
-	card := 0
-	for _, cc := range r.codes {
+	sc := &scratch{counts: make([][]int32, len(r.codes)), codes: make([][]uint32, len(r.codes))}
+	for dim, cc := range r.codes {
 		if cc != nil {
-			card = max(card, cc.Cardinality())
+			sc.counts[dim], sc.codes[dim] = make([]int32, cc.Cardinality()), make([]uint32, 0, cc.Cardinality())
 		}
 	}
-	return &scratch{mark: make([]uint32, card), counts: make([]int32, card)}
+	return sc
 }
 
-// countDistinct counts the distinct codes of cc among rows.
-func (sc *scratch) countDistinct(cc *dataset.CodedColumn, rows []int) int {
-	sc.stamp++
-	if sc.stamp == 0 {
-		clear(sc.mark)
-		sc.stamp = 1
-	}
-	distinct := 0
-	for _, row := range rows {
-		code := cc.Codes[row]
-		if sc.mark[code] != sc.stamp {
-			sc.mark[code] = sc.stamp
-			distinct++
+// clearCounts zeroes what the width scan counted over dims.
+func (sc *scratch) clearCounts(dims []int) {
+	for _, dim := range dims {
+		counts := sc.counts[dim]
+		for _, code := range sc.codes[dim] {
+			counts[code] = 0
 		}
+		sc.codes[dim] = sc.codes[dim][:0]
 	}
-	return distinct
 }
 
-// split divides rows along dimension w.dim, as measured over rows by width.
-// It returns ok=false when the dimension cannot be split (all values equal,
-// or a strict split would leave one side empty).
+// rowBuf returns sc.perm resized to n rows.
+func (sc *scratch) rowBuf(n int) []int {
+	if cap(sc.perm) < n {
+		sc.perm = make([]int, n)
+	}
+	return sc.perm[:n]
+}
+
+// split orders rows along dimension w.dim, as measured over rows by width,
+// into sc.perm, and returns the two halves of that order. rows keep their
+// own order. It returns ok=false when the dimension cannot be split (all
+// values equal, or a strict split would leave one side empty).
 func (r *runner) split(rows []int, w dimWidth, sc *scratch) (lhs, rhs []int, ok bool) {
 	if r.numeric[w.dim] {
 		return r.splitNumeric(rows, w, sc)
@@ -673,18 +700,20 @@ func (r *runner) splitNumeric(rows []int, w dimWidth, sc *scratch) (lhs, rhs []i
 	// Each key packs the rank offset above the row index; both fit in 32
 	// bits (newRunner caps the row count), so keys order as (rank, row).
 	shift := r.rowBits
-	keys := sc.keys[:0]
-	for _, row := range rows {
-		keys = append(keys, uint64(rk[row]-lo)<<shift|uint64(row))
+	if cap(sc.keys) < len(rows) {
+		sc.keys = make([]uint64, len(rows))
 	}
-	sc.keys = keys
+	keys := sc.keys[:len(rows)]
+	for i, row := range rows {
+		keys[i] = uint64(rk[row]-lo)<<shift | uint64(row)
+	}
 	if len(keys) >= radixThreshold {
 		sc.radixSort(keys, shift+bits.Len32(uint32(hi-lo)))
 	} else {
 		slices.Sort(keys)
 	}
-	// The ordered rows land in one arena; lhs and rhs are its two halves.
-	arena := make([]int, len(rows))
+	// The ordered rows land in the scratch's row buffer.
+	arena := sc.rowBuf(len(rows))
 	mask := uint64(1)<<shift - 1
 	for i, key := range keys {
 		arena[i] = int(key & mask)
@@ -711,56 +740,33 @@ func (r *runner) splitNumeric(rows []int, w dimWidth, sc *scratch) (lhs, rhs []i
 	return arena[:cut:cut], arena[cut:], true
 }
 
+// splitCategorical orders rows value-major (values in sortCodes order, rows
+// in partition order within a value) and cuts where the left side first
+// holds at least half the rows. It reads the per-code counts and distinct
+// codes the width scan left in sc, and reuses the counts as scatter cursors.
 func (r *runner) splitCategorical(rows []int, dim int, sc *scratch) (lhs, rhs []int, ok bool) {
-	cc := r.codes[dim]
-	// Count occurrences per code, then scatter rows into a value-major arena
-	// (values in split order, rows in partition order within a value). The
-	// two sides are subslices of the arena; counts and the distinct-code list
-	// live in the worker's scratch, so a split allocates only the arena.
-	counts := sc.counts[:cc.Cardinality()]
-	codes := sc.codes[:0]
-	for _, row := range rows {
-		code := cc.Codes[row]
-		if counts[code] == 0 {
-			codes = append(codes, code)
-		}
-		counts[code]++
-	}
-	sc.codes = codes
-	// Leave counts all zero for the next call, whichever way this one ends.
-	defer func() {
-		for _, code := range codes {
-			counts[code] = 0
-		}
-	}()
-	if len(codes) < 2 {
-		return nil, nil, false
-	}
+	counts, codes := sc.counts[dim], sc.codes[dim]
 	r.sortCodes(dim, codes)
-	// Greedy balance: walk values in order, filling the left half until it
-	// holds at least half the rows.
 	target := len(rows) / 2
-	count := 0
-	cut := 0
-	cursor := counts // reuse the counts storage as scatter cursors
-	off := int32(0)
+	count, cut, off := 0, 0, int32(0)
 	for _, code := range codes {
 		n := counts[code]
 		if count < target {
 			count += int(n)
 			cut = int(off) + int(n)
 		}
-		cursor[code] = off
+		counts[code] = off
 		off += n
 	}
 	if cut == 0 || cut == len(rows) {
 		return nil, nil, false
 	}
-	arena := make([]int, len(rows))
+	arena := sc.rowBuf(len(rows))
+	col := r.codes[dim].Codes
 	for _, row := range rows {
-		code := cc.Codes[row]
-		arena[cursor[code]] = row
-		cursor[code]++
+		code := col[row]
+		arena[counts[code]] = row
+		counts[code]++
 	}
 	return arena[:cut:cut], arena[cut:], true
 }
@@ -784,15 +790,7 @@ func (r *runner) sortCodes(dim int, codes []uint32) {
 	}
 	if numeric {
 		vals := r.catFloat[dim]
-		slices.SortFunc(codes, func(a, b uint32) int {
-			if vals[a] != vals[b] {
-				if vals[a] < vals[b] {
-					return -1
-				}
-				return 1
-			}
-			return int(a) - int(b)
-		})
+		slices.SortFunc(codes, func(a, b uint32) int { return cmp.Or(cmp.Compare(vals[a], vals[b]), int(a)-int(b)) })
 		return
 	}
 	dict := r.codes[dim].Dict

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -428,5 +429,85 @@ func BenchmarkSortKeys(b *testing.B) {
 				slices.Sort(keys)
 			}
 		})
+	}
+}
+
+// recursionAllocs runs the recursion of a built runner over every row of
+// tbl, sequentially, and returns the allocations of one run with the number
+// of groups it settles.
+func recursionAllocs(t *testing.T, tbl *dataset.Table, k int) (allocs float64, groups int) {
+	t.Helper()
+	qi := tbl.Schema().QuasiIdentifierNames()
+	r, err := newRunner(context.Background(), tbl, Config{K: k, Workers: 1}, qi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.sem = make(chan struct{})
+	live := make([]int, len(qi))
+	for i := range live {
+		live[i] = i
+	}
+	all := make([]int, tbl.Len())
+	allocs = testing.AllocsPerRun(5, func() {
+		for i := range all {
+			all[i] = i
+		}
+		r.groups, r.rowsDone = nil, 0
+		r.partition(all, live, r.newScratch())
+	})
+	return allocs, len(r.groups)
+}
+
+// TestRecursionAllocsDoNotGrowWithSplits: a split writes into the worker's
+// scratch and then over its own partition, so the recursion allocates the
+// same at k=2 as at k=50, up to the growth of the groups slice, although k=2
+// splits many times more often.
+func TestRecursionAllocsDoNotGrowWithSplits(t *testing.T) {
+	tbl := synth.Census(5000, 1)
+	few, _ := recursionAllocs(t, tbl, 50)
+	many, groups := recursionAllocs(t, tbl, 2)
+	if bound := 2 * math.Log2(float64(groups)); many-few > bound {
+		t.Fatalf("recursion allocates %v at k=2 (%d groups) and %v at k=50; want at most %.1f more", many, groups, few, bound)
+	}
+}
+
+// TestGroupsDoNotAlias: every group is capped at its length, so appending to
+// one group leaves every other group as it was; the groups are disjoint and
+// cover every row.
+func TestGroupsDoNotAlias(t *testing.T) {
+	tbl := synth.Census(3000, 5)
+	for _, workers := range []int{1, 4} {
+		res, err := Anonymize(tbl, Config{K: 5, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]bool, tbl.Len())
+		for i, g := range res.Groups {
+			if cap(g) != len(g) {
+				t.Fatalf("workers=%d: group %d has len %d, cap %d", workers, i, len(g), cap(g))
+			}
+			for _, row := range g {
+				if seen[row] {
+					t.Fatalf("workers=%d: row %d in two groups", workers, row)
+				}
+				seen[row] = true
+			}
+		}
+		if i := slices.Index(seen, false); i >= 0 {
+			t.Fatalf("workers=%d: row %d in no group", workers, i)
+		}
+		before := make([][]int, len(res.Groups))
+		for i, g := range res.Groups {
+			before[i] = slices.Clone(g)
+		}
+		for i := range res.Groups {
+			res.Groups[i] = append(res.Groups[i], -1)
+			for j, g := range res.Groups {
+				if j != i && !slices.Equal(g, before[j]) {
+					t.Fatalf("workers=%d: appending to group %d changed group %d", workers, i, j)
+				}
+			}
+			res.Groups[i] = res.Groups[i][:len(before[i])]
+		}
 	}
 }

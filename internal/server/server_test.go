@@ -638,6 +638,39 @@ func BenchmarkServeAnonymize(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
+// BenchmarkServeAnonymizeMix replays the five policies of loadbench's
+// anon-cold workload in rotation through the service: no_cache Mondrian
+// requests over the stored 5k-row census table of BenchmarkServeAnonymize,
+// at k=5, 10 and 25, then k=10 with distinct 2-diversity and k=10 with
+// 0.3-closeness. One op is one request, so ns/op is the mix's mean.
+func BenchmarkServeAnonymizeMix(b *testing.B) {
+	ts, _ := newTestServer(b, Config{})
+	status, body := doJSON(b, "POST", ts.URL+"/v1/datasets",
+		map[string]any{"name": "bench", "family": "census", "rows": 5000, "seed": 42})
+	if status != http.StatusCreated {
+		b.Fatalf("seed dataset = %d %v", status, body)
+	}
+	k := func(k int) map[string]any { return map[string]any{"type": "k-anonymity", "k": k} }
+	policies := [][]map[string]any{
+		{k(5)}, {k(10)}, {k(25)},
+		{k(10), {"type": "distinct-l-diversity", "l": 2}},
+		{k(10), {"type": "t-closeness", "t": 0.3}},
+	}
+	payloads := make([]map[string]any, len(policies))
+	for i, criteria := range policies {
+		payloads[i] = map[string]any{"dataset": "bench", "algorithm": "mondrian", "no_cache": true,
+			"policy": map[string]any{"version": 1, "criteria": criteria}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		status, body := doJSON(b, "POST", ts.URL+"/v1/anonymize", payloads[i%len(payloads)])
+		if status != http.StatusOK {
+			b.Fatalf("anonymize = %d %v", status, body)
+		}
+	}
+}
+
 // TestRegistryCaps exercises the occupancy limits directly on the registry.
 func TestRegistryCaps(t *testing.T) {
 	reg := newRegistry(0, 0, 0)
