@@ -56,8 +56,8 @@ race:
 # file name carries the PR number that introduced the recording;
 # bench-compare diffs the fresh numbers against the previous PR's committed
 # baseline.
-BENCH_OUT ?= BENCH_PR29.json
-BENCH_BASELINE ?= BENCH_PR26.json
+BENCH_OUT ?= BENCH_PR30.json
+BENCH_BASELINE ?= BENCH_PR29.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkCoreAnonymizeCensus|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkServeAnonymizeMix|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \
 		-benchmem -count=6 ./... > bench.out || { cat bench.out; rm -f bench.out; exit 1; }
@@ -99,7 +99,10 @@ bench-cores:
 # WAL and FuzzOpenManifest over an arbitrary checkpoint manifest (refuse, or
 # recover records that all have a kind and a key, with NextSeq past every
 # recovered sequence number); each input opens a store in a fresh
-# directory, so minimization gets the short budget too.
+# directory, so minimization gets the short budget too. FuzzHandlerBodies
+# POSTs arbitrary bytes to /v1/anonymize, /v1/jobs, /v1/specs and
+# /v1/policies of a fresh server holding a 50-row census dataset (every
+# answer a 2xx, or a 4xx or 504 with the error envelope; no panic, no 500).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzReadCSV$$' -fuzztime $(FUZZTIME)
@@ -107,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz 'FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/engine -run '^$$' -fuzz 'FuzzPolicyValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzParseAPIKeys$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzHandlerBodies$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzReplayWAL$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/store -run '^$$' -fuzz 'FuzzOpenManifest$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 

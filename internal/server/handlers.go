@@ -155,13 +155,13 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // handleAppendRows ingests a CSV body under POST /v1/datasets/{name}/rows and
 // appends its rows to the stored dataset. The upload must parse under the
 // dataset's own schema — a header or column-type mismatch is a 400 with the
-// "schema_mismatch" code. The append is copy-on-write: releases pin the
-// previous snapshot, so the grown table replaces the name as a new generation
-// (same path as a PUT replace, including tenant quota accounting) and the
-// reconciler is notified. The replace is conditional on the generation the
-// rows were applied to: when a concurrent append or PUT got there first, the
-// rows are applied again to the dataset as it now stands, so every
-// acknowledged append adds its rows exactly once.
+// "schema_mismatch" code. The append is copy-on-write: the grown table
+// replaces the name as a new generation (same path as a PUT replace,
+// including tenant quota accounting) while readers of the previous one keep
+// it, and the reconciler is notified. The replace is conditional on the
+// generation the rows were applied to: when a concurrent append or PUT got
+// there first, the rows are applied again to the dataset as it now stands,
+// so every acknowledged append adds its rows exactly once.
 func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	cur, err := s.reg.datasets.get(name)
@@ -835,12 +835,12 @@ func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", "C_avg: %v", err)
 		return
 	}
-	if len(rel.release.Node) > 0 && rel.origin.hier != nil {
+	if len(rel.release.Node) > 0 && rel.hier != nil {
 		qi := tbl.Schema().QuasiIdentifierNames()
 		if len(rel.params.QuasiIdentifiers) > 0 {
 			qi = rel.params.QuasiIdentifiers
 		}
-		if maxLevels, lerr := rel.origin.hier.MaxLevels(qi); lerr == nil {
+		if maxLevels, lerr := rel.hier.MaxLevels(qi); lerr == nil {
 			if p, perr := metrics.GeneralizationPrecision(rel.release.Node, maxLevels); perr == nil {
 				report.GeneralizationPrecision = &p
 			}

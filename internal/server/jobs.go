@@ -250,7 +250,8 @@ func (s *Server) outcome(p *preparedRun, rel *core.Release, elapsed time.Duratio
 	if storeRelease {
 		id, err := s.reg.putRelease(&storedRelease{
 			dataset:   p.req.Dataset,
-			origin:    p.ds,
+			family:    p.ds.Family,
+			hier:      p.ds.hier,
 			algorithm: p.alg,
 			policyRef: p.policyRef,
 			params:    p.req,

@@ -50,26 +50,25 @@ type datasetMeta struct {
 
 // releaseMeta is the journaled metadata of one stored release: everything a
 // storedRelease holds except the tables (referenced by fingerprint) and the
-// Anatomy query-estimation state, which no server endpoint reads.
+// Anatomy query-estimation state, which no server endpoint reads. Records
+// journaled before releases stood on their own tables also carry the origin
+// dataset's snapshot (origin_fp, listed first in the record's tables) and
+// its tenant and creation time; decoding ignores those keys.
 type releaseMeta struct {
 	Seq     int    `json:"seq"`
 	Dataset string `json:"dataset"`
-	// Origin pins the dataset snapshot the release was built from, so
-	// reports recover comparing against exactly the table that was
-	// anonymized even if the registry name is later rebound.
-	OriginFP      string            `json:"origin_fp"`
-	OriginFamily  string            `json:"origin_family,omitempty"`
-	OriginTenant  string            `json:"origin_tenant,omitempty"`
-	OriginCreated int64             `json:"origin_created_unix_ns"`
-	Algorithm     string            `json:"algorithm"`
-	PolicyRef     string            `json:"policy_ref,omitempty"`
-	Params        anonymizeRequest  `json:"params"`
-	Policy        *policy.Policy    `json:"policy,omitempty"`
-	Node          []int             `json:"node,omitempty"`
-	Measured      core.Measurements `json:"measured"`
-	TableFP       string            `json:"table_fp,omitempty"`
-	QITFP         string            `json:"qit_fp,omitempty"`
-	STFP          string            `json:"st_fp,omitempty"`
+	// OriginFamily is the schema family of the dataset the release was
+	// built from; recovery rebuilds the run's hierarchies from it.
+	OriginFamily string            `json:"origin_family,omitempty"`
+	Algorithm    string            `json:"algorithm"`
+	PolicyRef    string            `json:"policy_ref,omitempty"`
+	Params       anonymizeRequest  `json:"params"`
+	Policy       *policy.Policy    `json:"policy,omitempty"`
+	Node         []int             `json:"node,omitempty"`
+	Measured     core.Measurements `json:"measured"`
+	TableFP      string            `json:"table_fp,omitempty"`
+	QITFP        string            `json:"qit_fp,omitempty"`
+	STFP         string            `json:"st_fp,omitempty"`
 	// Spec names the release spec that owns this release ("" for ad-hoc
 	// releases published through POST /v1/anonymize).
 	Spec        string `json:"spec,omitempty"`
@@ -123,24 +122,25 @@ func (r *registry) journal(op store.Op, meta any) error {
 }
 
 // releaseRecord is a release's journal entry before its id is assigned: the
-// table snapshots it references (origin first) and its metadata.
+// table snapshots it references and its metadata.
 type releaseRecord struct {
 	tables []string
 	meta   releaseMeta
 }
 
-// prepareRelease writes the release's origin and published tables as durable
+// prepareRelease writes the release's published tables as durable
 // content-addressed snapshots and returns the record that references them
-// (zero without a store, so registry unit tests may store origin-less
-// stubs). Called outside the registry lock — snapshot encoding is the
-// expensive part, and PutTable is idempotent, so a put that later loses the
-// id race leaves at worst an unreferenced file for the next checkpoint's GC.
+// (zero without a store, so registry unit tests may store table-less stubs).
+// Called outside the registry lock — snapshot encoding is the expensive
+// part, and PutTable is idempotent, so a put that later loses the id race
+// leaves at worst an unreferenced file for the next checkpoint's GC.
 func (r *registry) prepareRelease(rel *storedRelease) (releaseRecord, error) {
 	if r.st == nil {
 		return releaseRecord{}, nil
 	}
-	var fps [4]string
-	for i, t := range []*dataset.Table{rel.origin.table, rel.release.Table, rel.release.QIT, rel.release.ST} {
+	var rec releaseRecord
+	var fps [3]string
+	for i, t := range []*dataset.Table{rel.release.Table, rel.release.QIT, rel.release.ST} {
 		if t == nil {
 			continue
 		}
@@ -149,30 +149,23 @@ func (r *registry) prepareRelease(rel *storedRelease) (releaseRecord, error) {
 			return releaseRecord{}, fmt.Errorf("%w: %v", errPersist, err)
 		}
 		fps[i] = fp
+		rec.tables = append(rec.tables, fp)
 	}
-	rec := releaseRecord{tables: []string{fps[0]}, meta: releaseMeta{
-		Dataset:       rel.dataset,
-		OriginFP:      fps[0],
-		OriginFamily:  rel.origin.Family,
-		OriginTenant:  rel.origin.Tenant,
-		OriginCreated: rel.origin.CreatedUnix,
-		Algorithm:     string(rel.algorithm),
-		PolicyRef:     rel.policyRef,
-		Params:        rel.params,
-		Policy:        rel.release.Policy,
-		Node:          rel.release.Node,
-		Measured:      rel.release.Measured,
-		TableFP:       fps[1],
-		QITFP:         fps[2],
-		STFP:          fps[3],
-		Spec:          rel.spec,
-		ElapsedNS:     rel.elapsed.Nanoseconds(),
-		CreatedUnix:   rel.created.UnixNano(),
-	}}
-	for _, fp := range fps[1:] {
-		if fp != "" && fp != fps[0] {
-			rec.tables = append(rec.tables, fp)
-		}
+	rec.meta = releaseMeta{
+		Dataset:      rel.dataset,
+		OriginFamily: rel.family,
+		Algorithm:    string(rel.algorithm),
+		PolicyRef:    rel.policyRef,
+		Params:       rel.params,
+		Policy:       rel.release.Policy,
+		Node:         rel.release.Node,
+		Measured:     rel.release.Measured,
+		TableFP:      fps[0],
+		QITFP:        fps[1],
+		STFP:         fps[2],
+		Spec:         rel.spec,
+		ElapsedNS:    rel.elapsed.Nanoseconds(),
+		CreatedUnix:  rel.created.UnixNano(),
 	}
 	return rec, nil
 }
@@ -193,11 +186,10 @@ func recoverKind[M any](st *store.Store, kind string, add func(rec store.Record,
 }
 
 // recover rebuilds the registry from a freshly opened store: datasets and
-// policies first, then specs, then releases (which reference dataset
-// snapshots and their owning spec). Tables load with mmap-backed zero-copy
-// columns and stay cold until a handler reads them. Any inconsistency
-// refuses boot: a server that starts must serve exactly what was
-// acknowledged.
+// policies first, then specs, then releases (which reference their owning
+// spec). Tables load with mmap-backed zero-copy columns and stay cold until
+// a handler reads them. Any inconsistency refuses boot: a server that starts
+// must serve exactly what was acknowledged.
 func (s *Server) recover(st *store.Store) error {
 	reg := s.reg
 	load := func(fp string) (*dataset.Table, error) {
@@ -282,10 +274,6 @@ func (s *Server) recover(st *store.Store) error {
 				return nil
 			}
 		}
-		origin, err := load(m.OriginFP)
-		if err != nil || origin == nil {
-			return fmt.Errorf("origin snapshot: %w", err)
-		}
 		tbl, err := load(m.TableFP)
 		if err != nil {
 			return fmt.Errorf("released table: %w", err)
@@ -298,20 +286,13 @@ func (s *Server) recover(st *store.Store) error {
 		if err != nil {
 			return fmt.Errorf("ST table: %w", err)
 		}
-		// The origin reuses the live dataset entry when it is the same
-		// snapshot (the common case — replace/delete are refused while a
-		// release references the dataset), so reports share one mmap view.
-		originDS := reg.datasets.items[m.Dataset]
-		if originDS == nil || originDS.table != origin {
-			originDS = &storedDataset{name: m.Dataset, table: origin, hier: hierarchyForFamily(m.OriginFamily),
-				datasetMeta: datasetMeta{Family: m.OriginFamily, Tenant: m.OriginTenant, CreatedUnix: m.OriginCreated}}
-		}
 		reg.releases.put(rec.Key, &storedRelease{
 			id:        rec.Key,
 			seq:       m.Seq,
 			dataset:   m.Dataset,
 			spec:      m.Spec,
-			origin:    originDS,
+			family:    m.OriginFamily,
+			hier:      hierarchyForFamily(m.OriginFamily),
 			algorithm: core.Algorithm(m.Algorithm),
 			policyRef: m.PolicyRef,
 			params:    m.Params.journaled(),

@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/ppdp/ppdp/internal/store"
 	"github.com/ppdp/ppdp/internal/synth"
 )
 
@@ -598,4 +602,130 @@ func TestPersistUtilityReportsMeasuredRelease(t *testing.T) {
 		t.Fatal("dataset of an unknown family recovered with hierarchies")
 	}
 	check(strings.Replace(path, ts.URL, ts2.URL, 1), "after restart")
+}
+
+// readAll fetches every path under base and returns the raw bodies, failing
+// on any status but 200.
+func readAll(t testing.TB, base string, paths []string) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(paths))
+	for i, p := range paths {
+		status, raw := getRaw(t, base+p, "")
+		if status != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", p, status, raw)
+		}
+		out[i] = raw
+	}
+	return out
+}
+
+// TestPersistReleaseOutlivesItsDataset stores an ad-hoc Mondrian release on
+// a durable server, then appends rows to its dataset, replaces it and
+// deletes it. Every write must succeed, and after a checkpoint and a restart
+// the release must serve byte-identical metadata, rows and reports: a stored
+// release stands on its own tables, not on the dataset it was built from.
+func TestPersistReleaseOutlivesItsDataset(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Workers: 1}
+	ts, srv := bootPersistent(t, cfg)
+	seedDataset(t, ts, "d", "census", 400)
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{
+		"dataset": "d", "algorithm": "mondrian", "k": 5, "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("anonymize: %d %v", status, body)
+	}
+	rel := "/v1/releases/" + body["release_id"].(string)
+	paths := []string{rel, rel + "/data", rel + "/risk", rel + "/utility"}
+	golden := readAll(t, ts.URL, paths)
+
+	chunks := censusChunks(t, 50, 300)
+	if status, body := sendCSV(t, "POST", ts.URL+"/v1/datasets/d/rows", chunks[0]); status != http.StatusOK {
+		t.Fatalf("append: %d %v", status, body)
+	}
+	if status, body := sendCSV(t, "PUT", ts.URL+"/v1/datasets/d", chunks[1]); status != http.StatusCreated {
+		t.Fatalf("replace: %d %v", status, body)
+	}
+	if status, body := doJSON(t, "DELETE", ts.URL+"/v1/datasets/d", nil); status != http.StatusNoContent {
+		t.Fatalf("delete: %d %v", status, body)
+	}
+	if status, body := doJSON(t, "POST", ts.URL+"/v1/snapshot", nil); status != http.StatusOK {
+		t.Fatalf("snapshot: %d %v", status, body)
+	}
+	ts.Close()
+	srv.Close()
+
+	ts2, _ := bootPersistent(t, cfg)
+	for i, raw := range readAll(t, ts2.URL, paths) {
+		if !bytes.Equal(raw, golden[i]) {
+			t.Errorf("GET %s changed:\n before: %s\n after:  %s", paths[i], golden[i], raw)
+		}
+	}
+}
+
+// TestPersistRecoversOriginPinnedRelease recovers a release record in the
+// format journaled while releases pinned their origin dataset: its metadata
+// carries origin_fp, origin_tenant and origin_created_unix_ns, and its table
+// list starts with the origin snapshot. The release must recover and serve
+// the same metadata and utility report as the record the current code
+// journals for the same run (a full-domain one, so the report's
+// generalization precision reads the hierarchies rebuilt from the family).
+func TestPersistRecoversOriginPinnedRelease(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Workers: 1}
+	ts, srv := bootPersistent(t, cfg)
+	seedDataset(t, ts, "d", "census", 300)
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{
+		"dataset": "d", "algorithm": "datafly", "k": 5, "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("anonymize: %d %v", status, body)
+	}
+	id := body["release_id"].(string)
+	paths := []string{"/v1/releases/" + id, "/v1/releases/" + id + "/utility"}
+	want := readAll(t, ts.URL, paths)
+	if !strings.Contains(string(want[1]), `"generalization_precision"`) {
+		t.Fatalf("full-domain utility report lacks generalization precision: %s", want[1])
+	}
+	ts.Close()
+	srv.Close()
+
+	// Rewrite the release's record in the origin-pinned format.
+	st, err := store.Open(cfg.DataDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	originFP, err := st.PutTable(synth.Census(300, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds := st.Records(store.KindDataset)[0]; ds.Tables[0] != originFP {
+		t.Fatalf("origin snapshot %s is not the dataset's %s", originFP, ds.Tables[0])
+	}
+	rec := st.Records(store.KindRelease)[0]
+	var meta map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Meta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["origin_fp"] = json.RawMessage(strconv.Quote(originFP))
+	meta["origin_tenant"] = json.RawMessage(`"acme"`)
+	meta["origin_created_unix_ns"] = json.RawMessage(`1792000000000000001`)
+	old, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Apply(store.Op{Op: store.OpPut, Kind: store.KindRelease, Key: rec.Key, Seq: rec.Seq,
+		Tables: append([]string{originFP}, rec.Tables...), Meta: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2, srv2 := bootPersistent(t, cfg)
+	if got := srv2.reg.releases.items[id].hier; got == nil {
+		t.Fatal("origin-pinned release recovered without hierarchies")
+	}
+	for i, raw := range readAll(t, ts2.URL, paths) {
+		if !bytes.Equal(raw, want[i]) {
+			t.Errorf("GET %s of the origin-pinned record:\n got:  %s\n want: %s", paths[i], raw, want[i])
+		}
+	}
 }

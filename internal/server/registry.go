@@ -20,7 +20,6 @@ import (
 var (
 	errNotFound          = errors.New("not found")
 	errExists            = errors.New("already exists")
-	errDatasetReferred   = errors.New("dataset is referenced by stored releases")
 	errDatasetSpecPinned = errors.New("dataset is watched by release specs")
 	errReleaseSpecOwned  = errors.New("release is managed by a spec")
 	errRegistryFull      = errors.New("registry is full")
@@ -45,7 +44,6 @@ var registryErrors = []struct {
 }{
 	{errNotFound, http.StatusNotFound, "not_found"},
 	{errExists, http.StatusConflict, "conflict"},
-	{errDatasetReferred, http.StatusConflict, "conflict"},
 	{errDatasetSpecPinned, http.StatusConflict, "spec_pinned"},
 	{errReleaseSpecOwned, http.StatusConflict, "spec_pinned"},
 	{errRegistryFull, http.StatusInsufficientStorage, "registry_full"},
@@ -113,13 +111,15 @@ type storedDataset struct {
 type storedRelease struct {
 	id  string
 	seq int
-	// dataset is the registry name the release was built from; origin is
-	// the dataset snapshot actually used. The generalization-precision
-	// report reads origin's hierarchies, so a dataset replaced while the
-	// anonymization was in flight cannot make a release score itself
-	// against hierarchies it was not built with.
+	// dataset is the registry name the release was built from, family its
+	// schema family and hier the hierarchy set its run used. The release
+	// holds its own tables and measurements, so the dataset may be replaced,
+	// appended to or deleted afterwards; the generalization-precision report
+	// reads hier, so a release never scores itself against hierarchies it
+	// was not built with.
 	dataset   string
-	origin    *storedDataset
+	family    string
+	hier      *hierarchy.Set
 	algorithm core.Algorithm
 	// policyRef is the stored-policy name the request referenced, if any;
 	// the enforced snapshot itself travels on release.Policy.
@@ -130,8 +130,7 @@ type storedRelease struct {
 	created   time.Time
 	// spec names the release spec that owns this release ("" for ad-hoc
 	// releases). Spec-owned releases are re-published by the reconciler when
-	// their dataset moves, so they do not block PUT replace or row appends
-	// the way ad-hoc releases do — the reconciler is the one mutating them.
+	// their dataset moves.
 	spec string
 }
 
@@ -306,18 +305,14 @@ func (r *registry) deletePolicy(name string) error {
 }
 
 // putDataset stores ds. When replace is false a name collision fails with
-// errExists. Even with replace, a dataset that ad-hoc stored releases
-// still reference is protected — swapping the table underneath them would
-// silently corrupt their utility reports, the same breakage deleteDataset
-// refuses. Releases owned by a release spec are exempt: the reconciler
-// re-publishes them from the new content, which is exactly what replacing a
-// watched dataset asks for (each spec-owned release pins its own origin
-// snapshot, so reports stay correct mid-reconciliation). maxPerTenant, when
-// positive, caps how many datasets ds.Tenant may hold (replacing one's own
-// dataset never consumes quota). base, when non-nil, is the entry ds was
-// derived from: the put is a compare-and-swap that fails with
-// errDatasetMoved unless the name still maps to base, so a read-modify-write
-// never overwrites a generation it did not see.
+// errExists. A replace succeeds whatever releases were built from the name:
+// each stored release holds its own tables, and the reconciler re-publishes
+// the spec-owned ones from the new content. maxPerTenant, when positive,
+// caps how many datasets ds.Tenant may hold (replacing one's own dataset
+// never consumes quota). base, when non-nil, is the entry ds was derived
+// from: the put is a compare-and-swap that fails with errDatasetMoved unless
+// the name still maps to base, so a read-modify-write never overwrites a
+// generation it did not see.
 func (r *registry) putDataset(ds *storedDataset, replace bool, base *storedDataset, maxPerTenant int) error {
 	// Persist the table snapshot before taking the lock: encoding is the
 	// expensive part and PutTable is content-addressed and idempotent, so a
@@ -342,11 +337,6 @@ func (r *registry) putDataset(ds *storedDataset, replace bool, base *storedDatas
 	}
 	ds.Generation = 1
 	if exists && replace {
-		for _, rel := range r.releases.items {
-			if rel.dataset == ds.name && rel.spec == "" {
-				return fmt.Errorf("%w: %q (release %s)", errDatasetReferred, ds.name, rel.id)
-			}
-		}
 		ds.Generation = existing.Generation + 1
 	} else if err := r.datasets.admit(ds.name); err != nil {
 		return err
@@ -397,13 +387,12 @@ func (r *registry) canCreateDataset(name, tenant string, maxPerTenant int) error
 	return r.tenantRoom(tenant, maxPerTenant, nil)
 }
 
-// deleteDataset removes a dataset. Datasets still referenced by a stored
-// release are protected: deleting them would silently break the release's
-// utility reports. Datasets watched by a release spec are protected too —
-// the spec's whole purpose is to keep a release in sync with the dataset, so
-// the spec must be deleted first (the error carries the machine-readable
-// spec_pinned code; cascade-pausing specs instead was rejected as too easy to
-// trip silently).
+// deleteDataset removes a dataset. Stored releases built from it keep their
+// own tables, so they do not hold it. Datasets watched by a release spec are
+// protected: the spec's whole purpose is to keep a release in sync with the
+// dataset, so the spec must be deleted first (the error carries the
+// machine-readable spec_pinned code; cascade-pausing specs instead was
+// rejected as too easy to trip silently).
 func (r *registry) deleteDataset(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -413,11 +402,6 @@ func (r *registry) deleteDataset(name string) error {
 	for _, sp := range r.specs.items {
 		if sp.Dataset == name {
 			return fmt.Errorf("%w: %q (spec %s)", errDatasetSpecPinned, name, sp.name)
-		}
-	}
-	for _, rel := range r.releases.items {
-		if rel.dataset == name {
-			return fmt.Errorf("%w: %q (release %s)", errDatasetReferred, name, rel.id)
 		}
 	}
 	return drop(r, &r.datasets, name)
@@ -463,9 +447,9 @@ func (r *registry) assignRelease(rel *storedRelease, rec releaseRecord) error {
 	return err
 }
 
-// deleteRelease removes a stored release, unpinning its dataset. Releases
-// owned by a release spec are deleted through DELETE /v1/specs/{name}, which
-// cascades; removing one directly would leave the spec pointing at nothing.
+// deleteRelease removes a stored release. Releases owned by a release spec
+// are deleted through DELETE /v1/specs/{name}, which cascades; removing one
+// directly would leave the spec pointing at nothing.
 func (r *registry) deleteRelease(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -30,8 +30,8 @@ func checkEnvelopes(t *testing.T, cases []envelopeCase) {
 
 // TestRegistryErrorEnvelopes pins the status, code and message of every
 // registry refusal, per resource kind: a missing name on read and delete, a
-// duplicate create, the occupancy caps, the pins between kinds (releases and
-// specs pinning datasets, specs owning releases) and the tenant quota.
+// duplicate create, the occupancy caps, the pins between kinds (specs
+// watching datasets and owning releases) and the tenant quota.
 func TestRegistryErrorEnvelopes(t *testing.T) {
 	req := func(ts string, method, path string, body any) func() (int, map[string]any) {
 		return func() (int, map[string]any) { return doJSON(t, method, ts+path, body) }
@@ -96,14 +96,6 @@ func TestRegistryErrorEnvelopes(t *testing.T) {
 				409, "conflict", `policy already exists: "p"`},
 			{"duplicate spec", req(u, "POST", "/v1/specs", map[string]any{"name": "s", "dataset": "d", "algorithm": "mondrian", "k": 5}),
 				409, "conflict", `spec already exists: "s"`},
-			{"DELETE dataset referred by a release", req(u, "DELETE", "/v1/datasets/d", nil),
-				409, "conflict", `dataset is referenced by stored releases: "d" (release r1)`},
-			{"replace dataset referred by a release", func() (int, map[string]any) {
-				return sendCSV(t, "PUT", u+"/v1/datasets/d", csv)
-			}, 409, "conflict", `dataset is referenced by stored releases: "d" (release r1)`},
-			{"append to dataset referred by a release", func() (int, map[string]any) {
-				return sendCSV(t, "POST", u+"/v1/datasets/d/rows", csv)
-			}, 409, "conflict", `dataset is referenced by stored releases: "d" (release r1)`},
 			{"DELETE dataset watched by a spec", req(u, "DELETE", "/v1/datasets/w", nil),
 				409, "spec_pinned", `dataset is watched by release specs: "w" (spec s)`},
 			{"DELETE spec-owned release", req(u, "DELETE", "/v1/releases/r2", nil),

@@ -331,7 +331,7 @@ var routeTable = []struct {
 	{RouteDoc{"POST /v1/datasets/{name}/rows", "append CSV rows to a stored dataset (schema must match; bumps the dataset generation and triggers spec reconciliation)"}, (*Server).handleAppendRows},
 	{RouteDoc{"GET /v1/datasets", "list stored datasets"}, (*Server).handleListDatasets},
 	{RouteDoc{"GET /v1/datasets/{name}", "dataset metadata; a row page with ?limit/?offset; streamed CSV under Accept: text/csv"}, (*Server).handleGetDataset},
-	{RouteDoc{"DELETE /v1/datasets/{name}", "delete a dataset (409 while ad-hoc releases reference it or release specs watch it — delete those first)"}, (*Server).handleDeleteDataset},
+	{RouteDoc{"DELETE /v1/datasets/{name}", "delete a dataset (stored releases keep their own tables; 409 spec_pinned while release specs watch it — delete those first)"}, (*Server).handleDeleteDataset},
 	{RouteDoc{"POST /v1/policies", "store a named privacy policy (canonicalized, immutable)"}, (*Server).handleCreatePolicy},
 	{RouteDoc{"GET /v1/policies", "list stored policies"}, (*Server).handleListPolicies},
 	{RouteDoc{"GET /v1/policies/{name}", "fetch one stored policy in canonical form"}, (*Server).handleGetPolicy},
@@ -348,10 +348,10 @@ var routeTable = []struct {
 	{RouteDoc{"DELETE /v1/specs/{name}", "delete a spec and the release it owns"}, (*Server).handleDeleteSpec},
 	{RouteDoc{"GET /v1/releases", "list stored releases"}, (*Server).handleListReleases},
 	{RouteDoc{"GET /v1/releases/{id}", "release metadata: algorithm, canonical policy, per-criterion measurements"}, (*Server).handleGetRelease},
-	{RouteDoc{"DELETE /v1/releases/{id}", "delete a stored release, unpinning its dataset (409 spec_pinned for spec-owned releases — delete the spec instead)"}, (*Server).handleDeleteRelease},
+	{RouteDoc{"DELETE /v1/releases/{id}", "delete a stored release (409 spec_pinned for spec-owned releases — delete the spec instead)"}, (*Server).handleDeleteRelease},
 	{RouteDoc{"GET /v1/releases/{id}/data", "streamed CSV rows (default); a JSON row page with ?limit/?offset under Accept: application/json; ?table=qit|st for anatomy"}, (*Server).handleReleaseData},
 	{RouteDoc{"GET /v1/releases/{id}/risk", "re-identification and attribute-disclosure risk report (?threshold=)"}, (*Server).handleReleaseRisk},
-	{RouteDoc{"GET /v1/releases/{id}/utility", "utility report against the pinned dataset snapshot (?k=)"}, (*Server).handleReleaseUtility},
+	{RouteDoc{"GET /v1/releases/{id}/utility", "utility report from the release's own measurements and the hierarchies its run used (?k=)"}, (*Server).handleReleaseUtility},
 }
 
 // RouteDocs returns every registered endpoint's pattern and summary in

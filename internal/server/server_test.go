@@ -520,9 +520,13 @@ func TestReleaseLifecycleAndReports(t *testing.T) {
 		t.Errorf("policy release utility = %d, default k = %v", status, body["normalized_avg_class_size_k"])
 	}
 
-	// The original dataset is delete-protected while the release lives.
-	if status, body = doJSON(t, "DELETE", ts.URL+"/v1/datasets/c", nil); status != http.StatusConflict {
-		t.Fatalf("delete referenced dataset = %d %v", status, body)
+	// The release stands on its own tables: its dataset may be deleted and
+	// its reports still answer.
+	if status, body = doJSON(t, "DELETE", ts.URL+"/v1/datasets/c", nil); status != http.StatusNoContent {
+		t.Fatalf("delete released dataset = %d %v", status, body)
+	}
+	if status, body = doJSON(t, "GET", ts.URL+"/v1/releases/"+id+"/utility", nil); status != http.StatusOK {
+		t.Fatalf("utility after dataset delete = %d %v", status, body)
 	}
 
 	// Anatomy releases expose QIT/ST downloads but no microdata reports.
@@ -579,16 +583,17 @@ func TestGenerateRowsCap(t *testing.T) {
 	}
 }
 
-// TestUploadReplaceProtection: PUT may replace a dataset, but not one a
-// stored release still references.
-func TestUploadReplaceProtection(t *testing.T) {
+// TestUploadReplaceKeepsRelease: PUT replaces a dataset whether or not a
+// stored release was built from it, and the release keeps serving the rows
+// it published.
+func TestUploadReplaceKeepsRelease(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
-	var csvBuf bytes.Buffer
-	if err := synth.Census(80, 1).WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	upload := func() int {
-		req, _ := http.NewRequest("PUT", ts.URL+"/v1/datasets/d?family=census", bytes.NewReader(csvBuf.Bytes()))
+	upload := func(seed int64) int {
+		var csvBuf bytes.Buffer
+		if err := synth.Census(80, seed).WriteCSV(&csvBuf); err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest("PUT", ts.URL+"/v1/datasets/d?family=census", &csvBuf)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -596,21 +601,24 @@ func TestUploadReplaceProtection(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if status := upload(); status != http.StatusCreated {
+	if status := upload(1); status != http.StatusCreated {
 		t.Fatalf("first upload = %d", status)
 	}
-	// Replace while unreferenced is fine.
-	if status := upload(); status != http.StatusCreated {
+	if status := upload(1); status != http.StatusCreated {
 		t.Fatalf("replace = %d", status)
 	}
-	// A stored release pins the dataset.
 	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize",
 		map[string]any{"dataset": "d", "k": 5, "store": true})
 	if status != http.StatusOK {
 		t.Fatalf("anonymize = %d %v", status, body)
 	}
-	if status := upload(); status != http.StatusConflict {
-		t.Fatalf("replace of referenced dataset = %d, want 409", status)
+	id := body["release_id"].(string)
+	before := fetchCSV(t, ts, id)
+	if status := upload(2); status != http.StatusCreated {
+		t.Fatalf("replace of released dataset = %d, want 201", status)
+	}
+	if after := fetchCSV(t, ts, id); !bytes.Equal(after, before) {
+		t.Fatal("release data changed when its dataset was replaced")
 	}
 }
 
@@ -705,8 +713,9 @@ func TestRegistryCaps(t *testing.T) {
 	}
 }
 
-// TestDeleteReleaseUnpinsDataset checks the DELETE /v1/releases/{id} flow.
-func TestDeleteReleaseUnpinsDataset(t *testing.T) {
+// TestDeleteReleaseOutlivingDataset checks the DELETE /v1/releases/{id}
+// flow on a release whose dataset is already gone.
+func TestDeleteReleaseOutlivingDataset(t *testing.T) {
 	ts, _ := newTestServer(t, Config{})
 	doJSON(t, "POST", ts.URL+"/v1/datasets", map[string]any{"name": "d", "family": "census", "rows": 150})
 	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize",
@@ -715,19 +724,19 @@ func TestDeleteReleaseUnpinsDataset(t *testing.T) {
 		t.Fatalf("anonymize = %d %v", status, body)
 	}
 	id := body["release_id"].(string)
-	// The release pins the dataset...
-	if status, _ = doJSON(t, "DELETE", ts.URL+"/v1/datasets/d", nil); status != http.StatusConflict {
-		t.Fatalf("delete pinned dataset = %d", status)
+	// The release does not hold its dataset...
+	if status, _ = doJSON(t, "DELETE", ts.URL+"/v1/datasets/d", nil); status != http.StatusNoContent {
+		t.Fatalf("delete released dataset = %d", status)
 	}
-	// ...until it is deleted.
+	// ...and is deleted on its own.
+	if status, _ = doJSON(t, "GET", ts.URL+"/v1/releases/"+id, nil); status != http.StatusOK {
+		t.Fatalf("release after dataset delete = %d", status)
+	}
 	if status, _ = doJSON(t, "DELETE", ts.URL+"/v1/releases/"+id, nil); status != http.StatusNoContent {
 		t.Fatalf("delete release = %d", status)
 	}
 	if status, _ = doJSON(t, "DELETE", ts.URL+"/v1/releases/"+id, nil); status != http.StatusNotFound {
 		t.Fatalf("re-delete release = %d", status)
-	}
-	if status, _ = doJSON(t, "DELETE", ts.URL+"/v1/datasets/d", nil); status != http.StatusNoContent {
-		t.Fatalf("delete unpinned dataset = %d", status)
 	}
 }
 

@@ -77,7 +77,7 @@ func (r *registry) putSpec(sp *storedSpec) error {
 
 // deleteSpec removes a spec and cascades to the release it owns: the release
 // exists to satisfy the spec, and spec-owned releases cannot be deleted
-// directly, so orphaning it would pin the dataset forever. Each entry leaves
+// directly, so an orphan could never be removed. Each entry leaves
 // memory exactly when its delete is journaled; a release whose delete fails
 // after its spec's succeeded is a straggler recovery drops.
 func (r *registry) deleteSpec(name string) error {
@@ -386,7 +386,8 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 	}
 	stored := &storedRelease{
 		dataset:   run.Dataset,
-		origin:    run.ds,
+		family:    run.ds.Family,
+		hier:      run.ds.hier,
 		algorithm: run.Algorithm,
 		policyRef: run.PolicyRef,
 		params:    run.Params,

@@ -10,7 +10,8 @@
 # drift on the host (thermal state, neighbours) and any cost of going first
 # or second land on both sides alike. Each round runs every benchmark once
 # at go test's default benchtime. Prints every sample of both sides, then
-# per benchmark the median ns/op and allocs/op of each side.
+# `benchjson compare` of the two sides' folded records (medians, the U
+# test's verdict on ns/op and the exact allocs/op gate).
 #
 # Environment:
 #   GO         go command (default: go)
@@ -62,28 +63,12 @@ while [ "$i" -le "$ROUNDS" ]; do
     i=$((i + 1))
 done | tee "$tmp/samples"
 
-# Median ns/op and allocs/op per benchmark and side.
+# Fold each side's samples into a benchjson record and compare the two: the
+# Mann-Whitney U test judges ns/op ("~" marks a delta it does not find
+# significant) and allocs/op is gated exactly. The script exits non-zero
+# when compare flags a regression.
+for side in base head; do
+    sed -n "s/^$side //p" "$tmp/samples" | (cd "$root" && $GO run ./cmd/benchjson) > "$tmp/$side.json"
+done
 echo
-echo "# medians: benchmark  base-ns/op  head-ns/op  delta  base-allocs/op  head-allocs/op"
-awk '
-function median(list,   n, a, i, j, t) {
-    n = split(list, a, " ")
-    for (i = 2; i <= n; i++)
-        for (j = i; j > 1 && a[j-1] + 0 > a[j] + 0; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
-    return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
-}
-{
-    side = $1; name = $2; sub(/-[0-9]+$/, "", name)
-    if (!(name in seen)) { seen[name] = 1; names[++count] = name }
-    for (f = 4; f < NF; f++) {
-        if ($(f + 1) == "ns/op") ns[side, name] = ns[side, name] " " $f
-        if ($(f + 1) == "allocs/op") al[side, name] = al[side, name] " " $f
-    }
-}
-END {
-    for (i = 1; i <= count; i++) {
-        n = names[i]
-        b = median(ns["base", n]); h = median(ns["head", n])
-        printf "%s  %.0f  %.0f  %+.1f%%  %s  %s\n", n, b, h, b ? (h - b) / b * 100 : 0, median(al["base", n]), median(al["head", n])
-    }
-}' "$tmp/samples"
+(cd "$root" && $GO run ./cmd/benchjson compare "$tmp/base.json" "$tmp/head.json")
