@@ -56,7 +56,7 @@ race:
 # file name carries the PR number that introduced the recording;
 # bench-compare diffs the fresh numbers against the previous PR's committed
 # baseline.
-BENCH_OUT ?= BENCH_PR30.json
+BENCH_OUT ?= BENCH_PR31.json
 BENCH_BASELINE ?= BENCH_PR29.json
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGroupBy|BenchmarkFingerprint|BenchmarkMondrian|BenchmarkCoreAnonymizeCensus|BenchmarkRecodeGroups|BenchmarkAppendTable|BenchmarkIncognito|BenchmarkTopDown|BenchmarkDatafly|BenchmarkSamarati|BenchmarkKMember|BenchmarkAnatomy|BenchmarkLaplace|BenchmarkServeAnonymize|BenchmarkServeAnonymizeMix|BenchmarkJobThroughput|BenchmarkCacheHit|BenchmarkReadCSV|BenchmarkSnapshot|BenchmarkMmap|BenchmarkStore|BenchmarkReconcile' \

@@ -41,5 +41,5 @@ func (adapter) Run(ctx context.Context, t *dataset.Table, spec engine.Spec) (*en
 	if err != nil {
 		return nil, err
 	}
-	return &engine.Result{Table: res.Table}, nil
+	return &engine.Result{Table: res.Table, Groups: res.Groups}, nil
 }

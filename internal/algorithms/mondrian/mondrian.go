@@ -372,7 +372,7 @@ func denseRanks(codes []uint32, st *dataset.ColumnStats) ([]int32, []float64) {
 		}
 	}
 	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(st.Num[a], st.Num[b]) })
-	codeRank := make([]int32, len(st.Num))
+	codeRank := make([]int32, len(st.Parsed))
 	for code := range codeRank {
 		codeRank[code] = -1
 	}

@@ -540,3 +540,41 @@ func TestNaNDimensionUnsplittable(t *testing.T) {
 		}
 	}
 }
+
+// TestUnparsedNumericDimension runs over a numeric QI column none of whose
+// values parses, so its stats carry no numeric reading (ColumnStats.Num is
+// nil): the dimension never splits, the other one does, and every released
+// cell of the column keeps its value.
+func TestUnparsedNumericDimension(t *testing.T) {
+	schema := dataset.MustSchema(
+		dataset.Attribute{Name: "age", Kind: dataset.QuasiIdentifier, Type: dataset.Numeric},
+		dataset.Attribute{Name: "zip", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
+	)
+	rows := make([]dataset.Row, 60)
+	for i := range rows {
+		rows[i] = dataset.Row{"*", fmt.Sprintf("z%d", i%6)}
+	}
+	tbl, err := dataset.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := tbl.CodedColumnByName("age")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cc.Stats(); st.Num != nil || st.AnyParsed {
+		t.Fatalf("age stats: Num %v, AnyParsed %v; want nil, false", st.Num, st.AnyParsed)
+	}
+	res, err := Anonymize(tbl, Config{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) < 2 {
+		t.Errorf("%d groups, want the zip dimension split", len(res.Groups))
+	}
+	for r := 0; r < res.Table.Len(); r++ {
+		if v, _ := res.Table.Value(r, 0); v != "*" {
+			t.Fatalf("row %d: released age %q, want *", r, v)
+		}
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/engine"
@@ -364,7 +365,7 @@ func (a *Anonymizer) AnonymizeContext(ctx context.Context, t *dataset.Table) (*R
 		return nil, err
 	}
 	if release.Table != nil {
-		m, err := a.measure(input, release.Table, sensitive)
+		m, err := a.measure(input, release.Table, res.Groups, sensitive)
 		if err != nil {
 			return nil, err
 		}
@@ -404,8 +405,18 @@ func (a *Anonymizer) scanWorkers() int {
 }
 
 // measure verifies the privacy level and utility of a microdata release.
-func (a *Anonymizer) measure(original, released *dataset.Table, sensitive string) (*Measurements, error) {
-	classes, err := released.GroupBy(a.quasiIdentifiers(released)...)
+// groups is the run's partition of the released rows (engine.Result.Groups):
+// when set, the equivalence classes are derived from it instead of
+// regrouping the rows, with the same result.
+func (a *Anonymizer) measure(original, released *dataset.Table, groups [][]int, sensitive string) (*Measurements, error) {
+	qi := a.quasiIdentifiers(released)
+	var classes []dataset.EquivalenceClass
+	var err error
+	if groups != nil {
+		classes, err = released.GroupByPartition(groups, qi...)
+	} else {
+		classes, err = released.GroupBy(qi...)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -421,11 +432,17 @@ func (a *Anonymizer) measure(original, released *dataset.Table, sensitive string
 		return nil, fmt.Errorf("core: NCP: %w", err)
 	}
 	m.NCP = Measure(ncp)
-	dm, err := metrics.Discernibility(released, original.Len())
-	if err != nil {
-		return nil, fmt.Errorf("core: discernibility: %w", err)
+	// Discernibility groups by every QI column of the schema; when that is
+	// the measured quasi-identifier, its classes are the ones above.
+	if schemaQI := released.Schema().QuasiIdentifierNames(); len(schemaQI) > 0 && sameColumns(qi, schemaQI) {
+		m.Discernibility = Measure(metrics.DiscernibilityOf(classes, original.Len()))
+	} else {
+		dm, err := metrics.Discernibility(released, original.Len())
+		if err != nil {
+			return nil, fmt.Errorf("core: discernibility: %w", err)
+		}
+		m.Discernibility = Measure(dm)
 	}
-	m.Discernibility = Measure(dm)
 	// Prosecutor risk over the same quasi-identifier the release was built
 	// for (the schema may contain further QI columns the caller chose not to
 	// anonymize; risk.MeasureReidentification covers that stricter view).
@@ -453,6 +470,14 @@ func (a *Anonymizer) Remeasure(rel *Release, declared *policy.Policy, orderedEMD
 		return err
 	}
 	return measurePolicy(&rel.Measured, rel.Table, classes, a.sensitiveAttr(rel.Table), declared, orderedEMD)
+}
+
+// sameColumns reports whether a and b list the same columns, in any order.
+func sameColumns(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 // quasiIdentifiers resolves the quasi-identifier a release was built for.

@@ -282,7 +282,7 @@ func TestMeasureErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.measure(original, released, ""); !errors.Is(err, metrics.ErrMismatchedTables) {
+	if _, err := a.measure(original, released, nil, ""); !errors.Is(err, metrics.ErrMismatchedTables) {
 		t.Fatalf("measure error = %v, want ErrMismatchedTables to propagate", err)
 	}
 }

@@ -112,7 +112,8 @@ type ColumnStats struct {
 	// surrounding whitespace trimmed, parsed by strconv.ParseFloat — and is
 	// meaningful only where Parsed[code]. "NaN" parses. Codes no row holds
 	// are never parsed. Suppressed cells and intervals do not parse, so a
-	// numeric reader skips them by their code.
+	// numeric reader skips them by their code. Num is nil when no code
+	// parses (AnyParsed is false), so it must not be indexed before Parsed.
 	Num    []float64
 	Parsed []bool
 	// AnyParsed reports whether some row holds a value that parses. Min and
@@ -132,7 +133,6 @@ func (c *CodedColumn) Stats() *ColumnStats {
 func (c *CodedColumn) buildStats() {
 	st := &ColumnStats{
 		Counts: make([]int, len(c.Dict)),
-		Num:    make([]float64, len(c.Dict)),
 		Parsed: make([]bool, len(c.Dict)),
 		Min:    math.Inf(1),
 		Max:    math.Inf(-1),
@@ -148,10 +148,20 @@ func (c *CodedColumn) buildStats() {
 	slices.SortFunc(st.Lex, func(a, b uint32) int { return cmp.Compare(c.ranks[a], c.ranks[b]) })
 	all := true
 	for _, code := range st.Lex {
-		f, err := strconv.ParseFloat(strings.TrimSpace(c.Dict[code]), 64)
+		// A generalized interval ("[lo-hi)") never parses as a number, so it
+		// skips ParseFloat, whose error would allocate.
+		v := strings.TrimSpace(c.Dict[code])
+		if strings.HasPrefix(v, "[") {
+			all = false
+			continue
+		}
+		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			all = false
 			continue
+		}
+		if st.Num == nil {
+			st.Num = make([]float64, len(c.Dict))
 		}
 		st.Num[code], st.Parsed[code], st.AnyParsed = f, true, true
 		// NaN compares false both ways, so it never becomes an extremum.

@@ -441,6 +441,28 @@ func TestGroupByControlBytes(t *testing.T) {
 // every run's class numbering decides the final order.
 func TestGroupByRadixOverflow(t *testing.T) {
 	forceSmallChunks(t)
+	tbl, names := overflowTable(t)
+	want := groupOracle(t, tbl, names...)
+	if len(want) == tbl.Len() {
+		t.Fatal("fixture has no repeated tuples")
+	}
+	for _, workers := range []int{1, 4} {
+		tbl.SetScanWorkers(workers)
+		got, err := tbl.GroupBy(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: GroupBy over overflowing columns diverged from the oracle", workers)
+		}
+	}
+}
+
+// overflowTable builds 2 000 rows over 30 categorical columns whose
+// cardinality product passes 128 bits, so grouping by all of them chains
+// at least three runs of columns.
+func overflowTable(t *testing.T) (*Table, []string) {
+	t.Helper()
 	const ncols = 30
 	attrs := make([]Attribute, ncols)
 	names := make([]string, ncols)
@@ -478,18 +500,5 @@ func TestGroupByRadixOverflow(t *testing.T) {
 	if prod < math.Pow(2, 128) {
 		t.Fatalf("cardinality product %g does not need three runs", prod)
 	}
-	want := groupOracle(t, tbl, names...)
-	if len(want) == len(rows) {
-		t.Fatal("fixture has no repeated tuples")
-	}
-	for _, workers := range []int{1, 4} {
-		tbl.SetScanWorkers(workers)
-		got, err := tbl.GroupBy(names...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: GroupBy over overflowing columns diverged from the oracle", workers)
-		}
-	}
+	return tbl, names
 }

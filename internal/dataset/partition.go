@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -39,60 +40,180 @@ func (ec EquivalenceClass) Size() int { return len(ec.Rows) }
 // are carved out of shared arenas, and each class's values are read from
 // its first row's codes.
 func (t *Table) GroupBy(columns ...string) ([]EquivalenceClass, error) {
-	cols := make([]int, len(columns))
-	for i, c := range columns {
-		ci, err := t.schema.Index(c)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = ci
+	coded, radix, err := t.groupingColumns(columns)
+	if err != nil {
+		return nil, err
 	}
 	n := t.Len()
 	if n == 0 {
 		return []EquivalenceClass{}, nil
 	}
-	k := len(cols)
-	coded := make([]*CodedColumn, k)
-	radix := make([]uint64, k)
-	for i, ci := range cols {
-		cc, err := t.CodedColumn(ci)
-		if err != nil {
-			return nil, err
-		}
-		coded[i] = cc
-		radix[i] = uint64(cc.Cardinality())
-	}
 
 	// Each run assigns every row to a group via its exact combined key (see
 	// groupAssign), sorts the groups by rank key, and renumbers rowGroup to
-	// class positions, which lead the next run's keys. A run always takes at
-	// least one column: a class count and a cardinality are both at most
-	// the row count, so their product fits.
-	var rowGroup []int32
-	var counts []int32
-	leadCard := uint64(1)
-	for lo := 0; ; {
-		hi, prod := lo, leadCard
-		for hi < k && prod <= math.MaxUint64/radix[hi] {
-			prod *= radix[hi]
-			hi++
-		}
+	// class positions, which lead the next run's keys.
+	var rowGroup, counts []int32
+	for lo, leadCard := 0, uint64(1); ; {
+		hi := runEnd(radix, lo, leadCard)
 		var groups []grp
+		var pos []int32
 		groups, rowGroup = groupAssign(rowGroup, coded[lo:hi], radix[lo:hi], n, t.scanParallelism())
-		counts = sortGroups(groups, rowGroup, coded[lo:hi], radix[lo:hi])
+		pos, counts = sortGroups(groups, coded[lo:hi], radix[lo:hi])
+		for r, gi := range rowGroup {
+			rowGroup[r] = pos[gi]
+		}
 		leadCard = uint64(len(counts))
-		if lo = hi; lo == k {
+		if lo = hi; lo == len(coded) {
 			break
 		}
 	}
+	return assembleClasses(coded, rowGroup, counts), nil
+}
 
-	// Scatter rows into one shared arena, preserving table order within
-	// each class.
+// GroupByPartition returns exactly what GroupBy(columns...) returns, derived
+// from groups, a partition of the table's rows whose members agree on every
+// named column — the groups a partitioning algorithm recoded. Each group is
+// keyed once, from its first row's codes, with GroupBy's rank keys and
+// column runs; groups with equal keys merge into one class, and one pass
+// over the rows scatters them into the classes. So the cost is one sort of
+// the groups plus O(rows × columns) compares, with no per-row map.
+//
+// The groups must cover every row exactly once, and every row must hold its
+// group's code on every named column; otherwise ErrNotPartition is
+// returned, never a wrong grouping. The check compares each cell with its
+// group's first row and allocates nothing beyond the row-to-group index
+// the scatter uses.
+func (t *Table) GroupByPartition(groups [][]int, columns ...string) ([]EquivalenceClass, error) {
+	coded, radix, err := t.groupingColumns(columns)
+	if err != nil {
+		return nil, err
+	}
+	rowGroup, err := t.partitionRows(groups, columns, coded)
+	if err != nil {
+		return nil, err
+	}
+	if t.Len() == 0 {
+		return []EquivalenceClass{}, nil
+	}
+
+	// Each run keys every group from its first row, led by the group's
+	// class position from the previous run, and sorts the groups by rank
+	// key; sortGroups merges groups whose keys are equal.
+	keyed := make([]grp, len(groups))
+	var class, counts []int32
+	for lo, leadCard := 0, uint64(1); ; {
+		hi := runEnd(radix, lo, leadCard)
+		for gi, g := range groups {
+			key := uint64(0)
+			if class != nil {
+				key = uint64(class[gi])
+			}
+			for i := lo; i < hi; i++ {
+				key = key*radix[i] + uint64(coded[i].Codes[g[0]])
+			}
+			keyed[gi] = grp{key: key, count: int32(len(g))}
+		}
+		class, counts = sortGroups(keyed, coded[lo:hi], radix[lo:hi])
+		leadCard = uint64(len(counts))
+		if lo = hi; lo == len(coded) {
+			break
+		}
+	}
+	for r, gi := range rowGroup {
+		rowGroup[r] = class[gi]
+	}
+	return assembleClasses(coded, rowGroup, counts), nil
+}
+
+// ErrNotPartition is returned by GroupByPartition when its groups do not
+// partition the table's rows, or a group's rows disagree on a grouping
+// column.
+var ErrNotPartition = errors.New("dataset: groups do not partition the table by the grouping columns")
+
+// groupingColumns resolves the named columns to their coded columns and
+// cardinalities (the radix of each key digit).
+func (t *Table) groupingColumns(columns []string) ([]*CodedColumn, []uint64, error) {
+	coded := make([]*CodedColumn, len(columns))
+	radix := make([]uint64, len(columns))
+	for i, c := range columns {
+		ci, err := t.schema.Index(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		if coded[i], err = t.CodedColumn(ci); err != nil {
+			return nil, nil, err
+		}
+		radix[i] = uint64(coded[i].Cardinality())
+	}
+	return coded, radix, nil
+}
+
+// runEnd returns the end of the column run that starts at lo: the longest
+// run whose cardinality product, times leadCard (the previous run's class
+// count, the key's leading digit), fits 64 bits. A run always takes at
+// least one column when one is left: a class count and a cardinality are
+// both at most the row count, so their product fits.
+func runEnd(radix []uint64, lo int, leadCard uint64) int {
+	hi, prod := lo, leadCard
+	for hi < len(radix) && prod <= math.MaxUint64/radix[hi] {
+		prod *= radix[hi]
+		hi++
+	}
+	return hi
+}
+
+// partitionRows checks that groups partition the table's rows and that
+// every row holds its group's first row's code on every coded column, and
+// returns each row's group index.
+func (t *Table) partitionRows(groups [][]int, columns []string, coded []*CodedColumn) ([]int32, error) {
+	n := t.Len()
+	rowGroup := make([]int32, n)
+	for r := range rowGroup {
+		rowGroup[r] = -1
+	}
+	for gi, g := range groups {
+		if len(g) == 0 {
+			return nil, fmt.Errorf("%w: group %d is empty", ErrNotPartition, gi)
+		}
+		for _, r := range g {
+			if r < 0 || r >= n {
+				return nil, fmt.Errorf("%w: group %d holds row %d (table has %d rows)", ErrNotPartition, gi, r, n)
+			}
+			if rowGroup[r] >= 0 {
+				return nil, fmt.Errorf("%w: row %d is in groups %d and %d", ErrNotPartition, r, rowGroup[r], gi)
+			}
+			rowGroup[r] = int32(gi)
+		}
+	}
+	for r, gi := range rowGroup {
+		if gi < 0 {
+			return nil, fmt.Errorf("%w: row %d is in no group", ErrNotPartition, r)
+		}
+	}
+	for i, cc := range coded {
+		for gi, g := range groups {
+			want := cc.Codes[g[0]]
+			for _, r := range g[1:] {
+				if cc.Codes[r] != want {
+					return nil, fmt.Errorf("%w: group %d: rows %d and %d differ on %q", ErrNotPartition, gi, g[0], r, columns[i])
+				}
+			}
+		}
+	}
+	return rowGroup, nil
+}
+
+// assembleClasses scatters the rows into one shared arena by class
+// (rowGroup holds each row's class position, counts each class's size),
+// preserving table order within each class, and reads each class's values
+// from its first row's codes.
+func assembleClasses(coded []*CodedColumn, rowGroup, counts []int32) []EquivalenceClass {
+	k := len(coded)
 	offs := make([]int32, len(counts)+1)
 	for ci, c := range counts {
 		offs[ci+1] = offs[ci] + c
 	}
-	rowsArena := make([]int, n)
+	rowsArena := make([]int, len(rowGroup))
 	cursor := slices.Clone(offs[:len(counts)])
 	for r, ci := range rowGroup {
 		rowsArena[cursor[ci]] = r
@@ -110,14 +231,16 @@ func (t *Table) GroupBy(columns ...string) ([]EquivalenceClass, error) {
 		}
 		out[ci] = EquivalenceClass{Values: values, Rows: rowsArena[lo:hi:hi]}
 	}
-	return out, nil
+	return out
 }
 
-// sortGroups orders one run's groups by rank key, renumbers rowGroup in
-// place to each row's class position, and returns the class sizes in class
-// order. A group key's leading digit (above the run's columns) is the
-// previous run's class position, which is already in class order.
-func sortGroups(groups []grp, rowGroup []int32, coded []*CodedColumn, radix []uint64) []int32 {
+// sortGroups orders one run's groups by rank key, merging groups whose keys
+// are equal into one class, and returns each group's class position and
+// the class sizes in class order. A group key's leading digit (above the
+// run's columns) is the previous run's class position, which is already in
+// class order. Rank keys are exact (ranks are a bijection of codes), so
+// equal rank keys mean equal value tuples.
+func sortGroups(groups []grp, coded []*CodedColumn, radix []uint64) (pos, counts []int32) {
 	type ranked struct {
 		rk uint64
 		gi int32
@@ -135,20 +258,22 @@ func sortGroups(groups []grp, rowGroup []int32, coded []*CodedColumn, radix []ui
 		perm[gi] = ranked{rk: rk + key*weight, gi: int32(gi)}
 	}
 	slices.SortFunc(perm, func(a, b ranked) int { return cmp.Compare(a.rk, b.rk) })
-	pos := make([]int32, len(groups))
-	counts := make([]int32, len(groups))
-	for ci, p := range perm {
+	pos = make([]int32, len(groups))
+	counts = make([]int32, 0, len(groups))
+	for i, p := range perm {
+		if i == 0 || p.rk != perm[i-1].rk {
+			counts = append(counts, 0)
+		}
+		ci := len(counts) - 1
 		pos[p.gi] = int32(ci)
-		counts[ci] = groups[p.gi].count
+		counts[ci] += groups[p.gi].count
 	}
-	for r, gi := range rowGroup {
-		rowGroup[r] = pos[gi]
-	}
-	return counts
+	return pos, counts
 }
 
-// grp is pass-1 grouping state: one entry per distinct combined key, indexed
-// in first-appearance order over the table's rows.
+// grp is a group's combined key and row count. GroupBy's pass-1 state holds
+// one per distinct key, indexed in first-appearance order over the table's
+// rows; GroupByPartition's holds one per caller group, keys not distinct.
 type grp struct {
 	key   uint64
 	count int32

@@ -140,6 +140,14 @@ type Result struct {
 	Node []int
 	// SuppressedRows is the number of records the algorithm removed.
 	SuppressedRows int
+	// Groups partitions the released table's rows into the groups the
+	// algorithm recoded: every row is in exactly one group, and a group's
+	// rows agree on every quasi-identifier column the run recoded. Groups
+	// with equal recoded values may repeat a value tuple. Nil when the
+	// algorithm does not partition (full-domain and bucketizing algorithms).
+	// Measurement derives the release's equivalence classes from it (see
+	// dataset.Table.GroupByPartition) instead of regrouping the rows.
+	Groups [][]int
 }
 
 // ReleaseKind classifies what a Run publishes.

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -282,6 +283,46 @@ func TestParseInterval(t *testing.T) {
 		lo, hi, ok := ParseInterval(c.in)
 		if ok != c.ok || (ok && (lo != c.lo || hi != c.hi)) {
 			t.Errorf("ParseInterval(%q) = %v,%v,%v want %v,%v,%v", c.in, lo, hi, ok, c.lo, c.hi, c.ok)
+		}
+	}
+}
+
+// TestParseIntervalShapes covers the values whose shape decides between
+// the number and the interval branch: NaN and padded numbers parse as
+// degenerate intervals, padded intervals parse, "*" and broken intervals do
+// not. Neither branch allocates.
+func TestParseIntervalShapes(t *testing.T) {
+	cases := []struct {
+		in     string
+		lo, hi float64
+		ok     bool
+	}{
+		{"NaN", math.NaN(), math.NaN(), true},
+		{" 42 ", 42, 42, true},
+		{"\t-3.5", -3.5, -3.5, true},
+		{"1e3", 1000, 1000, true},
+		{"Inf", math.Inf(1), math.Inf(1), true},
+		{" [20-30) ", 20, 30, true},
+		{"[-10--5)", -10, -5, true},
+		{"[1e-3-2)", 0.001, 2, true},
+		{"[1.5-2.5)", 1.5, 2.5, true},
+		{"*", 0, 0, false},
+		{" * ", 0, 0, false},
+		{"[3-7", 0, 0, false},
+		{"[37)", 0, 0, false},
+		{"[", 0, 0, false},
+		{"-", 0, 0, false},
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for _, c := range cases {
+		lo, hi, ok := ParseInterval(c.in)
+		if ok != c.ok || (ok && (!same(lo, c.lo) || !same(hi, c.hi))) {
+			t.Errorf("ParseInterval(%q) = %v,%v,%v want %v,%v,%v", c.in, lo, hi, ok, c.lo, c.hi, c.ok)
+		}
+	}
+	for _, in := range []string{"[20-30)", "[-10--5)", "42", "*"} {
+		if n := testing.AllocsPerRun(100, func() { ParseInterval(in) }); n != 0 {
+			t.Errorf("ParseInterval(%q) allocates %v times, want 0", in, n)
 		}
 	}
 }

@@ -181,10 +181,15 @@ func ParseInterval(value string) (lo, hi float64, ok bool) {
 	if v == SuppressedValue || v == "" {
 		return 0, 0, false
 	}
-	if f, err := strconv.ParseFloat(v, 64); err == nil {
-		return f, f, true
+	// Only the interval shape starts with '[', which no number does, so
+	// it skips ParseFloat (whose error would allocate).
+	if !strings.HasPrefix(v, "[") {
+		if f, err := strconv.ParseFloat(v, 64); err == nil {
+			return f, f, true
+		}
+		return 0, 0, false
 	}
-	if !strings.HasPrefix(v, "[") || !strings.HasSuffix(v, ")") {
+	if !strings.HasSuffix(v, ")") {
 		return 0, 0, false
 	}
 	body := v[1 : len(v)-1]

@@ -42,15 +42,24 @@ func Discernibility(released *dataset.Table, originalSize int) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
+	return DiscernibilityOf(classes, originalSize), nil
+}
+
+// DiscernibilityOf is Discernibility over classes the caller already holds:
+// the release's equivalence classes over every quasi-identifier column of
+// its schema. Every released record is in one class, so the released size
+// is the classes' total.
+func DiscernibilityOf(classes []dataset.EquivalenceClass, originalSize int) float64 {
 	dm := 0.0
+	released := 0
 	for _, c := range classes {
 		dm += float64(c.Size()) * float64(c.Size())
+		released += c.Size()
 	}
-	suppressed := originalSize - released.Len()
-	if suppressed > 0 {
+	if suppressed := originalSize - released; suppressed > 0 {
 		dm += float64(suppressed) * float64(originalSize)
 	}
-	return dm, nil
+	return dm
 }
 
 // NormalizedAverageClassSize computes C_avg = (N / #classes) / k, the
@@ -267,8 +276,13 @@ func numericSpan(value string, domain float64) float64 {
 	if value == dataset.SuppressedValue {
 		return 1
 	}
-	if _, err := strconv.ParseFloat(strings.TrimSpace(value), 64); err == nil {
-		return 0
+	// An interval never parses as a number, so it skips ParseFloat (whose
+	// error would allocate).
+	if v := strings.TrimSpace(value); !strings.HasPrefix(v, "[") {
+		if _, err := strconv.ParseFloat(v, 64); err == nil {
+			return 0
+		}
+		return 1
 	}
 	if lo, hi, ok := hierarchy.ParseInterval(value); ok {
 		if hi <= lo {

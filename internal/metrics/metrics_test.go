@@ -331,3 +331,39 @@ func TestGenerateAndEvaluateWorkload(t *testing.T) {
 		t.Error("unknown sensitive accepted")
 	}
 }
+
+// TestNumericSpanShapes pins the span of each value shape over a domain of
+// 20: numbers (NaN and padded ones included) are exact, intervals span
+// their width, "*", broken intervals and other text span the whole domain.
+// An interval's span allocates nothing.
+func TestNumericSpanShapes(t *testing.T) {
+	cases := []struct {
+		in   string
+		want float64
+	}{
+		{"NaN", 0},
+		{" 42 ", 0},
+		{"1e3", 0},
+		{"[20-30)", 0.5},
+		{" [20-30) ", 0.5},
+		{"[-10--5)", 0.25},
+		{"[5-5)", 0},
+		{"[9-5)", 0},
+		{"*", 1},
+		{" * ", 1},
+		{"", 1},
+		{"abc", 1},
+		{"[a-b)", 1},
+		{"[3-7", 1},
+	}
+	for _, c := range cases {
+		if got := numericSpan(c.in, 20); got != c.want {
+			t.Errorf("numericSpan(%q, 20) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	for _, in := range []string{"[20-30)", "[-10--5)", "42", "*"} {
+		if n := testing.AllocsPerRun(100, func() { numericSpan(in, 20) }); n != 0 {
+			t.Errorf("numericSpan(%q) allocates %v times, want 0", in, n)
+		}
+	}
+}

@@ -835,17 +835,7 @@ func (s *Server) handleReleaseUtility(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", "C_avg: %v", err)
 		return
 	}
-	if len(rel.release.Node) > 0 && rel.hier != nil {
-		qi := tbl.Schema().QuasiIdentifierNames()
-		if len(rel.params.QuasiIdentifiers) > 0 {
-			qi = rel.params.QuasiIdentifiers
-		}
-		if maxLevels, lerr := rel.hier.MaxLevels(qi); lerr == nil {
-			if p, perr := metrics.GeneralizationPrecision(rel.release.Node, maxLevels); perr == nil {
-				report.GeneralizationPrecision = &p
-			}
-		}
-	}
+	report.GeneralizationPrecision = rel.precision
 	writeJSON(w, http.StatusOK, report)
 }
 

@@ -251,7 +251,7 @@ func (s *Server) outcome(p *preparedRun, rel *core.Release, elapsed time.Duratio
 		id, err := s.reg.putRelease(&storedRelease{
 			dataset:   p.req.Dataset,
 			family:    p.ds.Family,
-			hier:      p.ds.hier,
+			precision: generalizationPrecision(rel, p.req.QuasiIdentifiers, p.ds.hier),
 			algorithm: p.alg,
 			policyRef: p.policyRef,
 			params:    p.req,

@@ -58,7 +58,7 @@ type releaseMeta struct {
 	Seq     int    `json:"seq"`
 	Dataset string `json:"dataset"`
 	// OriginFamily is the schema family of the dataset the release was
-	// built from; recovery rebuilds the run's hierarchies from it.
+	// built from.
 	OriginFamily string            `json:"origin_family,omitempty"`
 	Algorithm    string            `json:"algorithm"`
 	PolicyRef    string            `json:"policy_ref,omitempty"`
@@ -66,9 +66,14 @@ type releaseMeta struct {
 	Policy       *policy.Policy    `json:"policy,omitempty"`
 	Node         []int             `json:"node,omitempty"`
 	Measured     core.Measurements `json:"measured"`
-	TableFP      string            `json:"table_fp,omitempty"`
-	QITFP        string            `json:"qit_fp,omitempty"`
-	STFP         string            `json:"st_fp,omitempty"`
+	// Precision is the full-domain release's generalization precision,
+	// scored when the release was made. Records journaled before it was
+	// kept lack it; recovery scores them once against the hierarchies of
+	// OriginFamily.
+	Precision *float64 `json:"generalization_precision,omitempty"`
+	TableFP   string   `json:"table_fp,omitempty"`
+	QITFP     string   `json:"qit_fp,omitempty"`
+	STFP      string   `json:"st_fp,omitempty"`
 	// Spec names the release spec that owns this release ("" for ad-hoc
 	// releases published through POST /v1/anonymize).
 	Spec        string `json:"spec,omitempty"`
@@ -160,6 +165,7 @@ func (r *registry) prepareRelease(rel *storedRelease) (releaseRecord, error) {
 		Policy:       rel.release.Policy,
 		Node:         rel.release.Node,
 		Measured:     rel.release.Measured,
+		Precision:    rel.precision,
 		TableFP:      fps[0],
 		QITFP:        fps[1],
 		STFP:         fps[2],
@@ -286,13 +292,13 @@ func (s *Server) recover(st *store.Store) error {
 		if err != nil {
 			return fmt.Errorf("ST table: %w", err)
 		}
-		reg.releases.put(rec.Key, &storedRelease{
+		rel := &storedRelease{
 			id:        rec.Key,
 			seq:       m.Seq,
 			dataset:   m.Dataset,
 			spec:      m.Spec,
 			family:    m.OriginFamily,
-			hier:      hierarchyForFamily(m.OriginFamily),
+			precision: m.Precision,
 			algorithm: core.Algorithm(m.Algorithm),
 			policyRef: m.PolicyRef,
 			params:    m.Params.journaled(),
@@ -307,7 +313,13 @@ func (s *Server) recover(st *store.Store) error {
 			},
 			elapsed: time.Duration(m.ElapsedNS),
 			created: time.Unix(0, m.CreatedUnix),
-		})
+		}
+		if rel.precision == nil && len(m.Node) > 0 {
+			// Journaled before the precision was kept: score it once against
+			// the family's hierarchies, which the run used.
+			rel.precision = generalizationPrecision(rel.release, rel.params.QuasiIdentifiers, hierarchyForFamily(m.OriginFamily))
+		}
+		reg.releases.put(rec.Key, rel)
 		return nil
 	})
 	if err != nil {

@@ -666,8 +666,9 @@ func TestPersistReleaseOutlivesItsDataset(t *testing.T) {
 // carries origin_fp, origin_tenant and origin_created_unix_ns, and its table
 // list starts with the origin snapshot. The release must recover and serve
 // the same metadata and utility report as the record the current code
-// journals for the same run (a full-domain one, so the report's
-// generalization precision reads the hierarchies rebuilt from the family).
+// journals for the same run (a full-domain one; records of that format carry
+// no generalization precision, so recovery scores it against the
+// hierarchies rebuilt from the family).
 func TestPersistRecoversOriginPinnedRelease(t *testing.T) {
 	cfg := Config{DataDir: t.TempDir(), Workers: 1}
 	ts, srv := bootPersistent(t, cfg)
@@ -706,6 +707,7 @@ func TestPersistRecoversOriginPinnedRelease(t *testing.T) {
 	meta["origin_fp"] = json.RawMessage(strconv.Quote(originFP))
 	meta["origin_tenant"] = json.RawMessage(`"acme"`)
 	meta["origin_created_unix_ns"] = json.RawMessage(`1792000000000000001`)
+	delete(meta, "generalization_precision")
 	old, err := json.Marshal(meta)
 	if err != nil {
 		t.Fatal(err)
@@ -720,12 +722,42 @@ func TestPersistRecoversOriginPinnedRelease(t *testing.T) {
 	}
 
 	ts2, srv2 := bootPersistent(t, cfg)
-	if got := srv2.reg.releases.items[id].hier; got == nil {
-		t.Fatal("origin-pinned release recovered without hierarchies")
+	if got := srv2.reg.releases.items[id].precision; got == nil {
+		t.Fatal("origin-pinned release recovered without generalization precision")
 	}
 	for i, raw := range readAll(t, ts2.URL, paths) {
 		if !bytes.Equal(raw, want[i]) {
 			t.Errorf("GET %s of the origin-pinned record:\n got:  %s\n want: %s", paths[i], raw, want[i])
 		}
+	}
+}
+
+// TestPersistPrecisionOfOwnHierarchies stores a full-domain release of a
+// dataset registered with its own hierarchies under a family the server
+// cannot resolve, so recovery has no hierarchies to rebuild. The utility
+// report's generalization precision, scored when the release was made and
+// journaled with it, must survive the restart byte for byte.
+func TestPersistPrecisionOfOwnHierarchies(t *testing.T) {
+	cfg := Config{DataDir: t.TempDir(), Workers: 1}
+	ts, srv := bootPersistent(t, cfg)
+	if err := srv.AddDataset("own", "own-hierarchies", synth.Census(400, 5), synth.CensusHierarchies()); err != nil {
+		t.Fatal(err)
+	}
+	status, body := doJSON(t, "POST", ts.URL+"/v1/anonymize", map[string]any{
+		"dataset": "own", "algorithm": "datafly", "k": 5, "store": true})
+	if status != http.StatusOK {
+		t.Fatalf("anonymize: %d %v", status, body)
+	}
+	paths := []string{"/v1/releases/" + body["release_id"].(string) + "/utility"}
+	want := readAll(t, ts.URL, paths)
+	if !strings.Contains(string(want[0]), `"generalization_precision"`) {
+		t.Fatalf("full-domain utility report lacks generalization precision: %s", want[0])
+	}
+	ts.Close()
+	srv.Close()
+
+	ts2, _ := bootPersistent(t, cfg)
+	if got := readAll(t, ts2.URL, paths); !bytes.Equal(got[0], want[0]) {
+		t.Errorf("utility report changed across the restart:\n before: %s\n after:  %s", want[0], got[0])
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/ppdp/ppdp/internal/core"
 	"github.com/ppdp/ppdp/internal/dataset"
 	"github.com/ppdp/ppdp/internal/hierarchy"
+	"github.com/ppdp/ppdp/internal/metrics"
 	"github.com/ppdp/ppdp/internal/store"
 )
 
@@ -107,19 +108,43 @@ type storedDataset struct {
 	fp string
 }
 
+// generalizationPrecision scores a full-domain release (one that carries a
+// lattice node) with Sweeney's precision over hs, the hierarchies of its
+// run, and the quasi-identifier it was built for (qi, or every QI column of
+// the released schema when qi is empty). It is nil for any other release,
+// and when hs does not cover the quasi-identifier.
+func generalizationPrecision(rel *core.Release, qi []string, hs *hierarchy.Set) *float64 {
+	if len(rel.Node) == 0 || rel.Table == nil || hs == nil {
+		return nil
+	}
+	if len(qi) == 0 {
+		qi = rel.Table.Schema().QuasiIdentifierNames()
+	}
+	maxLevels, err := hs.MaxLevels(qi)
+	if err != nil {
+		return nil
+	}
+	p, err := metrics.GeneralizationPrecision(rel.Node, maxLevels)
+	if err != nil {
+		return nil
+	}
+	return &p
+}
+
 // storedRelease is one anonymization result kept for later report queries.
 type storedRelease struct {
 	id  string
 	seq int
-	// dataset is the registry name the release was built from, family its
-	// schema family and hier the hierarchy set its run used. The release
-	// holds its own tables and measurements, so the dataset may be replaced,
-	// appended to or deleted afterwards; the generalization-precision report
-	// reads hier, so a release never scores itself against hierarchies it
-	// was not built with.
-	dataset   string
-	family    string
-	hier      *hierarchy.Set
+	// dataset is the registry name the release was built from and family
+	// its schema family. The release holds its own tables and measurements,
+	// so the dataset may be replaced, appended to or deleted afterwards.
+	dataset string
+	family  string
+	// precision is the generalization precision of a full-domain release,
+	// scored once against the hierarchies of its run when the release is
+	// made (see generalizationPrecision) and journaled with it; nil for
+	// other releases.
+	precision *float64
 	algorithm core.Algorithm
 	// policyRef is the stored-policy name the request referenced, if any;
 	// the enforced snapshot itself travels on release.Policy.

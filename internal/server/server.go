@@ -351,7 +351,7 @@ var routeTable = []struct {
 	{RouteDoc{"DELETE /v1/releases/{id}", "delete a stored release (409 spec_pinned for spec-owned releases — delete the spec instead)"}, (*Server).handleDeleteRelease},
 	{RouteDoc{"GET /v1/releases/{id}/data", "streamed CSV rows (default); a JSON row page with ?limit/?offset under Accept: application/json; ?table=qit|st for anatomy"}, (*Server).handleReleaseData},
 	{RouteDoc{"GET /v1/releases/{id}/risk", "re-identification and attribute-disclosure risk report (?threshold=)"}, (*Server).handleReleaseRisk},
-	{RouteDoc{"GET /v1/releases/{id}/utility", "utility report from the release's own measurements and the hierarchies its run used (?k=)"}, (*Server).handleReleaseUtility},
+	{RouteDoc{"GET /v1/releases/{id}/utility", "utility report from the release's own measurements and generalization precision (?k=)"}, (*Server).handleReleaseUtility},
 }
 
 // RouteDocs returns every registered endpoint's pattern and summary in

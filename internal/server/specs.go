@@ -387,7 +387,7 @@ func (s *Server) reconcilePublish(ctx context.Context, name string) (uint64, str
 	stored := &storedRelease{
 		dataset:   run.Dataset,
 		family:    run.ds.Family,
-		hier:      run.ds.hier,
+		precision: generalizationPrecision(rel, run.Params.QuasiIdentifiers, run.ds.hier),
 		algorithm: run.Algorithm,
 		policyRef: run.PolicyRef,
 		params:    run.Params,
