@@ -195,7 +195,7 @@ func BenchmarkRecodeGroups(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := generalize.RecodeGroups(tbl, qi, hs, res.Groups); err != nil {
+		if _, err := generalize.RecodeGroups(tbl, qi, hs, res.Groups); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -263,5 +265,23 @@ func TestCompareJudgesNsOpWithTheUTest(t *testing.T) {
 	}
 	if strings.Contains(lines["BenchmarkOverlap-2"], "regression") || strings.Contains(lines["BenchmarkOldRecord-2"], "p=") {
 		t.Errorf("U test misapplied:\n%s", text)
+	}
+}
+
+// TestUTestPrintsMannWhitneyP: utest reads its two lists, comma- or
+// space-separated, and prints mannWhitneyP of them; an empty or
+// non-numeric list is an error.
+func TestUTestPrintsMannWhitneyP(t *testing.T) {
+	var out strings.Builder
+	if code, err := runUTest([]string{"1,2,3", " 4 5\n6 "}, &out); err != nil || code != 0 {
+		t.Fatalf("utest: code %d, err %v", code, err)
+	}
+	if got, want := out.String(), fmt.Sprintf("%.4g\n", 2.0/20); got != want {
+		t.Errorf("utest printed %q, want %q", got, want)
+	}
+	for _, bad := range [][]string{{"1 2"}, {"1 2", ""}, {"1 x", "3"}} {
+		if _, err := runUTest(bad, io.Discard); err == nil {
+			t.Errorf("utest %q accepted", bad)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH.json
 //	benchjson compare [-threshold 0.10] OLD.json NEW.json
 //	benchjson speedup P1.json P2.json P4.json
+//	benchjson utest "A1 A2 ..." "B1 B2 ..."
 //
 // Non-benchmark lines (package headers, PASS/ok) are ignored; every metric
 // pair a benchmark reports (ns/op, B/op, allocs/op, custom b.ReportMetric
@@ -30,6 +31,9 @@
 // on the benchmark base name and prints each benchmark's scaling profile:
 // ns/op per core count, speedup and per-core efficiency against the
 // fewest-cores record.
+//
+// utest prints the two-sided Mann–Whitney p-value of two lists of numbers
+// (comma- or space-separated), the test compare applies to ns/op samples.
 package main
 
 import (
@@ -75,12 +79,11 @@ type Report struct {
 }
 
 func main() {
-	if len(os.Args) > 1 && (os.Args[1] == "compare" || os.Args[1] == "speedup") {
-		run := runCompare
-		if os.Args[1] == "speedup" {
-			run = runSpeedup
-		}
-		code, err := run(os.Args[2:], os.Stdout)
+	subcommands := map[string]func([]string, io.Writer) (int, error){
+		"compare": runCompare, "speedup": runSpeedup, "utest": runUTest,
+	}
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		code, err := subcommands[os.Args[1]](os.Args[2:], os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)

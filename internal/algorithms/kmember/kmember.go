@@ -72,8 +72,6 @@ type Result struct {
 	Table *dataset.Table
 	// Groups are the clusters as row-index sets into the input table.
 	Groups [][]int
-	// Summaries are the per-cluster released quasi-identifier values.
-	Summaries []generalize.GroupSummary
 }
 
 // clusterState tracks a cluster's quasi-identifier extent incrementally so
@@ -295,11 +293,11 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	for i, cs := range clusters {
 		groups[i] = cs.rows
 	}
-	released, summaries, err := generalize.RecodeGroups(t, qi, cfg.Hierarchies, groups)
+	released, err := generalize.RecodeGroups(t, qi, cfg.Hierarchies, groups)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Table: released, Groups: groups, Summaries: summaries}, nil
+	return &Result{Table: released, Groups: groups}, nil
 }
 
 // pickSeed chooses the next cluster's starting record: the unassigned record

@@ -102,7 +102,7 @@ type Config struct {
 	Extra []privacy.Criterion
 	// Workers bounds the number of concurrent partition workers. Zero uses
 	// runtime.GOMAXPROCS(0); 1 forces a fully sequential run. The released
-	// table, groups and summaries are identical for every worker count.
+	// table and groups are identical for every worker count.
 	Workers int
 	// Progress, when non-nil, receives (done, total) every time a partition
 	// subtree is finalized — the same unit of work the context is polled at.
@@ -122,8 +122,6 @@ type Result struct {
 	// subslices of one row permutation, each capped at its length, so an
 	// append to one group never writes another.
 	Groups [][]int
-	// Summaries are the per-group released quasi-identifier values.
-	Summaries []generalize.GroupSummary
 	// Splits is the number of successful splits performed.
 	Splits int
 }
@@ -193,16 +191,15 @@ func AnonymizeContext(ctx context.Context, t *dataset.Table, cfg Config) (*Resul
 	}
 	sort.Sort(&groupsByMin{mins: mins, groups: run.groups})
 
-	released, summaries, err := generalize.RecodeGroups(t, qi, cfg.Hierarchies, run.groups)
+	released, err := generalize.RecodeGroups(t, qi, cfg.Hierarchies, run.groups)
 	if err != nil {
 		return nil, err
 	}
 	run.report(t.Len(), t.Len())
 	return &Result{
-		Table:     released,
-		Groups:    run.groups,
-		Summaries: summaries,
-		Splits:    int(run.splits.Load()),
+		Table:  released,
+		Groups: run.groups,
+		Splits: int(run.splits.Load()),
 	}, nil
 }
 

@@ -174,8 +174,8 @@ func TestNumericRecodingContainsOriginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	ageCol := res.Table.Schema().MustIndex("age")
-	for _, s := range res.Summaries {
-		for _, r := range s.Rows {
+	for _, g := range res.Groups {
+		for _, r := range g {
 			cell, _ := tbl.Value(r, ageCol)
 			orig, err := strconv.ParseFloat(cell, 64)
 			if err != nil {
@@ -252,7 +252,7 @@ func TestSyntheticTinyTable(t *testing.T) {
 // TestParallelMatchesSequential is the golden-equivalence test for the
 // parallel recursion: for several datasets and configurations, a run with a
 // full worker pool must produce a byte-identical released table and identical
-// groups, summaries and split counts to a forced-sequential run.
+// groups and split counts to a forced-sequential run.
 func TestParallelMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name string
@@ -288,9 +288,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(a.Groups, b.Groups) {
 				t.Fatal("groups differ between sequential and parallel runs")
-			}
-			if !reflect.DeepEqual(a.Summaries, b.Summaries) {
-				t.Fatal("summaries differ between sequential and parallel runs")
 			}
 			if a.Table.Len() != b.Table.Len() {
 				t.Fatalf("released sizes differ: %d vs %d", a.Table.Len(), b.Table.Len())

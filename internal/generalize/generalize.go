@@ -159,16 +159,6 @@ func SuppressCells(t *dataset.Table, rows []int, attrs []string) (*dataset.Table
 	return out, nil
 }
 
-// GroupSummary describes the recoded quasi-identifier values shared by one
-// group of rows under multidimensional recoding.
-type GroupSummary struct {
-	// Rows are the member row indices in the original table.
-	Rows []int
-	// Values holds one recoded value per quasi-identifier attribute, in the
-	// order the attrs argument was given.
-	Values []string
-}
-
 // RecodeGroups performs multidimensional (per-group) recoding: every group of
 // row indices becomes one equivalence class whose quasi-identifier values are
 // replaced by a summary of the group's values — a "[lo-hi)" interval for
@@ -184,16 +174,14 @@ type GroupSummary struct {
 // memoized per (code, level). Each quasi-identifier column of the release is
 // written once through Table.SetCodedColumn, so later grouping and
 // measurement passes reuse the installed codes.
-//
-// It returns the recoded table together with the per-group summaries.
-func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups [][]int) (*dataset.Table, []GroupSummary, error) {
+func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups [][]int) (*dataset.Table, error) {
 	schema := t.Schema()
 	cols := make([]int, len(attrs))
 	numeric := make([]bool, len(attrs))
 	for i, a := range attrs {
 		c, err := schema.Index(a)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cols[i] = c
 		attr, _ := schema.ByName(a)
@@ -206,56 +194,45 @@ func RecodeGroups(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups []
 	for i := range rowGroup {
 		rowGroup[i] = -1
 	}
-	covered := 0
 	for gi, g := range groups {
 		if len(g) == 0 {
-			return nil, nil, fmt.Errorf("generalize: group %d is empty", gi)
+			return nil, fmt.Errorf("generalize: group %d is empty", gi)
 		}
 		for _, r := range g {
 			if r < 0 || r >= n {
-				return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
+				return nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
 			}
 		}
 		for _, r := range g {
 			if rowGroup[r] >= 0 {
-				return nil, nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
+				return nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
 			}
 			rowGroup[r] = int32(gi)
 		}
-		covered += len(g)
 	}
 
-	// Member rows and summary values are carved out of two shared arenas.
-	summaries := make([]GroupSummary, len(groups))
-	rowArena := make([]int, 0, covered)
-	valueArena := make([]string, len(groups)*len(attrs))
-	for gi, g := range groups {
-		start := len(rowArena)
-		rowArena = append(rowArena, g...)
-		v := valueArena[gi*len(attrs) : (gi+1)*len(attrs) : (gi+1)*len(attrs)]
-		summaries[gi] = GroupSummary{Rows: rowArena[start:len(rowArena):len(rowArena)], Values: v}
-	}
-
+	// One column's per-group summary values, reused across columns.
+	summaries := make([]string, len(groups))
 	out := t.Clone()
 	for ai, attr := range attrs {
 		rc, err := newColumnRecoder(t, cols[ai], numeric[ai])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if hs != nil && hs.Has(attr) {
 			if rc.h, err = hs.Get(attr); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		for gi, g := range groups {
-			summaries[gi].Values[ai] = rc.summarize(g)
+			summaries[gi] = rc.summarize(g)
 		}
-		dict, codes := rc.release(rowGroup, summaries, ai)
+		dict, codes := rc.release(rowGroup, summaries)
 		if err := out.SetCodedColumn(cols[ai], dict, codes); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return out, summaries, nil
+	return out, nil
 }
 
 // columnRecoder summarizes groups of one quasi-identifier column over its
@@ -424,12 +401,12 @@ func (rc *columnRecoder) valueSet() string {
 	return "{" + strings.Join(vals, ",") + "}"
 }
 
-// release assembles the recoded column: rows in a group take the group's
-// summary value (summaries[g].Values[ai]), other rows keep their value. The
+// release assembles the recoded column: rows in group g take the group's
+// summary value summaries[g], other rows keep their value. The
 // dictionary is interned in first-appearance row order, matching a fresh
 // encoding of the written cells; each group and each source code is looked
 // up in the intern map once.
-func (rc *columnRecoder) release(rowGroup []int32, summaries []GroupSummary, ai int) ([]string, []uint32) {
+func (rc *columnRecoder) release(rowGroup []int32, summaries []string) ([]string, []uint32) {
 	numGroups := uint32(len(summaries))
 	// Keys [0, numGroups) are groups; numGroups+code is an ungrouped source
 	// code.
@@ -443,7 +420,7 @@ func (rc *columnRecoder) release(rowGroup []int32, summaries []GroupSummary, ai 
 	}
 	dict, codes, _ := recodeColumn(keys, int(numGroups)+rc.cc.Cardinality(), func(k uint32, _ int) (string, error) {
 		if k < numGroups {
-			return summaries[k].Values[ai], nil
+			return summaries[k], nil
 		}
 		return rc.cc.Dict[k-numGroups], nil
 	})

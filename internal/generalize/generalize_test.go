@@ -136,12 +136,9 @@ func TestSuppressCells(t *testing.T) {
 func TestRecodeGroups(t *testing.T) {
 	tbl, hs := testTable(t)
 	groups := [][]int{{0, 1, 2}, {3, 4}}
-	out, summaries, err := RecodeGroups(tbl, []string{"age", "sex"}, hs, groups)
+	out, err := RecodeGroups(tbl, []string{"age", "sex"}, hs, groups)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(summaries) != 2 {
-		t.Fatalf("summaries = %d", len(summaries))
 	}
 	// Group 0 ages 23..31 -> [23-32); sexes differ -> lowest common generalization "*".
 	v, _ := out.Value(0, 0)
@@ -165,9 +162,6 @@ func TestRecodeGroups(t *testing.T) {
 	if len(classes) != 2 {
 		t.Errorf("recoded classes = %d", len(classes))
 	}
-	if summaries[0].Values[0] != "[23-32)" {
-		t.Errorf("summary values = %v", summaries[0].Values)
-	}
 }
 
 func TestRecodeGroupsSingleValueAndSet(t *testing.T) {
@@ -176,7 +170,7 @@ func TestRecodeGroupsSingleValueAndSet(t *testing.T) {
 	)
 	tbl, _ := dataset.FromRows(schema, []dataset.Row{{"atlanta"}, {"boston"}, {"atlanta"}})
 	// No hierarchy: distinct values fall back to a set.
-	out, _, err := RecodeGroups(tbl, []string{"city"}, nil, [][]int{{0, 1}, {2}})
+	out, err := RecodeGroups(tbl, []string{"city"}, nil, [][]int{{0, 1}, {2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +186,16 @@ func TestRecodeGroupsSingleValueAndSet(t *testing.T) {
 
 func TestRecodeGroupsErrors(t *testing.T) {
 	tbl, hs := testTable(t)
-	if _, _, err := RecodeGroups(tbl, []string{"nope"}, hs, [][]int{{0}}); err == nil {
+	if _, err := RecodeGroups(tbl, []string{"nope"}, hs, [][]int{{0}}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{}}); err == nil {
+	if _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{}}); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{99}}); err == nil {
+	if _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{99}}); err == nil {
 		t.Error("out of range row accepted")
 	}
-	if _, _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{0, 1}, {1, 2}}); err == nil {
+	if _, err := RecodeGroups(tbl, []string{"age"}, hs, [][]int{{0, 1}, {1, 2}}); err == nil {
 		t.Error("overlapping groups accepted")
 	}
 }
@@ -211,11 +205,11 @@ func TestValueSetDeterministic(t *testing.T) {
 		dataset.Attribute{Name: "city", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
 	)
 	tbl, _ := dataset.FromRows(schema, []dataset.Row{{"b"}, {"a"}, {"b"}, {"c"}})
-	_, summaries, err := RecodeGroups(tbl, []string{"city"}, nil, [][]int{{0, 1, 2, 3}})
+	out, err := RecodeGroups(tbl, []string{"city"}, nil, [][]int{{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := summaries[0].Values[0]; a != "{a,b,c}" {
+	if a, _ := out.Value(0, 0); a != "{a,b,c}" {
 		t.Errorf("valueSet = %q", a)
 	}
 	if a := oracleValueSet([]string{"b", "a", "b", "c"}); a != "{a,b,c}" {
@@ -235,14 +229,15 @@ func TestLowestCommonGeneralization(t *testing.T) {
 	tbl, _ := dataset.FromRows(schema, []dataset.Row{
 		{"bachelors"}, {"masters"}, {"bachelors"}, {"hs-grad"}, {"bachelors"}, {"unknown"},
 	})
-	_, summaries, err := RecodeGroups(tbl, []string{"edu"}, hierarchy.MustSet(h), [][]int{{0, 1}, {2, 3}, {4, 5}})
+	groups := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	out, err := RecodeGroups(tbl, []string{"edu"}, hierarchy.MustSet(h), groups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A value the hierarchy cannot generalize falls back to the value set.
 	want := []string{"higher", "any", "{bachelors,unknown}"}
 	for gi, w := range want {
-		if g := summaries[gi].Values[0]; g != w {
+		if g, _ := out.Value(groups[gi][0], 0); g != w {
 			t.Errorf("group %d lcg = %q, want %q", gi, g, w)
 		}
 	}

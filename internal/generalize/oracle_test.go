@@ -1,7 +1,7 @@
 package generalize
 
 // The string implementation of RecodeGroups that the coded one replaced,
-// kept verbatim as the differential-test oracle: it reads every member cell
+// kept as the differential-test oracle: it reads every member cell
 // as a string, parses and generalizes per cell, and writes the release one
 // string cell at a time into a copy of the rows.
 
@@ -20,14 +20,14 @@ import (
 var RecodeGroupsOracle = recodeGroupsOracle
 
 // recodeGroupsOracle is the reference RecodeGroups.
-func recodeGroupsOracle(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups [][]int) (*dataset.Table, []GroupSummary, error) {
+func recodeGroupsOracle(t *dataset.Table, attrs []string, hs *hierarchy.Set, groups [][]int) (*dataset.Table, error) {
 	schema := t.Schema()
 	cols := make([]int, len(attrs))
 	numeric := make([]bool, len(attrs))
 	for i, a := range attrs {
 		c, err := schema.Index(a)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cols[i] = c
 		attr, _ := schema.ByName(a)
@@ -35,48 +35,46 @@ func recodeGroupsOracle(t *dataset.Table, attrs []string, hs *hierarchy.Set, gro
 	}
 
 	rows := t.Rows()
-	summaries := make([]GroupSummary, 0, len(groups))
 	seen := make([]bool, t.Len())
 	for gi, g := range groups {
 		if len(g) == 0 {
-			return nil, nil, fmt.Errorf("generalize: group %d is empty", gi)
+			return nil, fmt.Errorf("generalize: group %d is empty", gi)
 		}
 		values := make([]string, len(attrs))
 		for ai := range attrs {
 			vals := make([]string, 0, len(g))
 			for _, r := range g {
 				if r < 0 || r >= t.Len() {
-					return nil, nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
+					return nil, fmt.Errorf("generalize: group %d references row %d out of range", gi, r)
 				}
 				v, err := t.Value(r, cols[ai])
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				vals = append(vals, v)
 			}
 			summary, err := oracleSummarize(attrs[ai], vals, numeric[ai], hs)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			values[ai] = summary
 		}
 		for _, r := range g {
 			if seen[r] {
-				return nil, nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
+				return nil, fmt.Errorf("generalize: row %d appears in more than one group", r)
 			}
 			seen[r] = true
 			for ai := range attrs {
 				rows[r][cols[ai]] = values[ai]
 			}
 		}
-		summaries = append(summaries, GroupSummary{Rows: append([]int(nil), g...), Values: values})
 	}
 	out, err := dataset.FromRows(schema, rows)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	out.SetScanWorkers(t.ScanWorkers())
-	return out, summaries, nil
+	return out, nil
 }
 
 // oracleSummarize recodes one attribute's group values into a single released value.

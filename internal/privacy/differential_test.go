@@ -69,6 +69,31 @@ const (
 	refC = 3.0
 )
 
+// refEqualEMD is the earth mover's distance under the equal ground
+// distance, which reduces to the total variation distance.
+func refEqualEMD(p, q []float64) float64 {
+	sum := 0.0
+	for i := range p {
+		sum += math.Abs(p[i] - q[i])
+	}
+	return sum / 2
+}
+
+// refOrderedEMD is the earth mover's distance for an ordered domain: the
+// mean of absolute prefix sums of (p - q), normalized by (m - 1).
+func refOrderedEMD(p, q []float64) float64 {
+	m := len(p)
+	if m <= 1 {
+		return 0
+	}
+	sum, prefix := 0.0, 0.0
+	for i := 0; i < m; i++ {
+		prefix += p[i] - q[i]
+		sum += math.Abs(prefix)
+	}
+	return sum / float64(m-1)
+}
+
 func reference(t *testing.T, tbl *dataset.Table, classes []dataset.EquivalenceClass, sensitive string) refMeasures {
 	t.Helper()
 	col, err := tbl.Schema().Index(sensitive)
@@ -86,9 +111,9 @@ func reference(t *testing.T, tbl *dataset.Table, classes []dataset.EquivalenceCl
 			q[i] = float64(global[v]) / float64(tbl.Len())
 		}
 		if ordered {
-			return orderedEMD(p, q)
+			return refOrderedEMD(p, q)
 		}
-		return equalEMD(p, q)
+		return refEqualEMD(p, q)
 	}
 	m := refMeasures{distinctL: math.MaxInt, entropyL: math.Inf(1), recursiveOK: true}
 	recursiveDone := false
@@ -145,13 +170,15 @@ func allRows(n int) []int {
 
 // diffTable builds a random table with a categorical and a numeric
 // sensitive column. The numeric values are chosen so lexicographic and
-// numeric order disagree.
+// numeric order disagree. A third, constant column has a one-value domain;
+// it draws no random numbers, so the other columns do not depend on it.
 func diffTable(t *testing.T, seed int64, n int) *dataset.Table {
 	t.Helper()
 	schema := dataset.MustSchema(
 		dataset.Attribute{Name: "zip", Kind: dataset.QuasiIdentifier, Type: dataset.Categorical},
 		dataset.Attribute{Name: "disease", Kind: dataset.Sensitive, Type: dataset.Categorical},
 		dataset.Attribute{Name: "salary", Kind: dataset.Insensitive, Type: dataset.Numeric},
+		dataset.Attribute{Name: "grade", Kind: dataset.Insensitive, Type: dataset.Numeric},
 	)
 	rng := rand.New(rand.NewSource(seed))
 	diseases := []string{"flu", "cancer", "hiv", "gastritis", "ulcer", "asthma"}
@@ -165,6 +192,7 @@ func diffTable(t *testing.T, seed int64, n int) *dataset.Table {
 			fmt.Sprintf("z%d", z),
 			diseases[(z+rng.Intn(3))%len(diseases)],
 			salaries[rng.Intn(len(salaries))],
+			"7",
 		}
 	}
 	tbl, err := dataset.FromRows(schema, rows)
@@ -230,7 +258,7 @@ func TestCodedMeasuresMatchStringReference(t *testing.T) {
 			tbl  *dataset.Table
 		}{{"heap", heap}, {"snapshot", mt.Table()}} {
 			for ci, classes := range diffClasses(t, tc.tbl, seed) {
-				for _, sensitive := range []string{"disease", "salary"} {
+				for _, sensitive := range []string{"disease", "salary", "grade"} {
 					name := fmt.Sprintf("seed%d/%s/classes%d/%s", seed, tc.name, ci, sensitive)
 					checkAgainstReference(t, name, tc.tbl, classes, sensitive)
 				}

@@ -286,48 +286,34 @@ func MeasureMaxEMD(t *dataset.Table, classes []dataset.EquivalenceClass, sensiti
 	if ordered && st.Numeric != nil {
 		domain = st.Numeric
 	}
-	globalDist := make([]float64, len(domain))
-	for i, code := range domain {
-		globalDist[i] = float64(st.Counts[code]) / float64(cc.Len())
-	}
-	localDist := make([]float64, len(domain))
+	n := float64(cc.Len())
+	// One pass over the domain per class: the local and global shares of
+	// each value feed the total variation (equal ground distance) or the
+	// prefix sums (ordered ground distance) directly.
 	return maxOver(t, classes, sensitive, func(h *classHist) float64 {
-		for i, code := range domain {
-			localDist[i] = 0
+		if ordered && len(domain) <= 1 {
+			return 0
+		}
+		sum, prefix := 0.0, 0.0
+		for _, code := range domain {
+			local := 0.0
 			if h.size > 0 {
-				localDist[i] = float64(h.counts[code]) / float64(h.size)
+				local = float64(h.counts[code]) / float64(h.size)
+			}
+			global := float64(st.Counts[code]) / n
+			if ordered {
+				prefix += local - global
+				sum += math.Abs(prefix)
+			} else {
+				sum += math.Abs(local - global)
 			}
 		}
 		if ordered {
-			return orderedEMD(localDist, globalDist)
+			// The mean of the absolute prefix sums, normalized by m - 1.
+			return sum / float64(len(domain)-1)
 		}
-		return equalEMD(localDist, globalDist)
+		return sum / 2
 	})
-}
-
-// equalEMD is the earth mover's distance under the equal ground distance,
-// which reduces to the total variation distance.
-func equalEMD(p, q []float64) float64 {
-	sum := 0.0
-	for i := range p {
-		sum += math.Abs(p[i] - q[i])
-	}
-	return sum / 2
-}
-
-// orderedEMD is the earth mover's distance for an ordered domain: the mean of
-// absolute prefix sums of (p - q), normalized by (m - 1).
-func orderedEMD(p, q []float64) float64 {
-	m := len(p)
-	if m <= 1 {
-		return 0
-	}
-	sum, prefix := 0.0, 0.0
-	for i := 0; i < m; i++ {
-		prefix += p[i] - q[i]
-		sum += math.Abs(prefix)
-	}
-	return sum / float64(m-1)
 }
 
 // ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@
 # then SEED+1, ...), so they see the same rows and operation mix.
 #
 # Every run prints one line, `<pair> <side> seed=<seed> <final JSON line>`,
-# also appended to OUT when set. A summary follows: each side's median
-# cpu_ms_per_req and setup_s, and in how many pairs the head's
-# cpu_ms_per_req is the lower. The script exits non-zero when any run's
+# also appended to OUT when set. A summary line follows for each of
+# cpu_ms_per_req and setup_s: both sides' medians, the base's interquartile
+# range, in how many pairs the head's value is the lower, and the two-sided
+# Mann–Whitney p-value of the two sides (`benchjson utest`, built from the
+# working tree). The script exits non-zero when any run's
 # JSON is not "correct": true (a failed check, a late generator, or no
 # JSON at all).
 #
@@ -56,6 +58,7 @@ build() {
 }
 build "$tmp/base/src" base
 build "$root" head
+(cd "$root" && $GO build -o "$tmp/benchjson" ./cmd/benchjson)
 
 failed=0
 # run <side> <pair> <seed>
@@ -92,21 +95,32 @@ done
 metric() {
     sed -n "s/^\([0-9]*\) \([a-z]*\) .*\"$1\": *{\"value\": *\([-0-9.eE+]*\).*/\1 \2 \3/p" "$tmp/runs"
 }
-median() {
-    sort -g | awk '{ v[NR] = $1 } END { if (NR == 0) print "-"; else if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+# side <metric> <side>: that side's values of the metric, one a line.
+side() {
+    metric "$1" | awk -v s="$2" '$2 == s { print $3 }'
+}
+# stats: "<median> <IQR>" of the values on stdin, the quartiles interpolated
+# linearly between the closest ranks as benchjson does, or "- -" with none.
+stats() {
+    sort -g | awk '
+        function q(p,  pos, i) { pos = p * (NR - 1); i = int(pos); return i + 1 == NR ? v[i + 1] : v[i + 1] + (pos - i) * (v[i + 2] - v[i + 1]) }
+        { v[NR] = $1 }
+        END { if (NR == 0) print "- -"; else print q(0.5), q(0.75) - q(0.25) }'
 }
 echo
 for m in cpu_ms_per_req setup_s; do
-    b=$(metric "$m" | awk '$2 == "base" { print $3 }' | median)
-    h=$(metric "$m" | awk '$2 == "head" { print $3 }' | median)
-    echo "# $m median: base $b, head $h"
+    set -- $(side "$m" base | stats)
+    b=$1 iqr=$2
+    h=$(side "$m" head | stats | cut -d' ' -f1)
+    p=$("$tmp/benchjson" utest "$(side "$m" base)" "$(side "$m" head)" 2>/dev/null) || p=-
+    w=$(metric "$m" | awk '
+        { v[$1, $2] = $3; seen[$1] = 1 }
+        END {
+            for (p in seen) if (((p, "base") in v) && ((p, "head") in v)) { n++; if (v[p, "head"] < v[p, "base"]) w++ }
+            printf "%d of %d", w, n
+        }')
+    echo "# $m: median base $b, head $h; base IQR $iqr; head lower in $w pairs; U test p = $p"
 done
-metric cpu_ms_per_req | awk '
-    { v[$1, $2] = $3; seen[$1] = 1 }
-    END {
-        for (p in seen) if (((p, "base") in v) && ((p, "head") in v)) { n++; if (v[p, "head"] < v[p, "base"]) w++ }
-        printf "# cpu_ms_per_req: head lower in %d of %d pairs\n", w, n
-    }'
 if [ "$failed" -gt 0 ]; then
     echo "# $failed run(s) not correct:true" >&2
     exit 1
